@@ -111,7 +111,7 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
 
     frame_rows = payload.get("frame")
     if not isinstance(frame_rows, list) or len(frame_rows) != n or any(
-        not isinstance(r, list) or len(r) != n for r in frame_rows
+        not isinstance(r, list) or len(r) != n or not all(isinstance(c, str) for c in r) for r in frame_rows
     ):
         problems.append(f"'frame' must be a {n}x{n} array of expression strings")
         frame_rows = []
@@ -144,15 +144,11 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
                 if grid[i][j] is None:
                     problems.append(f"metric entry ({i + 1},{j + 1}) is missing")
                     grid[i][j] = "0"
-        for i in range(n):
-            for j in range(i + 1, n):
-                if grid[i][j] is not None and grid[j][i] is not None and grid[i][j] != grid[j][i]:
-                    # textual asymmetry is fine if the expressions agree; checked later
-                    pass
         norm_metric = [[str(c) for c in row] for row in grid]
 
     xi = payload.get("xi")
-    if not isinstance(xi, int) or not 1 <= xi <= n:
+    # bool is an int subclass: "xi": true must not pass as index 1
+    if isinstance(xi, bool) or not isinstance(xi, int) or not 1 <= xi <= n:
         problems.append(f"'xi' must be a frame index between 1 and {n}")
         xi = 1
 

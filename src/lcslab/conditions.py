@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .frame_geometry import FrameTensor, vec_scale, vec_sub
+from .frame_geometry import FrameTensor, combo, dot, vec_scale, vec_sub
 from .lcs_structure import ClassifierVerdict, classify, solve_two_unknowns
 from .manifold import ManifoldData
 from .symexpr import Expr
@@ -240,16 +240,12 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
         raise ValueError("identity needs a structure with nonzero alpha")
 
     def residual_for(beta_value: Expr):
-        n = data.dim
         g = data.metric.g
         nabla_r = data.nabla_riemann
         coeff = 2 * st.alpha * st.rho - beta_value
 
         def entry(w, y, z):
-            vec = None
-            for a in range(n):
-                term = vec_scale(st.xi[a], nabla_r.comp(w, a, y, z))
-                vec = term if vec is None else tuple(p + q for p, q in zip(vec, term))
+            vec = combo(st.xi, lambda a: nabla_r.comp(w, a, y, z))
             lhs = data.metric.pair(vec, st.xi)
             rhs = -coeff * (g[y][z] + st.eta[y] * st.eta[z]) * st.eta[w]
             return lhs - rhs
@@ -366,33 +362,17 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
 
     def xi_slot(tensor, x, y):
         """T(xi, E_x)E_y for a (1,3) tensor, contracting xi into slot one."""
-        vec = None
-        for a in range(n):
-            term = vec_scale(st.xi[a], tensor.comp(a, x, y))
-            vec = term if vec is None else tuple(p + q for p, q in zip(vec, term))
-        return vec
+        return combo(st.xi, lambda a: tensor.comp(a, x, y))
 
     r_xi = [[xi_slot(riem, x, u) for u in range(n)] for x in range(n)]
 
     def r_xi_apply(x, vec):
-        out = None
-        for j in range(n):
-            if vec[j].is_zero:
-                continue
-            term = vec_scale(vec[j], r_xi[x][j])
-            out = term if out is None else tuple(p + q for p, q in zip(out, term))
-        return out if out is not None else tuple(chart.zero() for _ in range(n))
+        return combo(vec, lambda j: r_xi[x][j])
 
     def contract_slot(tensor, vec, fixed_a, fixed_b, slot):
-        """tensor(...) with ``vec`` fed into the given argument slot."""
-        out = None
-        for j in range(n):
-            if vec[j].is_zero:
-                continue
-            idx = {1: (j, fixed_a, fixed_b), 2: (fixed_a, j, fixed_b), 3: (fixed_a, fixed_b, j)}[slot]
-            term = vec_scale(vec[j], tensor.comp(*idx))
-            out = term if out is None else tuple(p + q for p, q in zip(out, term))
-        return out if out is not None else tuple(chart.zero() for _ in range(n))
+        """tensor(...) with ``vec`` fed into the given argument slot (1..3)."""
+        fixed = [fixed_a, fixed_b]
+        return combo(vec, lambda j: tensor.comp(*fixed[: slot - 1], j, *fixed[slot - 1 :]))
 
     def rxm_entry(x, u, v, w):
         # eta(R(xi,X) M(U,V)W) - eta(M(R(xi,X)U, V)W)
@@ -408,7 +388,7 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
     c_xi = [[xi_slot(conc, x, y) for y in range(n)] for x in range(n)]
 
     def s_of(vec, z):
-        return sum((vec[u] * ric.comp(u, z) for u in range(n)), chart.zero())
+        return dot(vec, [ric.comp(u, z) for u in range(n)])
 
     def cxs_entry(x, y, z):
         return s_of(c_xi[x][y], z) + s_of(c_xi[x][z], y)
@@ -416,11 +396,7 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
     cxs = FrameTensor.build((0, 3), n, cxs_entry)
 
     def mproj_xi_entry(i, j):
-        vec = None
-        for a in range(n):
-            term = vec_scale(st.xi[a], mproj.comp(i, j, a))
-            vec = term if vec is None else tuple(p + q for p, q in zip(vec, term))
-        return st.eta_of(vec)
+        return st.eta_of(combo(st.xi, lambda a: mproj.comp(i, j, a)))
 
     mproj_xi = FrameTensor.build((0, 2), n, mproj_xi_entry)
 

@@ -6,13 +6,18 @@ bundled reference manifold the Ricci value S(E_3, E_3) must come out as
 -4/z^2, which also makes S(X, xi) = (n-1)(alpha^2 - rho) eta(X) hold.  The
 contraction implementing that anchor is
 S(Y, Z) = sum_{a,b} g^{ab} g(R(E_a, Y) Z, E_b).
+It is computed as the trace S(Y, Z) = sum_a [R(E_a, Y) Z]^a, which is the
+same number exactly: g(R(E_a, Y) Z, E_b) = sum_u [R(E_a, Y) Z]^u g_{ub}, and
+sum_b g_{ub} g^{ab} is the identity, so only the u = a terms survive.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
-from .frame_geometry import FrameMetric, FrameTensor, vec_add, vec_scale, vec_sub
+from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_scale, vec_sub
 from .levi_civita import ConnectionCoeffs, cov_deriv_tensor, cov_deriv_vector, frame_brackets
 from .symexpr import Expr
 
@@ -28,78 +33,36 @@ def riemann(conn: ConnectionCoeffs, brackets=None) -> FrameTensor:
     def entry(i, j, k):
         first = cov_deriv_vector(conn, unit[i], conn.gamma[j][k])
         second = cov_deriv_vector(conn, unit[j], conn.gamma[i][k])
-        val = vec_sub(first, second)
-        for a in range(n):
-            c = brackets[i][j][a]
-            if not c.is_zero:
-                val = vec_sub(val, vec_scale(c, conn.gamma[a][k]))
-        return val
+        return vec_sub(vec_sub(first, second), combo(brackets[i][j], lambda a: conn.gamma[a][k]))
 
     return FrameTensor.build((1, 3), n, entry)
 
 
 def riemann_lowered(riem: FrameTensor, metric: FrameMetric) -> FrameTensor:
     """(0,4) components g(R(E_i,E_j)E_k, E_l)."""
-    n = metric.dim
     g = metric.g
-
-    def entry(i, j, k, l):
-        out = metric.frame.chart.zero()
-        for a in range(n):
-            c = riem.comp(i, j, k)[a]
-            if not c.is_zero:
-                out = out + c * g[a][l]
-        return out
-
-    return FrameTensor.build((0, 4), n, entry)
+    return FrameTensor.build((0, 4), metric.dim, lambda i, j, k, l: dot(riem.comp(i, j, k), g[l]))
 
 
 def ricci(riem: FrameTensor, metric: FrameMetric) -> FrameTensor:
+    """S(Y, Z) as the trace sum_a [R(E_a, Y)Z]^a (see the module docstring)."""
     n = metric.dim
-    ginv = metric.inverse()
-    g = metric.g
-    chart = metric.frame.chart
 
     def entry(i, j):
-        out = chart.zero()
-        for a in range(n):
-            vec = riem.comp(a, i, j)
-            for b in range(n):
-                if ginv[a][b].is_zero:
-                    continue
-                paired = chart.zero()
-                for u in range(n):
-                    if not vec[u].is_zero:
-                        paired = paired + vec[u] * g[u][b]
-                out = out + ginv[a][b] * paired
-        return out
+        return reduce(operator.add, (riem.comp(a, i, j)[a] for a in range(n)))
 
     return FrameTensor.build((0, 2), n, entry)
 
 
 def scalar_curvature(ric: FrameTensor, metric: FrameMetric) -> Expr:
-    n = metric.dim
+    """r = sum_{a,b} g^{ab} S(E_a, E_b)."""
     ginv = metric.inverse()
-    out = metric.frame.chart.zero()
-    for a in range(n):
-        for b in range(n):
-            if not ginv[a][b].is_zero:
-                out = out + ginv[a][b] * ric.comp(a, b)
-    return out
+    return dot([e for row in ginv for e in row], [e for row in ric.comps for e in row])
 
 
 def ricci_operator(ric: FrameTensor, metric: FrameMetric) -> FrameTensor:
     """Q with g(QX, Y) = S(X, Y); comps[i] are the frame components of Q E_i."""
-    n = metric.dim
-    ginv = metric.inverse()
-    chart = metric.frame.chart
-
-    def entry(i):
-        return tuple(
-            sum((ginv[k][a] * ric.comp(i, a) for a in range(n)), chart.zero()) for k in range(n)
-        )
-
-    return FrameTensor.build((1, 1), n, entry)
+    return FrameTensor.build((1, 1), metric.dim, lambda i: metric.raise_form(ric.comp(i)))
 
 
 def m_projective(riem: FrameTensor, ric: FrameTensor, q_op: FrameTensor, metric: FrameMetric) -> FrameTensor:

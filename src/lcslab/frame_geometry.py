@@ -8,8 +8,10 @@ explicit, via ``decompose``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 
 from .symexpr import Expr, Var, parse
 
@@ -114,12 +116,7 @@ class Frame:
 
     def from_components(self, comps) -> VectorField:
         """The coordinate vector field sum_i comps_i E_i."""
-        chart = self.chart
-        out = [chart.zero()] * chart.dim
-        for c, f in zip(comps, self.fields):
-            if not c.is_zero:
-                out = [o + c * fc for o, fc in zip(out, f.coeffs)]
-        return VectorField(chart, tuple(out))
+        return VectorField(self.chart, combo(comps, lambda i: self.fields[i].coeffs))
 
     def unit(self, i: int) -> tuple[Expr, ...]:
         """Frame components of E_i."""
@@ -191,32 +188,26 @@ class FrameMetric:
 
     def pair(self, u, v) -> Expr:
         """u^T g v for frame-component vectors u, v."""
-        out = self.frame.chart.zero()
-        for i, ui in enumerate(u):
-            if ui.is_zero:
-                continue
-            for j, vj in enumerate(v):
-                if not vj.is_zero:
-                    out = out + ui * self.g[i][j] * vj
-        return out
+        return dot(u, self.lower(v))
 
     def inverse(self) -> tuple[tuple[Expr, ...], ...]:
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> tuple[tuple[Expr, ...], ...]:
+        # solved once per metric: Koszul raises n^2 forms through it
         inv = matrix_inverse([list(r) for r in self.g])
         if inv is None:
             raise DegenerateMetricError("metric determinant is identically zero")
         return tuple(tuple(r) for r in inv)
 
     def lower(self, u) -> tuple[Expr, ...]:
-        """Covariant components g(u, E_j)."""
-        n = self.dim
-        return tuple(self.pair(u, self.frame.unit(j)) for j in range(n))
+        """Covariant components g(u, E_j); g is symmetric, so row j serves."""
+        return tuple(dot(row, u) for row in self.g)
 
     def raise_form(self, w) -> tuple[Expr, ...]:
         """Frame components of the metric dual of a 1-form."""
-        ginv = self.inverse()
-        n = self.dim
-        zero = self.frame.chart.zero()
-        return tuple(sum((ginv[i][j] * w[j] for j in range(n)), zero) for i in range(n))
+        return tuple(dot(row, w) for row in self.inverse())
 
 
 def metric_pair(metric: FrameMetric, u, v) -> Expr:
@@ -300,39 +291,60 @@ class FrameTensor:
         return FrameTensor.build(self.valence, n, lambda *ix: self.comp(*ix) - other.comp(*ix))
 
 
-# -- exact linear algebra over the function field ---------------------------
+# -- contractions --------------------------------------------------------------
+#
+# Products summed over a frame index go through dot (scalars) or combo
+# (vectors).  Both skip the terms with a zero factor: most frame components
+# of the bundled manifolds vanish, and exact arithmetic with zero still
+# costs GCDs.
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(b if a.is_zero else a if b.is_zero else a + b for a, b in zip(u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(-b if a.is_zero else a if b.is_zero else a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Expr, u):
-    return tuple(c * a for a in u)
+    return tuple(a if a.is_zero else c * a for a in u)
+
+
+def dot(u, v) -> Expr:
+    """sum_a u[a] v[a] over two sequences of scalars."""
+    terms = [a * b for a, b in zip(u, v) if not (a.is_zero or b.is_zero)]
+    return reduce(operator.add, terms) if terms else Expr.zero(u[0].vars)
+
+
+def combo(coeffs, vec_of) -> tuple[Expr, ...]:
+    """sum_a coeffs[a] vec_of(a), calling vec_of(a) only where coeffs[a] is
+    nonzero.  With no nonzero coefficient the result is the zero vector with
+    one component per coefficient."""
+    terms = [vec_scale(c, vec_of(a)) for a, c in enumerate(coeffs) if not c.is_zero]
+    if not terms:
+        return (Expr.zero(coeffs[0].vars),) * len(coeffs)
+    return reduce(vec_add, terms)
+
+
+# -- exact linear algebra over the function field ---------------------------
 
 
 def matrix_det(a: list[list[Expr]]) -> Expr:
-    """Determinant by cofactor expansion; exact and division-free."""
+    """Determinant by cofactor expansion along the first row; exact and
+    division-free."""
     n = len(a)
     if n == 1:
         return a[0][0]
-    total = None
-    for j in range(n):
+
+    def cofactor(j):
         if a[0][j].is_zero:
-            continue
+            return a[0][j]  # dot skips it; no minor needed
         minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = a[0][j] * matrix_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        anchor = a[0][0]
-        return anchor - anchor
-    return total
+        det = matrix_det(minor)
+        return -det if j % 2 else det
+
+    return dot(a[0], [cofactor(j) for j in range(n)])
 
 
 def _pick_pivot(rows: list, col: int, start: int):

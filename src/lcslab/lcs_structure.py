@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .frame_geometry import FrameMetric, FrameTensor, vec_add, vec_scale, vec_sub
+from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_scale, vec_sub
 from .levi_civita import cov_deriv_vector
 from .manifold import ManifoldData
 from .symexpr import Expr
@@ -38,19 +38,10 @@ class LcsStructure:
     beta: Expr
 
     def eta_of(self, v) -> Expr:
-        out = None
-        for c, e in zip(self.eta, v):
-            term = c * e
-            out = term if out is None else out + term
-        return out
+        return dot(self.eta, v)
 
     def phi_of(self, v) -> tuple[Expr, ...]:
-        n = len(self.xi)
-        out = None
-        for i in range(n):
-            term = vec_scale(v[i], self.phi.comp(i))
-            out = term if out is None else vec_add(out, term)
-        return tuple(out)
+        return combo(v, self.phi.comp)
 
 
 def _solve_proportionality(values, reference, what: str) -> Expr:
@@ -231,10 +222,7 @@ def verify_axioms(data: ManifoldData, structure: LcsStructure) -> list[AxiomChec
     res = []
     for i in range(n):
         for j in range(n):
-            vec = None
-            for a in range(n):
-                term = vec_scale(st.xi[a], riem.comp(i, j, a))
-                vec = term if vec is None else vec_add(vec, term)
+            vec = combo(st.xi, lambda a: riem.comp(i, j, a))
             rhs = vec_sub(vec_scale(k2 * st.eta[j], unit[i]), vec_scale(k2 * st.eta[i], unit[j]))
             res.extend(a - b for a, b in zip(vec, rhs))
     record("curvature-into-xi", "R(X,Y)xi = (alpha^2-rho){eta(Y)X - eta(X)Y}", res)
@@ -242,10 +230,7 @@ def verify_axioms(data: ManifoldData, structure: LcsStructure) -> list[AxiomChec
     res = []
     for j in range(n):
         for k in range(n):
-            vec = None
-            for a in range(n):
-                term = vec_scale(st.xi[a], riem.comp(a, j, k))
-                vec = term if vec is None else vec_add(vec, term)
+            vec = combo(st.xi, lambda a: riem.comp(a, j, k))
             rhs = vec_sub(vec_scale(k2 * metric.g[j][k], st.xi), vec_scale(k2 * st.eta[k], unit[j]))
             res.extend(a - b for a, b in zip(vec, rhs))
     record("curvature-from-xi", "R(xi,X)Y = (alpha^2-rho){g(X,Y)xi - eta(Y)X}", res)
@@ -253,7 +238,7 @@ def verify_axioms(data: ManifoldData, structure: LcsStructure) -> list[AxiomChec
     ric = data.stack.ricci
     res = []
     for i in range(n):
-        lhs = sum((st.xi[a] * ric.comp(i, a) for a in range(n)), chart.zero())
+        lhs = dot(st.xi, ric.comp(i))
         res.append(lhs - chart.const(n - 1) * k2 * st.eta[i])
     record("ricci-into-xi", "S(X, xi) = (n-1)(alpha^2-rho) eta(X)", res)
 

@@ -15,10 +15,11 @@ from .frame_geometry import (
     FrameMetric,
     FrameTensor,
     GeometryError,
+    combo,
     decompose,
     lie_bracket,
     vec_add,
-    vec_scale,
+    vec_sub,
 )
 from .symexpr import Expr
 
@@ -59,103 +60,79 @@ def koszul(frame: Frame, metric: FrameMetric, brackets=None) -> ConnectionCoeffs
                         + g([X,Y],Z) - g([X,Z],Y) - g([Y,Z],X)
     """
     n = frame.dim
-    chart = frame.chart
     if brackets is None:
         brackets = frame_brackets(frame)
     g = metric.g
-    ginv = metric.inverse()
-    two = chart.const(2)
+    low = [[metric.lower(b) for b in row] for row in brackets]
+    two = frame.chart.const(2)
 
     def dg(i, j, k):
         return frame.fields[i].apply(g[j][k])
 
-    gamma = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            w = []
-            for z in range(n):
-                rhs = dg(i, j, z) + dg(j, i, z) - dg(z, i, j)
-                rhs = rhs + metric.pair(brackets[i][j], frame.unit(z))
-                rhs = rhs - metric.pair(brackets[i][z], frame.unit(j))
-                rhs = rhs - metric.pair(brackets[j][z], frame.unit(i))
-                w.append(rhs / two)
-            row.append(tuple(sum((ginv[k][z] * w[z] for z in range(n)), chart.zero()) for k in range(n)))
-        gamma.append(tuple(row))
-    return ConnectionCoeffs(frame, tuple(gamma))
+    def rhs(i, j, z):
+        """2 g(nabla_{E_i} E_j, E_z)."""
+        derivs = dg(i, j, z) + dg(j, i, z) - dg(z, i, j)
+        return derivs + low[i][j][z] - low[i][z][j] - low[j][z][i]
+
+    gamma = tuple(
+        tuple(metric.raise_form([rhs(i, j, z) / two for z in range(n)]) for j in range(n)) for i in range(n)
+    )
+    return ConnectionCoeffs(frame, gamma)
 
 
 def cov_deriv_vector(conn: ConnectionCoeffs, x, y) -> tuple[Expr, ...]:
     """Frame components of nabla_X Y for frame-component inputs."""
-    frame = conn.frame
-    n = conn.dim
-    chart = frame.chart
-    out = [chart.zero()] * n
-    for i in range(n):
-        if x[i].is_zero:
-            continue
-        term = [frame.fields[i].apply(y[k]) for k in range(n)]
-        for j in range(n):
-            if not y[j].is_zero:
-                term = vec_add(term, vec_scale(y[j], conn.gamma[i][j]))
-        out = vec_add(out, vec_scale(x[i], term))
-    return tuple(out)
+    fields = conn.frame.fields
+
+    def along(i):
+        return vec_add(tuple(fields[i].apply(c) for c in y), combo(y, lambda j: conn.gamma[i][j]))
+
+    return combo(x, along)
 
 
 def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor, direction=None) -> FrameTensor:
     """Covariant derivative of a (0,2) or (1,3) frame tensor.
 
     ``direction`` may be a frame index, a frame-component vector, or None;
-    None leaves the slot free and prepends it as the first index.
+    None leaves the slot free and prepends it as the first index.  Along
+    E_w, with one term per covariant slot k,
+
+      (nabla_w T)(..X_k..) = E_w(T(..X_k..)) - sum_k T(..nabla_w X_k..)
+                             [+ nabla_w of the output vector when r = 1].
     """
-    frame = conn.frame
     n = conn.dim
-    chart = frame.chart
-    gamma = conn.gamma
     r, s = tensor.valence
+    if (r, s) not in ((0, 2), (1, 3)):
+        raise GeometryError(f"unsupported valence for covariant derivative: {(r, s)}")
 
     if direction is None:
         per_dir = [cov_deriv_tensor(conn, tensor, w) for w in range(n)]
         return FrameTensor((r, s + 1), tuple(t.comps for t in per_dir))
-
     if isinstance(direction, int):
-        weights = [(direction, chart.one())]
-    else:
-        weights = [(w, c) for w, c in enumerate(direction) if not c.is_zero]
+        direction = conn.frame.unit(direction)
+    gamma = conn.gamma
+    fields = conn.frame.fields
 
-    if (r, s) == (0, 2):
+    def value(idx):
+        # scalar leaves ride along as 1-vectors; the vector helpers zip, so
+        # an all-zero combo (n components) is cut to that one component
+        leaf = tensor.comp(*idx)
+        return leaf if r else (leaf,)
 
-        def entry(i, j):
-            total = chart.zero()
-            for w, cw in weights:
-                val = frame.fields[w].apply(tensor.comp(i, j))
-                for a in range(n):
-                    val = val - gamma[w][i][a] * tensor.comp(a, j)
-                    val = val - gamma[w][j][a] * tensor.comp(i, a)
-                total = total + cw * val
-            return total
+    def along(w, idx):
+        base = value(idx)
+        val = tuple(fields[w].apply(c) for c in base)
+        if r:
+            val = vec_add(val, combo(base, lambda a: gamma[w][a]))
+        for k, i in enumerate(idx):
+            val = vec_sub(val, combo(gamma[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
+        return val
 
-        return FrameTensor.build((0, 2), n, entry)
+    def entry(*idx):
+        val = combo(direction, lambda w: along(w, idx))
+        return val if r else val[0]
 
-    if (r, s) == (1, 3):
-
-        def entry13(x, y, z):
-            total = [chart.zero()] * n
-            for w, cw in weights:
-                base = tensor.comp(x, y, z)
-                val = [frame.fields[w].apply(base[u]) for u in range(n)]
-                for a in range(n):
-                    if not base[a].is_zero:
-                        val = vec_add(val, vec_scale(base[a], gamma[w][a]))
-                    val = [v - gamma[w][x][a] * c for v, c in zip(val, tensor.comp(a, y, z))]
-                    val = [v - gamma[w][y][a] * c for v, c in zip(val, tensor.comp(x, a, z))]
-                    val = [v - gamma[w][z][a] * c for v, c in zip(val, tensor.comp(x, y, a))]
-                total = vec_add(total, vec_scale(cw, val))
-            return tuple(total)
-
-        return FrameTensor.build((1, 3), n, entry13)
-
-    raise GeometryError(f"unsupported valence for covariant derivative: {(r, s)}")
+    return FrameTensor.build((r, s), n, entry)
 
 
 def lie_derivative_metric(frame: Frame, metric: FrameMetric, v) -> FrameTensor:

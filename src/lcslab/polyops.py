@@ -144,10 +144,7 @@ def _int_content(a: Poly) -> int:
 def _monomial_gcd(a: Poly, b: Poly) -> Poly:
     """GCD when at least one operand is a single term: the integer content
     GCD times the componentwise-minimal exponent over every term."""
-    mins = None
-    for p in (a, b):
-        for e in p:
-            mins = e if mins is None else tuple(min(x, y) for x, y in zip(mins, e))
+    mins = tuple(map(min, zip(*a, *b)))
     return {mins: int_gcd(_int_content(a), _int_content(b))}
 
 
@@ -170,8 +167,9 @@ def _subresultant_pp_gcd(f: Poly, g: Poly, v: int) -> Poly:
     Content extraction happens once at the end instead of at every step,
     which keeps the remainder sequence cheap (Collins/Brown/Traub).
     """
-    rest = tuple(i for i in range(len(next(iter(f)))) if i != v)
-    one = poly_const(len(next(iter(f))), 1)
+    nvars = len(next(iter(f)))
+    rest = tuple(i for i in range(nvars) if i != v)
+    one = poly_const(nvars, 1)
     gg = one
     hh = one
     while True:
@@ -181,28 +179,16 @@ def _subresultant_pp_gcd(f: Poly, g: Poly, v: int) -> Poly:
             break
         if _deg_in(r, v) == 0:
             return one  # primitive inputs with a constant-in-x_v remainder are coprime
-        f, g = g, poly_divexact(r, poly_mul(gg, _poly_pow_raw(hh, delta)))
+        f, g = g, poly_divexact(r, poly_mul(gg, poly_pow(hh, delta, nvars)))
         gg = _coeff_in(f, v, _deg_in(f, v))
         if delta == 0:
             pass  # h unchanged
         elif delta == 1:
             hh = gg
         else:
-            hh = poly_divexact(_poly_pow_raw(gg, delta), _poly_pow_raw(hh, delta - 1))
+            hh = poly_divexact(poly_pow(gg, delta, nvars), poly_pow(hh, delta - 1, nvars))
     pp = poly_divexact(g, _content_in(g, v, rest))
     return pp
-
-
-def _poly_pow_raw(a: Poly, k: int) -> Poly:
-    out = poly_const(len(next(iter(a))), 1)
-    base = a
-    while k:
-        if k & 1:
-            out = poly_mul(out, base)
-        k >>= 1
-        if k:
-            base = poly_mul(base, base)
-    return out
 
 
 def _gcd_rec(a: Poly, b: Poly, vs: tuple) -> Poly:

@@ -10,8 +10,8 @@ XYZ = (Var("x"), Var("y"), Var("z"))
 LORENTZ_DIAG = (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "-1"))
 
 
-def make_manifold(name: str, frame_rows, xi_index: int = 2, metric_rows=LORENTZ_DIAG) -> ManifoldData:
-    chart = Chart(XYZ)
+def make_manifold(name: str, frame_rows, xi_index: int = 2, metric_rows=LORENTZ_DIAG, coords=XYZ) -> ManifoldData:
+    chart = Chart(coords)
     fields = tuple(VectorField(chart, tuple(chart.parse(t) for t in row)) for row in frame_rows)
     frame = Frame(fields)
     g = [[chart.parse(t) for t in row] for row in metric_rows]

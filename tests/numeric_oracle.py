@@ -211,3 +211,49 @@ class NumericTwin:
                 pair_j = sum(Fraction(int(a == i)) * self.g[a][b] * bvj[b] for a in range(n) for b in range(n))
                 out[i][j] = dgv[i][j] - pair_i - pair_j
         return out
+
+    # -- covariant derivatives ----------------------------------------------
+
+    def frame_derivatives(self, expr):
+        """[E_w(expr)] at the point, for every frame direction w."""
+        return [self.ev(f.apply(expr)) for f in self.data.frame.fields]
+
+    def nabla_ricci(self, gam, ric):
+        """(nabla_{E_w} S)(E_i, E_j) = E_w(S_ij) - S(nabla_w E_i, E_j) - S(E_i, nabla_w E_j),
+        from evaluated derivatives of the engine's S and the twin's Gamma and S."""
+        n = self.n
+        sym = self.data.stack.ricci
+        d = [[self.frame_derivatives(sym.comp(i, j)) for j in range(n)] for i in range(n)]
+        out = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for w in range(n):
+            for i in range(n):
+                for j in range(n):
+                    total = d[i][j][w]
+                    for a in range(n):
+                        total -= gam[w][i][a] * ric[a][j] + gam[w][j][a] * ric[i][a]
+                    out[w][i][j] = total
+        return out
+
+    def nabla_riemann(self, gam, riem):
+        """(nabla_{E_w} R)(E_x, E_y)E_z in frame components u: the derivative
+        E_w(R^u_xyz) of the engine's R, plus Gamma acting on the output
+        vector, minus Gamma acting on each of the three arguments."""
+        n = self.n
+        sym = self.data.stack.riemann13
+        out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    d = [self.frame_derivatives(c) for c in sym.comp(x, y, z)]
+                    for w in range(n):
+                        vec = []
+                        for u in range(n):
+                            total = d[u][w]
+                            for a in range(n):
+                                total += gam[w][a][u] * riem[x][y][z][a]
+                                total -= gam[w][x][a] * riem[a][y][z][u]
+                                total -= gam[w][y][a] * riem[x][a][z][u]
+                                total -= gam[w][z][a] * riem[x][y][a][u]
+                            vec.append(total)
+                        out[w][x][y][z] = vec
+        return out

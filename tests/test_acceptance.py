@@ -28,6 +28,7 @@ from lcslab.conditions import (
     soliton_residual,
 )
 from lcslab.lcs_structure import verify_axioms
+from lcslab.symexpr import Var
 
 from conftest import make_manifold
 from numeric_oracle import NumericTwin
@@ -292,39 +293,57 @@ def random_points(count=3):
     return out
 
 
+def cross_check(data, pt) -> bool:
+    """Assert every engine tensor, nabla S and nabla R included, against the
+    numeric twin at pt; False when pt is a pole of the frame data."""
+    n = data.dim
+    try:
+        twin = NumericTwin(data, pt)
+        cb = twin.brackets_frame()
+        gam = twin.gamma()
+        riem = twin.riemann()
+        ric = twin.ricci(riem)
+        scal = twin.scalar(ric)
+        q = twin.q_operator(ric)
+        mproj = twin.m_projective(riem, ric, q)
+        conc = twin.concircular(riem, scal)
+        lie = twin.lie_metric(data.xi_components())
+        nabla_s = twin.nabla_ricci(gam, ric)
+        nabla_r = twin.nabla_riemann(gam, riem)
+    except ZeroDivisionError:
+        return False
+    for i in range(n):
+        for j in range(n):
+            assert [twin.ev(c) for c in data.brackets[i][j]] == cb[i][j]
+            assert [twin.ev(c) for c in data.connection.gamma[i][j]] == gam[i][j]
+            assert twin.ev(data.stack.ricci.comp(i, j)) == ric[i][j]
+            assert [twin.ev(c) for c in data.stack.q_operator.comp(i)] == q[i]
+            assert twin.ev(data.lie_metric(data.xi_components()).comp(i, j)) == lie[i][j]
+            for k in range(n):
+                assert [twin.ev(c) for c in data.stack.riemann13.comp(i, j, k)] == riem[i][j][k]
+                assert [twin.ev(c) for c in data.m_projective.comp(i, j, k)] == mproj[i][j][k]
+                assert [twin.ev(c) for c in data.concircular.comp(i, j, k)] == conc[i][j][k]
+                assert twin.ev(data.nabla_ricci.comp(i, j, k)) == nabla_s[i][j][k]
+                for l in range(n):
+                    assert [twin.ev(c) for c in data.nabla_riemann.comp(i, j, k, l)] == nabla_r[i][j][k][l]
+    assert twin.ev(data.stack.scalar) == scal
+    return True
+
+
 def test_criterion_12_numeric_cross_check():
     data = manifold("example51")
-    n = data.dim
-    checked_points = 0
-    for pt in random_points():
-        try:
-            twin = NumericTwin(data, pt)
-            cb = twin.brackets_frame()
-            gam = twin.gamma()
-            riem = twin.riemann()
-            ric = twin.ricci(riem)
-            scal = twin.scalar(ric)
-            q = twin.q_operator(ric)
-            mproj = twin.m_projective(riem, ric, q)
-            conc = twin.concircular(riem, scal)
-            lie = twin.lie_metric(data.xi_components())
-        except ZeroDivisionError:
-            continue
-        for i in range(n):
-            for j in range(n):
-                assert [twin.ev(c) for c in data.brackets[i][j]] == cb[i][j]
-                assert [twin.ev(c) for c in data.connection.gamma[i][j]] == gam[i][j]
-                assert twin.ev(data.stack.ricci.comp(i, j)) == ric[i][j]
-                assert [twin.ev(c) for c in data.stack.q_operator.comp(i)] == q[i]
-                assert twin.ev(data.lie_metric(data.xi_components()).comp(i, j)) == lie[i][j]
-                for k in range(n):
-                    assert [twin.ev(c) for c in data.stack.riemann13.comp(i, j, k)] == riem[i][j][k]
-                    assert [twin.ev(c) for c in data.m_projective.comp(i, j, k)] == mproj[i][j][k]
-                    assert [twin.ev(c) for c in data.concircular.comp(i, j, k)] == conc[i][j][k]
-        assert twin.ev(data.stack.scalar) == scal
-        checked_points += 1
-    assert checked_points == 3
+    assert sum(cross_check(data, pt) for pt in random_points()) == 3
     ok(12, "symbolic tensors match the numeric twin at three rational points")
+
+
+def test_numeric_cross_check_lcs4():
+    # n = 4 separates the n-dependent constants that coincide at n = 3
+    coords = tuple(Var(c) for c in ("x1", "x2", "x3", "t"))
+    rows = (("t*x1", "t*x2", "0", "0"), ("0", "t", "0", "0"), ("0", "0", "t", "0"), ("0", "0", "0", "1"))
+    metric = (("1", "0", "0", "0"), ("0", "1", "0", "0"), ("0", "0", "1", "0"), ("0", "0", "0", "-1"))
+    data = make_manifold("lcs4", rows, xi_index=3, metric_rows=metric, coords=coords)
+    pt = {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "t": Fraction(7, 4)}
+    assert cross_check(data, pt)
 
 
 def test_criterion_13_deterministic_json_report():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,33 @@ EXAMPLE_DEF = {
     "frame": [["z*x", "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]],
     "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]],
     "xi": 3,
+}
+
+# sha256 of each `lcslab <command> <built-in> --json` report.  Every scalar is
+# canonical, so a rewrite of the engine must reproduce these byte for byte;
+# re-record them only for a deliberate change of the reports.
+REPORT_DIGESTS = {
+    ("check-lcs", "example51"): "3c90c7bf27151e30e5ae50ca10a8bcc052f229f9394c1a58ffd7a050c8299062",
+    ("check-lcs", "flat3"): "20154550bc6fa15644a838a6ea4371391d534f741a7dc18cf58ee284b6acb7c0",
+    ("check-lcs", "desitter3"): "803d65ec0a2f2ca2f0f459d11ed7dcf49a81a87dc44141b7197adb65d4bc8548",
+    ("curvature", "example51"): "009b3bc3dc213267f0d395e4866ce38beb9462de4bf4ec30ce59fdb820ae9f8e",
+    ("curvature", "flat3"): "09c6c90faf6b461e6229673ad9cb6bab2379d677aa7882f70d315ae93e08d703",
+    ("curvature", "desitter3"): "6cbc8d2c3a9e2f31592176ccdd3bd6786e6ebabf76bfd23252be8f85e5db11fa",
+    ("fit SGR", "example51"): "2094969695431e63e57c26c58612356968890f01383622703def43ff93d0ac84",
+    ("fit SGR", "flat3"): "fbf372f2f85a8dcd4f110cc5cd313b9ba7665f193d767922bebabd79c911ecb6",
+    ("fit SGR", "desitter3"): "70f0d92859ef37ab7918f2df8cfe92b8f91076d2e500fe98ca5ffc63bd76ca60",
+    ("fit SGRR", "example51"): "f1ea5cd24c9ec952854a48922c5fc5bfc1b1f0f2d83ad4b2bd5d12a87c6c17d4",
+    ("fit SGRR", "flat3"): "3bc26d198393f38cfab5f3aa6598fb5953087c3f4023c98e3c81fd7246514c2f",
+    ("fit SGRR", "desitter3"): "9c3d9c4e5dfc0b46e5474e62bab50120699facdb63cca4bb0f404cb7d96d1d43",
+    ("soliton", "example51"): "b64314eb69ddb195dd48c42972b846d0e1258251fb11cffc52e4058c32273089",
+    ("soliton", "flat3"): "277b910cb2d2e1cf91101dc53a4bf5129b0d56a0858b726687411d5f65181677",
+    ("soliton", "desitter3"): "75c96427cd15d47b0157c2f9682789324836fa539f1a646db089dd8b27fce5f8",
+    ("derived-conditions", "example51"): "1523fd6ffaf3c4af41c9ed85fcd3ff091b44536c57b5df750ce1943f38eb961c",
+    ("derived-conditions", "flat3"): "fab87410681eb9f5b76dd7d88300f4f1483cc52f5f751b81dceab73ef31318f7",
+    ("derived-conditions", "desitter3"): "4b32f2c2d84006f38501e1df73263b7f25208ecc8a7cba0c861cd114db4d8aa9",
+    ("conformance", "example51"): "64ad8e7f2e53e2163766b8107c56cbb12b834a87cce4f4c75ac01b4932d0baa0",
+    ("conformance", "flat3"): "7fa4f516641daae42692fe517571c0fbf63c4674d436e0bf96a611440239038f",
+    ("conformance", "desitter3"): "9d9c682c21df185a9bbf495f99fee531b71c2963f1ae5eb2ba4689fdd226f06e",
 }
 
 
@@ -117,6 +145,17 @@ class TestExitCodes:
     def test_load_error_is_two(self, capsys):
         assert main(["check-lcs", "missing.json"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, key",
+        # bool is an int subclass; a JSON number is not an expression string
+        [({"xi": True}, "xi"), ({"frame": [["z*x", "z*y", 0], ["0", "z", "0"], ["0", "0", "1"]]}, "frame")],
+    )
+    def test_malformed_cell_is_two(self, tmp_path, capsys, change, key):
+        path = write_def(tmp_path, dict(EXAMPLE_DEF, **change))
+        assert main(["check-lcs", path]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "Traceback" not in err
 
     def test_check_with_forms(self, tmp_path, capsys):
         forms = tmp_path / "forms.json"
@@ -227,3 +266,13 @@ class TestJsonReports:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def test_json_reports_match_recorded_digests(capsys):
+    changed = []
+    for (command, name), digest in REPORT_DIGESTS.items():
+        main([*command.split(), name, "--json"])
+        out = capsys.readouterr().out
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(f"{command} {name}")
+    assert not changed
