@@ -28,6 +28,5 @@ poly_sub = _impl.poly_sub
 poly_neg = _impl.poly_neg
 poly_mul = _impl.poly_mul
 poly_mul_scalar = _impl.poly_mul_scalar
-poly_mul_term = _impl.poly_mul_term
 poly_lead = _impl.poly_lead
 poly_divexact = _impl.poly_divexact

@@ -84,16 +84,6 @@ def poly_mul_scalar(dict a, k):
     return out
 
 
-def poly_mul_term(dict a, tuple exps, k):
-    if k == 0:
-        return {}
-    cdef dict out = {}
-    cdef tuple e
-    for e, c in a.items():
-        out[_exp_add(e, exps)] = c * k
-    return out
-
-
 def poly_lead(dict a):
     cdef tuple best_e = None
     cdef long best_t = 0, t

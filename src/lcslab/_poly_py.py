@@ -60,12 +60,6 @@ def poly_mul_scalar(a: Poly, k: int) -> Poly:
     return {e: c * k for e, c in a.items()}
 
 
-def poly_mul_term(a: Poly, exps: tuple, k: int) -> Poly:
-    if k == 0:
-        return {}
-    return {tuple(x + y for x, y in zip(e, exps)): c * k for e, c in a.items()}
-
-
 def poly_lead(a: Poly):
     """Leading (exponents, coefficient) pair under graded lex; None if zero."""
     best = None

@@ -65,7 +65,3 @@ BUILTINS: dict[str, dict] = {
 
 def builtin_names() -> list[str]:
     return sorted(BUILTINS)
-
-
-def builtin_definition(name: str) -> dict:
-    return BUILTINS[name]

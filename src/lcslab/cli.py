@@ -99,8 +99,8 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
 
     name = payload.get("name") or (path_or_name if path_or_name in BUILTINS else Path(path_or_name).stem)
     coords = payload.get("coords")
-    if not isinstance(coords, list) or not coords or not all(isinstance(c, str) for c in coords):
-        raise LoadError(f"{path_or_name}: 'coords' must be a nonempty list of variable names")
+    if not isinstance(coords, list) or len(coords) < 2 or not all(isinstance(c, str) for c in coords):
+        raise LoadError(f"{path_or_name}: 'coords' must be a list of at least 2 variable names")
     n = len(coords)
     try:
         variables = tuple(Var(c) for c in coords)

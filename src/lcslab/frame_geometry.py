@@ -294,27 +294,27 @@ class FrameTensor:
 # -- contractions --------------------------------------------------------------
 #
 # Products summed over a frame index go through dot (scalars) or combo
-# (vectors).  Both skip the terms with a zero factor: most frame components
-# of the bundled manifolds vanish, and exact arithmetic with zero still
-# costs GCDs.
+# (vectors).  Zero absorbs in the scalar layer (x + 0 is x, x * 0 is the
+# interned zero, neither costs a GCD), so arithmetic needs no zero guards
+# here; the guards that remain skip work, not arithmetic: combo never builds
+# vec_of(a) for a zero coefficient.
 
 
 def vec_add(u, v):
-    return tuple(b if a.is_zero else a if b.is_zero else a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(-b if a.is_zero else a if b.is_zero else a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_scale(c: Expr, u):
-    return tuple(a if a.is_zero else c * a for a in u)
+    return tuple(c * a for a in u)
 
 
 def dot(u, v) -> Expr:
-    """sum_a u[a] v[a] over two sequences of scalars."""
-    terms = [a * b for a, b in zip(u, v) if not (a.is_zero or b.is_zero)]
-    return reduce(operator.add, terms) if terms else Expr.zero(u[0].vars)
+    """sum_a u[a] v[a] over two nonempty sequences of scalars."""
+    return reduce(operator.add, map(operator.mul, u, v))
 
 
 def combo(coeffs, vec_of) -> tuple[Expr, ...]:
@@ -339,7 +339,7 @@ def matrix_det(a: list[list[Expr]]) -> Expr:
 
     def cofactor(j):
         if a[0][j].is_zero:
-            return a[0][j]  # dot skips it; no minor needed
+            return a[0][j]  # the zero absorbs its term; no minor needed
         minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
         det = matrix_det(minor)
         return -det if j % 2 else det
@@ -374,10 +374,7 @@ def solve_square(a: list[list[Expr]], b: list[Expr]):
         for r in range(n):
             if r == col:
                 continue
-            factor = rows[r][col]
-            if factor.is_zero:
-                continue
-            scale = factor / pivot
+            scale = rows[r][col] / pivot
             rows[r] = [x - scale * y for x, y in zip(rows[r], rows[col])]
     return [rows[i][n] / rows[i][i] for i in range(n)]
 
@@ -385,8 +382,8 @@ def solve_square(a: list[list[Expr]], b: list[Expr]):
 def matrix_inverse(a: list[list[Expr]]):
     """Gauss-Jordan inverse; None when singular."""
     n = len(a)
-    zero = a[0][0] - a[0][0]
-    one = zero + 1
+    zero = Expr.zero(a[0][0].vars)
+    one = Expr.one(a[0][0].vars)
     rows = [list(a[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
     for col in range(n):
         p = _pick_pivot(rows, col, col)
@@ -399,8 +396,6 @@ def matrix_inverse(a: list[list[Expr]]):
             if r == col:
                 continue
             factor = rows[r][col]
-            if factor.is_zero:
-                continue
             rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
 

@@ -110,10 +110,7 @@ def derive_structure(data: ManifoldData, xi_index: int, allow_zero_alpha: bool =
             raise NotLcsError(f"d(alpha) is not proportional to eta along direction {i}")
 
     drho = [frame.fields[i].apply(rho) for i in range(n)]
-    if all(d.is_zero for d in drho):
-        beta = chart.zero()
-    else:
-        beta = _solve_proportionality(drho, eta, "beta from d(rho) = beta eta")
+    beta = _solve_proportionality(drho, eta, "beta from d(rho) = beta eta")
 
     return LcsStructure(xi=xi, eta=eta, phi=phi, alpha=alpha, rho=rho, beta=beta)
 
@@ -288,7 +285,7 @@ def solve_two_unknowns(rows):
         bad = next((i for i, r in enumerate(rows) if not r[2].is_zero), None)
         if bad is not None:
             return None, bad
-        zero = rows[0][2] - rows[0][2]
+        zero = Expr.zero(rows[0][2].vars)
         return (zero, zero), None
     p1, q1, r1 = pivot1
     pivot2 = None
@@ -298,7 +295,7 @@ def solve_two_unknowns(rows):
             break
     if pivot2 is None:
         # rank-one family: zero the unknown the pivot row does not need
-        zero = p1 - p1
+        zero = Expr.zero(p1.vars)
         if not p1.is_zero:
             u, v = r1 / p1, zero
         else:

@@ -19,7 +19,6 @@ from ._kernels import (
     poly_lead,
     poly_mul,
     poly_mul_scalar,
-    poly_mul_term,
     poly_neg,
     poly_sub,
 )
@@ -48,10 +47,6 @@ def poly_appears(a: Poly, v: int) -> bool:
     return any(e[v] for e in a)
 
 
-def poly_total_degree(a: Poly) -> int:
-    return max((sum(e) for e in a), default=-1)
-
-
 def normalize_sign(a: Poly) -> Poly:
     """Flip signs so the graded-lex leading coefficient is positive."""
     lead = poly_lead(a)
@@ -64,7 +59,7 @@ def poly_pow(a: Poly, k: int, nvars: int) -> Poly:
     if k < 0:
         raise ValueError("negative exponent in polynomial power")
     out = poly_const(nvars, 1)
-    base = dict(a)
+    base = a
     while k:
         if k & 1:
             out = poly_mul(out, base)
@@ -328,14 +323,12 @@ __all__ = [
     "poly_neg",
     "poly_mul",
     "poly_mul_scalar",
-    "poly_mul_term",
     "poly_lead",
     "poly_divexact",
     "poly_const",
     "poly_var",
     "poly_sorted_terms",
     "poly_appears",
-    "poly_total_degree",
     "normalize_sign",
     "poly_pow",
     "poly_diff",

@@ -3,9 +3,22 @@
 An Expr is a quotient of integer-coefficient multivariate polynomials kept
 in a unique canonical form: numerator and denominator coprime (polynomial
 GCD 1, integer content included), denominator leading coefficient positive
-under graded-lex order, terms stored sorted.  Two Exprs are equal exactly
-when their stored forms are identical, so equality is field equality and
-zero-testing is decidable.
+under graded-lex order.  Two Exprs are equal exactly when their stored
+forms are identical, so equality is field equality and zero-testing is
+decidable.
+
+Storage: ``num`` and ``den`` are the kernel dicts themselves (exponent tuple
+-> nonzero integer coefficient).  The kernels never mutate their inputs, so
+Exprs share these dicts freely and never copy them; term order matters only
+for printing, where ``__str__`` sorts graded-lex descending.
+
+Zero: ``Expr.zero(vars)`` is one interned instance per variable tuple, and
+``Expr.constant(vars, 0)`` returns it.  Zero absorbs: ``+``/``-`` with a zero
+operand return the other operand (or its negation), ``*`` with a zero
+operand returns the zero, ``-0`` is itself, and a cancelling sum or a
+vanishing derivative is the interned zero, so callers need no zero guards
+around arithmetic.  Zero is tested with ``is_zero``, never by identity: a
+zero built through ``__init__`` is a different, equal instance.
 
 Equality is equality of rational functions, not of pointwise values: the
 domain restrictions implied by denominators (z != 0 and so on) are carried
@@ -66,6 +79,7 @@ class Expr:
     """Canonical rational function over a fixed ordered variable tuple."""
 
     __slots__ = ("vars", "num", "den")
+    _zeros: dict = {}  # the interned zero of each variable tuple
 
     def __init__(self, variables, num, den):
         variables = tuple(variables)
@@ -81,8 +95,8 @@ class Expr:
                 num = P.poly_neg(num)
                 den = P.poly_neg(den)
         self.vars = variables
-        self.num = P.poly_sorted_terms(num)
-        self.den = P.poly_sorted_terms(den)
+        self.num = num
+        self.den = den
 
     # -- constructors ---------------------------------------------------
 
@@ -95,13 +109,17 @@ class Expr:
         """
         self = cls.__new__(cls)
         self.vars = variables
-        self.num = P.poly_sorted_terms(num)
-        self.den = P.poly_sorted_terms(den)
+        self.num = num
+        self.den = den
         return self
 
     @classmethod
     def zero(cls, variables) -> "Expr":
-        return cls.constant(variables, 0)
+        variables = tuple(variables)
+        z = cls._zeros.get(variables)
+        if z is None:
+            z = cls._zeros[variables] = cls._raw(variables, {}, P.poly_const(len(variables), 1))
+        return z
 
     @classmethod
     def one(cls, variables) -> "Expr":
@@ -109,10 +127,12 @@ class Expr:
 
     @classmethod
     def constant(cls, variables, value) -> "Expr":
+        q = Fraction(value)  # reduced, positive denominator: already canonical
+        if not q:
+            return cls.zero(variables)
         variables = tuple(variables)
-        q = Fraction(value)
         n = len(variables)
-        return cls(variables, P.poly_const(n, q.numerator), P.poly_const(n, q.denominator))
+        return cls._raw(variables, P.poly_const(n, q.numerator), P.poly_const(n, q.denominator))
 
     @classmethod
     def variable(cls, variables, v: Var) -> "Expr":
@@ -131,7 +151,7 @@ class Expr:
         return self.vars == other.vars and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.num, self.den))
+        return hash((self.vars, frozenset(self.num.items()), frozenset(self.den.items())))
 
     @property
     def is_zero(self) -> bool:
@@ -139,14 +159,7 @@ class Expr:
 
     @property
     def is_constant(self) -> bool:
-        return (not self.num or sum(self.num[0][0]) == 0) and sum(self.den[0][0]) == 0
-
-    def as_fraction(self) -> Fraction:
-        """The value of a constant Expr as an exact rational."""
-        if not self.is_constant:
-            raise ExprError(f"not a constant: {self}")
-        num = self.num[0][1] if self.num else 0
-        return Fraction(num, self.den[0][1])
+        return not any(map(any, self.num)) and not any(map(any, self.den))
 
     @property
     def size(self) -> int:
@@ -165,21 +178,21 @@ class Expr:
         return NotImplemented
 
     def _add_sub(self, o: "Expr", sub: bool) -> "Expr":
-        an, ad = dict(self.num), dict(self.den)
-        bn, bd = dict(o.num), dict(o.den)
+        if not o.num:
+            return self
+        if not self.num:
+            return -o if sub else o
+        an, ad, bn, bd = self.num, self.den, o.num, o.den
         combine = P.poly_sub if sub else P.poly_add
         d = P.poly_gcd(ad, bd)
         exps, coeff = P.poly_lead(d)
-        if coeff == 1 and not any(exps):
-            # coprime denominators: the cross-sum is already in lowest terms
-            num = combine(P.poly_mul(an, bd), P.poly_mul(bn, ad))
-            if not num:
-                return Expr.zero(self.vars)
-            return Expr._raw(self.vars, num, P.poly_mul(ad, bd))
-        ad_red = P.poly_divexact(ad, d)
-        bd_red = P.poly_divexact(bd, d)
+        # coprime denominators: the cross-sum is already in lowest terms
+        coprime = coeff == 1 and not any(exps)
+        ad_red, bd_red = (ad, bd) if coprime else (P.poly_divexact(ad, d), P.poly_divexact(bd, d))
         num = combine(P.poly_mul(an, bd_red), P.poly_mul(bn, ad_red))
-        return Expr(self.vars, num, P.poly_mul(ad, bd_red))
+        if not num:
+            return Expr.zero(self.vars)
+        return (Expr._raw if coprime else Expr)(self.vars, num, P.poly_mul(ad, bd_red))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -205,10 +218,11 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        an, ad = dict(self.num), dict(self.den)
-        bn, bd = dict(o.num), dict(o.den)
-        if not an or not bn:
-            return Expr.zero(self.vars)
+        if not self.num:
+            return self
+        if not o.num:
+            return o
+        an, ad, bn, bd = self.num, self.den, o.num, o.den
         # cross-cancel; the remaining pieces are pairwise coprime
         g1 = P.poly_gcd(an, bd)
         g2 = P.poly_gcd(bn, ad)
@@ -224,10 +238,9 @@ class Expr:
             return o
         if o.is_zero:
             raise ExprDivisionError("division by zero expression")
-        if self.is_zero:
-            return Expr.zero(self.vars)
-        an, ad = dict(self.num), dict(self.den)
-        bn, bd = dict(o.num), dict(o.den)
+        if not self.num:
+            return self
+        an, ad, bn, bd = self.num, self.den, o.num, o.den
         g1 = P.poly_gcd(an, bn)
         g2 = P.poly_gcd(bd, ad)
         num = P.poly_mul(P.poly_divexact(an, g1), P.poly_divexact(bd, g2))
@@ -244,7 +257,9 @@ class Expr:
         return o / self
 
     def __neg__(self):
-        return Expr._raw(self.vars, P.poly_neg(dict(self.num)), dict(self.den))
+        if not self.num:
+            return self
+        return Expr._raw(self.vars, P.poly_neg(self.num), self.den)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -252,10 +267,10 @@ class Expr:
         if k < 0:
             if self.is_zero:
                 raise ExprDivisionError("zero expression raised to a negative power")
-            base_num, base_den = dict(self.den), dict(self.num)
+            base_num, base_den = self.den, self.num
             k = -k
         else:
-            base_num, base_den = dict(self.num), dict(self.den)
+            base_num, base_den = self.num, self.den
         n = len(self.vars)
         num = P.poly_pow(base_num, k, n)
         den = P.poly_pow(base_den, k, n)
@@ -273,29 +288,33 @@ class Expr:
             i = self.vars.index(v)
         except ValueError:
             raise UnknownVariableError(v.name) from None
-        num, den = dict(self.num), dict(self.den)
+        num, den = self.num, self.den
         dn = P.poly_sub(P.poly_mul(P.poly_diff(num, i), den), P.poly_mul(num, P.poly_diff(den, i)))
+        if not dn:
+            return Expr.zero(self.vars)
         return Expr(self.vars, dn, P.poly_mul(den, den))
 
     def eval(self, point) -> Fraction:
         values = _point_values(self.vars, point)
-        den = P.poly_eval(dict(self.den), values)
+        den = P.poly_eval(self.den, values)
         if den == 0:
             raise PoleError(f"denominator of {self} vanishes at {point}")
-        return P.poly_eval(dict(self.num), values) / den
+        return P.poly_eval(self.num, values) / den
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.num:
             return "0"
-        if len(self.den) == 1 and self.den[0] == ((0,) * len(self.vars), 1):
-            return _format_poly(self.num, self.vars)
-        ns = _format_poly(self.num, self.vars)
-        if len(self.num) > 1:
+        num = P.poly_sorted_terms(self.num)
+        if self.den == {(0,) * len(self.vars): 1}:
+            return _format_poly(num, self.vars)
+        ns = _format_poly(num, self.vars)
+        if len(num) > 1:
             ns = f"({ns})"
-        ds = _format_poly(self.den, self.vars)
-        if not _single_factor(self.den):
+        den = P.poly_sorted_terms(self.den)
+        ds = _format_poly(den, self.vars)
+        if not _single_factor(den):
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -366,12 +385,18 @@ def _single_factor(terms) -> bool:
 # term   := factor (('*'|'/') factor)*
 # factor := base ('^' int)?          (the exponent may be negative)
 # base   := int | var | '(' expr ')' | '-' base
+#
+# The parser is recursive descent; each '(' costs four interpreter frames and
+# each unary '-' one, so nesting is capped well below the recursion limit.
+
+MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, text: str, variables):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.variables = tuple(variables)
         self.index = {v.name: v for v in self.variables}
 
@@ -426,14 +451,17 @@ class _Parser:
     def base(self) -> Expr:
         ch = self.peek()
         if ch == "-":
-            self.pos += 1
-            return -self.base()
+            self.descend()
+            e = -self.base()
+            self.depth -= 1
+            return e
         if ch == "(":
-            self.pos += 1
+            self.descend()
             e = self.expr()
             if self.peek() != ")":
                 raise ExprSyntaxError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return e
         if ch.isdigit():
             return Expr.constant(self.variables, self.natural())
@@ -445,6 +473,13 @@ class _Parser:
                 raise UnknownVariableError(name, at)
             return Expr.variable(self.variables, v)
         raise ExprSyntaxError("expected a number, variable, '(' or '-'", self.pos)
+
+    def descend(self):
+        """Step past a '(' or unary '-', refusing nesting beyond MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+        self.depth += 1
+        self.pos += 1
 
     def integer(self) -> int:
         self.skip_ws()

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -336,13 +337,30 @@ def test_criterion_12_numeric_cross_check():
     ok(12, "symbolic tensors match the numeric twin at three rational points")
 
 
-def test_numeric_cross_check_lcs4():
-    # n = 4 separates the n-dependent constants that coincide at n = 3
-    coords = tuple(Var(c) for c in ("x1", "x2", "x3", "t"))
-    rows = (("t*x1", "t*x2", "0", "0"), ("0", "t", "0", "0"), ("0", "0", "t", "0"), ("0", "0", "0", "1"))
-    metric = (("1", "0", "0", "0"), ("0", "1", "0", "0"), ("0", "0", "1", "0"), ("0", "0", "0", "-1"))
-    data = make_manifold("lcs4", rows, xi_index=3, metric_rows=metric, coords=coords)
-    pt = {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "t": Fraction(7, 4)}
+@pytest.mark.parametrize(
+    "pt",
+    [
+        pytest.param({"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "t": Fraction(7, 4)}, id="lcs4"),
+        pytest.param(
+            {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "x4": Fraction(5, 2), "t": Fraction(7, 4)},
+            id="lcs5",
+        ),
+    ],
+)
+def test_numeric_cross_check_lcs_n(pt):
+    # n = 4 and 5 separate the n-dependent constants that coincide at n = 3.
+    # lcsN: E1 = t(x1 d1 + x2 d2), Ei = t di, En = dt, metric diag(1, ..., 1, -1)
+    n = len(pt)
+    coords = tuple(Var(c) for c in pt)
+    rows = [["0"] * n for _ in range(n)]
+    rows[0][:2] = ["t*x1", "t*x2"]
+    for i in range(1, n - 1):
+        rows[i][i] = "t"
+    rows[n - 1][n - 1] = "1"
+    metric = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        metric[i][i] = "-1" if i == n - 1 else "1"
+    data = make_manifold(f"lcs{n}", rows, xi_index=n - 1, metric_rows=metric, coords=coords)
     assert cross_check(data, pt)
 
 

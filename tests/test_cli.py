@@ -157,6 +157,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["check-lcs"], ["curvature"], ["fit", "SGR"], ["fit", "SGRR"], ["soliton"], ["derived-conditions"], ["conformance"]],
+    )
+    def test_one_dimensional_definition_is_two(self, tmp_path, capsys, command):
+        path = write_def(tmp_path, {"coords": ["t"], "frame": [["1"]], "metric": [["-1"]], "xi": 1})
+        assert main([*command, path]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "coords" in err and "Traceback" not in err
+
     def test_check_with_forms(self, tmp_path, capsys):
         forms = tmp_path / "forms.json"
         forms.write_text(json.dumps({"A": ["0", "0", "0"], "B": ["0", "0", "0"]}), encoding="utf-8")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcslab.symexpr import (
+    MAX_NESTING,
     Expr,
     ExprDivisionError,
     ExprError,
@@ -72,6 +73,18 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
             e("x + 1)")
+
+    @pytest.mark.parametrize("opener", ["(", "-"])
+    def test_nesting_is_bounded(self, opener):
+        text = opener * 5000 + "x" + (")" * 5000 if opener == "(" else "")
+        with pytest.raises(ExprSyntaxError) as err:
+            e(text)
+        assert err.value.position == MAX_NESTING
+
+    def test_ordinary_nesting_parses(self):
+        assert e("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == e("x")
+        assert e("-" * MAX_NESTING + "x") == e("x")
+        assert e("-(" * 40 + "x" + ")" * 40) == e("x")
 
 
 class TestArith:
@@ -172,10 +185,41 @@ class TestCanonicalForm:
         b = e("z^2 - 1/z^2")
         assert a == b and hash(a) == hash(b)
 
+    def test_identity_ignores_insertion_order(self):
+        a = e("(x + y)^3/(x*z - z^2 + 1)")
+        b = Expr._raw(a.vars, dict(reversed(a.num.items())), dict(reversed(a.den.items())))
+        assert list(b.num) != list(a.num)
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+
     def test_rebuild_is_idempotent(self):
         a = e("(x + y)^3/(x*z - z^2)")
         again = Expr(a.vars, dict(a.num), dict(a.den))
         assert again == a and again.num == a.num and again.den == a.den
+
+
+class TestZero:
+    def test_zero_is_interned(self):
+        assert Expr.zero(VS) is Expr.zero(VS)
+        assert Expr.constant(VS, 0) is Expr.zero(VS)
+        assert Expr.zero(list(VS)) is Expr.zero(VS)
+
+    def test_zero_absorbs(self):
+        x, zero = e("x/(y + 1)"), Expr.zero(VS)
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert x + 0 is x and 0 + x is x
+        assert zero - x == -x
+        assert (zero * x).is_zero and (x * zero).is_zero and (-zero).is_zero
+        assert (zero / x).is_zero
+
+    def test_cancellation_gives_the_interned_zero(self):
+        assert e("x/(y + 1)") - e("x/(y + 1)") is Expr.zero(VS)
+        assert e("1/(x*y)") - e("1/(x*y)") is Expr.zero(VS)
+        assert e("x/(y + 1)").diff(Z) is Expr.zero(VS)
+
+    def test_zero_from_init_is_still_zero(self):
+        z = Expr(VS, {}, {(0, 1, 0): 3})
+        assert z.is_zero and z == Expr.zero(VS) and hash(z) == hash(Expr.zero(VS))
+        assert z + e("x") == e("x") and (z * e("x")).is_zero
 
 
 # -- property tests ----------------------------------------------------------
@@ -239,6 +283,26 @@ def test_field_laws_symbolically(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a - a == Expr.zero(VS)
+
+
+ops = st.sampled_from(["add", "sub", "mul", "div", "neg", "pow", "diff"])
+
+
+@given(expressions(), expressions(), ops, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=150)
+def test_operations_leave_operands_unchanged(a, b, op, k):
+    # Exprs share their num/den dicts with each other, so no operation may mutate them
+    before = [(dict(x.num), dict(x.den)) for x in (a, b)]
+    try:
+        if op == "pow":
+            a**k
+        elif op == "diff":
+            a.diff(VS[k % 3])
+        else:
+            arith(op, a, b)
+    except ExprDivisionError:
+        pass
+    assert [(dict(x.num), dict(x.den)) for x in (a, b)] == before
 
 
 def test_sympy_cross_check_random_sample():
