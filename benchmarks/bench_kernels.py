@@ -67,11 +67,18 @@ def kernel_benchmarks(repeat):
         b = random_poly(rng, 6)
         div_args.append((_poly_py.poly_mul(a, b), b))
     lead_args = [(random_poly(rng, 60),) for _ in range(400)]
+    # canonical fractions mostly divide by a GCD of 1 or by a single term
+    one_term_args = []
+    for _ in range(200):
+        a = random_poly(rng, 20)
+        m = random_poly(rng, 1)
+        one_term_args += [(a, {(0, 0, 0): 1}), (_poly_py.poly_mul(a, m), m)]
 
     print("kernel microbenchmarks (best of repeats, results asserted equal):")
     bench_pair("poly_mul 12x12 terms", _poly_py.poly_mul, getattr(_poly_cy, "poly_mul", None), mul_args, repeat)
     bench_pair("poly_add 40+40 terms", _poly_py.poly_add, getattr(_poly_cy, "poly_add", None), add_args, repeat)
     bench_pair("poly_divexact", _poly_py.poly_divexact, getattr(_poly_cy, "poly_divexact", None), div_args, repeat)
+    bench_pair("poly_divexact by 1 / 1 term", _poly_py.poly_divexact, getattr(_poly_cy, "poly_divexact", None), one_term_args, repeat)
     bench_pair("poly_lead 60 terms", _poly_py.poly_lead, getattr(_poly_cy, "poly_lead", None), lead_args, repeat)
 
 

@@ -16,6 +16,18 @@ cdef tuple _exp_add(tuple x, tuple y):
     return tuple(out)
 
 
+cdef tuple _exp_sub(tuple x, tuple y):
+    """x - y componentwise, or None when a component goes negative."""
+    cdef Py_ssize_t i, n = len(x)
+    cdef list out = [0] * n
+    for i in range(n):
+        d = x[i] - y[i]
+        if d < 0:
+            return None
+        out[i] = d
+    return tuple(out)
+
+
 cdef long _total(tuple e):
     cdef long t = 0
     cdef Py_ssize_t i
@@ -103,28 +115,30 @@ def poly_divexact(dict a, dict b):
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
-    lead_b = poly_lead(b)
-    cdef tuple eb = lead_b[0]
-    cb = lead_b[1]
+    cdef tuple eb, er, eq, e2, e
     cdef dict quo = {}
+    if len(b) == 1:
+        # one-term divisor: 1 returns a itself, c*x^e divides term by term
+        eb, cb = next(iter(b.items()))
+        if cb == 1 and not any(eb):
+            return a
+        for er, cr in a.items():
+            eq = _exp_sub(er, eb)
+            if eq is None or cr % cb != 0:
+                raise ValueError("inexact polynomial division")
+            quo[eq] = cr // cb
+        return quo
+    lead_b = poly_lead(b)
+    eb = lead_b[0]
+    cb = lead_b[1]
     cdef dict rem = dict(a)
-    cdef tuple er, eq, e2, e
-    cdef Py_ssize_t i, n = len(eb)
-    cdef list diff
-    cdef bint neg
     while rem:
         lead_r = poly_lead(rem)
         er = lead_r[0]
         cr = lead_r[1]
-        diff = [0] * n
-        neg = False
-        for i in range(n):
-            diff[i] = er[i] - eb[i]
-            if diff[i] < 0:
-                neg = True
-        if neg or cr % cb != 0:
+        eq = _exp_sub(er, eb)
+        if eq is None or cr % cb != 0:
             raise ValueError("inexact polynomial division")
-        eq = tuple(diff)
         cq = cr // cb
         quo[eq] = cq
         for e2, c2 in b.items():

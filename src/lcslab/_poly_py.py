@@ -8,9 +8,15 @@ never mutate their arguments.
 
 Term order, where it matters, is graded lexicographic: higher total degree
 first, ties broken by tuple comparison (earlier variables more significant).
+
+Exact division by a one-term divisor is one pass: the constant 1 returns the
+dividend itself (safe, since nothing mutates it), and any other c*x^e divides
+each term on its own.  Only multi-term divisors run the long-division loop.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 Poly = dict
 
@@ -49,7 +55,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -82,18 +88,29 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        if cb == 1 and not any(eb):
+            return a
+        quo: Poly = {}
+        for e, c in a.items():
+            eq = tuple(map(sub, e, eb))
+            if min(eq, default=0) < 0 or c % cb:
+                raise ValueError("inexact polynomial division")
+            quo[eq] = c // cb
+        return quo
     eb, cb = poly_lead(b)
-    quo: Poly = {}
+    quo = {}
     rem = dict(a)
     while rem:
         er, cr = poly_lead(rem)
-        eq = tuple(x - y for x, y in zip(er, eb))
-        if any(x < 0 for x in eq) or cr % cb != 0:
+        eq = tuple(map(sub, er, eb))
+        if min(eq, default=0) < 0 or cr % cb:
             raise ValueError("inexact polynomial division")
         cq = cr // cb
         quo[eq] = cq
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(eq, e2))
+            e = tuple(map(add, eq, e2))
             s = rem.get(e, 0) - cq * c2
             if s:
                 rem[e] = s

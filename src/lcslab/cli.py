@@ -66,6 +66,15 @@ class ManifoldDef:
     source_text: str = ""  # raw file contents, for line numbers in errors
 
 
+MAX_QUOTED_CELL = 80  # characters of an offending cell quoted in a load error
+
+
+def _quote_cell(text: str) -> str:
+    if len(text) <= MAX_QUOTED_CELL:
+        return repr(text)
+    return f"{text[:MAX_QUOTED_CELL]!r}... ({len(text)} characters)"
+
+
 def _line_of(raw: str, needle: str) -> str:
     """Best-effort line locator for error messages on definition files."""
     if not raw:
@@ -180,7 +189,7 @@ def build_manifold(defn: ManifoldDef) -> ManifoldData:
         try:
             return parse(text, variables)
         except ExprError as exc:
-            problems.append(f"{where}: {exc} in {text!r}{_line_of(raw, text)}")
+            problems.append(f"{where}: {exc} in {_quote_cell(text)}{_line_of(raw, text)}")
             return chart.zero()
 
     fields = []

@@ -74,6 +74,8 @@ class VectorField:
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f) = sum_i X^i df/dx_i."""
         out = self.chart.zero()
+        if f.is_constant:
+            return out
         for c, v in zip(self.coeffs, self.chart.coords):
             if not c.is_zero:
                 out = out + c * f.diff(v)

@@ -20,6 +20,11 @@ vanishing derivative is the interned zero, so callers need no zero guards
 around arithmetic.  Zero is tested with ``is_zero``, never by identity: a
 zero built through ``__init__`` is a different, equal instance.
 
+Variables: ``Var(name)`` returns one interned instance per name, so Vars
+(and tuples of them, such as an Expr's ``vars``) compare and hash by object
+identity.  Nothing iterates a hash-ordered container of Vars, so output
+order never depends on those identity hashes.
+
 Equality is equality of rational functions, not of pointwise values: the
 domain restrictions implied by denominators (z != 0 and so on) are carried
 implicitly, never enforced.
@@ -28,8 +33,8 @@ implicitly, never enforced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from . import polyops as P
 
@@ -63,16 +68,44 @@ class PoleError(ExprError):
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Var:
-    name: str
+    """A named variable; ``Var(name)`` is one interned instance per name.
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+    Equality and hashing are object identity (inherited, so they run in C),
+    which makes tuples of Vars hash and compare at C speed too.
+    """
+
+    __slots__ = ("name",)
+    _interned: dict = {}
+
+    def __new__(cls, name: str):
+        v = cls._interned.get(name)
+        if v is None:
+            if not _NAME_RE.match(name):
+                raise ValueError(f"invalid variable name: {name!r}")
+            v = object.__new__(cls)
+            object.__setattr__(v, "name", name)
+            cls._interned[name] = v
+        return v
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):  # copies and pickles resolve to the interned instance
+        return (Var, (self.name,))
+
+    def __lt__(self, other):
+        return self.name < other.name if isinstance(other, Var) else NotImplemented
 
     def __str__(self) -> str:
         return self.name
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
 
 class Expr:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from lcslab.frame_geometry import Chart, Frame, FrameMetric, VectorField
@@ -16,6 +18,21 @@ def make_manifold(name: str, frame_rows, xi_index: int = 2, metric_rows=LORENTZ_
     frame = Frame(fields)
     g = [[chart.parse(t) for t in row] for row in metric_rows]
     return ManifoldData(name, frame, FrameMetric.checked(frame, g), xi_index)
+
+
+@lru_cache(maxsize=None)
+def make_lcs_n(n: int) -> ManifoldData:
+    """lcsN: E1 = t(x1 d1 + x2 d2), Ei = t di, En = dt, metric diag(1, ..., 1, -1), xi = En."""
+    coords = tuple(Var(f"x{i}") for i in range(1, n)) + (Var("t"),)
+    rows = [["0"] * n for _ in range(n)]
+    rows[0][:2] = ["t*x1", "t*x2"]
+    for i in range(1, n - 1):
+        rows[i][i] = "t"
+    rows[n - 1][n - 1] = "1"
+    metric = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        metric[i][i] = "-1" if i == n - 1 else "1"
+    return make_manifold(f"lcs{n}", rows, xi_index=n - 1, metric_rows=metric, coords=coords)
 
 
 @pytest.fixture(scope="session")

@@ -29,9 +29,8 @@ from lcslab.conditions import (
     soliton_residual,
 )
 from lcslab.lcs_structure import verify_axioms
-from lcslab.symexpr import Var
 
-from conftest import make_manifold
+from conftest import make_lcs_n, make_manifold
 from numeric_oracle import NumericTwin
 
 
@@ -349,18 +348,7 @@ def test_criterion_12_numeric_cross_check():
 )
 def test_numeric_cross_check_lcs_n(pt):
     # n = 4 and 5 separate the n-dependent constants that coincide at n = 3.
-    # lcsN: E1 = t(x1 d1 + x2 d2), Ei = t di, En = dt, metric diag(1, ..., 1, -1)
-    n = len(pt)
-    coords = tuple(Var(c) for c in pt)
-    rows = [["0"] * n for _ in range(n)]
-    rows[0][:2] = ["t*x1", "t*x2"]
-    for i in range(1, n - 1):
-        rows[i][i] = "t"
-    rows[n - 1][n - 1] = "1"
-    metric = [["0"] * n for _ in range(n)]
-    for i in range(n):
-        metric[i][i] = "-1" if i == n - 1 else "1"
-    data = make_manifold(f"lcs{n}", rows, xi_index=n - 1, metric_rows=metric, coords=coords)
+    data = make_lcs_n(len(pt))
     assert cross_check(data, pt)
 
 

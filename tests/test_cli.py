@@ -157,6 +157,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and key in err and "Traceback" not in err
 
+    def test_huge_bad_cell_is_quoted_briefly(self, tmp_path, capsys):
+        cell = "(" * 5000 + "x" + ")" * 5000
+        frame = [[cell, "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]]
+        path = write_def(tmp_path, dict(EXAMPLE_DEF, frame=frame))
+        assert main(["curvature", path]) == 2
+        err = capsys.readouterr().err
+        assert "frame[1][1]" in err and f"... ({len(cell)} characters) (line 1)" in err
+        assert len(err.encode()) < 1024 and "Traceback" not in err
+
+    def test_short_bad_cell_is_quoted_whole(self, tmp_path, capsys):
+        frame = [["z*x +", "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]]
+        path = write_def(tmp_path, dict(EXAMPLE_DEF, frame=frame))
+        assert main(["curvature", path]) == 2
+        assert "in 'z*x +' (line 1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command",
         [["check-lcs"], ["curvature"], ["fit", "SGR"], ["fit", "SGRR"], ["soliton"], ["derived-conditions"], ["conformance"]],

@@ -12,6 +12,9 @@ try:
 except ImportError:
     _poly_cy = None
 
+# the one-term division path is checked on every backend that is built
+DIVEXACTS = [pytest.param(m.poly_divexact, id=m.__name__.rsplit(".", 1)[1]) for m in (_poly_py, _poly_cy) if m]
+
 
 def random_poly(rng, nterms=4, nvars=3, maxexp=2, maxcoef=6):
     out = {}
@@ -57,6 +60,40 @@ def test_divexact_inverts_mul():
         if not a or not b:
             continue
         assert poly_divexact(poly_mul(a, b), b) == a
+
+
+def random_monomial(rng, nvars=3, maxexp=2):
+    c = rng.choice([-1, 1]) * rng.randint(2, 9)
+    return {tuple(rng.randint(0, maxexp) for _ in range(nvars)): c}
+
+
+@pytest.mark.parametrize("divexact", DIVEXACTS)
+def test_divexact_by_one_term_inverts_mul(divexact):
+    rng = random.Random(19)
+    for _ in range(200):
+        a = random_poly(rng)
+        m = random_monomial(rng)
+        assert divexact(poly_mul(a, m), m) == a
+
+
+@pytest.mark.parametrize("divexact", DIVEXACTS)
+def test_divexact_by_one_leaves_dividend_unchanged(divexact):
+    a = {(2, 0, 1): 3, (0, 1, 0): -5, (0, 0, 0): 7}
+    before = dict(a)
+    assert divexact(a, {(0, 0, 0): 1}) == before
+    assert a == before
+
+
+@pytest.mark.parametrize("divexact", DIVEXACTS)
+@pytest.mark.parametrize(
+    "b",
+    [{(0, 2, 0): 1}, {(1, 0, 0): 3}, {(0, 0, 0): 4}],
+    ids=["larger-exponent", "non-dividing-coefficient", "non-dividing-constant"],
+)
+def test_divexact_by_one_term_raises_when_inexact(divexact, b):
+    a = {(2, 1, 0): 6, (1, 0, 0): 2}
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        divexact(a, b)
 
 
 def test_gcd_divides_both():

@@ -10,7 +10,7 @@ from lcslab.lcs_structure import (
     verify_axioms,
 )
 
-from conftest import make_manifold
+from conftest import make_lcs_n, make_manifold
 
 
 class TestDeriveStructure:
@@ -62,6 +62,14 @@ class TestVerifyAxioms:
     def test_all_pass_on_desitter(self, desitter3):
         checks = verify_axioms(desitter3, desitter3.structure)
         assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize("n", [4, 5], ids=["lcs4", "lcs5"])
+    def test_all_pass_on_lcs_n(self, n):
+        # at n = 3 the (n-1) of ricci-into-xi is 2, so only n > 3 pins it
+        data = make_lcs_n(n)
+        checks = verify_axioms(data, data.structure)
+        assert len(checks) == 14
+        assert all(c.passed for c in checks), [c.axiom for c in checks if not c.passed]
 
     def test_flat_space_fails_only_the_alpha_axiom(self, flat3):
         st = derive_structure(flat3, 2, allow_zero_alpha=True)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -195,6 +197,37 @@ class TestCanonicalForm:
         a = e("(x + y)^3/(x*z - z^2)")
         again = Expr(a.vars, dict(a.num), dict(a.den))
         assert again == a and again.num == a.num and again.den == a.den
+
+
+class TestVar:
+    def test_interned(self):
+        assert Var("x") is Var("x") is X and Var(name="y") is Y
+        assert Var("x") is not Var("y")
+
+    def test_invalid_name_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid variable name"):
+                Var("1x")
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            X.name = "w"
+        with pytest.raises(AttributeError):
+            del X.name
+        assert X.name == "x"
+
+    def test_ordered_by_name(self):
+        assert sorted([Var("z"), Var("b"), Var("x")]) == [Var("b"), Var("x"), Var("z")]
+        assert Var("a") < Var("b") <= Var("b") and Var("c") > Var("b") >= Var("b")
+
+    def test_text_forms(self):
+        assert repr(Var("x")) == "Var(name='x')" and str(Var("x")) == "x"
+
+    def test_copies_are_the_interned_instance(self):
+        assert copy.copy(X) is X and copy.deepcopy(X) is X and pickle.loads(pickle.dumps(X)) is X
+
+    def test_zero_lookup_by_fresh_vars(self):
+        assert Expr.zero((X, Y)) is Expr.zero((Var("x"), Var("y")))
 
 
 class TestZero:
