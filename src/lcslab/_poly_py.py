@@ -1,17 +1,17 @@
-"""Multivariate polynomial kernels, pure-Python backend.
+"""Multivariate polynomial kernels.
 
 A polynomial in n variables is a dict mapping length-n exponent tuples to
 nonzero integer coefficients; {} is the zero polynomial.  These functions
-are the hot inner loops of every engine operation and have a compiled twin
-in ``_poly_cy``; the two backends must stay result-identical.  Functions
-never mutate their arguments.
+are the hot inner loops of every engine operation.  Functions never mutate
+their arguments, so a result may be one of the arguments itself.
 
 Term order, where it matters, is graded lexicographic: higher total degree
 first, ties broken by tuple comparison (earlier variables more significant).
 
-Exact division by a one-term divisor is one pass: the constant 1 returns the
-dividend itself (safe, since nothing mutates it), and any other c*x^e divides
-each term on its own.  Only multi-term divisors run the long-division loop.
+Multiplying by the constant 1 returns the other operand itself.  Exact
+division by a one-term divisor is one pass: the constant 1 returns the
+dividend itself, and any other c*x^e divides each term on its own.  Only
+multi-term divisors run the long-division loop.
 """
 
 from __future__ import annotations
@@ -47,11 +47,23 @@ def poly_neg(a: Poly) -> Poly:
     return {e: -c for e, c in a.items()}
 
 
+def _is_one(a: Poly) -> bool:
+    if len(a) != 1:
+        return False
+    ((e, c),) = a.items()
+    return c == 1 and not any(e)
+
+
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
     if len(a) > len(b):  # fewer outer iterations on the shorter operand
         a, b = b, a
+    if len(a) == 1:
+        if _is_one(a):
+            return b
+        if _is_one(b):
+            return a
     out: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():

@@ -45,7 +45,7 @@ from .conditions import (
 from .frame_geometry import Chart, Frame, FrameMetric, GeometryError, VectorField
 from .lcs_structure import EinsteinKind, NotLcsError, classify, derive_structure, verify_axioms
 from .manifold import ManifoldData
-from .symexpr import Expr, ExprError, Var, parse
+from .symexpr import Expr, ExprError, Var, parse, quote_text
 
 
 class LoadError(Exception):
@@ -66,15 +66,6 @@ class ManifoldDef:
     source_text: str = ""  # raw file contents, for line numbers in errors
 
 
-MAX_QUOTED_CELL = 80  # characters of an offending cell quoted in a load error
-
-
-def _quote_cell(text: str) -> str:
-    if len(text) <= MAX_QUOTED_CELL:
-        return repr(text)
-    return f"{text[:MAX_QUOTED_CELL]!r}... ({len(text)} characters)"
-
-
 def _line_of(raw: str, needle: str) -> str:
     """Best-effort line locator for error messages on definition files."""
     if not raw:
@@ -87,6 +78,20 @@ def _line_of(raw: str, needle: str) -> str:
     return f" (line {raw.count(chr(10), 0, pos) + 1})"
 
 
+def _read_json(path: Path, label: str) -> tuple[str, object]:
+    """The text and parsed JSON of a file; any read or parse failure is a LoadError."""
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise LoadError(f"{label}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{label}: not UTF-8 text (byte {exc.start})") from None
+    try:
+        return raw, json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"{label}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
 def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
     """Read and validate a manifold definition; raises LoadError."""
     raw = ""
@@ -96,11 +101,7 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
         path = Path(path_or_name)
         if not path.exists():
             raise LoadError(f"no such file or built-in definition: {path_or_name} (built-ins: {', '.join(builtin_names())})")
-        raw = path.read_text(encoding="utf-8")
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path_or_name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        raw, payload = _read_json(path, path_or_name)
 
     problems: list[str] = []
     if not isinstance(payload, dict):
@@ -161,9 +162,11 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
         problems.append(f"'xi' must be a frame index between 1 and {n}")
         xi = 1
 
-    sample = dict(payload.get("sample_point") or {})
-    if sample_override:
-        sample.update(sample_override)
+    sample = payload.get("sample_point") or {}
+    if not isinstance(sample, dict):
+        problems.append("'sample_point' must be an object mapping coordinate names to values")
+        sample = {}
+    sample = {**sample, **(sample_override or {})}
 
     if problems:
         raise LoadError(f"{path_or_name}: " + "; ".join(problems))
@@ -189,7 +192,7 @@ def build_manifold(defn: ManifoldDef) -> ManifoldData:
         try:
             return parse(text, variables)
         except ExprError as exc:
-            problems.append(f"{where}: {exc} in {_quote_cell(text)}{_line_of(raw, text)}")
+            problems.append(f"{where}: {exc} in {quote_text(text)}{_line_of(raw, text)}")
             return chart.zero()
 
     fields = []
@@ -209,14 +212,14 @@ def build_manifold(defn: ManifoldDef) -> ManifoldData:
                 raise LoadError(f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ as expressions")
 
     sample = {v: Fraction(2) for v in variables}
-    try:
-        for k, v in defn.sample_point.items():
-            var = Var(k)
-            if var not in sample:
-                raise LoadError(f"sample_point names unknown coordinate {k!r}")
-            sample[var] = Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise LoadError(f"bad sample_point: {exc}") from None
+    for k, v in defn.sample_point.items():
+        try:
+            var, value = Var(k), Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise LoadError(f"bad sample_point entry {quote_text(k)}: {quote_text(v)}") from None
+        if var not in sample:
+            raise LoadError(f"sample_point names unknown coordinate {quote_text(k)}")
+        sample[var] = value
 
     try:
         frame = Frame(tuple(fields))
@@ -442,25 +445,22 @@ def cmd_curvature(data: ManifoldData, report: Report) -> None:
 
 
 def _load_forms(data: ManifoldData, forms_path: str) -> RecurrenceForms:
-    try:
-        payload = json.loads(Path(forms_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise LoadError(f"cannot read forms file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"{forms_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    _, payload = _read_json(Path(forms_path), forms_path)
     n = data.dim
-    try:
-        a_texts = payload["A"]
-        b_texts = payload["B"]
-    except (TypeError, KeyError):
-        raise LoadError(f"{forms_path}: forms file needs 'A' and 'B' arrays") from None
-    if len(a_texts) != n or len(b_texts) != n:
+    if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("A", "B")):
+        raise LoadError(f"{forms_path}: forms file needs 'A' and 'B' arrays")
+    if len(payload["A"]) != n or len(payload["B"]) != n:
         raise LoadError(f"{forms_path}: 'A' and 'B' must each have {n} entries")
-    try:
-        a = [parse(str(t), data.chart.coords) for t in a_texts]
-        b = [parse(str(t), data.chart.coords) for t in b_texts]
-    except ExprError as exc:
-        raise LoadError(f"{forms_path}: {exc}") from None
+
+    def parse_entry(key: str, i: int) -> Expr:
+        text = str(payload[key][i])
+        try:
+            return parse(text, data.chart.coords)
+        except ExprError as exc:
+            raise LoadError(f"{forms_path}: {key}[{i + 1}]: {exc} in {quote_text(text)}") from None
+
+    a = [parse_entry("A", i) for i in range(n)]
+    b = [parse_entry("B", i) for i in range(n)]
     return RecurrenceForms.from_covectors(data, a, b)
 
 
@@ -894,7 +894,7 @@ def _parse_sample(text: str | None) -> dict | None:
     out = {}
     for piece in text.split(","):
         if "=" not in piece:
-            raise LoadError(f"bad --sample entry {piece!r}; use name=value")
+            raise LoadError(f"bad --sample entry {quote_text(piece)}; use name=value")
         key, _, value = piece.partition("=")
         out[key.strip()] = value.strip()
     return out

@@ -1,4 +1,4 @@
-"""Polynomial operations built on the kernel backend.
+"""Polynomial operations built on the ``_poly_py`` kernels.
 
 Everything here is exact arithmetic over the integers.  The GCD tries the
 evaluate/reconstruct/verify heuristic first (coprime inputs, the common
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from ._kernels import (
+from ._poly_py import (
     poly_add,
     poly_divexact,
     poly_lead,

@@ -39,6 +39,16 @@ from functools import total_ordering
 from . import polyops as P
 
 
+MAX_QUOTED = 80  # characters of user text quoted in an error message
+
+
+def quote_text(text: str) -> str:
+    """repr of text; past MAX_QUOTED characters, a prefix and the length."""
+    if len(text) <= MAX_QUOTED:
+        return repr(text)
+    return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
+
+
 class ExprError(Exception):
     """Base class for scalar-arithmetic errors."""
 
@@ -52,7 +62,7 @@ class ExprSyntaxError(ExprError):
 class UnknownVariableError(ExprError):
     def __init__(self, name: str, position: int | None = None):
         at = f" (at position {position})" if position is not None else ""
-        super().__init__(f"unknown variable {name!r}{at}")
+        super().__init__(f"unknown variable {quote_text(name)}{at}")
         self.name = name
         self.position = position
 
@@ -83,7 +93,7 @@ class Var:
         v = cls._interned.get(name)
         if v is None:
             if not _NAME_RE.match(name):
-                raise ValueError(f"invalid variable name: {name!r}")
+                raise ValueError(f"invalid variable name: {quote_text(name)}")
             v = object.__new__(cls)
             object.__setattr__(v, "name", name)
             cls._interned[name] = v
@@ -363,7 +373,7 @@ def _point_values(variables, point) -> tuple:
     values = []
     for v in variables:
         if v.name not in named:
-            raise ExprError(f"no value given for variable {v.name!r}")
+            raise ExprError(f"no value given for variable {quote_text(v.name)}")
         values.append(named[v.name])
     extra = set(named) - {v.name for v in variables}
     if extra:

@@ -20,19 +20,31 @@ def make_manifold(name: str, frame_rows, xi_index: int = 2, metric_rows=LORENTZ_
     return ManifoldData(name, frame, FrameMetric.checked(frame, g), xi_index)
 
 
+def _n_family(name: str, n: int, rows) -> ManifoldData:
+    """Coordinates x1..x_{n-1}, t; metric diag(1, ..., 1, -1); xi = En."""
+    coords = tuple(Var(f"x{i}") for i in range(1, n)) + (Var("t"),)
+    metric = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        metric[i][i] = "-1" if i == n - 1 else "1"
+    return make_manifold(f"{name}{n}", rows, xi_index=n - 1, metric_rows=metric, coords=coords)
+
+
 @lru_cache(maxsize=None)
 def make_lcs_n(n: int) -> ManifoldData:
-    """lcsN: E1 = t(x1 d1 + x2 d2), Ei = t di, En = dt, metric diag(1, ..., 1, -1), xi = En."""
-    coords = tuple(Var(f"x{i}") for i in range(1, n)) + (Var("t"),)
+    """lcsN: E1 = t(x1 d1 + x2 d2), Ei = t di, En = dt."""
     rows = [["0"] * n for _ in range(n)]
     rows[0][:2] = ["t*x1", "t*x2"]
     for i in range(1, n - 1):
         rows[i][i] = "t"
     rows[n - 1][n - 1] = "1"
-    metric = [["0"] * n for _ in range(n)]
-    for i in range(n):
-        metric[i][i] = "-1" if i == n - 1 else "1"
-    return make_manifold(f"lcs{n}", rows, xi_index=n - 1, metric_rows=metric, coords=coords)
+    return _n_family("lcs", n, rows)
+
+
+@lru_cache(maxsize=None)
+def make_desitter_n(n: int) -> ManifoldData:
+    """desitterN: Ei = t di for every i, so En = t dt."""
+    rows = [["t" if i == j else "0" for j in range(n)] for i in range(n)]
+    return _n_family("desitter", n, rows)
 
 
 @pytest.fixture(scope="session")

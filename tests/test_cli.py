@@ -149,7 +149,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "change, key",
         # bool is an int subclass; a JSON number is not an expression string
-        [({"xi": True}, "xi"), ({"frame": [["z*x", "z*y", 0], ["0", "z", "0"], ["0", "0", "1"]]}, "frame")],
+        [
+            ({"xi": True}, "xi"),
+            ({"frame": [["z*x", "z*y", 0], ["0", "z", "0"], ["0", "0", "1"]]}, "frame"),
+            ({"sample_point": ["x"]}, "sample_point"),
+            ({"sample_point": 5}, "sample_point"),
+        ],
     )
     def test_malformed_cell_is_two(self, tmp_path, capsys, change, key):
         path = write_def(tmp_path, dict(EXAMPLE_DEF, **change))
@@ -171,6 +176,43 @@ class TestExitCodes:
         path = write_def(tmp_path, dict(EXAMPLE_DEF, frame=frame))
         assert main(["curvature", path]) == 2
         assert "in 'z*x +' (line 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["frame-cell", "forms-entry", "coords", "sample-point", "sample-value", "sample-option"])
+    def test_huge_name_is_quoted_briefly(self, tmp_path, capsys, where):
+        name = "q" * 10001
+        frame = [[name, "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]]
+        forms = tmp_path / "forms.json"
+        forms.write_text(json.dumps({"A": ["0", name, "0"], "B": ["0", "0", "0"]}), encoding="utf-8")
+        argv = {
+            "frame-cell": ["curvature", write_def(tmp_path, dict(EXAMPLE_DEF, frame=frame))],
+            "forms-entry": ["check", "SGRR", "example51", "--forms", str(forms)],
+            "coords": ["curvature", write_def(tmp_path, dict(EXAMPLE_DEF, coords=["x", "y", "1" + name]))],
+            "sample-point": ["curvature", "example51", "--sample", name + "=2"],
+            "sample-value": ["curvature", "example51", "--sample", "x=" + name],
+            "sample-option": ["curvature", "example51", "--sample", name],
+        }[where]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "characters)" in err
+        assert len(err.encode()) < 1024 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "case", ["definition-not-utf8", "definition-is-directory", "forms-entries-not-array", "forms-not-utf8"]
+    )
+    def test_unreadable_input_is_two(self, tmp_path, capsys, case):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(json.dumps(dict(EXAMPLE_DEF, name="café"), ensure_ascii=False).encode("latin-1"))
+        forms = tmp_path / "forms.json"
+        forms.write_text(json.dumps({"A": 5, "B": ["0", "0", "0"]}), encoding="utf-8")
+        argv = {
+            "definition-not-utf8": ["check-lcs", str(not_utf8)],
+            "definition-is-directory": ["check-lcs", str(tmp_path)],
+            "forms-entries-not-array": ["check", "SGRR", "example51", "--forms", str(forms)],
+            "forms-not-utf8": ["check", "SGRR", "example51", "--forms", str(not_utf8)],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command",

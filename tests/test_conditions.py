@@ -18,7 +18,7 @@ from lcslab.conditions import (
 )
 from lcslab.lcs_structure import EinsteinKind, NotLcsError
 
-from conftest import make_manifold
+from conftest import make_desitter_n, make_lcs_n, make_manifold
 
 
 def zero_forms(data):
@@ -252,3 +252,72 @@ class TestDerivedConditions:
     def test_non_lcs_refused(self, flat3):
         with pytest.raises(NotLcsError):
             derived_condition_residuals(flat3)
+
+
+class TestFormulasAtHigherDimension:
+    """Coefficients with an n in them, pinned at n = 4 and 5.
+
+    At n = 3 several different constants coincide (n(n-1) = 2n = 6,
+    n^2+2 = 3n+2 = 11, 2(n-1) = n+1 = 4), so only n != 3 tells them apart.
+    On lcsN, alpha = -1/t and rho = -1/t^2 at every n, so alpha^2 - rho = 2/t^2.
+    On desitterN, alpha = -1, rho = 0 and r = n(n-1).
+    """
+
+    @pytest.mark.parametrize("n, guard", [(4, "(t^2 + 24)/t^2"), (5, "(t^2 + 40)/t^2")], ids=["lcs4", "lcs5"])
+    def test_derived_conditions_guard(self, n, guard):
+        # guard_cxs = n(n-1)(alpha^2 - rho) + 1 = n(n-1) * 2/t^2 + 1
+        data = make_lcs_n(n)
+        chart = data.chart
+        assert data.structure.alpha == chart.parse("-1/t")
+        assert data.structure.rho == chart.parse("-1/t^2")
+        out = derived_condition_residuals(data)
+        assert out.guard_rxm == chart.parse("2/t^2")
+        assert out.guard_cxs == chart.parse(guard)
+
+    @pytest.mark.parametrize(
+        "n, printed, traced, k",
+        [(4, "-5/(4*t)", "-3/(4*t)", "-1/(4*t) - 1/4"), (5, "-6/(5*t)", "-4/(5*t)", "-1/(5*t) - 1/5")],
+        ids=["lcs4", "lcs5"],
+    )
+    def test_soliton_lambda_and_k(self, n, printed, traced, k):
+        # printed p/2 + ((n+1)/n) alpha, traced p/2 + ((n-1)/n) alpha, and
+        # k = lambda - (p/2 + 1/n) - alpha, all at p = 0 and alpha = -1/t
+        chart = make_lcs_n(n).chart
+        alpha = chart.parse("-1/t")
+        lam, lam_traced = soliton_lambda(alpha, chart.zero(), n)
+        assert lam == chart.parse(printed)
+        assert lam_traced == chart.parse(traced)
+        assert SolitonParams.derive(lam, chart.zero(), alpha, n).k == chart.parse(k)
+
+    @pytest.mark.parametrize("n", [4, 5], ids=["lcs4", "lcs5"])
+    def test_sgrr_b_term_is_n_b_g(self, n):
+        # residual = nabla S - A x S - n B x g, so switching B on changes
+        # every entry by exactly -n b_w g_ij
+        data = make_lcs_n(n)
+        chart = data.chart
+        b = [chart.parse(f"x1 + {w + 1}") for w in range(n)]
+        zero = [chart.zero()] * n
+        with_b, _ = recurrence_residual(data, RecurrenceKind.SGRR, RecurrenceForms.from_covectors(data, zero, b))
+        without, _ = recurrence_residual(data, RecurrenceKind.SGRR, zero_forms(data))
+        g = data.metric.g
+        for w in range(n):
+            for i in range(n):
+                for j in range(n):
+                    expected = chart.const(-n) * b[w] * g[i][j]
+                    assert with_b.comp(w, i, j) - without.comp(w, i, j) == expected
+
+    @pytest.mark.parametrize("n, r_predicted", [(4, Fraction(39, 2)), (5, Fraction(148, 5))], ids=["desitter4", "desitter5"])
+    def test_sgr_predictions(self, n, r_predicted):
+        # B = eta, A = -(n^2/r) eta = -(n/(n-1)) eta, so A(xi) = eta(rho1) = -n/(n-1)
+        # and B(xi) = 1; then r = {2(n-1) * 1 * A(xi) - (n^2+2)} / A(xi)
+        # = (n^2 + 2n + 2)(n-1)/n, and the opposition A + (n^2/r) B vanishes
+        data = make_desitter_n(n)
+        chart = data.chart
+        st = data.structure
+        assert st.alpha == chart.const(-1) and st.rho.is_zero
+        eta = st.eta
+        a = [chart.const(Fraction(-n, n - 1)) * e for e in eta]
+        pred = sgr_predictions(data, RecurrenceForms.from_covectors(data, a, list(eta)))
+        assert pred.r_engine == chart.const(n * (n - 1))
+        assert pred.r_predicted == chart.const(r_predicted)
+        assert pred.opposition is not None and pred.opposition_zero
