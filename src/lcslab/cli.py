@@ -4,9 +4,10 @@ built-in conformance case.
 Definition files are UTF-8 JSON with keys name, coords, frame, metric, xi
 (1-based frame index of the structure field), and optional sample_point.
 Frame rows hold coordinate-basis coefficient expressions; metric rows hold
-frame components, and entries below the diagonal may be null (they are
-mirrored from above).  A built-in name (example51, flat3, desitter3) is
-usable wherever a path is expected.
+frame components.  Every cell is an expression string, except that a metric
+cell may be null: it is then mirrored from the other side of the diagonal.
+A built-in name (example51, flat3, desitter3) is usable wherever a path is
+expected.
 
 Exit codes: 0 when no entry failed (info and mismatch entries included),
 1 when any check failed, 2 when the definition could not be loaded.
@@ -146,6 +147,9 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
                 problems.append(f"metric row {i + 1} must have {n} entries (or {n - i} from the diagonal)")
                 continue
             for k, cell in enumerate(entries):
+                if cell is not None and not isinstance(cell, str):
+                    problems.append(f"metric[{i + 1}][{offset + k + 1}] must be an expression string or null")
+                    cell = "0"
                 grid[i][offset + k] = cell
         for i in range(n):
             for j in range(n):
@@ -154,7 +158,7 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
                 if grid[i][j] is None:
                     problems.append(f"metric entry ({i + 1},{j + 1}) is missing")
                     grid[i][j] = "0"
-        norm_metric = [[str(c) for c in row] for row in grid]
+        norm_metric = grid
 
     xi = payload.get("xi")
     # bool is an int subclass: "xi": true must not pass as index 1
@@ -226,7 +230,7 @@ def build_manifold(defn: ManifoldDef) -> ManifoldData:
         metric = FrameMetric.checked(frame, g, sample)
     except GeometryError as exc:
         raise LoadError(str(exc)) from None
-    return ManifoldData(defn.name, frame, metric, defn.xi - 1, sample or {})
+    return ManifoldData(defn.name, frame, metric, defn.xi - 1)
 
 
 # -- reports ----------------------------------------------------------------
@@ -453,7 +457,9 @@ def _load_forms(data: ManifoldData, forms_path: str) -> RecurrenceForms:
         raise LoadError(f"{forms_path}: 'A' and 'B' must each have {n} entries")
 
     def parse_entry(key: str, i: int) -> Expr:
-        text = str(payload[key][i])
+        text = payload[key][i]
+        if not isinstance(text, str):
+            raise LoadError(f"{forms_path}: {key}[{i + 1}] must be an expression string")
         try:
             return parse(text, data.chart.coords)
         except ExprError as exc:

@@ -18,17 +18,14 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_scale, vec_sub
-from .levi_civita import ConnectionCoeffs, cov_deriv_tensor, cov_deriv_vector, frame_brackets
+from .levi_civita import ConnectionCoeffs, cov_deriv_vector
 from .symexpr import Expr
 
 
-def riemann(conn: ConnectionCoeffs, brackets=None) -> FrameTensor:
+def riemann(conn: ConnectionCoeffs, brackets) -> FrameTensor:
     """R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k - nabla_{[E_i,E_j]} E_k."""
-    frame = conn.frame
     n = conn.dim
-    if brackets is None:
-        brackets = frame_brackets(frame)
-    unit = [frame.unit(i) for i in range(n)]
+    unit = [conn.frame.unit(i) for i in range(n)]
 
     def entry(i, j, k):
         first = cov_deriv_vector(conn, unit[i], conn.gamma[j][k])
@@ -98,27 +95,19 @@ def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTe
     return FrameTensor.build((1, 3), n, entry)
 
 
-def nabla_riemann(conn: ConnectionCoeffs, riem: FrameTensor) -> FrameTensor:
-    """(1,4) tensor (nabla_W R)(X,Y)Z with the direction W as first index."""
-    return cov_deriv_tensor(conn, riem, None)
-
-
 @dataclass(frozen=True)
 class CurvatureStack:
     riemann13: FrameTensor
-    riemann04: FrameTensor
     ricci: FrameTensor
     q_operator: FrameTensor
     scalar: Expr
 
     @classmethod
-    def compute(cls, conn: ConnectionCoeffs, metric: FrameMetric, brackets=None) -> "CurvatureStack":
+    def compute(cls, conn: ConnectionCoeffs, metric: FrameMetric, brackets) -> "CurvatureStack":
         riem = riemann(conn, brackets)
-        low = riemann_lowered(riem, metric)
         ric = ricci(riem, metric)
         return cls(
             riemann13=riem,
-            riemann04=low,
             ricci=ric,
             q_operator=ricci_operator(ric, metric),
             scalar=scalar_curvature(ric, metric),
@@ -127,7 +116,7 @@ class CurvatureStack:
     def self_check(self, metric: FrameMetric, nabla_r: FrameTensor | None = None) -> list[tuple[str, bool]]:
         """Exact structural identities of the computed stack."""
         n = metric.dim
-        low = self.riemann04
+        low = riemann_lowered(self.riemann13, metric)
         checks = []
         ok = all(
             (low.comp(i, j, k, l) + low.comp(j, i, k, l)).is_zero

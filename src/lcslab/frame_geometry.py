@@ -4,14 +4,19 @@ Two bases coexist throughout the engine: the coordinate basis d/dx_i (used
 for directional derivatives and Lie brackets) and the frame basis E_1..E_n
 (used for all tensor components).  Conversion between them is always
 explicit, via ``decompose``.
+
+The one exact solver for symbolic matrices is ``matrix_inverse``.  A frame
+and a frame metric each invert their matrix once, on construction: the
+inverse existing is the nondegeneracy check, ``decompose`` multiplies by the
+frame's inverse, and Koszul raises indices through the metric's.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 
 from .symexpr import Expr, Var, parse
 
@@ -82,10 +87,6 @@ class VectorField:
         return out
 
 
-def apply(x: VectorField, f: Expr) -> Expr:
-    return x.apply(f)
-
-
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X,Y] in coordinate components: X(Y^j) - Y(X^j)."""
     if x.chart != y.chart:
@@ -101,8 +102,11 @@ class Frame:
         n = self.chart.dim
         if len(self.fields) != n:
             raise GeometryError("frame must have one field per dimension")
-        if matrix_det(self.coeff_matrix()).is_zero:
+        # rows are the frame fields; decompose multiplies by the inverse
+        inv = matrix_inverse([f.coeffs for f in self.fields])
+        if inv is None:
             raise SingularFrameError("frame coefficient matrix is singular")
+        object.__setattr__(self, "_inverse", inv)
 
     @property
     def chart(self) -> Chart:
@@ -111,10 +115,6 @@ class Frame:
     @property
     def dim(self) -> int:
         return self.chart.dim
-
-    def coeff_matrix(self) -> list[list[Expr]]:
-        """Rows are frame fields, columns coordinate components."""
-        return [list(f.coeffs) for f in self.fields]
 
     def from_components(self, comps) -> VectorField:
         """The coordinate vector field sum_i comps_i E_i."""
@@ -127,16 +127,13 @@ class Frame:
 
 
 def decompose(x: VectorField, frame: Frame) -> tuple[Expr, ...]:
-    """Frame components c with sum_i c_i E_i = x, solved exactly."""
-    n = frame.dim
-    rows = frame.coeff_matrix()
-    # unknowns multiply frame fields, so the system matrix has E_i as columns
-    a = [[rows[i][j] for i in range(n)] for j in range(n)]
-    b = list(x.coeffs)
-    sol = solve_square(a, b)
-    if sol is None:
-        raise SingularFrameError("frame coefficient matrix is singular")
-    return tuple(sol)
+    """Frame components c with sum_i c_i E_i = x.
+
+    With the frame fields as the rows of M, x^T = c^T M, so
+    c_i = sum_k x_k (M^-1)_{ki}.
+    """
+    inv = frame._inverse
+    return combo(x.coeffs, lambda k: inv[k])
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,6 @@ class FrameMetric:
 
     frame: Frame
     g: tuple[tuple[Expr, ...], ...]
-    signature: tuple[int, int] = field(compare=False, default=(0, 0))
 
     def __post_init__(self):
         n = self.frame.dim
@@ -155,8 +151,11 @@ class FrameMetric:
             for j in range(i):
                 if self.g[i][j] != self.g[j][i]:
                     raise GeometryError(f"metric not symmetric at ({i},{j})")
-        if matrix_det([list(r) for r in self.g]).is_zero:
+        # computed once per metric: Koszul raises n^2 forms through it
+        inv = matrix_inverse(self.g)
+        if inv is None:
             raise DegenerateMetricError("metric determinant is identically zero")
+        object.__setattr__(self, "_inverse", inv)
 
     @classmethod
     def checked(cls, frame: Frame, g, sample_point=None) -> "FrameMetric":
@@ -166,12 +165,11 @@ class FrameMetric:
         point (default: every coordinate = 2); a global symbolic signature
         test is not decidable in general.
         """
-        g = tuple(tuple(row) for row in g)
-        metric = cls(frame, g)
+        metric = cls(frame, tuple(tuple(row) for row in g))
         if sample_point is None:
             sample_point = {v: Fraction(2) for v in frame.chart.coords}
         try:
-            numeric = [[e.eval(sample_point) for e in row] for row in g]
+            numeric = [[e.eval(sample_point) for e in row] for row in metric.g]
         except Exception as exc:
             raise SignatureError(f"cannot evaluate metric at the sample point: {exc}") from None
         pos, neg, zero = symmetric_inertia(numeric)
@@ -182,7 +180,7 @@ class FrameMetric:
                 f"metric signature at the sample point is ({pos},{neg}); "
                 "expected one negative and the rest positive"
             )
-        return cls(frame, g, signature=(pos, neg))
+        return metric
 
     @property
     def dim(self) -> int:
@@ -195,14 +193,6 @@ class FrameMetric:
     def inverse(self) -> tuple[tuple[Expr, ...], ...]:
         return self._inverse
 
-    @cached_property
-    def _inverse(self) -> tuple[tuple[Expr, ...], ...]:
-        # solved once per metric: Koszul raises n^2 forms through it
-        inv = matrix_inverse([list(r) for r in self.g])
-        if inv is None:
-            raise DegenerateMetricError("metric determinant is identically zero")
-        return tuple(tuple(r) for r in inv)
-
     def lower(self, u) -> tuple[Expr, ...]:
         """Covariant components g(u, E_j); g is symmetric, so row j serves."""
         return tuple(dot(row, u) for row in self.g)
@@ -210,14 +200,6 @@ class FrameMetric:
     def raise_form(self, w) -> tuple[Expr, ...]:
         """Frame components of the metric dual of a 1-form."""
         return tuple(dot(row, w) for row in self.inverse())
-
-
-def metric_pair(metric: FrameMetric, u, v) -> Expr:
-    return metric.pair(u, v)
-
-
-def inverse_metric(metric: FrameMetric):
-    return metric.inverse()
 
 
 @dataclass(frozen=True)
@@ -281,17 +263,6 @@ class FrameTensor:
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.scalars())
 
-    def sub(self, other: "FrameTensor") -> "FrameTensor":
-        if self.valence != other.valence:
-            raise GeometryError("valence mismatch")
-        r, _ = self.valence
-        n = self.dim
-        if r == 1:
-            return FrameTensor.build(
-                self.valence, n, lambda *ix: tuple(a - b for a, b in zip(self.comp(*ix), other.comp(*ix)))
-            )
-        return FrameTensor.build(self.valence, n, lambda *ix: self.comp(*ix) - other.comp(*ix))
-
 
 # -- contractions --------------------------------------------------------------
 #
@@ -332,65 +303,18 @@ def combo(coeffs, vec_of) -> tuple[Expr, ...]:
 # -- exact linear algebra over the function field ---------------------------
 
 
-def matrix_det(a: list[list[Expr]]) -> Expr:
-    """Determinant by cofactor expansion along the first row; exact and
-    division-free."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-
-    def cofactor(j):
-        if a[0][j].is_zero:
-            return a[0][j]  # the zero absorbs its term; no minor needed
-        minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        det = matrix_det(minor)
-        return -det if j % 2 else det
-
-    return dot(a[0], [cofactor(j) for j in range(n)])
-
-
-def _pick_pivot(rows: list, col: int, start: int):
-    """Deterministic pivot: smallest stored form, ties to the lowest row."""
-    best = None
-    best_key = None
-    for r in range(start, len(rows)):
-        e = rows[r][col]
-        if e.is_zero:
-            continue
-        key = (e.size, r)
-        if best_key is None or key < best_key:
-            best_key, best = key, r
-    return best
-
-
-def solve_square(a: list[list[Expr]], b: list[Expr]):
-    """Solve a square system exactly; None when the matrix is singular."""
-    n = len(a)
-    rows = [list(a[i]) + [b[i]] for i in range(n)]
-    for col in range(n):
-        p = _pick_pivot(rows, col, col)
-        if p is None:
-            return None
-        rows[col], rows[p] = rows[p], rows[col]
-        pivot = rows[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            scale = rows[r][col] / pivot
-            rows[r] = [x - scale * y for x, y in zip(rows[r], rows[col])]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
-
-
-def matrix_inverse(a: list[list[Expr]]):
-    """Gauss-Jordan inverse; None when singular."""
+def matrix_inverse(a) -> tuple[tuple[Expr, ...], ...] | None:
+    """Gauss-Jordan inverse of a square matrix of Exprs; None when singular."""
     n = len(a)
     zero = Expr.zero(a[0][0].vars)
     one = Expr.one(a[0][0].vars)
     rows = [list(a[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
     for col in range(n):
-        p = _pick_pivot(rows, col, col)
-        if p is None:
+        # deterministic pivot: the smallest stored form, ties to the lowest row
+        pivots = [(rows[r][col].size, r) for r in range(col, n) if not rows[r][col].is_zero]
+        if not pivots:
             return None
+        p = min(pivots)[1]
         rows[col], rows[p] = rows[p], rows[col]
         pivot = rows[col][col]
         rows[col] = [x / pivot for x in rows[col]]
@@ -399,7 +323,7 @@ def matrix_inverse(a: list[list[Expr]]):
                 continue
             factor = rows[r][col]
             rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def symmetric_inertia(m: list[list[Fraction]]) -> tuple[int, int, int]:

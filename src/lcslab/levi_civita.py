@@ -53,15 +53,16 @@ def frame_brackets(frame: Frame) -> tuple:
     return tuple(tuple(r) for r in out)
 
 
-def koszul(frame: Frame, metric: FrameMetric, brackets=None) -> ConnectionCoeffs:
+def koszul(frame: Frame, metric: FrameMetric, brackets) -> ConnectionCoeffs:
     """Solve the Koszul identity for all frame triples and raise the index.
 
     2 g(nabla_X Y, Z) = X g(Y,Z) + Y g(X,Z) - Z g(X,Y)
                         + g([X,Y],Z) - g([X,Z],Y) - g([Y,Z],X)
+
+    ``brackets`` holds the frame components of every [E_i, E_j], as
+    ``frame_brackets`` gives them.
     """
     n = frame.dim
-    if brackets is None:
-        brackets = frame_brackets(frame)
     g = metric.g
     low = [[metric.lower(b) for b in row] for row in brackets]
     two = frame.chart.const(2)

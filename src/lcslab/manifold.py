@@ -7,13 +7,12 @@ underlying values are immutable, so sharing is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .curvature import CurvatureStack
 from .curvature import concircular as _concircular
 from .curvature import m_projective as _m_projective
-from .curvature import nabla_riemann as _nabla_riemann
 from .frame_geometry import Frame, FrameMetric, FrameTensor
 from .levi_civita import ConnectionCoeffs, cov_deriv_tensor, frame_brackets, koszul, lie_derivative_metric
 
@@ -24,7 +23,6 @@ class ManifoldData:
     frame: Frame
     metric: FrameMetric
     xi_index: int
-    sample_point: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 <= self.xi_index < self.frame.dim:
@@ -56,7 +54,7 @@ class ManifoldData:
 
     @cached_property
     def nabla_riemann(self) -> FrameTensor:
-        return _nabla_riemann(self.connection, self.stack.riemann13)
+        return cov_deriv_tensor(self.connection, self.stack.riemann13, None)
 
     @cached_property
     def m_projective(self) -> FrameTensor:

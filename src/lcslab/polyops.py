@@ -5,7 +5,8 @@ evaluate/reconstruct/verify heuristic first (coprime inputs, the common
 case when canonicalizing fractions, cost one evaluation and one integer
 GCD) and falls back to a recursive subresultant remainder sequence when
 the heuristic gives up.  Integer content is folded into the GCD, so
-canonical fractions reduce constants as well (2x/2 -> x).
+canonical fractions reduce constants as well (2x/2 -> x).  Like the kernels,
+nothing here writes to an argument, so a result may be an argument itself.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def normalize_sign(a: Poly) -> Poly:
     lead = poly_lead(a)
     if lead is not None and lead[1] < 0:
         return poly_neg(a)
-    return dict(a)
+    return a
 
 
 def poly_pow(a: Poly, k: int, nvars: int) -> Poly:
@@ -201,8 +202,8 @@ def _gcd_rec(a: Poly, b: Poly, vs: tuple) -> Poly:
         return poly_const(nvars, int_gcd(next(iter(a.values())), next(iter(b.values()))))
     v, rest = used[0], used[1:]
 
-    cont_a = _content_in(a, v, rest) if poly_appears(a, v) else dict(a)
-    cont_b = _content_in(b, v, rest) if poly_appears(b, v) else dict(b)
+    cont_a = _content_in(a, v, rest) if poly_appears(a, v) else a
+    cont_b = _content_in(b, v, rest) if poly_appears(b, v) else b
     cont = _gcd_rec(cont_a, cont_b, rest)
     pa = poly_divexact(a, cont_a)
     pb = poly_divexact(b, cont_b)
@@ -235,7 +236,7 @@ def _eval_var(p: Poly, v: int, xi: int) -> Poly:
 def _interp_var(p: Poly, v: int, xi: int) -> Poly:
     """Inverse of evaluation at xi, using balanced digits in (-xi/2, xi/2]."""
     out: Poly = {}
-    cur = dict(p)
+    cur = p
     k = 0
     half = xi // 2
     while cur:

@@ -154,13 +154,24 @@ class TestExitCodes:
             ({"frame": [["z*x", "z*y", 0], ["0", "z", "0"], ["0", "0", "1"]]}, "frame"),
             ({"sample_point": ["x"]}, "sample_point"),
             ({"sample_point": 5}, "sample_point"),
+            ({"metric": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}, "metric[3][3]"),
+            ({"metric": [["1", "0", "0"], [None, "1", True], [None, None, "-1"]]}, "metric[2][3]"),
+            ({"metric": [["1", "0", {"a": 1}], ["0", "1", "0"], [None, "0", "-1"]]}, "metric[1][3]"),
+            # "forms" is not a definition key: it is written to the --forms file
+            ({"forms": {"A": ["0", 0, "0"], "B": ["0", "0", "0"]}}, "A[2]"),
         ],
     )
     def test_malformed_cell_is_two(self, tmp_path, capsys, change, key):
+        change = dict(change)
+        forms = change.pop("forms", None)
         path = write_def(tmp_path, dict(EXAMPLE_DEF, **change))
-        assert main(["check-lcs", path]) == 2
+        argv = ["check-lcs", path]
+        if forms is not None:
+            argv = ["check", "SGRR", path, "--forms", write_def(tmp_path, forms, "forms.json")]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and key in err and "Traceback" not in err
+        # "must be": rejected for its type, not read as the text of an expression
+        assert "error:" in err and key in err and "must be" in err and "Traceback" not in err
 
     def test_huge_bad_cell_is_quoted_briefly(self, tmp_path, capsys):
         cell = "(" * 5000 + "x" + ")" * 5000

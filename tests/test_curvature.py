@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 from lcslab.curvature import riemann_lowered
@@ -34,6 +35,31 @@ class TestRiemann:
             assert all(ok for _, ok in checks), checks
             names = [name for name, _ in checks]
             assert "first-bianchi" in names and "second-bianchi" in names
+
+    def test_self_check_catches_corrupted_riemann(self, example51):
+        data = example51
+        riem = bump_leaf(data.stack.riemann13, (0, 1, 1), data.chart.one())  # R(E1,E2)E2 gains E1
+        checks = dict(dataclasses.replace(data.stack, riemann13=riem).self_check(data.metric, data.nabla_riemann))
+        assert not checks["antisymmetry-first-pair"]
+        assert not checks["pair-symmetry"]
+
+    def test_self_check_catches_corrupted_nabla_riemann(self, example51):
+        data = example51
+        nabla_r = bump_leaf(data.nabla_riemann, (0, 1, 2, 2), data.chart.one())
+        checks = dict(data.stack.self_check(data.metric, nabla_r))
+        assert not checks["second-bianchi"]
+        assert all(ok for name, ok in checks.items() if name != "second-bianchi")
+
+
+def bump_leaf(tensor, idx, amount):
+    """A copy of a vector-valued tensor with amount added to the first
+    component of the leaf at idx."""
+
+    def leaf(*ix):
+        vec = tensor.comp(*ix)
+        return (vec[0] + amount,) + vec[1:] if ix == idx else vec
+
+    return FrameTensor.build(tensor.valence, tensor.dim, leaf)
 
 
 class TestRicci:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lcslab import _poly_py
-from lcslab.polyops import poly_divexact, poly_gcd, poly_mul
+from lcslab.polyops import _gcd_rec, poly_divexact, poly_gcd, poly_mul
 
 DIVEXACTS = [pytest.param(_poly_py.poly_divexact, id="_poly_py")]
 
@@ -138,8 +138,6 @@ def test_gcd_matches_sympy():
 def test_prs_fallback_agrees_with_heuristic():
     # the subresultant remainder sequence is only consulted when the
     # heuristic gives up; exercise it directly against poly_gcd
-    from lcslab.polyops import _gcd_rec
-
     rng = random.Random(23)
     checked = 0
     for _ in range(80):
@@ -162,3 +160,25 @@ def test_gcd_exact_known_cases():
     assert g == {(1, 0, 0): 1, (0, 0, 0): 1}
     # monomial fast path
     assert poly_gcd({(3, 1, 0): 4}, {(1, 2, 2): 6, (2, 1, 1): 2}) == {(1, 1, 0): 2}
+
+
+@pytest.mark.parametrize(
+    "gcd", [poly_gcd, lambda a, b: _gcd_rec(a, b, (0, 1, 2))], ids=["poly_gcd", "_gcd_rec"]
+)
+def test_gcd_leaves_operands_unchanged(gcd):
+    # results may be an operand itself (nothing copies), so no path may
+    # write to one: equal operands, a zero operand, a negative lead, a
+    # content free of the leading variable, random pairs with a common factor
+    p = {(2, 0, 1): 3, (0, 1, 0): -5, (0, 0, 0): 7}
+    neg = {(1, 1, 0): -2, (0, 0, 1): 4}
+    free_of_x = {(0, 2, 0): 1, (0, 0, 1): -3}
+    cases = [(p, p), (p, dict(p)), (p, {}), ({}, neg), (neg, neg), (free_of_x, poly_mul(free_of_x, p))]
+    rng = random.Random(31)
+    for _ in range(40):
+        c = random_poly(rng, nterms=2, maxexp=1)
+        cases.append((poly_mul(random_poly(rng), c), poly_mul(random_poly(rng), c)))
+    for a, b in cases:
+        before = (dict(a), dict(b))
+        gcd(a, b)
+        assert (a, b) == before
+    assert poly_gcd(p, p) is p and poly_gcd({}, p) is p  # shared, not copied
