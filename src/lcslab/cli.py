@@ -6,8 +6,10 @@ Definition files are UTF-8 JSON with keys name, coords, frame, metric, xi
 Frame rows hold coordinate-basis coefficient expressions; metric rows hold
 frame components.  Every cell is an expression string, except that a metric
 cell may be null: it is then mirrored from the other side of the diagonal.
-A built-in name (example51, flat3, desitter3) is usable wherever a path is
-expected.
+``load`` checks the shape of a definition and ``build_manifold`` parses its
+cells, each through ``parse_cell``, whose load error names the cell.  A
+built-in name (example51, flat3, lcs<N> and desitter<N> for N from 3 to 12;
+see ``builtin_manifolds``) is usable wherever a path is expected.
 
 Exit codes: 0 when no entry failed (info and mismatch entries included),
 1 when any check failed, 2 when the definition could not be loaded.
@@ -23,13 +25,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .builtin_manifolds import BUILTINS, builtin_names
+from .builtin_manifolds import BUILTIN_FORMS, builtin
 from .conditions import (
     NoSolution,
     RecurrenceForms,
@@ -58,25 +62,45 @@ class LoadError(Exception):
 
 @dataclass
 class ManifoldDef:
+    """A definition of checked shape; ``build_manifold`` parses its cells."""
+
     name: str
     coords: list[str]
-    frame: list[list[str]]
-    metric: list[list[str]]
+    frame: list[list]  # n x n JSON cells
+    metric: list[list]  # n x n JSON cells; None mirrors the cell across the diagonal
     xi: int  # 1-based frame index
     sample_point: dict[str, str] = field(default_factory=dict)
     source_text: str = ""  # raw file contents, for line numbers in errors
 
 
-def _line_of(raw: str, needle: str) -> str:
-    """Best-effort line locator for error messages on definition files."""
+def _line_of(raw: str, value) -> str:
+    """Best-effort line of a JSON cell in the file text, for error messages."""
     if not raw:
         return ""
-    pos = raw.find(json.dumps(needle))
-    if pos < 0:
-        pos = raw.find(needle)
-    if pos < 0:
-        return ""
-    return f" (line {raw.count(chr(10), 0, pos) + 1})"
+    if isinstance(value, str):
+        pos = raw.find(json.dumps(value))
+        if pos < 0:
+            pos = raw.find(value)
+    else:
+        # a number, boolean, array or object cell sits between array punctuation
+        found = re.search(rf"[\[,]\s*({re.escape(json.dumps(value))})\s*[,\]]", raw)
+        pos = found.start(1) if found else -1
+    return f" (line {raw.count(chr(10), 0, pos) + 1})" if pos >= 0 else ""
+
+
+def parse_cell(value, where: str, variables, raw: str = "") -> Expr:
+    """The expression in one cell of a definition or forms file.
+
+    Anything else is a LoadError that names the cell (``frame[i][j]``,
+    ``metric[i][j]``, ``A[i]``), quotes at most 80 characters of it and,
+    when the file text ``raw`` is known, gives its line.
+    """
+    if not isinstance(value, str):
+        raise LoadError(f"{where} must be an expression string{_line_of(raw, value)}")
+    try:
+        return parse(value, variables)
+    except ExprError as exc:
+        raise LoadError(f"{where}: {exc} in {quote_text(value)}{_line_of(raw, value)}") from None
 
 
 def _read_json(path: Path, label: str) -> tuple[str, object]:
@@ -94,77 +118,54 @@ def _read_json(path: Path, label: str) -> tuple[str, object]:
 
 
 def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
-    """Read and validate a manifold definition; raises LoadError."""
+    """Read a built-in or a definition file and check its shape; raises LoadError."""
     raw = ""
-    if path_or_name in BUILTINS:
-        payload = BUILTINS[path_or_name]
-    else:
-        path = Path(path_or_name)
-        if not path.exists():
-            raise LoadError(f"no such file or built-in definition: {path_or_name} (built-ins: {', '.join(builtin_names())})")
-        raw, payload = _read_json(path, path_or_name)
-
-    problems: list[str] = []
+    payload = builtin(path_or_name)
+    if payload is None:
+        # os.path.exists, unlike Path.exists, is False for a name too long to stat
+        if not os.path.exists(path_or_name):
+            raise LoadError(f"no such file or built-in definition: {quote_text(path_or_name)} (built-ins: {BUILTIN_FORMS})")
+        raw, payload = _read_json(Path(path_or_name), path_or_name)
     if not isinstance(payload, dict):
         raise LoadError(f"{path_or_name}: definition must be a JSON object")
 
-    name = payload.get("name") or (path_or_name if path_or_name in BUILTINS else Path(path_or_name).stem)
+    problems: list[str] = []
+    name = payload.get("name", "")
+    if not isinstance(name, str):
+        problems.append("'name' must be a string")
     coords = payload.get("coords")
     if not isinstance(coords, list) or len(coords) < 2 or not all(isinstance(c, str) for c in coords):
         raise LoadError(f"{path_or_name}: 'coords' must be a list of at least 2 variable names")
     n = len(coords)
     try:
-        variables = tuple(Var(c) for c in coords)
-        if len(set(variables)) != n:
+        if len(set(Var(c) for c in coords)) != n:
             problems.append("duplicate coordinate names")
     except ValueError as exc:
         problems.append(str(exc))
 
-    frame_rows = payload.get("frame")
-    if not isinstance(frame_rows, list) or len(frame_rows) != n or any(
-        not isinstance(r, list) or len(r) != n or not all(isinstance(c, str) for c in r) for r in frame_rows
-    ):
-        problems.append(f"'frame' must be a {n}x{n} array of expression strings")
-        frame_rows = []
+    frame = payload.get("frame")
+    if not isinstance(frame, list) or len(frame) != n or any(not isinstance(r, list) or len(r) != n for r in frame):
+        problems.append(f"'frame' must be a {n}x{n} array")
 
     metric_rows = payload.get("metric")
-    norm_metric: list[list[str]] = []
+    metric: list[list] = [[None] * n for _ in range(n)]
     if not isinstance(metric_rows, list) or len(metric_rows) != n:
         problems.append(f"'metric' must have {n} rows")
     else:
-        grid: list[list[str | None]] = [[None] * n for _ in range(n)]
         for i, row in enumerate(metric_rows):
-            if not isinstance(row, list):
-                problems.append(f"metric row {i + 1} is not a list")
-                continue
-            if len(row) == n:
-                entries = row
-                offset = 0
-            elif len(row) == n - i:
-                entries = row  # upper triangle from the diagonal
-                offset = i
+            if isinstance(row, list) and len(row) in (n, n - i):
+                metric[i][n - len(row) :] = row  # a short row starts at the diagonal
             else:
-                problems.append(f"metric row {i + 1} must have {n} entries (or {n - i} from the diagonal)")
-                continue
-            for k, cell in enumerate(entries):
-                if cell is not None and not isinstance(cell, str):
-                    problems.append(f"metric[{i + 1}][{offset + k + 1}] must be an expression string or null")
-                    cell = "0"
-                grid[i][offset + k] = cell
+                problems.append(f"metric row {i + 1} must be a list of {n} entries (or {n - i} from the diagonal)")
         for i in range(n):
-            for j in range(n):
-                if grid[i][j] is None:
-                    grid[i][j] = grid[j][i]
-                if grid[i][j] is None:
+            for j in range(i, n):
+                if metric[i][j] is None and metric[j][i] is None:
                     problems.append(f"metric entry ({i + 1},{j + 1}) is missing")
-                    grid[i][j] = "0"
-        norm_metric = grid
 
     xi = payload.get("xi")
     # bool is an int subclass: "xi": true must not pass as index 1
     if isinstance(xi, bool) or not isinstance(xi, int) or not 1 <= xi <= n:
         problems.append(f"'xi' must be a frame index between 1 and {n}")
-        xi = 1
 
     sample = payload.get("sample_point") or {}
     if not isinstance(sample, dict):
@@ -175,10 +176,10 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
     if problems:
         raise LoadError(f"{path_or_name}: " + "; ".join(problems))
     return ManifoldDef(
-        name=str(name),
+        name=name or Path(path_or_name).stem,
         coords=list(coords),
-        frame=[list(r) for r in frame_rows],
-        metric=norm_metric,
+        frame=frame,
+        metric=metric,
         xi=xi,
         sample_point={str(k): str(v) for k, v in sample.items()},
         source_text=raw,
@@ -186,34 +187,29 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
 
 
 def build_manifold(defn: ManifoldDef) -> ManifoldData:
-    """Turn a validated definition into engine state; raises LoadError."""
+    """Parse a definition's cells into engine state; raises LoadError."""
     problems: list[str] = []
-    raw = defn.source_text
     variables = tuple(Var(c) for c in defn.coords)
     chart = Chart(variables)
 
-    def parse_cell(text: str, where: str) -> Expr:
+    def cell(value, where: str) -> Expr:
         try:
-            return parse(text, variables)
-        except ExprError as exc:
-            problems.append(f"{where}: {exc} in {quote_text(text)}{_line_of(raw, text)}")
+            return parse_cell(value, where, variables, defn.source_text)
+        except LoadError as exc:
+            problems.append(str(exc))
             return chart.zero()
 
-    fields = []
-    for i, row in enumerate(defn.frame):
-        coeffs = tuple(parse_cell(c, f"frame[{i + 1}][{j + 1}]") for j, c in enumerate(row))
-        fields.append(VectorField(chart, coeffs))
+    fields = [
+        VectorField(chart, tuple(cell(c, f"frame[{i + 1}][{j + 1}]") for j, c in enumerate(row)))
+        for i, row in enumerate(defn.frame)
+    ]
     g = [
-        [parse_cell(c, f"metric[{i + 1}][{j + 1}]") for j, c in enumerate(row)]
+        [None if c is None else cell(c, f"metric[{i + 1}][{j + 1}]") for j, c in enumerate(row)]
         for i, row in enumerate(defn.metric)
     ]
     if problems:
         raise LoadError("; ".join(problems))
-
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            if g[i][j] != g[j][i]:
-                raise LoadError(f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ as expressions")
+    g = [[e if e is not None else g[j][i] for j, e in enumerate(row)] for i, row in enumerate(g)]
 
     sample = {v: Fraction(2) for v in variables}
     for k, v in defn.sample_point.items():
@@ -449,24 +445,16 @@ def cmd_curvature(data: ManifoldData, report: Report) -> None:
 
 
 def _load_forms(data: ManifoldData, forms_path: str) -> RecurrenceForms:
-    _, payload = _read_json(Path(forms_path), forms_path)
+    raw, payload = _read_json(Path(forms_path), forms_path)
     n = data.dim
     if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("A", "B")):
         raise LoadError(f"{forms_path}: forms file needs 'A' and 'B' arrays")
     if len(payload["A"]) != n or len(payload["B"]) != n:
         raise LoadError(f"{forms_path}: 'A' and 'B' must each have {n} entries")
-
-    def parse_entry(key: str, i: int) -> Expr:
-        text = payload[key][i]
-        if not isinstance(text, str):
-            raise LoadError(f"{forms_path}: {key}[{i + 1}] must be an expression string")
-        try:
-            return parse(text, data.chart.coords)
-        except ExprError as exc:
-            raise LoadError(f"{forms_path}: {key}[{i + 1}]: {exc} in {quote_text(text)}") from None
-
-    a = [parse_entry("A", i) for i in range(n)]
-    b = [parse_entry("B", i) for i in range(n)]
+    try:
+        a, b = ([parse_cell(v, f"{k}[{i + 1}]", data.chart.coords, raw) for i, v in enumerate(payload[k])] for k in "AB")
+    except LoadError as exc:
+        raise LoadError(f"{forms_path}: {exc}") from None
     return RecurrenceForms.from_covectors(data, a, b)
 
 
@@ -743,6 +731,8 @@ PUBLISHED_FORMS_B = (
 
 def cmd_conformance(data: ManifoldData, report: Report) -> None:
     chart = data.chart
+    if [v.name for v in chart.coords] != ["x", "y", "z"]:
+        raise LoadError("conformance needs the coordinates x, y, z of the published tables")
     pub = lambda text: chart.parse(text)
 
     def diff_vector(check_id, title, engine_vec, published_texts):

@@ -148,9 +148,9 @@ class FrameMetric:
         if len(self.g) != n or any(len(row) != n for row in self.g):
             raise GeometryError("metric must be a square matrix over the frame")
         for i in range(n):
-            for j in range(i):
+            for j in range(i + 1, n):
                 if self.g[i][j] != self.g[j][i]:
-                    raise GeometryError(f"metric not symmetric at ({i},{j})")
+                    raise GeometryError(f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ as expressions")
         # computed once per metric: Koszul raises n^2 forms through it
         inv = matrix_inverse(self.g)
         if inv is None:

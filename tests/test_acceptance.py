@@ -10,12 +10,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcslab.cli import build_manifold, load
 from lcslab.cli import run as cli_run
 from lcslab.conditions import (
     NoSolution,
@@ -30,7 +30,7 @@ from lcslab.conditions import (
 )
 from lcslab.lcs_structure import verify_axioms
 
-from conftest import make_lcs_n, make_manifold
+from conftest import SRC, builtin, make_manifold
 from numeric_oracle import NumericTwin
 
 
@@ -38,19 +38,9 @@ def ok(number: int, label: str) -> None:
     print(f"ACCEPTANCE {number:02d} {label}: PASS")
 
 
-@lru_cache(maxsize=None)
-def manifold(name: str):
-    rows = {
-        "example51": (("z*x", "z*y", "0"), ("0", "z", "0"), ("0", "0", "1")),
-        "flat3": (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")),
-        "desitter3": (("z", "0", "0"), ("0", "z", "0"), ("0", "0", "z")),
-    }[name]
-    return make_manifold(name, rows)
-
-
 def test_criterion_01_reference_brackets():
     t0 = time.perf_counter()
-    data = make_manifold("timed", (("z*x", "z*y", "0"), ("0", "z", "0"), ("0", "0", "1")))
+    data = build_manifold(load("example51"))  # not the cached fixture: the timing covers the brackets
     chart = data.chart
     expected = {
         (0, 1): ("0", "-z", "0"),
@@ -65,7 +55,7 @@ def test_criterion_01_reference_brackets():
 
 
 def test_criterion_02_connection_table():
-    data = manifold("example51")
+    data = builtin("example51")
     chart = data.chart
     expected = {
         (0, 0): ("0", "0", "-1/z"),
@@ -84,7 +74,7 @@ def test_criterion_02_connection_table():
 
 
 def test_criterion_03_curvature_components_and_identities():
-    data = manifold("example51")
+    data = builtin("example51")
     chart = data.chart
     expected = {
         (1, 2, 2): ("0", "-2/z^2", "0"),
@@ -109,7 +99,7 @@ def test_criterion_03_curvature_components_and_identities():
 
 
 def test_criterion_04_ricci_anchor_and_flagged_mismatches():
-    data = manifold("example51")
+    data = builtin("example51")
     chart = data.chart
     st_ = data.structure
     assert data.stack.ricci.comp(2, 2) == chart.parse("-4/z^2")
@@ -146,7 +136,7 @@ def test_criterion_04_ricci_anchor_and_flagged_mismatches():
 
 
 def test_criterion_05_axiom_suite_and_connection_residuals():
-    data = manifold("example51")
+    data = builtin("example51")
     st_ = data.structure
     assert st_.alpha == data.chart.parse("-1/z")
     assert st_.rho == data.chart.parse("-1/z^2")
@@ -173,7 +163,7 @@ def test_criterion_05_axiom_suite_and_connection_residuals():
 
 
 def test_criterion_06_xi_derivative_identity():
-    data = manifold("example51")
+    data = builtin("example51")
     out = nabla_r_xi_identity(data)
     assert out.passed
     if out.sign_flipped:
@@ -185,7 +175,7 @@ def test_criterion_06_xi_derivative_identity():
 
 
 def test_criterion_07_lie_derivative_shape():
-    data = manifold("example51")
+    data = builtin("example51")
     st_ = data.structure
     lie = data.lie_metric(data.xi_components())
     for i in range(3):
@@ -196,7 +186,7 @@ def test_criterion_07_lie_derivative_shape():
 
 
 def test_criterion_08_m_projective_xi_identity():
-    data = manifold("example51")
+    data = builtin("example51")
     st_ = data.structure
     for i in range(3):
         for j in range(3):
@@ -209,10 +199,10 @@ def test_criterion_08_m_projective_xi_identity():
 
 
 def test_criterion_09_constant_curvature_oracle():
-    ds = manifold("desitter3")
+    ds = builtin("desitter3")
     assert ds.concircular.is_zero()
     assert ds.m_projective.is_zero()
-    ex = manifold("example51")
+    ex = builtin("example51")
     assert not ex.concircular.is_zero()
     ok(9, "constant-curvature frame annihilates C and M; reference manifold does not")
 
@@ -220,7 +210,7 @@ def test_criterion_09_constant_curvature_oracle():
 def corpus():
     rng = random.Random(31)
     pool = ["1", "z", "x + 1", "y", "2", "x*z"]
-    manifolds = [manifold("example51"), manifold("flat3"), manifold("desitter3")]
+    manifolds = [builtin("example51"), builtin("flat3"), builtin("desitter3")]
     for trial in range(3):
         rows = [
             [rng.choice(pool), rng.choice(pool), rng.choice(pool)],
@@ -262,7 +252,7 @@ def test_criterion_10b_fitter_roundtrip_property(diag, upper):
 
 
 def test_criterion_11_soliton_scalar_and_residual():
-    data = manifold("example51")
+    data = builtin("example51")
     chart = data.chart
     printed, traced = soliton_lambda(chart.parse("-1/z"), chart.zero(), 3)
     assert printed == chart.parse("-4/(3*z)")
@@ -331,7 +321,7 @@ def cross_check(data, pt) -> bool:
 
 
 def test_criterion_12_numeric_cross_check():
-    data = manifold("example51")
+    data = builtin("example51")
     assert sum(cross_check(data, pt) for pt in random_points()) == 3
     ok(12, "symbolic tensors match the numeric twin at three rational points")
 
@@ -344,11 +334,12 @@ def test_criterion_12_numeric_cross_check():
             {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "x4": Fraction(5, 2), "t": Fraction(7, 4)},
             id="lcs5",
         ),
+        pytest.param({**{f"x{i}": Fraction(i + 2, i) for i in range(1, 6)}, "t": Fraction(7, 4)}, id="lcs6"),
     ],
 )
 def test_numeric_cross_check_lcs_n(pt):
-    # n = 4 and 5 separate the n-dependent constants that coincide at n = 3.
-    data = make_lcs_n(len(pt))
+    # n > 3 separates the n-dependent constants that coincide at n = 3.
+    data = builtin(f"lcs{len(pt)}")
     assert cross_check(data, pt)
 
 
@@ -357,6 +348,7 @@ def test_criterion_13_deterministic_json_report():
         subprocess.run(
             [sys.executable, "-m", "lcslab.cli", "conformance", "--json"],
             capture_output=True,
+            cwd=SRC,  # `-m` imports from the working directory, so the child runs this lcslab
             check=True,
         ).stdout
         for _ in range(2)

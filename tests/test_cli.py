@@ -5,15 +5,13 @@ import sys
 
 import pytest
 
+from lcslab.builtin_manifolds import family
 from lcslab.cli import LoadError, build_manifold, load, main
 
-EXAMPLE_DEF = {
-    "name": "ref-from-file",
-    "coords": ["x", "y", "z"],
-    "frame": [["z*x", "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]],
-    "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]],
-    "xi": 3,
-}
+from conftest import SRC
+
+# the reference manifold, written to a file under another name
+EXAMPLE_DEF = dict(family("lcs", 3), name="ref-from-file")
 
 # sha256 of each `lcslab <command> <built-in> --json` report.  Every scalar is
 # canonical, so a rewrite of the engine must reproduce these byte for byte;
@@ -75,6 +73,25 @@ class TestLoad:
         path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
         with pytest.raises(LoadError, match=r"'w'.*line \d+"):
             build_manifold(load(str(path)))
+
+    def test_non_string_cell_reported_with_location(self, tmp_path):
+        payload = dict(EXAMPLE_DEF, frame=[["z*x", "z*y", 0], ["0", "z", "0"], ["0", "0", "1"]])
+        path = tmp_path / "pretty.json"
+        path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        with pytest.raises(LoadError, match=r"^frame\[1\]\[3\] must be an expression string \(line 12\)$"):
+            build_manifold(load(str(path)))
+
+    def test_family_up_to_the_cap(self):
+        defn = load("desitter12")
+        assert defn.coords == [f"x{i}" for i in range(1, 12)] + ["t"] and defn.xi == 12
+        assert build_manifold(defn).name == "desitter12"
+
+    # a name too long to stat is still "no such file", quoted briefly
+    @pytest.mark.parametrize("name", ["lcs2", "lcs04", "lcs13", "desitter", "lcsx", pytest.param("lcs" + "3" * 300, id="lcs3x300")])
+    def test_bad_family_name_is_two(self, capsys, name):
+        assert main(["check-lcs", name]) == 2
+        err = capsys.readouterr().err
+        assert "lcs<N> and desitter<N> with N from 3 to 12" in err and len(err) < 300
 
     def test_singular_frame(self, tmp_path):
         payload = dict(EXAMPLE_DEF, frame=[["z*x", "0", "0"], ["z*x", "0", "0"], ["0", "0", "1"]])
@@ -139,6 +156,10 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "mismatch" in out
 
+    def test_conformance_needs_the_reference_coordinates(self, capsys):
+        assert main(["conformance", "lcs4"]) == 2
+        assert "x, y, z" in capsys.readouterr().err
+
     def test_check_lcs_flat_fails(self, capsys):
         assert main(["check-lcs", "flat3"]) == 1
 
@@ -159,6 +180,8 @@ class TestExitCodes:
             ({"metric": [["1", "0", {"a": 1}], ["0", "1", "0"], [None, "0", "-1"]]}, "metric[1][3]"),
             # "forms" is not a definition key: it is written to the --forms file
             ({"forms": {"A": ["0", 0, "0"], "B": ["0", "0", "0"]}}, "A[2]"),
+            ({"name": [1, 2]}, "'name'"),
+            ({"frame": [["z*x", "z*y", 0], ["0", "z", "0"], ["0", "0", "1"]]}, "frame[1][3]"),
         ],
     )
     def test_malformed_cell_is_two(self, tmp_path, capsys, change, key):
@@ -339,6 +362,7 @@ class TestJsonReports:
             subprocess.run(
                 [sys.executable, "-m", "lcslab.cli", "conformance", "--json"],
                 capture_output=True,
+                cwd=SRC,  # `-m` imports from the working directory, so the child runs this lcslab
                 check=True,
             ).stdout
             for _ in range(2)
@@ -354,3 +378,13 @@ def test_json_reports_match_recorded_digests(capsys):
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(f"{command} {name}")
     assert not changed
+
+
+@pytest.mark.parametrize("command", sorted({command for command, _ in REPORT_DIGESTS}))
+def test_lcs3_is_example51_under_another_name(capsys, command):
+    main([*command.split(), "lcs3", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["manifold"] == "lcs3"
+    payload["manifold"] = "example51"
+    out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[(command, "example51")]

@@ -18,7 +18,7 @@ from lcslab.conditions import (
 )
 from lcslab.lcs_structure import EinsteinKind, NotLcsError
 
-from conftest import make_desitter_n, make_lcs_n, make_manifold
+from conftest import builtin, make_manifold
 
 
 def zero_forms(data):
@@ -266,7 +266,7 @@ class TestFormulasAtHigherDimension:
     @pytest.mark.parametrize("n, guard", [(4, "(t^2 + 24)/t^2"), (5, "(t^2 + 40)/t^2")], ids=["lcs4", "lcs5"])
     def test_derived_conditions_guard(self, n, guard):
         # guard_cxs = n(n-1)(alpha^2 - rho) + 1 = n(n-1) * 2/t^2 + 1
-        data = make_lcs_n(n)
+        data = builtin(f"lcs{n}")
         chart = data.chart
         assert data.structure.alpha == chart.parse("-1/t")
         assert data.structure.rho == chart.parse("-1/t^2")
@@ -282,7 +282,7 @@ class TestFormulasAtHigherDimension:
     def test_soliton_lambda_and_k(self, n, printed, traced, k):
         # printed p/2 + ((n+1)/n) alpha, traced p/2 + ((n-1)/n) alpha, and
         # k = lambda - (p/2 + 1/n) - alpha, all at p = 0 and alpha = -1/t
-        chart = make_lcs_n(n).chart
+        chart = builtin(f"lcs{n}").chart
         alpha = chart.parse("-1/t")
         lam, lam_traced = soliton_lambda(alpha, chart.zero(), n)
         assert lam == chart.parse(printed)
@@ -293,7 +293,7 @@ class TestFormulasAtHigherDimension:
     def test_sgrr_b_term_is_n_b_g(self, n):
         # residual = nabla S - A x S - n B x g, so switching B on changes
         # every entry by exactly -n b_w g_ij
-        data = make_lcs_n(n)
+        data = builtin(f"lcs{n}")
         chart = data.chart
         b = [chart.parse(f"x1 + {w + 1}") for w in range(n)]
         zero = [chart.zero()] * n
@@ -311,7 +311,7 @@ class TestFormulasAtHigherDimension:
         # B = eta, A = -(n^2/r) eta = -(n/(n-1)) eta, so A(xi) = eta(rho1) = -n/(n-1)
         # and B(xi) = 1; then r = {2(n-1) * 1 * A(xi) - (n^2+2)} / A(xi)
         # = (n^2 + 2n + 2)(n-1)/n, and the opposition A + (n^2/r) B vanishes
-        data = make_desitter_n(n)
+        data = builtin(f"desitter{n}")
         chart = data.chart
         st = data.structure
         assert st.alpha == chart.const(-1) and st.rho.is_zero

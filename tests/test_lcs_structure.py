@@ -10,7 +10,7 @@ from lcslab.lcs_structure import (
     verify_axioms,
 )
 
-from conftest import make_lcs_n, make_manifold
+from conftest import builtin, make_manifold
 
 
 class TestDeriveStructure:
@@ -63,10 +63,10 @@ class TestVerifyAxioms:
         checks = verify_axioms(desitter3, desitter3.structure)
         assert all(c.passed for c in checks)
 
-    @pytest.mark.parametrize("n", [4, 5], ids=["lcs4", "lcs5"])
+    @pytest.mark.parametrize("n", [4, 5, 6], ids=["lcs4", "lcs5", "lcs6"])
     def test_all_pass_on_lcs_n(self, n):
         # at n = 3 the (n-1) of ricci-into-xi is 2, so only n > 3 pins it
-        data = make_lcs_n(n)
+        data = builtin(f"lcs{n}")
         checks = verify_axioms(data, data.structure)
         assert len(checks) == 14
         assert all(c.passed for c in checks), [c.axiom for c in checks if not c.passed]
