@@ -28,9 +28,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .builtin_manifolds import BUILTIN_FORMS, builtin
@@ -60,8 +60,7 @@ class LoadError(Exception):
 # -- definition loading -----------------------------------------------------
 
 
-@dataclass
-class ManifoldDef:
+class ManifoldDef(NamedTuple):
     """A definition of checked shape; ``build_manifold`` parses its cells."""
 
     name: str
@@ -69,7 +68,7 @@ class ManifoldDef:
     frame: list[list]  # n x n JSON cells
     metric: list[list]  # n x n JSON cells; None mirrors the cell across the diagonal
     xi: int  # 1-based frame index
-    sample_point: dict[str, str] = field(default_factory=dict)
+    sample_point: dict[str, str] | None = None
     source_text: str = ""  # raw file contents, for line numbers in errors
 
 
@@ -82,8 +81,12 @@ def _line_of(raw: str, value) -> str:
         if pos < 0:
             pos = raw.find(value)
     else:
-        # a number, boolean, array or object cell sits between array punctuation
-        found = re.search(rf"[\[,]\s*({re.escape(json.dumps(value))})\s*[,\]]", raw)
+        # a number, boolean, array or object cell sits between array
+        # punctuation; its tokens (strings, punctuation, bare literals) may
+        # be spaced any way the file likes
+        tokens = re.findall(r'"(?:[^"\\]|\\.)*"|[\[\]{},:]|[^\s"\[\]{},:]+', json.dumps(value))
+        cell = r"\s*".join(map(re.escape, tokens))
+        found = re.search(rf"[\[,]\s*({cell})\s*[,\]]", raw)
         pos = found.start(1) if found else -1
     return f" (line {raw.count(chr(10), 0, pos) + 1})" if pos >= 0 else ""
 
@@ -101,6 +104,22 @@ def parse_cell(value, where: str, variables, raw: str = "") -> Expr:
         return parse(value, variables)
     except ExprError as exc:
         raise LoadError(f"{where}: {exc} in {quote_text(value)}{_line_of(raw, value)}") from None
+
+
+def _cell_reader(variables, raw: str = ""):
+    """``(cell, problems)``: ``cell(value, where)`` parses like ``parse_cell``
+    but records a load error in ``problems`` and stands in zero, so one
+    message can name every bad cell of a file."""
+    problems: list[str] = []
+
+    def cell(value, where: str) -> Expr:
+        try:
+            return parse_cell(value, where, variables, raw)
+        except LoadError as exc:
+            problems.append(str(exc))
+            return Expr.zero(variables)
+
+    return cell, problems
 
 
 def _read_json(path: Path, label: str) -> tuple[str, object]:
@@ -188,17 +207,9 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
 
 def build_manifold(defn: ManifoldDef) -> ManifoldData:
     """Parse a definition's cells into engine state; raises LoadError."""
-    problems: list[str] = []
     variables = tuple(Var(c) for c in defn.coords)
     chart = Chart(variables)
-
-    def cell(value, where: str) -> Expr:
-        try:
-            return parse_cell(value, where, variables, defn.source_text)
-        except LoadError as exc:
-            problems.append(str(exc))
-            return chart.zero()
-
+    cell, problems = _cell_reader(variables, defn.source_text)
     fields = [
         VectorField(chart, tuple(cell(c, f"frame[{i + 1}][{j + 1}]") for j, c in enumerate(row)))
         for i, row in enumerate(defn.frame)
@@ -212,7 +223,7 @@ def build_manifold(defn: ManifoldDef) -> ManifoldData:
     g = [[e if e is not None else g[j][i] for j, e in enumerate(row)] for i, row in enumerate(g)]
 
     sample = {v: Fraction(2) for v in variables}
-    for k, v in defn.sample_point.items():
+    for k, v in (defn.sample_point or {}).items():
         try:
             var, value = Var(k), Fraction(v)
         except (ValueError, ZeroDivisionError):
@@ -234,8 +245,7 @@ def build_manifold(defn: ManifoldDef) -> ManifoldData:
 PASS, FAIL, INFO, MISMATCH = "pass", "fail", "info", "mismatch"
 
 
-@dataclass
-class ReportEntry:
+class ReportEntry(NamedTuple):
     check_id: str
     status: str
     title: str
@@ -245,15 +255,16 @@ class ReportEntry:
     note: str | None = None
 
 
-@dataclass
 class Report:
-    command: str
-    manifold: str
-    notes: list[str] = field(default_factory=list)
-    entries: list[ReportEntry] = field(default_factory=list)
+    def __init__(self, command: str, manifold: str, notes=(), entries=()):
+        self.command = command
+        self.manifold = manifold
+        self.notes = list(notes)
+        self.entries = list(entries)
 
-    def add(self, check_id, status, title, engine=None, published=None, residual=None, note=None):
-        self.entries.append(ReportEntry(check_id, status, title, engine, published, residual, note))
+    def add(self, *fields, **named):
+        """Append ``ReportEntry(*fields, **named)``."""
+        self.entries.append(ReportEntry(*fields, **named))
 
     @property
     def exit_code(self) -> int:
@@ -289,18 +300,7 @@ class Report:
             "command": self.command,
             "manifold": self.manifold,
             "notes": self.notes,
-            "entries": [
-                {
-                    "check_id": e.check_id,
-                    "status": e.status,
-                    "title": e.title,
-                    "engine": e.engine,
-                    "published": e.published,
-                    "residual": e.residual,
-                    "note": e.note,
-                }
-                for e in self.entries
-            ],
+            "entries": [e._asdict() for e in self.entries],
             "summary": self.counts(),
             "exit_code": self.exit_code,
         }
@@ -451,10 +451,10 @@ def _load_forms(data: ManifoldData, forms_path: str) -> RecurrenceForms:
         raise LoadError(f"{forms_path}: forms file needs 'A' and 'B' arrays")
     if len(payload["A"]) != n or len(payload["B"]) != n:
         raise LoadError(f"{forms_path}: 'A' and 'B' must each have {n} entries")
-    try:
-        a, b = ([parse_cell(v, f"{k}[{i + 1}]", data.chart.coords, raw) for i, v in enumerate(payload[k])] for k in "AB")
-    except LoadError as exc:
-        raise LoadError(f"{forms_path}: {exc}") from None
+    cell, problems = _cell_reader(data.chart.coords, raw)
+    a, b = ([cell(v, f"{k}[{i + 1}]") for i, v in enumerate(payload[k])] for k in "AB")
+    if problems:
+        raise LoadError(f"{forms_path}: " + "; ".join(problems))
     return RecurrenceForms.from_covectors(data, a, b)
 
 

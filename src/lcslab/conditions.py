@@ -9,12 +9,12 @@ Every assertion made here is therefore literally checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .frame_geometry import FrameTensor, combo, dot, vec_scale, vec_sub
-from .lcs_structure import ClassifierVerdict, classify, solve_two_unknowns
+from .lcs_structure import ClassifierVerdict, NotLcsError, classify, solve_two_unknowns
 from .manifold import ManifoldData
 from .symexpr import Expr
 
@@ -25,8 +25,7 @@ class RecurrenceKind(Enum):
     SGPR = "SGPR"  # phi-recurrent variant: phi^2(nabla R) = A x R + B x (g-term)
 
 
-@dataclass(frozen=True)
-class RecurrenceForms:
+class RecurrenceForms(NamedTuple):
     """1-forms A, B on the frame plus their metric-dual vectors."""
 
     a: tuple[Expr, ...]
@@ -39,8 +38,7 @@ class RecurrenceForms:
         return cls(tuple(a), tuple(b), data.metric.raise_form(a), data.metric.raise_form(b))
 
 
-@dataclass(frozen=True)
-class NoSolution:
+class NoSolution(NamedTuple):
     """Witness that a recurrence fit is inconsistent."""
 
     kind: RecurrenceKind
@@ -155,8 +153,7 @@ def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
     return RecurrenceForms.from_covectors(data, a_comps, b_comps)
 
 
-@dataclass(frozen=True)
-class SgrPredictions:
+class SgrPredictions(NamedTuple):
     """Scalar-curvature consequences of the recurrence hypothesis.
 
     ``gated`` is true only when the hypothesis residual vanishes; then (and
@@ -220,8 +217,7 @@ def sgr_predictions(data: ManifoldData, forms: RecurrenceForms) -> SgrPrediction
     )
 
 
-@dataclass(frozen=True)
-class XiDerivativeIdentity:
+class XiDerivativeIdentity(NamedTuple):
     """Result of checking g((nabla_W R)(xi,Y)Z, xi) against
     -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)."""
 
@@ -262,8 +258,7 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
     return XiDerivativeIdentity(False, False, coeff, res)
 
 
-@dataclass(frozen=True)
-class SolitonParams:
+class SolitonParams(NamedTuple):
     """Soliton scalar lambda, conformal pressure p, and the derived
     k = lambda - (p/2 + 1/n) - alpha (None when no alpha is available)."""
 
@@ -292,12 +287,10 @@ def soliton_lambda(alpha: Expr, p: Expr, n: int) -> tuple[Expr, Expr]:
     return printed, traced
 
 
-@dataclass(frozen=True)
-class SolitonCheck:
+class SolitonCheck(NamedTuple):
     residual: FrameTensor
     is_soliton: bool
     eta_einstein_residual: FrameTensor | None
-    params: SolitonParams
 
 
 def soliton_residual(data: ManifoldData, v, params: SolitonParams) -> SolitonCheck:
@@ -321,20 +314,19 @@ def soliton_residual(data: ManifoldData, v, params: SolitonParams) -> SolitonChe
     if tuple(v) == data.xi_components() and params.k is not None:
         try:
             st = data.structure
-        except Exception:
-            st = None
-        if st is not None:
+        except NotLcsError:
+            pass
+        else:
 
             def eta_entry(i, j):
                 return ric.comp(i, j) - params.k * g[i][j] + st.alpha * st.eta[i] * st.eta[j]
 
             eta_res = FrameTensor.build((0, 2), n, eta_entry)
 
-    return SolitonCheck(res, res.is_zero(), eta_res, params)
+    return SolitonCheck(res, res.is_zero(), eta_res)
 
 
-@dataclass(frozen=True)
-class DerivedConditions:
+class DerivedConditions(NamedTuple):
     """The action tensors R(xi,X).M and C(xi,X).S with their zero flags,
     nondegeneracy guards, and gated Einstein conclusions."""
 

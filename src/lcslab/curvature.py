@@ -14,8 +14,8 @@ sum_b g_{ub} g^{ab} is the identity, so only the u = a terms survive.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_scale, vec_sub
 from .levi_civita import ConnectionCoeffs, cov_deriv_vector
@@ -95,8 +95,7 @@ def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTe
     return FrameTensor.build((1, 3), n, entry)
 
 
-@dataclass(frozen=True)
-class CurvatureStack:
+class CurvatureStack(NamedTuple):
     riemann13: FrameTensor
     ricci: FrameTensor
     q_operator: FrameTensor

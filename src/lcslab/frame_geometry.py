@@ -14,9 +14,9 @@ frame's inverse, and Koszul raises indices through the metric's.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from .symexpr import Expr, Var, parse
 
@@ -37,16 +37,14 @@ class SignatureError(GeometryError):
     """Metric is not Lorentzian (-,+,...,+) at the sample point."""
 
 
-@dataclass(frozen=True)
 class Chart:
-    coords: tuple[Var, ...]
-
-    def __post_init__(self):
-        names = [v.name for v in self.coords]
+    def __init__(self, coords: tuple[Var, ...]):
+        names = [v.name for v in coords]
         if len(set(names)) != len(names):
             raise GeometryError(f"duplicate coordinate names: {names}")
         if not names:
             raise GeometryError("chart needs at least one coordinate")
+        self.coords = coords
 
     @property
     def dim(self) -> int:
@@ -65,16 +63,14 @@ class Chart:
         return parse(text, self.coords)
 
 
-@dataclass(frozen=True)
 class VectorField:
     """Coordinate-basis components of a vector field."""
 
-    chart: Chart
-    coeffs: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.chart.dim:
+    def __init__(self, chart: Chart, coeffs: tuple[Expr, ...]):
+        if len(coeffs) != chart.dim:
             raise GeometryError("component count does not match chart dimension")
+        self.chart = chart
+        self.coeffs = coeffs
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f) = sum_i X^i df/dx_i."""
@@ -89,24 +85,20 @@ class VectorField:
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X,Y] in coordinate components: X(Y^j) - Y(X^j)."""
-    if x.chart != y.chart:
+    if x.chart.coords != y.chart.coords:
         raise GeometryError("vector fields live on different charts")
     return VectorField(x.chart, tuple(x.apply(yc) - y.apply(xc) for xc, yc in zip(x.coeffs, y.coeffs)))
 
 
-@dataclass(frozen=True)
 class Frame:
-    fields: tuple[VectorField, ...]
-
-    def __post_init__(self):
-        n = self.chart.dim
-        if len(self.fields) != n:
+    def __init__(self, fields: tuple[VectorField, ...]):
+        self.fields = fields
+        if len(fields) != self.dim:
             raise GeometryError("frame must have one field per dimension")
         # rows are the frame fields; decompose multiplies by the inverse
-        inv = matrix_inverse([f.coeffs for f in self.fields])
-        if inv is None:
+        self._inverse = matrix_inverse([f.coeffs for f in fields])
+        if self._inverse is None:
             raise SingularFrameError("frame coefficient matrix is singular")
-        object.__setattr__(self, "_inverse", inv)
 
     @property
     def chart(self) -> Chart:
@@ -136,26 +128,23 @@ def decompose(x: VectorField, frame: Frame) -> tuple[Expr, ...]:
     return combo(x.coeffs, lambda k: inv[k])
 
 
-@dataclass(frozen=True)
 class FrameMetric:
     """Symmetric Lorentzian inner products g(E_i, E_j) of a frame."""
 
-    frame: Frame
-    g: tuple[tuple[Expr, ...], ...]
-
-    def __post_init__(self):
-        n = self.frame.dim
-        if len(self.g) != n or any(len(row) != n for row in self.g):
+    def __init__(self, frame: Frame, g: tuple[tuple[Expr, ...], ...]):
+        n = frame.dim
+        if len(g) != n or any(len(row) != n for row in g):
             raise GeometryError("metric must be a square matrix over the frame")
         for i in range(n):
             for j in range(i + 1, n):
-                if self.g[i][j] != self.g[j][i]:
+                if g[i][j] != g[j][i]:
                     raise GeometryError(f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ as expressions")
+        self.frame = frame
+        self.g = g
         # computed once per metric: Koszul raises n^2 forms through it
-        inv = matrix_inverse(self.g)
-        if inv is None:
+        self._inverse = matrix_inverse(g)
+        if self._inverse is None:
             raise DegenerateMetricError("metric determinant is identically zero")
-        object.__setattr__(self, "_inverse", inv)
 
     @classmethod
     def checked(cls, frame: Frame, g, sample_point=None) -> "FrameMetric":
@@ -202,8 +191,7 @@ class FrameMetric:
         return tuple(dot(row, w) for row in self.inverse())
 
 
-@dataclass(frozen=True)
-class FrameTensor:
+class FrameTensor(NamedTuple):
     """Dense frame-component array of valence (r,s), r in {0,1}, s in 1..4.
 
     Covariant slots are indexed first, in the reading order of the tensor;

@@ -15,8 +15,8 @@ rho, beta):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_scale, vec_sub
 from .levi_civita import cov_deriv_vector
@@ -28,8 +28,7 @@ class NotLcsError(Exception):
     """The designated field does not induce a concircular structure."""
 
 
-@dataclass(frozen=True)
-class LcsStructure:
+class LcsStructure(NamedTuple):
     xi: tuple[Expr, ...]
     eta: tuple[Expr, ...]
     phi: FrameTensor
@@ -115,8 +114,7 @@ def derive_structure(data: ManifoldData, xi_index: int, allow_zero_alpha: bool =
     return LcsStructure(xi=xi, eta=eta, phi=phi, alpha=alpha, rho=rho, beta=beta)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     axiom: str
     description: str
     passed: bool
@@ -248,8 +246,7 @@ class EinsteinKind(Enum):
     NEITHER = "Neither"
 
 
-@dataclass(frozen=True)
-class ClassifierVerdict:
+class ClassifierVerdict(NamedTuple):
     kind: EinsteinKind
     a: Expr | None = None
     b: Expr | None = None

@@ -8,7 +8,7 @@ matching the reading order of (nabla_X T)(Y, Z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frame_geometry import (
     Frame,
@@ -24,8 +24,7 @@ from .frame_geometry import (
 from .symexpr import Expr
 
 
-@dataclass(frozen=True)
-class ConnectionCoeffs:
+class ConnectionCoeffs(NamedTuple):
     """gamma[i][j][k] with nabla_{E_i} E_j = sum_k gamma[i][j][k] E_k."""
 
     frame: Frame
@@ -91,26 +90,17 @@ def cov_deriv_vector(conn: ConnectionCoeffs, x, y) -> tuple[Expr, ...]:
     return combo(x, along)
 
 
-def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor, direction=None) -> FrameTensor:
-    """Covariant derivative of a (0,2) or (1,3) frame tensor.
-
-    ``direction`` may be a frame index, a frame-component vector, or None;
-    None leaves the slot free and prepends it as the first index.  Along
-    E_w, with one term per covariant slot k,
+def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor:
+    """Covariant derivative of a (0,2) or (1,3) frame tensor, with the
+    direction slot prepended as the first index.  Along E_w, with one term
+    per covariant slot k,
 
       (nabla_w T)(..X_k..) = E_w(T(..X_k..)) - sum_k T(..nabla_w X_k..)
                              [+ nabla_w of the output vector when r = 1].
     """
-    n = conn.dim
     r, s = tensor.valence
     if (r, s) not in ((0, 2), (1, 3)):
         raise GeometryError(f"unsupported valence for covariant derivative: {(r, s)}")
-
-    if direction is None:
-        per_dir = [cov_deriv_tensor(conn, tensor, w) for w in range(n)]
-        return FrameTensor((r, s + 1), tuple(t.comps for t in per_dir))
-    if isinstance(direction, int):
-        direction = conn.frame.unit(direction)
     gamma = conn.gamma
     fields = conn.frame.fields
 
@@ -120,20 +110,16 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor, direction=None
         leaf = tensor.comp(*idx)
         return leaf if r else (leaf,)
 
-    def along(w, idx):
+    def entry(w, *idx):
         base = value(idx)
         val = tuple(fields[w].apply(c) for c in base)
         if r:
             val = vec_add(val, combo(base, lambda a: gamma[w][a]))
         for k, i in enumerate(idx):
             val = vec_sub(val, combo(gamma[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
-        return val
-
-    def entry(*idx):
-        val = combo(direction, lambda w: along(w, idx))
         return val if r else val[0]
 
-    return FrameTensor.build((r, s), n, entry)
+    return FrameTensor.build((r, s + 1), conn.dim, entry)
 
 
 def lie_derivative_metric(frame: Frame, metric: FrameMetric, v) -> FrameTensor:

@@ -7,7 +7,6 @@ underlying values are immutable, so sharing is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .curvature import CurvatureStack
@@ -17,16 +16,14 @@ from .frame_geometry import Frame, FrameMetric, FrameTensor
 from .levi_civita import ConnectionCoeffs, cov_deriv_tensor, frame_brackets, koszul, lie_derivative_metric
 
 
-@dataclass(eq=False)
 class ManifoldData:
-    name: str
-    frame: Frame
-    metric: FrameMetric
-    xi_index: int
-
-    def __post_init__(self):
-        if not 0 <= self.xi_index < self.frame.dim:
-            raise ValueError(f"frame index {self.xi_index} out of range")
+    def __init__(self, name: str, frame: Frame, metric: FrameMetric, xi_index: int):
+        if not 0 <= xi_index < frame.dim:
+            raise ValueError(f"frame index {xi_index} out of range")
+        self.name = name
+        self.frame = frame
+        self.metric = metric
+        self.xi_index = xi_index
 
     @property
     def chart(self):
@@ -50,11 +47,11 @@ class ManifoldData:
 
     @cached_property
     def nabla_ricci(self) -> FrameTensor:
-        return cov_deriv_tensor(self.connection, self.stack.ricci, None)
+        return cov_deriv_tensor(self.connection, self.stack.ricci)
 
     @cached_property
     def nabla_riemann(self) -> FrameTensor:
-        return cov_deriv_tensor(self.connection, self.stack.riemann13, None)
+        return cov_deriv_tensor(self.connection, self.stack.riemann13)
 
     @cached_property
     def m_projective(self) -> FrameTensor:

@@ -81,6 +81,15 @@ class TestLoad:
         with pytest.raises(LoadError, match=r"^frame\[1\]\[3\] must be an expression string \(line 12\)$"):
             build_manifold(load(str(path)))
 
+    # an object cell is found however the file spaces its tokens
+    @pytest.mark.parametrize("layout, line", [({"separators": (",", ":")}, 1), ({"indent": 1}, 22)], ids=["compact", "indent1"])
+    def test_object_cell_reported_with_location(self, tmp_path, layout, line):
+        payload = dict(EXAMPLE_DEF, frame=[["z*x", "z*y", "0"], ["0", "z", "0"], ["0", "0", {"a": 1}]])
+        path = tmp_path / "def.json"
+        path.write_text(json.dumps(payload, **layout), encoding="utf-8")
+        with pytest.raises(LoadError, match=rf"^frame\[3\]\[3\] must be an expression string \(line {line}\)$"):
+            build_manifold(load(str(path)))
+
     def test_family_up_to_the_cap(self):
         defn = load("desitter12")
         assert defn.coords == [f"x{i}" for i in range(1, 12)] + ["t"] and defn.xi == 12
@@ -269,6 +278,13 @@ class TestExitCodes:
         forms.write_text(json.dumps({"A": ["0"]}), encoding="utf-8")
         assert main(["check", "SGRR", "example51", "--forms", str(forms)]) == 2
 
+    def test_every_bad_forms_entry_is_named(self, tmp_path, capsys):
+        forms = tmp_path / "forms.json"
+        forms.write_text(json.dumps({"A": ["0", "w", 0], "B": ["0", "0", "0"]}), encoding="utf-8")
+        assert main(["check", "SGRR", "example51", "--forms", str(forms)]) == 2
+        err = capsys.readouterr().err
+        assert "A[2]" in err and "A[3]" in err
+
     def test_check_sgr_reports_predictions(self, tmp_path, capsys):
         forms = tmp_path / "forms.json"
         forms.write_text(json.dumps({"A": ["0", "0", "0"], "B": ["0", "0", "0"]}), encoding="utf-8")
@@ -369,6 +385,12 @@ class TestJsonReports:
         ]
         assert runs[0] == runs[1]
 
+
+def test_cli_import_leaves_out_dataclasses():
+    # every cold command pays for what `import lcslab.cli` pulls in
+    probe = "import sys, lcslab.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
+    assert out.strip() == "False"
 
 def test_json_reports_match_recorded_digests(capsys):
     changed = []

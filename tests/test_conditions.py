@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lcslab import lcs_structure
 from lcslab.conditions import (
     NoSolution,
     RecurrenceForms,
@@ -231,6 +232,18 @@ class TestSoliton:
             for i in range(3):
                 for j in range(3):
                     assert res.comp(i, j) == res.comp(j, i)
+
+    def test_engine_error_in_structure_propagates(self, monkeypatch):
+        # only a missing structure means "no eta-Einstein residual"; a crash is not hidden
+        data = make_manifold("fresh", [["z*x", "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]])
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("engine crash")
+
+        monkeypatch.setattr(lcs_structure, "derive_structure", crash)
+        zero = data.chart.zero()
+        with pytest.raises(RuntimeError, match="engine crash"):
+            soliton_residual(data, data.xi_components(), SolitonParams(zero, zero, zero))
 
 
 class TestDerivedConditions:

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 from lcslab.curvature import riemann_lowered
@@ -39,7 +38,7 @@ class TestRiemann:
     def test_self_check_catches_corrupted_riemann(self, example51):
         data = example51
         riem = bump_leaf(data.stack.riemann13, (0, 1, 1), data.chart.one())  # R(E1,E2)E2 gains E1
-        checks = dict(dataclasses.replace(data.stack, riemann13=riem).self_check(data.metric, data.nabla_riemann))
+        checks = dict(data.stack._replace(riemann13=riem).self_check(data.metric, data.nabla_riemann))
         assert not checks["antisymmetry-first-pair"]
         assert not checks["pair-symmetry"]
 

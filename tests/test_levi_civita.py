@@ -104,7 +104,7 @@ class TestCovDerivTensor:
     def test_metric_is_parallel(self, example51, desitter3):
         for data in (example51, desitter3):
             g_tensor = FrameTensor.build((0, 2), data.dim, lambda i, j: data.metric.g[i][j])
-            assert cov_deriv_tensor(data.connection, g_tensor, None).is_zero()
+            assert cov_deriv_tensor(data.connection, g_tensor).is_zero()
 
     def test_nabla_ricci_direction_one(self, example51):
         # hand value: (s + t)/z with s = 3/z^2 - z^2, t = -4/z^2
@@ -120,21 +120,10 @@ class TestCovDerivTensor:
         assert example51.nabla_ricci.comp(2, 0, 0) == example51.chart.parse("-2*z - 6/z^3")
         assert example51.nabla_ricci.comp(2, 2, 2) == example51.chart.parse("8/z^3")
 
-    def test_direction_variants_agree(self, example51):
-        free = cov_deriv_tensor(example51.connection, example51.stack.ricci, None)
-        fixed = cov_deriv_tensor(example51.connection, example51.stack.ricci, 1)
-        mixed = cov_deriv_tensor(
-            example51.connection, example51.stack.ricci, example51.frame.unit(1)
-        )
-        n = example51.dim
-        for i in range(n):
-            for j in range(n):
-                assert free.comp(1, i, j) == fixed.comp(i, j) == mixed.comp(i, j)
-
     def test_unsupported_valence(self, example51):
         t = FrameTensor.build((0, 1), 3, lambda i: example51.chart.zero())
         with pytest.raises(GeometryError):
-            cov_deriv_tensor(example51.connection, t, 0)
+            cov_deriv_tensor(example51.connection, t)
 
 
 class TestLieDerivative:
@@ -184,6 +173,6 @@ def test_koszul_invariants_on_random_manifolds():
                 )
                 assert all(e.is_zero for e in diff)
         g_tensor = FrameTensor.build((0, 2), n, lambda i, j: data.metric.g[i][j])
-        assert cov_deriv_tensor(data.connection, g_tensor, None).is_zero()
+        assert cov_deriv_tensor(data.connection, g_tensor).is_zero()
         checks = data.stack.self_check(data.metric, data.nabla_riemann)
         assert all(ok for _, ok in checks), (trial, checks)
