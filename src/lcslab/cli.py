@@ -331,15 +331,26 @@ def format_vector(comps) -> str:
 
 
 def first_nonzero(tensor):
-    for idx, leaf in tensor.items():
-        if tensor.valence[0] == 1:
-            for u, e in enumerate(leaf):
-                if not e.is_zero:
-                    return idx + (u,), e
-        else:
-            if not leaf.is_zero:
-                return idx, leaf
+    """Index and value of the first nonzero scalar, a vector leaf's component
+    index appended; (None, None) for the zero tensor."""
+    for idx, leaf in tensor.comps.items():
+        if tensor.valence[0] == 0:
+            return idx, leaf
+        u = next(u for u, e in enumerate(leaf) if not e.is_zero)
+        return idx + (u,), leaf[u]
     return None, None
+
+
+def add_upper_pairs(report: Report, label: str, title: str, tensor) -> int:
+    """One entry per nonzero leaf T(E_i,E_j)E_k of a (1,3) tensor with i < j,
+    in index order; returns the number added."""
+    shown = 0
+    for (i, j, k), vec in tensor.comps.items():
+        if i < j:
+            pos = f"{i + 1}{j + 1}{k + 1}"
+            report.add(f"{label}.{pos}", INFO, f"{title}(E{i + 1},E{j + 1})E{k + 1}", engine=format_vector(vec))
+            shown += 1
+    return shown
 
 
 def residual_excerpt(tensor) -> str | None:
@@ -355,7 +366,7 @@ def residual_excerpt(tensor) -> str | None:
 
 def _structure_or_report(data: ManifoldData, report: Report):
     try:
-        return derive_structure(data, data.xi_index, allow_zero_alpha=True)
+        return derive_structure(data, data.xi_index)
     except NotLcsError as exc:
         report.add("structure", FAIL, "structure extraction", note=str(exc))
         return None
@@ -399,47 +410,19 @@ def cmd_curvature(data: ManifoldData, report: Report) -> None:
                 f"nabla_E{i + 1} E{j + 1}",
                 engine=format_vector(data.connection.gamma[i][j]),
             )
-    riem = data.stack.riemann13
-    shown = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                vec = riem.comp(i, j, k)
-                if all(e.is_zero for e in vec):
-                    continue
-                report.add(
-                    f"riemann.{i + 1}{j + 1}{k + 1}",
-                    INFO,
-                    f"R(E{i + 1},E{j + 1})E{k + 1}",
-                    engine=format_vector(vec),
-                )
-                shown += 1
-    if not shown:
+    if not add_upper_pairs(report, "riemann", "R", data.stack.riemann13):
         report.add("riemann", INFO, "curvature tensor", engine="0 (flat)")
-    for i in range(n):
-        for j in range(i, n):
-            value = data.stack.ricci.comp(i, j)
-            if not value.is_zero:
-                report.add(f"ricci.{i + 1}{j + 1}", INFO, f"S(E{i + 1},E{j + 1})", engine=str(value))
+    for (i, j), value in data.stack.ricci.comps.items():
+        if i <= j:
+            report.add(f"ricci.{i + 1}{j + 1}", INFO, f"S(E{i + 1},E{j + 1})", engine=str(value))
     report.add("scalar", INFO, "scalar curvature r", engine=str(data.stack.scalar))
     for i in range(n):
         report.add(f"ricci-operator.{i + 1}", INFO, f"Q E{i + 1}", engine=format_vector(data.stack.q_operator.comp(i)))
     for label, tensor in (("m-projective", data.m_projective), ("concircular", data.concircular)):
         if tensor.is_zero():
             report.add(label, INFO, f"{label} tensor", engine="0")
-            continue
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    vec = tensor.comp(i, j, k)
-                    if all(e.is_zero for e in vec):
-                        continue
-                    report.add(
-                        f"{label}.{i + 1}{j + 1}{k + 1}",
-                        INFO,
-                        f"{label}(E{i + 1},E{j + 1})E{k + 1}",
-                        engine=format_vector(vec),
-                    )
+        else:
+            add_upper_pairs(report, label, label, tensor)
     for name, ok in data.stack.self_check(data.metric, data.nabla_riemann):
         report.add(f"self-check.{name}", PASS if ok else FAIL, name)
 
@@ -479,11 +462,11 @@ def cmd_check_recurrence(data: ManifoldData, report: Report, kind: RecurrenceKin
         except NotLcsError as exc:
             report.add("predictions", INFO, "scalar-curvature predictions", note=str(exc))
             return
-        gate_note = None if pred.gated else "hypothesis residual nonzero; reported informationally"
+        gate_note = None if is_zero else "hypothesis residual nonzero; reported informationally"
         if pred.r_predicted is None:
             report.add("predictions.scalar", INFO, "predicted scalar curvature", note=pred.r_note)
         else:
-            status = (PASS if pred.r_matches else FAIL) if pred.gated else INFO
+            status = (PASS if pred.r_matches else FAIL) if is_zero else INFO
             report.add(
                 "predictions.scalar",
                 status,
@@ -494,7 +477,7 @@ def cmd_check_recurrence(data: ManifoldData, report: Report, kind: RecurrenceKin
         if pred.opposition is None:
             report.add("predictions.opposition", INFO, "A + (n^2/r) B", note=pred.opposition_note)
         else:
-            status = (PASS if pred.opposition_zero else FAIL) if pred.gated else INFO
+            status = (PASS if pred.opposition_zero else FAIL) if is_zero else INFO
             report.add(
                 "predictions.opposition",
                 status,
@@ -505,11 +488,7 @@ def cmd_check_recurrence(data: ManifoldData, report: Report, kind: RecurrenceKin
 
 
 def cmd_fit(data: ManifoldData, report: Report, kind: RecurrenceKind) -> None:
-    try:
-        result = recurrence_fit(data, kind)
-    except NotLcsError as exc:
-        report.add("fit", FAIL, f"{kind.value} fit", note=f"needs a concircular structure: {exc}")
-        return
+    result = recurrence_fit(data, kind)
     if isinstance(result, NoSolution):
         report.add(
             f"fit.{kind.value}",

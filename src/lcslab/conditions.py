@@ -154,13 +154,9 @@ def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
 
 
 class SgrPredictions(NamedTuple):
-    """Scalar-curvature consequences of the recurrence hypothesis.
+    """Scalar-curvature consequences of the recurrence hypothesis.  They are
+    assertions only where the SGR residual of the same forms vanishes."""
 
-    ``gated`` is true only when the hypothesis residual vanishes; then (and
-    only then) the comparisons are assertions rather than information.
-    """
-
-    gated: bool
     r_engine: Expr
     r_predicted: Expr | None
     r_note: str
@@ -176,7 +172,6 @@ def sgr_predictions(data: ManifoldData, forms: RecurrenceForms) -> SgrPrediction
     n = data.dim
     chart = data.chart
     st = data.structure
-    _, gate = recurrence_residual(data, RecurrenceKind.SGR, forms)
     r_engine = data.stack.scalar
 
     a_xi = forms.a[data.xi_index]
@@ -206,7 +201,6 @@ def sgr_predictions(data: ManifoldData, forms: RecurrenceForms) -> SgrPrediction
         opposition_zero = all(e.is_zero for e in opposition)
 
     return SgrPredictions(
-        gated=gate,
         r_engine=r_engine,
         r_predicted=r_pred,
         r_note=r_note,

@@ -9,6 +9,10 @@ The one exact solver for symbolic matrices is ``matrix_inverse``.  A frame
 and a frame metric each invert their matrix once, on construction: the
 inverse existing is the nondegeneracy check, ``decompose`` multiplies by the
 frame's inverse, and Koszul raises indices through the metric's.
+
+A ``FrameTensor`` keeps only its nonzero leaves, keyed by full index tuple.
+Most leaves of the curvature tensors are zero, so every scan for nonzero
+entries walks ``comps`` rather than all n^s indices.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from typing import NamedTuple
 
 from .symexpr import Expr, Var, parse
@@ -192,64 +197,44 @@ class FrameMetric:
 
 
 class FrameTensor(NamedTuple):
-    """Dense frame-component array of valence (r,s), r in {0,1}, s in 1..4.
+    """Frame components of valence (r,s), r in {0,1}, s in 1..4, nonzero
+    leaves only.
 
-    Covariant slots are indexed first, in the reading order of the tensor;
-    for r=1 the leaf value is the frame-component tuple of the output
-    vector, for r=0 the leaf is a scalar Expr.
+    ``comps`` maps a full covariant-index tuple (slots in the reading order
+    of the tensor) to its leaf: for r=1 the frame-component tuple of the
+    output vector, for r=0 a scalar Expr.  Only nonzero leaves are stored,
+    in ``itertools.product`` order, and ``comp`` returns the shared ``zero``
+    leaf at any other index.  Iterating ``comps`` therefore visits exactly
+    the nonzero leaves, in index order, and the zero tensor has no leaves.
     """
 
     valence: tuple[int, int]
-    comps: tuple
+    comps: dict
+    dim: int
+    zero: object
 
     @classmethod
     def build(cls, valence, n: int, fn) -> "FrameTensor":
         r, s = valence
         if r not in (0, 1) or s not in (1, 2, 3, 4):
             raise GeometryError(f"unsupported valence {valence}")
-
-        def rec(prefix):
-            if len(prefix) == s:
-                leaf = fn(*prefix)
-                return tuple(leaf) if r == 1 else leaf
-            return tuple(rec(prefix + (i,)) for i in range(n))
-
-        return cls((r, s), rec(()))
-
-    @property
-    def dim(self) -> int:
-        return len(self.comps)
+        comps = {}
+        for idx in product(range(n), repeat=s):
+            leaf = fn(*idx)
+            if r:
+                leaf = tuple(leaf)
+                if any(not e.is_zero for e in leaf):
+                    comps[idx] = leaf
+            elif not leaf.is_zero:
+                comps[idx] = leaf
+        zero = Expr.zero((leaf[0] if r else leaf).vars)
+        return cls((r, s), comps, n, (zero,) * n if r else zero)
 
     def comp(self, *idx):
-        out = self.comps
-        for i in idx:
-            out = out[i]
-        return out
-
-    def items(self):
-        """Yield ((covariant indices), leaf) over all components."""
-        r, s = self.valence
-
-        def rec(prefix, node):
-            if len(prefix) == s:
-                yield prefix, node
-                return
-            for i, sub in enumerate(node):
-                yield from rec(prefix + (i,), sub)
-
-        yield from rec((), self.comps)
-
-    def scalars(self):
-        """Yield every scalar entry, flattening vector leaves."""
-        r, _ = self.valence
-        for _, leaf in self.items():
-            if r == 1:
-                yield from leaf
-            else:
-                yield leaf
+        return self.comps.get(idx, self.zero)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.scalars())
+        return not self.comps
 
 
 # -- contractions --------------------------------------------------------------

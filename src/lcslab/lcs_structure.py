@@ -61,7 +61,9 @@ def _solve_proportionality(values, reference, what: str) -> Expr:
     return s
 
 
-def derive_structure(data: ManifoldData, xi_index: int, allow_zero_alpha: bool = False) -> LcsStructure:
+def derive_structure(data: ManifoldData, xi_index: int) -> LcsStructure:
+    """The structure data of xi; alpha may be identically zero (flat space),
+    which ``ManifoldData.structure`` refuses and ``check-lcs`` reports."""
     frame = data.frame
     metric = data.metric
     chart = data.chart
@@ -92,8 +94,6 @@ def derive_structure(data: ManifoldData, xi_index: int, allow_zero_alpha: bool =
             raise NotLcsError(f"no consistent alpha: {alpha} vs {cand} along direction {i}")
     if alpha is None:
         raise NotLcsError("alpha is undetermined: every comparison direction degenerated")
-    if alpha.is_zero and not allow_zero_alpha:
-        raise NotLcsError("alpha is identically zero")
 
     # phi from (1/alpha) nabla xi when possible, otherwise the shape X + eta(X) xi
     if alpha.is_zero:
@@ -233,7 +233,7 @@ def verify_axioms(data: ManifoldData, structure: LcsStructure) -> list[AxiomChec
     ric = data.stack.ricci
     res = []
     for i in range(n):
-        lhs = dot(st.xi, ric.comp(i))
+        lhs = dot(st.xi, [ric.comp(i, j) for j in range(n)])
         res.append(lhs - chart.const(n - 1) * k2 * st.eta[i])
     record("ricci-into-xi", "S(X, xi) = (n-1)(alpha^2-rho) eta(X)", res)
 

@@ -63,9 +63,12 @@ class ManifoldData:
 
     @cached_property
     def structure(self):
-        from .lcs_structure import derive_structure
+        from .lcs_structure import NotLcsError, derive_structure
 
-        return derive_structure(self, self.xi_index)
+        st = derive_structure(self, self.xi_index)
+        if st.alpha.is_zero:
+            raise NotLcsError("alpha is identically zero")
+        return st
 
     def lie_metric(self, v) -> FrameTensor:
         return lie_derivative_metric(self.frame, self.metric, v)

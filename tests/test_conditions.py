@@ -129,7 +129,7 @@ class TestSgrPredictions:
         a = [chart.const(Fraction(-3, 2)) * e for e in eta]
         forms = RecurrenceForms.from_covectors(desitter3, a, b)
         pred = sgr_predictions(desitter3, forms)
-        assert not pred.gated
+        assert not recurrence_residual(desitter3, RecurrenceKind.SGR, forms)[1]
         assert pred.opposition is not None and pred.opposition_zero
         assert pred.r_predicted == chart.const(Fraction(34, 3))
         assert pred.r_engine == chart.const(6)
@@ -149,13 +149,13 @@ class TestSgrPredictions:
         # nabla R = 0 with A = B = 0 makes the hypothesis hold exactly, but
         # A(xi) = 0 keeps the scalar prediction informational
         pred = sgr_predictions(desitter3, zero_forms(desitter3))
-        assert pred.gated
+        assert recurrence_residual(desitter3, RecurrenceKind.SGR, zero_forms(desitter3))[1]
         assert pred.r_predicted is None
         assert pred.opposition is not None and pred.opposition_zero
 
     def test_nonconstant_scalar_blocks_opposition(self, example51):
         pred = sgr_predictions(example51, zero_forms(example51))
-        assert not pred.gated
+        assert not recurrence_residual(example51, RecurrenceKind.SGR, zero_forms(example51))[1]
         assert pred.opposition is None
         assert "constant" in pred.opposition_note
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from lcslab.curvature import riemann_lowered
+import pytest
+
+from lcslab.curvature import PERMUTATION_IDENTITIES, riemann_lowered
 from lcslab.frame_geometry import FrameTensor
 
 from conftest import make_manifold
@@ -28,8 +30,8 @@ class TestRiemann:
         assert flat3.stack.ricci.is_zero()
         assert flat3.stack.scalar.is_zero
 
-    def test_structural_identities(self, example51, desitter3):
-        for data in (example51, desitter3):
+    def test_structural_identities(self, example51, desitter3, flat3):
+        for data in (example51, desitter3, flat3):
             checks = data.stack.self_check(data.metric, data.nabla_riemann)
             assert all(ok for _, ok in checks), checks
             names = [name for name, _ in checks]
@@ -51,14 +53,54 @@ class TestRiemann:
 
 
 def bump_leaf(tensor, idx, amount):
-    """A copy of a vector-valued tensor with amount added to the first
-    component of the leaf at idx."""
+    """A copy of a tensor with amount added to the leaf at idx (to the first
+    component of a vector leaf)."""
 
     def leaf(*ix):
-        vec = tensor.comp(*ix)
-        return (vec[0] + amount,) + vec[1:] if ix == idx else vec
+        value = tensor.comp(*ix)
+        if ix != idx:
+            return value
+        return (value[0] + amount,) + value[1:] if tensor.valence[0] else value + amount
 
     return FrameTensor.build(tensor.valence, tensor.dim, leaf)
+
+
+class TestSelfCheckOnFlatSpace:
+    """Every leaf of flat space is zero, so only the bumped leaf is stored:
+    each identity must still reach the missing partners of that leaf."""
+
+    def failed(self, stack, data, nabla_r):
+        return [name for name, ok in stack.self_check(data.metric, nabla_r) if not ok]
+
+    def test_bumped_riemann_leaf(self, flat3):
+        riem = bump_leaf(flat3.stack.riemann13, (0, 1, 2), flat3.chart.one())  # R(E1,E2)E3 gains E1
+        assert list(riem.comps) == [(0, 1, 2)]
+        failed = self.failed(flat3.stack._replace(riemann13=riem), flat3, flat3.nabla_riemann)
+        assert failed == ["antisymmetry-first-pair", "antisymmetry-second-pair", "pair-symmetry", "first-bianchi"]
+
+    def test_bumped_nabla_riemann_leaf(self, flat3):
+        nabla_r = bump_leaf(flat3.nabla_riemann, (2, 0, 1, 1), flat3.chart.one())
+        assert self.failed(flat3.stack, flat3, nabla_r) == ["second-bianchi"]
+
+    def test_asymmetric_ricci_leaf(self, flat3):
+        ric = bump_leaf(flat3.stack.ricci, (0, 2), flat3.chart.one())
+        failed = self.failed(flat3.stack._replace(ricci=ric), flat3, flat3.nabla_riemann)
+        assert failed == ["ricci-symmetry", "ricci-operator-defining"]  # Q is still the flat one
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTATION_IDENTITIES))
+def test_identity_permutations_form_a_group(name):
+    # the orbit argument of orbit_vanishes: the permutations with the
+    # identity are closed under composition and the signs multiply along
+    terms = PERMUTATION_IDENTITIES[name]
+    sign = {perm: s for s, perm in terms}
+    identity = tuple(range(len(terms[0][1])))
+    assert sign.get(identity) == 1
+    for p, sp in sign.items():
+        for q, sq in sign.items():
+            composed = tuple(p[m] for m in q)
+            assert composed in sign, (p, q)
+            assert sign[composed] == sp * sq, (p, q)
 
 
 class TestRicci:

@@ -195,6 +195,25 @@ class TestFrameTensor:
         with pytest.raises(GeometryError):
             FrameTensor.build((2, 2), 3, lambda i, j: CHART.zero())
 
+    def test_stores_only_nonzero_leaves_in_index_order(self):
+        t = FrameTensor.build((0, 2), 3, lambda i, j: CHART.const(j - i) if i != 1 else CHART.zero())
+        assert list(t.comps) == [(0, 1), (0, 2), (2, 0), (2, 1)]
+        assert all(not leaf.is_zero for leaf in t.comps.values())
+        v = FrameTensor.build((1, 2), 2, lambda i, j: (CHART.zero(), CHART.one() if i == j else CHART.zero()))
+        assert list(v.comps) == [(0, 0), (1, 1)]
+
+    def test_missing_index_reads_the_zero_leaf(self):
+        t = FrameTensor.build((0, 2), 3, lambda i, j: CHART.one() if i == j else CHART.zero())
+        assert t.comp(0, 1) == CHART.zero() and t.comp(0, 1).is_zero
+        v = FrameTensor.build((1, 1), 3, lambda i: (CHART.one() if i == 0 else CHART.zero(), CHART.zero(), CHART.zero()))
+        assert list(v.comps) == [(0,)]
+        assert v.comp(1) == (CHART.zero(),) * 3
+
+    def test_all_zero_build_is_zero(self):
+        for valence, fn in (((0, 3), lambda *ix: CHART.zero()), ((1, 2), lambda *ix: (CHART.zero(),) * 3)):
+            t = FrameTensor.build(valence, 3, fn)
+            assert t.comps == {} and t.is_zero()
+
 
 # -- bracket properties on random polynomial vector fields --------------------
 

@@ -36,10 +36,11 @@ class TestDeriveStructure:
         assert st.rho.is_zero and st.beta.is_zero
 
     def test_flat_space_alpha_vanishes(self, flat3):
-        with pytest.raises(NotLcsError, match="identically zero"):
-            derive_structure(flat3, 2)
-        st = derive_structure(flat3, 2, allow_zero_alpha=True)
+        # check-lcs reports the zero-alpha structure; the cached one refuses it
+        st = derive_structure(flat3, 2)
         assert st.alpha.is_zero
+        with pytest.raises(NotLcsError, match="identically zero"):
+            flat3.structure
 
     def test_spacelike_designation_rejected(self, example51):
         with pytest.raises(NotLcsError, match="unit timelike"):
@@ -72,7 +73,7 @@ class TestVerifyAxioms:
         assert all(c.passed for c in checks), [c.axiom for c in checks if not c.passed]
 
     def test_flat_space_fails_only_the_alpha_axiom(self, flat3):
-        st = derive_structure(flat3, 2, allow_zero_alpha=True)
+        st = derive_structure(flat3, 2)
         checks = verify_axioms(flat3, st)
         failed = [c.axiom for c in checks if not c.passed]
         assert failed == ["eta-covariant-derivative"]
