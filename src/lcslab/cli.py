@@ -12,7 +12,8 @@ built-in name (example51, flat3, lcs<N> and desitter<N> for N from 3 to 12;
 see ``builtin_manifolds``) is usable wherever a path is expected.
 
 Exit codes: 0 when no entry failed (info and mismatch entries included),
-1 when any check failed, 2 when the definition could not be loaded.
+1 when any check failed, 2 when the definition could not be loaded, 3 when
+the engine itself failed (one stderr line names the exception).
 
 The ``conformance`` command diffs every engine-derived quantity of the
 bundled reference manifold against the published component tables it was
@@ -922,10 +923,14 @@ def main(argv=None) -> int:
             "lam": getattr(args, "lam", None),
         }
         report = run(args.command, data, options)
+        text = report.to_json() if args.json else report.to_text()
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
+    except Exception as exc:  # an engine fault: exit 1 keeps meaning "a check failed"
+        print(f"internal error: {type(exc).__name__}: {quote_text(str(exc))}", file=sys.stderr)
+        return 3
+    sys.stdout.write(text)
     return report.exit_code
 
 

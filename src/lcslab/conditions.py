@@ -369,7 +369,17 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
         total = total - st.eta_of(contract_slot(mproj, r_xi[x][w], u, v, 3))
         return total
 
-    rxm = FrameTensor.build((0, 4), n, rxm_entry)
+    # support: R(xi,E_x) acts on M like a derivation, so an entry can be
+    # nonzero only at (x, u, v, w) with M(u,v,w) stored and row x of r_xi
+    # nonzero, or where a stored M leaf meets a nonzero r_xi[x][t][a] in one
+    # of its slots, slot value a replaced by t
+    acts = [[(x, t) for x in range(n) for t in range(n) if not r_xi[x][t][a].is_zero] for a in range(n)]
+    rows = {x for pairs in acts for x, _ in pairs}
+    support = {(x, *idx) for idx in mproj.comps for x in rows}
+    support.update(
+        (x, *idx[:k], t, *idx[k + 1 :]) for idx in mproj.comps for k, a in enumerate(idx) for x, t in acts[a]
+    )
+    rxm = FrameTensor.build((0, 4), n, rxm_entry, support)
 
     c_xi = [[xi_slot(conc, x, y) for y in range(n)] for x in range(n)]
 

@@ -17,46 +17,73 @@ a permuted index is the sum at the original one up to sign.  An index whose
 orbit holds no stored leaf gives a sum of zeros, and any other index shares
 its sum with a stored leaf, so checking at every stored leaf covers every
 index.  Each term reads its own computed leaf; no mirror is filled in.
+
+Every tensor here is evaluated only on its support, derived from the stored
+leaves of its inputs and the nonzero entries of gamma, the brackets and g
+(each function's docstring gives its rule).  Outside it every term of the
+formula has a zero operand; inside it the formula is the same, so the order
+of the nonzero partial sums, and every Expr, is that of the evaluation at all
+n^s indices.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import reduce
+from itertools import product
 from typing import NamedTuple
 
-from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_scale, vec_sub
+from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_nonzero, vec_scale, vec_sub
 from .levi_civita import ConnectionCoeffs, cov_deriv_vector
 from .symexpr import Expr
 
 
 def riemann(conn: ConnectionCoeffs, brackets) -> FrameTensor:
-    """R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k - nabla_{[E_i,E_j]} E_k."""
+    """R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k - nabla_{[E_i,E_j]} E_k.
+
+    Support: (i,j,k) and (j,i,k) for every nonzero gamma[j][k], and (i,j,k)
+    wherever some [E_i,E_j]^a and gamma[a][k] are both nonzero.
+    """
     n = conn.dim
+    gamma = conn.gamma
     unit = [conn.frame.unit(i) for i in range(n)]
+    moved = [(j, k) for j, k in product(range(n), repeat=2) if vec_nonzero(gamma[j][k])]
+    support = _pair_swaps(range(n), moved)
+    support.update(
+        (i, j, k)
+        for i, j in product(range(n), repeat=2)
+        for a, b in enumerate(brackets[i][j])
+        if not b.is_zero
+        for k in range(n)
+        if vec_nonzero(gamma[a][k])
+    )
 
     def entry(i, j, k):
-        first = cov_deriv_vector(conn, unit[i], conn.gamma[j][k])
-        second = cov_deriv_vector(conn, unit[j], conn.gamma[i][k])
-        return vec_sub(vec_sub(first, second), combo(brackets[i][j], lambda a: conn.gamma[a][k]))
+        first = cov_deriv_vector(conn, unit[i], gamma[j][k])
+        second = cov_deriv_vector(conn, unit[j], gamma[i][k])
+        return vec_sub(vec_sub(first, second), combo(brackets[i][j], lambda a: gamma[a][k]))
 
-    return FrameTensor.build((1, 3), n, entry)
+    return FrameTensor.build((1, 3), n, entry, support)
 
 
 def riemann_lowered(riem: FrameTensor, metric: FrameMetric) -> FrameTensor:
-    """(0,4) components g(R(E_i,E_j)E_k, E_l)."""
+    """(0,4) components g(R(E_i,E_j)E_k, E_l); support: every stored
+    R(E_i,E_j)E_k with each l."""
+    n = metric.dim
     g = metric.g
-    return FrameTensor.build((0, 4), metric.dim, lambda i, j, k, l: dot(riem.comp(i, j, k), g[l]))
+    support = [(*idx, l) for idx in riem.comps for l in range(n)]
+    return FrameTensor.build((0, 4), n, lambda i, j, k, l: dot(riem.comp(i, j, k), g[l]), support)
 
 
 def ricci(riem: FrameTensor, metric: FrameMetric) -> FrameTensor:
-    """S(Y, Z) as the trace sum_a [R(E_a, Y)Z]^a (see the module docstring)."""
+    """S(Y, Z) as the trace sum_a [R(E_a, Y)Z]^a (see the module docstring);
+    support: the (i, j) of every stored R(E_a,E_i)E_j."""
     n = metric.dim
 
     def entry(i, j):
         return reduce(operator.add, (riem.comp(a, i, j)[a] for a in range(n)))
 
-    return FrameTensor.build((0, 2), n, entry)
+    return FrameTensor.build((0, 2), n, entry, {(i, j) for _, i, j in riem.comps})
 
 
 def scalar_curvature(ric: FrameTensor, metric: FrameMetric) -> Expr:
@@ -71,8 +98,22 @@ def ricci_operator(ric: FrameTensor, metric: FrameMetric) -> FrameTensor:
     return FrameTensor.build((1, 1), n, lambda i: metric.raise_form([ric.comp(i, j) for j in range(n)]))
 
 
+def _pair_swaps(rows, pairs) -> set:
+    """(x, y, z) and (y, x, z) for every x in rows and (y, z) in pairs."""
+    return {t for x in rows for y, z in pairs for t in ((x, y, z), (y, x, z))}
+
+
+def _metric_pairs(metric: FrameMetric) -> list:
+    """The (y, z) with g[y][z] nonzero."""
+    return [(y, z) for y, row in enumerate(metric.g) for z, e in enumerate(row) if not e.is_zero]
+
+
 def m_projective(riem: FrameTensor, ric: FrameTensor, q_op: FrameTensor, metric: FrameMetric) -> FrameTensor:
-    """M(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY] / (2(n-1))."""
+    """M(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY] / (2(n-1)).
+
+    Support: the stored R indices; (x,y,z) and (y,x,z) for every stored
+    S(y,z) and any x; the same for every nonzero g[y][z] and stored row x of Q.
+    """
     n = metric.dim
     chart = metric.frame.chart
     factor = chart.one() / chart.const(2 * (n - 1))
@@ -86,11 +127,17 @@ def m_projective(riem: FrameTensor, ric: FrameTensor, q_op: FrameTensor, metric:
         corr = vec_sub(corr, vec_scale(g[x][z], q_op.comp(y)))
         return vec_sub(riem.comp(x, y, z), vec_scale(factor, corr))
 
-    return FrameTensor.build((1, 3), n, entry)
+    support = set(riem.comps) | _pair_swaps(range(n), ric.comps)
+    support |= _pair_swaps([x for (x,) in q_op.comps], _metric_pairs(metric))
+    return FrameTensor.build((1, 3), n, entry, support)
 
 
 def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTensor:
-    """C(X,Y)W = R(X,Y)W - r/(n(n-1)) {g(Y,W)X - g(X,W)Y}."""
+    """C(X,Y)W = R(X,Y)W - r/(n(n-1)) {g(Y,W)X - g(X,W)Y}.
+
+    Support: the stored R indices, and (x,y,w) and (y,x,w) for every nonzero
+    g[y][w] and any x.
+    """
     n = metric.dim
     chart = metric.frame.chart
     factor = scalar / chart.const(n * (n - 1))
@@ -101,7 +148,8 @@ def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTe
         corr = vec_sub(vec_scale(g[y][w], unit[x]), vec_scale(g[x][w], unit[y]))
         return vec_sub(riem.comp(x, y, w), vec_scale(factor, corr))
 
-    return FrameTensor.build((1, 3), n, entry)
+    support = set(riem.comps) | _pair_swaps(range(n), _metric_pairs(metric))
+    return FrameTensor.build((1, 3), n, entry, support)
 
 
 class CurvatureStack(NamedTuple):
@@ -176,6 +224,6 @@ def orbit_vanishes(tensor: FrameTensor, terms) -> bool:
         for sign, perm in terms:
             value = tensor.comp(*(idx[p] for p in perm))
             total = (vec_add if sign > 0 else vec_sub)(total, value if vector else (value,))
-        if any(not e.is_zero for e in total):
+        if vec_nonzero(total):
             return False
     return True

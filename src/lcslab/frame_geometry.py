@@ -12,7 +12,14 @@ frame's inverse, and Koszul raises indices through the metric's.
 
 A ``FrameTensor`` keeps only its nonzero leaves, keyed by full index tuple.
 Most leaves of the curvature tensors are zero, so every scan for nonzero
-entries walks ``comps`` rather than all n^s indices.
+entries walks ``comps`` rather than all n^s indices, and a tensor built from
+others is evaluated only on its *support*: the indices where some term of its
+formula has nonzero operands, derived from the stored leaves of its inputs.
+Anywhere else every term is a product with a zero factor or a sum of zeros,
+which the scalar layer answers without arithmetic.  Inside the support each
+leaf is the same formula on the same operands, so the nonzero partial sums
+come in the same order as over all n^s indices and every result is the same
+Expr.
 """
 
 from __future__ import annotations
@@ -214,20 +221,28 @@ class FrameTensor(NamedTuple):
     zero: object
 
     @classmethod
-    def build(cls, valence, n: int, fn) -> "FrameTensor":
+    def build(cls, valence, n: int, fn, support=None) -> "FrameTensor":
+        """The tensor with leaf ``fn(*idx)`` at every index, evaluated only at
+        the index tuples in ``support`` (all n^s indices when it is None), in
+        ``itertools.product`` order.  The caller guarantees that the leaf at
+        every index outside the support is zero by construction.
+        """
         r, s = valence
         if r not in (0, 1) or s not in (1, 2, 3, 4):
             raise GeometryError(f"unsupported valence {valence}")
         comps = {}
-        for idx in product(range(n), repeat=s):
+        leaf = None
+        for idx in product(range(n), repeat=s) if support is None else sorted(support):
             leaf = fn(*idx)
             if r:
                 leaf = tuple(leaf)
-                if any(not e.is_zero for e in leaf):
+                if vec_nonzero(leaf):
                     comps[idx] = leaf
             elif not leaf.is_zero:
                 comps[idx] = leaf
-        zero = Expr.zero((leaf[0] if r else leaf).vars)
+        if leaf is None:  # empty support: the zero leaf of the first index
+            leaf = fn(*(0,) * s)
+        zero = Expr.zero((tuple(leaf)[0] if r else leaf).vars)
         return cls((r, s), comps, n, (zero,) * n if r else zero)
 
     def comp(self, *idx):
@@ -244,6 +259,10 @@ class FrameTensor(NamedTuple):
 # interned zero, neither costs a GCD), so arithmetic needs no zero guards
 # here; the guards that remain skip work, not arithmetic: combo never builds
 # vec_of(a) for a zero coefficient.
+
+
+def vec_nonzero(u) -> bool:
+    return any(not e.is_zero for e in u)
 
 
 def vec_add(u, v):

@@ -4,10 +4,15 @@ The connection is stored against the frame itself: gamma[i][j] holds the
 frame components of the covariant derivative of E_j along E_i.  The free
 covariant slot of a differentiated tensor is appended as its FIRST index,
 matching the reading order of (nabla_X T)(Y, Z).
+
+``cov_deriv_tensor`` evaluates the derivative only on its support, scattered
+from the stored leaves of T and the nonzero gamma (see its docstring); each
+leaf sums its nonzero terms in the order of the sum over every frame index.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .frame_geometry import (
@@ -19,6 +24,7 @@ from .frame_geometry import (
     decompose,
     lie_bracket,
     vec_add,
+    vec_scale,
     vec_sub,
 )
 from .symexpr import Expr
@@ -97,29 +103,51 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
 
       (nabla_w T)(..X_k..) = E_w(T(..X_k..)) - sum_k T(..nabla_w X_k..)
                              [+ nabla_w of the output vector when r = 1].
+
+    Support: the leaf at (w, idx) can be nonzero only where T(idx) is stored
+    (the derivative and output-vector terms) or where slot k of idx is some
+    i with gamma[w][i][a] nonzero and T stored at idx with slot k set to a.
+    One walk over the stored leaves of T scatters, for each output index and
+    slot, the (gamma[w][i][a], leaf) pairs in ascending a, keeping references
+    only; each output is then gathered as the formula reads: the derivative
+    term, the output-vector term, then per slot the sum of coefficient times
+    leaf, subtracted in slot order.  A term left out has a zero factor, so
+    the order of the nonzero partial sums is that of the sum over all a.
     """
     r, s = tensor.valence
     if (r, s) not in ((0, 2), (1, 3)):
         raise GeometryError(f"unsupported valence for covariant derivative: {(r, s)}")
+    n = conn.dim
     gamma = conn.gamma
     fields = conn.frame.fields
-
-    def value(idx):
-        # scalar leaves ride along as 1-vectors; the vector helpers zip, so
-        # an all-zero combo (n components) is cut to that one component
-        leaf = tensor.comp(*idx)
-        return leaf if r else (leaf,)
+    # feeds[a]: every (w, i, gamma[w][i][a]) with E_a in nabla_w E_i
+    feeds = [[(w, i, gamma[w][i][a]) for w in range(n) for i in range(n) if not gamma[w][i][a].is_zero] for a in range(n)]
+    # output index -> per slot, its (coefficient, leaf) pairs; scalar leaves
+    # ride along as 1-vectors, which the vector helpers handle by zipping
+    slot_terms = {(w, *idx): [[] for _ in idx] for idx in tensor.comps for w in range(n)}
+    for idx, leaf in tensor.comps.items():
+        vec = leaf if r else (leaf,)
+        for k, a in enumerate(idx):
+            for w, i, c in feeds[a]:
+                out = (w, *idx[:k], i, *idx[k + 1 :])
+                terms = slot_terms.get(out)
+                if terms is None:
+                    terms = slot_terms[out] = [[] for _ in idx]
+                terms[k].append((c, vec))
 
     def entry(w, *idx):
-        base = value(idx)
+        base = tensor.comp(*idx)
+        if not r:
+            base = (base,)
         val = tuple(fields[w].apply(c) for c in base)
         if r:
             val = vec_add(val, combo(base, lambda a: gamma[w][a]))
-        for k, i in enumerate(idx):
-            val = vec_sub(val, combo(gamma[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
+        for terms in slot_terms.get((w, *idx), ()):
+            if terms:  # combo's sum, over the stored leaves only
+                val = vec_sub(val, reduce(vec_add, [vec_scale(c, v) for c, v in terms]))
         return val if r else val[0]
 
-    return FrameTensor.build((r, s + 1), conn.dim, entry)
+    return FrameTensor.build((r, s + 1), n, entry, slot_terms)
 
 
 def lie_derivative_metric(frame: Frame, metric: FrameMetric, v) -> FrameTensor:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import total_ordering
+from math import comb
 
 from . import polyops as P
 
@@ -431,8 +432,55 @@ def _single_factor(terms) -> bool:
 #
 # The parser is recursive descent; each '(' costs four interpreter frames and
 # each unary '-' one, so nesting is capped well below the recursion limit.
+#
+# Size budget: before each +, -, *, / and ^ the parser bounds the terms of the
+# result (numerator plus denominator) and refuses a cell past MAX_TERMS, so a
+# short text such as (x+y+z+1)^40 (12,341 terms) fails at once instead of
+# being expanded.  The check runs at parse time only; Expr arithmetic, the
+# engine's hot path, has none.
 
 MAX_NESTING = 100
+MAX_TERMS = 1000
+
+
+def _shape(p) -> tuple[int, int]:
+    """(total degree, bit mask of the variables that occur) of a polynomial."""
+    degree = mask = 0
+    for exps in p:
+        degree = max(degree, sum(exps))
+        for i, k in enumerate(exps):
+            if k:
+                mask |= 1 << i
+    return degree, mask
+
+
+def _product_terms(p, q) -> int:
+    """Terms of p*q: at most one per pair of terms, and at most one per
+    monomial of degree up to deg p + deg q in the variables of p and q.  The
+    first bound can miss growth from cancelling a common factor; the second
+    cannot, since exact division never raises a degree."""
+    (dp, mp), (dq, mq) = _shape(p), _shape(q)
+    return min(len(p) * len(q), comb((mp | mq).bit_count() + dp + dq, dp + dq))
+
+
+def _power_terms(p, k: int) -> int:
+    """Terms of p^k, k >= 0: one per multiset of k terms of p, and one per
+    monomial of degree up to k deg p in the variables of p."""
+    if k == 0 or len(p) <= 1:
+        return 1
+    d, mask = _shape(p)
+    return min(comb(len(p) + k - 1, k), comb(mask.bit_count() + k * d, k * d))
+
+
+def _result_terms(op: str, a: "Expr", b) -> int:
+    """A bound on the stored terms of a op b (b is the integer exponent for ^)."""
+    if op == "^":
+        return _power_terms(a.num, abs(b)) + _power_terms(a.den, abs(b))
+    if op == "*":
+        return _product_terms(a.num, b.num) + _product_terms(a.den, b.den)
+    if op == "/":
+        return _product_terms(a.num, b.den) + _product_terms(a.den, b.num)
+    return _product_terms(a.num, b.den) + _product_terms(b.num, a.den) + _product_terms(a.den, b.den)
 
 
 class _Parser:
@@ -448,6 +496,8 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise ExprSyntaxError(f"unexpected {self.text[self.pos]!r}", self.pos)
+        if e.size > MAX_TERMS:  # growth the bounds let through (see _product_terms)
+            raise ExprSyntaxError(f"expression larger than {MAX_TERMS} terms", self.pos)
         return e
 
     def skip_ws(self):
@@ -462,7 +512,9 @@ class _Parser:
         e = self.term()
         while (op := self.peek()) in "+-" and op:
             self.pos += 1
+            at = self.pos
             t = self.term()
+            self.budget(op, e, t, at)
             e = e + t if op == "+" else e - t
         return e
 
@@ -472,6 +524,7 @@ class _Parser:
             self.pos += 1
             at = self.pos
             f = self.factor()
+            self.budget(op, e, f, at)
             if op == "*":
                 e = e * f
             else:
@@ -488,8 +541,14 @@ class _Parser:
             k = self.integer()
             if k < 0 and e.is_zero:
                 raise ExprDivisionError(f"zero raised to a negative power (at position {at})")
+            self.budget("^", e, k, at)
             e = e**k
         return e
+
+    def budget(self, op: str, a: Expr, b, at: int):
+        """Refuse an operation whose result could exceed MAX_TERMS terms."""
+        if _result_terms(op, a, b) > MAX_TERMS:
+            raise ExprSyntaxError(f"expression larger than {MAX_TERMS} terms", at)
 
     def base(self) -> Expr:
         ch = self.peek()

@@ -25,6 +25,40 @@ def make_manifold(name: str, frame_rows, xi_index: int = 2, metric_rows=LORENTZ_
     return build_manifold(ManifoldDef(name, ["x", "y", "z"], frame_rows, metric_rows, xi_index + 1))
 
 
+# Ad hoc inputs (coordinates, frame rows, metric rows; xi is the last frame
+# field) that reach every branch of the tensor supports:
+# "dense-style" has an upper-triangular frame with two-term polynomial cells
+# and a non-constant metric entry, like the benchmark's dense workload;
+# "off-diagonal" has a constant g[0][1], and four leaves each of M and C are
+# nonzero only through it (the g[y][z] terms of their supports);
+# in "bracket-only", R(E_1,E_3)E_2 and R(E_3,E_1)E_2 are nonzero only through
+# the bracket term of the Riemann support: E_2 is parallel along E_1 and E_3,
+# but not along their bracket.
+AD_HOC = {
+    "dense-style": (
+        ("x", "y", "z"),
+        (("2", "x - 3*z", "2*y + 1"), ("0", "-3", "z + 2*x"), ("0", "0", "1")),
+        (("1", "0", "0"), ("0", "4 + y", "0"), ("0", "0", "-1")),
+    ),
+    "off-diagonal": (
+        ("x", "y", "z"),
+        (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "x")),
+        (("1", "1", "0"), ("1", "3", "0"), ("0", "0", "-1")),
+    ),
+    "bracket-only": (
+        ("x", "y", "z", "t"),
+        (("1", "0", "0", "0"), ("0", "1", "0", "0"), ("0", "0", "1", "z*x"), ("0", "0", "0", "y")),
+        (("1", "0", "0", "0"), ("0", "1", "0", "0"), ("0", "0", "1", "0"), ("0", "0", "0", "-1")),
+    ),
+}
+
+
+def ad_hoc(name: str) -> ManifoldData:
+    """A fresh ManifoldData for one of AD_HOC."""
+    coords, frame_rows, metric_rows = AD_HOC[name]
+    return build_manifold(ManifoldDef(name, list(coords), frame_rows, metric_rows, len(coords)))
+
+
 @pytest.fixture(scope="session")
 def example51() -> ManifoldData:
     return builtin("example51")

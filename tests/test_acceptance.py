@@ -30,7 +30,7 @@ from lcslab.conditions import (
 )
 from lcslab.lcs_structure import verify_axioms
 
-from conftest import SRC, builtin, make_manifold
+from conftest import AD_HOC, SRC, ad_hoc, builtin, make_manifold
 from numeric_oracle import NumericTwin
 
 
@@ -340,6 +340,31 @@ def test_criterion_12_numeric_cross_check():
 def test_numeric_cross_check_lcs_n(pt):
     # n > 3 separates the n-dependent constants that coincide at n = 3.
     data = builtin(f"lcs{len(pt)}")
+    assert cross_check(data, pt)
+
+
+@pytest.mark.parametrize(
+    "name, pt",
+    [
+        # every nabla R leaf is zero, so its support is empty
+        pytest.param(
+            "desitter5",
+            {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "x4": Fraction(5, 2), "t": Fraction(7, 4)},
+            id="desitter5",
+        ),
+        pytest.param("dense-style", {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4)}, id="dense-style"),
+        pytest.param("off-diagonal", {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4)}, id="off-diagonal"),
+        pytest.param(
+            "bracket-only",
+            {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4), "t": Fraction(2)},
+            id="bracket-only",
+        ),
+    ],
+)
+def test_numeric_cross_check_support_branches(name, pt):
+    # tensors are evaluated only on their support: a branch missing from a
+    # support drops nonzero leaves, which the twin sees
+    data = ad_hoc(name) if name in AD_HOC else builtin(name)
     assert cross_check(data, pt)
 
 

@@ -2,11 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from lcslab.builtin_manifolds import family
 from lcslab.cli import LoadError, build_manifold, load, main
+from lcslab.curvature import CurvatureStack
+from lcslab.symexpr import MAX_TERMS
 
 from conftest import SRC
 
@@ -213,6 +216,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "frame[1][1]" in err and f"... ({len(cell)} characters) (line 1)" in err
         assert len(err.encode()) < 1024 and "Traceback" not in err
+
+    def test_oversized_cell_is_two_at_once(self, tmp_path, capsys):
+        # expanded, the power alone has 12,341 terms; the parser refuses it unbuilt
+        frame = [["(x+y+z+1)^40/(x-y)^40", "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]]
+        path = write_def(tmp_path, dict(EXAMPLE_DEF, frame=frame))
+        start = time.perf_counter()
+        assert main(["curvature", path]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "frame[1][1]" in err and f"larger than {MAX_TERMS} terms" in err and "Traceback" not in err
+
+    def test_engine_fault_is_three(self, monkeypatch, capsys):
+        def boom(*args):
+            raise RuntimeError("stack failed\nsecond line")
+
+        monkeypatch.setattr(CurvatureStack, "compute", classmethod(boom))
+        assert main(["curvature", "example51", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: 'stack failed\\nsecond line'\n"
+
+    def test_interrupt_propagates(self, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CurvatureStack, "compute", classmethod(interrupt))
+        with pytest.raises(KeyboardInterrupt):
+            main(["curvature", "example51"])
 
     def test_short_bad_cell_is_quoted_whole(self, tmp_path, capsys):
         frame = [["z*x +", "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]]

@@ -209,6 +209,23 @@ class TestFrameTensor:
         assert list(v.comps) == [(0,)]
         assert v.comp(1) == (CHART.zero(),) * 3
 
+    def test_support_limits_evaluation_to_its_indices_in_index_order(self):
+        seen = []
+
+        def fn(i, j):
+            seen.append((i, j))
+            return CHART.const(i + j + 1)
+
+        t = FrameTensor.build((0, 2), 3, fn, {(2, 0), (0, 2), (1, 1)})
+        assert seen == [(0, 2), (1, 1), (2, 0)]
+        assert list(t.comps) == seen and t.comp(0, 0).is_zero
+
+    def test_empty_support_gives_zero_tensor_with_its_zero_leaf(self):
+        t = FrameTensor.build((0, 2), 3, lambda i, j: CHART.zero(), ())
+        assert t.is_zero() and t.zero == CHART.zero()
+        v = FrameTensor.build((1, 3), 3, lambda i, j, k: (CHART.zero(),) * 3, set())
+        assert v.is_zero() and v.zero == (CHART.zero(),) * 3 and v.comp(0, 1, 2) == v.zero
+
     def test_all_zero_build_is_zero(self):
         for valence, fn in (((0, 3), lambda *ix: CHART.zero()), ((1, 2), lambda *ix: (CHART.zero(),) * 3)):
             t = FrameTensor.build(valence, 3, fn)

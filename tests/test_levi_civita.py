@@ -120,6 +120,14 @@ class TestCovDerivTensor:
         assert example51.nabla_ricci.comp(2, 0, 0) == example51.chart.parse("-2*z - 6/z^3")
         assert example51.nabla_ricci.comp(2, 2, 2) == example51.chart.parse("8/z^3")
 
+    def test_flat_space_derivatives_have_empty_support(self, flat3):
+        # R and S store no leaf, so nothing is evaluated; the zero leaf
+        # still has the shape of the tensor's leaves
+        zero = flat3.chart.zero()
+        nabla_r, nabla_s = flat3.nabla_riemann, flat3.nabla_ricci
+        assert nabla_r.is_zero() and nabla_r.zero == (zero,) * 3 and nabla_r.comp(0, 1, 2, 0) == (zero,) * 3
+        assert nabla_s.is_zero() and nabla_s.zero == zero and nabla_s.comp(2, 1, 0) == zero
+
     def test_unsupported_valence(self, example51):
         t = FrameTensor.build((0, 1), 3, lambda i: example51.chart.zero())
         with pytest.raises(GeometryError):

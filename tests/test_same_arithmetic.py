@@ -1,0 +1,99 @@
+"""Frame tensors are evaluated only on their support, with the same
+arithmetic in the same order as at every index.
+
+Each input runs ``curvature``, ``derived-conditions`` and ``check-lcs``
+in-process twice: as shipped, and as a reference in which
+``FrameTensor.build`` ignores its support and the covariant derivative is
+the gather formula kept below.  Both runs must give the same reports, the
+same stored leaves in the same key order, and the same number of Expr
+constructions and polynomial kernel calls, counted by the benchmark's trace
+wrappers.  Leaving out the work on zeros may change nothing else.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from lcslab import _poly_py, cli, manifold, polyops, symexpr
+from lcslab.frame_geometry import FrameTensor, combo, vec_add, vec_sub
+
+from conftest import ad_hoc
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+COMMANDS = ("curvature", "derived-conditions", "check-lcs")
+INPUTS = {
+    "lcs5": lambda: cli.build_manifold(cli.load("lcs5")),
+    "dense-style": lambda: ad_hoc("dense-style"),
+    "bracket-only": lambda: ad_hoc("bracket-only"),
+}
+
+
+def gather_cov_deriv_tensor(conn, tensor):
+    """The covariant derivative evaluated at every index, each slot term a
+    combo over all a of gamma[w][i][a] times T at slot value a."""
+    r, s = tensor.valence
+    gamma = conn.gamma
+    fields = conn.frame.fields
+
+    def value(idx):
+        leaf = tensor.comp(*idx)
+        return leaf if r else (leaf,)
+
+    def entry(w, *idx):
+        base = value(idx)
+        val = tuple(fields[w].apply(c) for c in base)
+        if r:
+            val = vec_add(val, combo(base, lambda a: gamma[w][a]))
+        for k, i in enumerate(idx):
+            val = vec_sub(val, combo(gamma[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
+        return val if r else val[0]
+
+    return FrameTensor.build((r, s + 1), conn.dim, entry)
+
+
+def traced_run(monkeypatch, load, reference: bool):
+    """Reports, every built tensor's (valence, leaves, zero), the counts of
+    Expr constructions and kernel calls, and the number of leaves evaluated."""
+    layers = importlib.import_module("layers")
+    build = FrameTensor.build
+    built = []
+    evaluated = [0]
+
+    def recording_build(cls, valence, n, fn, support=None):
+        def counted(*idx):
+            evaluated[0] += 1
+            return fn(*idx)
+
+        t = build(valence, n, counted, None if reference else support)
+        built.append((t.valence, list(t.comps.items()), t.zero))
+        return t
+
+    counters = layers.Counters(layers.Spans())
+    patches = layers.Patches()
+    with monkeypatch.context() as m:
+        m.setattr(FrameTensor, "build", classmethod(recording_build))
+        if reference:
+            m.setattr(manifold, "cov_deriv_tensor", gather_cov_deriv_tensor)
+        layers._install_counters(counters, patches, symexpr, polyops, _poly_py)
+        try:
+            data = load()
+            reports = [cli.run(command, data, {}).to_json() for command in COMMANDS]
+        finally:
+            patches.undo()
+    return reports, built, counters.expr_new, dict(counters.calls), evaluated[0]
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_support_keeps_reports_leaves_and_kernel_calls(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    INPUTS[name]()  # interns the chart's zero outside the counted runs
+    reports, built, expr_new, calls, evaluated = traced_run(monkeypatch, INPUTS[name], reference=False)
+    ref_reports, ref_built, ref_expr_new, ref_calls, ref_evaluated = traced_run(monkeypatch, INPUTS[name], reference=True)
+    assert reports == ref_reports
+    assert len(built) == len(ref_built)
+    for ours, theirs in zip(built, ref_built):
+        assert ours == theirs  # equal leaves, in equal key order
+    assert expr_new == ref_expr_new
+    assert calls == ref_calls and calls["poly_gcd"] > 0 and calls["poly_mul"] > 0
+    assert evaluated < ref_evaluated

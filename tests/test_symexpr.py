@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lcslab.symexpr import (
     MAX_NESTING,
+    MAX_TERMS,
     Expr,
     ExprDivisionError,
     ExprError,
@@ -87,6 +88,27 @@ class TestParse:
         assert e("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == e("x")
         assert e("-" * MAX_NESTING + "x") == e("x")
         assert e("-(" * 40 + "x" + ")" * 40) == e("x")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(x+y+z+1)^40/(x-y)^40", 10),  # a power, refused before it is expanded
+            ("(x+y+z+1)^12*(x+y+z+1)^12", 13),  # 455 terms each side, 2,925 in the product
+            ("(x+y+z+1)^12/(x+y+z+2)^12 + x", 27),  # 910 terms, and a sum over a common denominator
+            ("(x^2000-1)/(x-1)", 16),  # 4 terms before cancelling, 2,000 after: checked on the result
+        ],
+    )
+    def test_size_budget(self, text, position):
+        with pytest.raises(ExprSyntaxError, match=f"larger than {MAX_TERMS} terms") as err:
+            e(text)
+        assert err.value.position == position
+
+    def test_size_budget_counts_terms_not_factors(self):
+        # ten factors, one per degree: 286 terms, within the budget
+        assert e("*".join(["(x+y+z+1)"] * 10)) == e("(x+y+z+1)^10")
+        assert e("x^400*y^400/z^400").size == 2
+        assert e("(x^30-1)/(x-1)").size == 31
+        assert e("0^0") == e("1") and e("x^1000000000*0") == e("0")
 
 
 class TestArith:
