@@ -233,10 +233,11 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
         g = data.metric.g
         nabla_r = data.nabla_riemann
         coeff = 2 * st.alpha * st.rho - beta_value
+        xi_lowered = data.metric.lower(st.xi)  # g(vec, xi) = dot(vec, xi_lowered)
 
         def entry(w, y, z):
             vec = combo(st.xi, lambda a: nabla_r.comp(w, a, y, z))
-            lhs = data.metric.pair(vec, st.xi)
+            lhs = dot(vec, xi_lowered)
             rhs = -coeff * (g[y][z] + st.eta[y] * st.eta[z]) * st.eta[w]
             return lhs - rhs
 
