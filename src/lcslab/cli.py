@@ -17,7 +17,8 @@ the engine itself failed (one stderr line names the exception).
 
 The ``conformance`` command diffs every engine-derived quantity of the
 bundled reference manifold against the published component tables it was
-transcribed from.  Where the two disagree, the report carries both values
+transcribed from; any other manifold (another frame, metric or xi, under
+any name) is refused as a load error, since the tables describe only it.  Where the two disagree, the report carries both values
 with status ``mismatch``; engine values are the ones validated by the
 structural self-checks, and all downstream computation uses them.
 """
@@ -30,28 +31,45 @@ import os
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .builtin_manifolds import BUILTIN_FORMS, builtin
-from .conditions import (
-    NoSolution,
-    RecurrenceForms,
-    RecurrenceKind,
-    SolitonParams,
-    derived_condition_residuals,
-    nabla_r_xi_identity,
-    recurrence_fit,
-    recurrence_residual,
-    sgr_predictions,
-    soliton_lambda,
-    soliton_residual,
-)
 from .frame_geometry import Chart, Frame, FrameMetric, GeometryError, VectorField
-from .lcs_structure import EinsteinKind, NotLcsError, classify, derive_structure, verify_axioms
 from .manifold import ManifoldData
+from .polyops import reset_gcd_memo
 from .symexpr import Expr, ExprError, Var, parse, quote_text
+
+if TYPE_CHECKING:
+    from .conditions import RecurrenceForms, RecurrenceKind
+
+# `curvature` needs neither the structure layer (lcs_structure) nor the
+# condition layer (conditions), and `check-lcs` needs no condition, so each
+# command imports only the layers it runs.  The entry points below call
+# into them on first use; they stay attributes of this module, called
+# through its globals, so a tracer can wrap them here.
+
+
+def _lazy(module: str, name: str):
+    def call(*args):
+        return getattr(import_module(module, __package__), name)(*args)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+derive_structure = _lazy(".lcs_structure", "derive_structure")
+verify_axioms = _lazy(".lcs_structure", "verify_axioms")
+recurrence_fit = _lazy(".conditions", "recurrence_fit")
+recurrence_residual = _lazy(".conditions", "recurrence_residual")
+derived_condition_residuals = _lazy(".conditions", "derived_condition_residuals")
+nabla_r_xi_identity = _lazy(".conditions", "nabla_r_xi_identity")
+soliton_residual = _lazy(".conditions", "soliton_residual")
+
+# the values of conditions.RecurrenceKind, for the argument parser
+RECURRENCE_KINDS = ("SGR", "SGRR", "SGPR")
 
 
 class LoadError(Exception):
@@ -208,6 +226,7 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
 
 def build_manifold(defn: ManifoldDef) -> ManifoldData:
     """Parse a definition's cells into engine state; raises LoadError."""
+    reset_gcd_memo()  # parsing and inverting the frame are this manifold's arithmetic too
     variables = tuple(Var(c) for c in defn.coords)
     chart = Chart(variables)
     cell, problems = _cell_reader(variables, defn.source_text)
@@ -366,6 +385,8 @@ def residual_excerpt(tensor) -> str | None:
 
 
 def _structure_or_report(data: ManifoldData, report: Report):
+    from .lcs_structure import NotLcsError
+
     try:
         return derive_structure(data, data.xi_index)
     except NotLcsError as exc:
@@ -374,6 +395,8 @@ def _structure_or_report(data: ManifoldData, report: Report):
 
 
 def cmd_check_lcs(data: ManifoldData, report: Report) -> None:
+    from .lcs_structure import EinsteinKind, classify
+
     st = _structure_or_report(data, report)
     if st is None:
         return
@@ -429,6 +452,8 @@ def cmd_curvature(data: ManifoldData, report: Report) -> None:
 
 
 def _load_forms(data: ManifoldData, forms_path: str) -> RecurrenceForms:
+    from .conditions import RecurrenceForms
+
     raw, payload = _read_json(Path(forms_path), forms_path)
     n = data.dim
     if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("A", "B")):
@@ -443,6 +468,9 @@ def _load_forms(data: ManifoldData, forms_path: str) -> RecurrenceForms:
 
 
 def cmd_check_recurrence(data: ManifoldData, report: Report, kind: RecurrenceKind, forms: RecurrenceForms) -> None:
+    from .conditions import RecurrenceKind, sgr_predictions
+    from .lcs_structure import NotLcsError
+
     for i, (a, b) in enumerate(zip(forms.a, forms.b)):
         report.add(f"forms.{i + 1}", INFO, f"A(E{i + 1}), B(E{i + 1})", engine=f"{a}, {b}")
     try:
@@ -489,6 +517,8 @@ def cmd_check_recurrence(data: ManifoldData, report: Report, kind: RecurrenceKin
 
 
 def cmd_fit(data: ManifoldData, report: Report, kind: RecurrenceKind) -> None:
+    from .conditions import NoSolution
+
     result = recurrence_fit(data, kind)
     if isinstance(result, NoSolution):
         report.add(
@@ -515,6 +545,9 @@ def cmd_fit(data: ManifoldData, report: Report, kind: RecurrenceKind) -> None:
 
 
 def cmd_soliton(data: ManifoldData, report: Report, p_text: str, lambda_text: str | None) -> None:
+    from .conditions import SolitonParams, soliton_lambda
+    from .lcs_structure import NotLcsError
+
     chart = data.chart
     try:
         p = chart.parse(p_text)
@@ -584,6 +617,8 @@ def cmd_soliton(data: ManifoldData, report: Report, p_text: str, lambda_text: st
 
 
 def cmd_derived_conditions(data: ManifoldData, report: Report) -> None:
+    from .lcs_structure import EinsteinKind, NotLcsError
+
     try:
         out = derived_condition_residuals(data)
     except NotLcsError as exc:
@@ -710,10 +745,22 @@ PUBLISHED_FORMS_B = (
 
 
 def cmd_conformance(data: ManifoldData, report: Report) -> None:
+    from .conditions import NoSolution, RecurrenceKind
+
     chart = data.chart
-    if [v.name for v in chart.coords] != ["x", "y", "z"]:
-        raise LoadError("conformance needs the coordinates x, y, z of the published tables")
     pub = lambda text: chart.parse(text)
+    ref = builtin("example51")
+    cells = lambda rows: tuple(tuple(map(pub, row)) for row in rows)
+    if not (
+        [v.name for v in chart.coords] == ref["coords"]
+        and data.xi_index == ref["xi"] - 1
+        and tuple(f.coeffs for f in data.frame.fields) == cells(ref["frame"])
+        and data.metric.g == cells(ref["metric"])
+    ):
+        raise LoadError(
+            "conformance compares with the published tables of example51, so it needs that manifold: "
+            "coordinates x, y, z and the same frame, metric and xi"
+        )
 
     def diff_vector(check_id, title, engine_vec, published_texts):
         published_vec = tuple(pub(t) for t in published_texts)
@@ -845,10 +892,14 @@ def run(command: str, data: ManifoldData, options: dict) -> Report:
     elif command == "curvature":
         cmd_curvature(data, report)
     elif command == "check":
+        from .conditions import RecurrenceKind
+
         kind = RecurrenceKind(options["kind"])
         forms = _load_forms(data, options["forms"])
         cmd_check_recurrence(data, report, kind, forms)
     elif command == "fit":
+        from .conditions import RecurrenceKind
+
         kind = RecurrenceKind(options["kind"])
         if kind is RecurrenceKind.SGPR:
             raise LoadError("fit supports SGR and SGRR")
@@ -890,12 +941,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("curvature", help="connection, curvature, Ricci, scalar, derived tensors"))
 
     p = sub.add_parser("check", help="test a recurrence condition with given 1-forms")
-    p.add_argument("kind", choices=[k.value for k in RecurrenceKind])
+    p.add_argument("kind", choices=RECURRENCE_KINDS)
     add_common(p)
     p.add_argument("--forms", required=True, help="JSON file with 'A' and 'B' expression arrays")
 
     p = sub.add_parser("fit", help="solve exactly for recurrence 1-forms")
-    p.add_argument("kind", choices=[RecurrenceKind.SGR.value, RecurrenceKind.SGRR.value])
+    p.add_argument("kind", choices=RECURRENCE_KINDS[:2])
     add_common(p)
 
     p = sub.add_parser("soliton", help="conformal soliton residual and scalar")

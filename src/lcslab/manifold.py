@@ -2,7 +2,9 @@
 
 Everything downstream (structure extraction, condition checkers, the CLI)
 works from one of these.  Derived data is computed once, lazily, and the
-underlying values are immutable, so sharing is safe.
+underlying values are immutable, so sharing is safe.  Constructing one
+empties the polynomial GCD memo (see ``polyops``), so the kernel work of its
+stages does not depend on what ran before it in the process.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .curvature import concircular as _concircular
 from .curvature import m_projective as _m_projective
 from .frame_geometry import Frame, FrameMetric, FrameTensor
 from .levi_civita import ConnectionCoeffs, cov_deriv_tensor, frame_brackets, koszul, lie_derivative_metric
+from .polyops import reset_gcd_memo
 
 
 class ManifoldData:
@@ -24,6 +27,7 @@ class ManifoldData:
         self.frame = frame
         self.metric = metric
         self.xi_index = xi_index
+        reset_gcd_memo()
 
     @property
     def chart(self):

@@ -7,10 +7,27 @@ GCD) and falls back to a recursive subresultant remainder sequence when
 the heuristic gives up.  Integer content is folded into the GCD, so
 canonical fractions reduce constants as well (2x/2 -> x).  Like the kernels,
 nothing here writes to an argument, so a result may be an argument itself.
+
+Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
+of multi-term polynomials again and again (on the dense benchmark inputs,
+two thirds of the multi-term calls of a ``curvature`` run repeat an earlier
+pair), so ``poly_gcd`` keeps the latest results, least recently used first
+out.  The memo is keyed by the hash of both operands' contents, and a hit
+counts only when the stored operands equal the call's (``==``), so a hash
+collision is a miss, never a wrong answer.  It holds at most
+``GCD_MEMO_ENTRIES`` entries pinning at most ``GCD_MEMO_TERMS`` terms in
+all (operands and result), so large operands cannot inflate memory.  It
+keeps references to the operand dicts, which is safe because no dict that
+reaches the kernels is written to afterwards.  ``reset_gcd_memo`` empties
+it; building a manifold (``ManifoldData``, and the CLI before it parses a
+definition) does so, which makes one manifold's kernel calls independent of
+whatever ran before it in the process.  Every entry is an exact GCD, so the
+reset is for determinism and memory, never for correctness.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -300,6 +317,54 @@ def _heu_gcd(a: Poly, b: Poly, vs: tuple):
     return None
 
 
+# -- memo of multi-term GCDs -------------------------------------------------
+
+GCD_MEMO_ENTRIES = 256
+GCD_MEMO_TERMS = 4096
+
+
+class _GcdMemo:
+    """Least-recently-used multi-term GCDs, bounded in entries and in the
+    terms they pin."""
+
+    def __init__(self, max_entries: int, max_terms: int):
+        self.max_entries = max_entries
+        self.max_terms = max_terms
+        self.entries: OrderedDict = OrderedDict()  # content hash -> (a, b, gcd, terms)
+        self.terms = 0
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.terms = 0
+
+    def get(self, key: int, a: Poly, b: Poly):
+        entry = self.entries.get(key)
+        if entry is None or entry[0] != a or entry[1] != b:
+            return None
+        self.entries.move_to_end(key)
+        return entry[2]
+
+    def put(self, key: int, a: Poly, b: Poly, g: Poly) -> None:
+        terms = len(a) + len(b) + len(g)
+        if terms > self.max_terms:
+            return
+        old = self.entries.pop(key, None)  # a hash collision replaces the older pair
+        if old is not None:
+            self.terms -= old[3]
+        self.entries[key] = (a, b, g, terms)
+        self.terms += terms
+        while len(self.entries) > self.max_entries or self.terms > self.max_terms:
+            self.terms -= self.entries.popitem(last=False)[1][3]
+
+
+_memo = _GcdMemo(GCD_MEMO_ENTRIES, GCD_MEMO_TERMS)
+
+
+def reset_gcd_memo() -> None:
+    """Forget every memoised GCD."""
+    _memo.clear()
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """GCD over the integers (content included), leading coefficient positive."""
     if not a:
@@ -310,12 +375,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return normalize_sign(a)
     if len(a) == 1 or len(b) == 1:
         return _monomial_gcd(a, b)
-    nvars = len(next(iter(a)))
-    vs = tuple(range(nvars))
-    g = _heu_gcd(a, b, vs)
-    if g is not None:
-        return g
-    return _gcd_rec(a, b, vs)
+    key = hash((frozenset(a.items()), frozenset(b.items())))
+    g = _memo.get(key, a, b)
+    if g is None:
+        vs = tuple(range(len(next(iter(a)))))
+        g = _heu_gcd(a, b, vs)
+        if g is None:
+            g = _gcd_rec(a, b, vs)
+        _memo.put(key, a, b, g)
+    return g
 
 
 __all__ = [
@@ -335,4 +403,5 @@ __all__ = [
     "poly_diff",
     "poly_eval",
     "poly_gcd",
+    "reset_gcd_memo",
 ]

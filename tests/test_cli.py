@@ -39,9 +39,10 @@ REPORT_DIGESTS = {
     ("derived-conditions", "flat3"): "fab87410681eb9f5b76dd7d88300f4f1483cc52f5f751b81dceab73ef31318f7",
     ("derived-conditions", "desitter3"): "4b32f2c2d84006f38501e1df73263b7f25208ecc8a7cba0c861cd114db4d8aa9",
     ("conformance", "example51"): "64ad8e7f2e53e2163766b8107c56cbb12b834a87cce4f4c75ac01b4932d0baa0",
-    ("conformance", "flat3"): "7fa4f516641daae42692fe517571c0fbf63c4674d436e0bf96a611440239038f",
-    ("conformance", "desitter3"): "9d9c682c21df185a9bbf495f99fee531b71c2963f1ae5eb2ba4689fdd226f06e",
 }
+# built-ins a command refuses with exit 2 and no report: the published
+# tables conformance compares with describe example51 alone
+REFUSED = {("conformance", "flat3"), ("conformance", "desitter3")}
 
 
 def write_def(tmp_path, payload, name="def.json"):
@@ -171,6 +172,24 @@ class TestExitCodes:
     def test_conformance_needs_the_reference_coordinates(self, capsys):
         assert main(["conformance", "lcs4"]) == 2
         assert "x, y, z" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: d["frame"][1].__setitem__(1, "2*z"),
+            lambda d: d["metric"][0].__setitem__(0, "2"),
+            lambda d: d.__setitem__("xi", 2),
+        ],
+        ids=["frame", "metric", "xi"],
+    )
+    def test_conformance_needs_the_reference_manifold(self, tmp_path, capsys, change):
+        payload = json.loads(json.dumps(EXAMPLE_DEF))
+        change(payload)
+        assert main(["conformance", write_def(tmp_path, payload)]) == 2
+        assert "example51" in capsys.readouterr().err
+
+    def test_conformance_accepts_the_reference_under_any_name(self, tmp_path, capsys):
+        assert main(["conformance", write_def(tmp_path, EXAMPLE_DEF)]) == 0
 
     def test_check_lcs_flat_fails(self, capsys):
         assert main(["check-lcs", "flat3"]) == 1
@@ -423,12 +442,38 @@ def test_cli_import_leaves_out_dataclasses():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
     assert out.strip() == "False"
 
+@pytest.mark.parametrize(
+    "command, absent",
+    [("curvature", ("lcslab.conditions", "lcslab.lcs_structure")), ("check-lcs", ("lcslab.conditions",))],
+)
+def test_command_imports_only_the_layers_it_runs(command, absent):
+    probe = (
+        "import sys; from lcslab import cli; "
+        f"report = cli.run({command!r}, cli.build_manifold(cli.load('example51')), {{}}); "
+        f"print(report.exit_code, [m for m in {absent!r} if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
+    assert out.split(maxsplit=1) == ["0", "[]\n"]
+
+
+def test_parser_offers_every_recurrence_kind():
+    from lcslab.cli import RECURRENCE_KINDS
+    from lcslab.conditions import RecurrenceKind
+
+    assert RECURRENCE_KINDS == tuple(k.value for k in RecurrenceKind)
+
+
 def test_json_reports_match_recorded_digests(capsys):
     changed = []
     for (command, name), digest in REPORT_DIGESTS.items():
         main([*command.split(), name, "--json"])
         out = capsys.readouterr().out
         if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(f"{command} {name}")
+    for command, name in sorted(REFUSED):
+        code = main([*command.split(), name, "--json"])
+        captured = capsys.readouterr()
+        if code != 2 or captured.out or "example51" not in captured.err:
             changed.append(f"{command} {name}")
     assert not changed
 

@@ -3,9 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcslab import _poly_py
-from lcslab.polyops import _gcd_rec, poly_divexact, poly_gcd, poly_mul
+from lcslab import _poly_py, cli, polyops
+from lcslab.polyops import _gcd_rec, _heu_gcd, poly_divexact, poly_gcd, poly_mul, poly_mul_scalar, poly_pow
+
+from conftest import ad_hoc
 
 DIVEXACTS = [pytest.param(_poly_py.poly_divexact, id="_poly_py")]
 
@@ -182,3 +186,84 @@ def test_gcd_leaves_operands_unchanged(gcd):
         gcd(a, b)
         assert (a, b) == before
     assert poly_gcd(p, p) is p and poly_gcd({}, p) is p  # shared, not copied
+
+
+# -- the memo of multi-term GCDs ----------------------------------------------
+
+VS = (0, 1, 2)
+exponents = st.tuples(*[st.integers(0, 2)] * 3)
+coefficients = st.integers(-5, 5).filter(bool)
+multi_term = st.dictionaries(exponents, coefficients, min_size=2, max_size=4)
+
+
+def uncached_gcd(a, b):
+    g = _heu_gcd(a, b, VS)
+    return g if g is not None else _gcd_rec(a, b, VS)
+
+
+@given(st.integers(1, 6), multi_term, st.integers(1, 3), multi_term, multi_term, st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_memoised_gcd_equals_uncached_gcd(c, f, k, u, v, j):
+    # c f^k u and f^j v share the factor f^min(j,k) and the content gcd(c, .)
+    a = poly_mul_scalar(poly_mul(poly_pow(f, k, 3), u), c)
+    b = poly_mul(poly_pow(f, j, 3), v)
+    expected = uncached_gcd(a, b)
+    assert expected == uncached_gcd(b, a)
+    # equal contents in distinct dicts, one built in the reverse order
+    a_copy, b_copy = dict(reversed(list(a.items()))), dict(b)
+    for x, y in ((a, b), (a, b), (b, a), (a_copy, b_copy), (b_copy, a_copy), (a, b)):
+        assert poly_gcd(x, y) == expected
+    assert (a, b) == (a_copy, b_copy)
+
+
+def test_memo_hit_needs_equal_operands():
+    # a colliding key is a miss and the newer pair replaces the older one
+    memo = polyops._GcdMemo(4, 100)
+    a, b, g = {(1, 0, 0): 1, (0, 0, 0): 1}, {(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 0, 0): 1}
+    memo.put(7, a, b, g)
+    assert memo.get(7, dict(a), dict(b)) is g
+    assert memo.get(7, b, a) is None
+    memo.put(7, b, a, g)
+    assert memo.get(7, a, b) is None and memo.get(7, b, a) is g
+    assert len(memo.entries) == 1 and memo.terms == 5
+
+
+def test_memo_keeps_its_term_budget(monkeypatch):
+    data = ad_hoc("dense-style")
+    cli.run("curvature", data, {})
+    memo = polyops._memo
+    assert memo.entries  # the dense-style run makes multi-term GCDs
+    assert memo.terms == sum(len(a) + len(b) + len(g) for a, b, g, _ in memo.entries.values())
+    assert memo.terms <= polyops.GCD_MEMO_TERMS and len(memo.entries) <= polyops.GCD_MEMO_ENTRIES
+
+    # a budget far below the run's needs: evictions keep it after every store
+    tight = polyops._GcdMemo(16, 60)
+    put, stored = tight.put, []
+
+    def checked_put(key, a, b, g):
+        put(key, a, b, g)
+        stored.append(key)
+        assert tight.terms == sum(e[3] for e in tight.entries.values()) <= 60
+        assert len(tight.entries) <= 16
+
+    tight.put = checked_put
+    monkeypatch.setattr(polyops, "_memo", tight)
+    cli.run("curvature", ad_hoc("dense-style"), {})
+    assert len(set(stored)) > 16
+
+
+def test_no_gcd_operand_is_written_afterwards(monkeypatch):
+    # the memo keeps references to operands and results: a caller that
+    # later wrote to one would corrupt a stored entry
+    seen = []
+
+    def recording_gcd(a, b, gcd=polyops.poly_gcd):
+        g = gcd(a, b)
+        seen.append(((a, dict(a)), (b, dict(b)), (g, dict(g))))
+        return g
+
+    monkeypatch.setattr(polyops, "poly_gcd", recording_gcd)
+    for command in ("curvature", "derived-conditions"):
+        cli.run(command, ad_hoc("dense-style"), {})
+    assert len(seen) > 1000
+    assert all(p == before for call in seen for p, before in call)

@@ -1,13 +1,16 @@
 """Frame tensors are evaluated only on their support, with the same
 arithmetic in the same order as at every index.
 
-Each input runs ``curvature``, ``derived-conditions`` and ``check-lcs``
-in-process twice: as shipped, and as a reference in which
+Each input runs ``curvature``, ``derived-conditions``, ``check-lcs``,
+``fit SGR`` and ``fit SGRR`` in-process twice: as shipped, and as a
+reference in which
 ``FrameTensor.build`` ignores its support and the covariant derivative is
 the gather formula kept below.  Both runs must give the same reports, the
 same stored leaves in the same key order, and the same number of Expr
 constructions and polynomial kernel calls, counted by the benchmark's trace
-wrappers.  Leaving out the work on zeros may change nothing else.
+wrappers.  Leaving out the work on zeros may change nothing else.  The
+polynomial GCD memo is emptied whenever a manifold is built, so it acts
+alike in both runs.
 """
 
 import importlib
@@ -21,7 +24,13 @@ from lcslab.frame_geometry import FrameTensor, combo, vec_add, vec_sub
 from conftest import ad_hoc
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-COMMANDS = ("curvature", "derived-conditions", "check-lcs")
+COMMANDS = (
+    ("curvature", {}),
+    ("derived-conditions", {}),
+    ("check-lcs", {}),
+    ("fit", {"kind": "SGR"}),
+    ("fit", {"kind": "SGRR"}),
+)
 INPUTS = {
     "lcs5": lambda: cli.build_manifold(cli.load("lcs5")),
     "dense-style": lambda: ad_hoc("dense-style"),
@@ -78,7 +87,7 @@ def traced_run(monkeypatch, load, reference: bool):
         layers._install_counters(counters, patches, symexpr, polyops, _poly_py)
         try:
             data = load()
-            reports = [cli.run(command, data, {}).to_json() for command in COMMANDS]
+            reports = [cli.run(command, data, options).to_json() for command, options in COMMANDS]
         finally:
             patches.undo()
     return reports, built, counters.expr_new, dict(counters.calls), evaluated[0]
@@ -97,3 +106,29 @@ def test_support_keeps_reports_leaves_and_kernel_calls(monkeypatch, name):
     assert expr_new == ref_expr_new
     assert calls == ref_calls and calls["poly_gcd"] > 0 and calls["poly_mul"] > 0
     assert evaluated < ref_evaluated
+
+
+def counted_curvature(name):
+    """The Expr constructions and kernel calls of building AD_HOC[name] and
+    running ``curvature`` on it."""
+    layers = importlib.import_module("layers")
+    counters = layers.Counters(layers.Spans())
+    patches = layers.Patches()
+    layers._install_counters(counters, patches, symexpr, polyops, _poly_py)
+    try:
+        cli.run("curvature", ad_hoc(name), {}).to_json()
+    finally:
+        patches.undo()
+    return counters.expr_new, dict(counters.calls)
+
+
+def test_counts_do_not_depend_on_what_ran_before(monkeypatch):
+    # the GCD memo starts empty for each manifold: neither another manifold
+    # nor the same one run before may change a run's arithmetic
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ad_hoc("dense-style")  # interns the chart's zero outside the counted runs
+    first = counted_curvature("dense-style")
+    for before in ("off-diagonal", "dense-style"):
+        cli.run("curvature", ad_hoc(before), {})
+        assert counted_curvature("dense-style") == first
+    assert first[1]["poly_gcd"] > 0
