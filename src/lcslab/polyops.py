@@ -319,7 +319,7 @@ def _heu_gcd(a: Poly, b: Poly, vs: tuple):
 
 # -- memo of multi-term GCDs -------------------------------------------------
 
-GCD_MEMO_ENTRIES = 256
+GCD_MEMO_ENTRIES = 128
 GCD_MEMO_TERMS = 4096
 
 
