@@ -18,9 +18,10 @@ the engine itself failed (one stderr line names the exception).
 The ``conformance`` command diffs every engine-derived quantity of the
 bundled reference manifold against the published component tables it was
 transcribed from; any other manifold (another frame, metric or xi, under
-any name) is refused as a load error, since the tables describe only it.  Where the two disagree, the report carries both values
-with status ``mismatch``; engine values are the ones validated by the
-structural self-checks, and all downstream computation uses them.
+any name) is refused as a load error, since the tables describe only it.
+Where the two disagree, the report carries both values with status
+``mismatch``; engine values are the ones validated by the structural
+self-checks, and all downstream computation uses them.
 """
 
 from __future__ import annotations

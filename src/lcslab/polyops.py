@@ -10,15 +10,17 @@ nothing here writes to an argument, so a result may be an argument itself.
 
 Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
 of multi-term polynomials again and again (on the dense benchmark inputs,
-two thirds of the multi-term calls of a ``curvature`` run repeat an earlier
-pair), so ``poly_gcd`` keeps the latest results, least recently used first
+two thirds or more of the multi-term calls of a ``curvature`` run repeat an
+earlier pair), so ``poly_gcd`` keeps the latest results, least recently used first
 out.  The memo is keyed by the hash of both operands' contents, and a hit
 counts only when the stored operands equal the call's (``==``), so a hash
 collision is a miss, never a wrong answer.  It holds at most
 ``GCD_MEMO_ENTRIES`` entries pinning at most ``GCD_MEMO_TERMS`` terms in
 all (operands and result), so large operands cannot inflate memory.  It
-keeps references to the operand dicts, which is safe because no dict that
-reaches the kernels is written to afterwards.  ``reset_gcd_memo`` empties
+keeps references to the operands and the result, which is safe because
+nothing writes to a polynomial once it is built: the kernels and the
+functions here never write to an argument, and no caller writes to a
+result.  ``reset_gcd_memo`` empties
 it; building a manifold (``ManifoldData``, and the CLI before it parses a
 definition) does so, which makes one manifold's kernel calls independent of
 whatever ran before it in the process.  Every entry is an exact GCD, so the
