@@ -374,6 +374,12 @@ def add_upper_pairs(report: Report, label: str, title: str, tensor) -> int:
     return shown
 
 
+def add_self_checks(data: ManifoldData, report: Report) -> None:
+    """One pass/fail entry per structural self-check of the curvature stack."""
+    for name, ok in data.stack.self_check(data.metric, data.nabla_riemann):
+        report.add(f"self-check.{name}", PASS if ok else FAIL, name)
+
+
 def residual_excerpt(tensor) -> str | None:
     idx, value = first_nonzero(tensor)
     if idx is None:
@@ -448,8 +454,7 @@ def cmd_curvature(data: ManifoldData, report: Report) -> None:
             report.add(label, INFO, f"{label} tensor", engine="0")
         else:
             add_upper_pairs(report, label, label, tensor)
-    for name, ok in data.stack.self_check(data.metric, data.nabla_riemann):
-        report.add(f"self-check.{name}", PASS if ok else FAIL, name)
+    add_self_checks(data, report)
 
 
 def _load_forms(data: ManifoldData, forms_path: str) -> RecurrenceForms:
@@ -647,40 +652,25 @@ def cmd_derived_conditions(data: ManifoldData, report: Report) -> None:
     )
     report.add("guard.rxm", INFO, "guard alpha^2 - rho", engine=str(out.guard_rxm))
     report.add("guard.cxs", INFO, "guard n(n-1)(alpha^2 - rho) + 1", engine=str(out.guard_cxs))
-    if out.einstein_from_rxm is not None:
-        ok = out.einstein_from_rxm.kind is EinsteinKind.EINSTEIN
+    for label, verdict in (("rxm", out.einstein_from_rxm), ("cxs", out.einstein_from_cxs)):
+        if verdict is None:
+            report.add(f"einstein.{label}", INFO, "Einstein conclusion not gated", note="hypothesis or guard not met")
+            continue
         report.add(
-            "einstein.rxm",
-            PASS if ok else FAIL,
+            f"einstein.{label}",
+            PASS if verdict.kind is EinsteinKind.EINSTEIN else FAIL,
             "vanishing action + nonzero guard imply an Einstein manifold",
-            engine=out.einstein_from_rxm.kind.value
-            + (f" with a = {out.einstein_from_rxm.a}" if out.einstein_from_rxm.a is not None else ""),
+            engine=verdict.kind.value + (f" with a = {verdict.a}" if verdict.a is not None else ""),
         )
-    else:
-        report.add("einstein.rxm", INFO, "Einstein conclusion not gated", note="hypothesis or guard not met")
-    if out.einstein_from_cxs is not None:
-        ok = out.einstein_from_cxs.kind is EinsteinKind.EINSTEIN
-        report.add(
-            "einstein.cxs",
-            PASS if ok else FAIL,
-            "vanishing action + nonzero guard imply an Einstein manifold",
-            engine=out.einstein_from_cxs.kind.value
-            + (f" with a = {out.einstein_from_cxs.a}" if out.einstein_from_cxs.a is not None else ""),
-        )
-    else:
-        report.add("einstein.cxs", INFO, "Einstein conclusion not gated", note="hypothesis or guard not met")
-    try:
-        ident = nabla_r_xi_identity(data)
-        report.add(
-            "xi-derivative-identity",
-            PASS if ident.passed else FAIL,
-            "g((nabla_W R)(xi,Y)Z, xi) = -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)",
-            engine=f"2 alpha rho - beta = {ident.coefficient}",
-            residual=residual_excerpt(ident.residual),
-            note="passes under the sign-flipped beta convention" if ident.sign_flipped else None,
-        )
-    except (NotLcsError, ValueError) as exc:
-        report.add("xi-derivative-identity", INFO, "xi derivative identity", note=str(exc))
+    ident = nabla_r_xi_identity(data)
+    report.add(
+        "xi-derivative-identity",
+        PASS if ident.passed else FAIL,
+        "g((nabla_W R)(xi,Y)Z, xi) = -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)",
+        engine=f"2 alpha rho - beta = {ident.coefficient}",
+        residual=residual_excerpt(ident.residual),
+        note="passes under the sign-flipped beta convention" if ident.sign_flipped else None,
+    )
 
 
 # -- conformance -------------------------------------------------------------
@@ -859,8 +849,7 @@ def cmd_conformance(data: ManifoldData, report: Report) -> None:
         published="manifold is reported to satisfy the condition",
     )
 
-    for name, ok in data.stack.self_check(data.metric, data.nabla_riemann):
-        report.add(f"self-check.{name}", PASS if ok else FAIL, name)
+    add_self_checks(data, report)
 
     axiom_checks = verify_axioms(data, st)
     bad = [c for c in axiom_checks if not c.passed]
@@ -881,19 +870,16 @@ def run(command: str, data: ManifoldData, options: dict) -> Report:
         cmd_check_lcs(data, report)
     elif command == "curvature":
         cmd_curvature(data, report)
-    elif command == "check":
+    elif command in ("check", "fit"):
         from .conditions import RecurrenceKind
 
         kind = RecurrenceKind(options["kind"])
-        forms = _load_forms(data, options["forms"])
-        cmd_check_recurrence(data, report, kind, forms)
-    elif command == "fit":
-        from .conditions import RecurrenceKind
-
-        kind = RecurrenceKind(options["kind"])
-        if kind is RecurrenceKind.SGPR:
+        if command == "check":
+            cmd_check_recurrence(data, report, kind, _load_forms(data, options["forms"]))
+        elif kind is RecurrenceKind.SGPR:
             raise LoadError("fit supports SGR and SGRR")
-        cmd_fit(data, report, kind)
+        else:
+            cmd_fit(data, report, kind)
     elif command == "soliton":
         cmd_soliton(data, report, options.get("p", "0"), options.get("lam"))
     elif command == "derived-conditions":
@@ -957,13 +943,7 @@ def main(argv=None) -> int:
         sample = _parse_sample(getattr(args, "sample", None))
         defn = load(args.definition, sample)
         data = build_manifold(defn)
-        options = {
-            "kind": getattr(args, "kind", None),
-            "forms": getattr(args, "forms", None),
-            "p": getattr(args, "p", "0"),
-            "lam": getattr(args, "lam", None),
-        }
-        report = run(args.command, data, options)
+        report = run(args.command, data, vars(args))
         text = report.to_json() if args.json else report.to_text()
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)

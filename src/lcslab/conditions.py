@@ -1,6 +1,12 @@
 """Residual checkers and exact fitters for the recurrence and soliton
 conditions, plus the derived-condition tensors.
 
+Each recurrence condition is stated once, in ``_recurrence_terms``, as
+lhs = A(E_w) p + B(E_w) q; ``recurrence_residual`` builds lhs - A p - B q
+from it and ``recurrence_fit`` reads its leaves as the rows of the linear
+system in A(E_w), B(E_w).  The derived conditions, the xi-identity and the
+soliton residual are each stated in the one function that checks them.
+
 Gate discipline: a derived consequence is asserted only when its hypothesis
 residual is exactly zero and its nondegeneracy guard is nonzero in the
 function field; otherwise the same quantities are reported informationally.
@@ -9,6 +15,7 @@ Every assertion made here is therefore literally checkable.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -52,78 +59,52 @@ class NoSolution(NamedTuple):
         return f"direction E{self.direction + 1}, component ({idx}): {self.detail}"
 
 
-def _sgr_rows(data: ManifoldData, w: int):
-    """Rows (coef_A, coef_B, rhs) of the direction-w system for nabla R."""
-    n = data.dim
-    riem = data.stack.riemann13
-    nabla_r = data.nabla_riemann
-    g = data.metric.g
-    chart = data.chart
-    rows = []
-    index = []
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs_vec = nabla_r.comp(w, x, y, z)
-                r_vec = riem.comp(x, y, z)
-                for u in range(n):
-                    gterm = g[y][z] if u == x else chart.zero()
-                    rows.append((r_vec[u], gterm, lhs_vec[u]))
-                    index.append((x, y, z, u))
-    return rows, index
+def _recurrence_terms(data: ManifoldData, kind: RecurrenceKind):
+    """The condition of ``kind``, read as  lhs(w, *idx) = A(E_w) p(*idx) + B(E_w) q(*idx),
+    as the residual's valence and the three leaf functions.
 
-
-def _sgrr_rows(data: ManifoldData, w: int):
-    n = data.dim
-    ric = data.stack.ricci
-    nabla_s = data.nabla_ricci
-    g = data.metric.g
-    n_const = data.chart.const(n)
-    rows = []
-    index = []
-    for i in range(n):
-        for j in range(n):
-            rows.append((ric.comp(i, j), n_const * g[i][j], nabla_s.comp(w, i, j)))
-            index.append((i, j))
-    return rows, index
-
-
-def recurrence_residual(data: ManifoldData, kind: RecurrenceKind, forms: RecurrenceForms):
-    """Exact residual tensor of the recurrence condition; flag true iff zero."""
+    SGR and SGPR have vector leaves at (x, y, z): lhs is (nabla_w R)(E_x,E_y)E_z,
+    phi^2 of it for SGPR; p = R(E_x,E_y)E_z and q = g(E_y,E_z) E_x.  SGRR has
+    scalar leaves at (i, j): lhs is (nabla_w S)(E_i,E_j), p = S(E_i,E_j) and
+    q = n g(E_i,E_j).
+    """
     n = data.dim
     g = data.metric.g
-    chart = data.chart
-    unit = [data.frame.unit(i) for i in range(n)]
-
     if kind is RecurrenceKind.SGRR:
-        ric = data.stack.ricci
-        nabla_s = data.nabla_ricci
-        n_const = chart.const(n)
-
-        def entry(w, i, j):
-            return nabla_s.comp(w, i, j) - forms.a[w] * ric.comp(i, j) - n_const * forms.b[w] * g[i][j]
-
-        res = FrameTensor.build((0, 3), n, entry)
-        return res, res.is_zero()
-
-    riem = data.stack.riemann13
-    nabla_r = data.nabla_riemann
+        n_const = data.chart.const(n)
+        return (0, 3), data.nabla_ricci.comp, data.stack.ricci.comp, lambda i, j: n_const * g[i][j]
+    lhs = nabla_r = data.nabla_riemann.comp
     if kind is RecurrenceKind.SGPR:
         st = data.structure
 
-        def lhs_vec(w, x, y, z):
-            return st.phi_of(st.phi_of(nabla_r.comp(w, x, y, z)))
+        def lhs(w, x, y, z):
+            return st.phi_of(st.phi_of(nabla_r(w, x, y, z)))
+
+    zeros = [data.chart.zero()] * n
+
+    def q(x, y, z):
+        vec = zeros.copy()
+        vec[x] = g[y][z]
+        return vec
+
+    return (1, 4), lhs, data.stack.riemann13.comp, q
+
+
+def recurrence_residual(data: ManifoldData, kind: RecurrenceKind, forms: RecurrenceForms):
+    """Exact residual tensor lhs - A p - B q of the recurrence condition; flag true iff zero."""
+    valence, lhs, p, q = _recurrence_terms(data, kind)
+    a, b = forms.a, forms.b
+    if valence[0]:
+
+        def entry(w, *idx):
+            return vec_sub(vec_sub(lhs(w, *idx), vec_scale(a[w], p(*idx))), vec_scale(b[w], q(*idx)))
 
     else:
 
-        def lhs_vec(w, x, y, z):
-            return nabla_r.comp(w, x, y, z)
+        def entry(w, *idx):
+            return lhs(w, *idx) - a[w] * p(*idx) - b[w] * q(*idx)
 
-    def entry14(w, x, y, z):
-        val = vec_sub(lhs_vec(w, x, y, z), vec_scale(forms.a[w], riem.comp(x, y, z)))
-        return vec_sub(val, vec_scale(forms.b[w] * g[y][z], unit[x]))
-
-    res = FrameTensor.build((1, 4), n, entry14)
+    res = FrameTensor.build(valence, data.dim, entry)
     return res, res.is_zero()
 
 
@@ -131,25 +112,33 @@ def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
     """Fit the 1-forms A, B direction by direction from the overdetermined
     exact linear system; returns RecurrenceForms or a NoSolution witness.
 
-    Directions where the system is underdetermined get A(E_i) = B(E_i) = 0.
+    The rows of direction w are the leaf components of the condition, in
+    ``itertools.product`` order of the leaf index, then of a vector leaf's
+    component u.  Directions where the system is underdetermined get
+    A(E_i) = B(E_i) = 0.
     """
     if kind not in (RecurrenceKind.SGR, RecurrenceKind.SGRR):
         raise ValueError(f"fit supports SGR and SGRR, not {kind}")
     n = data.dim
-    a_comps = []
-    b_comps = []
+    (r, s), lhs, p, q = _recurrence_terms(data, kind)
+    leaves = list(itertools.product(range(n), repeat=s - 1))
+    index = [idx + (u,) for idx in leaves for u in range(n)] if r else leaves
+    flat = itertools.chain.from_iterable if r else iter  # the leaves' components, in order
+    ps = list(flat(p(*idx) for idx in leaves))
+    qs = list(flat(q(*idx) for idx in leaves))
+    solutions = []
     for w in range(n):
-        rows, index = _sgr_rows(data, w) if kind is RecurrenceKind.SGR else _sgrr_rows(data, w)
+        rows = list(zip(ps, qs, flat(lhs(w, *idx) for idx in leaves)))
         sol, witness = solve_two_unknowns(rows)
         if sol is None:
-            p, q, rhs = rows[witness]
-            if p.is_zero and q.is_zero:
+            coef_a, coef_b, rhs = rows[witness]
+            if coef_a.is_zero and coef_b.is_zero:
                 detail = f"the condition forces 0 = {rhs}"
             else:
                 detail = "no values of the forms satisfy this component together with the others"
             return NoSolution(kind, w, index[witness], rhs, detail)
-        a_comps.append(sol[0])
-        b_comps.append(sol[1])
+        solutions.append(sol)
+    a_comps, b_comps = zip(*solutions)
     return RecurrenceForms.from_covectors(data, a_comps, b_comps)
 
 
@@ -226,8 +215,6 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
     structure; if it fails only under the adopted sign convention for beta,
     the sign-flipped alternative is checked and flagged."""
     st = data.structure
-    if st.alpha.is_zero:
-        raise ValueError("identity needs a structure with nonzero alpha")
 
     def residual_for(beta_value: Expr):
         g = data.metric.g

@@ -257,3 +257,46 @@ class NumericTwin:
                             vec.append(total)
                         out[w][x][y][z] = vec
         return out
+
+    # -- recurrence conditions ------------------------------------------------
+    #
+    # Each residual is lhs - A(E_w) p - B(E_w) q of its condition, from the
+    # twin's tensors and the values a, b of the 1-forms at the point.
+
+    def phi(self):
+        """phi E_a = E_a + eta(E_a) xi with eta = g(., xi), as the matrix
+        phi[u][a] of frame components, xi the designated frame field."""
+        n = self.n
+        xi = [Fraction(int(u == self.data.xi_index)) for u in range(n)]
+        eta = [sum(self.g[a][b] * xi[b] for b in range(n)) for a in range(n)]
+        return [[int(u == a) + eta[a] * xi[u] for a in range(n)] for u in range(n)]
+
+    def sgr_residual(self, riem, nabla_r, a, b, phi=None):
+        """(nabla_w R)(E_x,E_y)E_z - A(E_w) R(E_x,E_y)E_z - B(E_w) g(E_y,E_z) E_x
+        in frame components u; with ``phi`` given, phi^2 of nabla_w R in place
+        of nabla_w R (the SGPR condition)."""
+        n = self.n
+
+        def apply(m, vec):
+            return [sum(m[u][k] * vec[k] for k in range(n)) for u in range(n)]
+
+        out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for w in range(n):
+            for x in range(n):
+                for y in range(n):
+                    for z in range(n):
+                        lhs = nabla_r[w][x][y][z]
+                        if phi is not None:
+                            lhs = apply(phi, apply(phi, lhs))
+                        out[w][x][y][z] = [
+                            lhs[u] - a[w] * riem[x][y][z][u] - b[w] * self.g[y][z] * int(u == x) for u in range(n)
+                        ]
+        return out
+
+    def sgrr_residual(self, ric, nabla_s, a, b):
+        """(nabla_w S)(E_i,E_j) - A(E_w) S(E_i,E_j) - n B(E_w) g(E_i,E_j)."""
+        n = self.n
+        return [
+            [[nabla_s[w][i][j] - a[w] * ric[i][j] - n * b[w] * self.g[i][j] for j in range(n)] for i in range(n)]
+            for w in range(n)
+        ]

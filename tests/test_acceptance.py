@@ -4,6 +4,8 @@ Run with ``pytest -v tests/test_acceptance.py`` (or add ``-s`` to see the
 explicit ACCEPTANCE lines as they print).
 """
 
+import functools
+import itertools
 import json
 import random
 import subprocess
@@ -28,7 +30,7 @@ from lcslab.conditions import (
     soliton_lambda,
     soliton_residual,
 )
-from lcslab.lcs_structure import verify_axioms
+from lcslab.lcs_structure import NotLcsError, verify_axioms
 
 from conftest import AD_HOC, SRC, ad_hoc, builtin, make_manifold
 from numeric_oracle import NumericTwin
@@ -326,46 +328,71 @@ def test_criterion_12_numeric_cross_check():
     ok(12, "symbolic tensors match the numeric twin at three rational points")
 
 
-@pytest.mark.parametrize(
-    "pt",
-    [
-        pytest.param({"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "t": Fraction(7, 4)}, id="lcs4"),
-        pytest.param(
-            {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "x4": Fraction(5, 2), "t": Fraction(7, 4)},
-            id="lcs5",
-        ),
-        pytest.param({**{f"x{i}": Fraction(i + 2, i) for i in range(1, 6)}, "t": Fraction(7, 4)}, id="lcs6"),
-    ],
-)
-def test_numeric_cross_check_lcs_n(pt):
+# rational points where each input's frame data has no pole
+POINTS = {
+    "example51": {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4)},
+    "lcs4": {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "t": Fraction(7, 4)},
+    "lcs5": {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "x4": Fraction(5, 2), "t": Fraction(7, 4)},
+    "lcs6": {**{f"x{i}": Fraction(i + 2, i) for i in range(1, 6)}, "t": Fraction(7, 4)},
+    "desitter5": {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "x4": Fraction(5, 2), "t": Fraction(7, 4)},
+    "dense-style": {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4)},
+    "off-diagonal": {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4)},
+    "bracket-only": {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4), "t": Fraction(2)},
+}
+
+
+def point_input(name):
+    return ad_hoc(name) if name in AD_HOC else builtin(name)
+
+
+@pytest.mark.parametrize("name", ["lcs4", "lcs5", "lcs6"])
+def test_numeric_cross_check_lcs_n(name):
     # n > 3 separates the n-dependent constants that coincide at n = 3.
-    data = builtin(f"lcs{len(pt)}")
-    assert cross_check(data, pt)
+    assert cross_check(builtin(name), POINTS[name])
 
 
-@pytest.mark.parametrize(
-    "name, pt",
-    [
-        # every nabla R leaf is zero, so its support is empty
-        pytest.param(
-            "desitter5",
-            {"x1": Fraction(3, 2), "x2": Fraction(5, 3), "x3": Fraction(2), "x4": Fraction(5, 2), "t": Fraction(7, 4)},
-            id="desitter5",
-        ),
-        pytest.param("dense-style", {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4)}, id="dense-style"),
-        pytest.param("off-diagonal", {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4)}, id="off-diagonal"),
-        pytest.param(
-            "bracket-only",
-            {"x": Fraction(3, 2), "y": Fraction(5, 3), "z": Fraction(7, 4), "t": Fraction(2)},
-            id="bracket-only",
-        ),
-    ],
-)
-def test_numeric_cross_check_support_branches(name, pt):
+# every nabla R leaf of desitter5 is zero, so its support is empty
+@pytest.mark.parametrize("name", ["desitter5", *AD_HOC])
+def test_numeric_cross_check_support_branches(name):
     # tensors are evaluated only on their support: a branch missing from a
     # support drops nonzero leaves, which the twin sees
-    data = ad_hoc(name) if name in AD_HOC else builtin(name)
-    assert cross_check(data, pt)
+    assert cross_check(point_input(name), POINTS[name])
+
+
+@pytest.mark.parametrize("name", ["example51", "lcs4", "desitter5", *AD_HOC])
+def test_recurrence_residuals_match_the_twin(name):
+    # fixed nonzero forms: A(E_i) = (i+1) c - 1 and B(E_i) = c' + i - 1/2 in
+    # the first and last coordinates c, c'; SGPR needs a structure
+    data = point_input(name)
+    n = data.dim
+    pt = POINTS[name]
+    first, last = data.chart.coords[0].name, data.chart.coords[-1].name
+    a = [data.chart.parse(f"{i + 1}*{first} - 1") for i in range(n)]
+    b = [data.chart.parse(f"{last} + {i} - 1/2") for i in range(n)]
+    forms = RecurrenceForms.from_covectors(data, a, b)
+    twin = NumericTwin(data, pt)
+    gam = twin.gamma()
+    riem = twin.riemann()
+    ric = twin.ricci(riem)
+    nabla_r = twin.nabla_riemann(gam, riem)
+    a_pt, b_pt = [twin.ev(e) for e in a], [twin.ev(e) for e in b]
+    expected = {
+        RecurrenceKind.SGR: twin.sgr_residual(riem, nabla_r, a_pt, b_pt),
+        RecurrenceKind.SGRR: twin.sgrr_residual(ric, twin.nabla_ricci(gam, ric), a_pt, b_pt),
+    }
+    try:
+        data.structure
+    except NotLcsError:
+        assert name in AD_HOC
+    else:
+        expected[RecurrenceKind.SGPR] = twin.sgr_residual(riem, nabla_r, a_pt, b_pt, twin.phi())
+    for kind, table in expected.items():
+        residual, is_zero = recurrence_residual(data, kind, forms)
+        assert not is_zero
+        for idx in itertools.product(range(n), repeat=residual.valence[1]):
+            leaf = residual.comp(*idx)
+            want = functools.reduce(list.__getitem__, idx, table)
+            assert ([twin.ev(e) for e in leaf] if residual.valence[0] else twin.ev(leaf)) == want, (kind, idx)
 
 
 def test_criterion_13_deterministic_json_report():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from lcslab import conditions
 from lcslab.builtin_manifolds import family
 from lcslab.cli import LoadError, build_manifold, load, main
 from lcslab.curvature import CurvatureStack
@@ -227,6 +228,30 @@ class TestExitCodes:
         # "must be": rejected for its type, not read as the text of an expression
         assert "error:" in err and key in err and "must be" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([EXAMPLE_DEF], "definition must be a JSON object"),
+            (dict(EXAMPLE_DEF, coords=["x", "y", "x"]), "duplicate coordinate names"),
+            (dict(EXAMPLE_DEF, frame=[["z*x", "z*y", "0"], ["0", "z", "0"]]), "'frame' must be a 3x3 array"),
+            (dict(EXAMPLE_DEF, frame=[["z*x", "z*y"], ["0", "z"], ["0", "0"]]), "'frame' must be a 3x3 array"),
+            (dict(EXAMPLE_DEF, metric=[["1", "0", "0"], ["0", "1", "0"]]), "'metric' must have 3 rows"),
+            (
+                dict(EXAMPLE_DEF, metric=[["1", "0", "0"], ["1"], ["-1"]]),
+                "metric row 2 must be a list of 3 entries (or 2 from the diagonal)",
+            ),
+            (
+                dict(EXAMPLE_DEF, metric=[["1", None, "0"], [None, "1", "0"], ["0", "0", "-1"]]),
+                "metric entry (1,2) is missing",
+            ),
+        ],
+        ids=["not-object", "duplicate-coords", "frame-rows", "frame-row-length", "metric-rows", "metric-row-length", "metric-missing"],
+    )
+    def test_bad_shape_is_two(self, tmp_path, capsys, payload, message):
+        assert main(["check-lcs", write_def(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     def test_huge_bad_cell_is_quoted_briefly(self, tmp_path, capsys):
         cell = "(" * 5000 + "x" + ")" * 5000
         frame = [[cell, "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]]
@@ -255,6 +280,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: 'stack failed\\nsecond line'\n"
+
+    def test_xi_identity_fault_is_three(self, monkeypatch, capsys):
+        # derived-conditions reads the structure before the identity, so an
+        # error raised inside the identity is an engine fault, never a report
+        def boom(*args):
+            raise ValueError("inexact polynomial division")
+
+        monkeypatch.setattr(conditions, "nabla_r_xi_identity", boom)
+        assert main(["derived-conditions", "example51", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: ValueError: 'inexact polynomial division'\n"
 
     def test_interrupt_propagates(self, monkeypatch):
         def interrupt(*args):
@@ -327,6 +364,9 @@ class TestExitCodes:
         forms = tmp_path / "forms.json"
         forms.write_text(json.dumps({"A": ["0"]}), encoding="utf-8")
         assert main(["check", "SGRR", "example51", "--forms", str(forms)]) == 2
+        forms.write_text(json.dumps({"A": ["0", "0", "0"], "B": ["0", "0"]}), encoding="utf-8")
+        assert main(["check", "SGR", "example51", "--forms", str(forms)]) == 2
+        assert "'A' and 'B' must each have 3 entries" in capsys.readouterr().err
 
     def test_every_bad_forms_entry_is_named(self, tmp_path, capsys):
         forms = tmp_path / "forms.json"
@@ -343,6 +383,45 @@ class TestExitCodes:
         assert "recurrence.SGR" in out
         assert "predictions.scalar" in out and "A(xi)" in out
         assert "predictions.opposition" in out
+
+    def test_check_sgr_predictions_with_nonzero_forms(self, tmp_path, capsys):
+        forms = write_def(tmp_path, {"A": ["x/z", "1", "2/z"], "B": ["0", "y", "1/z^2"]}, "forms.json")
+        assert main(["check", "SGR", "example51", "--json", "--forms", forms]) == 1
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        none = dict.fromkeys(("engine", "note", "published", "residual"))
+        assert entries[3:] == [
+            dict(
+                none,
+                check_id="recurrence.SGR",
+                status="fail",
+                title="SGR condition with the given forms",
+                residual="component (1,1,2,1,2) = (-x*z^4 + x)/z^3",
+                note="residual is nonzero",
+            ),
+            # A(xi) = 2/z: r = {2(n-1)(alpha^2-rho) eta(rho1) - (n^2+2) B(xi)}/A(xi)
+            dict(
+                none,
+                check_id="predictions.scalar",
+                status="info",
+                title="predicted vs engine scalar curvature",
+                engine="engine (-2*z^4 + 10)/z^2, predicted (-11*z + 16)/(2*z^2)",
+                note="hypothesis residual nonzero; reported informationally",
+            ),
+            dict(
+                none,
+                check_id="predictions.opposition",
+                status="info",
+                title="A + (n^2/r) B",
+                note="scalar curvature is not constant; the opposition relation needs a nonzero constant",
+            ),
+        ]
+        # flat3 has alpha = 0, so there is no structure to predict from
+        assert main(["check", "SGR", "flat3", "--json", "--forms", forms]) == 1
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [e["check_id"] for e in entries[3:]] == ["recurrence.SGR", "predictions"]
+        assert entries[-1] == dict(
+            none, check_id="predictions", status="info", title="scalar-curvature predictions", note="alpha is identically zero"
+        )
 
     def test_check_sgpr_needs_structure(self, tmp_path, capsys):
         forms = tmp_path / "forms.json"
