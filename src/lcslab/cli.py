@@ -523,8 +523,10 @@ def cmd_check_recurrence(data: ManifoldData, report: Report, kind: RecurrenceKin
 
 
 def cmd_fit(data: ManifoldData, report: Report, kind: RecurrenceKind) -> None:
-    from .conditions import NoSolution
+    from .conditions import NoSolution, RecurrenceKind
 
+    if kind is RecurrenceKind.SGPR:
+        raise LoadError("fit supports SGR and SGRR")
     result = recurrence_fit(data, kind)
     if isinstance(result, NoSolution):
         report.add(
@@ -870,16 +872,14 @@ def run(command: str, data: ManifoldData, options: dict) -> Report:
         cmd_check_lcs(data, report)
     elif command == "curvature":
         cmd_curvature(data, report)
-    elif command in ("check", "fit"):
+    elif command == "check":
         from .conditions import RecurrenceKind
 
-        kind = RecurrenceKind(options["kind"])
-        if command == "check":
-            cmd_check_recurrence(data, report, kind, _load_forms(data, options["forms"]))
-        elif kind is RecurrenceKind.SGPR:
-            raise LoadError("fit supports SGR and SGRR")
-        else:
-            cmd_fit(data, report, kind)
+        cmd_check_recurrence(data, report, RecurrenceKind(options["kind"]), _load_forms(data, options["forms"]))
+    elif command == "fit":
+        from .conditions import RecurrenceKind
+
+        cmd_fit(data, report, RecurrenceKind(options["kind"]))
     elif command == "soliton":
         cmd_soliton(data, report, options.get("p", "0"), options.get("lam"))
     elif command == "derived-conditions":
