@@ -16,7 +16,15 @@ index, and those permutations, with the identity, form a group: the sum at
 a permuted index is the sum at the original one up to sign.  An index whose
 orbit holds no stored leaf gives a sum of zeros, and any other index shares
 its sum with a stored leaf, so checking at every stored leaf covers every
-index.  Each term reads its own computed leaf; no mirror is filled in.
+index.  R is computed at every (i,j) pair, so the checks on R compare
+independently computed leaves.  The x > y half of nabla R is a mirror of
+its x < y half (see ``levi_civita``), yet ``second-bianchi`` still compares
+independently computed leaves.  At distinct w, x, y its sum is, up to sign,
+the sum at the sorted index w < x < y, whose terms (nabla_w R)(x,y),
+(nabla_x R)(y,w) = -(nabla_x R)(w,y) and (nabla_y R)(w,x) are the computed
+leaves (w,x,y), (x,w,y) and (y,w,x).  At a repeated direction the identity
+says only that nabla R is antisymmetric in (x,y), which the mirror holds by
+construction; R's own antisymmetry is checked on R.
 
 Every tensor here is evaluated only on its support, derived from the stored
 leaves of its inputs and the nonzero entries of gamma, the brackets and g

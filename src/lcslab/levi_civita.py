@@ -8,6 +8,13 @@ matching the reading order of (nabla_X T)(Y, Z).
 ``cov_deriv_tensor`` evaluates the derivative only on its support, scattered
 from the stored leaves of T and the nonzero gamma (see its docstring); each
 leaf sums its nonzero terms in the order of the sum over every frame index.
+
+Half rule for (1,3) inputs: T must be antisymmetric in its first two slots,
+T(X,Y) = -T(Y,X), as R is by construction (``frame_brackets`` fills
+[E_j,E_i] as -[E_i,E_j] and the Riemann formula is odd in (i,j)).  Then
+(nabla_W T)(E_y,E_x) = -(nabla_W T)(E_x,E_y) and the x = y leaves are zero,
+so only the leaves with x < y are evaluated; each (w,y,x,z) leaf is the
+componentwise negation of (w,x,y,z), which costs no GCD.
 """
 
 from __future__ import annotations
@@ -113,6 +120,11 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
     term, the output-vector term, then per slot the sum of coefficient times
     leaf, subtracted in slot order.  A term left out has a zero factor, so
     the order of the nonzero partial sums is that of the sum over all a.
+
+    A (1,3) input must be antisymmetric in its first two slots (see the
+    module docstring): only the outputs (w,x,y,z) with x < y are scattered
+    and gathered, (w,y,x,z) is their negation, and x = y stays empty.
+    ``comps`` keeps ``itertools.product`` order.
     """
     r, s = tensor.valence
     if (r, s) not in ((0, 2), (1, 3)):
@@ -124,12 +136,14 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
     feeds = [[(w, i, gamma[w][i][a]) for w in range(n) for i in range(n) if not gamma[w][i][a].is_zero] for a in range(n)]
     # output index -> per slot, its (coefficient, leaf) pairs; scalar leaves
     # ride along as 1-vectors, which the vector helpers handle by zipping
-    slot_terms = {(w, *idx): [[] for _ in idx] for idx in tensor.comps for w in range(n)}
+    slot_terms = {(w, *idx): [[] for _ in idx] for idx in tensor.comps for w in range(n) if not r or idx[0] < idx[1]}
     for idx, leaf in tensor.comps.items():
         vec = leaf if r else (leaf,)
         for k, a in enumerate(idx):
             for w, i, c in feeds[a]:
                 out = (w, *idx[:k], i, *idx[k + 1 :])
+                if r and out[1] >= out[2]:
+                    continue  # the mirror or the diagonal of the half rule
                 terms = slot_terms.get(out)
                 if terms is None:
                     terms = slot_terms[out] = [[] for _ in idx]
@@ -147,7 +161,11 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
                 val = vec_sub(val, reduce(vec_add, [vec_scale(c, v) for c, v in terms]))
         return val if r else val[0]
 
-    return FrameTensor.build((r, s + 1), n, entry, slot_terms)
+    deriv = FrameTensor.build((r, s + 1), n, entry, slot_terms)
+    if not r:
+        return deriv
+    mirror = {(w, y, x, z): tuple(-e for e in leaf) for (w, x, y, z), leaf in deriv.comps.items()}
+    return deriv._replace(comps=dict(sorted({**deriv.comps, **mirror}.items())))
 
 
 def lie_derivative_metric(frame: Frame, metric: FrameMetric, v) -> FrameTensor:

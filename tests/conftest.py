@@ -7,6 +7,7 @@ import pytest
 
 import lcslab
 from lcslab.cli import ManifoldDef, build_manifold, load
+from lcslab.frame_geometry import FrameTensor, combo, vec_add, vec_sub
 from lcslab.manifold import ManifoldData
 
 SRC = Path(lcslab.__file__).parents[1]  # where the lcslab under test lives
@@ -57,6 +58,33 @@ def ad_hoc(name: str) -> ManifoldData:
     """A fresh ManifoldData for one of AD_HOC."""
     coords, frame_rows, metric_rows = AD_HOC[name]
     return build_manifold(ManifoldDef(name, list(coords), frame_rows, metric_rows, len(coords)))
+
+
+def gather_cov_deriv_tensor(conn, tensor, where=None):
+    """The covariant derivative by the gather formula, each slot term a combo
+    over all a of gamma[w][i][a] times T at slot value a.  It is evaluated at
+    every index, or only at the (w, *idx) where ``where`` holds; elsewhere the
+    leaf is T's zero leaf, returned without arithmetic."""
+    r, s = tensor.valence
+    gamma = conn.gamma
+    fields = conn.frame.fields
+
+    def value(idx):
+        leaf = tensor.comp(*idx)
+        return leaf if r else (leaf,)
+
+    def entry(w, *idx):
+        if where is not None and not where(w, *idx):
+            return tensor.zero
+        base = value(idx)
+        val = tuple(fields[w].apply(c) for c in base)
+        if r:
+            val = vec_add(val, combo(base, lambda a: gamma[w][a]))
+        for k, i in enumerate(idx):
+            val = vec_sub(val, combo(gamma[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
+        return val if r else val[0]
+
+    return FrameTensor.build((r, s + 1), conn.dim, entry)
 
 
 @pytest.fixture(scope="session")

@@ -263,12 +263,19 @@ class NumericTwin:
     # Each residual is lhs - A(E_w) p - B(E_w) q of its condition, from the
     # twin's tensors and the values a, b of the 1-forms at the point.
 
-    def phi(self):
-        """phi E_a = E_a + eta(E_a) xi with eta = g(., xi), as the matrix
-        phi[u][a] of frame components, xi the designated frame field."""
+    def xi_eta(self):
+        """The frame components of xi, the designated frame field, and of
+        eta = g(., xi)."""
         n = self.n
         xi = [Fraction(int(u == self.data.xi_index)) for u in range(n)]
         eta = [sum(self.g[a][b] * xi[b] for b in range(n)) for a in range(n)]
+        return xi, eta
+
+    def phi(self):
+        """phi E_a = E_a + eta(E_a) xi, as the matrix phi[u][a] of frame
+        components."""
+        n = self.n
+        xi, eta = self.xi_eta()
         return [[int(u == a) + eta[a] * xi[u] for a in range(n)] for u in range(n)]
 
     def sgr_residual(self, riem, nabla_r, a, b, phi=None):
@@ -300,3 +307,20 @@ class NumericTwin:
             [[nabla_s[w][i][j] - a[w] * ric[i][j] - n * b[w] * self.g[i][j] for j in range(n)] for i in range(n)]
             for w in range(n)
         ]
+
+    # -- the xi-direction identity ---------------------------------------------
+
+    def xi_identity_residual(self, nabla_r, coeff):
+        """g((nabla_w R)(xi,E_y)E_z, xi) + c {g(E_y,E_z) + eta(E_y) eta(E_z)} eta(E_w)
+        for the value c of 2 alpha rho - beta at the point, from the twin's
+        nabla R and g: (nabla_w R)(xi,E_y)E_z is sum_a xi^a (nabla_w R)(E_a,E_y)E_z."""
+        n = self.n
+        xi, eta = self.xi_eta()
+        out = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for w in range(n):
+            for y in range(n):
+                for z in range(n):
+                    vec = [sum(xi[a] * nabla_r[w][a][y][z][u] for a in range(n)) for u in range(n)]
+                    lhs = sum(vec[u] * self.g[u][b] * xi[b] for u in range(n) for b in range(n))
+                    out[w][y][z] = lhs + coeff * (self.g[y][z] + eta[y] * eta[z]) * eta[w]
+        return out

@@ -395,6 +395,29 @@ def test_recurrence_residuals_match_the_twin(name):
             assert ([twin.ev(e) for e in leaf] if residual.valence[0] else twin.ev(leaf)) == want, (kind, idx)
 
 
+@pytest.mark.parametrize("name", ["example51", "lcs4", "desitter5"])
+def test_xi_identity_residual_matches_the_twin(name):
+    # the identity reads nabla R at (w, a, y, z) for every a, both halves of
+    # the half rule; the AD_HOC inputs carry no structure.  The data's own
+    # beta gives a zero residual, beta shifted by the last coordinate a
+    # nonzero one
+    data = point_input(name)
+    n = data.dim
+    st_ = data.structure
+    twin = NumericTwin(data, POINTS[name])
+    nabla_r = twin.nabla_riemann(twin.gamma(), twin.riemann())
+    shifted = st_.beta + data.chart.parse(data.chart.coords[-1].name)
+    for beta, passed in ((None, True), (shifted, False)):
+        out = nabla_r_xi_identity(data, beta)
+        assert out.passed == passed and not out.sign_flipped
+        used = st_.beta if beta is None else beta
+        coeff = 2 * twin.ev(st_.alpha) * twin.ev(st_.rho) - twin.ev(used)
+        table = twin.xi_identity_residual(nabla_r, coeff)
+        for w, y, z in itertools.product(range(n), repeat=3):
+            assert twin.ev(out.residual.comp(w, y, z)) == table[w][y][z], (beta, w, y, z)
+        assert any(v != 0 for plane in table for row in plane for v in row) == (not passed)
+
+
 def test_criterion_13_deterministic_json_report():
     runs = [
         subprocess.run(

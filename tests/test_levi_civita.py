@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from lcslab import polyops
 from lcslab.frame_geometry import FrameTensor, GeometryError
 from lcslab.levi_civita import cov_deriv_tensor, cov_deriv_vector
 
-from conftest import make_manifold
+from conftest import AD_HOC, ad_hoc, builtin, gather_cov_deriv_tensor, make_manifold
 
 
 def txt_vec(data, comps):
@@ -127,6 +128,37 @@ class TestCovDerivTensor:
         nabla_r, nabla_s = flat3.nabla_riemann, flat3.nabla_ricci
         assert nabla_r.is_zero() and nabla_r.zero == (zero,) * 3 and nabla_r.comp(0, 1, 2, 0) == (zero,) * 3
         assert nabla_s.is_zero() and nabla_s.zero == zero and nabla_s.comp(2, 1, 0) == zero
+
+    @pytest.mark.parametrize(
+        "name", ["example51", "flat3", "desitter3", "lcs4", "lcs5", "desitter4", "desitter5", *AD_HOC]
+    )
+    def test_half_rule_equals_the_formula_at_every_index(self, name):
+        # nabla R is evaluated at x < y only and mirrored; the gather formula
+        # evaluates every (w, x, y, z) on its own
+        data = ad_hoc(name) if name in AD_HOC else builtin(name)
+        full = gather_cov_deriv_tensor(data.connection, data.stack.riemann13)
+        assert list(data.nabla_riemann.comps.items()) == list(full.comps.items())
+        assert data.nabla_riemann.zero == full.zero
+
+    @pytest.mark.parametrize("name", ["dense-style", "lcs5"])
+    def test_half_rule_makes_fewer_gcd_calls(self, monkeypatch, name):
+        data = ad_hoc(name) if name in AD_HOC else builtin(name)
+        conn, riem = data.connection, data.stack.riemann13
+        gcd = polyops.poly_gcd
+
+        def gcd_calls(derivative):
+            calls = []
+
+            def counted(a, b):
+                calls.append(None)
+                return gcd(a, b)
+
+            with monkeypatch.context() as m:
+                m.setattr(polyops, "poly_gcd", counted)
+                derivative(conn, riem)
+            return len(calls)
+
+        assert gcd_calls(cov_deriv_tensor) < gcd_calls(gather_cov_deriv_tensor)
 
     def test_unsupported_valence(self, example51):
         t = FrameTensor.build((0, 1), 3, lambda i: example51.chart.zero())
