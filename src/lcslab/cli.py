@@ -40,7 +40,7 @@ from . import __version__
 from .builtin_manifolds import BUILTIN_FORMS, builtin
 from .frame_geometry import Chart, Frame, FrameMetric, GeometryError, VectorField
 from .manifold import ManifoldData
-from .polyops import reset_gcd_memo
+from .polyops import reset_memos
 from .symexpr import Expr, ExprError, Var, parse, quote_text
 
 if TYPE_CHECKING:
@@ -227,7 +227,7 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
 
 def build_manifold(defn: ManifoldDef) -> ManifoldData:
     """Parse a definition's cells into engine state; raises LoadError."""
-    reset_gcd_memo()  # parsing and inverting the frame are this manifold's arithmetic too
+    reset_memos()  # parsing and inverting the frame are this manifold's arithmetic too
     variables = tuple(Var(c) for c in defn.coords)
     chart = Chart(variables)
     cell, problems = _cell_reader(variables, defn.source_text)

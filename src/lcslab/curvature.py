@@ -26,6 +26,14 @@ leaves (w,x,y), (x,w,y) and (y,w,x).  At a repeated direction the identity
 says only that nabla R is antisymmetric in (x,y), which the mirror holds by
 construction; R's own antisymmetry is checked on R.
 
+The memo of Expr operations (see ``symexpr``) makes none of these checks a
+tautology: R is evaluated by its formula at every (i,j), and a memo hit
+returns exactly the canonical result that recomputing the same operation on
+the same canonical operands gives.  ``antisymmetry-first-pair``,
+``pair-symmetry`` and ``second-bianchi`` therefore compare the same sums of
+independently formed leaves with the memo as without it; the memo only
+skips recomputing an operation already done.
+
 Every tensor here is evaluated only on its support, derived from the stored
 leaves of its inputs and the nonzero entries of gamma, the brackets and g
 (each function's docstring gives its rule).  Outside it every term of the

@@ -3,8 +3,12 @@
 Everything downstream (structure extraction, condition checkers, the CLI)
 works from one of these.  Derived data is computed once, lazily, and the
 underlying values are immutable, so sharing is safe.  Constructing one
-empties the polynomial GCD memo (see ``polyops``), so the kernel work of its
-stages does not depend on what ran before it in the process.
+empties the memos of Expr operations and polynomial GCDs (one reset, see
+``polyops``), so the arithmetic of its stages does not depend on what ran
+before it in the process.  Within one manifold, equal operations share one
+result: no stage repeats a product, sum, difference or frame derivative of
+nonzero operands that the same manifold already computed, up to the memo's
+bound.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .curvature import concircular as _concircular
 from .curvature import m_projective as _m_projective
 from .frame_geometry import Frame, FrameMetric, FrameTensor
 from .levi_civita import ConnectionCoeffs, cov_deriv_tensor, frame_brackets, koszul, lie_derivative_metric
-from .polyops import reset_gcd_memo
+from .polyops import reset_memos
 
 
 class ManifoldData:
@@ -27,7 +31,7 @@ class ManifoldData:
         self.frame = frame
         self.metric = metric
         self.xi_index = xi_index
-        reset_gcd_memo()
+        reset_memos()
 
     @property
     def chart(self):

@@ -11,28 +11,33 @@ nothing here writes to an argument, so a result may be an argument itself.
 Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
 of multi-term polynomials again and again (on the dense benchmark inputs,
 two thirds or more of the multi-term calls of a ``curvature`` run repeat an
-earlier pair), so ``poly_gcd`` keeps the latest results, least recently used first
-out.  The memo is keyed by the hash of both operands' contents, and a hit
-counts only when the stored operands equal the call's (``==``), so a hash
-collision is a miss, never a wrong answer.  It holds at most
-``GCD_MEMO_ENTRIES`` entries pinning at most ``GCD_MEMO_TERMS`` terms in
-all (operands and result), so large operands cannot inflate memory.  It
-keeps references to the operands and the result, which is safe because
-nothing writes to a polynomial once it is built: the kernels and the
-functions here never write to an argument, and no caller writes to a
-result.  ``reset_gcd_memo`` empties
-it; building a manifold (``ManifoldData``, and the CLI before it parses a
-definition) does so, which makes one manifold's kernel calls independent of
-whatever ran before it in the process.  Every entry is an exact GCD, so the
-reset is for determinism and memory, never for correctness.
+earlier pair), so ``poly_gcd`` keeps its results.  The memo is keyed by the
+hash of both operands' contents, and a hit counts only when the stored
+operands equal the call's (``==``), so a hash collision is a miss, never a
+wrong answer.  It holds at most ``GCD_MEMO_ENTRIES`` entries pinning at most
+``GCD_MEMO_TERMS`` terms in all (operands and result), so large operands
+cannot inflate memory.  It keeps references to the operands and the result,
+which is safe because nothing writes to a polynomial once it is built: the
+kernels and the functions here never write to an argument, and no caller
+writes to a result.
+
+Both memos of the engine are ``BoundedMemo`` stores: this one and
+``expr_memo``, which ``symexpr`` fills with Expr products, sums and
+differences and ``frame_geometry`` with frame derivatives.  Each is bounded
+by the terms it pins and is emptied whole when a store would pass its bound.
+One reset, ``reset_memos``, empties both; building a manifold
+(``ManifoldData``, and the CLI before it parses a definition) calls it,
+which makes one manifold's arithmetic independent of whatever ran before it
+in the process.  Every entry is exact, so the reset is for determinism and
+memory, never for correctness.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 from math import gcd as int_gcd
 
+from ._poly_py import _is_one as poly_is_one
 from ._poly_py import (
     poly_add,
     poly_divexact,
@@ -319,52 +324,77 @@ def _heu_gcd(a: Poly, b: Poly, vs: tuple):
     return None
 
 
-# -- memo of multi-term GCDs -------------------------------------------------
-
-GCD_MEMO_ENTRIES = 128
-GCD_MEMO_TERMS = 4096
+# -- bounded memos -------------------------------------------------------------
 
 
-class _GcdMemo:
-    """Least-recently-used multi-term GCDs, bounded in entries and in the
-    terms they pin."""
+class BoundedMemo:
+    """Results keyed by their operands, bounded by the terms they pin.
 
-    def __init__(self, max_entries: int, max_terms: int):
-        self.max_entries = max_entries
+    ``entries`` maps a key to its stored value; the caller looks up with
+    ``entries.get`` and stores with ``store``, passing the terms the entry
+    pins.  An entry larger than the whole budget is not stored.  A store
+    that would pass the budget first empties the memo (clear on overflow):
+    a hit then costs one dict lookup and nothing else, where a least
+    recently used order would cost bookkeeping on every hit.
+    """
+
+    def __init__(self, max_terms: int):
         self.max_terms = max_terms
-        self.entries: OrderedDict = OrderedDict()  # content hash -> (a, b, gcd, terms)
+        self.entries: dict = {}
         self.terms = 0
 
     def clear(self) -> None:
         self.entries.clear()
         self.terms = 0
 
+    def store(self, key, value, terms: int) -> None:
+        if terms > self.max_terms:
+            return
+        if self.terms + terms > self.max_terms:
+            self.clear()
+        self.entries[key] = value
+        self.terms += terms
+
+
+GCD_MEMO_ENTRIES = 512
+GCD_MEMO_TERMS = 4096
+EXPR_MEMO_TERMS = 65536
+
+
+class _GcdMemo(BoundedMemo):
+    """Multi-term GCDs keyed by a content hash of both operands, also bounded
+    in entries; each entry is (a, b, gcd, terms)."""
+
+    def __init__(self, max_entries: int, max_terms: int):
+        super().__init__(max_terms)
+        self.max_entries = max_entries
+
     def get(self, key: int, a: Poly, b: Poly):
         entry = self.entries.get(key)
         if entry is None or entry[0] != a or entry[1] != b:
             return None
-        self.entries.move_to_end(key)
         return entry[2]
 
     def put(self, key: int, a: Poly, b: Poly, g: Poly) -> None:
-        terms = len(a) + len(b) + len(g)
-        if terms > self.max_terms:
-            return
         old = self.entries.pop(key, None)  # a hash collision replaces the older pair
         if old is not None:
             self.terms -= old[3]
-        self.entries[key] = (a, b, g, terms)
-        self.terms += terms
-        while len(self.entries) > self.max_entries or self.terms > self.max_terms:
-            self.terms -= self.entries.popitem(last=False)[1][3]
+        elif len(self.entries) >= self.max_entries:
+            self.clear()
+        terms = len(a) + len(b) + len(g)
+        self.store(key, (a, b, g, terms), terms)
 
 
 _memo = _GcdMemo(GCD_MEMO_ENTRIES, GCD_MEMO_TERMS)
+# Expr products, sums, differences and frame derivatives, filled by symexpr
+# and frame_geometry; its keys and values are theirs
+expr_memo = BoundedMemo(EXPR_MEMO_TERMS)
 
 
-def reset_gcd_memo() -> None:
-    """Forget every memoised GCD."""
+def reset_memos() -> None:
+    """Forget every memoised GCD, Expr operation and frame derivative."""
     _memo.clear()
+    expr_memo.clear()
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -395,6 +425,7 @@ __all__ = [
     "poly_mul",
     "poly_mul_scalar",
     "poly_lead",
+    "poly_is_one",
     "poly_divexact",
     "poly_const",
     "poly_var",
@@ -405,5 +436,5 @@ __all__ = [
     "poly_diff",
     "poly_eval",
     "poly_gcd",
-    "reset_gcd_memo",
+    "reset_memos",
 ]

@@ -28,6 +28,31 @@ order never depends on those identity hashes.
 Equality is equality of rational functions, not of pointwise values: the
 domain restrictions implied by denominators (z != 0 and so on) are carried
 implicitly, never enforced.
+
+Memo: ``*``, ``+`` and ``-`` on two nonzero Exprs are memoised in
+``polyops.expr_memo``, keyed by (op, a, b); ``VectorField.apply`` keeps
+frame derivatives there too, keyed by (field, f).  The engine repeats the
+same operation on the same operands often (nabla_a Gamma_bk is built for
+(a,b,k) and again for (b,a,k), and the Gamma.leaf products of nabla R
+recur), and a hit skips the GCDs and kernel calls of the operation.  Because
+canonical forms are unique, a hit is exact: the key holds the operands
+themselves, so a hit requires operands equal to the call's (dict key
+equality, ``__eq__`` on the canonical forms) and a hash collision is a miss;
+the stored result is what recomputing the operation on those operands gives.
+``a + b`` and ``b + a`` (and ``a * b``, ``b * a``) have one canonical result,
+so their key puts the operand of smaller hash first; ``-`` keeps its order.
+The zero-absorbing and int-coercion paths run before the lookup.  The memo
+keeps references to operands and results, which is safe because no Expr and
+no polynomial is written after it is built.  It is bounded by the terms its
+entries pin, ``polyops.EXPR_MEMO_TERMS`` (65,536), and is emptied whole when
+a store would pass that bound: a hit then costs one dict lookup, where a
+least recently used order would cost bookkeeping on every hit, and only
+manifolds whose leaves grow to hundreds of terms ever fill it.
+``polyops.reset_memos`` empties it with the GCD memo whenever a manifold is
+built.  Equal results may be one shared object; Exprs are immutable, so
+nothing can tell.  ``__hash__``, the hash of the canonical form, is computed
+once per Expr and cached, and ``__eq__`` answers ``True`` at once for the
+same object.
 """
 
 from __future__ import annotations
@@ -122,7 +147,7 @@ class Var:
 class Expr:
     """Canonical rational function over a fixed ordered variable tuple."""
 
-    __slots__ = ("vars", "num", "den")
+    __slots__ = ("vars", "num", "den", "_hash")
     _zeros: dict = {}  # the interned zero of each variable tuple
 
     def __init__(self, variables, num, den):
@@ -141,6 +166,7 @@ class Expr:
         self.vars = variables
         self.num = num
         self.den = den
+        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
@@ -155,6 +181,7 @@ class Expr:
         self.vars = variables
         self.num = num
         self.den = den
+        self._hash = None
         return self
 
     @classmethod
@@ -190,12 +217,20 @@ class Expr:
     # -- canonical-form identity ----------------------------------------
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Expr):
             return NotImplemented
         return self.vars == other.vars and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.num.items()), frozenset(self.den.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.vars, frozenset(self.num.items()), frozenset(self.den.items())))
+        return h
+
+    def __reduce__(self):  # the cached hash rests on this process's Var identities
+        return (Expr._raw, (self.vars, self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
@@ -226,8 +261,24 @@ class Expr:
             return self
         if not self.num:
             return -o if sub else o
+        if sub:
+            key = (_SUB, self, o)
+        else:
+            key = (_ADD, self, o) if hash(self) <= hash(o) else (_ADD, o, self)
+        out = _memo.entries.get(key)
+        if out is None:
+            out = self._sum(o, P.poly_sub if sub else P.poly_add)
+            _remember(key, self, o, out)
+        return out
+
+    def _sum(self, o: "Expr", combine) -> "Expr":
         an, ad, bn, bd = self.num, self.den, o.num, o.den
-        combine = P.poly_sub if sub else P.poly_add
+        if ad == bd:
+            # one normalisation of the summed numerators, none over 1
+            num = combine(an, bn)
+            if not num:
+                return Expr.zero(self.vars)
+            return (Expr._raw if P.poly_is_one(ad) else Expr)(self.vars, num, ad)
         d = P.poly_gcd(ad, bd)
         exps, coeff = P.poly_lead(d)
         # coprime denominators: the cross-sum is already in lowest terms
@@ -266,13 +317,18 @@ class Expr:
             return self
         if not o.num:
             return o
-        an, ad, bn, bd = self.num, self.den, o.num, o.den
-        # cross-cancel; the remaining pieces are pairwise coprime
-        g1 = P.poly_gcd(an, bd)
-        g2 = P.poly_gcd(bn, ad)
-        num = P.poly_mul(P.poly_divexact(an, g1), P.poly_divexact(bn, g2))
-        den = P.poly_mul(P.poly_divexact(ad, g2), P.poly_divexact(bd, g1))
-        return Expr._raw(self.vars, num, den)
+        key = (_MUL, self, o) if hash(self) <= hash(o) else (_MUL, o, self)
+        out = _memo.entries.get(key)
+        if out is None:
+            an, ad, bn, bd = self.num, self.den, o.num, o.den
+            # cross-cancel; the remaining pieces are pairwise coprime
+            g1 = P.poly_gcd(an, bd)
+            g2 = P.poly_gcd(bn, ad)
+            num = P.poly_mul(P.poly_divexact(an, g1), P.poly_divexact(bn, g2))
+            den = P.poly_mul(P.poly_divexact(ad, g2), P.poly_divexact(bd, g1))
+            out = Expr._raw(self.vars, num, den)
+            _remember(key, self, o, out)
+        return out
 
     __rmul__ = __mul__
 
@@ -364,6 +420,17 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({str(self)!r})"
+
+
+# -- the memo of Expr operations -----------------------------------------------
+
+_ADD, _SUB, _MUL = "+", "-", "*"
+_memo = P.expr_memo
+
+
+def _remember(key, a: Expr, b: Expr, out: Expr) -> None:
+    """Store a op b = out under key, pinning the terms of all three."""
+    _memo.store(key, out, len(a.num) + len(a.den) + len(b.num) + len(b.den) + len(out.num) + len(out.den))
 
 
 def _point_values(variables, point) -> tuple:

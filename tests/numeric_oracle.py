@@ -324,3 +324,47 @@ class NumericTwin:
                     lhs = sum(vec[u] * self.g[u][b] * xi[b] for u in range(n) for b in range(n))
                     out[w][y][z] = lhs + coeff * (self.g[y][z] + eta[y] * eta[z]) * eta[w]
         return out
+
+    # -- the derived conditions ------------------------------------------------
+
+    def r_xi_dot_m(self, riem, mproj):
+        """eta((R(xi,E_x).M)(E_u,E_v)E_w): R(xi,E_x) acting on M as a
+        derivation, eta of R(xi,X) M(U,V)W - M(R(xi,X)U,V)W - M(U,R(xi,X)V)W
+        - M(U,V) R(xi,X)W, from the twin's R, M and g.  R(xi,E_x)E_k is
+        sum_a xi^a R(E_a,E_x)E_k, and M is linear in each slot."""
+        n = self.n
+        xi, eta = self.xi_eta()
+        rng = range(n)
+
+        def eta_of(vec):
+            return sum(eta[u] * vec[u] for u in rng)
+
+        # act[x][k][t]: frame component t of R(xi,E_x)E_k
+        act = [[[sum(xi[a] * riem[a][x][k][t] for a in rng) for t in rng] for k in rng] for x in rng]
+        eta_act = [[eta_of(act[x][k]) for k in rng] for x in rng]
+        eta_m = [[[eta_of(mproj[i][j][k]) for k in rng] for j in rng] for i in rng]
+        out = [[[[None] * n for _ in rng] for _ in rng] for _ in rng]
+        for x in rng:
+            for u in rng:
+                for v in rng:
+                    for w in rng:
+                        total = sum(mproj[u][v][w][k] * eta_act[x][k] for k in rng)
+                        for t in rng:
+                            total -= act[x][u][t] * eta_m[t][v][w]
+                            total -= act[x][v][t] * eta_m[u][t][w]
+                            total -= act[x][w][t] * eta_m[u][v][t]
+                        out[x][u][v][w] = total
+        return out
+
+    def c_xi_dot_s(self, conc, ric):
+        """S(C(xi,E_x)E_y, E_z) + S(C(xi,E_x)E_z, E_y), the engine's sign for
+        C(xi,X).S, from the twin's C and S; C(xi,E_x)E_y is
+        sum_a xi^a C(E_a,E_x)E_y."""
+        n = self.n
+        xi, _ = self.xi_eta()
+        rng = range(n)
+        cx = [[[sum(xi[a] * conc[a][x][y][t] for a in rng) for t in rng] for y in rng] for x in rng]
+        return [
+            [[sum(cx[x][y][t] * ric[t][z] + cx[x][z][t] * ric[t][y] for t in rng) for z in rng] for y in rng]
+            for x in rng
+        ]

@@ -24,6 +24,7 @@ from lcslab.conditions import (
     RecurrenceForms,
     RecurrenceKind,
     SolitonParams,
+    derived_condition_residuals,
     nabla_r_xi_identity,
     recurrence_fit,
     recurrence_residual,
@@ -416,6 +417,23 @@ def test_xi_identity_residual_matches_the_twin(name):
         for w, y, z in itertools.product(range(n), repeat=3):
             assert twin.ev(out.residual.comp(w, y, z)) == table[w][y][z], (beta, w, y, z)
         assert any(v != 0 for plane in table for row in plane for v in row) == (not passed)
+
+
+@pytest.mark.parametrize("name", ["example51", "lcs4", "desitter5"])
+def test_derived_condition_tensors_match_the_twin(name):
+    # R(xi,X).M and C(xi,X).S at every index, written out from the twin's own
+    # R, M, C, S and g; the AD_HOC inputs carry no structure
+    data = point_input(name)
+    n = data.dim
+    twin = NumericTwin(data, POINTS[name])
+    riem = twin.riemann()
+    ric = twin.ricci(riem)
+    mproj = twin.m_projective(riem, ric, twin.q_operator(ric))
+    conc = twin.concircular(riem, twin.scalar(ric))
+    out = derived_condition_residuals(data)
+    for tensor, table in ((out.rxm, twin.r_xi_dot_m(riem, mproj)), (out.cxs, twin.c_xi_dot_s(conc, ric))):
+        for idx in itertools.product(range(n), repeat=tensor.valence[1]):
+            assert twin.ev(tensor.comp(*idx)) == functools.reduce(list.__getitem__, idx, table), idx
 
 
 def test_criterion_13_deterministic_json_report():

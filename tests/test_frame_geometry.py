@@ -20,6 +20,8 @@ from lcslab.frame_geometry import (
 )
 from lcslab.symexpr import Var
 
+from test_symexpr import expressions
+
 XYZ = (Var("x"), Var("y"), Var("z"))
 CHART = Chart(XYZ)
 
@@ -258,3 +260,16 @@ def test_jacobi_identity(a, b, c):
     ]
     for i in range(3):
         assert sum((t.coeffs[i] for t in total), CHART.zero()).is_zero
+
+
+@given(expressions(), st.lists(expressions(), min_size=3, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_frame_derivative_equals_the_sum_of_partials(f, coeffs):
+    # X(f) is normalised once over the lcm of the coefficients' denominators;
+    # rational coefficients included (the strategy's denominators have content)
+    field = VectorField(CHART, tuple(coeffs))
+    expected = CHART.zero()
+    for c, v in zip(coeffs, XYZ):
+        expected = expected + c * f.diff(v)
+    got = field.apply(f)
+    assert (got.vars, got.num, got.den) == (expected.vars, expected.num, expected.den)

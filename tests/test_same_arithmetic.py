@@ -12,8 +12,9 @@ against the formula at every index).  Both runs must give the same reports,
 the same stored leaves in the same key order, and the same number of Expr
 constructions and polynomial kernel calls, counted by the benchmark's trace
 wrappers.  Leaving out the work on zeros may change nothing else.  The
-polynomial GCD memo is emptied whenever a manifold is built, so it acts
-alike in both runs.
+memos of Expr operations and polynomial GCDs are emptied whenever a
+manifold is built, and work on zeros never reaches them, so they act alike
+in both runs.
 """
 
 import importlib
@@ -114,7 +115,7 @@ def counted_curvature(name):
 
 
 def test_counts_do_not_depend_on_what_ran_before(monkeypatch):
-    # the GCD memo starts empty for each manifold: neither another manifold
+    # both memos start empty for each manifold: neither another manifold
     # nor the same one run before may change a run's arithmetic
     monkeypatch.syspath_prepend(str(PERFBENCH))
     ad_hoc("dense-style")  # interns the chart's zero outside the counted runs
