@@ -15,13 +15,15 @@ Exit codes: 0 when no entry failed (info and mismatch entries included),
 1 when any check failed, 2 when the definition could not be loaded, 3 when
 the engine itself failed (one stderr line names the exception).
 
-The ``conformance`` command diffs every engine-derived quantity of the
-bundled reference manifold against the published component tables it was
-transcribed from; any other manifold (another frame, metric or xi, under
-any name) is refused as a load error, since the tables describe only it.
-Where the two disagree, the report carries both values with status
-``mismatch``; engine values are the ones validated by the structural
-self-checks, and all downstream computation uses them.
+Commands: this module holds what every command uses (the argument parser,
+``load`` and ``build_manifold``, ``Report`` and the shared renderers) and
+the ``curvature`` report.  Each other command's report code is a module of
+its own, imported by ``run`` through ``COMMAND_MODULES`` when that command
+runs: ``cmd_check_lcs`` (check-lcs), ``cmd_check`` (check), ``cmd_fit``
+(fit), ``cmd_soliton`` (soliton), ``cmd_derived_conditions``
+(derived-conditions) and ``cmd_conformance`` (conformance, with the
+published tables it diffs against).  A cold command thus compiles only its
+own report code and the engine layers it runs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 from .builtin_manifolds import BUILTIN_FORMS, builtin
@@ -43,14 +45,11 @@ from .manifold import ManifoldData
 from .polyops import reset_memos
 from .symexpr import Expr, ExprError, Var, parse, quote_text
 
-if TYPE_CHECKING:
-    from .conditions import RecurrenceForms, RecurrenceKind
-
 # `curvature` needs neither the structure layer (lcs_structure) nor the
 # condition layer (conditions), and `check-lcs` needs no condition, so each
 # command imports only the layers it runs.  The entry points below call
-# into them on first use; they stay attributes of this module, called
-# through its globals, so a tracer can wrap them here.
+# into them on first use; they stay attributes of this module, and the
+# command modules call them as ``cli.<name>``, so a tracer can wrap them here.
 
 
 def _lazy(module: str, name: str):
@@ -390,45 +389,16 @@ def residual_excerpt(tensor) -> str | None:
 
 # -- commands ---------------------------------------------------------------
 
-
-def _structure_or_report(data: ManifoldData, report: Report):
-    from .lcs_structure import NotLcsError
-
-    try:
-        return derive_structure(data, data.xi_index)
-    except NotLcsError as exc:
-        report.add("structure", FAIL, "structure extraction", note=str(exc))
-        return None
-
-
-def cmd_check_lcs(data: ManifoldData, report: Report) -> None:
-    from .lcs_structure import EinsteinKind, classify
-
-    st = _structure_or_report(data, report)
-    if st is None:
-        return
-    report.add("structure.alpha", INFO, "alpha", engine=str(st.alpha))
-    report.add("structure.rho", INFO, "rho = -xi(alpha)", engine=str(st.rho))
-    report.add("structure.beta", INFO, "beta from d(rho) = beta eta", engine=str(st.beta))
-    k2 = st.alpha * st.alpha - st.rho
-    report.add("structure.alpha2-rho", INFO, "alpha^2 - rho", engine=str(k2))
-    for check in verify_axioms(data, st):
-        report.add(
-            f"axiom.{check.axiom}",
-            PASS if check.passed else FAIL,
-            check.description,
-            note=check.detail or None,
-        )
-    verdict = classify(data.stack.ricci, data.metric, st.eta)
-    if verdict.kind is EinsteinKind.NEITHER:
-        report.add("classification", INFO, "Ricci shape", engine="neither Einstein nor eta-Einstein")
-    else:
-        report.add(
-            "classification",
-            INFO,
-            "Ricci shape S = a g + b eta x eta",
-            engine=f"{verdict.kind.value} with a = {verdict.a}, b = {verdict.b}",
-        )
+# command -> the module with its report code (curvature's is below); each
+# has a ``run(data, report, options)`` that adds the command's entries
+COMMAND_MODULES = {
+    "check-lcs": ".cmd_check_lcs",
+    "check": ".cmd_check",
+    "fit": ".cmd_fit",
+    "soliton": ".cmd_soliton",
+    "derived-conditions": ".cmd_derived_conditions",
+    "conformance": ".cmd_conformance",
+}
 
 
 def cmd_curvature(data: ManifoldData, report: Report) -> None:
@@ -457,435 +427,15 @@ def cmd_curvature(data: ManifoldData, report: Report) -> None:
     add_self_checks(data, report)
 
 
-def _load_forms(data: ManifoldData, forms_path: str) -> RecurrenceForms:
-    from .conditions import RecurrenceForms
-
-    raw, payload = _read_json(Path(forms_path), forms_path)
-    n = data.dim
-    if not isinstance(payload, dict) or not all(isinstance(payload.get(k), list) for k in ("A", "B")):
-        raise LoadError(f"{forms_path}: forms file needs 'A' and 'B' arrays")
-    if len(payload["A"]) != n or len(payload["B"]) != n:
-        raise LoadError(f"{forms_path}: 'A' and 'B' must each have {n} entries")
-    cell, problems = _cell_reader(data.chart.coords, raw)
-    a, b = ([cell(v, f"{k}[{i + 1}]") for i, v in enumerate(payload[k])] for k in "AB")
-    if problems:
-        raise LoadError(f"{forms_path}: " + "; ".join(problems))
-    return RecurrenceForms.from_covectors(data, a, b)
-
-
-def cmd_check_recurrence(data: ManifoldData, report: Report, kind: RecurrenceKind, forms: RecurrenceForms) -> None:
-    from .conditions import RecurrenceKind, sgr_predictions
-    from .lcs_structure import NotLcsError
-
-    for i, (a, b) in enumerate(zip(forms.a, forms.b)):
-        report.add(f"forms.{i + 1}", INFO, f"A(E{i + 1}), B(E{i + 1})", engine=f"{a}, {b}")
-    try:
-        residual, is_zero = recurrence_residual(data, kind, forms)
-    except NotLcsError as exc:
-        report.add("recurrence", FAIL, f"{kind.value} residual", note=f"needs a concircular structure: {exc}")
-        return
-    report.add(
-        f"recurrence.{kind.value}",
-        PASS if is_zero else FAIL,
-        f"{kind.value} condition with the given forms",
-        residual=None if is_zero else residual_excerpt(residual),
-        note="residual is identically zero" if is_zero else "residual is nonzero",
-    )
-    if kind is RecurrenceKind.SGR:
-        try:
-            pred = sgr_predictions(data, forms)
-        except NotLcsError as exc:
-            report.add("predictions", INFO, "scalar-curvature predictions", note=str(exc))
-            return
-        gate_note = None if is_zero else "hypothesis residual nonzero; reported informationally"
-        if pred.r_predicted is None:
-            report.add("predictions.scalar", INFO, "predicted scalar curvature", note=pred.r_note)
-        else:
-            status = (PASS if pred.r_matches else FAIL) if is_zero else INFO
-            report.add(
-                "predictions.scalar",
-                status,
-                "predicted vs engine scalar curvature",
-                engine=f"engine {pred.r_engine}, predicted {pred.r_predicted}",
-                note=gate_note,
-            )
-        if pred.opposition is None:
-            report.add("predictions.opposition", INFO, "A + (n^2/r) B", note=pred.opposition_note)
-        else:
-            status = (PASS if pred.opposition_zero else FAIL) if is_zero else INFO
-            report.add(
-                "predictions.opposition",
-                status,
-                "A + (n^2/r) B = 0",
-                engine=", ".join(str(e) for e in pred.opposition),
-                note=gate_note,
-            )
-
-
-def cmd_fit(data: ManifoldData, report: Report, kind: RecurrenceKind) -> None:
-    from .conditions import NoSolution, RecurrenceKind
-
-    if kind is RecurrenceKind.SGPR:
-        raise LoadError("fit supports SGR and SGRR")
-    result = recurrence_fit(data, kind)
-    if isinstance(result, NoSolution):
-        report.add(
-            f"fit.{kind.value}",
-            INFO,
-            f"{kind.value} fit has no exact solution",
-            note=result.describe(),
-        )
-        return
-    for i, (a, b) in enumerate(zip(result.a, result.b)):
-        report.add(f"fit.{kind.value}.{i + 1}", INFO, f"A(E{i + 1}), B(E{i + 1})", engine=f"{a}, {b}")
-    report.add(
-        f"fit.{kind.value}.duals",
-        INFO,
-        "metric duals rho1, rho2",
-        engine=f"{format_vector(result.rho1)}; {format_vector(result.rho2)}",
-    )
-    _, is_zero = recurrence_residual(data, kind, result)
-    report.add(
-        f"fit.{kind.value}.roundtrip",
-        PASS if is_zero else FAIL,
-        "fitted forms reproduce the condition exactly",
-    )
-
-
-def cmd_soliton(data: ManifoldData, report: Report, p_text: str, lambda_text: str | None) -> None:
-    from .conditions import SolitonParams, soliton_lambda
-    from .lcs_structure import NotLcsError
-
-    chart = data.chart
-    try:
-        p = chart.parse(p_text)
-    except ExprError as exc:
-        raise LoadError(f"bad --p expression: {exc}") from None
-
-    alpha = None
-    try:
-        alpha = data.structure.alpha
-    except NotLcsError:
-        pass
-
-    lam_printed = lam_traced = None
-    if alpha is not None:
-        lam_printed, lam_traced = soliton_lambda(alpha, p, data.dim)
-        report.add("lambda.printed", INFO, "lambda = p/2 + ((n+1)/n) alpha", engine=str(lam_printed))
-        report.add("lambda.traced", INFO, "lambda from the trace with g(xi,xi) = -1 and r = -1", engine=str(lam_traced))
-        if lam_printed != lam_traced:
-            report.add(
-                "lambda.difference",
-                INFO,
-                "the two lambda derivations disagree",
-                engine=str(lam_printed - lam_traced),
-                note="both are reported; neither is preferred silently",
-            )
-    if lambda_text is not None:
-        try:
-            lam = chart.parse(lambda_text)
-        except ExprError as exc:
-            raise LoadError(f"bad --lambda expression: {exc}") from None
-    elif lam_printed is not None:
-        lam = lam_printed
-    else:
-        report.add("soliton", FAIL, "soliton residual", note="no structure alpha available; pass --lambda explicitly")
-        return
-
-    if not lam.is_constant:
-        report.add(
-            "lambda.constancy",
-            INFO,
-            "lambda is not constant",
-            engine=str(lam),
-            note="treated as a scalar field; the derivations presume a scalar",
-        )
-    if alpha is not None:
-        params = SolitonParams.derive(lam, p, alpha, data.dim)
-        report.add("soliton.k", INFO, "k = lambda - (p/2 + 1/n) - alpha", engine=str(params.k))
-    else:
-        params = SolitonParams(lam, p)
-    check = soliton_residual(data, data.xi_components(), params)
-    report.add(
-        "soliton.residual",
-        INFO,
-        "L_xi g + 2S - [2 lambda - (p + 2/n)] g",
-        engine="0 (conformal soliton)" if check.is_soliton else "nonzero (not a conformal soliton)",
-        residual=residual_excerpt(check.residual),
-    )
-    if check.eta_einstein_residual is not None:
-        zero = check.eta_einstein_residual.is_zero()
-        report.add(
-            "soliton.eta-einstein",
-            INFO,
-            "S - k g + alpha eta x eta",
-            engine="0" if zero else "nonzero",
-            residual=residual_excerpt(check.eta_einstein_residual),
-        )
-
-
-def cmd_derived_conditions(data: ManifoldData, report: Report) -> None:
-    from .lcs_structure import EinsteinKind, NotLcsError
-
-    try:
-        out = derived_condition_residuals(data)
-    except NotLcsError as exc:
-        report.add("derived-conditions", FAIL, "derived conditions", note=f"needs a concircular structure: {exc}")
-        return
-    report.add(
-        "mproj-xi",
-        PASS if out.mproj_xi_residual.is_zero() else FAIL,
-        "eta(M(X,Y)xi) = 0",
-        residual=residual_excerpt(out.mproj_xi_residual),
-    )
-    report.add(
-        "rxm",
-        INFO,
-        "R(xi,X) acting on the M-projective tensor",
-        engine="0" if out.rxm_zero else "nonzero",
-        residual=residual_excerpt(out.rxm),
-    )
-    report.add(
-        "cxs",
-        INFO,
-        "C(xi,X) acting on the Ricci tensor",
-        engine="0" if out.cxs_zero else "nonzero",
-        residual=residual_excerpt(out.cxs),
-    )
-    report.add("guard.rxm", INFO, "guard alpha^2 - rho", engine=str(out.guard_rxm))
-    report.add("guard.cxs", INFO, "guard n(n-1)(alpha^2 - rho) + 1", engine=str(out.guard_cxs))
-    for label, verdict in (("rxm", out.einstein_from_rxm), ("cxs", out.einstein_from_cxs)):
-        if verdict is None:
-            report.add(f"einstein.{label}", INFO, "Einstein conclusion not gated", note="hypothesis or guard not met")
-            continue
-        report.add(
-            f"einstein.{label}",
-            PASS if verdict.kind is EinsteinKind.EINSTEIN else FAIL,
-            "vanishing action + nonzero guard imply an Einstein manifold",
-            engine=verdict.kind.value + (f" with a = {verdict.a}" if verdict.a is not None else ""),
-        )
-    ident = nabla_r_xi_identity(data)
-    report.add(
-        "xi-derivative-identity",
-        PASS if ident.passed else FAIL,
-        "g((nabla_W R)(xi,Y)Z, xi) = -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)",
-        engine=f"2 alpha rho - beta = {ident.coefficient}",
-        residual=residual_excerpt(ident.residual),
-        note="passes under the sign-flipped beta convention" if ident.sign_flipped else None,
-    )
-
-
-# -- conformance -------------------------------------------------------------
-
-PUBLISHED_BRACKETS = {
-    (0, 1): ("0", "-z", "0"),
-    (0, 2): ("-1/z", "0", "0"),
-    (1, 2): ("0", "-1/z", "0"),
-}
-
-PUBLISHED_CONNECTION = {
-    (0, 0): ("0", "0", "-1/z"),
-    (0, 1): ("0", "0", "0"),
-    (0, 2): ("-1/z", "0", "0"),
-    (1, 0): ("0", "z", "0"),
-    (1, 1): ("-z", "0", "-1/z"),
-    (1, 2): ("0", "-1/z", "0"),
-    (2, 0): ("0", "0", "0"),
-    (2, 1): ("0", "0", "0"),
-    (2, 2): ("0", "0", "0"),
-}
-
-PUBLISHED_CURVATURE = {
-    (1, 2, 2): ("0", "-2/z^2", "0"),
-    (0, 2, 2): ("-2/z^2", "0", "0"),
-    (0, 1, 1): ("1/z^2 - z^2", "0", "0"),
-    (1, 2, 1): ("0", "0", "-2/z^2"),
-    (0, 1, 0): ("0", "z^2 - 1/z^2", "0"),
-    (0, 2, 0): ("0", "0", "-2/z^2"),
-}
-
-PUBLISHED_RICCI = {
-    (0, 0): "-(z^2 + 1/z^2)",
-    (1, 1): "-(z^2 + 1/z^2)",
-    (2, 2): "-4/z^2",
-}
-
-PUBLISHED_PHI = {0: ("1", "0", "0"), 1: ("0", "1", "0"), 2: ("0", "0", "0")}
-
-PUBLISHED_ALPHA = "-1/z"
-PUBLISHED_RHO = "-1/z^2"
-
-# published covariant derivative of the Ricci tensor, as a full tensor:
-# direction -> {(i, j): coefficient}; everything not listed is zero
-PUBLISHED_NABLA_RICCI = {
-    0: {(0, 2): "-(z + 5/z^3)", (2, 0): "-(z + 5/z^3)"},
-    1: {(1, 2): "-(z + 5/z^3)", (2, 1): "-(z + 5/z^3)"},
-    2: {},
-}
-
-# published recurrence 1-forms; the nonzero entries depend on the vector
-# arguments a_i, b_i, c_i and are recorded verbatim as text
-PUBLISHED_FORMS_A = (
-    "(a1 c2 + c1 a2) / (z (a1 a2 + b1 b2))",
-    "(b1 c2 + c1 b2) / (z (a1 a2 + b1 b2))",
-    "0",
-)
-PUBLISHED_FORMS_B = (
-    "-4 (a1 c2 + c1 a2) / (3 z^3 (a1 a2 + b1 b2))",
-    "-4 (b1 c2 + c1 b2) / (3 z^3 (a1 a2 + b1 b2))",
-    "0",
-)
-
-
-def cmd_conformance(data: ManifoldData, report: Report) -> None:
-    from .conditions import RecurrenceKind
-
-    chart = data.chart
-    pub = lambda text: chart.parse(text)
-    ref = builtin("example51")
-    cells = lambda rows: tuple(tuple(map(pub, row)) for row in rows)
-    if not (
-        [v.name for v in chart.coords] == ref["coords"]
-        and data.xi_index == ref["xi"] - 1
-        and tuple(f.coeffs for f in data.frame.fields) == cells(ref["frame"])
-        and data.metric.g == cells(ref["metric"])
-    ):
-        raise LoadError(
-            "conformance compares with the published tables of example51, so it needs that manifold: "
-            "coordinates x, y, z and the same frame, metric and xi"
-        )
-
-    def diff_vector(check_id, title, engine_vec, published_texts):
-        published_vec = tuple(pub(t) for t in published_texts)
-        same = all(a == b for a, b in zip(engine_vec, published_vec))
-        report.add(
-            check_id,
-            PASS if same else MISMATCH,
-            title,
-            engine=format_vector(engine_vec),
-            published=format_vector(published_vec),
-        )
-        return same
-
-    for (i, j), texts in sorted(PUBLISHED_BRACKETS.items()):
-        diff_vector(f"bracket.{i + 1}{j + 1}", f"[E{i + 1},E{j + 1}]", data.brackets[i][j], texts)
-
-    for (i, j), texts in sorted(PUBLISHED_CONNECTION.items()):
-        diff_vector(f"connection.{i + 1}{j + 1}", f"nabla_E{i + 1} E{j + 1}", data.connection.gamma[i][j], texts)
-
-    riem = data.stack.riemann13
-    for (i, j, k), texts in sorted(PUBLISHED_CURVATURE.items()):
-        diff_vector(f"riemann.{i + 1}{j + 1}{k + 1}", f"R(E{i + 1},E{j + 1})E{k + 1}", riem.comp(i, j, k), texts)
-
-    st = derive_structure(data, data.xi_index)
-    for check_id, engine_value, published_text, title in (
-        ("structure.alpha", st.alpha, PUBLISHED_ALPHA, "alpha"),
-        ("structure.rho", st.rho, PUBLISHED_RHO, "rho"),
-    ):
-        same = engine_value == pub(published_text)
-        report.add(check_id, PASS if same else MISMATCH, title, engine=str(engine_value), published=published_text)
-    report.add(
-        "structure.beta",
-        INFO,
-        "beta from d(rho) = beta eta",
-        engine=str(st.beta),
-        note="no published value; the proportionality convention mirrors the one for rho",
-    )
-    for i, texts in sorted(PUBLISHED_PHI.items()):
-        diff_vector(f"structure.phi.{i + 1}", f"phi E{i + 1}", st.phi.comp(i), texts)
-    eta_ok = st.eta_of(st.xi) == chart.const(-1)
-    report.add("structure.eta-xi", PASS if eta_ok else FAIL, "eta(E3) = -1", engine=str(st.eta_of(st.xi)), published="-1")
-
-    ric = data.stack.ricci
-    for (i, j), text in sorted(PUBLISHED_RICCI.items()):
-        engine_value = ric.comp(i, j)
-        published_value = pub(text)
-        same = engine_value == published_value
-        report.add(
-            f"ricci.{i + 1}{j + 1}",
-            PASS if same else MISMATCH,
-            f"S(E{i + 1},E{j + 1})",
-            engine=str(engine_value),
-            published=text,
-            note=None
-            if same
-            else "engine value validated by direct contraction of the engine curvature tensor "
-            "and exact rational evaluation; downstream checks use it",
-        )
-
-    nabla_s = data.nabla_ricci
-    n = data.dim
-    for w in range(n):
-        published_map = PUBLISHED_NABLA_RICCI[w]
-        diffs = []
-        for i in range(n):
-            for j in range(n):
-                engine_value = nabla_s.comp(w, i, j)
-                published_value = pub(published_map.get((i, j), "0"))
-                if engine_value != published_value:
-                    diffs.append(f"({i + 1},{j + 1}): engine {engine_value}, published {published_value}")
-        report.add(
-            f"nabla-ricci.{w + 1}",
-            PASS if not diffs else MISMATCH,
-            f"(nabla_E{w + 1} S) components",
-            engine="matches" if not diffs else "; ".join(diffs[:3]) + ("; ..." if len(diffs) > 3 else ""),
-            published="full table as printed",
-            note=None if not diffs else "derived from the published Ricci values, which the engine also flags",
-        )
-
-    # example51 has no exact SGRR 1-forms, so the fit is a NoSolution witness
-    fit = recurrence_fit(data, RecurrenceKind.SGRR)
-    report.add(
-        "forms.fit",
-        MISMATCH,
-        "Ricci-recurrence 1-forms A, B",
-        engine=f"no exact 1-forms exist: {fit.describe()}",
-        published=f"A = {PUBLISHED_FORMS_A}; B = {PUBLISHED_FORMS_B}",
-        note="the published entries depend on the vector arguments, so they are not 1-forms on the manifold",
-    )
-    report.add(
-        "recurrence.SGRR",
-        MISMATCH,
-        "semi-generalized Ricci recurrence",
-        engine="condition has no exact solution with genuine 1-forms",
-        published="manifold is reported to satisfy the condition",
-    )
-
-    add_self_checks(data, report)
-
-    axiom_checks = verify_axioms(data, st)
-    bad = [c for c in axiom_checks if not c.passed]
-    report.add(
-        "axioms",
-        PASS if not bad else FAIL,
-        f"structure axioms ({len(axiom_checks)} checks)",
-        note=None if not bad else "; ".join(c.axiom for c in bad),
-    )
-
-
 # -- dispatch -----------------------------------------------------------------
 
 
 def run(command: str, data: ManifoldData, options: dict) -> Report:
     report = Report(command=command, manifold=data.name, notes=[CONVENTION_NOTE])
-    if command == "check-lcs":
-        cmd_check_lcs(data, report)
-    elif command == "curvature":
+    if command == "curvature":
         cmd_curvature(data, report)
-    elif command == "check":
-        from .conditions import RecurrenceKind
-
-        cmd_check_recurrence(data, report, RecurrenceKind(options["kind"]), _load_forms(data, options["forms"]))
-    elif command == "fit":
-        from .conditions import RecurrenceKind
-
-        cmd_fit(data, report, RecurrenceKind(options["kind"]))
-    elif command == "soliton":
-        cmd_soliton(data, report, options.get("p", "0"), options.get("lam"))
-    elif command == "derived-conditions":
-        cmd_derived_conditions(data, report)
-    elif command == "conformance":
-        cmd_conformance(data, report)
+    elif command in COMMAND_MODULES:
+        import_module(COMMAND_MODULES[command], __package__).run(data, report, options)
     else:
         raise LoadError(f"unknown command {command!r}")
     return report
@@ -956,4 +506,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under `python -m lcslab.cli` the command modules' `from . import cli`
+    # must find this module, not import a second copy of it
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

@@ -1,0 +1,38 @@
+"""The ``fit KIND`` report: exact recurrence 1-forms, or the first row that
+has no solution."""
+
+from __future__ import annotations
+
+from . import cli
+from .cli import FAIL, INFO, PASS, LoadError, Report, format_vector
+from .conditions import NoSolution, RecurrenceKind
+from .manifold import ManifoldData
+
+
+def run(data: ManifoldData, report: Report, options: dict) -> None:
+    kind = RecurrenceKind(options["kind"])
+    if kind is RecurrenceKind.SGPR:
+        raise LoadError("fit supports SGR and SGRR")
+    result = cli.recurrence_fit(data, kind)
+    if isinstance(result, NoSolution):
+        report.add(
+            f"fit.{kind.value}",
+            INFO,
+            f"{kind.value} fit has no exact solution",
+            note=result.describe(),
+        )
+        return
+    for i, (a, b) in enumerate(zip(result.a, result.b)):
+        report.add(f"fit.{kind.value}.{i + 1}", INFO, f"A(E{i + 1}), B(E{i + 1})", engine=f"{a}, {b}")
+    report.add(
+        f"fit.{kind.value}.duals",
+        INFO,
+        "metric duals rho1, rho2",
+        engine=f"{format_vector(result.rho1)}; {format_vector(result.rho2)}",
+    )
+    _, is_zero = cli.recurrence_residual(data, kind, result)
+    report.add(
+        f"fit.{kind.value}.roundtrip",
+        PASS if is_zero else FAIL,
+        "fitted forms reproduce the condition exactly",
+    )

@@ -24,7 +24,6 @@ Expr.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -286,9 +285,13 @@ class FrameTensor(NamedTuple):
 #
 # Products summed over a frame index go through dot (scalars) or combo
 # (vectors).  Zero absorbs in the scalar layer (x + 0 is x, x * 0 is the
-# interned zero, neither costs a GCD), so arithmetic needs no zero guards
-# here; the guards that remain skip work, not arithmetic: combo never builds
-# vec_of(a) for a zero coefficient.
+# interned zero, neither costs a GCD), but on the sparse high-n inputs most
+# operands are zero and each such call still costs a coercion and a
+# dispatch.  So the primitives below test for a zero operand themselves and
+# return exactly the object the scalar layer would (the nonzero operand, its
+# negation, or the zero operand itself), without calling it; every other
+# operation runs as before, in the same order.  combo never builds vec_of(a)
+# for a zero coefficient.
 
 
 def vec_nonzero(u) -> bool:
@@ -296,20 +299,30 @@ def vec_nonzero(u) -> bool:
 
 
 def vec_add(u, v):
-    return tuple(map(operator.add, u, v))
+    return tuple(a if b.is_zero else b if a.is_zero else a + b for a, b in zip(u, v))
 
 
 def vec_sub(u, v):
-    return tuple(map(operator.sub, u, v))
+    return tuple(a if b.is_zero else -b if a.is_zero else a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Expr, u):
-    return tuple(c * a for a in u)
+    if c.is_zero:
+        return (c,) * len(u)
+    return tuple(a if a.is_zero else c * a for a in u)
 
 
 def dot(u, v) -> Expr:
-    """sum_a u[a] v[a] over two nonempty sequences of scalars."""
-    return reduce(operator.add, map(operator.mul, u, v))
+    """sum_a u[a] v[a] over two nonempty sequences of scalars; with no term
+    whose factors are both nonzero, the zero factor of the first term."""
+    total = None
+    for a, b in zip(u, v):
+        if a.is_zero or b.is_zero:
+            continue
+        total = a * b if total is None else total + a * b
+    if total is None:
+        return u[0] if u[0].is_zero else v[0]
+    return total
 
 
 def combo(coeffs, vec_of) -> tuple[Expr, ...]:

@@ -4,9 +4,12 @@ Everything here is exact arithmetic over the integers.  The GCD tries the
 evaluate/reconstruct/verify heuristic first (coprime inputs, the common
 case when canonicalizing fractions, cost one evaluation and one integer
 GCD) and falls back to a recursive subresultant remainder sequence when
-the heuristic gives up.  Integer content is folded into the GCD, so
-canonical fractions reduce constants as well (2x/2 -> x).  Like the kernels,
-nothing here writes to an argument, so a result may be an argument itself.
+the heuristic gives up.  That fallback is the module ``_subresultant``,
+which ``_gcd_rec`` imports on its first call, so a command whose GCDs all
+succeed heuristically (every benchmark input) never compiles it.  Integer
+content is folded into the GCD, so canonical fractions reduce constants as
+well (2x/2 -> x).  Like the kernels, nothing here writes to an argument,
+so a result may be an argument itself.
 
 Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
 of multi-term polynomials again and again (on the dense benchmark inputs,
@@ -115,43 +118,6 @@ def poly_eval(a: Poly, values: tuple) -> Fraction:
     return total
 
 
-def _deg_in(a: Poly, v: int) -> int:
-    return max((e[v] for e in a), default=-1)
-
-
-def _coeff_in(a: Poly, v: int, d: int) -> Poly:
-    """Coefficient of x_v^d as a polynomial with the v-slot zeroed."""
-    out: Poly = {}
-    for e, c in a.items():
-        if e[v] == d:
-            out[e[:v] + (0,) + e[v + 1 :]] = c
-    return out
-
-
-def _shift_in(a: Poly, v: int, k: int) -> Poly:
-    return {e[:v] + (e[v] + k,) + e[v + 1 :]: c for e, c in a.items()}
-
-
-def _pseudo_rem(f: Poly, g: Poly, v: int) -> Poly:
-    """Classical pseudo-remainder lc(g)^(deg f - deg g + 1) f mod g in x_v."""
-    df = _deg_in(f, v)
-    dg = _deg_in(g, v)
-    delta = df - dg
-    lg = _coeff_in(g, v, dg)
-    r = f
-    steps = 0
-    while r:
-        dr = _deg_in(r, v)
-        if dr < dg:
-            break
-        lr = _coeff_in(r, v, dr)
-        r = poly_sub(poly_mul(lg, r), poly_mul(_shift_in(lr, v, dr - dg), g))
-        steps += 1
-    for _ in range(delta + 1 - steps):
-        r = poly_mul(lg, r)
-    return r
-
-
 def _int_content(a: Poly) -> int:
     g = 0
     for c in a.values():
@@ -168,76 +134,12 @@ def _monomial_gcd(a: Poly, b: Poly) -> Poly:
     return {mins: int_gcd(_int_content(a), _int_content(b))}
 
 
-def _content_in(a: Poly, v: int, vs: tuple) -> Poly:
-    """GCD of the x_v-coefficients of a (a polynomial free of x_v)."""
-    cont: Poly = {}
-    for d in range(_deg_in(a, v) + 1):
-        cd = _coeff_in(a, v, d)
-        if cd:
-            cont = _gcd_rec(cont, cd, vs)
-            lead = poly_lead(cont)
-            if lead is not None and sum(lead[0]) == 0 and lead[1] == 1:
-                break  # content is already 1
-    return cont
-
-
-def _subresultant_pp_gcd(f: Poly, g: Poly, v: int) -> Poly:
-    """GCD of two x_v-primitive polynomials, by the subresultant sequence.
-
-    Content extraction happens once at the end instead of at every step,
-    which keeps the remainder sequence cheap (Collins/Brown/Traub).
-    """
-    nvars = len(next(iter(f)))
-    rest = tuple(i for i in range(nvars) if i != v)
-    one = poly_const(nvars, 1)
-    gg = one
-    hh = one
-    while True:
-        delta = _deg_in(f, v) - _deg_in(g, v)
-        r = _pseudo_rem(f, g, v)
-        if not r:
-            break
-        if _deg_in(r, v) == 0:
-            return one  # primitive inputs with a constant-in-x_v remainder are coprime
-        f, g = g, poly_divexact(r, poly_mul(gg, poly_pow(hh, delta, nvars)))
-        gg = _coeff_in(f, v, _deg_in(f, v))
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            hh = gg
-        else:
-            hh = poly_divexact(poly_pow(gg, delta, nvars), poly_pow(hh, delta - 1, nvars))
-    pp = poly_divexact(g, _content_in(g, v, rest))
-    return pp
-
-
 def _gcd_rec(a: Poly, b: Poly, vs: tuple) -> Poly:
-    if not a:
-        return normalize_sign(b)
-    if not b:
-        return normalize_sign(a)
-    if a == b:
-        return normalize_sign(a)
-    if len(a) == 1 or len(b) == 1:
-        return _monomial_gcd(a, b)
-    used = tuple(v for v in vs if poly_appears(a, v) or poly_appears(b, v))
-    if not used:
-        nvars = len(next(iter(a)))
-        return poly_const(nvars, int_gcd(next(iter(a.values())), next(iter(b.values()))))
-    v, rest = used[0], used[1:]
+    """The subresultant GCD over the variables ``vs``; its module is loaded on
+    the first call."""
+    from ._subresultant import _gcd_rec
 
-    cont_a = _content_in(a, v, rest) if poly_appears(a, v) else a
-    cont_b = _content_in(b, v, rest) if poly_appears(b, v) else b
-    cont = _gcd_rec(cont_a, cont_b, rest)
-    pa = poly_divexact(a, cont_a)
-    pb = poly_divexact(b, cont_b)
-
-    f, g = (pa, pb) if _deg_in(pa, v) >= _deg_in(pb, v) else (pb, pa)
-    if _deg_in(g, v) == 0:
-        # one part is free of x_v, and both are primitive: coprime
-        return normalize_sign(cont)
-    pp = _subresultant_pp_gcd(f, g, v)
-    return normalize_sign(poly_mul(cont, pp))
+    return _gcd_rec(a, b, vs)
 
 
 # -- heuristic GCD -----------------------------------------------------------

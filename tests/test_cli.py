@@ -521,18 +521,64 @@ def test_cli_import_leaves_out_dataclasses():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
     assert out.strip() == "False"
 
-@pytest.mark.parametrize(
-    "command, absent",
-    [("curvature", ("lcslab.conditions", "lcslab.lcs_structure")), ("check-lcs", ("lcslab.conditions",))],
-)
-def test_command_imports_only_the_layers_it_runs(command, absent):
+# the modules of lcslab a cold `curvature` loads; every command loads these
+CURVATURE_MODULES = {
+    "",
+    "_poly_py",
+    "builtin_manifolds",
+    "cli",
+    "curvature",
+    "frame_geometry",
+    "levi_civita",
+    "manifold",
+    "polyops",
+    "symexpr",
+}
+STRUCTURE = {"lcs_structure"}
+CONDITIONS = {"lcs_structure", "conditions"}
+
+
+# command -> (arguments, exit code, the modules it loads besides CURVATURE_MODULES)
+COMMAND_IMPORTS = {
+    "curvature": (["curvature", "example51"], 0, set()),
+    "check-lcs": (["check-lcs", "example51"], 0, STRUCTURE | {"cmd_check_lcs"}),
+    "check": (["check", "SGR", "example51", "--forms", "FORMS"], 1, CONDITIONS | {"cmd_check"}),
+    "fit": (["fit", "SGR", "example51"], 0, CONDITIONS | {"cmd_fit"}),
+    "soliton": (["soliton", "example51"], 0, CONDITIONS | {"cmd_soliton"}),
+    "derived-conditions": (["derived-conditions", "example51"], 0, CONDITIONS | {"cmd_derived_conditions"}),
+    "conformance": (["conformance", "example51"], 0, CONDITIONS | {"cmd_conformance"}),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_IMPORTS))
+def test_command_imports_only_the_layers_it_runs(tmp_path, command):
+    # a cold command compiles each module it loads: curvature loads no other
+    # command's report module, no structure or condition layer and no GCD
+    # fallback (_subresultant), and every other command only its own report
+    # module and the layers it runs
+    forms = tmp_path / "forms.json"
+    forms.write_text(json.dumps({"A": ["x", "0", "1/z"], "B": ["0", "y", "1"]}), encoding="utf-8")
+    argv, code, extra = COMMAND_IMPORTS[command]
+    argv = [str(forms) if a == "FORMS" else a for a in argv]
     probe = (
-        "import sys; from lcslab import cli; "
-        f"report = cli.run({command!r}, cli.build_manifold(cli.load('example51')), {{}}); "
-        f"print(report.exit_code, [m for m in {absent!r} if m in sys.modules])"
+        "import contextlib, io, json, sys; from lcslab.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): code = main({[*argv, '--json']!r})\n"
+        "print(code, json.dumps(sorted(m for m in sys.modules if m == 'lcslab' or m.startswith('lcslab.'))))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
-    assert out.split(maxsplit=1) == ["0", "[]\n"]
+    exit_code, modules = out.split(maxsplit=1)
+    assert int(exit_code) == code
+    assert json.loads(modules) == sorted(f"lcslab.{m}" if m else "lcslab" for m in CURVATURE_MODULES | extra)
+
+
+def test_module_run_refuses_like_the_console_script():
+    # under `python -m lcslab.cli` a command module's load error must reach
+    # main's handler (exit 2), not a second copy of the cli module (exit 3)
+    done = subprocess.run(
+        [sys.executable, "-m", "lcslab.cli", "conformance", "flat3"], capture_output=True, cwd=SRC, text=True
+    )
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr.startswith("error: conformance compares with the published tables of example51")
 
 
 def test_parser_offers_every_recurrence_kind():

@@ -3,7 +3,10 @@ restorable: a refactor that renames one fails here, not only under
 ``perfbench/run.py --trace 1``."""
 
 import importlib
+import json
 from pathlib import Path
+
+import pytest
 
 from lcslab import _poly_py, cli, conditions, curvature, lcs_structure, manifold, polyops, symexpr
 
@@ -36,3 +39,54 @@ def test_trace_hooks_patch_live_modules(monkeypatch):
     assert set(CURVATURE_STAGES) <= set(layers.STAGES)
     assert {f"stage.{s}" for s in CURVATURE_STAGES} | {"check.self_check", "cli.report"} <= names
     assert counters.expr_new > 0 and counters.calls["poly_gcd"] > 0 and counters.calls["poly_mul"] > 0
+
+
+# the spans each command must produce on example51 besides cli.report
+# (example51 has no exact SGR 1-forms, so fit reports the witness and runs
+# no round-trip residual)
+COMMAND_SPANS = {
+    "check-lcs": {"stage.structure", "check.axioms"},
+    "check SGR": {"conditions.residual"},
+    "fit SGR": {"conditions.fit"},
+    "soliton": {"stage.structure", "conditions.soliton"},
+    "derived-conditions": {"stage.structure", "conditions.derived"},
+    "conformance": {"stage.structure", "conditions.fit", "check.axioms", "check.self_check"},
+}
+
+
+def test_every_command_produces_its_spans(monkeypatch, tmp_path):
+    # a command moved out of cli.py must still call the wrapped entry points
+    # through the cli module, or its spans vanish without an error
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    forms = tmp_path / "forms.json"
+    forms.write_text(json.dumps({"A": ["x", "0", "1/z"], "B": ["0", "y", "1"]}), encoding="utf-8")
+    # the benchmark's untraced rounds load every command module before the
+    # spans go in, so a name bound at import would hold the unwrapped function
+    for module in cli.COMMAND_MODULES.values():
+        importlib.import_module(module, "lcslab")
+    spans = layers.Spans()
+    patches = layers.Patches()
+    layers._install_spans(spans, patches, (cli, manifold, curvature, conditions, lcs_structure))
+    try:
+        for command in COMMAND_SPANS:
+            spans.op_id = command
+            name, *kind = command.split()
+            options = {"kind": kind[0] if kind else None, "forms": str(forms), "p": "0", "lam": None}
+            cli.run(name, cli.build_manifold(cli.load("example51")), options).to_json()
+    finally:
+        patches.undo()
+
+    seen = {command: set() for command in COMMAND_SPANS}
+    for name, _, _, _, op in spans.records:
+        seen[op].add(name)
+    for command, expected in COMMAND_SPANS.items():
+        assert expected | {"cli.report"} <= seen[command], command
+    assert set().union(*COMMAND_SPANS.values()) >= {
+        "stage.structure",
+        "check.axioms",
+        "conditions.fit",
+        "conditions.residual",
+        "conditions.derived",
+        "conditions.soliton",
+    }

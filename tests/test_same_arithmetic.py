@@ -2,7 +2,8 @@
 arithmetic in the same order as at every index.
 
 Each input runs ``curvature``, ``derived-conditions``, ``check-lcs``,
-``fit SGR`` and ``fit SGRR`` in-process twice: as shipped, and as a
+``fit SGR``, ``fit SGRR`` and ``check SGR|SGRR|SGPR`` (with the 1-forms
+A(E_i) = x_i, B(E_i) = i) in-process twice: as shipped, and as a
 reference in which ``FrameTensor.build`` ignores its support and the
 covariant derivative is the gather formula of ``conftest``.  For a (1,3)
 input the reference takes the shipped half rule: it returns the zero leaf
@@ -18,6 +19,7 @@ in both runs.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,9 @@ COMMANDS = (
     ("check-lcs", {}),
     ("fit", {"kind": "SGR"}),
     ("fit", {"kind": "SGRR"}),
+    ("check", {"kind": "SGR"}),
+    ("check", {"kind": "SGRR"}),
+    ("check", {"kind": "SGPR"}),
 )
 INPUTS = {
     "lcs5": lambda: cli.build_manifold(cli.load("lcs5")),
@@ -53,7 +58,14 @@ def reference_cov_deriv_tensor(conn, tensor):
     return half._replace(comps=dict(sorted({**half.comps, **mirror}.items())))
 
 
-def traced_run(monkeypatch, load, reference: bool):
+def write_forms(path: Path, data) -> str:
+    """A forms file with A(E_i) = x_i and B(E_i) = i for the chart of ``data``."""
+    coords = [v.name for v in data.chart.coords]
+    path.write_text(json.dumps({"A": coords, "B": [str(i + 1) for i in range(len(coords))]}), encoding="utf-8")
+    return str(path)
+
+
+def traced_run(monkeypatch, load, forms: str, reference: bool):
     """Reports, every built tensor's (valence, leaves, zero), the counts of
     Expr constructions and kernel calls, and the number of leaves evaluated."""
     layers = importlib.import_module("layers")
@@ -79,18 +91,19 @@ def traced_run(monkeypatch, load, reference: bool):
         layers._install_counters(counters, patches, symexpr, polyops, _poly_py)
         try:
             data = load()
-            reports = [cli.run(command, data, options).to_json() for command, options in COMMANDS]
+            reports = [cli.run(command, data, {**options, "forms": forms}).to_json() for command, options in COMMANDS]
         finally:
             patches.undo()
     return reports, built, counters.expr_new, dict(counters.calls), evaluated[0]
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
-def test_support_keeps_reports_leaves_and_kernel_calls(monkeypatch, name):
+def test_support_keeps_reports_leaves_and_kernel_calls(monkeypatch, tmp_path, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    INPUTS[name]()  # interns the chart's zero outside the counted runs
-    reports, built, expr_new, calls, evaluated = traced_run(monkeypatch, INPUTS[name], reference=False)
-    ref_reports, ref_built, ref_expr_new, ref_calls, ref_evaluated = traced_run(monkeypatch, INPUTS[name], reference=True)
+    # interns the chart's zero outside the counted runs
+    forms = write_forms(tmp_path / "forms.json", INPUTS[name]())
+    reports, built, expr_new, calls, evaluated = traced_run(monkeypatch, INPUTS[name], forms, reference=False)
+    ref_reports, ref_built, ref_expr_new, ref_calls, ref_evaluated = traced_run(monkeypatch, INPUTS[name], forms, reference=True)
     assert reports == ref_reports
     assert len(built) == len(ref_built)
     for ours, theirs in zip(built, ref_built):
