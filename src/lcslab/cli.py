@@ -449,7 +449,10 @@ def _parse_sample(text: str | None) -> dict | None:
         if "=" not in piece:
             raise LoadError(f"bad --sample entry {quote_text(piece)}; use name=value")
         key, _, value = piece.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise LoadError(f"--sample names coordinate {quote_text(key)} twice")
+        out[key] = value.strip()
     return out
 
 

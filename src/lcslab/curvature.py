@@ -37,9 +37,9 @@ skips recomputing an operation already done.
 Every tensor here is evaluated only on its support, derived from the stored
 leaves of its inputs and the nonzero entries of gamma, the brackets and g
 (each function's docstring gives its rule).  Outside it every term of the
-formula has a zero operand; inside it the formula is the same, so the order
-of the nonzero partial sums, and every Expr, is that of the evaluation at all
-n^s indices.
+formula has a zero operand; inside it the formula is the same, so each sum is
+one canonical sum of the same nonzero terms, and every Expr is that of the
+evaluation at all n^s indices.
 """
 
 from __future__ import annotations
@@ -49,20 +49,25 @@ from functools import reduce
 from itertools import product
 from typing import NamedTuple
 
-from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_nonzero, vec_scale, vec_sub
-from .levi_civita import ConnectionCoeffs, cov_deriv_vector
+from .frame_geometry import FrameMetric, FrameTensor, dot, vec_add, vec_nonzero, vec_scale, vec_sub, vec_sum
+from .levi_civita import ConnectionCoeffs
 from .symexpr import Expr
 
 
 def riemann(conn: ConnectionCoeffs, brackets) -> FrameTensor:
     """R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k - nabla_{[E_i,E_j]} E_k.
 
+    Component u is one sum (``vec_sum``) of the terms
+    E_i(gamma_jk^u) - E_j(gamma_ik^u) + sum_a gamma_jk^a gamma_ia^u
+    - sum_a gamma_ik^a gamma_ja^u - sum_a [E_i,E_j]^a gamma_ak^u.
+
     Support: (i,j,k) and (j,i,k) for every nonzero gamma[j][k], and (i,j,k)
     wherever some [E_i,E_j]^a and gamma[a][k] are both nonzero.
     """
     n = conn.dim
     gamma = conn.gamma
-    unit = [conn.frame.unit(i) for i in range(n)]
+    fields = conn.frame.fields
+    coords = conn.frame.chart.coords
     moved = [(j, k) for j, k in product(range(n), repeat=2) if vec_nonzero(gamma[j][k])]
     support = _pair_swaps(range(n), moved)
     support.update(
@@ -75,9 +80,12 @@ def riemann(conn: ConnectionCoeffs, brackets) -> FrameTensor:
     )
 
     def entry(i, j, k):
-        first = cov_deriv_vector(conn, unit[i], gamma[j][k])
-        second = cov_deriv_vector(conn, unit[j], gamma[i][k])
-        return vec_sub(vec_sub(first, second), combo(brackets[i][j], lambda a: gamma[a][k]))
+        gjk, gik = gamma[j][k], gamma[i][k]
+        terms = [(1, tuple(fields[i].apply(c) for c in gjk)), (-1, tuple(fields[j].apply(c) for c in gik))]
+        terms += [(1, vec_scale(c, gamma[i][a])) for a, c in enumerate(gjk) if not c.is_zero]
+        terms += [(-1, vec_scale(c, gamma[j][a])) for a, c in enumerate(gik) if not c.is_zero]
+        terms += [(-1, vec_scale(b, gamma[a][k])) for a, b in enumerate(brackets[i][j]) if not b.is_zero]
+        return vec_sum(coords, terms)
 
     return FrameTensor.build((1, 3), n, entry, support)
 

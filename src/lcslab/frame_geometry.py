@@ -17,9 +17,9 @@ others is evaluated only on its *support*: the indices where some term of its
 formula has nonzero operands, derived from the stored leaves of its inputs.
 Anywhere else every term is a product with a zero factor or a sum of zeros,
 which the scalar layer answers without arithmetic.  Inside the support each
-leaf is the same formula on the same operands, so the nonzero partial sums
-come in the same order as over all n^s indices and every result is the same
-Expr.
+leaf is the same formula on the same operands, so each sum is one canonical
+sum of the same nonzero terms as over all n^s indices and every result is
+the same Expr.
 """
 
 from __future__ import annotations
@@ -310,6 +310,18 @@ def vec_scale(c: Expr, u):
     if c.is_zero:
         return (c,) * len(u)
     return tuple(a if a.is_zero else c * a for a in u)
+
+
+def vec_sum(variables, terms) -> tuple[Expr, ...]:
+    """sum_t sign_t v_t over nonempty (sign, vector) terms, each component one
+    ``Expr.sum``: normalised once, whatever the number of terms."""
+    signs = [s for s, _ in terms]
+    zero = Expr.zero(variables)
+    out = []
+    for comps in zip(*(v for _, v in terms)):
+        live = [(s, e) for s, e in zip(signs, comps) if e.num]
+        out.append(Expr.sum(variables, live) if live else zero)
+    return tuple(out)
 
 
 def dot(u, v) -> Expr:

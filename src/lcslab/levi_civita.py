@@ -7,7 +7,8 @@ matching the reading order of (nabla_X T)(Y, Z).
 
 ``cov_deriv_tensor`` evaluates the derivative only on its support, scattered
 from the stored leaves of T and the nonzero gamma (see its docstring); each
-leaf sums its nonzero terms in the order of the sum over every frame index.
+component of a leaf is one canonical sum of the same nonzero terms as the
+sum over every frame index.
 
 Half rule for (1,3) inputs: T must be antisymmetric in its first two slots,
 T(X,Y) = -T(Y,X), as R is by construction (``frame_brackets`` fills
@@ -19,7 +20,6 @@ componentwise negation of (w,x,y,z), which costs no GCD.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import NamedTuple
 
 from .frame_geometry import (
@@ -32,7 +32,7 @@ from .frame_geometry import (
     lie_bracket,
     vec_add,
     vec_scale,
-    vec_sub,
+    vec_sum,
 )
 from .symexpr import Expr
 
@@ -116,10 +116,11 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
     i with gamma[w][i][a] nonzero and T stored at idx with slot k set to a.
     One walk over the stored leaves of T scatters, for each output index and
     slot, the (gamma[w][i][a], leaf) pairs in ascending a, keeping references
-    only; each output is then gathered as the formula reads: the derivative
-    term, the output-vector term, then per slot the sum of coefficient times
-    leaf, subtracted in slot order.  A term left out has a zero factor, so
-    the order of the nonzero partial sums is that of the sum over all a.
+    only.  Each component of an output is then one sum (``vec_sum``) of the
+    derivative term, the output-vector terms and, subtracted, every slot's
+    coefficient-times-leaf terms.  A term left out has a zero factor, so each
+    component is the canonical sum of the same nonzero terms as the sum over
+    all a.
 
     A (1,3) input must be antisymmetric in its first two slots (see the
     module docstring): only the outputs (w,x,y,z) with x < y are scattered
@@ -132,6 +133,7 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
     n = conn.dim
     gamma = conn.gamma
     fields = conn.frame.fields
+    coords = conn.frame.chart.coords
     # feeds[a]: every (w, i, gamma[w][i][a]) with E_a in nabla_w E_i
     feeds = [[(w, i, gamma[w][i][a]) for w in range(n) for i in range(n) if not gamma[w][i][a].is_zero] for a in range(n)]
     # output index -> per slot, its (coefficient, leaf) pairs; scalar leaves
@@ -153,12 +155,12 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
         base = tensor.comp(*idx)
         if not r:
             base = (base,)
-        val = tuple(fields[w].apply(c) for c in base)
+        terms = [(1, tuple(fields[w].apply(c) for c in base))]
         if r:
-            val = vec_add(val, combo(base, lambda a: gamma[w][a]))
-        for terms in slot_terms.get((w, *idx), ()):
-            if terms:  # combo's sum, over the stored leaves only
-                val = vec_sub(val, reduce(vec_add, [vec_scale(c, v) for c, v in terms]))
+            terms += [(1, vec_scale(c, gamma[w][a])) for a, c in enumerate(base) if not c.is_zero]
+        for slot in slot_terms.get((w, *idx), ()):
+            terms += [(-1, vec_scale(c, v)) for c, v in slot]
+        val = vec_sum(coords, terms)
         return val if r else val[0]
 
     deriv = FrameTensor.build((r, s + 1), n, entry, slot_terms)

@@ -41,13 +41,16 @@ equality, ``__eq__`` on the canonical forms) and a hash collision is a miss;
 the stored result is what recomputing the operation on those operands gives.
 ``a + b`` and ``b + a`` (and ``a * b``, ``b * a``) have one canonical result,
 so their key puts the operand of smaller hash first; ``-`` keeps its order.
-The zero-absorbing and int-coercion paths run before the lookup.  The memo
-keeps references to operands and results, which is safe because no Expr and
-no polynomial is written after it is built.  It is bounded by the terms its
-entries pin, ``polyops.EXPR_MEMO_TERMS`` (65,536), and is emptied whole when
-a store would pass that bound: a hit then costs one dict lookup, where a
-least recently used order would cost bookkeeping on every hit, and only
-manifolds whose leaves grow to hundreds of terms ever fill it.
+The zero-absorbing and int-coercion paths run before the lookup.
+``Expr.sum`` of more than two nonzero terms bypasses the memo: it normalises
+the whole sum once, where a fold of ``+`` would look up and store every
+partial sum.  The memo keeps references to operands and results, which is
+safe because no Expr and no polynomial is written after it is built.  It is
+bounded by the terms its entries pin, ``polyops.EXPR_MEMO_TERMS`` (65,536),
+and is emptied whole when a store would pass that bound: a hit then costs
+one dict lookup, where a least recently used order would cost bookkeeping on
+every hit, and only manifolds whose leaves grow to hundreds of terms ever
+fill it.
 ``polyops.reset_memos`` empties it with the GCD memo whenever a manifold is
 built.  Equal results may be one shared object; Exprs are immutable, so
 nothing can tell.  ``__hash__``, the hash of the canonical form, is computed
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import reduce, total_ordering
 from math import comb
 
 from . import polyops as P
@@ -288,6 +291,48 @@ class Expr:
         if not num:
             return Expr.zero(self.vars)
         return (Expr._raw if coprime else Expr)(self.vars, num, P.poly_mul(ad, bd_red))
+
+    @classmethod
+    def sum(cls, variables, terms) -> "Expr":
+        """sum_t sign_t e_t over (sign, Expr) terms, normalised once.
+
+        Zero terms are skipped, and a single live term is returned as it is
+        (negated for a negative sign).  Two live terms go through the memoised
+        ``+`` or ``-``.  From three on, terms that share a denominator add
+        their numerators, which needs no GCD; the groups then combine over the
+        lcm of their denominators, and the sum is canonicalised once (not at
+        all over the denominator 1).  Canonical forms are unique, so the
+        result is the Expr that the left fold of ``+``/``-`` gives.
+        """
+        live = [(s, e) for s, e in terms if e.num]
+        if len(live) <= 1:
+            if not live:
+                return cls.zero(variables)
+            s, e = live[0]
+            return e if s > 0 else -e
+        if len(live) == 2:  # the memoised + and -
+            (s, a), (t, b) = live
+            if s > 0:
+                return a._add_sub(b, sub=t < 0)
+            return b._add_sub(a, sub=True) if t > 0 else -(a._add_sub(b, sub=False))
+        groups = []  # [denominator, summed numerator], in order of first use
+        for s, e in live:
+            den = e.den
+            for group in groups:
+                if group[0] is den or group[0] == den:
+                    group[1] = (P.poly_add if s > 0 else P.poly_sub)(group[1], e.num)
+                    break
+            else:
+                groups.append([den, e.num if s > 0 else P.poly_neg(e.num)])
+        lcm = groups[0][0]
+        for den, _ in groups[1:]:
+            if den != lcm:
+                lcm = P.poly_mul(lcm, P.poly_divexact(den, P.poly_gcd(lcm, den)))
+        parts = [part if den == lcm else P.poly_mul(part, P.poly_divexact(lcm, den)) for den, part in groups]
+        num = reduce(P.poly_add, parts)
+        if not num:
+            return cls.zero(variables)
+        return (cls._raw if P.poly_is_one(lcm) else cls)(tuple(variables), num, lcm)
 
     def __add__(self, other):
         o = self._coerce(other)

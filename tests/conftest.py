@@ -7,7 +7,8 @@ import pytest
 
 import lcslab
 from lcslab.cli import ManifoldDef, build_manifold, load
-from lcslab.frame_geometry import FrameTensor, combo, vec_add, vec_sub
+from lcslab.frame_geometry import FrameTensor, combo, vec_add, vec_scale, vec_sub, vec_sum
+from lcslab.levi_civita import cov_deriv_vector
 from lcslab.manifold import ManifoldData
 
 SRC = Path(lcslab.__file__).parents[1]  # where the lcslab under test lives
@@ -60,11 +61,15 @@ def ad_hoc(name: str) -> ManifoldData:
     return build_manifold(ManifoldDef(name, list(coords), frame_rows, metric_rows, len(coords)))
 
 
-def gather_cov_deriv_tensor(conn, tensor, where=None):
-    """The covariant derivative by the gather formula, each slot term a combo
-    over all a of gamma[w][i][a] times T at slot value a.  It is evaluated at
-    every index, or only at the (w, *idx) where ``where`` holds; elsewhere the
-    leaf is T's zero leaf, returned without arithmetic."""
+def gather_cov_deriv_tensor(conn, tensor, where=None, pairwise=False):
+    """The covariant derivative by the gather formula, with a slot term
+    gamma[w][i][a] times T at slot value a for every a.  Each component is one
+    ``vec_sum`` of the derivative term, the output-vector terms and the slot
+    terms, as the shipped derivative sums it; with ``pairwise`` the terms are
+    instead folded with ``+``/``-`` (through ``combo``), one partial sum at a
+    time.  It is evaluated at every index, or only at the (w, *idx) where
+    ``where`` holds; elsewhere the leaf is T's zero leaf, returned without
+    arithmetic."""
     r, s = tensor.valence
     gamma = conn.gamma
     fields = conn.frame.fields
@@ -77,14 +82,39 @@ def gather_cov_deriv_tensor(conn, tensor, where=None):
         if where is not None and not where(w, *idx):
             return tensor.zero
         base = value(idx)
-        val = tuple(fields[w].apply(c) for c in base)
-        if r:
-            val = vec_add(val, combo(base, lambda a: gamma[w][a]))
-        for k, i in enumerate(idx):
-            val = vec_sub(val, combo(gamma[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
+        derivative = tuple(fields[w].apply(c) for c in base)
+        if pairwise:
+            val = derivative
+            if r:
+                val = vec_add(val, combo(base, lambda a: gamma[w][a]))
+            for k, i in enumerate(idx):
+                val = vec_sub(val, combo(gamma[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
+        else:
+            terms = [(1, derivative)]
+            if r:
+                terms += [(1, vec_scale(c, gamma[w][a])) for a, c in enumerate(base)]
+            for k, i in enumerate(idx):
+                terms += [(-1, vec_scale(c, value(idx[:k] + (a,) + idx[k + 1 :]))) for a, c in enumerate(gamma[w][i])]
+            val = vec_sum(conn.frame.chart.coords, terms)
         return val if r else val[0]
 
     return FrameTensor.build((r, s + 1), conn.dim, entry)
+
+
+def pairwise_riemann(conn, brackets):
+    """R(E_i,E_j)E_k folded with ``+``/``-``, one partial sum at a time:
+    nabla_i (gamma_jk) - nabla_j (gamma_ik) - sum_a [E_i,E_j]^a gamma_ak, each
+    covariant derivative through ``cov_deriv_vector``, at every index."""
+    n = conn.dim
+    gamma = conn.gamma
+    unit = [conn.frame.unit(i) for i in range(n)]
+
+    def entry(i, j, k):
+        first = cov_deriv_vector(conn, unit[i], gamma[j][k])
+        second = cov_deriv_vector(conn, unit[j], gamma[i][k])
+        return vec_sub(vec_sub(first, second), combo(brackets[i][j], lambda a: gamma[a][k]))
+
+    return FrameTensor.build((1, 3), n, entry)
 
 
 @pytest.fixture(scope="session")

@@ -456,6 +456,11 @@ class TestExitCodes:
         assert main(["check-lcs", path]) == 2
         assert main(["check-lcs", path, "--sample", "x=2,y=2,z=4"]) != 2
 
+    @pytest.mark.parametrize("sample, name", [("x=2,x=3,y=2,z=2", "x"), ("x=2, y=2,z=2,y =2", "y")])
+    def test_sample_naming_a_coordinate_twice_is_refused(self, capsys, sample, name):
+        assert main(["curvature", "example51", "--sample", sample]) == 2
+        assert f"--sample names coordinate '{name}' twice" in capsys.readouterr().err
+
 
 class TestJsonReports:
     def test_json_structure(self, capsys):

@@ -3,10 +3,29 @@ import random
 import pytest
 
 from lcslab import polyops
+from lcslab.curvature import riemann
 from lcslab.frame_geometry import FrameTensor, GeometryError
 from lcslab.levi_civita import cov_deriv_tensor, cov_deriv_vector
+from lcslab.symexpr import Expr
 
-from conftest import AD_HOC, ad_hoc, builtin, gather_cov_deriv_tensor, make_manifold
+from conftest import AD_HOC, ad_hoc, builtin, gather_cov_deriv_tensor, make_manifold, pairwise_riemann
+
+
+def gcd_calls(monkeypatch, compute) -> int:
+    """The poly_gcd calls of compute(), starting from empty memos (else a
+    second run would count the first one's memo hits)."""
+    gcd = polyops.poly_gcd
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return gcd(a, b)
+
+    polyops.reset_memos()
+    with monkeypatch.context() as m:
+        m.setattr(polyops, "poly_gcd", counted)
+        compute()
+    return len(calls)
 
 
 def txt_vec(data, comps):
@@ -144,22 +163,33 @@ class TestCovDerivTensor:
     def test_half_rule_makes_fewer_gcd_calls(self, monkeypatch, name):
         data = ad_hoc(name) if name in AD_HOC else builtin(name)
         conn, riem = data.connection, data.stack.riemann13
-        gcd = polyops.poly_gcd
+        half = gcd_calls(monkeypatch, lambda: cov_deriv_tensor(conn, riem))
+        assert half < gcd_calls(monkeypatch, lambda: gather_cov_deriv_tensor(conn, riem))
 
-        def gcd_calls(derivative):
-            calls = []
+    def test_one_sum_per_component_makes_fewer_gcd_calls(self, monkeypatch):
+        # R and nabla R normalise each component once (Expr.sum); the pairwise
+        # fold normalises every partial sum.  Both take the half rule.
+        data = ad_hoc("dense-style")
+        conn, brackets = data.connection, data.brackets
 
-            def counted(a, b):
-                calls.append(None)
-                return gcd(a, b)
+        def summed():
+            cov_deriv_tensor(conn, riemann(conn, brackets))
 
-            polyops.reset_memos()  # else the second run counts the first one's memo hits
-            with monkeypatch.context() as m:
-                m.setattr(polyops, "poly_gcd", counted)
-                derivative(conn, riem)
-            return len(calls)
+        def pairwise():
+            riem = pairwise_riemann(conn, brackets)
+            gather_cov_deriv_tensor(conn, riem, where=lambda w, x, y, z: x < y, pairwise=True)
 
-        assert gcd_calls(cov_deriv_tensor) < gcd_calls(gather_cov_deriv_tensor)
+        assert gcd_calls(monkeypatch, summed) < gcd_calls(monkeypatch, pairwise)
+
+    @pytest.mark.parametrize("name", sorted(AD_HOC))
+    def test_summed_leaves_are_in_lowest_terms(self, name):
+        # each component of R and nabla R is normalised once, at the end of its
+        # sum; normalising a stored leaf again must change nothing
+        data = ad_hoc(name)
+        for tensor in (data.stack.riemann13, data.nabla_riemann):
+            for e in (e for leaf in tensor.comps.values() for e in leaf):
+                again = Expr(e.vars, e.num, e.den)
+                assert (again.num, again.den) == (e.num, e.den)
 
     def test_unsupported_valence(self, example51):
         t = FrameTensor.build((0, 1), 3, lambda i: example51.chart.zero())

@@ -5,10 +5,11 @@ Each input runs ``curvature``, ``derived-conditions``, ``check-lcs``,
 ``fit SGR``, ``fit SGRR`` and ``check SGR|SGRR|SGPR`` (with the 1-forms
 A(E_i) = x_i, B(E_i) = i) in-process twice: as shipped, and as a
 reference in which ``FrameTensor.build`` ignores its support and the
-covariant derivative is the gather formula of ``conftest``.  For a (1,3)
-input the reference takes the shipped half rule: it returns the zero leaf
-without arithmetic at x >= y and then fills the mirror, so both runs do the
-same work off the support (``test_levi_civita`` checks the half rule
+covariant derivative is the gather formula of ``conftest``, each component
+one ``vec_sum`` as in the shipped derivative.  For a (1,3) input the
+reference takes the shipped half rule: it returns the zero leaf without
+arithmetic at x >= y and then fills the mirror, so both runs do the same
+work off the support (``test_levi_civita`` checks the half rule
 against the formula at every index).  Both runs must give the same reports,
 the same stored leaves in the same key order, and the same number of Expr
 constructions and polynomial kernel calls, counted by the benchmark's trace

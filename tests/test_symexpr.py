@@ -380,3 +380,85 @@ def test_sympy_cross_check_random_sample():
         theirs = sympy.cancel(sympy.diff(sympy.sympify("(x**2 + y)/(z - 2*y)"), sv))
         rebuilt = sympy.cancel(sympy.sympify(str(ours).replace("^", "**")))
         assert sympy.simplify(theirs - rebuilt) == 0
+
+
+# -- the n-ary sum -------------------------------------------------------------
+
+# Denominators are products of up to three of these factors, so a drawn sum
+# mixes equal, coprime and shared-factor denominators, integer ones among them.
+DEN_FACTORS = ("2", "3", "x", "y + 1", "x - z", "x*y + z^2")
+
+
+@st.composite
+def fraction_terms(draw):
+    num = Expr(VS, draw(polys), {(0, 0, 0): 1})  # {} draws a zero term
+    factors = draw(st.lists(st.sampled_from(DEN_FACTORS), max_size=3))
+    return draw(st.sampled_from((1, -1))), num / e("*".join(factors) or "1")
+
+
+def left_fold(terms) -> Expr:
+    total = Expr.zero(VS)
+    for s, t in terms:
+        total = total + t if s > 0 else total - t
+    return total
+
+
+@st.composite
+def signed_sums(draw):
+    """Up to five signed terms, then one of: nothing; the same terms with the
+    opposite signs, shuffled, so that the sum cancels to zero; or a term that
+    makes the sum a drawn fraction, whose denominator is mostly a proper
+    divisor of the terms' lcm, so that only the final normalisation finds it."""
+    terms = draw(st.lists(fraction_terms(), max_size=5))
+    tail = draw(st.sampled_from(("none", "cancel", "close")))
+    if tail == "cancel":
+        terms = draw(st.permutations(terms + [(-s, t) for s, t in terms]))
+    elif tail == "close":
+        s, target = draw(fraction_terms())
+        terms.append((s, target - left_fold(terms) if s > 0 else left_fold(terms) - target))
+    return terms
+
+
+SUM_EXAMPLES = [
+    [],
+    [(1, e("0")), (-1, e("0"))],
+    [(-1, e("x/(y + 1)"))],
+    [(1, e("x/(y + 1)")), (-1, e("1/(y + 1)"))],
+    [(1, e("x/2")), (1, e("y/3")), (-1, e("z/6"))],
+    [(1, e("1/x")), (1, e("1/(x - z)")), (-1, e("y/(x*(x - z))"))],
+    [(1, e("x/(y + 1)")), (-1, e("z")), (-1, e("x/(y + 1)")), (1, e("z"))],
+    [(1, e("x/2")), (1, e("x/2")), (1, e("y"))],  # (2x + 2y)/2
+    [(1, e("x/(x - z)")), (-1, e("z/(x - z)")), (1, e("y"))],  # (1 + y)(x - z)/(x - z)
+]
+
+
+def assert_sum_is_the_left_fold(terms):
+    got, fold = Expr.sum(VS, terms), left_fold(terms)
+    assert (got.num, got.den) == (fold.num, fold.den)
+    assert str(got) == str(fold)
+
+
+@given(signed_sums())
+@settings(max_examples=150, deadline=None)
+def test_sum_is_the_left_fold(terms):
+    assert_sum_is_the_left_fold(terms)
+
+
+@pytest.mark.parametrize("terms", SUM_EXAMPLES)
+def test_sum_examples_are_the_left_fold(terms):
+    assert_sum_is_the_left_fold(terms)
+
+
+@given(signed_sums())
+@settings(max_examples=25, deadline=None)
+def test_sum_is_sympys_cancelled_sum(terms):
+    sympy = pytest.importorskip("sympy")
+
+    def sym(x):
+        return sympy.sympify(str(x).replace("^", "**"))
+
+    got = Expr.sum(VS, terms)
+    expected = sympy.cancel(sum((sym(t) if s > 0 else -sym(t) for s, t in terms), sympy.Integer(0)))
+    num, den = sym(Expr._raw(VS, got.num, {(0, 0, 0): 1})), sym(Expr._raw(VS, got.den, {(0, 0, 0): 1}))
+    assert sympy.cancel(expected - num / den) == 0
+    assert sympy.gcd(num, den) in (1, -1)  # lowest terms, integer content included
