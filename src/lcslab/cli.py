@@ -205,8 +205,10 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
     if isinstance(xi, bool) or not isinstance(xi, int) or not 1 <= xi <= n:
         problems.append(f"'xi' must be a frame index between 1 and {n}")
 
-    sample = payload.get("sample_point") or {}
-    if not isinstance(sample, dict):
+    sample = payload.get("sample_point")
+    if sample is None:  # a missing key or null: no sample point
+        sample = {}
+    elif not isinstance(sample, dict):
         problems.append("'sample_point' must be an object mapping coordinate names to values")
         sample = {}
     sample = {**sample, **(sample_override or {})}

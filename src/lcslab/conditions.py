@@ -5,7 +5,10 @@ Each recurrence condition is stated once, in ``_recurrence_terms``, as
 lhs = A(E_w) p + B(E_w) q; ``recurrence_residual`` builds lhs - A p - B q
 from it and ``recurrence_fit`` reads its leaves as the rows of the linear
 system in A(E_w), B(E_w).  The derived conditions, the xi-identity and the
-soliton residual are each stated in the one function that checks them.
+soliton residual are each stated in the one function that checks them.  The
+actions R(xi,X).M and C(xi,X).S are algebraic derivations, and L_V g a Lie
+derivative: each goes through ``levi_civita.derivation``, the one routine
+that forms a derivation's slot sums, and is evaluated on its support.
 
 Gate discipline: a derived consequence is asserted only when its hypothesis
 residual is exactly zero and its nondegeneracy guard is nonzero in the
@@ -22,6 +25,7 @@ from typing import NamedTuple
 
 from .frame_geometry import FrameTensor, combo, dot, vec_scale, vec_sub
 from .lcs_structure import ClassifierVerdict, NotLcsError, classify, solve_two_unknowns
+from .levi_civita import derivation
 from .manifold import ManifoldData
 from .symexpr import Expr
 
@@ -325,59 +329,30 @@ class DerivedConditions(NamedTuple):
     einstein_from_cxs: ClassifierVerdict | None
 
 
+def xi_action(tensor: FrameTensor, xi) -> list:
+    """ops[x][y], the frame components of T(xi, E_x)E_y for a (1,3) tensor T:
+    the operators T(xi, E_x) as the rows of an algebraic derivation."""
+    n = tensor.dim
+    return [[combo(xi, lambda a: tensor.comp(a, x, y)) for y in range(n)] for x in range(n)]
+
+
 def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
+    """R(xi,X) and C(xi,X) act on M and S as algebraic derivations (see
+    ``levi_civita.derivation``), one direction per frame field E_x.  rxm is
+    eta of each stored leaf of (R(xi,E_x).M)(E_u,E_v)E_w; M is antisymmetric
+    in (U,V), so the action takes the half rule.  cxs is reported as
+    S(C(xi,E_x)E_y, E_z) + S(E_y, C(xi,E_x)E_z), the negation of
+    (C(xi,E_x).S)(E_y,E_z)."""
     st = data.structure
     n = data.dim
     chart = data.chart
     mproj = data.m_projective
-    conc = data.concircular
     ric = data.stack.ricci
-    riem = data.stack.riemann13
 
-    def xi_slot(tensor, x, y):
-        """T(xi, E_x)E_y for a (1,3) tensor, contracting xi into slot one."""
-        return combo(st.xi, lambda a: tensor.comp(a, x, y))
-
-    r_xi = [[xi_slot(riem, x, u) for u in range(n)] for x in range(n)]
-
-    def r_xi_apply(x, vec):
-        return combo(vec, lambda j: r_xi[x][j])
-
-    def contract_slot(tensor, vec, fixed_a, fixed_b, slot):
-        """tensor(...) with ``vec`` fed into the given argument slot (1..3)."""
-        fixed = [fixed_a, fixed_b]
-        return combo(vec, lambda j: tensor.comp(*fixed[: slot - 1], j, *fixed[slot - 1 :]))
-
-    def rxm_entry(x, u, v, w):
-        # eta(R(xi,X) M(U,V)W) - eta(M(R(xi,X)U, V)W)
-        #                      - eta(M(U, R(xi,X)V)W) - eta(M(U,V) R(xi,X)W)
-        total = st.eta_of(r_xi_apply(x, mproj.comp(u, v, w)))
-        total = total - st.eta_of(contract_slot(mproj, r_xi[x][u], v, w, 1))
-        total = total - st.eta_of(contract_slot(mproj, r_xi[x][v], u, w, 2))
-        total = total - st.eta_of(contract_slot(mproj, r_xi[x][w], u, v, 3))
-        return total
-
-    # support: R(xi,E_x) acts on M like a derivation, so an entry can be
-    # nonzero only at (x, u, v, w) with M(u,v,w) stored and row x of r_xi
-    # nonzero, or where a stored M leaf meets a nonzero r_xi[x][t][a] in one
-    # of its slots, slot value a replaced by t
-    acts = [[(x, t) for x in range(n) for t in range(n) if not r_xi[x][t][a].is_zero] for a in range(n)]
-    rows = {x for pairs in acts for x, _ in pairs}
-    support = {(x, *idx) for idx in mproj.comps for x in rows}
-    support.update(
-        (x, *idx[:k], t, *idx[k + 1 :]) for idx in mproj.comps for k, a in enumerate(idx) for x, t in acts[a]
-    )
-    rxm = FrameTensor.build((0, 4), n, rxm_entry, support)
-
-    c_xi = [[xi_slot(conc, x, y) for y in range(n)] for x in range(n)]
-
-    def s_of(vec, z):
-        return dot(vec, [ric.comp(u, z) for u in range(n)])
-
-    def cxs_entry(x, y, z):
-        return s_of(c_xi[x][y], z) + s_of(c_xi[x][z], y)
-
-    cxs = FrameTensor.build((0, 3), n, cxs_entry)
+    r_xi_m = derivation(mproj, xi_action(data.stack.riemann13, st.xi))
+    rxm = FrameTensor.build((0, 4), n, lambda *idx: st.eta_of(r_xi_m.comp(*idx)), r_xi_m.comps)
+    c_xi_s = derivation(ric, xi_action(data.concircular, st.xi))
+    cxs = c_xi_s._replace(comps={idx: -leaf for idx, leaf in c_xi_s.comps.items()})
 
     def mproj_xi_entry(i, j):
         return st.eta_of(combo(st.xi, lambda a: mproj.comp(i, j, a)))

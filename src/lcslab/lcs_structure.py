@@ -19,7 +19,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .frame_geometry import FrameMetric, FrameTensor, combo, dot, vec_add, vec_scale, vec_sub
-from .levi_civita import cov_deriv_vector
+from .levi_civita import cov_deriv_tensor
 from .manifold import ManifoldData
 from .symexpr import Expr
 
@@ -192,12 +192,12 @@ def verify_axioms(data: ManifoldData, structure: LcsStructure) -> list[AxiomChec
             res.append(lhs - metric.g[i][j] - st.eta[i] * st.eta[j])
     record("phi-isometry", "g(phi X, phi Y) = g(X,Y) + eta(X) eta(Y)", res)
 
-    # (nabla_X phi)Y = nabla_X(phi Y) - phi(nabla_X Y)
+    # (nabla_X phi)Y = nabla_X(phi Y) - phi(nabla_X Y), phi as a (1,1) tensor
+    nabla_phi = cov_deriv_tensor(data.connection, st.phi)
     res = []
     for i in range(n):
         for j in range(n):
-            lhs = cov_deriv_vector(data.connection, unit[i], st.phi.comp(j))
-            lhs = tuple(a - b for a, b in zip(lhs, st.phi_of(gamma[i][j])))
+            lhs = nabla_phi.comp(i, j)
             rhs_scalar = metric.g[i][j] + 2 * (st.eta[i] * st.eta[j])
             rhs = vec_scale(st.alpha * rhs_scalar, st.xi)
             rhs = vec_add(rhs, vec_scale(st.alpha * st.eta[j], unit[i]))

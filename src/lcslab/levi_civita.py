@@ -1,20 +1,26 @@
-"""Levi-Civita connection on a (generally non-holonomic) frame.
+"""Levi-Civita connection on a (generally non-holonomic) frame, and the one
+derivation routine.
 
 The connection is stored against the frame itself: gamma[i][j] holds the
 frame components of the covariant derivative of E_j along E_i.  The free
-covariant slot of a differentiated tensor is appended as its FIRST index,
-matching the reading order of (nabla_X T)(Y, Z).
+slot of a differentiated tensor is appended as its FIRST index, matching
+the reading order of (nabla_X T)(Y, Z).
 
-``cov_deriv_tensor`` evaluates the derivative only on its support, scattered
-from the stored leaves of T and the nonzero gamma (see its docstring); each
-component of a leaf is one canonical sum of the same nonzero terms as the
-sum over every frame index.
+Every derivation of a tensor in the engine goes through ``derivation``: the
+covariant derivatives nabla S, nabla R and nabla phi (``cov_deriv_tensor``),
+the Lie derivative L_V g (``lie_derivative_metric``), and the algebraic
+actions R(xi,X).M and C(xi,X).S of the derived conditions (``conditions``).
+It evaluates the derivation only on its support, scattered from the stored
+leaves of T and the nonzero entries of its operators (see its docstring);
+each component of a leaf is one canonical sum of the same nonzero terms as
+the sum over every frame index.
 
 Half rule for (1,3) inputs: T must be antisymmetric in its first two slots,
-T(X,Y) = -T(Y,X), as R is by construction (``frame_brackets`` fills
-[E_j,E_i] as -[E_i,E_j] and the Riemann formula is odd in (i,j)).  Then
-(nabla_W T)(E_y,E_x) = -(nabla_W T)(E_x,E_y) and the x = y leaves are zero,
-so only the leaves with x < y are evaluated; each (w,y,x,z) leaf is the
+T(X,Y) = -T(Y,X).  R is by construction (``frame_brackets`` fills
+[E_j,E_i] as -[E_i,E_j] and the Riemann formula is odd in (i,j)), and so is
+M, whose formula is odd in (X,Y) wherever R's is.  Then
+(D_W T)(E_y,E_x) = -(D_W T)(E_x,E_y) and the x = y leaves are zero, so only
+the leaves with x < y are evaluated; each (w,y,x,z) leaf is the
 componentwise negation of (w,x,y,z), which costs no GCD.
 """
 
@@ -27,10 +33,9 @@ from .frame_geometry import (
     FrameMetric,
     FrameTensor,
     GeometryError,
-    combo,
     decompose,
     lie_bracket,
-    vec_add,
+    vec_nonzero,
     vec_scale,
     vec_sum,
 )
@@ -93,29 +98,23 @@ def koszul(frame: Frame, metric: FrameMetric, brackets) -> ConnectionCoeffs:
     return ConnectionCoeffs(frame, gamma)
 
 
-def cov_deriv_vector(conn: ConnectionCoeffs, x, y) -> tuple[Expr, ...]:
-    """Frame components of nabla_X Y for frame-component inputs."""
-    fields = conn.frame.fields
+def derivation(tensor: FrameTensor, ops, fields=None) -> FrameTensor:
+    """A family of derivations D_w applied to a (1,1), (0,2) or (1,3) frame
+    tensor, with the direction slot w prepended as the first index.  ops[w][i]
+    holds the frame components of D_w E_i, one row per direction; fields[w]
+    is the vector field whose derivative D_w takes of a function, or, with
+    ``fields`` None, D_w is algebraic and kills functions.  With one term per
+    covariant slot k,
 
-    def along(i):
-        return vec_add(tuple(fields[i].apply(c) for c in y), combo(y, lambda j: conn.gamma[i][j]))
-
-    return combo(x, along)
-
-
-def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor:
-    """Covariant derivative of a (0,2) or (1,3) frame tensor, with the
-    direction slot prepended as the first index.  Along E_w, with one term
-    per covariant slot k,
-
-      (nabla_w T)(..X_k..) = E_w(T(..X_k..)) - sum_k T(..nabla_w X_k..)
-                             [+ nabla_w of the output vector when r = 1].
+      (D_w T)(..X_k..) = D_w(T(..X_k..)) - sum_k T(..D_w X_k..)
+                         [+ D_w of the output vector when r = 1].
 
     Support: the leaf at (w, idx) can be nonzero only where T(idx) is stored
-    (the derivative and output-vector terms) or where slot k of idx is some
-    i with gamma[w][i][a] nonzero and T stored at idx with slot k set to a.
+    (the derivative and output-vector terms; for an algebraic derivation only
+    along a direction w whose row of ops is nonzero) or where slot k of idx is
+    some i with ops[w][i][a] nonzero and T stored at idx with slot k set to a.
     One walk over the stored leaves of T scatters, for each output index and
-    slot, the (gamma[w][i][a], leaf) pairs in ascending a, keeping references
+    slot, the (ops[w][i][a], leaf) pairs in ascending a, keeping references
     only.  Each component of an output is then one sum (``vec_sum``) of the
     derivative term, the output-vector terms and, subtracted, every slot's
     coefficient-times-leaf terms.  A term left out has a zero factor, so each
@@ -128,23 +127,24 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
     ``comps`` keeps ``itertools.product`` order.
     """
     r, s = tensor.valence
-    if (r, s) not in ((0, 2), (1, 3)):
-        raise GeometryError(f"unsupported valence for covariant derivative: {(r, s)}")
-    n = conn.dim
-    gamma = conn.gamma
-    fields = conn.frame.fields
-    coords = conn.frame.chart.coords
-    # feeds[a]: every (w, i, gamma[w][i][a]) with E_a in nabla_w E_i
-    feeds = [[(w, i, gamma[w][i][a]) for w in range(n) for i in range(n) if not gamma[w][i][a].is_zero] for a in range(n)]
+    if (r, s) not in ((1, 1), (0, 2), (1, 3)):
+        raise GeometryError(f"unsupported valence for a derivation: {(r, s)}")
+    half = s == 3
+    n = tensor.dim
+    nothing = tensor.zero if r else (tensor.zero,)  # the derivative term of an algebraic derivation
+    coords = nothing[0].vars
+    dirs = range(len(ops)) if fields else [w for w, row in enumerate(ops) if any(map(vec_nonzero, row))]
+    # feeds[a]: every (w, i, ops[w][i][a]) with E_a in D_w E_i
+    feeds = [[(w, i, row[i][a]) for w, row in enumerate(ops) for i in range(n) if not row[i][a].is_zero] for a in range(n)]
     # output index -> per slot, its (coefficient, leaf) pairs; scalar leaves
     # ride along as 1-vectors, which the vector helpers handle by zipping
-    slot_terms = {(w, *idx): [[] for _ in idx] for idx in tensor.comps for w in range(n) if not r or idx[0] < idx[1]}
+    slot_terms = {(w, *idx): [[] for _ in idx] for idx in tensor.comps for w in dirs if not half or idx[0] < idx[1]}
     for idx, leaf in tensor.comps.items():
         vec = leaf if r else (leaf,)
         for k, a in enumerate(idx):
             for w, i, c in feeds[a]:
                 out = (w, *idx[:k], i, *idx[k + 1 :])
-                if r and out[1] >= out[2]:
+                if half and out[1] >= out[2]:
                     continue  # the mirror or the diagonal of the half rule
                 terms = slot_terms.get(out)
                 if terms is None:
@@ -155,35 +155,34 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor
         base = tensor.comp(*idx)
         if not r:
             base = (base,)
-        terms = [(1, tuple(fields[w].apply(c) for c in base))]
+        terms = [(1, tuple(fields[w].apply(c) for c in base) if fields else nothing)]
         if r:
-            terms += [(1, vec_scale(c, gamma[w][a])) for a, c in enumerate(base) if not c.is_zero]
+            terms += [(1, vec_scale(c, ops[w][a])) for a, c in enumerate(base) if not c.is_zero]
         for slot in slot_terms.get((w, *idx), ()):
             terms += [(-1, vec_scale(c, v)) for c, v in slot]
         val = vec_sum(coords, terms)
         return val if r else val[0]
 
-    deriv = FrameTensor.build((r, s + 1), n, entry, slot_terms)
-    if not r:
-        return deriv
-    mirror = {(w, y, x, z): tuple(-e for e in leaf) for (w, x, y, z), leaf in deriv.comps.items()}
-    return deriv._replace(comps=dict(sorted({**deriv.comps, **mirror}.items())))
+    out = FrameTensor.build((r, s + 1), n, entry, slot_terms)
+    if not half:
+        return out
+    mirror = {(w, y, x, z): tuple(-e for e in leaf) for (w, x, y, z), leaf in out.comps.items()}
+    return out._replace(comps=dict(sorted({**out.comps, **mirror}.items())))
+
+
+def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor:
+    """Covariant derivative of a (1,1), (0,2) or (1,3) frame tensor, with the
+    direction slot prepended as the first index: the derivation whose
+    directions are the frame fields, with D_w E_i = nabla_w E_i."""
+    return derivation(tensor, conn.gamma, conn.frame.fields)
 
 
 def lie_derivative_metric(frame: Frame, metric: FrameMetric, v) -> FrameTensor:
-    """(L_V g)(X,Y) = V g(X,Y) - g([V,X],Y) - g(X,[V,Y]) on frame pairs."""
+    """(L_V g)(X,Y) = V g(X,Y) - g([V,X],Y) - g(X,[V,Y]) on frame pairs: the
+    derivation of g along the one direction V, with D E_i = [V, E_i]."""
     n = frame.dim
     vfield = frame.from_components(v)
-
-    def bracket_comps(i):
-        return decompose(lie_bracket(vfield, frame.fields[i]), frame)
-
-    with_frame = [bracket_comps(i) for i in range(n)]
-
-    def entry(i, j):
-        val = vfield.apply(metric.g[i][j])
-        val = val - metric.pair(with_frame[i], frame.unit(j))
-        val = val - metric.pair(frame.unit(i), with_frame[j])
-        return val
-
-    return FrameTensor.build((0, 2), n, entry)
+    ops = [[decompose(lie_bracket(vfield, f), frame) for f in frame.fields]]
+    g = FrameTensor.build((0, 2), n, lambda i, j: metric.g[i][j])
+    lie = derivation(g, ops, [vfield])
+    return lie._replace(valence=(0, 2), comps={idx[1:]: leaf for idx, leaf in lie.comps.items()})

@@ -14,15 +14,14 @@ so a result may be an argument itself.
 Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
 of multi-term polynomials again and again (on the dense benchmark inputs,
 two thirds or more of the multi-term calls of a ``curvature`` run repeat an
-earlier pair), so ``poly_gcd`` keeps its results.  The memo is keyed by the
-hash of both operands' contents, and a hit counts only when the stored
-operands equal the call's (``==``), so a hash collision is a miss, never a
-wrong answer.  It holds at most ``GCD_MEMO_ENTRIES`` entries pinning at most
-``GCD_MEMO_TERMS`` terms in all (operands and result), so large operands
-cannot inflate memory.  It keeps references to the operands and the result,
-which is safe because nothing writes to a polynomial once it is built: the
-kernels and the functions here never write to an argument, and no caller
-writes to a result.
+earlier pair), so ``poly_gcd`` keeps its results, keyed by the contents of
+both operands (a frozenset of each one's terms), as ``expr_memo`` is keyed
+by its operands.  A dict lookup compares keys whose hashes collide by
+contents, so a collision is a miss, never a wrong answer.  The memo pins
+at most ``GCD_MEMO_TERMS`` terms in all (operands and result), so large
+operands cannot inflate memory.  Its results are shared, which is safe because
+nothing writes to a polynomial once it is built: the kernels and the
+functions here never write to an argument, and no caller writes to a result.
 
 Both memos of the engine are ``BoundedMemo`` stores: this one and
 ``expr_memo``, which ``symexpr`` fills with Expr products, sums and
@@ -258,36 +257,11 @@ class BoundedMemo:
         self.terms += terms
 
 
-GCD_MEMO_ENTRIES = 512
 GCD_MEMO_TERMS = 4096
 EXPR_MEMO_TERMS = 65536
 
-
-class _GcdMemo(BoundedMemo):
-    """Multi-term GCDs keyed by a content hash of both operands, also bounded
-    in entries; each entry is (a, b, gcd, terms)."""
-
-    def __init__(self, max_entries: int, max_terms: int):
-        super().__init__(max_terms)
-        self.max_entries = max_entries
-
-    def get(self, key: int, a: Poly, b: Poly):
-        entry = self.entries.get(key)
-        if entry is None or entry[0] != a or entry[1] != b:
-            return None
-        return entry[2]
-
-    def put(self, key: int, a: Poly, b: Poly, g: Poly) -> None:
-        old = self.entries.pop(key, None)  # a hash collision replaces the older pair
-        if old is not None:
-            self.terms -= old[3]
-        elif len(self.entries) >= self.max_entries:
-            self.clear()
-        terms = len(a) + len(b) + len(g)
-        self.store(key, (a, b, g, terms), terms)
-
-
-_memo = _GcdMemo(GCD_MEMO_ENTRIES, GCD_MEMO_TERMS)
+# multi-term GCDs keyed by both operands' contents
+_memo = BoundedMemo(GCD_MEMO_TERMS)
 # Expr products, sums, differences and frame derivatives, filled by symexpr
 # and frame_geometry; its keys and values are theirs
 expr_memo = BoundedMemo(EXPR_MEMO_TERMS)
@@ -309,14 +283,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return normalize_sign(a)
     if len(a) == 1 or len(b) == 1:
         return _monomial_gcd(a, b)
-    key = hash((frozenset(a.items()), frozenset(b.items())))
-    g = _memo.get(key, a, b)
+    key = (frozenset(a.items()), frozenset(b.items()))
+    g = _memo.entries.get(key)
     if g is None:
         vs = tuple(range(len(next(iter(a)))))
         g = _heu_gcd(a, b, vs)
         if g is None:
             g = _gcd_rec(a, b, vs)
-        _memo.put(key, a, b, g)
+        _memo.store(key, g, len(a) + len(b) + len(g))
     return g
 
 

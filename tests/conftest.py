@@ -8,7 +8,6 @@ import pytest
 import lcslab
 from lcslab.cli import ManifoldDef, build_manifold, load
 from lcslab.frame_geometry import FrameTensor, combo, vec_add, vec_scale, vec_sub, vec_sum
-from lcslab.levi_civita import cov_deriv_vector
 from lcslab.manifold import ManifoldData
 
 SRC = Path(lcslab.__file__).parents[1]  # where the lcslab under test lives
@@ -61,44 +60,55 @@ def ad_hoc(name: str) -> ManifoldData:
     return build_manifold(ManifoldDef(name, list(coords), frame_rows, metric_rows, len(coords)))
 
 
-def gather_cov_deriv_tensor(conn, tensor, where=None, pairwise=False):
-    """The covariant derivative by the gather formula, with a slot term
-    gamma[w][i][a] times T at slot value a for every a.  Each component is one
-    ``vec_sum`` of the derivative term, the output-vector terms and the slot
-    terms, as the shipped derivative sums it; with ``pairwise`` the terms are
-    instead folded with ``+``/``-`` (through ``combo``), one partial sum at a
-    time.  It is evaluated at every index, or only at the (w, *idx) where
-    ``where`` holds; elsewhere the leaf is T's zero leaf, returned without
-    arithmetic."""
-    r, s = tensor.valence
-    gamma = conn.gamma
+def cov_deriv_vector(conn, x, y):
+    """Frame components of nabla_X Y for frame-component inputs, from its
+    definition: sum_i X^i (E_i(Y^j) E_j + Y^j nabla_i E_j)."""
     fields = conn.frame.fields
+
+    def along(i):
+        return vec_add(tuple(fields[i].apply(c) for c in y), combo(y, lambda j: conn.gamma[i][j]))
+
+    return combo(x, along)
+
+
+def gather_cov_deriv_tensor(tensor, ops, fields, where=None, pairwise=False):
+    """The derivation of ``levi_civita.derivation`` by the gather formula, with
+    a slot term ops[w][i][a] times T at slot value a for every a; ``fields``
+    None means no derivative term.  Each component is one ``vec_sum`` of the
+    derivative term, the output-vector terms and the slot terms, as the
+    shipped derivation sums it; with ``pairwise`` the terms are instead folded
+    with ``+``/``-`` (through ``combo``), one partial sum at a time.  It is
+    evaluated at every index, or only at the (w, *idx) where ``where`` holds;
+    elsewhere, and at any w without a row of ``ops``, the leaf is T's zero
+    leaf, returned without arithmetic."""
+    r, s = tensor.valence
+    zero = tensor.zero if r else (tensor.zero,)
 
     def value(idx):
         leaf = tensor.comp(*idx)
         return leaf if r else (leaf,)
 
     def entry(w, *idx):
-        if where is not None and not where(w, *idx):
+        if w >= len(ops) or where is not None and not where(w, *idx):
             return tensor.zero
         base = value(idx)
-        derivative = tuple(fields[w].apply(c) for c in base)
+        derivative = tuple(fields[w].apply(c) for c in base) if fields else zero
         if pairwise:
             val = derivative
             if r:
-                val = vec_add(val, combo(base, lambda a: gamma[w][a]))
+                val = vec_add(val, combo(base, lambda a: ops[w][a]))
             for k, i in enumerate(idx):
-                val = vec_sub(val, combo(gamma[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
+                val = vec_sub(val, combo(ops[w][i], lambda a: value(idx[:k] + (a,) + idx[k + 1 :])))
         else:
             terms = [(1, derivative)]
             if r:
-                terms += [(1, vec_scale(c, gamma[w][a])) for a, c in enumerate(base)]
+                terms += [(1, vec_scale(c, ops[w][a])) for a, c in enumerate(base)]
             for k, i in enumerate(idx):
-                terms += [(-1, vec_scale(c, value(idx[:k] + (a,) + idx[k + 1 :]))) for a, c in enumerate(gamma[w][i])]
-            val = vec_sum(conn.frame.chart.coords, terms)
+                terms += [(-1, vec_scale(c, value(idx[:k] + (a,) + idx[k + 1 :]))) for a, c in enumerate(ops[w][i])]
+            val = vec_sum(zero[0].vars, terms)
         return val if r else val[0]
 
-    return FrameTensor.build((r, s + 1), conn.dim, entry)
+    return FrameTensor.build((r, s + 1), tensor.dim, entry)
 
 
 def pairwise_riemann(conn, brackets):

@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Mutation gate: every mutant in ``MUTANTS`` must make one of its tests fail.
+
+Run from the root of a checkout:
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # only the named ones
+
+pytest does not collect this file (its name has no ``test_`` prefix).  Each
+row gives a mutant's name, the file it edits (relative to the checkout), the
+exact text it replaces, which must occur once in that file, the new text,
+and the tests that must catch it.  The script copies ``src``, ``tests`` and
+``perfbench`` into a temporary directory once, then applies each mutant
+alone to that copy, runs only its tests there (stopping at the first
+failure), and restores the file.  The tests must first pass on the
+unmutated copy.  A mutant is killed when pytest reports a
+failing test; it survives when every test passes.  Children write no
+bytecode, so no cached module stands in for a mutated one.  The exit status
+is 0 when every mutant is killed, 1 otherwise, including a mutant whose
+text is not found or whose tests cannot be collected.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "perfbench")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+# At n = 3 each of the first seven coefficients coincides with its mutant:
+# n^2+2 = 3n+2 = 11, 2(n-1) = n+1 = 4, n(n-1) = 2n = 6, (n+1)/n = 2(n-1)/n
+# and n-1 = 2, so only a check at some n != 3 catches them.
+MUTANTS = (
+    Mutant(
+        "sgr-n2-plus-2",
+        "src/lcslab/conditions.py",
+        "chart.const(n * n + 2) * forms.b",
+        "chart.const(3 * n + 2) * forms.b",
+        ("tests/test_conditions.py::TestFormulasAtHigherDimension::test_sgr_predictions",),
+    ),
+    Mutant(
+        "sgr-2-n-minus-1",
+        "src/lcslab/conditions.py",
+        "chart.const(2 * (n - 1)) * k2 * eta_rho1",
+        "chart.const(n + 1) * k2 * eta_rho1",
+        ("tests/test_conditions.py::TestFormulasAtHigherDimension::test_sgr_predictions",),
+    ),
+    Mutant(
+        "cxs-guard-n-n-minus-1",
+        "src/lcslab/conditions.py",
+        "guard_cxs = chart.const(n * (n - 1)) * guard_rxm + 1",
+        "guard_cxs = chart.const(2 * n) * guard_rxm + 1",
+        ("tests/test_conditions.py::TestFormulasAtHigherDimension::test_derived_conditions_guard",),
+    ),
+    Mutant(
+        "soliton-lambda-n-plus-1",
+        "src/lcslab/conditions.py",
+        "printed = half_p + Fraction(n + 1, n) * alpha",
+        "printed = half_p + Fraction(2 * (n - 1), n) * alpha",
+        ("tests/test_conditions.py::TestFormulasAtHigherDimension::test_soliton_lambda_and_k",),
+    ),
+    Mutant(
+        "concircular-n-n-minus-1",
+        "src/lcslab/curvature.py",
+        "factor = scalar / chart.const(n * (n - 1))",
+        "factor = scalar / chart.const(2 * n)",
+        ("tests/test_acceptance.py::test_numeric_cross_check_lcs_n",),
+    ),
+    Mutant(
+        "m-projective-2-n-minus-1",
+        "src/lcslab/curvature.py",
+        "factor = chart.one() / chart.const(2 * (n - 1))",
+        "factor = chart.one() / chart.const(n + 1)",
+        ("tests/test_acceptance.py::test_numeric_cross_check_lcs_n",),
+    ),
+    Mutant(
+        "ricci-into-xi-n-minus-1",
+        "src/lcslab/lcs_structure.py",
+        "res.append(lhs - chart.const(n - 1) * k2 * st.eta[i])",
+        "res.append(lhs - chart.const(2) * k2 * st.eta[i])",
+        ("tests/test_lcs_structure.py::TestVerifyAxioms::test_all_pass_on_lcs_n",),
+    ),
+    # the derivation routine
+    Mutant(
+        "half-rule-mirror-not-negated",
+        "src/lcslab/levi_civita.py",
+        "mirror = {(w, y, x, z): tuple(-e for e in leaf)",
+        "mirror = {(w, y, x, z): tuple(e for e in leaf)",
+        ("tests/test_levi_civita.py::TestCovDerivTensor::test_half_rule_equals_the_formula_at_every_index",),
+    ),
+    Mutant(
+        "cxs-not-negated",
+        "src/lcslab/conditions.py",
+        "comps={idx: -leaf for idx, leaf in c_xi_s.comps.items()}",
+        "comps={idx: leaf for idx, leaf in c_xi_s.comps.items()}",
+        ("tests/test_acceptance.py::test_derived_condition_tensors_match_the_twin",),
+    ),
+    Mutant(
+        "derivation-output-vector-term-dropped",
+        "src/lcslab/levi_civita.py",
+        "terms += [(1, vec_scale(c, ops[w][a])) for a, c in enumerate(base) if not c.is_zero]",
+        "pass",
+        ("tests/test_acceptance.py::test_numeric_cross_check_lcs_n",),
+    ),
+)
+
+
+def pytest(copy: Path, tests) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def run_mutant(copy: Path, mutant: Mutant) -> str:
+    """'killed', 'survived', or the reason the mutant could not be judged."""
+    target = copy / mutant.path
+    text = target.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return f"error: the old text occurs {text.count(mutant.old)} times in {mutant.path}"
+    target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        done = pytest(copy, mutant.tests)
+    finally:
+        target.write_text(text, encoding="utf-8")
+    if done.returncode == 1:  # pytest: some test failed
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exited {done.returncode}: {' '.join(tail)}"
+
+
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[n] for n in names] if names else list(MUTANTS)
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="lcslab-mutants-") as tmp:
+        copy = Path(tmp)
+        for part in COPIED:
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", "out", ".pytest_cache"))
+        # a test that fails unmutated would count every mutant as killed
+        tests = sorted({t for m in chosen for t in m.tests})
+        clean = pytest(copy, tests)
+        if clean.returncode != 0:
+            print(clean.stdout + clean.stderr, file=sys.stderr)
+            print("the mutants' tests do not pass on the unmutated copy", file=sys.stderr)
+            return 1
+        for mutant in chosen:
+            start = time.perf_counter()
+            outcome = run_mutant(copy, mutant)
+            bad += outcome != "killed"
+            print(f"{mutant.name}: {outcome} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -214,6 +214,11 @@ class TestExitCodes:
             ({"forms": {"A": ["0", 0, "0"], "B": ["0", "0", "0"]}}, "A[2]"),
             ({"name": [1, 2]}, "'name'"),
             ({"frame": [["z*x", "z*y", 0], ["0", "z", "0"], ["0", "0", "1"]]}, "frame[1][3]"),
+            # falsy values are not a missing sample point either
+            ({"sample_point": []}, "sample_point"),
+            ({"sample_point": 0}, "sample_point"),
+            ({"sample_point": False}, "sample_point"),
+            ({"sample_point": ""}, "sample_point"),
         ],
     )
     def test_malformed_cell_is_two(self, tmp_path, capsys, change, key):
@@ -227,6 +232,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         # "must be": rejected for its type, not read as the text of an expression
         assert "error:" in err and key in err and "must be" in err and "Traceback" not in err
+
+    def test_null_sample_point_is_no_sample_point(self, tmp_path):
+        assert main(["check-lcs", write_def(tmp_path, dict(EXAMPLE_DEF, sample_point=None))]) == 0
 
     @pytest.mark.parametrize(
         "payload, message",

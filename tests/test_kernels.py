@@ -217,15 +217,23 @@ def test_memoised_gcd_equals_uncached_gcd(c, f, k, u, v, j):
 
 
 def test_memo_hit_needs_equal_operands():
-    # a colliding key is a miss and the newer pair replaces the older one
-    memo = polyops._GcdMemo(4, 100)
-    a, b, g = {(1, 0, 0): 1, (0, 0, 0): 1}, {(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 0, 0): 1}
-    memo.put(7, a, b, g)
-    assert memo.get(7, dict(a), dict(b)) is g
-    assert memo.get(7, b, a) is None
-    memo.put(7, b, a, g)
-    assert memo.get(7, a, b) is None and memo.get(7, b, a) is g
-    assert len(memo.entries) == 1 and memo.terms == 5
+    # the key is both operands' contents, in order: equal contents in new
+    # dicts hit, and a key whose hash collides with a stored one is a miss
+    # (hash(-1) == hash(-2) in CPython, so a and c hash alike)
+    memo = polyops._memo
+    polyops.reset_memos()
+    a, b = {(1, 0, 0): 1, (0, 0, 0): -1}, {(1, 0, 0): 1, (0, 1, 0): 1}
+    c = {(1, 0, 0): 1, (0, 0, 0): -2}
+    g = poly_gcd(a, b)
+    assert poly_gcd(dict(a), dict(b)) is g and len(memo.entries) == 1
+    assert hash((frozenset(a.items()), frozenset(b.items()))) == hash((frozenset(c.items()), frozenset(b.items())))
+    assert poly_gcd(c, b) == uncached_gcd(c, b) and len(memo.entries) == 2
+    assert poly_gcd(b, a) == g and len(memo.entries) == 3
+    assert memo.terms == 3 * (2 + 2 + 1)
+
+
+def pinned_terms(memo) -> int:
+    return sum(len(a) + len(b) + len(g) for (a, b), g in memo.entries.items())
 
 
 def test_memo_keeps_its_term_budget(monkeypatch):
@@ -233,23 +241,21 @@ def test_memo_keeps_its_term_budget(monkeypatch):
     cli.run("curvature", data, {})
     memo = polyops._memo
     assert memo.entries  # the dense-style run makes multi-term GCDs
-    assert memo.terms == sum(len(a) + len(b) + len(g) for a, b, g, _ in memo.entries.values())
-    assert memo.terms <= polyops.GCD_MEMO_TERMS and len(memo.entries) <= polyops.GCD_MEMO_ENTRIES
+    assert memo.terms == pinned_terms(memo) <= polyops.GCD_MEMO_TERMS
 
-    # a budget far below the run's needs: evictions keep it after every store
-    tight = polyops._GcdMemo(16, 60)
-    put, stored = tight.put, []
+    # a budget far below the run's needs: clears keep it after every store
+    tight = polyops.BoundedMemo(60)
+    store, stored = tight.store, []
 
-    def checked_put(key, a, b, g):
-        put(key, a, b, g)
-        stored.append(key)
-        assert tight.terms == sum(e[3] for e in tight.entries.values()) <= 60
-        assert len(tight.entries) <= 16
+    def checked_store(key, value, terms):
+        store(key, value, terms)
+        stored.append(terms)
+        assert tight.terms == pinned_terms(tight) <= 60
 
-    tight.put = checked_put
+    tight.store = checked_store
     monkeypatch.setattr(polyops, "_memo", tight)
     cli.run("curvature", ad_hoc("dense-style"), {})
-    assert len(set(stored)) > 16
+    assert sum(stored) > 60
 
 
 def test_no_gcd_operand_is_written_afterwards(monkeypatch):

@@ -3,12 +3,21 @@ import random
 import pytest
 
 from lcslab import polyops
+from lcslab.conditions import xi_action
 from lcslab.curvature import riemann
-from lcslab.frame_geometry import FrameTensor, GeometryError
-from lcslab.levi_civita import cov_deriv_tensor, cov_deriv_vector
+from lcslab.frame_geometry import FrameTensor, GeometryError, decompose, lie_bracket, vec_add, vec_scale
+from lcslab.levi_civita import cov_deriv_tensor, derivation
 from lcslab.symexpr import Expr
 
-from conftest import AD_HOC, ad_hoc, builtin, gather_cov_deriv_tensor, make_manifold, pairwise_riemann
+from conftest import (
+    AD_HOC,
+    ad_hoc,
+    builtin,
+    cov_deriv_vector,
+    gather_cov_deriv_tensor,
+    make_manifold,
+    pairwise_riemann,
+)
 
 
 def gcd_calls(monkeypatch, compute) -> int:
@@ -155,16 +164,32 @@ class TestCovDerivTensor:
         # nabla R is evaluated at x < y only and mirrored; the gather formula
         # evaluates every (w, x, y, z) on its own
         data = ad_hoc(name) if name in AD_HOC else builtin(name)
-        full = gather_cov_deriv_tensor(data.connection, data.stack.riemann13)
+        conn = data.connection
+        full = gather_cov_deriv_tensor(data.stack.riemann13, conn.gamma, conn.frame.fields)
         assert list(data.nabla_riemann.comps.items()) == list(full.comps.items())
         assert data.nabla_riemann.zero == full.zero
+
+    @pytest.mark.parametrize("kind", ["R(xi,X).M", "C(xi,X).S", "L_xi g", "nabla phi"])
+    @pytest.mark.parametrize("name", ["example51", "lcs5", *AD_HOC])
+    def test_every_derivation_equals_the_formula_at_every_index(self, name, kind):
+        # the scatter, with the half rule for M, against the gather formula at
+        # every index, for each derivation the engine forms besides nabla R/S;
+        # xi is the frame's designated field, phi the shape X + eta(X) xi
+        data = ad_hoc(name) if name in AD_HOC else builtin(name)
+        tensor, ops, fields = derivation_inputs(data, kind)
+        if tensor.valence == (1, 3):  # the half rule's hypothesis, on M's stored leaves
+            assert all(tensor.comp(y, x, z) == tuple(-e for e in leaf) for (x, y, z), leaf in tensor.comps.items())
+        ours = derivation(tensor, ops, fields)
+        full = gather_cov_deriv_tensor(tensor, ops, fields)
+        assert list(ours.comps.items()) == list(full.comps.items())
+        assert ours.zero == full.zero
 
     @pytest.mark.parametrize("name", ["dense-style", "lcs5"])
     def test_half_rule_makes_fewer_gcd_calls(self, monkeypatch, name):
         data = ad_hoc(name) if name in AD_HOC else builtin(name)
         conn, riem = data.connection, data.stack.riemann13
         half = gcd_calls(monkeypatch, lambda: cov_deriv_tensor(conn, riem))
-        assert half < gcd_calls(monkeypatch, lambda: gather_cov_deriv_tensor(conn, riem))
+        assert half < gcd_calls(monkeypatch, lambda: gather_cov_deriv_tensor(riem, conn.gamma, conn.frame.fields))
 
     def test_one_sum_per_component_makes_fewer_gcd_calls(self, monkeypatch):
         # R and nabla R normalise each component once (Expr.sum); the pairwise
@@ -177,7 +202,7 @@ class TestCovDerivTensor:
 
         def pairwise():
             riem = pairwise_riemann(conn, brackets)
-            gather_cov_deriv_tensor(conn, riem, where=lambda w, x, y, z: x < y, pairwise=True)
+            gather_cov_deriv_tensor(riem, conn.gamma, conn.frame.fields, where=lambda w, x, y, z: x < y, pairwise=True)
 
         assert gcd_calls(monkeypatch, summed) < gcd_calls(monkeypatch, pairwise)
 
@@ -195,6 +220,26 @@ class TestCovDerivTensor:
         t = FrameTensor.build((0, 1), 3, lambda i: example51.chart.zero())
         with pytest.raises(GeometryError):
             cov_deriv_tensor(example51.connection, t)
+
+
+def derivation_inputs(data, kind):
+    """(tensor, ops, fields) of one derivation the engine forms, with xi the
+    frame's designated field; phi is the shape X + eta(X) xi, which the
+    ``phi-shape`` axiom checks on every input with a structure."""
+    conn, frame = data.connection, data.frame
+    n = data.dim
+    xi = data.xi_components()
+    if kind == "R(xi,X).M":
+        return data.m_projective, xi_action(data.stack.riemann13, xi), None
+    if kind == "C(xi,X).S":
+        return data.stack.ricci, xi_action(data.concircular, xi), None
+    if kind == "L_xi g":
+        v = frame.from_components(xi)
+        g = FrameTensor.build((0, 2), n, lambda i, j: data.metric.g[i][j])
+        return g, [[decompose(lie_bracket(v, f), frame) for f in frame.fields]], [v]
+    eta = data.metric.lower(xi)
+    phi = FrameTensor.build((1, 1), n, lambda i: vec_add(frame.unit(i), vec_scale(eta[i], xi)))
+    return phi, conn.gamma, frame.fields
 
 
 class TestLieDerivative:

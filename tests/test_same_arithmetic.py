@@ -2,12 +2,13 @@
 arithmetic in the same order as at every index.
 
 Each input runs ``curvature``, ``derived-conditions``, ``check-lcs``,
-``fit SGR``, ``fit SGRR`` and ``check SGR|SGRR|SGPR`` (with the 1-forms
-A(E_i) = x_i, B(E_i) = i) in-process twice: as shipped, and as a
-reference in which ``FrameTensor.build`` ignores its support and the
-covariant derivative is the gather formula of ``conftest``, each component
-one ``vec_sum`` as in the shipped derivative.  For a (1,3) input the
-reference takes the shipped half rule: it returns the zero leaf without
+``fit SGR``, ``fit SGRR``, ``check SGR|SGRR|SGPR`` (with the 1-forms
+A(E_i) = x_i, B(E_i) = i) and ``soliton`` in-process twice: as shipped,
+and as a reference in which ``FrameTensor.build`` ignores its support
+and every derivation (nabla S, nabla R, nabla phi, R(xi,X).M, C(xi,X).S
+and L_V g) is the gather formula of ``conftest``, each component one
+``vec_sum`` as in the shipped ``levi_civita.derivation``.  For a (1,3)
+input the reference takes the shipped half rule: it returns the zero leaf without
 arithmetic at x >= y and then fills the mirror, so both runs do the same
 work off the support (``test_levi_civita`` checks the half rule
 against the formula at every index).  Both runs must give the same reports,
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from lcslab import _poly_py, cli, manifold, polyops, symexpr
+from lcslab import _poly_py, cli, conditions, levi_civita, polyops, symexpr
 from lcslab.frame_geometry import FrameTensor
 
 from conftest import ad_hoc, gather_cov_deriv_tensor
@@ -40,6 +41,7 @@ COMMANDS = (
     ("check", {"kind": "SGR"}),
     ("check", {"kind": "SGRR"}),
     ("check", {"kind": "SGPR"}),
+    ("soliton", {}),
 )
 INPUTS = {
     "lcs5": lambda: cli.build_manifold(cli.load("lcs5")),
@@ -48,13 +50,13 @@ INPUTS = {
 }
 
 
-def reference_cov_deriv_tensor(conn, tensor):
+def reference_derivation(tensor, ops, fields=None):
     """The gather formula under the shipped half rule: a (1,3) input gets the
     zero leaf, without arithmetic, at x >= y, and (w,y,x,z) is then filled
     as the negation of (w,x,y,z)."""
     if tensor.valence != (1, 3):
-        return gather_cov_deriv_tensor(conn, tensor)
-    half = gather_cov_deriv_tensor(conn, tensor, where=lambda w, x, y, z: x < y)
+        return gather_cov_deriv_tensor(tensor, ops, fields)
+    half = gather_cov_deriv_tensor(tensor, ops, fields, where=lambda w, x, y, z: x < y)
     mirror = {(w, y, x, z): tuple(-e for e in leaf) for (w, x, y, z), leaf in half.comps.items()}
     return half._replace(comps=dict(sorted({**half.comps, **mirror}.items())))
 
@@ -88,7 +90,8 @@ def traced_run(monkeypatch, load, forms: str, reference: bool):
     with monkeypatch.context() as m:
         m.setattr(FrameTensor, "build", classmethod(recording_build))
         if reference:
-            m.setattr(manifold, "cov_deriv_tensor", reference_cov_deriv_tensor)
+            for module in (levi_civita, conditions):
+                m.setattr(module, "derivation", reference_derivation)
         layers._install_counters(counters, patches, symexpr, polyops, _poly_py)
         try:
             data = load()
