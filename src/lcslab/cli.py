@@ -377,7 +377,7 @@ def add_upper_pairs(report: Report, label: str, title: str, tensor) -> int:
 
 def add_self_checks(data: ManifoldData, report: Report) -> None:
     """One pass/fail entry per structural self-check of the curvature stack."""
-    for name, ok in data.stack.self_check(data.metric, data.nabla_riemann):
+    for name, ok in data.stack.self_check(data.metric, data.connection):
         report.add(f"self-check.{name}", PASS if ok else FAIL, name)
 
 

@@ -366,8 +366,10 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
     guard_rxm_nonzero = not guard_rxm.is_zero
     guard_cxs_nonzero = not guard_cxs.is_zero
 
-    verdict_rxm = classify(ric, data.metric, st.eta) if rxm_zero and guard_rxm_nonzero else None
-    verdict_cxs = classify(ric, data.metric, st.eta) if cxs_zero and guard_cxs_nonzero else None
+    rxm_gate = rxm_zero and guard_rxm_nonzero
+    cxs_gate = cxs_zero and guard_cxs_nonzero
+    # both gates classify the same S: one verdict serves each that fires
+    verdict = classify(ric, data.metric, st.eta) if rxm_gate or cxs_gate else None
 
     return DerivedConditions(
         rxm=rxm,
@@ -379,6 +381,6 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
         guard_cxs=guard_cxs,
         guard_cxs_nonzero=guard_cxs_nonzero,
         mproj_xi_residual=mproj_xi,
-        einstein_from_rxm=verdict_rxm,
-        einstein_from_cxs=verdict_cxs,
+        einstein_from_rxm=verdict if rxm_gate else None,
+        einstein_from_cxs=verdict if cxs_gate else None,
     )

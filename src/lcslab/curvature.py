@@ -16,7 +16,9 @@ index, and those permutations, with the identity, form a group: the sum at
 a permuted index is the sum at the original one up to sign.  An index whose
 orbit holds no stored leaf gives a sum of zeros, and any other index shares
 its sum with a stored leaf, so checking at every stored leaf covers every
-index.  R is computed at every (i,j) pair, so the checks on R compare
+index, and one sum per orbit covers the whole orbit: ``orbit_vanishes``
+sums at the first stored leaf of each orbit and skips its other members.
+R is computed at every (i,j) pair, so the checks on R compare
 independently computed leaves.  The x > y half of nabla R is a mirror of
 its x < y half (see ``levi_civita``), yet ``second-bianchi`` still compares
 independently computed leaves.  At distinct w, x, y its sum is, up to sign,
@@ -24,7 +26,11 @@ the sum at the sorted index w < x < y, whose terms (nabla_w R)(x,y),
 (nabla_x R)(y,w) = -(nabla_x R)(w,y) and (nabla_y R)(w,x) are the computed
 leaves (w,x,y), (x,w,y) and (y,w,x).  At a repeated direction the identity
 says only that nabla R is antisymmetric in (x,y), which the mirror holds by
-construction; R's own antisymmetry is checked on R.
+construction; R's own antisymmetry is checked on R.  So ``self_check``
+derives nabla R from the connection on its Bianchi support only, the
+leaves (w,x,y,z) with w not in {x, y} and their mirrors: every orbit sum
+that can fail reads only those leaves, and the orbits at a repeated
+direction, holding none, sum to zero as they do on the full tensor.
 
 The memo of Expr operations (see ``symexpr``) makes none of these checks a
 tautology: R is evaluated by its formula at every (i,j), and a memo hit
@@ -50,7 +56,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .frame_geometry import FrameMetric, FrameTensor, dot, vec_add, vec_nonzero, vec_scale, vec_sub, vec_sum
-from .levi_civita import ConnectionCoeffs
+from .levi_civita import ConnectionCoeffs, cov_deriv_tensor
 from .symexpr import Expr
 
 
@@ -193,8 +199,15 @@ class CurvatureStack(NamedTuple):
             scalar=scalar_curvature(ric, metric),
         )
 
-    def self_check(self, metric: FrameMetric, nabla_r: FrameTensor | None = None) -> list[tuple[str, bool]]:
-        """Exact structural identities of the computed stack."""
+    def self_check(
+        self, metric: FrameMetric, conn: ConnectionCoeffs, nabla_r: FrameTensor | None = None
+    ) -> list[tuple[str, bool]]:
+        """Exact structural identities of the computed stack.
+
+        ``second-bianchi`` reads ``nabla_r``, by default the leaves of nabla R
+        on its Bianchi support, derived here from ``conn`` (see the module
+        docstring); a test passes its own to see the check fail.
+        """
         n = metric.dim
         low = riemann_lowered(self.riemann13, metric)
 
@@ -214,8 +227,9 @@ class CurvatureStack(NamedTuple):
                 paired = metric.pair(self.q_operator.comp(i), metric.frame.unit(j))
                 ok = ok and (paired - self.ricci.comp(i, j)).is_zero
         checks.append(("ricci-operator-defining", ok))
-        if nabla_r is not None:
-            checks.append(holds("second-bianchi", nabla_r))
+        if nabla_r is None:
+            nabla_r = cov_deriv_tensor(conn, self.riemann13, bianchi=True)
+        checks.append(holds("second-bianchi", nabla_r))
         return checks
 
 
@@ -238,15 +252,23 @@ def orbit_vanishes(tensor: FrameTensor, terms) -> bool:
     """True when sum_t sign_t T(idx o perm_t) is zero at every index, for
     (sign, perm) terms whose permutations form a group with the identity.
 
-    Only the stored leaves are visited (see the module docstring).  A sign
-    is applied by adding or subtracting the leaf, never by multiplying.
+    Only the stored leaves are visited, one orbit at a time (see the module
+    docstring): the signs form a character of the group, so the sum at any
+    member idx o perm_t of a summed orbit is sign_t times the sum at idx,
+    and the other members are skipped.  A sign is applied by adding or
+    subtracting the leaf, never by multiplying.
     """
     vector = tensor.valence[0] == 1
     zero = tensor.zero if vector else (tensor.zero,)  # scalars ride along as 1-vectors
+    seen = set()
     for idx in tensor.comps:
+        if idx in seen:
+            continue
+        orbit = [tuple(idx[p] for p in perm) for _, perm in terms]
+        seen.update(orbit)
         total = zero
-        for sign, perm in terms:
-            value = tensor.comp(*(idx[p] for p in perm))
+        for (sign, _), moved in zip(terms, orbit):
+            value = tensor.comp(*moved)
             total = (vec_add if sign > 0 else vec_sub)(total, value if vector else (value,))
         if vec_nonzero(total):
             return False

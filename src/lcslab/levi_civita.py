@@ -22,6 +22,12 @@ M, whose formula is odd in (X,Y) wherever R's is.  Then
 (D_W T)(E_y,E_x) = -(D_W T)(E_x,E_y) and the x = y leaves are zero, so only
 the leaves with x < y are evaluated; each (w,y,x,z) leaf is the
 componentwise negation of (w,x,y,z), which costs no GCD.
+
+Bianchi support: the curvature self-checks need nabla R only for the second
+Bianchi identity, whose sums at a repeated direction vanish by the mirror
+alone.  ``cov_deriv_tensor(conn, R, bianchi=True)`` walks the same scatter
+with one more skip, w in {x, y}, and so forms only the leaves that identity
+can fail on; ``ManifoldData.nabla_riemann`` stays the full tensor.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ def koszul(frame: Frame, metric: FrameMetric, brackets) -> ConnectionCoeffs:
     return ConnectionCoeffs(frame, gamma)
 
 
-def derivation(tensor: FrameTensor, ops, fields=None) -> FrameTensor:
+def derivation(tensor: FrameTensor, ops, fields=None, bianchi: bool = False) -> FrameTensor:
     """A family of derivations D_w applied to a (1,1), (0,2) or (1,3) frame
     tensor, with the direction slot w prepended as the first index.  ops[w][i]
     holds the frame components of D_w E_i, one row per direction; fields[w]
@@ -123,7 +129,11 @@ def derivation(tensor: FrameTensor, ops, fields=None) -> FrameTensor:
 
     A (1,3) input must be antisymmetric in its first two slots (see the
     module docstring): only the outputs (w,x,y,z) with x < y are scattered
-    and gathered, (w,y,x,z) is their negation, and x = y stays empty.
+    and gathered, (w,y,x,z) is their negation, and x = y stays empty.  With
+    ``bianchi`` the walk also skips every output with w in {x, y}: what is
+    left are the leaves the second Bianchi identity can fail on (see
+    ``curvature``), for each 3-subset a < b < c the leaves (a,b,c), (b,a,c)
+    and (c,a,b) with their mirrors, each the same sum as in the full walk.
     ``comps`` keeps ``itertools.product`` order.
     """
     r, s = tensor.valence
@@ -138,14 +148,17 @@ def derivation(tensor: FrameTensor, ops, fields=None) -> FrameTensor:
     feeds = [[(w, i, row[i][a]) for w, row in enumerate(ops) for i in range(n) if not row[i][a].is_zero] for a in range(n)]
     # output index -> per slot, its (coefficient, leaf) pairs; scalar leaves
     # ride along as 1-vectors, which the vector helpers handle by zipping
-    slot_terms = {(w, *idx): [[] for _ in idx] for idx in tensor.comps for w in dirs if not half or idx[0] < idx[1]}
+    def kept(w, x, y):  # of a (1,3) input, the outputs (w,x,y,z) scattered and gathered
+        return x < y and not (bianchi and w in (x, y))
+
+    slot_terms = {(w, *idx): [[] for _ in idx] for idx in tensor.comps for w in dirs if not half or kept(w, *idx[:2])}
     for idx, leaf in tensor.comps.items():
         vec = leaf if r else (leaf,)
         for k, a in enumerate(idx):
             for w, i, c in feeds[a]:
                 out = (w, *idx[:k], i, *idx[k + 1 :])
-                if half and out[1] >= out[2]:
-                    continue  # the mirror or the diagonal of the half rule
+                if half and not kept(*out[:3]):
+                    continue  # the mirror or the diagonal of the half rule, or off the Bianchi support
                 terms = slot_terms.get(out)
                 if terms is None:
                     terms = slot_terms[out] = [[] for _ in idx]
@@ -170,11 +183,13 @@ def derivation(tensor: FrameTensor, ops, fields=None) -> FrameTensor:
     return out._replace(comps=dict(sorted({**out.comps, **mirror}.items())))
 
 
-def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor) -> FrameTensor:
+def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor, bianchi: bool = False) -> FrameTensor:
     """Covariant derivative of a (1,1), (0,2) or (1,3) frame tensor, with the
     direction slot prepended as the first index: the derivation whose
-    directions are the frame fields, with D_w E_i = nabla_w E_i."""
-    return derivation(tensor, conn.gamma, conn.frame.fields)
+    directions are the frame fields, with D_w E_i = nabla_w E_i.  ``bianchi``
+    keeps only the leaves of a (1,3) tensor's derivative that the second
+    Bianchi identity can fail on (see ``derivation``)."""
+    return derivation(tensor, conn.gamma, conn.frame.fields, bianchi)
 
 
 def lie_derivative_metric(frame: Frame, metric: FrameMetric, v) -> FrameTensor:

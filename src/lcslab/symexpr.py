@@ -41,7 +41,8 @@ equality, ``__eq__`` on the canonical forms) and a hash collision is a miss;
 the stored result is what recomputing the operation on those operands gives.
 ``a + b`` and ``b + a`` (and ``a * b``, ``b * a``) have one canonical result,
 so their key puts the operand of smaller hash first; ``-`` keeps its order.
-The zero-absorbing and int-coercion paths run before the lookup.
+The zero-absorbing and int-coercion paths run before the lookup, and so
+does ``*`` by the constant 1, which returns the other operand.
 ``Expr.sum`` of more than two nonzero terms bypasses the memo: it normalises
 the whole sum once, where a fold of ``+`` would look up and store every
 partial sum.  The memo keeps references to operands and results, which is
@@ -361,6 +362,10 @@ class Expr:
         if not self.num:
             return self
         if not o.num:
+            return o
+        if P.poly_is_one(o.num) and P.poly_is_one(o.den):
+            return self
+        if P.poly_is_one(self.num) and P.poly_is_one(self.den):
             return o
         key = (_MUL, self, o) if hash(self) <= hash(o) else (_MUL, o, self)
         out = _memo.entries.get(key)

@@ -118,6 +118,43 @@ MUTANTS = (
         "pass",
         ("tests/test_acceptance.py::test_numeric_cross_check_lcs_n",),
     ),
+    Mutant(
+        "nabla-riemann-mirror-left-out",
+        "src/lcslab/levi_civita.py",
+        "return out._replace(comps=dict(sorted({**out.comps, **mirror}.items())))",
+        "return out",
+        ("tests/test_levi_civita.py::TestCovDerivTensor::test_half_rule_equals_the_formula_at_every_index",),
+    ),
+    # the self-checks on their support: the restriction must keep every leaf
+    # that second-bianchi can fail on, and one sum per orbit must still sum
+    Mutant(
+        "bianchi-support-drops-x-w-y-leaf",
+        "src/lcslab/levi_civita.py",
+        "return x < y and not (bianchi and w in (x, y))",
+        "return x < y and not (bianchi and (w in (x, y) or x < w < y))",
+        ("tests/test_curvature.py::TestRiemann::test_structural_identities",),
+    ),
+    Mutant(
+        "second-bianchi-reads-repeated-directions",  # a tautology: the mirror holds it
+        "src/lcslab/levi_civita.py",
+        "return x < y and not (bianchi and w in (x, y))",
+        "return x < y and not (bianchi and w not in (x, y))",
+        ("tests/test_curvature.py::TestRiemann::test_second_bianchi_reads_the_derivative_of_the_stack_riemann",),
+    ),
+    Mutant(
+        "orbit-marked-seen-not-summed",
+        "src/lcslab/curvature.py",
+        "        seen.update(orbit)\n",
+        "        seen.update(orbit)\n        continue\n",
+        ("tests/test_curvature.py::TestRiemann::test_every_bianchi_support_leaf_is_read",),
+    ),
+    Mutant(
+        "mul-memo-key-without-second-operand",
+        "src/lcslab/symexpr.py",
+        "key = (_MUL, self, o) if hash(self) <= hash(o) else (_MUL, o, self)",
+        "key = (_MUL, self) if hash(self) <= hash(o) else (_MUL, o)",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
 )
 
 

@@ -89,7 +89,7 @@ def test_criterion_03_curvature_components_and_identities():
     }
     for (i, j, k), texts in expected.items():
         assert data.stack.riemann13.comp(i, j, k) == tuple(chart.parse(t) for t in texts), (i, j, k)
-    checks = dict(data.stack.self_check(data.metric, data.nabla_riemann))
+    checks = dict(data.stack.self_check(data.metric, data.connection))
     for name in (
         "antisymmetry-first-pair",
         "antisymmetry-second-pair",

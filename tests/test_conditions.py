@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lcslab import lcs_structure
+from lcslab import conditions, lcs_structure
 from lcslab.conditions import (
     NoSolution,
     RecurrenceForms,
@@ -261,6 +261,21 @@ class TestDerivedConditions:
         assert out.guard_rxm_nonzero and out.guard_cxs_nonzero
         assert out.einstein_from_rxm.kind is EinsteinKind.EINSTEIN
         assert out.einstein_from_cxs.kind is EinsteinKind.EINSTEIN
+
+    def test_both_gates_share_one_classification(self, monkeypatch):
+        # on desitter4 both Einstein gates fire; S is classified once
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return lcs_structure.classify(*args)
+
+        data = builtin("desitter4")
+        monkeypatch.setattr(conditions, "classify", counted)
+        out = derived_condition_residuals(data)
+        assert len(calls) == 1
+        assert out.einstein_from_rxm == out.einstein_from_cxs
+        assert out.einstein_from_rxm.kind is EinsteinKind.EINSTEIN
 
     def test_non_lcs_refused(self, flat3):
         with pytest.raises(NotLcsError):

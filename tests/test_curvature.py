@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from lcslab.curvature import PERMUTATION_IDENTITIES, riemann_lowered
+from lcslab.curvature import PERMUTATION_IDENTITIES, orbit_vanishes, riemann_lowered
 from lcslab.frame_geometry import FrameTensor
+from lcslab.levi_civita import cov_deriv_tensor
 
-from conftest import make_manifold
+from conftest import ad_hoc, builtin, make_manifold
 
 
 PUBLISHED_CURVATURE = {
@@ -32,7 +33,7 @@ class TestRiemann:
 
     def test_structural_identities(self, example51, desitter3, flat3):
         for data in (example51, desitter3, flat3):
-            checks = data.stack.self_check(data.metric, data.nabla_riemann)
+            checks = data.stack.self_check(data.metric, data.connection)
             assert all(ok for _, ok in checks), checks
             names = [name for name, _ in checks]
             assert "first-bianchi" in names and "second-bianchi" in names
@@ -40,16 +41,38 @@ class TestRiemann:
     def test_self_check_catches_corrupted_riemann(self, example51):
         data = example51
         riem = bump_leaf(data.stack.riemann13, (0, 1, 1), data.chart.one())  # R(E1,E2)E2 gains E1
-        checks = dict(data.stack._replace(riemann13=riem).self_check(data.metric, data.nabla_riemann))
+        checks = dict(data.stack._replace(riemann13=riem).self_check(data.metric, data.connection))
         assert not checks["antisymmetry-first-pair"]
         assert not checks["pair-symmetry"]
 
     def test_self_check_catches_corrupted_nabla_riemann(self, example51):
         data = example51
         nabla_r = bump_leaf(data.nabla_riemann, (0, 1, 2, 2), data.chart.one())
-        checks = dict(data.stack.self_check(data.metric, nabla_r))
+        checks = dict(data.stack.self_check(data.metric, data.connection, nabla_r))
         assert not checks["second-bianchi"]
         assert all(ok for name, ok in checks.items() if name != "second-bianchi")
+
+    def test_second_bianchi_reads_the_derivative_of_the_stack_riemann(self, example51):
+        # with no nabla R given, self_check derives it from the connection:
+        # an R kept antisymmetric in its first pair, so that the half rule
+        # holds, yet not a curvature tensor, has a derivative that breaks
+        # the identity on the Bianchi support
+        data = example51
+        one = data.chart.one()
+        riem = bump_leaf(bump_leaf(data.stack.riemann13, (0, 1, 2), one), (1, 0, 2), -one)
+        checks = dict(data.stack._replace(riemann13=riem).self_check(data.metric, data.connection))
+        assert checks["antisymmetry-first-pair"] and not checks["second-bianchi"]
+
+    @pytest.mark.parametrize("name", ["example51", "lcs4", "dense-style"])
+    def test_every_bianchi_support_leaf_is_read(self, name):
+        # one sum per orbit still reads every stored leaf: a bump to any
+        # single one, its mirror left as it was, fails the identity
+        data = ad_hoc(name) if name == "dense-style" else builtin(name)
+        leaves = cov_deriv_tensor(data.connection, data.stack.riemann13, bianchi=True)
+        identity = PERMUTATION_IDENTITIES["second-bianchi"]
+        assert leaves.comps and orbit_vanishes(leaves, identity)
+        for idx in leaves.comps:
+            assert not orbit_vanishes(bump_leaf(leaves, idx, data.chart.one()), identity), idx
 
 
 def bump_leaf(tensor, idx, amount):
@@ -70,7 +93,7 @@ class TestSelfCheckOnFlatSpace:
     each identity must still reach the missing partners of that leaf."""
 
     def failed(self, stack, data, nabla_r):
-        return [name for name, ok in stack.self_check(data.metric, nabla_r) if not ok]
+        return [name for name, ok in stack.self_check(data.metric, data.connection, nabla_r) if not ok]
 
     def test_bumped_riemann_leaf(self, flat3):
         riem = bump_leaf(flat3.stack.riemann13, (0, 1, 2), flat3.chart.one())  # R(E1,E2)E3 gains E1
@@ -91,7 +114,8 @@ class TestSelfCheckOnFlatSpace:
 @pytest.mark.parametrize("name", sorted(PERMUTATION_IDENTITIES))
 def test_identity_permutations_form_a_group(name):
     # the orbit argument of orbit_vanishes: the permutations with the
-    # identity are closed under composition and the signs multiply along
+    # identity are closed under composition and the signs multiply along,
+    # a character of the group, so one sum per orbit decides the orbit
     terms = PERMUTATION_IDENTITIES[name]
     sign = {perm: s for s, perm in terms}
     identity = tuple(range(len(terms[0][1])))

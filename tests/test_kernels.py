@@ -270,6 +270,8 @@ def test_no_gcd_operand_is_written_afterwards(monkeypatch):
 
     monkeypatch.setattr(polyops, "poly_gcd", recording_gcd)
     for command in ("curvature", "derived-conditions"):
-        cli.run(command, ad_hoc("dense-style"), {})
+        data = ad_hoc("dense-style")
+        cli.run(command, data, {})
+    data.nabla_riemann  # the full tensor, as check and fit SGR|SGPR read it
     assert len(seen) > 1000
     assert all(p == before for call in seen for p, before in call)

@@ -80,6 +80,22 @@ def test_memoised_operations_equal_the_same_operations_with_the_memo_emptied(a, 
     assert all(x is y for x, y in zip(got[:half], got[half:]) if id(x) in memoised)
 
 
+@given(expressions(), expressions())
+@settings(max_examples=40, deadline=None)
+def test_products_equal_the_product_without_the_memo(a, b):
+    # a product by the constant 1 is the other operand itself and is not
+    # looked up or stored; every product equals the one formed directly
+    one = Expr.one(a.vars)
+    for x, y in ((a, b), (one, b), (a, one), (one, one)):
+        polyops.reset_memos()
+        direct = Expr(a.vars, polyops.poly_mul(x.num, y.num), polyops.poly_mul(x.den, y.den))
+        assert canonical(x * y) == canonical(y * x) == canonical(direct)
+    polyops.reset_memos()
+    assert a * one is a and 1 * a is a and a * 1 is a
+    assert one * a is (one if a == one else a)  # 1 * 1 keeps the left operand
+    assert not MEMO.entries
+
+
 def test_pinned_terms_stay_within_the_cap(monkeypatch):
     def pinned(key, value):
         operands = key[1:] if isinstance(key[0], str) else (key[1], *key[0].coeffs)

@@ -10,7 +10,8 @@ and L_V g) is the gather formula of ``conftest``, each component one
 ``vec_sum`` as in the shipped ``levi_civita.derivation``.  For a (1,3)
 input the reference takes the shipped half rule: it returns the zero leaf without
 arithmetic at x >= y and then fills the mirror, so both runs do the same
-work off the support (``test_levi_civita`` checks the half rule
+work off the support.  For the self-checks' nabla R on the Bianchi support
+it returns the zero leaf also at w in {x, y}, as the shipped walk skips it (``test_levi_civita`` checks the half rule
 against the formula at every index).  Both runs must give the same reports,
 the same stored leaves in the same key order, and the same number of Expr
 constructions and polynomial kernel calls, counted by the benchmark's trace
@@ -50,13 +51,15 @@ INPUTS = {
 }
 
 
-def reference_derivation(tensor, ops, fields=None):
+def reference_derivation(tensor, ops, fields=None, bianchi=False):
     """The gather formula under the shipped half rule: a (1,3) input gets the
-    zero leaf, without arithmetic, at x >= y, and (w,y,x,z) is then filled
-    as the negation of (w,x,y,z)."""
+    zero leaf, without arithmetic, at x >= y (and with ``bianchi`` at w in
+    {x, y}), and (w,y,x,z) is then filled as the negation of (w,x,y,z)."""
     if tensor.valence != (1, 3):
         return gather_cov_deriv_tensor(tensor, ops, fields)
-    half = gather_cov_deriv_tensor(tensor, ops, fields, where=lambda w, x, y, z: x < y)
+    half = gather_cov_deriv_tensor(
+        tensor, ops, fields, where=lambda w, x, y, z: x < y and not (bianchi and w in (x, y))
+    )
     mirror = {(w, y, x, z): tuple(-e for e in leaf) for (w, x, y, z), leaf in half.comps.items()}
     return half._replace(comps=dict(sorted({**half.comps, **mirror}.items())))
 
