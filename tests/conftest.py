@@ -4,6 +4,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import lcslab
 from lcslab.cli import ManifoldDef, build_manifold, load
@@ -11,6 +12,11 @@ from lcslab.frame_geometry import FrameTensor, combo, vec_add, vec_scale, vec_su
 from lcslab.manifold import ManifoldData
 
 SRC = Path(lcslab.__file__).parents[1]  # where the lcslab under test lives
+
+# selected by `--hypothesis-profile=mutants`, as tests/mutants.py runs its
+# children: a failing example still fails its test but is not shrunk, the
+# phase that takes most of a mutant's time when it breaks a property test
+settings.register_profile("mutants", phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 LORENTZ_DIAG = (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "-1"))
 

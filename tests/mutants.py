@@ -155,12 +155,141 @@ MUTANTS = (
         "key = (_MUL, self) if hash(self) <= hash(o) else (_MUL, o)",
         ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
     ),
+    Mutant(
+        "sub-memo-key-shared-with-add",
+        "src/lcslab/symexpr.py",
+        "key = (_SUB, self, o)",
+        "key = (_ADD, self, o)",
+        ("tests/test_memo.py::test_memoised_operations_equal_the_same_operations_with_the_memo_emptied",),
+    ),
+    Mutant(
+        "derivative-memo-key-without-field",
+        "src/lcslab/frame_geometry.py",
+        "key = (self, f)",
+        "key = f",
+        ("tests/test_memo.py::test_memoised_operations_equal_the_same_operations_with_the_memo_emptied",),
+    ),
+    Mutant(
+        "rxm-sign-flipped",
+        "src/lcslab/conditions.py",
+        "lambda *idx: st.eta_of(r_xi_m.comp(*idx))",
+        "lambda *idx: -st.eta_of(r_xi_m.comp(*idx))",
+        ("tests/test_acceptance.py::test_derived_condition_tensors_match_the_twin",),
+    ),
+    # the cold start: a command module must call the entry points through
+    # cli, where a tracer wraps them; `python -m lcslab.cli` must register
+    # itself as lcslab.cli; a cold command freezes its import-time heap
+    Mutant(
+        "recurrence-fit-bound-at-import",
+        "src/lcslab/cmd_fit.py",
+        "def run(data: ManifoldData, report: Report, options: dict) -> None:\n"
+        "    kind = RecurrenceKind(options[\"kind\"])\n"
+        "    if kind is RecurrenceKind.SGPR:\n"
+        "        raise LoadError(\"fit supports SGR and SGRR\")\n"
+        "    result = cli.recurrence_fit(data, kind)\n",
+        "def run(data: ManifoldData, report: Report, options: dict, recurrence_fit=cli.recurrence_fit) -> None:\n"
+        "    kind = RecurrenceKind(options[\"kind\"])\n"
+        "    if kind is RecurrenceKind.SGPR:\n"
+        "        raise LoadError(\"fit supports SGR and SGRR\")\n"
+        "    result = recurrence_fit(data, kind)\n",
+        ("tests/test_perfbench_hooks.py::test_every_command_produces_its_spans",),
+    ),
+    Mutant(
+        "main-module-not-registered",
+        "src/lcslab/cli.py",
+        '    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])\n',
+        "",
+        ("tests/test_cli.py::test_module_run_refuses_like_the_console_script",),
+    ),
+    Mutant(
+        "cold-command-not-frozen",
+        "src/lcslab/cli.py",
+        "        gc.freeze()\n",
+        "        pass\n",
+        ("tests/test_cli.py::test_cold_command_freezes_its_imports",),
+    ),
+    # Expr.sum: the final normalisation, each term's sign, every group
+    Mutant(
+        "sum-not-normalised",
+        "src/lcslab/symexpr.py",
+        "return (cls._raw if P.poly_is_one(lcm) else cls)(tuple(variables), num, lcm)",
+        "return cls._raw(tuple(variables), num, lcm)",
+        ("tests/test_symexpr.py::test_sum_examples_are_the_left_fold",),
+    ),
+    Mutant(
+        "sum-shared-denominator-sign-dropped",
+        "src/lcslab/symexpr.py",
+        "group[1] = (P.poly_add if s > 0 else P.poly_sub)(group[1], e.num)",
+        "group[1] = P.poly_add(group[1], e.num)",
+        ("tests/test_symexpr.py::test_sum_examples_are_the_left_fold",),
+    ),
+    Mutant(
+        "sum-new-group-sign-dropped",
+        "src/lcslab/symexpr.py",
+        "groups.append([den, e.num if s > 0 else P.poly_neg(e.num)])",
+        "groups.append([den, e.num])",
+        ("tests/test_symexpr.py::test_sum_examples_are_the_left_fold",),
+    ),
+    Mutant(
+        "sum-first-group-only",
+        "src/lcslab/symexpr.py",
+        "num = reduce(P.poly_add, parts)",
+        "num = parts[0]",
+        ("tests/test_symexpr.py::test_sum_examples_are_the_left_fold",),
+    ),
+    # one tautology per curvature self-check: the identity's second term
+    # reads the same index with the opposite sign, or S is compared with the
+    # pairing itself, so the check can no longer fail
+    Mutant(
+        "antisymmetry-first-pair-tautology",
+        "src/lcslab/curvature.py",
+        '"antisymmetry-first-pair": ((1, (0, 1, 2, 3)), (1, (1, 0, 2, 3))),',
+        '"antisymmetry-first-pair": ((1, (0, 1, 2, 3)), (-1, (0, 1, 2, 3))),',
+        ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_riemann_leaf",),
+    ),
+    Mutant(
+        "antisymmetry-second-pair-tautology",
+        "src/lcslab/curvature.py",
+        '"antisymmetry-second-pair": ((1, (0, 1, 2, 3)), (1, (0, 1, 3, 2))),',
+        '"antisymmetry-second-pair": ((1, (0, 1, 2, 3)), (-1, (0, 1, 2, 3))),',
+        ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_riemann_leaf",),
+    ),
+    Mutant(
+        "pair-symmetry-tautology",
+        "src/lcslab/curvature.py",
+        '"pair-symmetry": ((1, (0, 1, 2, 3)), (-1, (2, 3, 0, 1))),',
+        '"pair-symmetry": ((1, (0, 1, 2, 3)), (-1, (0, 1, 2, 3))),',
+        ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_riemann_leaf",),
+    ),
+    Mutant(
+        "first-bianchi-tautology",
+        "src/lcslab/curvature.py",
+        '"first-bianchi": ((1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1))),',
+        '"first-bianchi": ((1, (0, 1, 2)), (-1, (0, 1, 2))),',
+        ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_riemann_leaf",),
+    ),
+    Mutant(
+        "ricci-symmetry-tautology",
+        "src/lcslab/curvature.py",
+        '"ricci-symmetry": ((1, (0, 1)), (-1, (1, 0))),',
+        '"ricci-symmetry": ((1, (0, 1)), (-1, (0, 1))),',
+        ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_asymmetric_ricci_leaf",),
+    ),
+    Mutant(
+        "ricci-operator-defining-tautology",
+        "src/lcslab/curvature.py",
+        "ok = ok and (paired - self.ricci.comp(i, j)).is_zero",
+        "ok = ok and (paired - paired).is_zero",
+        ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_ricci_operator_leaf",),
+    ),
 )
 
 
 def pytest(copy: Path, tests) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    # the "mutants" profile (tests/conftest.py) skips Hypothesis's shrink
+    # phase: a failing example still fails its test, unminimised
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", *tests]
     return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
 
 

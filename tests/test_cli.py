@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -592,6 +593,31 @@ def test_module_run_refuses_like_the_console_script():
     )
     assert done.returncode == 2 and not done.stdout
     assert done.stderr.startswith("error: conformance compares with the published tables of example51")
+
+
+@pytest.mark.parametrize("command, name, code", [("check-lcs", "example51", 0), ("check-lcs", "flat3", 1)])
+def test_cold_command_freezes_its_imports(command, name, code):
+    # as the console script runs it: sys.argv set, main() with no arguments;
+    # the import-time heap goes to the permanent generation, so the
+    # collection at interpreter exit does not walk it, and the report stays
+    # the recorded one
+    probe = (
+        "import gc, sys; from lcslab.cli import main\n"
+        f"sys.argv = ['lcslab', {command!r}, {name!r}, '--json']\n"
+        "code = main()\n"
+        "print(code, gc.get_freeze_count(), file=sys.stderr)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True)
+    exit_code, frozen = map(int, done.stderr.split())
+    assert exit_code == code
+    assert frozen > 0
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == REPORT_DIGESTS[(command, name)]
+
+
+def test_main_with_arguments_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert main(["check-lcs", "example51", "--json"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_parser_offers_every_recurrence_kind():

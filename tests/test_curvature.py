@@ -110,6 +110,12 @@ class TestSelfCheckOnFlatSpace:
         failed = self.failed(flat3.stack._replace(ricci=ric), flat3, flat3.nabla_riemann)
         assert failed == ["ricci-symmetry", "ricci-operator-defining"]  # Q is still the flat one
 
+    def test_bumped_ricci_operator_leaf(self, flat3):
+        q_op = bump_leaf(flat3.stack.q_operator, (1,), flat3.chart.one())  # Q E2 gains E1
+        assert self.failed(flat3.stack._replace(q_operator=q_op), flat3, flat3.nabla_riemann) == [
+            "ricci-operator-defining"
+        ]
+
 
 @pytest.mark.parametrize("name", sorted(PERMUTATION_IDENTITIES))
 def test_identity_permutations_form_a_group(name):
