@@ -15,24 +15,41 @@ Exit codes: 0 when no entry failed (info and mismatch entries included),
 1 when any check failed, 2 when the definition could not be loaded, 3 when
 the engine itself failed (one stderr line names the exception).
 
-Commands: this module holds what every command uses (the argument parser,
-``load`` and ``build_manifold``, ``Report`` and the shared renderers) and
-the ``curvature`` report.  Each other command's report code is a module of
-its own, imported by ``run`` through ``COMMAND_MODULES`` when that command
-runs: ``cmd_check_lcs`` (check-lcs), ``cmd_check`` (check), ``cmd_fit``
-(fit), ``cmd_soliton`` (soliton), ``cmd_derived_conditions``
-(derived-conditions) and ``cmd_conformance`` (conformance, with the
-published tables it diffs against).  A cold command thus compiles only its
-own report code and the engine layers it runs.
+Commands: this module holds what every command uses: the argument parser,
+``load`` and ``build_manifold``, ``Report`` and the shared renderers.  Each
+command's report code is a module of its own, imported by ``run`` through
+``COMMAND_MODULES`` when that command runs: ``cmd_curvature`` (curvature),
+``cmd_check_lcs`` (check-lcs), ``cmd_check`` (check), ``cmd_fit`` (fit),
+``cmd_soliton`` (soliton), ``cmd_derived_conditions`` (derived-conditions)
+and ``cmd_conformance`` (conformance, with the published tables it diffs
+against).  The engine code that only some commands run is split the same
+way, each part imported by the commands that run it: the structure
+(``lcs_structure``), its axioms (``axioms``), the Ricci classification
+(``einstein``), the recurrence conditions (``conditions``), the soliton
+(``soliton``), the derived conditions (``derived_conditions``), the
+curvature self-checks (``self_checks``) and the heuristic and subresultant
+GCDs (``_heugcd``, ``_subresultant``).  The table of built-in definitions
+(``builtin_manifolds``) is imported only for an alphanumeric argument: every
+built-in name is one, so a path with a '/' or a '.' never loads it.  A cold
+command thus compiles only its own report code and the engine code it runs.
+
+Numbers: a sample value is an integer pair (numerator, denominator), and the
+signature check evaluates the metric in integers (``FrameMetric.checked``).
+Only a value that is not a plain ASCII integer, or an error that prints the
+point, imports ``fractions`` (with ``decimal`` and ``numbers``); the accepted
+text is exactly what ``Fraction`` accepts.
 
 Shutdown: run as the process's command (``argv`` None: the console script,
 ``python -m lcslab.cli``), ``main`` first calls ``gc.freeze()``, which moves
 every object imported so far (some 13k modules, classes and functions) to
-the collector's permanent generation.  Neither the run's full collections
-nor the one at interpreter exit walk them again, and the operating system
-reclaims them at exit as before.  A cold command's exit went from 13-15 to
-4-6 ms.  A caller that passes ``argv`` (a test, an in-process benchmark)
-keeps its collector as it was.
+the collector's permanent generation, so the run's full collections do not
+walk them again.  After the report is written it flushes stdout and stderr
+and ends the process with ``os._exit``: no interpreter teardown (no final
+collection, no module cleanup, no atexit handlers), and the operating
+system reclaims the memory.  If a flush fails, ``main`` returns instead, and
+the interpreter's own exit retries the flush and reports the failure as it
+always has.  A caller that passes ``argv`` (a test, an in-process benchmark)
+gets the exit code back and keeps its collector as it was.
 """
 
 from __future__ import annotations
@@ -43,21 +60,20 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .builtin_manifolds import BUILTIN_FORMS, builtin
 from .frame_geometry import Chart, Frame, FrameMetric, GeometryError, VectorField
 from .manifold import ManifoldData
 from .polyops import reset_memos
 from .symexpr import Expr, ExprError, Var, parse, quote_text
 
-# `curvature` needs neither the structure layer (lcs_structure) nor the
-# condition layer (conditions), and `check-lcs` needs no condition, so each
-# command imports only the layers it runs.  The entry points below call
+# `curvature` needs neither the structure (lcs_structure, axioms) nor any
+# condition (conditions, soliton, derived_conditions), and `check-lcs` needs
+# no condition, so each command imports only the layers it runs (module
+# docstring).  The entry points below call
 # into them on first use; they stay attributes of this module, and the
 # command modules call them as ``cli.<name>``, so a tracer can wrap them here.
 
@@ -71,12 +87,12 @@ def _lazy(module: str, name: str):
 
 
 derive_structure = _lazy(".lcs_structure", "derive_structure")
-verify_axioms = _lazy(".lcs_structure", "verify_axioms")
+verify_axioms = _lazy(".axioms", "verify_axioms")
 recurrence_fit = _lazy(".conditions", "recurrence_fit")
 recurrence_residual = _lazy(".conditions", "recurrence_residual")
-derived_condition_residuals = _lazy(".conditions", "derived_condition_residuals")
-nabla_r_xi_identity = _lazy(".conditions", "nabla_r_xi_identity")
-soliton_residual = _lazy(".conditions", "soliton_residual")
+derived_condition_residuals = _lazy(".derived_conditions", "derived_condition_residuals")
+nabla_r_xi_identity = _lazy(".derived_conditions", "nabla_r_xi_identity")
+soliton_residual = _lazy(".soliton", "soliton_residual")
 
 # the values of conditions.RecurrenceKind, for the argument parser
 RECURRENCE_KINDS = ("SGR", "SGRR", "SGPR")
@@ -168,10 +184,18 @@ def _read_json(path: Path, label: str) -> tuple[str, object]:
 def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
     """Read a built-in or a definition file and check its shape; raises LoadError."""
     raw = ""
-    payload = builtin(path_or_name)
+    payload = None
+    # every built-in name is alphanumeric; any other argument (a path with a
+    # '/' or a '.' in it, say) never names one, so it loads no built-in table
+    if path_or_name.isalnum():
+        from .builtin_manifolds import builtin
+
+        payload = builtin(path_or_name)
     if payload is None:
         # os.path.exists, unlike Path.exists, is False for a name too long to stat
         if not os.path.exists(path_or_name):
+            from .builtin_manifolds import BUILTIN_FORMS
+
             raise LoadError(f"no such file or built-in definition: {quote_text(path_or_name)} (built-ins: {BUILTIN_FORMS})")
         raw, payload = _read_json(Path(path_or_name), path_or_name)
     if not isinstance(payload, dict):
@@ -236,6 +260,25 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
     )
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _sample_value(text: str) -> tuple[int, int]:
+    """A sample-point value as (numerator, denominator > 0) in lowest terms.
+
+    It accepts exactly the text ``Fraction`` does ("-3", " 5 ", "1/2",
+    "2.5", "1e1") and raises its ValueError or ZeroDivisionError otherwise.
+    Plain ASCII digits with an optional sign go through ``int``, so an
+    integer point imports no ``fractions``.
+    """
+    if _INTEGER.fullmatch(text):
+        return int(text), 1
+    from fractions import Fraction
+
+    q = Fraction(text)
+    return q.numerator, q.denominator
+
+
 def build_manifold(defn: ManifoldDef) -> ManifoldData:
     """Parse a definition's cells into engine state; raises LoadError."""
     reset_memos()  # parsing and inverting the frame are this manifold's arithmetic too
@@ -254,10 +297,10 @@ def build_manifold(defn: ManifoldDef) -> ManifoldData:
         raise LoadError("; ".join(problems))
     g = [[e if e is not None else g[j][i] for j, e in enumerate(row)] for i, row in enumerate(g)]
 
-    sample = {v: Fraction(2) for v in variables}
+    sample = {v: (2, 1) for v in variables}
     for k, v in (defn.sample_point or {}).items():
         try:
-            var, value = Var(k), Fraction(v)
+            var, value = Var(k), _sample_value(v)
         except (ValueError, ZeroDivisionError):
             raise LoadError(f"bad sample_point entry {quote_text(k)}: {quote_text(v)}") from None
         if var not in sample:
@@ -373,18 +416,6 @@ def first_nonzero(tensor):
     return None, None
 
 
-def add_upper_pairs(report: Report, label: str, title: str, tensor) -> int:
-    """One entry per nonzero leaf T(E_i,E_j)E_k of a (1,3) tensor with i < j,
-    in index order; returns the number added."""
-    shown = 0
-    for (i, j, k), vec in tensor.comps.items():
-        if i < j:
-            pos = f"{i + 1}{j + 1}{k + 1}"
-            report.add(f"{label}.{pos}", INFO, f"{title}(E{i + 1},E{j + 1})E{k + 1}", engine=format_vector(vec))
-            shown += 1
-    return shown
-
-
 def add_self_checks(data: ManifoldData, report: Report) -> None:
     """One pass/fail entry per structural self-check of the curvature stack."""
     for name, ok in data.stack.self_check(data.metric, data.connection):
@@ -401,9 +432,10 @@ def residual_excerpt(tensor) -> str | None:
 
 # -- commands ---------------------------------------------------------------
 
-# command -> the module with its report code (curvature's is below); each
-# has a ``run(data, report, options)`` that adds the command's entries
+# command -> the module with its report code; each has a
+# ``run(data, report, options)`` that adds the command's entries
 COMMAND_MODULES = {
+    "curvature": ".cmd_curvature",
     "check-lcs": ".cmd_check_lcs",
     "check": ".cmd_check",
     "fit": ".cmd_fit",
@@ -413,43 +445,14 @@ COMMAND_MODULES = {
 }
 
 
-def cmd_curvature(data: ManifoldData, report: Report) -> None:
-    n = data.dim
-    for i in range(n):
-        for j in range(n):
-            report.add(
-                f"connection.{i + 1}{j + 1}",
-                INFO,
-                f"nabla_E{i + 1} E{j + 1}",
-                engine=format_vector(data.connection.gamma[i][j]),
-            )
-    if not add_upper_pairs(report, "riemann", "R", data.stack.riemann13):
-        report.add("riemann", INFO, "curvature tensor", engine="0 (flat)")
-    for (i, j), value in data.stack.ricci.comps.items():
-        if i <= j:
-            report.add(f"ricci.{i + 1}{j + 1}", INFO, f"S(E{i + 1},E{j + 1})", engine=str(value))
-    report.add("scalar", INFO, "scalar curvature r", engine=str(data.stack.scalar))
-    for i in range(n):
-        report.add(f"ricci-operator.{i + 1}", INFO, f"Q E{i + 1}", engine=format_vector(data.stack.q_operator.comp(i)))
-    for label, tensor in (("m-projective", data.m_projective), ("concircular", data.concircular)):
-        if tensor.is_zero():
-            report.add(label, INFO, f"{label} tensor", engine="0")
-        else:
-            add_upper_pairs(report, label, label, tensor)
-    add_self_checks(data, report)
-
-
 # -- dispatch -----------------------------------------------------------------
 
 
 def run(command: str, data: ManifoldData, options: dict) -> Report:
-    report = Report(command=command, manifold=data.name, notes=[CONVENTION_NOTE])
-    if command == "curvature":
-        cmd_curvature(data, report)
-    elif command in COMMAND_MODULES:
-        import_module(COMMAND_MODULES[command], __package__).run(data, report, options)
-    else:
+    if command not in COMMAND_MODULES:
         raise LoadError(f"unknown command {command!r}")
+    report = Report(command=command, manifold=data.name, notes=[CONVENTION_NOTE])
+    import_module(COMMAND_MODULES[command], __package__).run(data, report, options)
     return report
 
 
@@ -502,8 +505,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:  # the process ends with this command (module docstring)
-        gc.freeze()
+    if argv is not None:
+        return _main(argv)
+    # the process ends with this command (module docstring)
+    gc.freeze()
+    code = _main(None)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a full disk, a closed pipe or stream: end as without os._exit
+        return code  # the interpreter's exit retries the flush and reports its failure
+    os._exit(code)
+
+
+def _main(argv) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from . import cli
 from .cli import FAIL, INFO, PASS, Report
-from .lcs_structure import EinsteinKind, NotLcsError, classify
+from .einstein import EinsteinKind, classify
+from .lcs_structure import NotLcsError
 from .manifold import ManifoldData
 
 

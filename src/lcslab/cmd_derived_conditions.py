@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from . import cli
 from .cli import FAIL, INFO, PASS, Report, residual_excerpt
-from .lcs_structure import EinsteinKind, NotLcsError
+from .einstein import EinsteinKind
+from .lcs_structure import NotLcsError
 from .manifold import ManifoldData
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from . import cli
 from .cli import FAIL, INFO, LoadError, Report, residual_excerpt
-from .conditions import SolitonParams, soliton_lambda
 from .lcs_structure import NotLcsError
 from .manifold import ManifoldData
+from .soliton import SolitonParams, soliton_lambda
 from .symexpr import ExprError
 
 

@@ -1,31 +1,34 @@
-"""Residual checkers and exact fitters for the recurrence and soliton
-conditions, plus the derived-condition tensors.
+"""Residual checkers and the exact fitter for the recurrence conditions,
+and the scalar-curvature predictions of SGR.
 
 Each recurrence condition is stated once, in ``_recurrence_terms``, as
 lhs = A(E_w) p + B(E_w) q; ``recurrence_residual`` builds lhs - A p - B q
 from it and ``recurrence_fit`` reads its leaves as the rows of the linear
-system in A(E_w), B(E_w).  The derived conditions, the xi-identity and the
-soliton residual are each stated in the one function that checks them.  The
-actions R(xi,X).M and C(xi,X).S are algebraic derivations, and L_V g a Lie
-derivative: each goes through ``levi_civita.derivation``, the one routine
-that forms a derivation's slot sums, and is evaluated on its support.
+system in A(E_w), B(E_w).
+
+The other conditions are modules of their own, so that each command loads
+only the conditions it checks: ``soliton`` (the conformal soliton residual
+and its scalars) and ``derived_conditions`` (R(xi,X).M, C(xi,X).S, their
+guards and the xi-identity).  The actions R(xi,X).M and C(xi,X).S are
+algebraic derivations, and L_V g a Lie derivative: each goes through
+``levi_civita.derivation``, the one routine that forms a derivation's slot
+sums, and is evaluated on its support.
 
 Gate discipline: a derived consequence is asserted only when its hypothesis
 residual is exactly zero and its nondegeneracy guard is nonzero in the
 function field; otherwise the same quantities are reported informationally.
-Every assertion made here is therefore literally checkable.
+Every assertion made here and in those modules is therefore literally
+checkable.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
-from .frame_geometry import FrameTensor, combo, dot, vec_scale, vec_sub
-from .lcs_structure import ClassifierVerdict, NotLcsError, classify, solve_two_unknowns
-from .levi_civita import derivation
+from .einstein import solve_two_unknowns
+from .frame_geometry import FrameTensor, vec_scale, vec_sub
 from .manifold import ManifoldData
 from .symexpr import Expr
 
@@ -201,186 +204,4 @@ def sgr_predictions(data: ManifoldData, forms: RecurrenceForms) -> SgrPrediction
         opposition=opposition,
         opposition_note=opposition_note,
         opposition_zero=opposition_zero,
-    )
-
-
-class XiDerivativeIdentity(NamedTuple):
-    """Result of checking g((nabla_W R)(xi,Y)Z, xi) against
-    -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)."""
-
-    passed: bool
-    sign_flipped: bool
-    coefficient: Expr  # 2 alpha rho - beta, for the variant that was reported
-    residual: FrameTensor
-
-
-def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDerivativeIdentity:
-    """Check the xi-direction second-derivative identity on a verified
-    structure; if it fails only under the adopted sign convention for beta,
-    the sign-flipped alternative is checked and flagged."""
-    st = data.structure
-
-    def residual_for(beta_value: Expr):
-        g = data.metric.g
-        nabla_r = data.nabla_riemann
-        coeff = 2 * st.alpha * st.rho - beta_value
-        xi_lowered = data.metric.lower(st.xi)  # g(vec, xi) = dot(vec, xi_lowered)
-
-        def entry(w, y, z):
-            vec = combo(st.xi, lambda a: nabla_r.comp(w, a, y, z))
-            lhs = dot(vec, xi_lowered)
-            rhs = -coeff * (g[y][z] + st.eta[y] * st.eta[z]) * st.eta[w]
-            return lhs - rhs
-
-        return coeff, FrameTensor.build((0, 3), data.dim, entry)
-
-    base_beta = st.beta if beta is None else beta
-    coeff, res = residual_for(base_beta)
-    if res.is_zero():
-        return XiDerivativeIdentity(True, False, coeff, res)
-    coeff_alt, res_alt = residual_for(-base_beta)
-    if res_alt.is_zero():
-        return XiDerivativeIdentity(True, True, coeff_alt, res_alt)
-    return XiDerivativeIdentity(False, False, coeff, res)
-
-
-class SolitonParams(NamedTuple):
-    """Soliton scalar lambda, conformal pressure p, and the derived
-    k = lambda - (p/2 + 1/n) - alpha (None when no alpha is available)."""
-
-    lam: Expr
-    p: Expr
-    k: Expr | None = None
-
-    @classmethod
-    def derive(cls, lam: Expr, p: Expr, alpha: Expr, n: int) -> "SolitonParams":
-        half = Fraction(1, 2)
-        k = lam - (half * p + Fraction(1, n)) - alpha
-        return cls(lam, p, k)
-
-
-def soliton_lambda(alpha: Expr, p: Expr, n: int) -> tuple[Expr, Expr]:
-    """The printed soliton scalar lambda = p/2 + ((n+1)/n) alpha, together
-    with the independently re-derived trace value p/2 + ((n-1)/n) alpha.
-
-    The second comes from tracing S = k g - alpha eta x eta with
-    g(xi, xi) = -1 and the flow constraint r = -1; the two disagree, so
-    both are always returned and reported side by side.
-    """
-    half_p = Fraction(1, 2) * p
-    printed = half_p + Fraction(n + 1, n) * alpha
-    traced = half_p + Fraction(n - 1, n) * alpha
-    return printed, traced
-
-
-class SolitonCheck(NamedTuple):
-    residual: FrameTensor
-    is_soliton: bool
-    eta_einstein_residual: FrameTensor | None
-
-
-def soliton_residual(data: ManifoldData, v, params: SolitonParams) -> SolitonCheck:
-    """Exact residual of  L_V g + 2 S - [2 lambda - (p + 2/n)] g.
-
-    With V = xi on a manifold carrying a verified structure, the residual
-    of the eta-Einstein shape S = k g - alpha eta x eta is also reported.
-    """
-    n = data.dim
-    g = data.metric.g
-    lie = data.lie_metric(v)
-    ric = data.stack.ricci
-    factor = 2 * params.lam - (params.p + Fraction(2, n))
-
-    def entry(i, j):
-        return lie.comp(i, j) + 2 * ric.comp(i, j) - factor * g[i][j]
-
-    res = FrameTensor.build((0, 2), n, entry)
-
-    eta_res = None
-    if tuple(v) == data.xi_components() and params.k is not None:
-        try:
-            st = data.structure
-        except NotLcsError:
-            pass
-        else:
-
-            def eta_entry(i, j):
-                return ric.comp(i, j) - params.k * g[i][j] + st.alpha * st.eta[i] * st.eta[j]
-
-            eta_res = FrameTensor.build((0, 2), n, eta_entry)
-
-    return SolitonCheck(res, res.is_zero(), eta_res)
-
-
-class DerivedConditions(NamedTuple):
-    """The action tensors R(xi,X).M and C(xi,X).S with their zero flags,
-    nondegeneracy guards, and gated Einstein conclusions."""
-
-    rxm: FrameTensor
-    rxm_zero: bool
-    cxs: FrameTensor
-    cxs_zero: bool
-    guard_rxm: Expr  # alpha^2 - rho
-    guard_rxm_nonzero: bool
-    guard_cxs: Expr  # n(n-1)(alpha^2 - rho) + 1
-    guard_cxs_nonzero: bool
-    mproj_xi_residual: FrameTensor  # eta(M(X,Y)xi), identically zero on LCS
-    einstein_from_rxm: ClassifierVerdict | None
-    einstein_from_cxs: ClassifierVerdict | None
-
-
-def xi_action(tensor: FrameTensor, xi) -> list:
-    """ops[x][y], the frame components of T(xi, E_x)E_y for a (1,3) tensor T:
-    the operators T(xi, E_x) as the rows of an algebraic derivation."""
-    n = tensor.dim
-    return [[combo(xi, lambda a: tensor.comp(a, x, y)) for y in range(n)] for x in range(n)]
-
-
-def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
-    """R(xi,X) and C(xi,X) act on M and S as algebraic derivations (see
-    ``levi_civita.derivation``), one direction per frame field E_x.  rxm is
-    eta of each stored leaf of (R(xi,E_x).M)(E_u,E_v)E_w; M is antisymmetric
-    in (U,V), so the action takes the half rule.  cxs is reported as
-    S(C(xi,E_x)E_y, E_z) + S(E_y, C(xi,E_x)E_z), the negation of
-    (C(xi,E_x).S)(E_y,E_z)."""
-    st = data.structure
-    n = data.dim
-    chart = data.chart
-    mproj = data.m_projective
-    ric = data.stack.ricci
-
-    r_xi_m = derivation(mproj, xi_action(data.stack.riemann13, st.xi))
-    rxm = FrameTensor.build((0, 4), n, lambda *idx: st.eta_of(r_xi_m.comp(*idx)), r_xi_m.comps)
-    c_xi_s = derivation(ric, xi_action(data.concircular, st.xi))
-    cxs = c_xi_s._replace(comps={idx: -leaf for idx, leaf in c_xi_s.comps.items()})
-
-    def mproj_xi_entry(i, j):
-        return st.eta_of(combo(st.xi, lambda a: mproj.comp(i, j, a)))
-
-    mproj_xi = FrameTensor.build((0, 2), n, mproj_xi_entry)
-
-    guard_rxm = st.alpha * st.alpha - st.rho
-    guard_cxs = chart.const(n * (n - 1)) * guard_rxm + 1
-    rxm_zero = rxm.is_zero()
-    cxs_zero = cxs.is_zero()
-    guard_rxm_nonzero = not guard_rxm.is_zero
-    guard_cxs_nonzero = not guard_cxs.is_zero
-
-    rxm_gate = rxm_zero and guard_rxm_nonzero
-    cxs_gate = cxs_zero and guard_cxs_nonzero
-    # both gates classify the same S: one verdict serves each that fires
-    verdict = classify(ric, data.metric, st.eta) if rxm_gate or cxs_gate else None
-
-    return DerivedConditions(
-        rxm=rxm,
-        rxm_zero=rxm_zero,
-        cxs=cxs,
-        cxs_zero=cxs_zero,
-        guard_rxm=guard_rxm,
-        guard_rxm_nonzero=guard_rxm_nonzero,
-        guard_cxs=guard_cxs,
-        guard_cxs_nonzero=guard_cxs_nonzero,
-        mproj_xi_residual=mproj_xi,
-        einstein_from_rxm=verdict if rxm_gate else None,
-        einstein_from_cxs=verdict if cxs_gate else None,
     )

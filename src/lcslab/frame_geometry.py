@@ -24,9 +24,9 @@ the same Expr.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import lcm
 from typing import NamedTuple
 
 from . import polyops as P
@@ -192,17 +192,30 @@ class FrameMetric:
         """Validate symmetry, nondegeneracy, and Lorentzian signature.
 
         The signature is decided by exact rational inertia at a sample
-        point (default: every coordinate = 2); a global symbolic signature
-        test is not decidable in general.
+        point, which maps each coordinate Var to its value as an integer
+        pair (numerator, denominator > 0) (default: every coordinate = 2); a
+        global symbolic signature test is not decidable in general.  The
+        metric is evaluated in integers: its entries at the point, times the
+        lcm of their denominators, form an integer matrix of the same inertia.
         """
         metric = cls(frame, tuple(tuple(row) for row in g))
+        coords = frame.chart.coords
         if sample_point is None:
-            sample_point = {v: Fraction(2) for v in frame.chart.coords}
-        try:
-            numeric = [[e.eval(sample_point) for e in row] for row in metric.g]
-        except Exception as exc:
-            raise SignatureError(f"cannot evaluate metric at the sample point: {exc}") from None
-        pos, neg, zero = symmetric_inertia(numeric)
+            sample_point = {v: (2, 1) for v in coords}
+        values = tuple(sample_point[v] for v in coords)
+        numeric = []
+        for row in metric.g:
+            numeric.append([e.value_at(values) for e in row])
+            pole = next((e for e, (_, den) in zip(row, numeric[-1]) if not den), None)
+            if pole is not None:
+                from fractions import Fraction  # the message shows the point as a dict of Fractions
+
+                point = {v: Fraction(*pair) for v, pair in sample_point.items()}
+                raise SignatureError(
+                    f"cannot evaluate metric at the sample point: denominator of {pole} vanishes at {point}"
+                )
+        scale = lcm(*(den for row in numeric for _, den in row))
+        pos, neg, zero = symmetric_inertia([[num * (scale // den) for num, den in row] for row in numeric])
         if zero:
             raise DegenerateMetricError("metric is degenerate at the sample point")
         if neg != 1:
@@ -373,40 +386,51 @@ def matrix_inverse(a) -> tuple[tuple[Expr, ...], ...] | None:
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def symmetric_inertia(m: list[list[Fraction]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric rational
-    matrix, by congruence diagonalization (Sylvester's law of inertia)."""
+def symmetric_inertia(m: list[list[int]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer
+    matrix, by fraction-free congruence elimination (Sylvester's law of
+    inertia).
+
+    Step k pivots on a nonzero diagonal entry d of the trailing block (rows
+    and columns k..n-1) and replaces every entry of the block past it by
+    (d a_ij - a_ik a_kj) / p, where p is the previous pivot (1 at first).
+    The division is exact (Bareiss): each entry is a minor of the matrix.
+    The block is then d times the rational Schur complement, whose pivot is
+    d / p, so that step counts as positive when d and p have the same sign.
+    A zero diagonal entry is first replaced by a nonzero one of the block
+    (a symmetric swap) or, when the block's diagonal is all zero, by a
+    nonzero entry of its row (adding row and column ``off`` to row and
+    column k); a zero row counts as a zero eigenvalue.  Both congruences
+    keep the entries minors, so the divisions stay exact.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
+    a = [list(row) for row in m]
     pos = neg = zero = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
             if swap is not None:
-                for j in range(n):
-                    a[k][j], a[swap][j] = a[swap][j], a[k][j]
-                for i in range(n):
-                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
             else:
                 off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
                 if off is None:
                     zero += 1
                     continue
-                # congruence by (row_k += row_off) makes the diagonal nonzero
-                for j in range(n):
+                for j in range(k, n):
                     a[k][j] += a[off][j]
-                for i in range(n):
+                for i in range(k, n):
                     a[i][k] += a[i][off]
         d = a[k][k]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-                for j in range(n):
-                    a[j][i] -= f * a[j][k]
+            row, lead = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (d * row[j] - lead * a[k][j]) // prev
+        prev = d
     return pos, neg, zero

@@ -1,15 +1,22 @@
 """Polynomial operations built on the ``_poly_py`` kernels.
 
-Everything here is exact arithmetic over the integers.  The GCD tries the
+Everything here is exact arithmetic over the integers; even a rational
+point is a tuple of integer pairs (``poly_eval``), so loading this module
+imports no ``fractions``.  The GCD of two multi-term polynomials tries the
 evaluate/reconstruct/verify heuristic first (coprime inputs, the common
 case when canonicalizing fractions, cost one evaluation and one integer
 GCD) and falls back to a recursive subresultant remainder sequence when
-the heuristic gives up.  That fallback is the module ``_subresultant``,
-which ``_gcd_rec`` imports on its first call, so a command whose GCDs all
-succeed heuristically (every benchmark input) never compiles it.  Integer
-content is folded into the GCD, so canonical fractions reduce constants as
-well (2x/2 -> x).  Like the kernels, nothing here writes to an argument,
-so a result may be an argument itself.
+the heuristic gives up.  Each lives in a module of its own, imported on
+first use: ``_heugcd`` by ``_heu_gcd`` on the first multi-term GCD that
+misses the memo, ``_subresultant`` by ``_gcd_rec`` on the first fallback.
+A command whose GCDs all have a zero, equal or one-term operand compiles
+neither, and one whose GCDs all succeed heuristically (every benchmark
+input) never compiles the fallback.  Both call back into this module
+through its attributes (``P.poly_divexact``), never through names bound at
+import, so a wrapper installed here sees their calls too.  Integer content
+is folded into the GCD, so canonical fractions reduce constants as well
+(2x/2 -> x).  Like the kernels, nothing here writes to an argument, so a
+result may be an argument itself.
 
 Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
 of multi-term polynomials again and again (on the dense benchmark inputs,
@@ -36,7 +43,6 @@ memory, never for correctness.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 from ._poly_py import _is_one as poly_is_one
@@ -106,15 +112,24 @@ def poly_diff(a: Poly, v: int) -> Poly:
     return {e: c for e, c in out.items() if c}
 
 
-def poly_eval(a: Poly, values: tuple) -> Fraction:
-    total = Fraction(0)
+def poly_eval(a: Poly, values: tuple) -> tuple[int, int]:
+    """a at a rational point, one integer pair (p, q), q nonzero, per variable,
+    as the pair (numerator, denominator) over the common denominator
+    prod q^d, d the largest exponent of each variable in a: a term c x^e
+    contributes c prod p^e q^(d-e)."""
+    if not a:
+        return 0, 1
+    tops = tuple(map(max, zip(*a)))
+    total = 0
     for e, c in a.items():
-        term = Fraction(c)
-        for val, k in zip(values, e):
-            if k:
-                term *= val**k
-        total += term
-    return total
+        for (p, q), k, top in zip(values, e, tops):
+            if top:
+                c *= p**k * q ** (top - k)
+        total += c
+    den = 1
+    for (_, q), top in zip(values, tops):
+        den *= q**top
+    return total, den
 
 
 def _int_content(a: Poly) -> int:
@@ -141,88 +156,12 @@ def _gcd_rec(a: Poly, b: Poly, vs: tuple) -> Poly:
     return _gcd_rec(a, b, vs)
 
 
-# -- heuristic GCD -----------------------------------------------------------
-#
-# Evaluate both polynomials at a large integer point, take the integer GCD,
-# reconstruct a candidate from its balanced base-xi digits, and accept it only
-# if it divides both inputs exactly.  Coprime inputs (the common case when
-# canonicalizing fractions) cost one evaluation and one integer GCD.  When the
-# heuristic keeps failing, the subresultant remainder sequence decides.
-
-
-def _eval_var(p: Poly, v: int, xi: int) -> Poly:
-    out: Poly = {}
-    for e, c in p.items():
-        key = e[:v] + (0,) + e[v + 1 :]
-        out[key] = out.get(key, 0) + c * xi ** e[v]
-    return {e: c for e, c in out.items() if c}
-
-
-def _interp_var(p: Poly, v: int, xi: int) -> Poly:
-    """Inverse of evaluation at xi, using balanced digits in (-xi/2, xi/2]."""
-    out: Poly = {}
-    cur = p
-    k = 0
-    half = xi // 2
-    while cur:
-        nxt: Poly = {}
-        for e, c in cur.items():
-            d = c % xi
-            if d > half:
-                d -= xi
-            if d:
-                out[e[:v] + (k,) + e[v + 1 :]] = d
-            q = (c - d) // xi
-            if q:
-                nxt[e] = q
-        cur = nxt
-        k += 1
-    return out
-
-
-def _max_norm(p: Poly) -> int:
-    return max(abs(c) for c in p.values())
-
-
 def _heu_gcd(a: Poly, b: Poly, vs: tuple):
-    """Heuristic GCD; returns None when no candidate verified."""
-    if not a:
-        return normalize_sign(b)
-    if not b:
-        return normalize_sign(a)
-    used = tuple(v for v in vs if poly_appears(a, v) or poly_appears(b, v))
-    nvars = len(next(iter(a)))
-    if not used:
-        return poly_const(nvars, int_gcd(next(iter(a.values())), next(iter(b.values()))))
-    v = used[0]
+    """The heuristic GCD over the variables ``vs``, or None when no candidate
+    verified; its module is loaded on the first call."""
+    from ._heugcd import _heu_gcd
 
-    ca, cb = _int_content(a), _int_content(b)
-    cg = int_gcd(ca, cb)
-    a0 = {e: c // ca for e, c in a.items()} if ca > 1 else a
-    b0 = {e: c // cb for e, c in b.items()} if cb > 1 else b
-
-    xi = 2 * min(_max_norm(a0), _max_norm(b0)) + 29
-    for _ in range(6):
-        av = _eval_var(a0, v, xi)
-        bv = _eval_var(b0, v, xi)
-        if av and bv:
-            gv = _heu_gcd(av, bv, used[1:])
-            if gv is not None:
-                cand = _interp_var(gv, v, xi)
-                if cand:
-                    cc = _int_content(cand)
-                    if cc > 1:
-                        cand = {e: c // cc for e, c in cand.items()}
-                    cand = normalize_sign(cand)
-                    try:
-                        poly_divexact(a0, cand)
-                        poly_divexact(b0, cand)
-                    except ValueError:
-                        pass
-                    else:
-                        return normalize_sign(poly_mul_scalar(cand, cg))
-        xi = 2 * xi + 29
-    return None
+    return _heu_gcd(a, b, vs)
 
 
 # -- bounded memos -------------------------------------------------------------

@@ -25,6 +25,12 @@ Variables: ``Var(name)`` returns one interned instance per name, so Vars
 identity.  Nothing iterates a hash-ordered container of Vars, so output
 order never depends on those identity hashes.
 
+Numbers: a constant is an int or a Fraction (``Expr.constant``), or two
+integers (``Expr.ratio``), and ``value_at`` evaluates at a point of integer
+pairs, all in integers.  Only ``eval`` and the coercion of an operand that is
+neither an Expr nor an int import ``fractions``, so a command that needs no
+Fraction never loads it (nor ``decimal`` and ``numbers`` with it).
+
 Equality is equality of rational functions, not of pointwise values: the
 domain restrictions implied by denominators (z != 0 and so on) are carried
 implicitly, never enforced.
@@ -62,9 +68,8 @@ same object.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import reduce, total_ordering
-from math import comb
+from math import comb, gcd
 
 from . import polyops as P
 
@@ -202,12 +207,18 @@ class Expr:
 
     @classmethod
     def constant(cls, variables, value) -> "Expr":
-        q = Fraction(value)  # reduced, positive denominator: already canonical
-        if not q:
+        """The constant ``value``, an int or a Fraction."""
+        return cls.ratio(variables, value.numerator, value.denominator)
+
+    @classmethod
+    def ratio(cls, variables, num: int, den: int) -> "Expr":
+        """The constant num/den of two integers, den nonzero."""
+        if not num:
             return cls.zero(variables)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)  # lowest terms, positive denominator
         variables = tuple(variables)
         n = len(variables)
-        return cls._raw(variables, P.poly_const(n, q.numerator), P.poly_const(n, q.denominator))
+        return cls._raw(variables, P.poly_const(n, num // g), P.poly_const(n, den // g))
 
     @classmethod
     def variable(cls, variables, v: Var) -> "Expr":
@@ -256,7 +267,11 @@ class Expr:
             if other.vars != self.vars:
                 raise ExprError("mixed variable contexts")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return Expr.constant(self.vars, other)
+        from fractions import Fraction  # only an operand neither an Expr nor an int gets here
+
+        if isinstance(other, Fraction):
             return Expr.constant(self.vars, other)
         return NotImplemented
 
@@ -444,12 +459,23 @@ class Expr:
             return Expr.zero(self.vars)
         return Expr(self.vars, dn, P.poly_mul(den, den))
 
-    def eval(self, point) -> Fraction:
-        values = _point_values(self.vars, point)
-        den = P.poly_eval(self.den, values)
-        if den == 0:
+    def eval(self, point) -> "Fraction":
+        """The value at ``point``, which maps each variable (or its name) to a
+        number ``Fraction`` accepts."""
+        from fractions import Fraction
+
+        num, den = self.value_at(_point_values(self.vars, point))
+        if not den:
             raise PoleError(f"denominator of {self} vanishes at {point}")
-        return P.poly_eval(self.num, values) / den
+        return Fraction(num, den)
+
+    def value_at(self, values) -> tuple[int, int]:
+        """The value at a rational point, one integer pair (p, q), q nonzero,
+        per variable in order, as an integer pair (numerator, denominator),
+        not reduced; the denominator is 0 at a pole."""
+        n, n_den = P.poly_eval(self.num, values)
+        d, d_den = P.poly_eval(self.den, values)
+        return n * d_den, d * n_den
 
     # -- printing ----------------------------------------------------------
 
@@ -484,10 +510,14 @@ def _remember(key, a: Expr, b: Expr, out: Expr) -> None:
 
 
 def _point_values(variables, point) -> tuple:
+    """The (numerator, denominator) pair of each variable's value in ``point``."""
+    from fractions import Fraction
+
     named = {}
     for key, value in point.items():
         name = key.name if isinstance(key, Var) else str(key)
-        named[name] = Fraction(value)
+        q = Fraction(value)
+        named[name] = q.numerator, q.denominator
     values = []
     for v in variables:
         if v.name not in named:
@@ -763,5 +793,5 @@ def is_zero(e: Expr) -> bool:
     return e.is_zero
 
 
-def eval_at(e: Expr, point) -> Fraction:
+def eval_at(e: Expr, point) -> "Fraction":
     return e.eval(point)

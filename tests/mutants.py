@@ -63,16 +63,16 @@ MUTANTS = (
     ),
     Mutant(
         "cxs-guard-n-n-minus-1",
-        "src/lcslab/conditions.py",
+        "src/lcslab/derived_conditions.py",
         "guard_cxs = chart.const(n * (n - 1)) * guard_rxm + 1",
         "guard_cxs = chart.const(2 * n) * guard_rxm + 1",
         ("tests/test_conditions.py::TestFormulasAtHigherDimension::test_derived_conditions_guard",),
     ),
     Mutant(
         "soliton-lambda-n-plus-1",
-        "src/lcslab/conditions.py",
-        "printed = half_p + Fraction(n + 1, n) * alpha",
-        "printed = half_p + Fraction(2 * (n - 1), n) * alpha",
+        "src/lcslab/soliton.py",
+        "printed = half_p + alpha * Expr.ratio(vs, n + 1, n)",
+        "printed = half_p + alpha * Expr.ratio(vs, 2 * (n - 1), n)",
         ("tests/test_conditions.py::TestFormulasAtHigherDimension::test_soliton_lambda_and_k",),
     ),
     Mutant(
@@ -91,7 +91,7 @@ MUTANTS = (
     ),
     Mutant(
         "ricci-into-xi-n-minus-1",
-        "src/lcslab/lcs_structure.py",
+        "src/lcslab/axioms.py",
         "res.append(lhs - chart.const(n - 1) * k2 * st.eta[i])",
         "res.append(lhs - chart.const(2) * k2 * st.eta[i])",
         ("tests/test_lcs_structure.py::TestVerifyAxioms::test_all_pass_on_lcs_n",),
@@ -106,7 +106,7 @@ MUTANTS = (
     ),
     Mutant(
         "cxs-not-negated",
-        "src/lcslab/conditions.py",
+        "src/lcslab/derived_conditions.py",
         "comps={idx: -leaf for idx, leaf in c_xi_s.comps.items()}",
         "comps={idx: leaf for idx, leaf in c_xi_s.comps.items()}",
         ("tests/test_acceptance.py::test_derived_condition_tensors_match_the_twin",),
@@ -143,7 +143,7 @@ MUTANTS = (
     ),
     Mutant(
         "orbit-marked-seen-not-summed",
-        "src/lcslab/curvature.py",
+        "src/lcslab/self_checks.py",
         "        seen.update(orbit)\n",
         "        seen.update(orbit)\n        continue\n",
         ("tests/test_curvature.py::TestRiemann::test_every_bianchi_support_leaf_is_read",),
@@ -171,7 +171,7 @@ MUTANTS = (
     ),
     Mutant(
         "rxm-sign-flipped",
-        "src/lcslab/conditions.py",
+        "src/lcslab/derived_conditions.py",
         "lambda *idx: st.eta_of(r_xi_m.comp(*idx))",
         "lambda *idx: -st.eta_of(r_xi_m.comp(*idx))",
         ("tests/test_acceptance.py::test_derived_condition_tensors_match_the_twin",),
@@ -204,9 +204,55 @@ MUTANTS = (
     Mutant(
         "cold-command-not-frozen",
         "src/lcslab/cli.py",
-        "        gc.freeze()\n",
-        "        pass\n",
+        "    gc.freeze()\n",
+        "",
         ("tests/test_cli.py::test_cold_command_freezes_its_imports",),
+    ),
+    # a cold command ends the process itself, after flushing its report
+    Mutant(
+        "cold-command-returns-instead-of-exiting",
+        "src/lcslab/cli.py",
+        "    os._exit(code)\n",
+        "    return code\n",
+        ("tests/test_cli.py::test_cold_command_exits_as_main_returns",),
+    ),
+    Mutant(
+        "cold-command-exits-without-flushing",
+        "src/lcslab/cli.py",
+        "        sys.stdout.flush()\n",
+        "",
+        ("tests/test_cli.py::test_cold_command_exits_as_main_returns",),
+    ),
+    Mutant(
+        "cold-command-exits-after-a-failed-flush",
+        "src/lcslab/cli.py",
+        "        return code  # the interpreter's exit retries the flush and reports its failure\n",
+        "        os._exit(code)\n",
+        ("tests/test_cli.py::test_cold_command_whose_flush_fails_exits_as_the_interpreter_reports_it",),
+    ),
+    # a lazily loaded GCD module that holds the kernels it was loaded with
+    # hides its calls from a wrapper installed in polyops later
+    Mutant(
+        "heuristic-gcd-kernels-bound-at-import",
+        "src/lcslab/_heugcd.py",
+        "from . import polyops as P\n",
+        "from types import SimpleNamespace\n\nfrom . import polyops\n\nP = SimpleNamespace(**vars(polyops))\n",
+        ("tests/test_perfbench_hooks.py::test_kernel_calls_of_lazily_loaded_gcd_modules_are_counted",),
+    ),
+    # the load path without fractions: sample values and the signature
+    Mutant(
+        "sample-integer-pattern-too-wide",
+        "src/lcslab/cli.py",
+        '_INTEGER = re.compile(r"[+-]?[0-9]+")',
+        '_INTEGER = re.compile(r"[+-]?[0-9].*")',
+        ("tests/test_cli.py::test_sample_value_grammar_is_fractions",),
+    ),
+    Mutant(
+        "inertia-ignores-the-previous-pivot",
+        "src/lcslab/frame_geometry.py",
+        "if (d > 0) == (prev > 0):",
+        "if d > 0:",
+        ("tests/test_frame_geometry.py::TestSignature::test_inertia_equals_rational_elimination",),
     ),
     # Expr.sum: the final normalisation, each term's sign, every group
     Mutant(
@@ -242,43 +288,43 @@ MUTANTS = (
     # pairing itself, so the check can no longer fail
     Mutant(
         "antisymmetry-first-pair-tautology",
-        "src/lcslab/curvature.py",
+        "src/lcslab/self_checks.py",
         '"antisymmetry-first-pair": ((1, (0, 1, 2, 3)), (1, (1, 0, 2, 3))),',
         '"antisymmetry-first-pair": ((1, (0, 1, 2, 3)), (-1, (0, 1, 2, 3))),',
         ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_riemann_leaf",),
     ),
     Mutant(
         "antisymmetry-second-pair-tautology",
-        "src/lcslab/curvature.py",
+        "src/lcslab/self_checks.py",
         '"antisymmetry-second-pair": ((1, (0, 1, 2, 3)), (1, (0, 1, 3, 2))),',
         '"antisymmetry-second-pair": ((1, (0, 1, 2, 3)), (-1, (0, 1, 2, 3))),',
         ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_riemann_leaf",),
     ),
     Mutant(
         "pair-symmetry-tautology",
-        "src/lcslab/curvature.py",
+        "src/lcslab/self_checks.py",
         '"pair-symmetry": ((1, (0, 1, 2, 3)), (-1, (2, 3, 0, 1))),',
         '"pair-symmetry": ((1, (0, 1, 2, 3)), (-1, (0, 1, 2, 3))),',
         ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_riemann_leaf",),
     ),
     Mutant(
         "first-bianchi-tautology",
-        "src/lcslab/curvature.py",
+        "src/lcslab/self_checks.py",
         '"first-bianchi": ((1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1))),',
         '"first-bianchi": ((1, (0, 1, 2)), (-1, (0, 1, 2))),',
         ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_riemann_leaf",),
     ),
     Mutant(
         "ricci-symmetry-tautology",
-        "src/lcslab/curvature.py",
+        "src/lcslab/self_checks.py",
         '"ricci-symmetry": ((1, (0, 1)), (-1, (1, 0))),',
         '"ricci-symmetry": ((1, (0, 1)), (-1, (0, 1))),',
         ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_asymmetric_ricci_leaf",),
     ),
     Mutant(
         "ricci-operator-defining-tautology",
-        "src/lcslab/curvature.py",
-        "ok = ok and (paired - self.ricci.comp(i, j)).is_zero",
+        "src/lcslab/self_checks.py",
+        "ok = ok and (paired - stack.ricci.comp(i, j)).is_zero",
         "ok = ok and (paired - paired).is_zero",
         ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_ricci_operator_leaf",),
     ),

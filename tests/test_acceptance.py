@@ -19,19 +19,11 @@ from hypothesis import strategies as st
 
 from lcslab.cli import build_manifold, load
 from lcslab.cli import run as cli_run
-from lcslab.conditions import (
-    NoSolution,
-    RecurrenceForms,
-    RecurrenceKind,
-    SolitonParams,
-    derived_condition_residuals,
-    nabla_r_xi_identity,
-    recurrence_fit,
-    recurrence_residual,
-    soliton_lambda,
-    soliton_residual,
-)
-from lcslab.lcs_structure import NotLcsError, verify_axioms
+from lcslab.axioms import verify_axioms
+from lcslab.conditions import NoSolution, RecurrenceForms, RecurrenceKind, recurrence_fit, recurrence_residual
+from lcslab.derived_conditions import derived_condition_residuals, nabla_r_xi_identity
+from lcslab.lcs_structure import NotLcsError
+from lcslab.soliton import SolitonParams, soliton_lambda, soliton_residual
 
 from conftest import AD_HOC, SRC, ad_hoc, builtin, make_manifold
 from numeric_oracle import NumericTwin

@@ -1,13 +1,14 @@
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
-from lcslab import conditions
+from lcslab import derived_conditions
 from lcslab.builtin_manifolds import family
 from lcslab.cli import LoadError, build_manifold, load, main
 from lcslab.curvature import CurvatureStack
@@ -296,7 +297,7 @@ class TestExitCodes:
         def boom(*args):
             raise ValueError("inexact polynomial division")
 
-        monkeypatch.setattr(conditions, "nabla_r_xi_identity", boom)
+        monkeypatch.setattr(derived_conditions, "nabla_r_xi_identity", boom)
         assert main(["derived-conditions", "example51", "--json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -471,6 +472,40 @@ class TestExitCodes:
         assert f"--sample names coordinate '{name}' twice" in capsys.readouterr().err
 
 
+# A sample value's load outcome: the exit code of `check-lcs` and its stderr.
+# The definition's metric diag(1/z, z - 1, -1) is Lorentzian at z > 1 (the
+# check then fails: the frame is not a concircular structure with this
+# metric), has the wrong signature at z < 1 and a pole at z = 0.  Sample
+# values are read as Fraction reads them; these outcomes were recorded while
+# every value still went through Fraction.
+POLE = "{Var(name='x'): Fraction(2, 1), Var(name='y'): Fraction(2, 1), Var(name='z'): Fraction(0, 1)}"
+SAMPLE_OUTCOMES = {
+    "2": (1, ""),
+    "-3": (2, "error: metric signature at the sample point is (0,3); expected one negative and the rest positive\n"),
+    "+4": (1, ""),
+    " 5 ": (1, ""),
+    "1/2": (2, "error: metric signature at the sample point is (1,2); expected one negative and the rest positive\n"),
+    "2.5": (1, ""),
+    "1e1": (1, ""),
+    "0": (2, f"error: cannot evaluate metric at the sample point: denominator of 1/z vanishes at {POLE}\n"),
+    "x": (2, "error: bad sample_point entry 'z': 'x'\n"),
+    "1/0": (2, "error: bad sample_point entry 'z': '1/0'\n"),
+}
+
+
+@pytest.mark.parametrize("value", list(SAMPLE_OUTCOMES))
+@pytest.mark.parametrize("given", ["sample_point", "--sample"])
+def test_sample_value_grammar_is_fractions(tmp_path, capsys, value, given):
+    # an ASCII integer is read by int, anything else by Fraction: either
+    # way a value loads, or is refused, exactly as Fraction alone did
+    payload = dict(EXAMPLE_DEF, metric=[["1/z", "0", "0"], ["0", "z - 1", "0"], ["0", "0", "-1"]])
+    if given == "sample_point":
+        code = main(["check-lcs", write_def(tmp_path, dict(payload, sample_point={"z": value}))])
+    else:
+        code = main(["check-lcs", write_def(tmp_path, payload), "--sample", f"z={value}"])
+    assert (code, capsys.readouterr().err) == SAMPLE_OUTCOMES[value]
+
+
 class TestJsonReports:
     def test_json_structure(self, capsys):
         assert main(["conformance", "--json"]) == 0
@@ -535,11 +570,10 @@ def test_cli_import_leaves_out_dataclasses():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
     assert out.strip() == "False"
 
-# the modules of lcslab a cold `curvature` loads; every command loads these
-CURVATURE_MODULES = {
+# the modules of lcslab every command loads
+CORE_MODULES = {
     "",
     "_poly_py",
-    "builtin_manifolds",
     "cli",
     "curvature",
     "frame_geometry",
@@ -548,41 +582,62 @@ CURVATURE_MODULES = {
     "polyops",
     "symexpr",
 }
-STRUCTURE = {"lcs_structure"}
-CONDITIONS = {"lcs_structure", "conditions"}
+# a definition given by a name that could be a built-in loads the table
+BUILTINS = {"builtin_manifolds"}
 
 
-# command -> (arguments, exit code, the modules it loads besides CURVATURE_MODULES)
+# case -> (arguments, exit code, the modules it loads besides CORE_MODULES)
 COMMAND_IMPORTS = {
-    "curvature": (["curvature", "example51"], 0, set()),
-    "check-lcs": (["check-lcs", "example51"], 0, STRUCTURE | {"cmd_check_lcs"}),
-    "check": (["check", "SGR", "example51", "--forms", "FORMS"], 1, CONDITIONS | {"cmd_check"}),
-    "fit": (["fit", "SGR", "example51"], 0, CONDITIONS | {"cmd_fit"}),
-    "soliton": (["soliton", "example51"], 0, CONDITIONS | {"cmd_soliton"}),
-    "derived-conditions": (["derived-conditions", "example51"], 0, CONDITIONS | {"cmd_derived_conditions"}),
-    "conformance": (["conformance", "example51"], 0, CONDITIONS | {"cmd_conformance"}),
+    "curvature": (["curvature", "example51"], 0, BUILTINS | {"cmd_curvature", "self_checks"}),
+    "curvature-file": (["curvature", "DEF"], 0, {"cmd_curvature", "self_checks"}),
+    "check-lcs": (["check-lcs", "example51"], 0, BUILTINS | {"cmd_check_lcs", "lcs_structure", "axioms", "einstein"}),
+    "check": (
+        ["check", "SGR", "example51", "--forms", "FORMS"],
+        1,
+        BUILTINS | {"cmd_check", "conditions", "einstein", "lcs_structure"},
+    ),
+    "fit": (["fit", "SGR", "example51"], 0, BUILTINS | {"cmd_fit", "conditions", "einstein"}),
+    "fit-file": (["fit", "SGRR", "DEF"], 0, {"cmd_fit", "conditions", "einstein"}),
+    "soliton": (["soliton", "example51"], 0, BUILTINS | {"cmd_soliton", "lcs_structure", "soliton"}),
+    "derived-conditions": (
+        ["derived-conditions", "example51"],
+        0,
+        BUILTINS | {"cmd_derived_conditions", "derived_conditions", "einstein", "lcs_structure"},
+    ),
+    "conformance": (
+        ["conformance", "example51"],
+        0,
+        BUILTINS | {"cmd_conformance", "conditions", "einstein", "lcs_structure", "axioms", "self_checks"},
+    ),
 }
 
 
-@pytest.mark.parametrize("command", list(COMMAND_IMPORTS))
-def test_command_imports_only_the_layers_it_runs(tmp_path, command):
-    # a cold command compiles each module it loads: curvature loads no other
-    # command's report module, no structure or condition layer and no GCD
-    # fallback (_subresultant), and every other command only its own report
-    # module and the layers it runs
+@pytest.mark.parametrize("case", list(COMMAND_IMPORTS))
+def test_command_imports_only_the_layers_it_runs(tmp_path, case):
+    # a cold command compiles each module it loads: its own report module and
+    # the layers it runs, and no other.  None of these loads the self-checks
+    # unless it reports them, the Einstein classification or the axioms
+    # unless it runs them, the heuristic GCD (_heugcd; every GCD here has a
+    # zero, equal or one-term operand) or its fallback (_subresultant); a
+    # definition file loads no table of built-ins; and no command imports
+    # fractions (with decimal and numbers) for integer sample points
     forms = tmp_path / "forms.json"
     forms.write_text(json.dumps({"A": ["x", "0", "1/z"], "B": ["0", "y", "1"]}), encoding="utf-8")
-    argv, code, extra = COMMAND_IMPORTS[command]
-    argv = [str(forms) if a == "FORMS" else a for a in argv]
+    definition = write_def(tmp_path, EXAMPLE_DEF)
+    argv, code, extra = COMMAND_IMPORTS[case]
+    argv = [{"FORMS": str(forms), "DEF": definition}.get(a, a) for a in argv]
     probe = (
         "import contextlib, io, json, sys; from lcslab.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()): code = main({[*argv, '--json']!r})\n"
-        "print(code, json.dumps(sorted(m for m in sys.modules if m == 'lcslab' or m.startswith('lcslab.'))))"
+        "print(code, json.dumps(sorted(m for m in sys.modules if m == 'lcslab' or m.startswith('lcslab.'))))\n"
+        "print(json.dumps(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules))))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
-    exit_code, modules = out.split(maxsplit=1)
+    first, numbers = out.splitlines()
+    exit_code, modules = first.split(maxsplit=1)
     assert int(exit_code) == code
-    assert json.loads(modules) == sorted(f"lcslab.{m}" if m else "lcslab" for m in CURVATURE_MODULES | extra)
+    assert json.loads(modules) == sorted(f"lcslab.{m}" if m else "lcslab" for m in CORE_MODULES | extra)
+    assert json.loads(numbers) == []
 
 
 def test_module_run_refuses_like_the_console_script():
@@ -598,20 +653,93 @@ def test_module_run_refuses_like_the_console_script():
 @pytest.mark.parametrize("command, name, code", [("check-lcs", "example51", 0), ("check-lcs", "flat3", 1)])
 def test_cold_command_freezes_its_imports(command, name, code):
     # as the console script runs it: sys.argv set, main() with no arguments;
-    # the import-time heap goes to the permanent generation, so the
-    # collection at interpreter exit does not walk it, and the report stays
-    # the recorded one
+    # the import-time heap goes to the permanent generation, so the full
+    # collections of the run do not walk it; the freeze count is read where
+    # main ends the process, and the report stays the recorded one
     probe = (
-        "import gc, sys; from lcslab.cli import main\n"
+        "import gc, os, sys; from lcslab.cli import main\n"
+        "def observed_exit(code, exit=os._exit):\n"
+        "    print(code, gc.get_freeze_count(), file=sys.stderr, flush=True)\n"
+        "    exit(code)\n"
+        "os._exit = observed_exit\n"
         f"sys.argv = ['lcslab', {command!r}, {name!r}, '--json']\n"
-        "code = main()\n"
-        "print(code, gc.get_freeze_count(), file=sys.stderr)"
+        "main()\n"
     )
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, text=True)
+    assert done.returncode == code
     exit_code, frozen = map(int, done.stderr.split())
     assert exit_code == code
     assert frozen > 0
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == REPORT_DIGESTS[(command, name)]
+
+
+# Imported at the start of every child of the exit test (it is first on
+# PYTHONPATH): an atexit handler that a cold command must never run, and,
+# when asked, an engine fault, so that the child exits 3.
+SITECUSTOMIZE = """
+import atexit, os, sys
+
+atexit.register(lambda: sys.stderr.write("atexit handler ran\\n"))
+if os.environ.get("LCSLAB_TEST_FAULT"):
+    from lcslab.curvature import CurvatureStack
+
+    def boom(*args):
+        raise RuntimeError("stack failed")
+
+    CurvatureStack.compute = classmethod(boom)
+"""
+def stack_fails(*args):
+    raise RuntimeError("stack failed")
+
+
+# exit code -> the arguments of a command that ends with it
+COLD_EXITS = {
+    0: ["check-lcs", "example51", "--json"],
+    1: ["check-lcs", "flat3"],
+    2: ["check-lcs", "nosuch"],
+    3: ["curvature", "example51", "--json"],
+}
+
+
+@pytest.mark.parametrize("code", list(COLD_EXITS))
+@pytest.mark.parametrize("how", ["console-script", "module"])
+def test_cold_command_exits_as_main_returns(monkeypatch, capsys, tmp_path, how, code):
+    # run as the process's command, main flushes the report and ends the
+    # process with os._exit: no interpreter teardown, so no atexit handler
+    # runs, yet stdout, stderr and the exit code are those main(argv) gives
+    # in-process.  PYTHONUNBUFFERED is dropped: a report left in the stdout
+    # buffer would be lost at os._exit.
+    argv = COLD_EXITS[code]
+    if code == 3:
+        monkeypatch.setattr(CurvatureStack, "compute", classmethod(stack_fails))
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "LCSLAB_TEST_FAULT")}
+    env["PYTHONPATH"] = f"{tmp_path}{os.pathsep}{SRC}"
+    if code == 3:
+        env["LCSLAB_TEST_FAULT"] = "1"
+    if how == "module":
+        cmd = [sys.executable, "-m", "lcslab.cli", *argv]
+    else:  # what the installed `lcslab` script runs
+        cmd = [sys.executable, "-c", "import sys; from lcslab.cli import main; sys.exit(main())", *argv]
+    done = subprocess.run(cmd, capture_output=True, cwd=SRC, env=env, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (code, expected.out, expected.err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cold_command_whose_flush_fails_exits_as_the_interpreter_reports_it():
+    # a report that fits the stdout buffer is written at the flush; when
+    # that fails, the interpreter's own exit reports it (exit 120), as it
+    # would without os._exit, instead of the report vanishing with exit 0
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    code = "import sys; from lcslab.cli import main; sys.exit(main())"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-c", code, "check-lcs", "flat3"], stdout=full, stderr=subprocess.PIPE, cwd=SRC, env=env, text=True
+        )
+    assert done.returncode == 120
+    assert "No space left on device" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_main_with_arguments_leaves_the_collector_alone(capsys):

@@ -3,21 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from lcslab import conditions, lcs_structure
+from lcslab import derived_conditions, einstein, lcs_structure
 from lcslab.conditions import (
     NoSolution,
     RecurrenceForms,
     RecurrenceKind,
-    SolitonParams,
-    derived_condition_residuals,
-    nabla_r_xi_identity,
     recurrence_fit,
     recurrence_residual,
     sgr_predictions,
-    soliton_lambda,
-    soliton_residual,
 )
-from lcslab.lcs_structure import EinsteinKind, NotLcsError
+from lcslab.derived_conditions import derived_condition_residuals, nabla_r_xi_identity
+from lcslab.einstein import EinsteinKind
+from lcslab.lcs_structure import NotLcsError
+from lcslab.soliton import SolitonParams, soliton_lambda, soliton_residual
 
 from conftest import builtin, make_manifold
 
@@ -268,10 +266,10 @@ class TestDerivedConditions:
 
         def counted(*args):
             calls.append(args)
-            return lcs_structure.classify(*args)
+            return einstein.classify(*args)
 
         data = builtin("desitter4")
-        monkeypatch.setattr(conditions, "classify", counted)
+        monkeypatch.setattr(derived_conditions, "classify", counted)
         out = derived_condition_residuals(data)
         assert len(calls) == 1
         assert out.einstein_from_rxm == out.einstein_from_cxs

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from lcslab.curvature import PERMUTATION_IDENTITIES, orbit_vanishes, riemann_lowered
 from lcslab.frame_geometry import FrameTensor
 from lcslab.levi_civita import cov_deriv_tensor
+from lcslab.self_checks import PERMUTATION_IDENTITIES, orbit_vanishes, riemann_lowered
 
 from conftest import ad_hoc, builtin, make_manifold
 

@@ -171,11 +171,75 @@ class TestSignature:
         g = [[CHART.parse(t) for t in row] for row in rows]
         with pytest.raises(DegenerateMetricError):
             FrameMetric.checked(FRAME, g)  # default sample has z = 2
-        FrameMetric.checked(FRAME, g, {Var("x"): 1, Var("y"): 1, Var("z"): Fraction(3)})
+        FrameMetric.checked(FRAME, g, {Var("x"): (1, 1), Var("y"): (1, 1), Var("z"): (3, 1)})
+        FrameMetric.checked(FRAME, g, {Var("x"): (1, 1), Var("y"): (1, 1), Var("z"): (5, 2)})
+
+    def test_signature_at_a_rational_point(self):
+        # g22 = 4z - 9 is negative at z = 2 and positive at z = 9/4 + 1/2
+        rows = (("1", "0", "0"), ("0", "4*z - 9", "0"), ("0", "0", "-1/z"))
+        g = [[CHART.parse(t) for t in row] for row in rows]
+        with pytest.raises(SignatureError, match=r"\(1,2\)"):
+            FrameMetric.checked(FRAME, g)
+        FrameMetric.checked(FRAME, g, {Var("x"): (1, 1), Var("y"): (1, 1), Var("z"): (11, 4)})
+
+    def test_pole_at_the_sample_point_names_it(self):
+        rows = (("1", "0", "0"), ("0", "1/(z - 2)", "0"), ("0", "0", "-1"))
+        g = [[CHART.parse(t) for t in row] for row in rows]
+        with pytest.raises(SignatureError) as info:
+            FrameMetric.checked(FRAME, g)
+        assert str(info.value) == (
+            "cannot evaluate metric at the sample point: denominator of 1/(z - 2) vanishes at "
+            "{Var(name='x'): Fraction(2, 1), Var(name='y'): Fraction(2, 1), Var(name='z'): Fraction(2, 1)}"
+        )
 
     def test_inertia_handles_zero_diagonal(self):
-        m = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-        assert symmetric_inertia(m) == (1, 1, 0)
+        assert symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+        assert symmetric_inertia([[0, 0, 2], [0, 0, 0], [2, 0, 0]]) == (1, 1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(-3, 3), min_size=n * n))))
+    def test_inertia_equals_rational_elimination(self, shape):
+        # the fraction-free elimination against a rational congruence
+        # diagonalization of the same symmetric matrix (reference model)
+        n, cells = shape  # the upper triangle of the matrix from cells
+        m = [[cells[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+        assert symmetric_inertia(m) == rational_inertia(m)
+
+
+def rational_inertia(m):
+    """(positive, negative, zero) of a symmetric matrix by congruence
+    diagonalization over the rationals: pivot on a nonzero diagonal entry
+    (after a symmetric swap, or adding a row and column with a nonzero
+    off-diagonal entry), then eliminate its row and column."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                for j in range(n):
+                    a[k][j], a[swap][j] = a[swap][j], a[k][j]
+                for i in range(n):
+                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
+            else:
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                for j in range(n):
+                    a[k][j] += a[off][j]
+                for i in range(n):
+                    a[i][k] += a[i][off]
+        d = a[k][k]
+        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            for j in range(n):
+                a[i][j] -= f * a[k][j]
+            for j in range(n):
+                a[j][i] -= f * a[j][k]
+    return pos, neg, zero
 
 
 class TestFrameTensor:

@@ -1,14 +1,9 @@
 import pytest
 
 from lcslab.frame_geometry import FrameTensor
-from lcslab.lcs_structure import (
-    EinsteinKind,
-    NotLcsError,
-    classify,
-    derive_structure,
-    solve_two_unknowns,
-    verify_axioms,
-)
+from lcslab.axioms import verify_axioms
+from lcslab.einstein import EinsteinKind, classify, solve_two_unknowns
+from lcslab.lcs_structure import NotLcsError, derive_structure
 
 from conftest import builtin, make_manifold
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lcslab import polyops
-from lcslab.conditions import xi_action
+from lcslab.derived_conditions import xi_action
 from lcslab.curvature import riemann
 from lcslab.frame_geometry import FrameTensor, GeometryError, decompose, lie_bracket, vec_add, vec_scale
 from lcslab.levi_civita import cov_deriv_tensor, derivation

@@ -17,9 +17,18 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CURVATURE_STAGES = ("brackets", "connection", "stack", "m_projective", "concircular")
 
 
+# modules the engine loads on first use, through a loader that stays in the
+# module a tracer patches (polyops._heu_gcd, polyops._gcd_rec,
+# CurvatureStack.self_check); the benchmark's untraced rounds load them before
+# any wrapper goes in, so each must call the kernels through polyops
+LAZY_ENGINE_MODULES = ("_heugcd", "_subresultant", "self_checks")
+
+
 def test_trace_hooks_patch_live_modules(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
+    for module in LAZY_ENGINE_MODULES:
+        importlib.import_module(f"lcslab.{module}")
     counters = layers.Counters(layers.Spans())
     patches = layers.Patches()
     layers._install_spans(counters.spans, patches, (cli, manifold, curvature, conditions, lcs_structure))
@@ -42,6 +51,28 @@ def test_trace_hooks_patch_live_modules(monkeypatch):
     assert {f"stage.{s}" for s in CURVATURE_STAGES} | {"check.self_check", "cli.report"} <= names
     assert "stage.nabla_riemann" not in names
     assert counters.expr_new > 0 and counters.calls["poly_gcd"] > 0 and counters.calls["poly_mul"] > 0
+
+
+def test_kernel_calls_of_lazily_loaded_gcd_modules_are_counted(monkeypatch):
+    # a GCD module loaded before the counters go in must still reach
+    # poly_divexact through polyops, where the counting wrapper sits: the
+    # heuristic verifies its candidate by two exact divisions at each level,
+    # the subresultant fallback divides out contents
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    for module in LAZY_ENGINE_MODULES:
+        importlib.import_module(f"lcslab.{module}")
+    x2_y2 = {(2, 0): 1, (0, 2): -1}  # x^2 - y^2 and (x + y)^2, over x, y
+    x_y_2 = {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    for gcd in (polyops._heu_gcd, polyops._gcd_rec):
+        counters = layers.Counters(layers.Spans())
+        patches = layers.Patches()
+        layers._install_counters(counters, patches, symexpr, polyops, _poly_py)
+        try:
+            assert gcd(x2_y2, x_y_2, (0, 1)) == {(1, 0): 1, (0, 1): 1}
+        finally:
+            patches.undo()
+        assert counters.calls["poly_divexact"] > 0, gcd.__name__
 
 
 # the spans each command must produce on example51 besides cli.report

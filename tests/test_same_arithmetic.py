@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from lcslab import _poly_py, cli, conditions, levi_civita, polyops, symexpr
+from lcslab import _poly_py, cli, derived_conditions, levi_civita, polyops, symexpr
 from lcslab.frame_geometry import FrameTensor
 
 from conftest import ad_hoc, gather_cov_deriv_tensor
@@ -93,7 +93,7 @@ def traced_run(monkeypatch, load, forms: str, reference: bool):
     with monkeypatch.context() as m:
         m.setattr(FrameTensor, "build", classmethod(recording_build))
         if reference:
-            for module in (levi_civita, conditions):
+            for module in (levi_civita, derived_conditions):
                 m.setattr(module, "derivation", reference_derivation)
         layers._install_counters(counters, patches, symexpr, polyops, _poly_py)
         try:
