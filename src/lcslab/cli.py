@@ -40,16 +40,19 @@ point, imports ``fractions`` (with ``decimal`` and ``numbers``); the accepted
 text is exactly what ``Fraction`` accepts.
 
 Shutdown: run as the process's command (``argv`` None: the console script,
-``python -m lcslab.cli``), ``main`` first calls ``gc.freeze()``, which moves
-every object imported so far (some 13k modules, classes and functions) to
-the collector's permanent generation, so the run's full collections do not
-walk them again.  After the report is written it flushes stdout and stderr
-and ends the process with ``os._exit``: no interpreter teardown (no final
-collection, no module cleanup, no atexit handlers), and the operating
-system reclaims the memory.  If a flush fails, ``main`` returns instead, and
-the interpreter's own exit retries the flush and reports the failure as it
-always has.  A caller that passes ``argv`` (a test, an in-process benchmark)
-gets the exit code back and keeps its collector as it was.
+``python -m lcslab.cli``), ``main`` first turns the cyclic garbage
+collector off with ``gc.disable()``.  One command makes no cyclic garbage
+that grows with its input (what a command leaves unreachable is a constant
+few hundred objects, the argument parser's cycles), so the collections a
+run would make walk live objects only, and the process ends before any
+garbage would matter; reference counting still frees everything acyclic.
+After the report is written it flushes stdout and stderr and ends the
+process with ``os._exit``: no interpreter teardown (no final collection, no
+module cleanup, no atexit handlers), and the operating system reclaims the
+memory.  If a flush fails, ``main`` returns instead, and the interpreter's
+own exit retries the flush and reports the failure as it always has.  A
+caller that passes ``argv`` (a test, an in-process benchmark) gets the exit
+code back and keeps its collector as it was.
 """
 
 from __future__ import annotations
@@ -508,7 +511,7 @@ def main(argv=None) -> int:
     if argv is not None:
         return _main(argv)
     # the process ends with this command (module docstring)
-    gc.freeze()
+    gc.disable()
     code = _main(None)
     try:
         sys.stdout.flush()

@@ -20,6 +20,14 @@ leaves of its inputs and the nonzero entries of gamma, the brackets and g
 formula has a zero operand; inside it the formula is the same, so each sum is
 one canonical sum of the same nonzero terms, and every Expr is that of the
 evaluation at all n^s indices.
+
+M and C take the half rule of ``frame_geometry.mirror_pairs`` on top: both
+formulas are odd in (X, Y) wherever R's is, so only their leaves with x < y
+are evaluated, each (y,x,z) leaf is the negation of (x,y,z), and the x = y
+leaves stay empty.  Each mirrored leaf is the Expr the formula gives there
+(Exprs are canonical).  R and S themselves are evaluated at every index of
+their support: the self-checks test their symmetries, while neither M nor C
+is self-checked.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from functools import reduce
 from itertools import product
 from typing import NamedTuple
 
-from .frame_geometry import FrameMetric, FrameTensor, vec_add, vec_nonzero, vec_scale, vec_sub, vec_sum
+from .frame_geometry import FrameMetric, FrameTensor, mirror_pairs, vec_add, vec_nonzero, vec_scale, vec_sub, vec_sum
 from .levi_civita import ConnectionCoeffs
 from .symexpr import Expr
 
@@ -103,11 +111,20 @@ def _metric_pairs(metric: FrameMetric) -> list:
     return [(y, z) for y, row in enumerate(metric.g) for z, e in enumerate(row) if not e.is_zero]
 
 
+def _antisymmetric(n: int, entry, support) -> FrameTensor:
+    """The (1,3) tensor odd in its first two slots whose leaf at (x,y,z) with
+    x < y is entry(x, y, z): evaluated on the x < y part of ``support`` and
+    mirrored (``frame_geometry.mirror_pairs``)."""
+    return mirror_pairs(FrameTensor.build((1, 3), n, entry, {t for t in support if t[0] < t[1]}), 0)
+
+
 def m_projective(riem: FrameTensor, ric: FrameTensor, q_op: FrameTensor, metric: FrameMetric) -> FrameTensor:
     """M(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY] / (2(n-1)).
 
     Support: the stored R indices; (x,y,z) and (y,x,z) for every stored
     S(y,z) and any x; the same for every nonzero g[y][z] and stored row x of Q.
+    Only its x < y part is evaluated; the rest is the mirror (module
+    docstring).
     """
     n = metric.dim
     chart = metric.frame.chart
@@ -124,14 +141,15 @@ def m_projective(riem: FrameTensor, ric: FrameTensor, q_op: FrameTensor, metric:
 
     support = set(riem.comps) | _pair_swaps(range(n), ric.comps)
     support |= _pair_swaps([x for (x,) in q_op.comps], _metric_pairs(metric))
-    return FrameTensor.build((1, 3), n, entry, support)
+    return _antisymmetric(n, entry, support)
 
 
 def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTensor:
     """C(X,Y)W = R(X,Y)W - r/(n(n-1)) {g(Y,W)X - g(X,W)Y}.
 
     Support: the stored R indices, and (x,y,w) and (y,x,w) for every nonzero
-    g[y][w] and any x.
+    g[y][w] and any x.  Only its x < y part is evaluated; the rest is the
+    mirror (module docstring).
     """
     n = metric.dim
     chart = metric.frame.chart
@@ -144,7 +162,7 @@ def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTe
         return vec_sub(riem.comp(x, y, w), vec_scale(factor, corr))
 
     support = set(riem.comps) | _pair_swaps(range(n), _metric_pairs(metric))
-    return FrameTensor.build((1, 3), n, entry, support)
+    return _antisymmetric(n, entry, support)
 
 
 class CurvatureStack(NamedTuple):

@@ -294,6 +294,19 @@ class FrameTensor(NamedTuple):
         return not self.comps
 
 
+def mirror_pairs(tensor: FrameTensor, at: int) -> FrameTensor:
+    """The half rule of a (1, s) tensor antisymmetric in its slots ``at`` and
+    ``at`` + 1, T(..X,Y..) = -T(..Y,X..): ``tensor`` holds the leaves with
+    slot ``at`` below slot ``at`` + 1, and each is mirrored to the index with
+    those two slots swapped as its componentwise negation, which costs no
+    GCD.  The leaves with the two slots equal are zero and stay empty.
+    ``comps`` keeps ``itertools.product`` order."""
+    mirror = {
+        (*idx[:at], idx[at + 1], idx[at], *idx[at + 2 :]): tuple(-e for e in leaf) for idx, leaf in tensor.comps.items()
+    }
+    return tensor._replace(comps=dict(sorted({**tensor.comps, **mirror}.items())))
+
+
 # -- contractions --------------------------------------------------------------
 #
 # Products summed over a frame index go through dot (scalars) or combo

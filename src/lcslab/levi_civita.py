@@ -18,10 +18,11 @@ the sum over every frame index.
 Half rule for (1,3) inputs: T must be antisymmetric in its first two slots,
 T(X,Y) = -T(Y,X).  R is by construction (``frame_brackets`` fills
 [E_j,E_i] as -[E_i,E_j] and the Riemann formula is odd in (i,j)), and so is
-M, whose formula is odd in (X,Y) wherever R's is.  Then
+M, which ``curvature`` stores as such.  Then
 (D_W T)(E_y,E_x) = -(D_W T)(E_x,E_y) and the x = y leaves are zero, so only
 the leaves with x < y are evaluated; each (w,y,x,z) leaf is the
-componentwise negation of (w,x,y,z), which costs no GCD.
+componentwise negation of (w,x,y,z) (``frame_geometry.mirror_pairs``, the
+one home of the half rule), which costs no GCD.
 
 Bianchi support: the curvature self-checks need nabla R only for the second
 Bianchi identity, whose sums at a repeated direction vanish by the mirror
@@ -41,6 +42,7 @@ from .frame_geometry import (
     GeometryError,
     decompose,
     lie_bracket,
+    mirror_pairs,
     vec_nonzero,
     vec_scale,
     vec_sum,
@@ -177,10 +179,7 @@ def derivation(tensor: FrameTensor, ops, fields=None, bianchi: bool = False) -> 
         return val if r else val[0]
 
     out = FrameTensor.build((r, s + 1), n, entry, slot_terms)
-    if not half:
-        return out
-    mirror = {(w, y, x, z): tuple(-e for e in leaf) for (w, x, y, z), leaf in out.comps.items()}
-    return out._replace(comps=dict(sorted({**out.comps, **mirror}.items())))
+    return mirror_pairs(out, 1) if half else out
 
 
 def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor, bianchi: bool = False) -> FrameTensor:

@@ -3,10 +3,13 @@
 Everything here is exact arithmetic over the integers; even a rational
 point is a tuple of integer pairs (``poly_eval``), so loading this module
 imports no ``fractions``.  The GCD of two multi-term polynomials tries the
-evaluate/reconstruct/verify heuristic first (coprime inputs, the common
-case when canonicalizing fractions, cost one evaluation and one integer
-GCD) and falls back to a recursive subresultant remainder sequence when
-the heuristic gives up.  Each lives in a module of its own, imported on
+evaluate/reconstruct/verify heuristic (GCDHEU) first: once on the Kronecker
+images of both operands (one integer evaluation each; coprime inputs, the
+common case when canonicalizing fractions, then cost one integer GCD), then
+one variable at a time.  It falls back to a recursive subresultant
+remainder sequence when the heuristic gives up.  A heuristic candidate is
+accepted only after it divides both primitive parts, which makes it the GCD
+(``_heugcd`` gives the argument).  Each lives in a module of its own, imported on
 first use: ``_heugcd`` by ``_heu_gcd`` on the first multi-term GCD that
 misses the memo, ``_subresultant`` by ``_gcd_rec`` on the first fallback.
 A command whose GCDs all have a zero, equal or one-term operand compiles
@@ -157,11 +160,13 @@ def _gcd_rec(a: Poly, b: Poly, vs: tuple) -> Poly:
 
 
 def _heu_gcd(a: Poly, b: Poly, vs: tuple):
-    """The heuristic GCD over the variables ``vs``, or None when no candidate
-    verified; its module is loaded on the first call."""
-    from ._heugcd import _heu_gcd
+    """The heuristic GCD over the variables ``vs``: one try on the Kronecker
+    images of both operands, then the per-variable recursion; None when no
+    candidate verified.  Its module is loaded on the first call."""
+    from ._heugcd import _heu_gcd, _kronecker_gcd
 
-    return _heu_gcd(a, b, vs)
+    g = _kronecker_gcd(a, b)
+    return g if g is not None else _heu_gcd(a, b, vs)
 
 
 # -- bounded memos -------------------------------------------------------------

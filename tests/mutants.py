@@ -96,13 +96,28 @@ MUTANTS = (
         "res.append(lhs - chart.const(2) * k2 * st.eta[i])",
         ("tests/test_lcs_structure.py::TestVerifyAxioms::test_all_pass_on_lcs_n",),
     ),
-    # the derivation routine
+    # the derivation routine, and the half rule's one helper, which it
+    # shares with M and C: each of its mutants is caught by the tests of both
     Mutant(
         "half-rule-mirror-not-negated",
-        "src/lcslab/levi_civita.py",
-        "mirror = {(w, y, x, z): tuple(-e for e in leaf)",
-        "mirror = {(w, y, x, z): tuple(e for e in leaf)",
+        "src/lcslab/frame_geometry.py",
+        "tuple(-e for e in leaf) for idx, leaf in tensor.comps.items()",
+        "tuple(e for e in leaf) for idx, leaf in tensor.comps.items()",
         ("tests/test_levi_civita.py::TestCovDerivTensor::test_half_rule_equals_the_formula_at_every_index",),
+    ),
+    Mutant(
+        "m-c-mirror-not-negated",
+        "src/lcslab/frame_geometry.py",
+        "tuple(-e for e in leaf) for idx, leaf in tensor.comps.items()",
+        "tuple(e for e in leaf) for idx, leaf in tensor.comps.items()",
+        ("tests/test_curvature.py::test_m_projective_and_concircular_half_rule_equals_the_formula",),
+    ),
+    Mutant(
+        "m-c-mirror-left-out",
+        "src/lcslab/curvature.py",
+        "return mirror_pairs(FrameTensor.build((1, 3), n, entry, {t for t in support if t[0] < t[1]}), 0)",
+        "return FrameTensor.build((1, 3), n, entry, {t for t in support if t[0] < t[1]})",
+        ("tests/test_curvature.py::test_m_projective_and_concircular_half_rule_equals_the_formula",),
     ),
     Mutant(
         "cxs-not-negated",
@@ -120,9 +135,9 @@ MUTANTS = (
     ),
     Mutant(
         "nabla-riemann-mirror-left-out",
-        "src/lcslab/levi_civita.py",
-        "return out._replace(comps=dict(sorted({**out.comps, **mirror}.items())))",
-        "return out",
+        "src/lcslab/frame_geometry.py",
+        "return tensor._replace(comps=dict(sorted({**tensor.comps, **mirror}.items())))",
+        "return tensor",
         ("tests/test_levi_civita.py::TestCovDerivTensor::test_half_rule_equals_the_formula_at_every_index",),
     ),
     # the self-checks on their support: the restriction must keep every leaf
@@ -178,7 +193,7 @@ MUTANTS = (
     ),
     # the cold start: a command module must call the entry points through
     # cli, where a tracer wraps them; `python -m lcslab.cli` must register
-    # itself as lcslab.cli; a cold command freezes its import-time heap
+    # itself as lcslab.cli; a cold command runs with the collector off
     Mutant(
         "recurrence-fit-bound-at-import",
         "src/lcslab/cmd_fit.py",
@@ -202,11 +217,11 @@ MUTANTS = (
         ("tests/test_cli.py::test_module_run_refuses_like_the_console_script",),
     ),
     Mutant(
-        "cold-command-not-frozen",
+        "cold-command-collector-left-on",
         "src/lcslab/cli.py",
-        "    gc.freeze()\n",
+        "    gc.disable()\n",
         "",
-        ("tests/test_cli.py::test_cold_command_freezes_its_imports",),
+        ("tests/test_cli.py::test_cold_command_runs_without_the_collector",),
     ),
     # a cold command ends the process itself, after flushing its report
     Mutant(
@@ -229,6 +244,16 @@ MUTANTS = (
         "        return code  # the interpreter's exit retries the flush and reports its failure\n",
         "        os._exit(code)\n",
         ("tests/test_cli.py::test_cold_command_whose_flush_fails_exits_as_the_interpreter_reports_it",),
+    ),
+    # the Kronecker step's candidate is the GCD only once it divides both
+    # primitive parts: accepted unverified, the shared X - 1 of the images
+    # of x - y and x y - 1 would make y - 1 their GCD
+    Mutant(
+        "kronecker-candidate-accepted-unverified",
+        "src/lcslab/_heugcd.py",
+        "    try:\n        P.poly_divexact(a0, cand)\n        P.poly_divexact(b0, cand)\n    except ValueError:\n        return None\n",
+        "",
+        ("tests/test_kernels.py::test_kronecker_candidate_that_does_not_divide_goes_to_the_recursion",),
     ),
     # a lazily loaded GCD module that holds the kernels it was loaded with
     # hides its calls from a wrapper installed in polyops later

@@ -651,15 +651,17 @@ def test_module_run_refuses_like_the_console_script():
 
 
 @pytest.mark.parametrize("command, name, code", [("check-lcs", "example51", 0), ("check-lcs", "flat3", 1)])
-def test_cold_command_freezes_its_imports(command, name, code):
+def test_cold_command_runs_without_the_collector(command, name, code):
     # as the console script runs it: sys.argv set, main() with no arguments;
-    # the import-time heap goes to the permanent generation, so the full
-    # collections of the run do not walk it; the freeze count is read where
-    # main ends the process, and the report stays the recorded one
+    # the cyclic collector is off for the whole command, so the run makes
+    # no collection; the collector's state and its collection count are
+    # read where main ends the process, and the report stays the recorded one
     probe = (
         "import gc, os, sys; from lcslab.cli import main\n"
+        "collections = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(info['generation']))\n"
         "def observed_exit(code, exit=os._exit):\n"
-        "    print(code, gc.get_freeze_count(), file=sys.stderr, flush=True)\n"
+        "    print(code, int(gc.isenabled()), len(collections), file=sys.stderr, flush=True)\n"
         "    exit(code)\n"
         "os._exit = observed_exit\n"
         f"sys.argv = ['lcslab', {command!r}, {name!r}, '--json']\n"
@@ -667,9 +669,9 @@ def test_cold_command_freezes_its_imports(command, name, code):
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, text=True)
     assert done.returncode == code
-    exit_code, frozen = map(int, done.stderr.split())
+    exit_code, enabled, collections = map(int, done.stderr.split())
     assert exit_code == code
-    assert frozen > 0
+    assert not enabled and not collections
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == REPORT_DIGESTS[(command, name)]
 
 
@@ -744,8 +746,10 @@ def test_cold_command_whose_flush_fails_exits_as_the_interpreter_reports_it():
 
 def test_main_with_arguments_leaves_the_collector_alone(capsys):
     before = gc.get_freeze_count()
+    assert gc.isenabled()
     assert main(["check-lcs", "example51", "--json"]) == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()
 
 
 def test_parser_offers_every_recurrence_kind():

@@ -253,6 +253,43 @@ class TestConcircular:
                     assert all((a + b).is_zero for a, b in zip(left, right))
 
 
+def m_formula(data, x, y, z):
+    """M(E_x,E_y)E_z from its definition, at any index:
+    R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY] / (2(n-1))."""
+    n, stack, g = data.dim, data.stack, data.metric.g
+    two_n1 = data.chart.const(2 * (n - 1))
+    ex, ey = data.frame.unit(x), data.frame.unit(y)
+    qx, qy = stack.q_operator.comp(x), stack.q_operator.comp(y)
+    return tuple(
+        r - (stack.ricci.comp(y, z) * a - stack.ricci.comp(x, z) * b + g[y][z] * c - g[x][z] * d) / two_n1
+        for r, a, b, c, d in zip(stack.riemann13.comp(x, y, z), ex, ey, qx, qy)
+    )
+
+
+def c_formula(data, x, y, w):
+    """C(E_x,E_y)E_w from its definition, at any index:
+    R(X,Y)W - r/(n(n-1)) [g(Y,W)X - g(X,W)Y]."""
+    n, stack, g = data.dim, data.stack, data.metric.g
+    factor = stack.scalar / data.chart.const(n * (n - 1))
+    ex, ey = data.frame.unit(x), data.frame.unit(y)
+    return tuple(r - factor * (g[y][w] * a - g[x][w] * b) for r, a, b in zip(stack.riemann13.comp(x, y, w), ex, ey))
+
+
+@pytest.mark.parametrize("name", ["example51", "lcs4", "dense-style", "bracket-only"])
+def test_m_projective_and_concircular_half_rule_equals_the_formula(name):
+    # M and C are evaluated at x < y only: every mirrored (x > y) leaf and
+    # every empty x = y leaf must be what the formula gives there
+    data = ad_hoc(name) if name in ("dense-style", "bracket-only") else builtin(name)
+    n = data.dim
+    for tensor, formula in ((data.m_projective, m_formula), (data.concircular, c_formula)):
+        assert not any(x == y for x, y, _ in tensor.comps)
+        assert any(x > y for x, y, _ in tensor.comps)
+        for x in range(n):
+            for y in range(x + 1):
+                for z in range(n):
+                    assert tensor.comp(x, y, z) == formula(data, x, y, z), (x, y, z)
+
+
 class TestNablaRiemann:
     def test_flat_space_vanishes(self, flat3):
         assert flat3.nabla_riemann.is_zero()

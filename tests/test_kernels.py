@@ -1,12 +1,13 @@
 """Correctness of the polynomial kernels and the GCD."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcslab import _poly_py, cli, polyops
+from lcslab import _heugcd, _poly_py, cli, polyops
 from lcslab.polyops import _gcd_rec, _heu_gcd, poly_divexact, poly_gcd, poly_mul, poly_mul_scalar, poly_pow
 
 from conftest import ad_hoc
@@ -275,3 +276,136 @@ def test_no_gcd_operand_is_written_afterwards(monkeypatch):
     data.nabla_riemann  # the full tensor, as check and fit SGR|SGPR read it
     assert len(seen) > 1000
     assert all(p == before for call in seen for p, before in call)
+
+
+# -- the Kronecker step of the heuristic GCD -----------------------------------
+
+
+def sympy_gcd(a, b, nvars):
+    """gcd(a, b) over the integers by sympy, as an exponent dict."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{nvars}")
+    g = sympy.Poly(a, *xs).gcd(sympy.Poly(b, *xs))
+    return {e: int(c) for e, c in g.terms()}
+
+
+def up_to_sign(p, q):
+    return p == q or p == poly_mul_scalar(q, -1)
+
+
+def recursion_gcd(a, b):
+    """The per-variable heuristic and, when it gives up, the subresultant."""
+    vs = tuple(range(len(next(iter(a)))))
+    g = _heugcd._heu_gcd(a, b, vs)
+    return g if g is not None else _gcd_rec(a, b, vs)
+
+
+def kronecker_image(p, q):
+    """gamma = gcd(K(p)(xi), K(q)(xi)) as the Kronecker step forms it."""
+    (_, p0), (_, q0) = _heugcd._primitive(p), _heugcd._primitive(q)
+    radix = [max(s, t) + 1 for s, t in zip(map(max, zip(*p0)), map(max, zip(*q0)))]
+    weights = [math.prod(radix[i + 1 :]) for i in range(len(radix))]
+    xi = 2 * min(max(map(abs, p0.values())), max(map(abs, q0.values()))) + 29
+    return xi, math.gcd(_heugcd._kron_eval(p0, weights, xi), _heugcd._kron_eval(q0, weights, xi))
+
+
+def test_kronecker_coprime_images_give_the_content():
+    # gamma = 1: the GCD is the content GCD, with no candidate to divide by
+    a = {(1, 0, 0): 6, (0, 1, 1): 9, (0, 0, 0): 3}
+    b = {(2, 0, 0): 4, (0, 0, 1): -10}
+    assert kronecker_image(a, b)[1] == 1
+    assert _heugcd._kronecker_gcd(a, b) == {(0, 0, 0): 1}
+    a6, b6 = poly_mul_scalar(a, 4), poly_mul_scalar(b, 6)  # contents 12 and 12
+    assert _heugcd._kronecker_gcd(a6, b6) == {(0, 0, 0): 12} == sympy_gcd(a6, b6, 3) == recursion_gcd(a6, b6)
+
+
+@pytest.mark.parametrize(
+    "f, u, v",
+    [
+        # a nontrivial GCD with content: 6 f u and 4 f v share 2 f
+        ({(1, 1, 0): 1, (0, 0, 2): -3, (0, 0, 0): 2}, {(1, 0, 0): 3, (0, 1, 0): 3}, {(0, 0, 1): 2, (0, 0, 0): -1}),
+        # products whose cross terms cancel: f u = (x+1)^2 - y^2 loses xy,
+        # f v loses x^2 y and x y^2
+        (
+            {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): 1},
+            {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1},
+            {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 1): 1},
+        ),
+        # a negative lead and a factor free of the first variable
+        ({(0, 2, 1): -2, (0, 0, 0): 3}, {(2, 0, 0): 1, (0, 1, 0): -1}, {(1, 0, 1): 5, (0, 0, 0): 1}),
+        # six variables: x0 x5 - 2 x2 + 1 times x1 + x3 and times x4 - 3
+        (
+            {(1, 0, 0, 0, 0, 1): 1, (0, 0, 1, 0, 0, 0): -2, (0,) * 6: 1},
+            {(0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0): 1},
+            {(0, 0, 0, 0, 1, 0): 1, (0,) * 6: -3},
+        ),
+    ],
+    ids=["content", "cancelling", "negative-lead", "six-variables"],
+)
+def test_kronecker_gcd_is_the_gcd(f, u, v):
+    # u and v are coprime, so gcd(6 f u, 4 f v) = 2 f up to sign
+    a = poly_mul_scalar(poly_mul(f, u), 6)
+    b = poly_mul_scalar(poly_mul(f, v), 4)
+    assert kronecker_image(a, b)[1] > 1
+    g = _heugcd._kronecker_gcd(a, b)
+    assert up_to_sign(g, poly_mul_scalar(f, 2))
+    assert g == recursion_gcd(a, b)
+    assert up_to_sign(g, sympy_gcd(a, b, len(next(iter(f)))))
+
+
+six_exponents = st.tuples(*[st.integers(0, 1)] * 6)
+six_vars = st.dictionaries(six_exponents, coefficients, min_size=1, max_size=3)
+
+
+@given(six_vars, six_vars, six_vars, st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_kronecker_gcd_in_six_variables(f, u, v, c):
+    # boxes of up to 3^6 exponents: those within the bound take the
+    # Kronecker step, the rest go straight to the recursion
+    a, b = poly_mul_scalar(poly_mul(f, u), c), poly_mul(f, v)
+    if len(a) < 2 or len(b) < 2:
+        return
+    expected = recursion_gcd(a, b)
+    assert up_to_sign(expected, sympy_gcd(a, b, 6))
+    g = _heugcd._kronecker_gcd(a, b)
+    assert g is None or g == expected
+    assert _heu_gcd(a, b, tuple(range(6))) == expected
+
+
+def test_kronecker_candidate_that_does_not_divide_goes_to_the_recursion(monkeypatch):
+    # x - y and x y - 1 are coprime, yet their images X^2 - X and X^3 - 1
+    # share X - 1: the candidate y - 1 divides neither operand, so the
+    # Kronecker step gives up and the recursion returns 1
+    a = {(1, 0, 0): 1, (0, 1, 0): -1}
+    b = {(1, 1, 0): 1, (0, 0, 0): -1}
+    xi, gamma = kronecker_image(a, b)
+    assert gamma == xi - 1
+    divisors = []
+
+    def recording_divexact(p, q, divexact=polyops.poly_divexact):
+        divisors.append(q)
+        return divexact(p, q)
+
+    monkeypatch.setattr(polyops, "poly_divexact", recording_divexact)
+    assert _heugcd._kronecker_gcd(a, b) is None
+    assert divisors == [{(0, 1, 0): 1, (0, 0, 0): -1}]
+    assert _heu_gcd(a, b, (0, 1, 2)) == {(0, 0, 0): 1} == sympy_gcd(a, b, 3)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # a box of 6^3 = 216 exponents: past the bound at any xi
+        ({(5, 5, 5): 1, (0, 0, 0): -1}, {(5, 0, 0): 1, (0, 5, 5): 1}),
+        # a box of 8 exponents, but xi has some 200 bits
+        ({(1, 1, 1): 3**130, (0, 0, 0): 1}, {(1, 0, 0): 5**90, (0, 1, 1): 7}),
+    ],
+    ids=["wide-box", "large-xi"],
+)
+def test_input_above_the_bound_reaches_the_recursion_unevaluated(monkeypatch, a, b):
+    def no_evaluation(*args):
+        raise AssertionError("the Kronecker image was evaluated")
+
+    monkeypatch.setattr(_heugcd, "_kron_eval", no_evaluation)
+    assert _heugcd._kronecker_gcd(a, b) is None
+    assert _heu_gcd(a, b, (0, 1, 2)) == recursion_gcd(a, b)
