@@ -29,7 +29,8 @@ injective on polynomials whose exponents lie in the box.  A candidate g
 that divides both primitive parts a, b therefore has K(g) dividing K(a) and
 K(b), so K(g) is their univariate GCD by the argument above.  The true GCD
 is g u for some u, and K(g) K(u) divides that univariate GCD K(g), so
-K(u) = +-1 and, K being injective on the box, u = +-1: g is the GCD.  When
+K(u) = +-1 and, K being injective on the box, u = +-1: g is the GCD.  Both
+steps accept a candidate through one check, ``_verified``.  When
 gcd(A(xi), B(xi)) = 1 the candidate is 1, which divides everything, so no
 division is needed.  A digit at or past the box, or a candidate that fails
 a division, hands the pair to the recursion.  So does a box whose
@@ -101,6 +102,19 @@ def _primitive(p: Poly) -> tuple[int, Poly]:
     return c, ({e: v // c for e, v in p.items()} if c > 1 else p)
 
 
+def _verified(cand: Poly, a0: Poly, b0: Poly, cg: int):
+    """The GCD cg pp(cand) of two polynomials with primitive parts a0, b0
+    and content GCD cg, once the primitive part of the nonzero candidate
+    divides both a0 and b0 (see the module docstring); None otherwise."""
+    cand = P.normalize_sign(_primitive(cand)[1])
+    try:
+        P.poly_divexact(a0, cand)
+        P.poly_divexact(b0, cand)
+    except ValueError:
+        return None
+    return P.normalize_sign(P.poly_mul_scalar(cand, cg))
+
+
 def _kron_eval(p: Poly, weights: tuple, xi: int) -> int:
     """The Kronecker image of p at xi: sum of c xi^(e . weights)."""
     total = 0
@@ -149,13 +163,7 @@ def _kronecker_gcd(a: Poly, b: Poly):
             cand[tuple(e)] = d
         gamma = (gamma - d) // xi
         k += 1
-    cand = P.normalize_sign(_primitive(cand)[1])
-    try:
-        P.poly_divexact(a0, cand)
-        P.poly_divexact(b0, cand)
-    except ValueError:
-        return None
-    return P.normalize_sign(P.poly_mul_scalar(cand, cg))
+    return _verified(cand, a0, b0, cg)
 
 
 def _heu_gcd(a: Poly, b: Poly, vs: tuple):
@@ -181,15 +189,8 @@ def _heu_gcd(a: Poly, b: Poly, vs: tuple):
         if av and bv:
             gv = _heu_gcd(av, bv, used[1:])
             if gv is not None:
-                cand = _interp_var(gv, v, xi)
-                if cand:
-                    cand = P.normalize_sign(_primitive(cand)[1])
-                    try:
-                        P.poly_divexact(a0, cand)
-                        P.poly_divexact(b0, cand)
-                    except ValueError:
-                        pass
-                    else:
-                        return P.normalize_sign(P.poly_mul_scalar(cand, cg))
+                g = _verified(_interp_var(gv, v, xi), a0, b0, cg)
+                if g is not None:
+                    return g
         xi = 2 * xi + 29
     return None

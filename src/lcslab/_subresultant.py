@@ -61,9 +61,8 @@ def _content_in(a: Poly, v: int, vs: tuple) -> Poly:
         cd = _coeff_in(a, v, d)
         if cd:
             cont = _gcd_rec(cont, cd, vs)
-            lead = P.poly_lead(cont)
-            if lead is not None and sum(lead[0]) == 0 and lead[1] == 1:
-                break  # content is already 1
+            if P.poly_is_one(cont):
+                break
     return cont
 
 

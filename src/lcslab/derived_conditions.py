@@ -35,11 +35,10 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
         g = data.metric.g
         nabla_r = data.nabla_riemann
         coeff = 2 * st.alpha * st.rho - beta_value
-        xi_lowered = data.metric.lower(st.xi)  # g(vec, xi) = dot(vec, xi_lowered)
 
         def entry(w, y, z):
             vec = combo(st.xi, lambda a: nabla_r.comp(w, a, y, z))
-            lhs = dot(vec, xi_lowered)
+            lhs = dot(vec, st.eta)  # g(vec, xi), eta being xi lowered
             rhs = -coeff * (g[y][z] + st.eta[y] * st.eta[z]) * st.eta[w]
             return lhs - rhs
 

@@ -21,6 +21,12 @@ is folded into the GCD, so canonical fractions reduce constants as well
 (2x/2 -> x).  Like the kernels, nothing here writes to an argument, so a
 result may be an argument itself.
 
+These functions are the polynomial layer under ``symexpr``, which holds all
+fraction arithmetic (the lcm of denominators, the cross-cancelled product,
+the canonical form) and is their only caller outside the two GCD modules.
+``frame_geometry`` calls none of them; its ``vec_sum`` reads an Expr's
+numerator only to test it for zero.
+
 Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
 of multi-term polynomials again and again (on the dense benchmark inputs,
 two thirds or more of the multi-term calls of a ``curvature`` run repeat an

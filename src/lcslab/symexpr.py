@@ -12,6 +12,18 @@ Storage: ``num`` and ``den`` are the kernel dicts themselves (exponent tuple
 Exprs share these dicts freely and never copy them; term order matters only
 for printing, where ``__str__`` sorts graded-lex descending.
 
+Fraction arithmetic lives here, each step written once.  ``_over_lcm``
+brings fractions over the lcm of their denominators, for ``Expr.sum`` and
+for ``Expr.along``, the directional derivative X(f) that
+``VectorField.apply`` memoises.  ``_cross_product`` is the cross-cancelled
+product of ``*``, and of ``/``, which passes the divisor's numerator and
+denominator swapped.  Every "is this 1" test is ``polyops.poly_is_one``.
+No other module reduces a fraction or calls a polynomial kernel on an
+Expr's parts; ``frame_geometry`` only reads ``num`` to test for zero.  The
+hot paths stay inline: the two-term sum, the memo lookups and the sign step
+of ``__init__``.  ``Expr.diff`` keeps its own quotient rule, because the
+tests check ``along`` against sums of ``diff``.
+
 Zero: ``Expr.zero(vars)`` is one interned instance per variable tuple, and
 ``Expr.constant(vars, 0)`` returns it.  Zero absorbs: ``+``/``-`` with a zero
 operand return the other operand (or its negation), ``*`` with a zero
@@ -299,9 +311,7 @@ class Expr:
                 return Expr.zero(self.vars)
             return (Expr._raw if P.poly_is_one(ad) else Expr)(self.vars, num, ad)
         d = P.poly_gcd(ad, bd)
-        exps, coeff = P.poly_lead(d)
-        # coprime denominators: the cross-sum is already in lowest terms
-        coprime = coeff == 1 and not any(exps)
+        coprime = P.poly_is_one(d)  # the cross-sum is then in lowest terms
         ad_red, bd_red = (ad, bd) if coprime else (P.poly_divexact(ad, d), P.poly_divexact(bd, d))
         num = combine(P.poly_mul(an, bd_red), P.poly_mul(bn, ad_red))
         if not num:
@@ -331,20 +341,16 @@ class Expr:
             if s > 0:
                 return a._add_sub(b, sub=t < 0)
             return b._add_sub(a, sub=True) if t > 0 else -(a._add_sub(b, sub=False))
-        groups = []  # [denominator, summed numerator], in order of first use
+        groups = []  # [summed numerator, denominator], in order of first use
         for s, e in live:
             den = e.den
             for group in groups:
-                if group[0] is den or group[0] == den:
-                    group[1] = (P.poly_add if s > 0 else P.poly_sub)(group[1], e.num)
+                if group[1] is den or group[1] == den:
+                    group[0] = (P.poly_add if s > 0 else P.poly_sub)(group[0], e.num)
                     break
             else:
-                groups.append([den, e.num if s > 0 else P.poly_neg(e.num)])
-        lcm = groups[0][0]
-        for den, _ in groups[1:]:
-            if den != lcm:
-                lcm = P.poly_mul(lcm, P.poly_divexact(den, P.poly_gcd(lcm, den)))
-        parts = [part if den == lcm else P.poly_mul(part, P.poly_divexact(lcm, den)) for den, part in groups]
+                groups.append([e.num if s > 0 else P.poly_neg(e.num), den])
+        lcm, parts = _over_lcm(groups)
         num = reduce(P.poly_add, parts)
         if not num:
             return cls.zero(variables)
@@ -385,13 +391,7 @@ class Expr:
         key = (_MUL, self, o) if hash(self) <= hash(o) else (_MUL, o, self)
         out = _memo.entries.get(key)
         if out is None:
-            an, ad, bn, bd = self.num, self.den, o.num, o.den
-            # cross-cancel; the remaining pieces are pairwise coprime
-            g1 = P.poly_gcd(an, bd)
-            g2 = P.poly_gcd(bn, ad)
-            num = P.poly_mul(P.poly_divexact(an, g1), P.poly_divexact(bn, g2))
-            den = P.poly_mul(P.poly_divexact(ad, g2), P.poly_divexact(bd, g1))
-            out = Expr._raw(self.vars, num, den)
+            out = Expr._raw(self.vars, *_cross_product(self.num, self.den, o.num, o.den))
             _remember(key, self, o, out)
         return out
 
@@ -405,11 +405,7 @@ class Expr:
             raise ExprDivisionError("division by zero expression")
         if not self.num:
             return self
-        an, ad, bn, bd = self.num, self.den, o.num, o.den
-        g1 = P.poly_gcd(an, bn)
-        g2 = P.poly_gcd(bd, ad)
-        num = P.poly_mul(P.poly_divexact(an, g1), P.poly_divexact(bd, g2))
-        den = P.poly_mul(P.poly_divexact(ad, g2), P.poly_divexact(bn, g1))
+        num, den = _cross_product(self.num, self.den, o.den, o.num)  # times the reciprocal
         if P.poly_lead(den)[1] < 0:
             num = P.poly_neg(num)
             den = P.poly_neg(den)
@@ -459,6 +455,31 @@ class Expr:
             return Expr.zero(self.vars)
         return Expr(self.vars, dn, P.poly_mul(den, den))
 
+    def along(self, coeffs) -> "Expr":
+        """The directional derivative sum_i c_i df/dx_i of f = self = N/D
+        along coefficients c_i = p_i/q_i, one per variable, normalised once:
+        with L the lcm of the q_i over the variables f depends on,
+        w_i = p_i L/q_i is a polynomial and the derivative is
+        (X_L(N) D - N X_L(D)) / (L D^2), where X_L is sum_i w_i d/dx_i."""
+        num, den = self.num, self.den
+        used = []  # (c_i, dN/dx_i, dD/dx_i) where c_i and df/dx_i are nonzero
+        for i, c in enumerate(coeffs):
+            if c.num:
+                dn, dd = P.poly_diff(num, i), P.poly_diff(den, i)
+                if dn or dd:
+                    used.append((c, dn, dd))
+        if not used:
+            return Expr.zero(self.vars)
+        lcm, weights = _over_lcm([(c.num, c.den) for c, _, _ in used])
+        xn = xd = {}
+        for w, (_, dn, dd) in zip(weights, used):
+            xn = P.poly_add(xn, P.poly_mul(w, dn))
+            xd = P.poly_add(xd, P.poly_mul(w, dd))
+        top = P.poly_sub(P.poly_mul(xn, den), P.poly_mul(num, xd))
+        if not top:
+            return Expr.zero(self.vars)
+        return Expr(self.vars, top, P.poly_mul(lcm, P.poly_mul(den, den)))
+
     def eval(self, point) -> "Fraction":
         """The value at ``point``, which maps each variable (or its name) to a
         number ``Fraction`` accepts."""
@@ -483,7 +504,7 @@ class Expr:
         if not self.num:
             return "0"
         num = P.poly_sorted_terms(self.num)
-        if self.den == {(0,) * len(self.vars): 1}:
+        if P.poly_is_one(self.den):
             return _format_poly(num, self.vars)
         ns = _format_poly(num, self.vars)
         if len(num) > 1:
@@ -502,6 +523,34 @@ class Expr:
 
 _ADD, _SUB, _MUL = "+", "-", "*"
 _memo = P.expr_memo
+
+
+# -- the fraction steps shared by the operations --------------------------------
+
+
+def _over_lcm(fractions):
+    """(L, [n L/d for each (n, d)]): the lcm L of the denominators of a
+    nonempty list of (numerator, denominator) pairs, folded left, and each
+    numerator scaled to L.  ``Expr.sum`` and ``Expr.along`` bring their
+    terms over one denominator with it."""
+    lcm = fractions[0][1]
+    for _, den in fractions[1:]:
+        if den != lcm:
+            lcm = P.poly_mul(lcm, P.poly_divexact(den, P.poly_gcd(lcm, den)))
+    return lcm, [num if den == lcm else P.poly_mul(num, P.poly_divexact(lcm, den)) for num, den in fractions]
+
+
+def _cross_product(an, ad, bn, bd):
+    """(numerator, denominator) of (an/ad)(bn/bd) for two coprime pairs,
+    cross-cancelled: after dividing out gcd(an, bd) and gcd(bn, ad) the four
+    pieces are pairwise coprime, so the product is in lowest terms.  Its
+    denominator's lead has the sign of ad's times bd's."""
+    g1 = P.poly_gcd(an, bd)
+    g2 = P.poly_gcd(bn, ad)
+    return (
+        P.poly_mul(P.poly_divexact(an, g1), P.poly_divexact(bn, g2)),
+        P.poly_mul(P.poly_divexact(ad, g2), P.poly_divexact(bd, g1)),
+    )
 
 
 def _remember(key, a: Expr, b: Expr, out: Expr) -> None:

@@ -245,15 +245,24 @@ MUTANTS = (
         "        os._exit(code)\n",
         ("tests/test_cli.py::test_cold_command_whose_flush_fails_exits_as_the_interpreter_reports_it",),
     ),
-    # the Kronecker step's candidate is the GCD only once it divides both
-    # primitive parts: accepted unverified, the shared X - 1 of the images
-    # of x - y and x y - 1 would make y - 1 their GCD
+    # a GCDHEU candidate is the GCD only once it divides both primitive
+    # parts, which the one check both callers share verifies: accepted
+    # unverified, the shared X - 1 of the Kronecker images of x - y and
+    # x y - 1 would make y - 1 their GCD, and the recursion would take y as
+    # the GCD of y - x^2 and y^2 - x y^2
     Mutant(
         "kronecker-candidate-accepted-unverified",
         "src/lcslab/_heugcd.py",
         "    try:\n        P.poly_divexact(a0, cand)\n        P.poly_divexact(b0, cand)\n    except ValueError:\n        return None\n",
         "",
         ("tests/test_kernels.py::test_kronecker_candidate_that_does_not_divide_goes_to_the_recursion",),
+    ),
+    Mutant(
+        "heuristic-candidate-accepted-unverified",
+        "src/lcslab/_heugcd.py",
+        "    try:\n        P.poly_divexact(a0, cand)\n        P.poly_divexact(b0, cand)\n    except ValueError:\n        return None\n",
+        "",
+        ("tests/test_kernels.py::test_recursion_candidate_that_does_not_divide_is_refused",),
     ),
     # a lazily loaded GCD module that holds the kernels it was loaded with
     # hides its calls from a wrapper installed in polyops later
@@ -279,7 +288,8 @@ MUTANTS = (
         "if d > 0:",
         ("tests/test_frame_geometry.py::TestSignature::test_inertia_equals_rational_elimination",),
     ),
-    # Expr.sum: the final normalisation, each term's sign, every group
+    # Expr.sum: the final normalisation, each term's sign, every group; the
+    # lcm that Expr.sum and Expr.along share scales each numerator to it
     Mutant(
         "sum-not-normalised",
         "src/lcslab/symexpr.py",
@@ -290,15 +300,15 @@ MUTANTS = (
     Mutant(
         "sum-shared-denominator-sign-dropped",
         "src/lcslab/symexpr.py",
-        "group[1] = (P.poly_add if s > 0 else P.poly_sub)(group[1], e.num)",
-        "group[1] = P.poly_add(group[1], e.num)",
+        "group[0] = (P.poly_add if s > 0 else P.poly_sub)(group[0], e.num)",
+        "group[0] = P.poly_add(group[0], e.num)",
         ("tests/test_symexpr.py::test_sum_examples_are_the_left_fold",),
     ),
     Mutant(
         "sum-new-group-sign-dropped",
         "src/lcslab/symexpr.py",
-        "groups.append([den, e.num if s > 0 else P.poly_neg(e.num)])",
-        "groups.append([den, e.num])",
+        "groups.append([e.num if s > 0 else P.poly_neg(e.num), den])",
+        "groups.append([e.num, den])",
         ("tests/test_symexpr.py::test_sum_examples_are_the_left_fold",),
     ),
     Mutant(
@@ -307,6 +317,33 @@ MUTANTS = (
         "num = reduce(P.poly_add, parts)",
         "num = parts[0]",
         ("tests/test_symexpr.py::test_sum_examples_are_the_left_fold",),
+    ),
+    Mutant(
+        "lcm-numerator-scaled-by-the-lcm",
+        "src/lcslab/symexpr.py",
+        "P.poly_mul(num, P.poly_divexact(lcm, den))",
+        "P.poly_mul(num, lcm)",
+        (
+            "tests/test_symexpr.py::test_sum_examples_are_the_left_fold",
+            "tests/test_frame_geometry.py::TestApply::test_coefficients_over_different_denominators",
+        ),
+    ),
+    # the cross-cancelled product that * and / share, and the sign step of a
+    # negative power, whose swapped denominator may lead negative
+    Mutant(
+        "cross-cancel-second-gcd-skipped",
+        "src/lcslab/symexpr.py",
+        "    g2 = P.poly_gcd(bn, ad)\n",
+        "    g2 = P.poly_const(len(next(iter(ad))), 1)\n",
+        ("tests/test_symexpr.py::TestArith::test_products_and_quotients_cancel_across",),
+    ),
+    Mutant(
+        "negative-power-sign-not-normalised",
+        "src/lcslab/symexpr.py",
+        "            return Expr.zero(self.vars)\n        if P.poly_lead(den)[1] < 0:\n"
+        "            num = P.poly_neg(num)\n            den = P.poly_neg(den)\n",
+        "            return Expr.zero(self.vars)\n",
+        ("tests/test_symexpr.py::TestArith::test_negative_power_of_a_negative_lead",),
     ),
     # one tautology per curvature self-check: the identity's second term
     # reads the same index with the opposite sign, or S is compared with the

@@ -54,6 +54,12 @@ class TestApply:
     def test_constant(self):
         assert E1.apply(CHART.parse("7/3")).is_zero
 
+    def test_coefficients_over_different_denominators(self):
+        # over their lcm 6, the coefficients 1/2 and 1/3 weigh 3 and 2; over
+        # x y, 1/x and 1/y weigh y and x
+        assert vf("1/2", "1/3", "0").apply(CHART.parse("x + y")) == CHART.parse("5/6")
+        assert vf("1/x", "1/y", "0").apply(CHART.parse("x*y")) == CHART.parse("(x^2 + y^2)/(x*y)")
+
 
 class TestLieBracket:
     def test_e1_e2(self):

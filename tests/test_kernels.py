@@ -392,6 +392,23 @@ def test_kronecker_candidate_that_does_not_divide_goes_to_the_recursion(monkeypa
     assert _heu_gcd(a, b, (0, 1, 2)) == {(0, 0, 0): 1} == sympy_gcd(a, b, 3)
 
 
+def test_recursion_candidate_that_does_not_divide_is_refused(monkeypatch):
+    # y - x^2 and y^2 - x y^2 are coprime, yet at x = y = 31 the first is
+    # -30 * 31 and the second 31^2: the recursion's first candidate, y,
+    # divides only the second, so it is refused and the recursion returns 1
+    a = {(0, 1): 1, (2, 0): -1}
+    b = {(0, 2): 1, (1, 2): -1}
+    divisors = []
+
+    def recording_divexact(p, q, divexact=polyops.poly_divexact):
+        divisors.append(q)
+        return divexact(p, q)
+
+    monkeypatch.setattr(polyops, "poly_divexact", recording_divexact)
+    assert _heugcd._heu_gcd(a, b, (0, 1)) == {(0, 0): 1} == sympy_gcd(a, b, 2)
+    assert divisors[0] == {(0, 1): 1}
+
+
 @pytest.mark.parametrize(
     "a, b",
     [

@@ -125,6 +125,25 @@ class TestArith:
         assert arith("neg", e("x")) == e("-x")
         assert arith("pow", e("z"), -2) == e("1/z^2")
 
+    def test_negative_power_of_a_negative_lead(self):
+        # the reciprocal puts the base's numerator, lead -x, in the
+        # denominator; the sign step moves the minus up, as 1/(1 - x) has it
+        assert e("1 - x") ** -1 == e("1/(1 - x)")
+        assert str(e("1 - x") ** -1) == "-1/(x - 1)"
+        assert e("1 - x") ** -3 == e("1/(1 - x)^3")
+        assert str(e("1 - x") ** -3) == "-1/(x^3 - 3*x^2 + 3*x - 1)"
+        assert e("y/(1 - x)") ** -1 == e("(1 - x)/y")
+        assert str(e("y/(1 - x)") ** -1) == "(-x + 1)/y"
+
+    def test_products_and_quotients_cancel_across(self):
+        # a product cancels its left numerator against the right denominator
+        # (first GCD) and its right numerator against the left denominator
+        # (second GCD); a quotient multiplies by the reciprocal
+        assert e("(y + 1)/x") * e("z/(y + 1)") == e("z/x")
+        assert e("x/(x + 1)") * e("(x + 1)/y") == e("x/y")
+        assert e("x/(y + 1)") / e("z/(y + 1)") == e("x/z")
+        assert e("x^2/(y + 1)") / e("x/(y + 1)^2") == e("x*y + x")
+
     def test_pow_zero_exponent(self):
         assert arith("pow", e("x + 1"), 0) == e("1")
 
