@@ -1,10 +1,12 @@
 """The ``fit KIND`` report: exact recurrence 1-forms, or the first row that
-has no solution."""
+has no solution.  The fit checks its forms against every residual
+component before it returns them, so the ``roundtrip`` entry reports that
+check and builds no second residual."""
 
 from __future__ import annotations
 
 from . import cli
-from .cli import FAIL, INFO, PASS, LoadError, Report, format_vector
+from .cli import INFO, PASS, LoadError, Report, format_vector
 from .conditions import NoSolution, RecurrenceKind
 from .manifold import ManifoldData
 
@@ -30,9 +32,4 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
         "metric duals rho1, rho2",
         engine=f"{format_vector(result.rho1)}; {format_vector(result.rho2)}",
     )
-    _, is_zero = cli.recurrence_residual(data, kind, result)
-    report.add(
-        f"fit.{kind.value}.roundtrip",
-        PASS if is_zero else FAIL,
-        "fitted forms reproduce the condition exactly",
-    )
+    report.add(f"fit.{kind.value}.roundtrip", PASS, "fitted forms reproduce the condition exactly")

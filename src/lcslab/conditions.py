@@ -2,9 +2,15 @@
 and the scalar-curvature predictions of SGR.
 
 Each recurrence condition is stated once, in ``_recurrence_terms``, as
-lhs = A(E_w) p + B(E_w) q; ``recurrence_residual`` builds lhs - A p - B q
-from it and ``recurrence_fit`` reads its leaves as the rows of the linear
-system in A(E_w), B(E_w).
+lhs = A(E_w) p + B(E_w) q, and its residual leaf lhs - A p - B q once, in
+``_residual_leaf``.  ``recurrence_residual`` builds the whole residual
+tensor from that leaf, for ``check`` to report.  ``recurrence_fit`` reads
+the condition's leaves as the rows of the linear system in A(E_w), B(E_w),
+solves it on pivot rows, and checks the solution through the same residual
+leaves, each formed once and in order, up to the first nonzero component:
+that component is the fit's witness, and a fit that returns forms has
+checked them against every component, which is what the ``roundtrip``
+entry of ``fit`` reports.
 
 The other conditions are modules of their own, so that each command loads
 only the conditions it checks: ``soliton`` (the conformal soliton residual
@@ -97,21 +103,27 @@ def _recurrence_terms(data: ManifoldData, kind: RecurrenceKind):
     return (1, 4), lhs, data.stack.riemann13.comp, q
 
 
-def recurrence_residual(data: ManifoldData, kind: RecurrenceKind, forms: RecurrenceForms):
-    """Exact residual tensor lhs - A p - B q of the recurrence condition; flag true iff zero."""
-    valence, lhs, p, q = _recurrence_terms(data, kind)
-    a, b = forms.a, forms.b
-    if valence[0]:
+def _residual_leaf(terms, a, b):
+    """The leaf (w, *idx) -> lhs - A(E_w) p - B(E_w) q of the condition
+    ``terms`` (from ``_recurrence_terms``), with A(E_w) = a[w], B(E_w) = b[w]."""
+    (r, _), lhs, p, q = terms
+    if r:
 
-        def entry(w, *idx):
+        def leaf(w, *idx):
             return vec_sub(vec_sub(lhs(w, *idx), vec_scale(a[w], p(*idx))), vec_scale(b[w], q(*idx)))
 
     else:
 
-        def entry(w, *idx):
+        def leaf(w, *idx):
             return lhs(w, *idx) - a[w] * p(*idx) - b[w] * q(*idx)
 
-    res = FrameTensor.build(valence, data.dim, entry)
+    return leaf
+
+
+def recurrence_residual(data: ManifoldData, kind: RecurrenceKind, forms: RecurrenceForms):
+    """Exact residual tensor lhs - A p - B q of the recurrence condition; flag true iff zero."""
+    terms = _recurrence_terms(data, kind)
+    res = FrameTensor.build(terms[0], data.dim, _residual_leaf(terms, forms.a, forms.b))
     return res, res.is_zero()
 
 
@@ -121,31 +133,34 @@ def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
 
     The rows of direction w are the leaf components of the condition, in
     ``itertools.product`` order of the leaf index, then of a vector leaf's
-    component u.  Directions where the system is underdetermined get
-    A(E_i) = B(E_i) = 0.
+    component u.  A(E_w), B(E_w) are solved on the pivot rows and then
+    checked through the residual leaves of direction w, each formed once, in
+    the same order; the first nonzero component is the witness.  Directions
+    where the system is underdetermined get A(E_i) = B(E_i) = 0.
     """
     if kind not in (RecurrenceKind.SGR, RecurrenceKind.SGRR):
         raise ValueError(f"fit supports SGR and SGRR, not {kind}")
     n = data.dim
-    (r, s), lhs, p, q = _recurrence_terms(data, kind)
+    terms = (r, s), lhs, p, q = _recurrence_terms(data, kind)
     leaves = list(itertools.product(range(n), repeat=s - 1))
     index = [idx + (u,) for idx in leaves for u in range(n)] if r else leaves
     flat = itertools.chain.from_iterable if r else iter  # the leaves' components, in order
     ps = list(flat(p(*idx) for idx in leaves))
     qs = list(flat(q(*idx) for idx in leaves))
-    solutions = []
+    a_comps, b_comps = [], []  # filled one direction at a time, as the leaf reads them
+    residual = _residual_leaf(terms, a_comps, b_comps)
     for w in range(n):
-        rows = list(zip(ps, qs, flat(lhs(w, *idx) for idx in leaves)))
-        sol, witness = solve_two_unknowns(rows)
-        if sol is None:
-            coef_a, coef_b, rhs = rows[witness]
-            if coef_a.is_zero and coef_b.is_zero:
-                detail = f"the condition forces 0 = {rhs}"
-            else:
-                detail = "no values of the forms satisfy this component together with the others"
-            return NoSolution(kind, w, index[witness], rhs, detail)
-        solutions.append(sol)
-    a_comps, b_comps = zip(*solutions)
+        rhs = list(flat(lhs(w, *idx) for idx in leaves))
+        u, v = solve_two_unknowns(list(zip(ps, qs, rhs)))
+        a_comps.append(u)
+        b_comps.append(v)
+        for k, e in enumerate(flat(residual(w, *idx) for idx in leaves)):
+            if not e.is_zero:
+                if ps[k].is_zero and qs[k].is_zero:
+                    detail = f"the condition forces 0 = {rhs[k]}"
+                else:
+                    detail = "no values of the forms satisfy this component together with the others"
+                return NoSolution(kind, w, index[k], rhs[k], detail)
     return RecurrenceForms.from_covectors(data, a_comps, b_comps)
 
 

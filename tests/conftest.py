@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from pathlib import Path
 
@@ -8,8 +9,10 @@ from hypothesis import Phase, settings
 
 import lcslab
 from lcslab.cli import ManifoldDef, build_manifold, load
+from lcslab.conditions import NoSolution, RecurrenceForms, _recurrence_terms
 from lcslab.frame_geometry import FrameTensor, combo, vec_add, vec_scale, vec_sub, vec_sum
 from lcslab.manifold import ManifoldData
+from lcslab.symexpr import Expr
 
 SRC = Path(lcslab.__file__).parents[1]  # where the lcslab under test lives
 
@@ -131,6 +134,61 @@ def pairwise_riemann(conn, brackets):
         return vec_sub(vec_sub(first, second), combo(brackets[i][j], lambda a: gamma[a][k]))
 
     return FrameTensor.build((1, 3), n, entry)
+
+
+def fit_rows(data: ManifoldData, kind, w: int):
+    """The rows (p, q, lhs) of direction w of the recurrence fit, with the
+    index of each: the leaf components of the condition, in
+    ``itertools.product`` order of the leaf, then of a vector leaf's
+    component u."""
+    n = data.dim
+    (r, s), lhs, p, q = _recurrence_terms(data, kind)
+    leaves = list(itertools.product(range(n), repeat=s - 1))
+    if not r:
+        return [(p(*idx), q(*idx), lhs(w, *idx)) for idx in leaves], leaves
+    rows = [row for idx in leaves for row in zip(p(*idx), q(*idx), lhs(w, *idx))]
+    return rows, [idx + (u,) for idx in leaves for u in range(n)]
+
+
+def reference_solve(rows):
+    """The two-unknown solve with its own row check: the pivot solution,
+    then each row checked as p u + q v - rhs; returns ((u, v), None), or
+    (None, k) for the first row k that fails."""
+    zero = Expr.zero(rows[0][2].vars)
+    pivot1 = next((row for row in rows if not row[0].is_zero or not row[1].is_zero), None)
+    if pivot1 is None:
+        bad = next((k for k, row in enumerate(rows) if not row[2].is_zero), None)
+        return ((zero, zero), None) if bad is None else (None, bad)
+    p1, q1, r1 = pivot1
+    pivot2 = next((row for row in rows if not (p1 * row[1] - row[0] * q1).is_zero), None)
+    if pivot2 is None:  # rank one: the unknown the pivot row does not need is zero
+        u, v = (r1 / p1, zero) if not p1.is_zero else (zero, r1 / q1)
+    else:
+        p2, q2, r2 = pivot2
+        det = p1 * q2 - p2 * q1
+        u, v = (r1 * q2 - r2 * q1) / det, (p1 * r2 - p2 * r1) / det
+    bad = next((k for k, (p, q, r) in enumerate(rows) if not (p * u + q * v - r).is_zero), None)
+    return ((u, v), None) if bad is None else (None, bad)
+
+
+def reference_fit(data: ManifoldData, kind):
+    """A model of ``conditions.recurrence_fit`` that forms no residual:
+    per direction, ``reference_solve`` over ``fit_rows``; the first failing
+    row is the NoSolution witness, with the detail chosen from its p and q."""
+    solutions = []
+    for w in range(data.dim):
+        rows, index = fit_rows(data, kind, w)
+        sol, bad = reference_solve(rows)
+        if sol is None:
+            p, q, rhs = rows[bad]
+            if p.is_zero and q.is_zero:
+                detail = f"the condition forces 0 = {rhs}"
+            else:
+                detail = "no values of the forms satisfy this component together with the others"
+            return NoSolution(kind, w, index[bad], rhs, detail)
+        solutions.append(sol)
+    a, b = zip(*solutions)
+    return RecurrenceForms.from_covectors(data, a, b)
 
 
 @pytest.fixture(scope="session")

@@ -191,6 +191,30 @@ MUTANTS = (
         "lambda *idx: -st.eta_of(r_xi_m.comp(*idx))",
         ("tests/test_acceptance.py::test_derived_condition_tensors_match_the_twin",),
     ),
+    # the two-unknown solver only solves: each caller verifies its solution,
+    # the classifier row by row and the fit through the residual leaves in
+    # order, stopping at the first nonzero component
+    Mutant(
+        "classify-without-row-check",
+        "src/lcslab/einstein.py",
+        "    if any(not (p * a + q * b - s).is_zero for p, q, s in rows):\n",
+        "    if False:\n",
+        ("tests/test_lcs_structure.py::TestClassify::test_neither_when_no_solution",),
+    ),
+    Mutant(
+        "fit-walks-leaves-from-the-last",
+        "src/lcslab/conditions.py",
+        "for k, e in enumerate(flat(residual(w, *idx) for idx in leaves)):",
+        "for k, e in reversed(list(enumerate(flat(residual(w, *idx) for idx in leaves)))):",
+        ("tests/test_conditions.py::TestFitOutcomes::test_witness_at_higher_dimension",),
+    ),
+    Mutant(
+        "fit-returns-pivot-solution-unchecked",
+        "src/lcslab/conditions.py",
+        "for k, e in enumerate(flat(residual(w, *idx) for idx in leaves)):",
+        "for k, e in enumerate(()):",
+        ("tests/test_conditions.py::TestFitOutcomes::test_witness_at_higher_dimension",),
+    ),
     # the cold start: a command module must call the entry points through
     # cli, where a tracer wraps them; `python -m lcslab.cli` must register
     # itself as lcslab.cli; a cold command runs with the collector off

@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from lcslab import derived_conditions, einstein, lcs_structure
+from lcslab import cli, conditions, derived_conditions, einstein, lcs_structure
 from lcslab.conditions import (
     NoSolution,
     RecurrenceForms,
@@ -13,11 +14,11 @@ from lcslab.conditions import (
     sgr_predictions,
 )
 from lcslab.derived_conditions import derived_condition_residuals, nabla_r_xi_identity
-from lcslab.einstein import EinsteinKind
+from lcslab.einstein import EinsteinKind, solve_two_unknowns
 from lcslab.lcs_structure import NotLcsError
 from lcslab.soliton import SolitonParams, soliton_lambda, soliton_residual
 
-from conftest import builtin, make_manifold
+from conftest import builtin, fit_rows, make_manifold, reference_fit
 
 
 def zero_forms(data):
@@ -114,6 +115,135 @@ class TestRecurrenceFit:
                 if isinstance(result, RecurrenceForms):
                     _, is_zero = recurrence_residual(data, kind, result)
                     assert is_zero, (data.name, kind)
+
+
+# the fit's witnesses at n != 3, as recorded from the row-by-row check that
+# conftest.reference_fit models: (direction, component, needed, detail)
+FIT_WITNESSES = {
+    ("lcs4", "SGR"): (0, (0, 1, 1, 3), "(t^4 + 1)/t^3", "the condition forces 0 = (t^4 + 1)/t^3"),
+    ("lcs4", "SGRR"): (0, (0, 3), "-(t^4 + 2)/t^3", "the condition forces 0 = (-1*t^4 - 2)/t^3"),
+    ("lcs5", "SGR"): (0, (0, 1, 1, 4), "(t^4 + 1)/t^3", "the condition forces 0 = (t^4 + 1)/t^3"),
+    ("lcs5", "SGRR"): (0, (0, 4), "-(t^4 + 3)/t^3", "the condition forces 0 = (-1*t^4 - 3)/t^3"),
+    ("example51", "SGR"): (0, (0, 1, 1, 2), "(z^4 + 1)/z^3", "the condition forces 0 = (z^4 + 1)/z^3"),
+}
+
+# upper-triangular 3-D frames with constant or linear diagonal cells; seed 2
+# reaches every outcome of the fit (see test_fit_matches_the_reference_model)
+RANDOM_DIAGONAL = ["1", "2", "-1", "3", "-2", "1", "z"]
+RANDOM_CELLS = ["0", "1", "2", "-1", "x", "y", "z", "x + 1", "y - z", "2*z + 1", "x*z", "y^2", "x - 2*y"]
+
+
+def random_frames(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        d, c = RANDOM_DIAGONAL, RANDOM_CELLS
+        rows = [[rng.choice(d), rng.choice(c), rng.choice(c)], ["0", rng.choice(d), rng.choice(c)], ["0", "0", rng.choice(d)]]
+        yield make_manifold(f"random{k}", rows)
+
+
+class TestFitOutcomes:
+    @pytest.mark.parametrize("name, kind", sorted(FIT_WITNESSES))
+    def test_witness_at_higher_dimension(self, name, kind):
+        data = builtin(name)
+        result = recurrence_fit(data, RecurrenceKind(kind))
+        direction, component, needed, detail = FIT_WITNESSES[name, kind]
+        assert isinstance(result, NoSolution)
+        assert result.kind is RecurrenceKind(kind)
+        assert result.direction == direction
+        assert result.component == component
+        assert result.needed == data.chart.parse(needed)
+        assert result.detail == detail
+
+    @pytest.mark.parametrize("name", ["desitter4", "desitter5"])
+    @pytest.mark.parametrize("kind", ["SGR", "SGRR"])
+    def test_forms_at_higher_dimension(self, name, kind):
+        # nabla R = 0 and nabla S = 0: every direction is underdetermined
+        # or solved by zero
+        data = builtin(name)
+        result = recurrence_fit(data, RecurrenceKind(kind))
+        zeros = (data.chart.zero(),) * data.dim
+        assert isinstance(result, RecurrenceForms)
+        assert (result.a, result.b, result.rho1, result.rho2) == (zeros, zeros, zeros, zeros)
+
+    @pytest.mark.parametrize("name, kind", sorted(FIT_WITNESSES) + [("example51", "SGRR")])
+    def test_inconsistency_witness_is_first(self, name, kind):
+        # the witness is the first nonzero component, in (leaf, u) order, of
+        # the residual that check builds from the pivot solution of its
+        # direction (the other directions do not reach those components)
+        data = builtin(name)
+        kind = RecurrenceKind(kind)
+        witness = recurrence_fit(data, kind)
+        w = witness.direction
+        u, v = solve_two_unknowns(fit_rows(data, kind, w)[0])
+        zero = data.chart.zero()
+        forms = RecurrenceForms.from_covectors(
+            data, [u if i == w else zero for i in range(data.dim)], [v if i == w else zero for i in range(data.dim)]
+        )
+        residual, _ = recurrence_residual(data, kind, forms)
+        vector = residual.valence[0] == 1
+        first = next(
+            idx[1:] + ((c,) if vector else ())
+            for idx, leaf in residual.comps.items()
+            if idx[0] == w
+            for c, e in enumerate(leaf if vector else (leaf,))
+            if not e.is_zero
+        )
+        assert first == witness.component
+
+    def test_fit_matches_the_reference_model(self):
+        names = [f"{family}{n}" for family in ("lcs", "desitter") for n in range(3, 8)] + ["example51", "flat3"]
+        seen = set()
+        for data in [builtin(name) for name in names] + list(random_frames(2, 60)):
+            for kind in (RecurrenceKind.SGR, RecurrenceKind.SGRR):
+                ours, theirs = recurrence_fit(data, kind), reference_fit(data, kind)
+                assert type(ours) is type(theirs), (data.name, kind)
+                for field in ours._fields:
+                    assert getattr(ours, field) == getattr(theirs, field), (data.name, kind, field)
+                if isinstance(ours, NoSolution):
+                    seen.add((ours.detail.startswith("the condition forces"), ours.direction > 0))
+                else:
+                    seen.add(any(not e.is_zero for e in ours.a + ours.b))
+        # forms zero and nonzero; witnesses of both kinds, in direction 0 and later
+        assert seen >= {False, True, (True, False), (False, False), (True, True)}
+
+    def test_fit_forms_each_leaf_once_and_stops_at_the_witness(self, monkeypatch):
+        formed = []
+        shipped = conditions._residual_leaf
+
+        def recording(terms, a, b):
+            leaf = shipped(terms, a, b)
+
+            def counted(w, *idx):
+                formed.append((w, *idx))
+                return leaf(w, *idx)
+
+            return counted
+
+        monkeypatch.setattr(conditions, "_residual_leaf", recording)
+        # lcs4 SGR stops at leaf (0, 1, 1) of direction 0, the sixth in order
+        assert isinstance(recurrence_fit(builtin("lcs4"), RecurrenceKind.SGR), NoSolution)
+        assert formed == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 1, 0), (0, 0, 1, 1)]
+        formed.clear()
+        assert isinstance(recurrence_fit(builtin("desitter4"), RecurrenceKind.SGR), RecurrenceForms)
+        assert len(formed) == len(set(formed)) == 4**4
+
+    def test_fit_builds_no_residual_and_check_one(self, monkeypatch, tmp_path):
+        calls = []
+        shipped = conditions.recurrence_residual
+
+        def counted(*args):
+            calls.append(args[1])
+            return shipped(*args)
+
+        monkeypatch.setattr(conditions, "recurrence_residual", counted)
+        forms = tmp_path / "forms.json"
+        forms.write_text(json.dumps({"A": ["0"] * 4, "B": ["0"] * 4}), encoding="utf-8")
+        data = builtin("desitter4")
+        for kind in ("SGR", "SGRR"):
+            report = cli.run("fit", data, {"kind": kind}).to_json()
+            assert f"fit.{kind}.roundtrip" in report and not calls
+        assert cli.run("check", data, {"kind": "SGR", "forms": str(forms)}).to_json()
+        assert calls == [RecurrenceKind.SGR]
 
 
 class TestSgrPredictions:
