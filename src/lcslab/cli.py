@@ -37,7 +37,8 @@ Numbers: a sample value is an integer pair (numerator, denominator), and the
 signature check evaluates the metric in integers (``FrameMetric.checked``).
 Only a value that is not a plain ASCII integer, or an error that prints the
 point, imports ``fractions`` (with ``decimal`` and ``numbers``); the accepted
-text is exactly what ``Fraction`` accepts.
+text is exactly what ``Fraction`` accepts, with an exponent of magnitude at
+most 4,300.
 
 Shutdown: run as the process's command (``argv`` None: the console script,
 ``python -m lcslab.cli``), ``main`` first turns the cyclic garbage
@@ -264,18 +265,26 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_EXPONENT = re.compile(r"[eE]([+-]?[\d_]+)")  # the only 'e' Fraction's grammar has
 
 
 def _sample_value(text: str) -> tuple[int, int]:
     """A sample-point value as (numerator, denominator > 0) in lowest terms.
 
     It accepts exactly the text ``Fraction`` does ("-3", " 5 ", "1/2",
-    "2.5", "1e1") and raises its ValueError or ZeroDivisionError otherwise.
-    Plain ASCII digits with an optional sign go through ``int``, so an
-    integer point imports no ``fractions``.
+    "2.5", "1e1") with an exponent of magnitude at most 4,300, and raises
+    its ValueError or ZeroDivisionError otherwise.  A larger exponent is a
+    ValueError before anything is expanded: ``Fraction`` would build the
+    power of ten, which for "1e-5000000000" does not finish, while 4,300 is
+    the digit count past which ``int`` already refuses a text.  Plain ASCII
+    digits with an optional sign go through ``int``, so an integer point
+    imports no ``fractions``.
     """
     if _INTEGER.fullmatch(text):
         return int(text), 1
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > 4300:
+        raise ValueError(f"sample exponent {exponent[1]} out of range")
     from fractions import Fraction
 
     q = Fraction(text)

@@ -92,9 +92,39 @@ MUTANTS = (
     Mutant(
         "ricci-into-xi-n-minus-1",
         "src/lcslab/axioms.py",
-        "res.append(lhs - chart.const(n - 1) * k2 * st.eta[i])",
-        "res.append(lhs - chart.const(2) * k2 * st.eta[i])",
+        "n_minus_1 = data.chart.const(n - 1)",
+        "n_minus_1 = data.chart.const(2)",
         ("tests/test_lcs_structure.py::TestVerifyAxioms::test_all_pass_on_lcs_n",),
+    ),
+    # the axiom walker: each mutant loses the failure of some tampered
+    # structure that the per-axiom index loops of the reference model report
+    Mutant(
+        "axiom-walker-reads-only-component-0",
+        "src/lcslab/axioms.py",
+        "for e in (r if isinstance(r, tuple) else (r,))",
+        "for e in (r[:1] if isinstance(r, tuple) else (r,))",
+        ("tests/test_lcs_structure.py::TestAxiomFailures::test_every_axiom_matches_the_reference_model",),
+    ),
+    Mutant(
+        "axiom-walker-drops-the-last-index",
+        "src/lcslab/axioms.py",
+        "product(range(n), repeat=arity)",
+        "product(range(n - 1), repeat=arity)",
+        ("tests/test_lcs_structure.py::TestAxiomFailures::test_every_axiom_matches_the_reference_model",),
+    ),
+    Mutant(
+        "axiom-walker-checks-only-the-first-residual",
+        "src/lcslab/axioms.py",
+        "for r in values for e",
+        "for r in list(values)[:1] for e",
+        ("tests/test_lcs_structure.py::TestAxiomFailures::test_every_axiom_matches_the_reference_model",),
+    ),
+    Mutant(
+        "axiom-alpha-zero-not-refused",
+        "src/lcslab/axioms.py",
+        'if axiom == "eta-covariant-derivative" and st.alpha.is_zero:',
+        'if axiom == "eta-covariant-derivative" and False:',
+        ("tests/test_lcs_structure.py::TestAxiomFailures::test_every_axiom_matches_the_reference_model",),
     ),
     # the derivation routine, and the half rule's one helper, which it
     # shares with M and C: each of its mutants is caught by the tests of both
@@ -303,6 +333,13 @@ MUTANTS = (
         "src/lcslab/cli.py",
         '_INTEGER = re.compile(r"[+-]?[0-9]+")',
         '_INTEGER = re.compile(r"[+-]?[0-9].*")',
+        ("tests/test_cli.py::test_sample_value_grammar_is_fractions",),
+    ),
+    Mutant(
+        "sample-exponent-bound-off-by-one",
+        "src/lcslab/cli.py",
+        "abs(int(exponent[1])) > 4300",
+        "abs(int(exponent[1])) > 4301",
         ("tests/test_cli.py::test_sample_value_grammar_is_fractions",),
     ),
     Mutant(

@@ -490,6 +490,14 @@ SAMPLE_OUTCOMES = {
     "0": (2, f"error: cannot evaluate metric at the sample point: denominator of 1/z vanishes at {POLE}\n"),
     "x": (2, "error: bad sample_point entry 'z': 'x'\n"),
     "1/0": (2, "error: bad sample_point entry 'z': '1/0'\n"),
+    # an exponent of magnitude above 4,300 is refused before Fraction
+    # expands it (1e-5000000000 would not finish)
+    "1e4300": (1, ""),
+    "1e-4300": (2, "error: metric signature at the sample point is (1,2); expected one negative and the rest positive\n"),
+    "1e4301": (2, "error: bad sample_point entry 'z': '1e4301'\n"),
+    "1E-4301": (2, "error: bad sample_point entry 'z': '1E-4301'\n"),
+    "1e5000000000": (2, "error: bad sample_point entry 'z': '1e5000000000'\n"),
+    "1e-5000000000": (2, "error: bad sample_point entry 'z': '1e-5000000000'\n"),
 }
 
 
@@ -497,7 +505,8 @@ SAMPLE_OUTCOMES = {
 @pytest.mark.parametrize("given", ["sample_point", "--sample"])
 def test_sample_value_grammar_is_fractions(tmp_path, capsys, value, given):
     # an ASCII integer is read by int, anything else by Fraction: either
-    # way a value loads, or is refused, exactly as Fraction alone did
+    # way a value loads, or is refused, exactly as Fraction alone did, up
+    # to the bound on the exponent
     payload = dict(EXAMPLE_DEF, metric=[["1/z", "0", "0"], ["0", "z - 1", "0"], ["0", "0", "-1"]])
     if given == "sample_point":
         code = main(["check-lcs", write_def(tmp_path, dict(payload, sample_point={"z": value}))])

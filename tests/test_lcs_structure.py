@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lcslab.frame_geometry import FrameTensor
@@ -5,7 +7,7 @@ from lcslab.axioms import verify_axioms
 from lcslab.einstein import EinsteinKind, classify, solve_two_unknowns
 from lcslab.lcs_structure import NotLcsError, derive_structure
 
-from conftest import builtin, make_manifold
+from conftest import builtin, make_manifold, reference_verify_axioms
 
 
 class TestDeriveStructure:
@@ -72,6 +74,79 @@ class TestVerifyAxioms:
         checks = verify_axioms(flat3, st)
         failed = [c.axiom for c in checks if not c.passed]
         assert failed == ["eta-covariant-derivative"]
+
+
+# Every input with a structure: the built-ins and seeded warped 3-D frames
+# E_1 = f(z)(a d_x + b d_y), E_2 = f(z) c d_y, E_3 = d_z with a, b, c free of
+# z, each a warped product with alpha = -f'/f.  The true structure passes
+# every axiom (flat3's has alpha = 0); each tampered one below breaks some.
+AXIOM_INPUTS = ["example51", "flat3"] + [f"{family}{n}" for family in ("lcs", "desitter") for n in range(3, 7)]
+WARP_FACTORS = ["z", "z^2", "2*z + 1", "z^2 + 1", "1/z"]
+WARP_CELLS = ["1", "2", "-1", "x", "y", "x + 1", "x*y", "y^2 + 1"]
+
+
+def warped_frames(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        f, c = rng.choice(WARP_FACTORS), WARP_CELLS
+        a, b, d = (rng.choice(c) for _ in range(3))
+        rows = [[f"({f})*({a})", f"({f})*({b})", "0"], ["0", f"({f})*({d})", "0"], ["0", "0", "1"]]
+        yield make_manifold(f"warped{k}", rows)
+
+
+def tampered(data, st):
+    """The structure itself, then six structures that are not it."""
+    x = data.chart.parse(data.chart.coords[0].name)
+    phi = st.phi._replace(comps={idx: tuple(3 * e for e in leaf) for idx, leaf in st.phi.comps.items()})
+    yield "true", st
+    yield "alpha+1", st._replace(alpha=st.alpha + 1)
+    yield "2rho", st._replace(rho=2 * st.rho)
+    yield "beta+x", st._replace(beta=st.beta + x)
+    yield "2eta", st._replace(eta=tuple(2 * e for e in st.eta))
+    yield "xi-reversed", st._replace(xi=st.xi[::-1])
+    yield "3phi", st._replace(phi=phi)
+
+
+def axiom_corpus():
+    for data in [builtin(name) for name in AXIOM_INPUTS] + list(warped_frames(4, 3)):
+        for label, st in tampered(data, derive_structure(data, data.xi_index)):
+            yield data, label, st
+
+
+# failing details recorded from the per-axiom index loops that
+# conftest.reference_verify_axioms models: (input, tampering, axiom) -> detail
+AXIOM_DETAILS = {
+    ("example51", "xi-reversed", "xi-unit-timelike"): "residual 2",
+    ("example51", "xi-reversed", "ricci-into-xi"): "residual (-1*z^4 + 3)/z^2",
+    ("example51", "alpha+1", "eta-of-curvature"): "residual (-z + 2)/z",
+    ("example51", "3phi", "phi-square"): "residual 8",
+    ("desitter3", "alpha+1", "eta-covariant-derivative"): "alpha = 0",
+    ("lcs4", "alpha+1", "ricci-into-xi"): "residual (3*t - 6)/t",
+    ("lcs4", "beta+x", "rho-gradient"): "residual x1",
+}
+
+
+class TestAxiomFailures:
+    def test_every_axiom_matches_the_reference_model(self):
+        failed = set()
+        for data, label, st in axiom_corpus():
+            ours, theirs = verify_axioms(data, st), reference_verify_axioms(data, st)
+            assert len(ours) == len(theirs) == 14, (data.name, label)
+            for check, model in zip(ours, theirs):
+                for field in check._fields:
+                    assert getattr(check, field) == getattr(model, field), (data.name, label, check.axiom, field)
+            if label == "true":
+                expected = {"eta-covariant-derivative"} if data.name == "flat3" else set()
+                assert {c.axiom for c in ours if not c.passed} == expected, data.name
+            failed.update(c.axiom for c in ours if not c.passed)
+        assert failed == {c.axiom for c in ours}
+
+    @pytest.mark.parametrize("name, label, axiom", sorted(AXIOM_DETAILS))
+    def test_failure_detail(self, name, label, axiom):
+        data = builtin(name)
+        st = dict(tampered(data, derive_structure(data, data.xi_index)))[label]
+        check = next(c for c in verify_axioms(data, st) if c.axiom == axiom)
+        assert (check.passed, check.detail) == (False, AXIOM_DETAILS[name, label, axiom])
 
 
 class TestClassify:
