@@ -343,11 +343,11 @@ class ReportEntry(NamedTuple):
 
 
 class Report:
-    def __init__(self, command: str, manifold: str, notes=(), entries=()):
+    def __init__(self, command: str, manifold: str, notes=()):
         self.command = command
         self.manifold = manifold
         self.notes = list(notes)
-        self.entries = list(entries)
+        self.entries = []
 
     def add(self, *fields, **named):
         """Append ``ReportEntry(*fields, **named)``."""

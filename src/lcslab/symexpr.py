@@ -804,43 +804,6 @@ class _Parser:
         return self.text[start : self.pos]
 
 
-# -- module-level operation surface ----------------------------------------
-
-
 def parse(text: str, variables) -> Expr:
     """Parse an arithmetic expression over the given variables."""
     return _Parser(text, variables).parse()
-
-
-def print_expr(e: Expr) -> str:
-    """Canonical text form; parse(print_expr(e)) == e."""
-    return str(e)
-
-
-def arith(kind: str, a: Expr, b=None) -> Expr:
-    """Dispatch one exact field operation by name."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    if kind == "neg":
-        return -a
-    if kind == "pow":
-        return a**b
-    raise ValueError(f"unknown operation {kind!r}")
-
-
-def diff(e: Expr, v: Var) -> Expr:
-    return e.diff(v)
-
-
-def is_zero(e: Expr) -> bool:
-    return e.is_zero
-
-
-def eval_at(e: Expr, point) -> "Fraction":
-    return e.eval(point)

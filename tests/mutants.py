@@ -406,6 +406,25 @@ MUTANTS = (
         "            return Expr.zero(self.vars)\n",
         ("tests/test_symexpr.py::TestArith::test_negative_power_of_a_negative_lead",),
     ),
+    # a rational point loses its denominator: x = 1/3 is evaluated at x = 1;
+    # integer points are unchanged, so of the whole suite only the eval of a
+    # fraction point kills it
+    Mutant(
+        "eval-point-denominator-dropped",
+        "src/lcslab/symexpr.py",
+        "named[name] = q.numerator, q.denominator",
+        "named[name] = q.numerator, 1",
+        ("tests/test_symexpr.py::TestEval::test_fraction_points",),
+    ),
+    # the SGR lemma: at (w; x, x, z) the residual is -B(E_w) g(E_x,E_z) E_x,
+    # so a vector leaf that scales its g-term by A(E_w) shows there
+    Mutant(
+        "sgr-g-term-scaled-by-a",
+        "src/lcslab/conditions.py",
+        "vec_scale(b[w], q(*idx))",
+        "vec_scale(a[w], q(*idx))",
+        ("tests/test_conditions.py::TestSgrLemma::test_diagonal_residual_is_minus_b_g_e_x",),
+    ),
     # one tautology per curvature self-check: the identity's second term
     # reads the same index with the opposite sign, or S is compared with the
     # pairing itself, so the check can no longer fail

@@ -246,6 +246,46 @@ class TestFitOutcomes:
         assert calls == [RecurrenceKind.SGR]
 
 
+# R(E_x,E_x) = 0 and (nabla_w R)(E_x,E_x) = 0, so at (w; x, x, z) the SGR
+# residual  nabla_w R - A(E_w) R - B(E_w) g(.,.) E_x  is  -B(E_w) g(E_x,E_z) E_x
+# for any forms; a zero residual therefore needs B = 0 (g is nondegenerate)
+LEMMA_BUILTINS = ["example51", "lcs4", "lcs5", "lcs6", "desitter4", "desitter5"]
+
+
+def lemma_inputs():
+    return [builtin(name) for name in LEMMA_BUILTINS] + list(random_frames(2, 60))
+
+
+class TestSgrLemma:
+    def test_diagonal_residual_is_minus_b_g_e_x(self):
+        rng = random.Random(5)
+        for data in lemma_inputs():
+            n, chart, g = data.dim, data.chart, data.metric.g
+            pool = ["1", "-2", "3/2"] + [f"{c.name} + {k}" for c in chart.coords for k in (1, 2)]
+            pool += [f"1/{c.name}" for c in chart.coords]
+            a = [chart.parse(rng.choice(pool)) for _ in range(n)]
+            b = [chart.parse(rng.choice(pool)) for _ in range(n)]
+            assert not any(e.is_zero for e in a + b)
+            residual, _ = recurrence_residual(data, RecurrenceKind.SGR, RecurrenceForms.from_covectors(data, a, b))
+            zero = chart.zero()
+            for w in range(n):
+                for x in range(n):
+                    for z in range(n):
+                        expected = [-(b[w] * g[x][z]) if u == x else zero for u in range(n)]
+                        assert list(residual.comp(w, x, x, z)) == expected, (data.name, w, x, z)
+
+    def test_fitted_forms_have_b_zero(self):
+        fitted = nonzero_a = 0
+        for data in lemma_inputs():
+            result = recurrence_fit(data, RecurrenceKind.SGR)
+            if isinstance(result, RecurrenceForms):
+                fitted += 1
+                nonzero_a += any(not e.is_zero for e in result.a)
+                assert all(e.is_zero for e in result.b), data.name
+        # desitter4 and desitter5 fit zero forms; two seeded frames fit a nonzero A
+        assert fitted >= 3 and nonzero_a >= 1
+
+
 class TestSgrPredictions:
     def test_formula_arithmetic_frozen_case(self, desitter3):
         # A = -(n^2/r) B with B = eta on the constant-curvature manifold:

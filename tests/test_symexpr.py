@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -16,12 +17,7 @@ from lcslab.symexpr import (
     PoleError,
     UnknownVariableError,
     Var,
-    arith,
-    diff,
-    eval_at,
-    is_zero,
     parse,
-    print_expr,
 )
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -113,17 +109,17 @@ class TestParse:
 
 class TestArith:
     def test_add_cancels(self):
-        assert arith("add", e("-1/z"), e("1/z")).is_zero
+        assert (e("-1/z") + e("1/z")).is_zero
 
     def test_mul_squares_alpha(self):
-        assert arith("mul", e("-1/z"), e("-1/z")) == e("1/z^2")
+        assert e("-1/z") * e("-1/z") == e("1/z^2")
 
     def test_sub_gives_two_over_z2(self):
-        assert arith("sub", e("1/z^2"), e("-1/z^2")) == e("2/z^2")
+        assert e("1/z^2") - e("-1/z^2") == e("2/z^2")
 
     def test_neg_and_pow(self):
-        assert arith("neg", e("x")) == e("-x")
-        assert arith("pow", e("z"), -2) == e("1/z^2")
+        assert -e("x") == e("-x")
+        assert e("z") ** -2 == e("1/z^2")
 
     def test_negative_power_of_a_negative_lead(self):
         # the reciprocal puts the base's numerator, lead -x, in the
@@ -145,15 +141,15 @@ class TestArith:
         assert e("x^2/(y + 1)") / e("x/(y + 1)^2") == e("x*y + x")
 
     def test_pow_zero_exponent(self):
-        assert arith("pow", e("x + 1"), 0) == e("1")
+        assert e("x + 1") ** 0 == e("1")
 
     def test_pow_negative_of_zero(self):
         with pytest.raises(ExprDivisionError):
-            arith("pow", e("0"), -1)
+            e("0") ** -1
 
     def test_divide_by_zero(self):
         with pytest.raises(ExprDivisionError):
-            arith("div", e("1"), e("x - x"))
+            e("1") / e("x - x")
 
     def test_int_coercion(self):
         assert 2 * e("z") + 1 == e("2*z + 1")
@@ -166,50 +162,50 @@ class TestArith:
 
 class TestDiff:
     def test_reciprocal(self):
-        assert diff(e("-1/z"), Z) == e("1/z^2")
+        assert e("-1/z").diff(Z) == e("1/z^2")
 
     def test_reciprocal_square(self):
-        assert diff(e("-1/z^2"), Z) == e("2/z^3")
+        assert e("-1/z^2").diff(Z) == e("2/z^3")
 
     def test_product(self):
-        assert diff(e("x*y"), X) == e("y")
+        assert e("x*y").diff(X) == e("y")
 
     def test_quotient_rule(self):
-        assert diff(e("x/(z + 1)"), Z) == e("-x/(z^2 + 2*z + 1)")
+        assert e("x/(z + 1)").diff(Z) == e("-x/(z^2 + 2*z + 1)")
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError):
-            diff(e("x"), Var("w"))
+            e("x").diff(Var("w"))
 
 
 class TestIsZero:
     def test_zero(self):
-        assert is_zero(e("0"))
+        assert e("0").is_zero
 
     def test_nonzero(self):
-        assert not is_zero(e("(z^4 - 1)/z^2"))
+        assert not e("(z^4 - 1)/z^2").is_zero
 
     def test_exact_cancellation(self):
-        assert is_zero(e("z*(1/z) - 1"))
+        assert e("z*(1/z) - 1").is_zero
 
 
 class TestEval:
     def test_reciprocal(self):
-        assert eval_at(e("-1/z"), {"z": 3, "x": 0, "y": 0}) == Fraction(-1, 3)
+        assert e("-1/z").eval({"z": 3, "x": 0, "y": 0}) == Fraction(-1, 3)
 
     def test_rational_value(self):
-        assert eval_at(e("(z^4 - 1)/z^2"), {X: 1, Y: 1, Z: 2}) == Fraction(15, 4)
+        assert e("(z^4 - 1)/z^2").eval({X: 1, Y: 1, Z: 2}) == Fraction(15, 4)
 
     def test_pole(self):
         with pytest.raises(PoleError):
-            eval_at(e("1/z"), {"x": 1, "y": 1, "z": 0})
+            e("1/z").eval({"x": 1, "y": 1, "z": 0})
 
     def test_fraction_points(self):
-        assert eval_at(e("x + y/2"), {"x": Fraction(1, 3), "y": 1, "z": 5}) == Fraction(5, 6)
+        assert e("x + y/2").eval({"x": Fraction(1, 3), "y": 1, "z": 5}) == Fraction(5, 6)
 
     def test_missing_variable(self):
         with pytest.raises(ExprError):
-            eval_at(e("x"), {"x": 1, "y": 2})
+            e("x").eval({"x": 1, "y": 2})
 
 
 class TestCanonicalForm:
@@ -341,13 +337,13 @@ def test_ring_laws_at_rational_points(a, b, pt):
 @settings(max_examples=80)
 def test_leibniz_rule(a, b):
     for v in VS:
-        assert diff(a * b, v) == a * diff(b, v) + b * diff(a, v)
+        assert (a * b).diff(v) == a * b.diff(v) + b * a.diff(v)
 
 
 @given(expressions())
 @settings(max_examples=150)
 def test_parse_print_roundtrip(a):
-    assert parse(print_expr(a), VS) == a
+    assert parse(str(a), VS) == a
 
 
 @given(expressions(), expressions(), expressions())
@@ -359,7 +355,7 @@ def test_field_laws_symbolically(a, b, c):
     assert a - a == Expr.zero(VS)
 
 
-ops = st.sampled_from(["add", "sub", "mul", "div", "neg", "pow", "diff"])
+ops = st.sampled_from(["add", "sub", "mul", "truediv", "neg", "pow", "diff"])
 
 
 @given(expressions(), expressions(), ops, st.integers(min_value=-3, max_value=3))
@@ -372,8 +368,10 @@ def test_operations_leave_operands_unchanged(a, b, op, k):
             a**k
         elif op == "diff":
             a.diff(VS[k % 3])
+        elif op == "neg":
+            operator.neg(a)
         else:
-            arith(op, a, b)
+            getattr(operator, op)(a, b)
     except ExprDivisionError:
         pass
     assert [(dict(x.num), dict(x.den)) for x in (a, b)] == before
@@ -395,7 +393,7 @@ def test_sympy_cross_check_random_sample():
         assert sympy.simplify(theirs - rebuilt) == 0
 
     for v, sv in ((X, sx), (Y, sy), (Z, sz)):
-        ours = diff(e("(x^2 + y)/(z - 2*y)"), v)
+        ours = e("(x^2 + y)/(z - 2*y)").diff(v)
         theirs = sympy.cancel(sympy.diff(sympy.sympify("(x**2 + y)/(z - 2*y)"), sv))
         rebuilt = sympy.cancel(sympy.sympify(str(ours).replace("^", "**")))
         assert sympy.simplify(theirs - rebuilt) == 0
