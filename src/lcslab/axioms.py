@@ -14,8 +14,8 @@ one condition that is not an identity, alpha nonzero, fails
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from .frame_geometry import combo, dot, vec_add, vec_scale, vec_sub
 from .lcs_structure import LcsStructure
@@ -23,11 +23,10 @@ from .levi_civita import cov_deriv_tensor
 from .manifold import ManifoldData
 
 
-class AxiomCheck(NamedTuple):
-    axiom: str
-    description: str
-    passed: bool
-    detail: str = ""
+class AxiomCheck(namedtuple("AxiomCheck", "axiom description passed detail", defaults=("",))):
+    """axiom, description (str); passed (bool); detail (str)."""
+
+    __slots__ = ()
 
 
 def verify_axioms(data: ManifoldData, structure: LcsStructure) -> list[AxiomCheck]:

@@ -12,13 +12,15 @@ built-in name (example51, flat3, lcs<N> and desitter<N> for N from 3 to 12;
 see ``builtin_manifolds``) is usable wherever a path is expected.
 
 Exit codes: 0 when no entry failed (info and mismatch entries included),
-1 when any check failed, 2 when the definition could not be loaded, 3 when
-the engine itself failed (one stderr line names the exception).
+1 when any check failed, 2 when the command line was refused or the
+definition could not be loaded, 3 when the engine itself failed (one stderr
+line names the exception).
 
-Commands: this module holds what every command uses: the argument parser,
+Commands: this module holds what every command uses: the command table
+(``COMMANDS``) with its argv reader (``read_argv``) and --help text,
 ``load`` and ``build_manifold``, ``Report`` and the shared renderers.  Each
 command's report code is a module of its own, imported by ``run`` through
-``COMMAND_MODULES`` when that command runs: ``cmd_curvature`` (curvature),
+``COMMANDS`` when that command runs: ``cmd_curvature`` (curvature),
 ``cmd_check_lcs`` (check-lcs), ``cmd_check`` (check), ``cmd_fit`` (fit),
 ``cmd_soliton`` (soliton), ``cmd_derived_conditions`` (derived-conditions)
 and ``cmd_conformance`` (conformance, with the published tables it diffs
@@ -32,6 +34,9 @@ GCDs (``_heugcd``, ``_subresultant``).  The table of built-in definitions
 (``builtin_manifolds``) is imported only for an alphanumeric argument: every
 built-in name is one, so a path with a '/' or a '.' never loads it.  A cold
 command thus compiles only its own report code and the engine code it runs.
+It builds no argparse parser (argparse loads gettext and locale, and builds
+a parser per command) and no typing.NamedTuple (which compiles a ForwardRef
+per field): the records are collections.namedtuple subclasses.
 
 Numbers: a sample value is an integer pair (numerator, denominator), and the
 signature check evaluates the metric in integers (``FrameMetric.checked``).
@@ -44,9 +49,10 @@ Shutdown: run as the process's command (``argv`` None: the console script,
 ``python -m lcslab.cli``), ``main`` first turns the cyclic garbage
 collector off with ``gc.disable()``.  One command makes no cyclic garbage
 that grows with its input (what a command leaves unreachable is a constant
-few hundred objects, the argument parser's cycles), so the collections a
-run would make walk live objects only, and the process ends before any
-garbage would matter; reference counting still frees everything acyclic.
+33 objects under --json, the JSON encoder's closures, and none without it),
+so the collections a run would make walk live objects only, and the process
+ends before any garbage would matter; reference counting still frees
+everything acyclic.
 After the report is written it flushes stdout and stderr and ends the
 process with ``os._exit``: no interpreter teardown (no final collection, no
 module cleanup, no atexit handlers), and the operating system reclaims the
@@ -58,15 +64,14 @@ code back and keeps its collector as it was.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import re
 import sys
+from collections import namedtuple
 from importlib import import_module
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from .frame_geometry import Chart, Frame, FrameMetric, GeometryError, VectorField
@@ -98,7 +103,7 @@ derived_condition_residuals = _lazy(".derived_conditions", "derived_condition_re
 nabla_r_xi_identity = _lazy(".derived_conditions", "nabla_r_xi_identity")
 soliton_residual = _lazy(".soliton", "soliton_residual")
 
-# the values of conditions.RecurrenceKind, for the argument parser
+# the values of conditions.RecurrenceKind, for the command table
 RECURRENCE_KINDS = ("SGR", "SGRR", "SGPR")
 
 
@@ -109,16 +114,16 @@ class LoadError(Exception):
 # -- definition loading -----------------------------------------------------
 
 
-class ManifoldDef(NamedTuple):
-    """A definition of checked shape; ``build_manifold`` parses its cells."""
+class ManifoldDef(namedtuple("ManifoldDef", "name coords frame metric xi sample_point source_text", defaults=(None, ""))):
+    """A definition of checked shape; ``build_manifold`` parses its cells.
 
-    name: str
-    coords: list[str]
-    frame: list[list]  # n x n JSON cells
-    metric: list[list]  # n x n JSON cells; None mirrors the cell across the diagonal
-    xi: int  # 1-based frame index
-    sample_point: dict[str, str] | None = None
-    source_text: str = ""  # raw file contents, for line numbers in errors
+    name (str); coords (list of str); frame (n x n JSON cells); metric
+    (n x n JSON cells, None mirrors the cell across the diagonal); xi (int,
+    1-based frame index); sample_point (dict of str to str, or None);
+    source_text (str: raw file contents, for line numbers in errors).
+    """
+
+    __slots__ = ()
 
 
 def _line_of(raw: str, value) -> str:
@@ -265,7 +270,6 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_EXPONENT = re.compile(r"[eE]([+-]?[\d_]+)")  # the only 'e' Fraction's grammar has
 
 
 def _sample_value(text: str) -> tuple[int, int]:
@@ -282,7 +286,7 @@ def _sample_value(text: str) -> tuple[int, int]:
     """
     if _INTEGER.fullmatch(text):
         return int(text), 1
-    exponent = _EXPONENT.search(text)
+    exponent = re.search(r"[eE]([+-]?[\d_]+)", text)  # the only 'e' Fraction's grammar has
     if exponent and abs(int(exponent[1])) > 4300:
         raise ValueError(f"sample exponent {exponent[1]} out of range")
     from fractions import Fraction
@@ -332,21 +336,24 @@ def build_manifold(defn: ManifoldDef) -> ManifoldData:
 PASS, FAIL, INFO, MISMATCH = "pass", "fail", "info", "mismatch"
 
 
-class ReportEntry(NamedTuple):
-    check_id: str
-    status: str
-    title: str
-    engine: str | None = None
-    published: str | None = None
-    residual: str | None = None
-    note: str | None = None
+class ReportEntry(namedtuple("ReportEntry", "check_id status title engine published residual note", defaults=(None,) * 4)):
+    """check_id, status (PASS, FAIL, INFO or MISMATCH) and title (str); engine,
+    published, residual and note (str or None)."""
+
+    __slots__ = ()
+
+
+CONVENTION_NOTE = (
+    "Ricci convention: S(Y,Z) = sum g^{ab} g(R(E_a,Y)Z, E_b), pinned so the "
+    "reference manifold has S(E3,E3) = -4/z^2"
+)
 
 
 class Report:
-    def __init__(self, command: str, manifold: str, notes=()):
+    def __init__(self, command: str, manifold: str):
         self.command = command
         self.manifold = manifold
-        self.notes = list(notes)
+        self.notes = [CONVENTION_NOTE]
         self.entries = []
 
     def add(self, *fields, **named):
@@ -394,12 +401,6 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-CONVENTION_NOTE = (
-    "Ricci convention: S(Y,Z) = sum g^{ab} g(R(E_a,Y)Z, E_b), pinned so the "
-    "reference manifold has S(E3,E3) = -4/z^2"
-)
-
-
 def format_vector(comps) -> str:
     parts = []
     for i, c in enumerate(comps):
@@ -444,27 +445,107 @@ def residual_excerpt(tensor) -> str | None:
 
 # -- commands ---------------------------------------------------------------
 
-# command -> the module with its report code; each has a
-# ``run(data, report, options)`` that adds the command's entries
-COMMAND_MODULES = {
-    "curvature": ".cmd_curvature",
-    "check-lcs": ".cmd_check_lcs",
-    "check": ".cmd_check",
-    "fit": ".cmd_fit",
-    "soliton": ".cmd_soliton",
-    "derived-conditions": ".cmd_derived_conditions",
-    "conformance": ".cmd_conformance",
+# The command table, which both the argv reader and the --help text read.
+# command -> (the module with its report code, which has a
+# ``run(data, report, options)`` that adds the command's entries; its KIND
+# values, or None when it takes no KIND; its options besides OPTIONS; its
+# help lines).  An option maps to (its key in the options dict, its
+# default, its value, its help): a value of None makes a flag, which
+# stores True, a tuple lists the values it accepts, and any other value is
+# the name the help text gives it.  A default of REQUIRED makes an option
+# the command cannot run without.
+REQUIRED = object()
+OPTIONS = {
+    "--json": ("json", False, None, "emit the report as JSON"),
+    "--sample": ("sample", None, "x=2,y=2,z=2", "the point where the signature is checked"),
 }
+COMMANDS = {
+    "check-lcs": (
+        ".cmd_check_lcs",
+        None,
+        {},
+        ("derive (alpha, rho, beta, phi, eta) and verify every", "structure axiom exactly"),
+    ),
+    "curvature": (
+        ".cmd_curvature",
+        None,
+        {},
+        ("connection, curvature, Ricci, scalar, Ricci operator,", "M-projective and concircular tables + self-checks"),
+    ),
+    "check": (
+        ".cmd_check",
+        RECURRENCE_KINDS,
+        {"--forms": ("forms", REQUIRED, "F", "check: JSON file with 'A' and 'B' expression arrays")},
+        ("test a recurrence condition (SGR | SGRR | SGPR) with", "1-forms A, B given in a JSON file"),
+    ),
+    "fit": (
+        ".cmd_fit",
+        RECURRENCE_KINDS[:2],
+        {},
+        ("solve exactly for recurrence 1-forms (SGR | SGRR);", "prints the forms or the first inconsistent component"),
+    ),
+    "soliton": (
+        ".cmd_soliton",
+        None,
+        {
+            "--V": ("V", "xi", ("xi",), "soliton: the soliton vector field, the structure field"),
+            "--p": ("p", "0", "EXPR", "soliton: the conformal pressure (default: 0)"),
+            "--lambda": ("lam", None, "EXPR", "soliton: the soliton scalar (default: derived)"),
+        },
+        (
+            "conformal soliton residual; reports the published",
+            "scalar lambda = p/2 + ((n+1)/n) alpha and the",
+            "independently re-derived trace value side by side",
+        ),
+    ),
+    "derived-conditions": (
+        ".cmd_derived_conditions",
+        None,
+        {},
+        ("action tensors R(xi,X).M and C(xi,X).S, their guards,", "and the gated Einstein conclusions"),
+    ),
+    "conformance": (
+        ".cmd_conformance",
+        None,
+        {},
+        ("full diff of engine values against the published", "tables for the reference manifold (example51 only)"),
+    ),
+}
+USAGE = "usage: lcslab <command> [KIND] [<def.json>] [--json] [--sample x=2,y=2,z=2]"
+
+
+def help_text() -> str:
+    """What ``lcslab --help`` prints, from the command table."""
+    lines = [
+        USAGE,
+        "       lcslab -h | --help | --version",
+        "",
+        "Exact curvature engine for framed Lorentzian manifolds.  <def.json> is a",
+        "definition file or a built-in name (default: example51).",
+        "",
+        "commands:",
+    ]
+    options = dict(OPTIONS)
+    for name, (_, kinds, own, summary) in COMMANDS.items():
+        head = [name, *(["KIND"] if kinds else [])]
+        head += [f"{option} {value}" for option, (_, default, value, _) in own.items() if default is REQUIRED]
+        lines += [f"  {' '.join(head) if i == 0 else '':<20} {line}" for i, line in enumerate(summary)]
+        options.update(own)
+    lines += ["", "options:"]
+    for option, (_, _, value, text) in options.items():
+        shown = "" if value is None else " | ".join(value) if isinstance(value, tuple) else value
+        lines.append(f"  {f'{option} {shown}'.strip():<20} {text}")
+    return "\n".join(lines) + "\n"
 
 
 # -- dispatch -----------------------------------------------------------------
 
 
 def run(command: str, data: ManifoldData, options: dict) -> Report:
-    if command not in COMMAND_MODULES:
+    if command not in COMMANDS:
         raise LoadError(f"unknown command {command!r}")
-    report = Report(command=command, manifold=data.name, notes=[CONVENTION_NOTE])
-    import_module(COMMAND_MODULES[command], __package__).run(data, report, options)
+    report = Report(command=command, manifold=data.name)
+    import_module(COMMANDS[command][0], __package__).run(data, report, options)
     return report
 
 
@@ -483,37 +564,119 @@ def _parse_sample(text: str | None) -> dict | None:
     return out
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lcslab", description="Exact curvature engine for framed Lorentzian manifolds")
-    parser.add_argument("--version", action="version", version=f"lcslab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """A command line ``read_argv`` refuses: exit 2, after the usage line."""
 
-    def add_common(p):
-        p.add_argument("definition", nargs="?", default="example51", help="definition file or built-in name")
-        p.add_argument("--json", action="store_true", help="emit the report as JSON")
-        p.add_argument("--sample", help="signature sample point, e.g. x=2,y=2,z=2")
 
-    add_common(sub.add_parser("check-lcs", help="derive the structure and verify every axiom"))
-    add_common(sub.add_parser("curvature", help="connection, curvature, Ricci, scalar, derived tensors"))
+HELP = ("-h", "--help")
 
-    p = sub.add_parser("check", help="test a recurrence condition with given 1-forms")
-    p.add_argument("kind", choices=RECURRENCE_KINDS)
-    add_common(p)
-    p.add_argument("--forms", required=True, help="JSON file with 'A' and 'B' expression arrays")
 
-    p = sub.add_parser("fit", help="solve exactly for recurrence 1-forms")
-    p.add_argument("kind", choices=RECURRENCE_KINDS[:2])
-    add_common(p)
+def _is_option(token: str, known) -> bool:
+    """Whether ``token`` is an option string, as argparse tells: it starts
+    with '-' and is longer than '-', and it names a known option (alone or
+    as ``--opt=value``) or is neither a negative number nor a text with a
+    space in it."""
+    if len(token) < 2 or token[0] != "-":
+        return False
+    if token.partition("=")[0] in known:
+        return True
+    return not (" " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token))  # argparse's negative number
 
-    p = sub.add_parser("soliton", help="conformal soliton residual and scalar")
-    add_common(p)
-    p.add_argument("--V", default="xi", choices=["xi"], help="soliton vector field (the structure field)")
-    p.add_argument("--p", default="0", help="conformal pressure expression")
-    p.add_argument("--lambda", dest="lam", default=None, help="soliton scalar expression (default: derived)")
 
-    add_common(sub.add_parser("derived-conditions", help="action tensors, guards, and gated conclusions"))
-    add_common(sub.add_parser("conformance", help="diff engine values against the published tables"))
-    return parser
+def read_argv(argv) -> dict | str:
+    """The options dict ``run`` receives for a command line, or the text that
+    -h/--help (anywhere) or --version (before the command) prints.
+
+    The keys are "command", "definition" (default example51), "kind" for a
+    command with a KIND, and the key of each option of the command and of
+    ``OPTIONS``, holding its default when the option is not given.  An
+    option's value follows it or an '=' (``--sample x=1`` or
+    ``--sample=x=1``), and the last one given wins; options and positionals
+    may come in any order.  A command line is read as the argparse parser
+    this reader replaced read it (on Python 3.10 to 3.13): after a '--'
+    every token is a positional, and KIND and <def.json> are taken from the
+    first run of positionals between two options, so in ``fit SGR --json
+    lcs4`` the definition is the default and lcs4 is an unrecognized
+    argument.  Two things differ: an option may not be abbreviated, and a
+    second '--' is always a positional (argparse dropped it from a
+    <def.json> that follows a KIND).  Any other command line raises
+    UsageError with one line that says what is wrong.
+    """
+    top = (*HELP, "--version")
+    extras = []  # unknown options and positionals left over, refused at the end
+    for i, token in enumerate(argv):
+        if token == "--" or not _is_option(token, top):
+            break
+        name, eq, value = token.partition("=")
+        if name not in top:
+            extras.append(token)
+            continue
+        if eq:
+            raise UsageError(f"argument {name}: ignored explicit argument {quote_text(value)}")
+        return help_text() if name in HELP else f"lcslab {__version__}\n"
+    else:
+        raise UsageError("the following arguments are required: <command>")
+    if token not in COMMANDS:
+        raise UsageError(f"invalid command {quote_text(token)} (choose from {', '.join(COMMANDS)})")
+    _, kinds, own, _ = COMMANDS[token]
+    options = {"command": token, "definition": "example51"}
+    spec = {**OPTIONS, **own}
+    options.update((key, default) for key, default, _, _ in spec.values() if default is not REQUIRED)
+    known = {*HELP, *spec}
+    pending = ["kind", "definition"] if kinds else ["definition"]  # positionals still to fill
+    run = []  # positionals since the last option
+
+    def fill():
+        # the first run of positionals fills every positional still pending
+        # (a missing <def.json> keeps its default); the rest are unrecognized
+        if run:
+            for name, value in zip(pending, run):
+                if name == "kind" and value not in kinds:
+                    raise UsageError(f"invalid KIND {quote_text(value)} (choose from {', '.join(kinds)})")
+                options[name] = value
+            extras.extend(run[len(pending) :])
+            pending.clear()
+            run.clear()
+
+    rest = iter(argv[i + 1 :])
+    positional_only = False
+    for token in rest:
+        if token == "--" and not positional_only:
+            positional_only = True
+            if not pending:  # no positional takes the marker in
+                extras.append(token)
+            continue
+        if positional_only or not _is_option(token, known):
+            run.append(token)
+            continue
+        fill()
+        name, eq, value = token.partition("=")
+        if name not in known:
+            extras.append(token)
+            continue
+        if name in HELP or spec[name][2] is None:
+            if eq:
+                raise UsageError(f"argument {name}: ignored explicit argument {quote_text(value)}")
+            if name in HELP:
+                return help_text()
+            options[spec[name][0]] = True
+            continue
+        if not eq:
+            value = next(rest, "--")  # the end of argv refuses as a '--' does
+            if value == "--" or _is_option(value, known):
+                raise UsageError(f"argument {name}: expected one argument")
+        key, _, accepted, _ = spec[name]
+        if isinstance(accepted, tuple) and value not in accepted:
+            raise UsageError(f"argument {name}: invalid choice {quote_text(value)} (choose from {', '.join(accepted)})")
+        options[key] = value
+    fill()
+    missing = ["KIND"] if "kind" in pending else []
+    missing += [option for option, (key, *_) in spec.items() if key not in options]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(map(quote_text, extras))}")
+    return options
 
 
 def main(argv=None) -> int:
@@ -521,7 +684,7 @@ def main(argv=None) -> int:
         return _main(argv)
     # the process ends with this command (module docstring)
     gc.disable()
-    code = _main(None)
+    code = _main(sys.argv[1:])
     try:
         sys.stdout.flush()
         sys.stderr.flush()
@@ -531,14 +694,20 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
     try:
-        sample = _parse_sample(getattr(args, "sample", None))
-        defn = load(args.definition, sample)
+        options = read_argv(argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{USAGE}\nlcslab: error: {exc}\n")
+        return 2
+    if isinstance(options, str):  # -h/--help or --version
+        sys.stdout.write(options)
+        return 0
+    try:
+        sample = _parse_sample(options["sample"])
+        defn = load(options["definition"], sample)
         data = build_manifold(defn)
-        report = run(args.command, data, vars(args))
-        text = report.to_json() if args.json else report.to_text()
+        report = run(options["command"], data, options)
+        text = report.to_json() if options["json"] else report.to_text()
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

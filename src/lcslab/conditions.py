@@ -30,13 +30,12 @@ checkable.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .einstein import solve_two_unknowns
 from .frame_geometry import FrameTensor, vec_scale, vec_sub
 from .manifold import ManifoldData
-from .symexpr import Expr
 
 
 class RecurrenceKind(Enum):
@@ -45,27 +44,22 @@ class RecurrenceKind(Enum):
     SGPR = "SGPR"  # phi-recurrent variant: phi^2(nabla R) = A x R + B x (g-term)
 
 
-class RecurrenceForms(NamedTuple):
-    """1-forms A, B on the frame plus their metric-dual vectors."""
+class RecurrenceForms(namedtuple("RecurrenceForms", "a b rho1 rho2")):
+    """1-forms A, B on the frame plus their metric-dual vectors: a, b, rho1,
+    rho2 (tuples of Expr)."""
 
-    a: tuple[Expr, ...]
-    b: tuple[Expr, ...]
-    rho1: tuple[Expr, ...]
-    rho2: tuple[Expr, ...]
+    __slots__ = ()
 
     @classmethod
     def from_covectors(cls, data: ManifoldData, a, b) -> "RecurrenceForms":
         return cls(tuple(a), tuple(b), data.metric.raise_form(a), data.metric.raise_form(b))
 
 
-class NoSolution(NamedTuple):
-    """Witness that a recurrence fit is inconsistent."""
+class NoSolution(namedtuple("NoSolution", "kind direction component needed detail")):
+    """Witness that a recurrence fit is inconsistent: kind (RecurrenceKind),
+    direction (int), component (tuple of int), needed (Expr), detail (str)."""
 
-    kind: RecurrenceKind
-    direction: int
-    component: tuple[int, ...]
-    needed: Expr
-    detail: str
+    __slots__ = ()
 
     def describe(self) -> str:
         idx = ",".join(str(i + 1) for i in self.component)
@@ -164,17 +158,18 @@ def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
     return RecurrenceForms.from_covectors(data, a_comps, b_comps)
 
 
-class SgrPredictions(NamedTuple):
+class SgrPredictions(
+    namedtuple("SgrPredictions", "r_engine r_predicted r_note r_matches opposition opposition_note opposition_zero")
+):
     """Scalar-curvature consequences of the recurrence hypothesis.  They are
-    assertions only where the SGR residual of the same forms vanishes."""
+    assertions only where the SGR residual of the same forms vanishes.
 
-    r_engine: Expr
-    r_predicted: Expr | None
-    r_note: str
-    r_matches: bool | None
-    opposition: tuple[Expr, ...] | None
-    opposition_note: str
-    opposition_zero: bool | None
+    r_engine (Expr); r_predicted (Expr or None); r_note (str); r_matches
+    (bool or None); opposition (tuple of Expr, or None); opposition_note
+    (str); opposition_zero (bool or None).
+    """
+
+    __slots__ = ()
 
 
 def sgr_predictions(data: ManifoldData, forms: RecurrenceForms) -> SgrPredictions:

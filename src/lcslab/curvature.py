@@ -33,9 +33,9 @@ is self-checked.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import reduce
 from itertools import product
-from typing import NamedTuple
 
 from .frame_geometry import FrameMetric, FrameTensor, mirror_pairs, vec_add, vec_nonzero, vec_scale, vec_sub, vec_sum
 from .levi_civita import ConnectionCoeffs
@@ -165,11 +165,10 @@ def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTe
     return _antisymmetric(n, entry, support)
 
 
-class CurvatureStack(NamedTuple):
-    riemann13: FrameTensor
-    ricci: FrameTensor
-    q_operator: FrameTensor
-    scalar: Expr
+class CurvatureStack(namedtuple("CurvatureStack", "riemann13 ricci q_operator scalar")):
+    """riemann13, ricci, q_operator (FrameTensor); scalar (Expr)."""
+
+    __slots__ = ()
 
     @classmethod
     def compute(cls, conn: ConnectionCoeffs, metric: FrameMetric, brackets) -> "CurvatureStack":

@@ -6,23 +6,24 @@ the gates follow the discipline stated in ``conditions``."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
-from .einstein import ClassifierVerdict, classify
+from .einstein import classify
 from .frame_geometry import FrameTensor, combo, dot
 from .levi_civita import derivation
 from .manifold import ManifoldData
 from .symexpr import Expr
 
 
-class XiDerivativeIdentity(NamedTuple):
+class XiDerivativeIdentity(namedtuple("XiDerivativeIdentity", "passed sign_flipped coefficient residual")):
     """Result of checking g((nabla_W R)(xi,Y)Z, xi) against
-    -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)."""
+    -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W).
 
-    passed: bool
-    sign_flipped: bool
-    coefficient: Expr  # 2 alpha rho - beta, for the variant that was reported
-    residual: FrameTensor
+    passed, sign_flipped (bool); coefficient (Expr: 2 alpha rho - beta, for
+    the variant that was reported); residual (FrameTensor).
+    """
+
+    __slots__ = ()
 
 
 def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDerivativeIdentity:
@@ -54,21 +55,24 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
     return XiDerivativeIdentity(False, False, coeff, res)
 
 
-class DerivedConditions(NamedTuple):
+class DerivedConditions(
+    namedtuple(
+        "DerivedConditions",
+        "rxm rxm_zero cxs cxs_zero guard_rxm guard_rxm_nonzero guard_cxs guard_cxs_nonzero"
+        " mproj_xi_residual einstein_from_rxm einstein_from_cxs",
+    )
+):
     """The action tensors R(xi,X).M and C(xi,X).S with their zero flags,
-    nondegeneracy guards, and gated Einstein conclusions."""
+    nondegeneracy guards, and gated Einstein conclusions.
 
-    rxm: FrameTensor
-    rxm_zero: bool
-    cxs: FrameTensor
-    cxs_zero: bool
-    guard_rxm: Expr  # alpha^2 - rho
-    guard_rxm_nonzero: bool
-    guard_cxs: Expr  # n(n-1)(alpha^2 - rho) + 1
-    guard_cxs_nonzero: bool
-    mproj_xi_residual: FrameTensor  # eta(M(X,Y)xi), identically zero on LCS
-    einstein_from_rxm: ClassifierVerdict | None
-    einstein_from_cxs: ClassifierVerdict | None
+    rxm, cxs (FrameTensor) and rxm_zero, cxs_zero (bool); guard_rxm (Expr:
+    alpha^2 - rho) and guard_cxs (Expr: n(n-1)(alpha^2 - rho) + 1), with
+    guard_rxm_nonzero, guard_cxs_nonzero (bool); mproj_xi_residual
+    (FrameTensor: eta(M(X,Y)xi), identically zero on LCS);
+    einstein_from_rxm, einstein_from_cxs (ClassifierVerdict or None).
+    """
+
+    __slots__ = ()
 
 
 def xi_action(tensor: FrameTensor, xi) -> list:

@@ -8,8 +8,8 @@ leaves that ``check`` reports."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .frame_geometry import FrameMetric, FrameTensor
 from .symexpr import Expr
@@ -21,10 +21,10 @@ class EinsteinKind(Enum):
     NEITHER = "Neither"
 
 
-class ClassifierVerdict(NamedTuple):
-    kind: EinsteinKind
-    a: Expr | None = None
-    b: Expr | None = None
+class ClassifierVerdict(namedtuple("ClassifierVerdict", "kind a b", defaults=(None, None))):
+    """kind (EinsteinKind); a, b (Expr or None)."""
+
+    __slots__ = ()
 
 
 def classify(ric: FrameTensor, metric: FrameMetric, eta) -> ClassifierVerdict:

@@ -31,10 +31,10 @@ the same Expr.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
 from itertools import product
 from math import lcm
-from typing import NamedTuple
 
 from .polyops import expr_memo
 from .symexpr import Expr, Var, parse
@@ -226,9 +226,10 @@ class FrameMetric:
         return tuple(dot(row, w) for row in self.inverse())
 
 
-class FrameTensor(NamedTuple):
+class FrameTensor(namedtuple("FrameTensor", "valence comps dim zero")):
     """Frame components of valence (r,s), r in {0,1}, s in 1..4, nonzero
-    leaves only.
+    leaves only: valence (tuple of two ints), comps (dict), dim (int) and
+    zero (the leaf of an absent index).
 
     ``comps`` maps a full covariant-index tuple (slots in the reading order
     of the tensor) to its leaf: for r=1 the frame-component tuple of the
@@ -238,10 +239,7 @@ class FrameTensor(NamedTuple):
     the nonzero leaves, in index order, and the zero tensor has no leaves.
     """
 
-    valence: tuple[int, int]
-    comps: dict
-    dim: int
-    zero: object
+    __slots__ = ()
 
     @classmethod
     def build(cls, valence, n: int, fn, support=None) -> "FrameTensor":

@@ -19,7 +19,7 @@ each a module of its own, so that a command loads only the code it runs.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .frame_geometry import FrameTensor, combo, dot, vec_add, vec_scale
 from .manifold import ManifoldData
@@ -30,13 +30,10 @@ class NotLcsError(Exception):
     """The designated field does not induce a concircular structure."""
 
 
-class LcsStructure(NamedTuple):
-    xi: tuple[Expr, ...]
-    eta: tuple[Expr, ...]
-    phi: FrameTensor
-    alpha: Expr
-    rho: Expr
-    beta: Expr
+class LcsStructure(namedtuple("LcsStructure", "xi eta phi alpha rho beta")):
+    """xi, eta (tuples of Expr); phi (FrameTensor); alpha, rho, beta (Expr)."""
+
+    __slots__ = ()
 
     def eta_of(self, v) -> Expr:
         return dot(self.eta, v)

@@ -33,7 +33,7 @@ can fail on; ``ManifoldData.nabla_riemann`` stays the full tensor.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .frame_geometry import (
     Frame,
@@ -47,14 +47,15 @@ from .frame_geometry import (
     vec_scale,
     vec_sum,
 )
-from .symexpr import Expr
 
 
-class ConnectionCoeffs(NamedTuple):
-    """gamma[i][j][k] with nabla_{E_i} E_j = sum_k gamma[i][j][k] E_k."""
+class ConnectionCoeffs(namedtuple("ConnectionCoeffs", "frame gamma")):
+    """gamma[i][j][k] with nabla_{E_i} E_j = sum_k gamma[i][j][k] E_k.
 
-    frame: Frame
-    gamma: tuple[tuple[tuple[Expr, ...], ...], ...]
+    frame (Frame); gamma (n x n x n nested tuples of Expr).
+    """
+
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

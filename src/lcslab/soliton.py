@@ -7,7 +7,7 @@ condition.  Its rational constants (1/2, (n+1)/n, 2/n, ...) are built with
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .frame_geometry import FrameTensor
 from .lcs_structure import NotLcsError
@@ -15,13 +15,14 @@ from .manifold import ManifoldData
 from .symexpr import Expr
 
 
-class SolitonParams(NamedTuple):
+class SolitonParams(namedtuple("SolitonParams", "lam p k", defaults=(None,))):
     """Soliton scalar lambda, conformal pressure p, and the derived
-    k = lambda - (p/2 + 1/n) - alpha (None when no alpha is available)."""
+    k = lambda - (p/2 + 1/n) - alpha (None when no alpha is available).
 
-    lam: Expr
-    p: Expr
-    k: Expr | None = None
+    lam, p (Expr); k (Expr or None).
+    """
+
+    __slots__ = ()
 
     @classmethod
     def derive(cls, lam: Expr, p: Expr, alpha: Expr, n: int) -> "SolitonParams":
@@ -45,10 +46,11 @@ def soliton_lambda(alpha: Expr, p: Expr, n: int) -> tuple[Expr, Expr]:
     return printed, traced
 
 
-class SolitonCheck(NamedTuple):
-    residual: FrameTensor
-    is_soliton: bool
-    eta_einstein_residual: FrameTensor | None
+class SolitonCheck(namedtuple("SolitonCheck", "residual is_soliton eta_einstein_residual")):
+    """residual (FrameTensor); is_soliton (bool); eta_einstein_residual
+    (FrameTensor or None)."""
+
+    __slots__ = ()
 
 
 def soliton_residual(data: ManifoldData, v, params: SolitonParams) -> SolitonCheck:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import itertools
 from functools import lru_cache
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import Phase, settings
 
 import lcslab
 from lcslab.axioms import AxiomCheck
-from lcslab.cli import ManifoldDef, build_manifold, load
+from lcslab.cli import RECURRENCE_KINDS, ManifoldDef, build_manifold, load
 from lcslab.conditions import NoSolution, RecurrenceForms, _recurrence_terms
 from lcslab.frame_geometry import FrameTensor, combo, dot, vec_add, vec_scale, vec_sub, vec_sum
 from lcslab.levi_civita import cov_deriv_tensor
@@ -311,6 +312,44 @@ def reference_verify_axioms(data: ManifoldData, structure):
     record("ricci-into-xi", "S(X, xi) = (n-1)(alpha^2-rho) eta(X)", res)
 
     return checks
+
+
+def reference_arg_parser() -> argparse.ArgumentParser:
+    """A model of ``cli.read_argv``: the argparse parser the CLI used before
+    it read argv from its command table.  ``vars`` of what it parses is the
+    options dict the reader must give; where it exits 2, the reader refuses
+    the command line.  It also accepts unique abbreviations of an option,
+    which the reader does not."""
+    parser = argparse.ArgumentParser(prog="lcslab", description="Exact curvature engine for framed Lorentzian manifolds")
+    parser.add_argument("--version", action="version", version=f"lcslab {lcslab.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("definition", nargs="?", default="example51", help="definition file or built-in name")
+        p.add_argument("--json", action="store_true", help="emit the report as JSON")
+        p.add_argument("--sample", help="signature sample point, e.g. x=2,y=2,z=2")
+
+    add_common(sub.add_parser("check-lcs", help="derive the structure and verify every axiom"))
+    add_common(sub.add_parser("curvature", help="connection, curvature, Ricci, scalar, derived tensors"))
+
+    p = sub.add_parser("check", help="test a recurrence condition with given 1-forms")
+    p.add_argument("kind", choices=RECURRENCE_KINDS)
+    add_common(p)
+    p.add_argument("--forms", required=True, help="JSON file with 'A' and 'B' expression arrays")
+
+    p = sub.add_parser("fit", help="solve exactly for recurrence 1-forms")
+    p.add_argument("kind", choices=RECURRENCE_KINDS[:2])
+    add_common(p)
+
+    p = sub.add_parser("soliton", help="conformal soliton residual and scalar")
+    add_common(p)
+    p.add_argument("--V", default="xi", choices=["xi"], help="soliton vector field (the structure field)")
+    p.add_argument("--p", default="0", help="conformal pressure expression")
+    p.add_argument("--lambda", dest="lam", default=None, help="soliton scalar expression (default: derived)")
+
+    add_common(sub.add_parser("derived-conditions", help="action tensors, guards, and gated conclusions"))
+    add_common(sub.add_parser("conformance", help="diff engine values against the published tables"))
+    return parser
 
 
 @pytest.fixture(scope="session")

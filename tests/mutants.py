@@ -299,6 +299,35 @@ MUTANTS = (
         "        os._exit(code)\n",
         ("tests/test_cli.py::test_cold_command_whose_flush_fails_exits_as_the_interpreter_reports_it",),
     ),
+    # the argv reader, against the argparse parser it replaced
+    Mutant(
+        "reader-ignores-json",
+        "src/lcslab/cli.py",
+        "            options[spec[name][0]] = True\n",
+        "            options[spec[name][0]] = spec[name][1]\n",
+        ("tests/test_cli.py::test_reader_gives_the_options_of_the_reference_parser",),
+    ),
+    Mutant(
+        "reader-keeps-the-first-value",
+        "src/lcslab/cli.py",
+        "        options[key] = value\n",
+        "        if options.get(key) is None:  # --sample and --forms keep their first value\n            options[key] = value\n",
+        ("tests/test_cli.py::test_reader_gives_the_options_of_the_reference_parser",),
+    ),
+    Mutant(
+        "reader-accepts-a-second-positional",
+        "src/lcslab/cli.py",
+        "            extras.extend(run[len(pending) :])\n",
+        "            extras.extend(run[len(pending) + 1 :])\n",
+        ("tests/test_cli.py::test_reader_gives_the_options_of_the_reference_parser",),
+    ),
+    Mutant(
+        "report-entry-defaults-shifted",
+        "src/lcslab/cli.py",
+        "defaults=(None,) * 4",
+        "defaults=(None,) * 3",
+        ("tests/test_cli.py::test_record_keeps_its_fields_and_defaults",),
+    ),
     # a GCDHEU candidate is the GCD only once it divides both primitive
     # parts, which the one check both callers share verifies: accepted
     # unverified, the shared X - 1 of the Kronecker images of x - y and

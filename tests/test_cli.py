@@ -1,5 +1,9 @@
+import ast
+import contextlib
 import gc
 import hashlib
+import importlib
+import io
 import json
 import os
 import subprocess
@@ -7,14 +11,16 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcslab import derived_conditions
 from lcslab.builtin_manifolds import family
-from lcslab.cli import LoadError, build_manifold, load, main
+from lcslab.cli import USAGE, LoadError, UsageError, build_manifold, help_text, load, main, read_argv
 from lcslab.curvature import CurvatureStack
 from lcslab.symexpr import MAX_TERMS
 
-from conftest import SRC
+from conftest import SRC, reference_arg_parser
 
 # the reference manifold, written to a file under another name
 EXAMPLE_DEF = dict(family("lcs", 3), name="ref-from-file")
@@ -573,11 +579,69 @@ class TestJsonReports:
         assert runs[0] == runs[1]
 
 
+# standard modules no cold command loads: `argparse` (with `gettext` and
+# `locale`) builds parsers the command table replaced, `dataclasses`
+# compiles its methods at class creation
+UNLOADED = ["argparse", "dataclasses", "gettext", "locale"]
+
+
 def test_cli_import_leaves_out_dataclasses():
     # every cold command pays for what `import lcslab.cli` pulls in
-    probe = "import sys, lcslab.cli; print('dataclasses' in sys.modules)"
+    probe = f"import sys, lcslab.cli; print(sorted(set({UNLOADED!r}) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+    # a typing.NamedTuple compiles a ForwardRef per field at class creation;
+    # the records are collections.namedtuple subclasses.  (The interpreter's
+    # site packages may load typing themselves, so the test reads the source.)
+    imports = []
+    for path in sorted((SRC / "lcslab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module] if isinstance(node, ast.ImportFrom) else []
+            imports += [f"{path.name}: {name}" for name in names if name and name.split(".")[0] == "typing"]
+    assert imports == []
+
+# each record of the engine and the CLI, a collections.namedtuple subclass:
+# its fields and defaults, as they were when it was a typing.NamedTuple
+RECORDS = {
+    "cli.ManifoldDef": ("name coords frame metric xi sample_point source_text", {"sample_point": None, "source_text": ""}),
+    "cli.ReportEntry": (
+        "check_id status title engine published residual note",
+        {"engine": None, "published": None, "residual": None, "note": None},
+    ),
+    "soliton.SolitonParams": ("lam p k", {"k": None}),
+    "soliton.SolitonCheck": ("residual is_soliton eta_einstein_residual", {}),
+    "axioms.AxiomCheck": ("axiom description passed detail", {"detail": ""}),
+    "frame_geometry.FrameTensor": ("valence comps dim zero", {}),
+    "curvature.CurvatureStack": ("riemann13 ricci q_operator scalar", {}),
+    "levi_civita.ConnectionCoeffs": ("frame gamma", {}),
+    "conditions.RecurrenceForms": ("a b rho1 rho2", {}),
+    "conditions.NoSolution": ("kind direction component needed detail", {}),
+    "conditions.SgrPredictions": ("r_engine r_predicted r_note r_matches opposition opposition_note opposition_zero", {}),
+    "einstein.ClassifierVerdict": ("kind a b", {"a": None, "b": None}),
+    "derived_conditions.XiDerivativeIdentity": ("passed sign_flipped coefficient residual", {}),
+    "derived_conditions.DerivedConditions": (
+        "rxm rxm_zero cxs cxs_zero guard_rxm guard_rxm_nonzero guard_cxs guard_cxs_nonzero"
+        " mproj_xi_residual einstein_from_rxm einstein_from_cxs",
+        {},
+    ),
+    "lcs_structure.LcsStructure": ("xi eta phi alpha rho beta", {}),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORDS))
+def test_record_keeps_its_fields_and_defaults(record):
+    module, name = record.split(".")
+    cls = getattr(importlib.import_module(f"lcslab.{module}"), name)
+    fields, defaults = RECORDS[record]
+    fields = tuple(fields.split())
+    assert (cls._fields, cls._field_defaults) == (fields, defaults)
+    given = tuple(range(len(fields) - len(defaults)))
+    value = cls(*given)
+    assert value == given + tuple(defaults.values())
+    assert value._asdict() == dict(zip(fields, value))
+    assert value._replace(**{fields[0]: "x"}) == ("x", *value[1:])
+    assert not hasattr(value, "__dict__")  # __slots__ = (): no per-record dict
+
 
 # the modules of lcslab every command loads
 CORE_MODULES = {
@@ -628,8 +692,9 @@ def test_command_imports_only_the_layers_it_runs(tmp_path, case):
     # unless it reports them, the Einstein classification or the axioms
     # unless it runs them, the heuristic GCD (_heugcd; every GCD here has a
     # zero, equal or one-term operand) or its fallback (_subresultant); a
-    # definition file loads no table of built-ins; and no command imports
-    # fractions (with decimal and numbers) for integer sample points
+    # definition file loads no table of built-ins; no command imports
+    # fractions (with decimal and numbers) for integer sample points; and
+    # none loads UNLOADED
     forms = tmp_path / "forms.json"
     forms.write_text(json.dumps({"A": ["x", "0", "1/z"], "B": ["0", "y", "1"]}), encoding="utf-8")
     definition = write_def(tmp_path, EXAMPLE_DEF)
@@ -639,7 +704,7 @@ def test_command_imports_only_the_layers_it_runs(tmp_path, case):
         "import contextlib, io, json, sys; from lcslab.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()): code = main({[*argv, '--json']!r})\n"
         "print(code, json.dumps(sorted(m for m in sys.modules if m == 'lcslab' or m.startswith('lcslab.'))))\n"
-        "print(json.dumps(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules))))"
+        f"print(json.dumps(sorted({{'fractions', 'decimal', 'numbers', *{UNLOADED!r}}} & set(sys.modules))))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=SRC, check=True, text=True).stdout
     first, numbers = out.splitlines()
@@ -791,3 +856,224 @@ def test_lcs3_is_example51_under_another_name(capsys, command):
     payload["manifold"] = "example51"
     out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[(command, "example51")]
+
+
+# -- the argv reader against the argparse parser it replaced ----------------
+
+REFERENCE_PARSER = reference_arg_parser()
+
+# command -> its KIND values and a value for each of its own options
+ARGV_COMMANDS = {
+    "check-lcs": ((), {}),
+    "curvature": ((), {}),
+    "check": (("SGR", "SGRR", "SGPR"), {"--forms": "f.json"}),
+    "fit": (("SGR", "SGRR"), {}),
+    "soliton": ((), {"--V": "xi", "--p": "-1", "--lambda": "x + 1"}),
+    "derived-conditions": ((), {}),
+    "conformance": ((), {}),
+}
+
+
+def reference_outcome(argv):
+    """``vars`` of the reference parse, or the exit status it ends with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(REFERENCE_PARSER.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def reader_outcome(argv):
+    try:
+        options = read_argv(argv)
+    except UsageError:
+        return 2
+    return 0 if isinstance(options, str) else options
+
+
+def argv_corpus():
+    """Every command and kind (a bad kind, and for fit SGPR, included), with
+    no, one or two positionals after the kind, none or all of its options,
+    each option alone (``--opt value``) or joined (``--opt=value``), the
+    options before, after or between the positionals; then the cases that
+    read one token at a time."""
+    corpus = []
+    for command, (kinds, own) in ARGV_COMMANDS.items():
+        options = {"--json": None, "--sample": "x=1,y=2", **own}
+        for kind in [*kinds, "SGPR", "BAD"] if kinds else [None]:
+            for definition in ([], ["lcs4"], ["lcs4", "extra"]):
+                positionals = [kind] * (kind is not None) + definition
+                for given in ({}, options):
+                    for joined in (False, True):
+                        opts = [
+                            [o] if v is None else [f"{o}={v}"] if joined else [o, v] for o, v in given.items()
+                        ]
+                        flat = [t for o in opts for t in o]
+                        corpus.append([command, *flat, *positionals])
+                        corpus.append([command, *positionals, *flat])
+                        # options between the positionals, the first one first
+                        mixed = [command]
+                        for i, p in enumerate(positionals):
+                            mixed += [*opts[i], p] if i < len(opts) else [p]
+                        corpus.append(mixed + [t for o in opts[len(positionals) :] for t in o])
+    corpus += [
+        # repeated options: the last value wins
+        ["curvature", "--sample", "x=1", "--sample=y=2", "--json", "--json"],
+        ["soliton", "--p", "1", "--p=2", "--lambda", "3", "--lambda=4", "--V=xi", "--V", "xi"],
+        ["check", "SGR", "lcs4", "--forms", "a.json", "--forms=b.json"],
+        # values that look like options, and options that take no value
+        ["soliton", "--p", "-1/2"],
+        ["soliton", "--p", "-x + 1"],
+        ["soliton", "--p=-x"],
+        ["soliton", "--lambda", "-2.5"],
+        ["soliton", "--V", "eta"],
+        ["soliton", "--V=eta"],
+        ["curvature", "--sample"],
+        ["curvature", "--sample", "--json"],
+        ["curvature", "--sample=", "lcs4"],
+        ["curvature", "--sample", "-5"],
+        ["curvature", "--json=1"],
+        ["curvature", "--json="],
+        # unknown options, positionals that look like options
+        ["curvature", "--bogus"],
+        ["curvature", "--bogus=1", "lcs4"],
+        ["curvature", "-x"],
+        ["curvature", "-5"],
+        ["curvature", "-1.5"],
+        ["curvature", "-"],
+        ["curvature", ""],
+        ["curvature", "a b"],
+        ["curvature", "--forms", "f.json"],
+        ["fit", "SGR", "--forms", "f.json"],
+        # the '--' marker: every later token is a positional
+        ["curvature", "--"],
+        ["curvature", "--", "lcs4"],
+        ["curvature", "--", "--json"],
+        ["curvature", "lcs4", "--"],
+        ["curvature", "lcs4", "--json", "--"],
+        ["curvature", "--json", "--"],
+        ["curvature", "--", "lcs4", "extra"],
+        ["fit", "SGR", "--", "lcs4"],
+        ["fit", "--", "SGR", "lcs4"],
+        ["fit", "SGR", "--"],
+        ["fit", "SGR", "--json", "--"],
+        ["check", "--forms", "f.json", "--", "SGR"],
+        ["check", "SGR", "--forms", "--", "f.json"],
+        # before the command, and no command
+        [],
+        ["nosuch"],
+        ["--", "curvature"],
+        ["--json", "curvature"],
+        ["--bogus=1", "curvature"],
+        ["-5", "curvature"],
+        ["CURVATURE"],
+        ["fit"],
+        ["check"],
+        ["check", "SGR"],
+        ["check", "--forms", "f.json"],
+        # help and version
+        ["-h"],
+        ["--help"],
+        ["--version"],
+        ["--version", "nosuch"],
+        ["--bogus", "-h"],
+        ["-h=1"],
+        ["--version=1"],
+        ["curvature", "-h"],
+        ["curvature", "--help", "--bogus"],
+        ["curvature", "a", "b", "-h"],
+        ["curvature", "--version"],
+        ["curvature", "--sample", "-h"],
+        ["curvature", "--help=1"],
+        ["check", "BAD", "-h"],
+        ["check", "-h", "BAD"],
+        ["check", "SGR", "-h"],
+    ]
+    return corpus
+
+
+def test_reader_gives_the_options_of_the_reference_parser():
+    # where the reference accepts a command line, the reader gives the same
+    # options; where it exits 2 (or 0, for help), so does the reader
+    corpus = argv_corpus()
+    outcomes = [reference_outcome(argv) for argv in corpus]
+    assert sum(isinstance(o, dict) for o in outcomes) > 200 and outcomes.count(2) > 300
+    assert [(argv, reader_outcome(argv)) for argv in corpus] == list(zip(corpus, outcomes))
+
+
+# tokens a command line is drawn from: every option, alone and joined, the
+# values they take, positionals and tokens that look like options; none is
+# an abbreviation of an option, and '--' comes at most once (argparse drops
+# a second '--' that is the <def.json> after a KIND; the reader keeps it)
+ARGV_TOKENS = [
+    *ARGV_COMMANDS,
+    "SGR",
+    "SGPR",
+    "BAD",
+    "lcs4",
+    "extra",
+    "--json",
+    "--json=1",
+    "--sample",
+    "x=1",
+    "--sample=x=2",
+    "--forms",
+    "--forms=f.json",
+    "--V",
+    "xi",
+    "--V=xi",
+    "--V=eta",
+    "--p",
+    "--p=-1",
+    "-1",
+    "--lambda",
+    "-x + 1",
+    "--lambda=2",
+    "--bogus",
+    "-x",
+    "-",
+    "-h",
+    "--version",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=7), st.none() | st.integers(0, 7))
+def test_reader_agrees_with_the_reference_parser_on_drawn_command_lines(argv, marker):
+    if marker is not None:
+        argv.insert(marker, "--")
+    assert reader_outcome(argv) == reference_outcome(argv)
+
+
+def test_refused_command_lines_exit_2_with_the_usage_line(capsys):
+    refused = [argv for argv in argv_corpus() if reference_outcome(argv) == 2]
+    for argv in refused:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()
+        assert (out, usage) == ("", USAGE) and error.startswith("lcslab: error: "), argv
+
+
+@pytest.mark.parametrize("option", ["--js", "--sam=x=1", "--lam=2"])
+def test_abbreviated_options_are_refused(capsys, option):
+    # argparse took a unique prefix of an option for the option; the reader
+    # takes only the option as written
+    argv = ["soliton", option]
+    assert isinstance(reference_outcome(argv), dict)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(f"lcslab: error: unrecognized arguments: {option!r}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["fit", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert not err
+    assert out == ("lcslab 0.1.0\n" if argv == ["--version"] else help_text())
+
+
+def test_help_is_the_readme_cli_block(capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```\n", 1)[0]
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == block

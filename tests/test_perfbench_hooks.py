@@ -97,7 +97,7 @@ def test_every_command_produces_its_spans(monkeypatch, tmp_path):
     forms.write_text(json.dumps({"A": ["x", "0", "1/z"], "B": ["0", "y", "1"]}), encoding="utf-8")
     # the benchmark's untraced rounds load every command module before the
     # spans go in, so a name bound at import would hold the unwrapped function
-    for module in cli.COMMAND_MODULES.values():
+    for module, *_ in cli.COMMANDS.values():
         importlib.import_module(module, "lcslab")
     spans = layers.Spans()
     patches = layers.Patches()
