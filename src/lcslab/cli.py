@@ -34,9 +34,10 @@ GCDs (``_heugcd``, ``_subresultant``).  The table of built-in definitions
 (``builtin_manifolds``) is imported only for an alphanumeric argument: every
 built-in name is one, so a path with a '/' or a '.' never loads it.  A cold
 command thus compiles only its own report code and the engine code it runs.
-It builds no argparse parser (argparse loads gettext and locale, and builds
-a parser per command) and no typing.NamedTuple (which compiles a ForwardRef
-per field): the records are collections.namedtuple subclasses.
+It imports no argparse (which loads gettext and locale): ``read_argv``
+reads argv by a grammar of its own, from the command table.  It builds no
+typing.NamedTuple (which compiles a ForwardRef per field): the records are
+collections.namedtuple subclasses.
 
 Numbers: a sample value is an integer pair (numerator, denominator), and the
 signature check evaluates the metric in integers (``FrameMetric.checked``).
@@ -269,9 +270,6 @@ def load(path_or_name: str, sample_override: dict | None = None) -> ManifoldDef:
     )
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def _sample_value(text: str) -> tuple[int, int]:
     """A sample-point value as (numerator, denominator > 0) in lowest terms.
 
@@ -284,7 +282,8 @@ def _sample_value(text: str) -> tuple[int, int]:
     digits with an optional sign go through ``int``, so an integer point
     imports no ``fractions``.
     """
-    if _INTEGER.fullmatch(text):
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
         return int(text), 1
     exponent = re.search(r"[eE]([+-]?[\d_]+)", text)  # the only 'e' Fraction's grammar has
     if exponent and abs(int(exponent[1])) > 4300:
@@ -571,106 +570,79 @@ class UsageError(Exception):
 HELP = ("-h", "--help")
 
 
-def _is_option(token: str, known) -> bool:
-    """Whether ``token`` is an option string, as argparse tells: it starts
-    with '-' and is longer than '-', and it names a known option (alone or
-    as ``--opt=value``) or is neither a negative number nor a text with a
-    space in it."""
-    if len(token) < 2 or token[0] != "-":
-        return False
-    if token.partition("=")[0] in known:
-        return True
-    return not (" " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token))  # argparse's negative number
-
-
 def read_argv(argv) -> dict | str:
     """The options dict ``run`` receives for a command line, or the text that
-    -h/--help (anywhere) or --version (before the command) prints.
+    -h/--help or --version prints.
 
     The keys are "command", "definition" (default example51), "kind" for a
     command with a KIND, and the key of each option of the command and of
-    ``OPTIONS``, holding its default when the option is not given.  An
-    option's value follows it or an '=' (``--sample x=1`` or
-    ``--sample=x=1``), and the last one given wins; options and positionals
-    may come in any order.  A command line is read as the argparse parser
-    this reader replaced read it (on Python 3.10 to 3.13): after a '--'
-    every token is a positional, and KIND and <def.json> are taken from the
-    first run of positionals between two options, so in ``fit SGR --json
-    lcs4`` the definition is the default and lcs4 is an unrecognized
-    argument.  Two things differ: an option may not be abbreviated, and a
-    second '--' is always a positional (argparse dropped it from a
-    <def.json> that follows a KIND).  Any other command line raises
-    UsageError with one line that says what is wrong.
+    ``OPTIONS``, holding its default when the option is not given.
+
+    Before the command, -h/--help prints the help, --version prints the
+    version, and any other token that starts with '-' is unrecognized; the
+    first token that does not is the command.  After it, up to a '--':
+
+    - -h or --help prints the help;
+    - a token that names an option of the command or of ``OPTIONS``, in
+      full, is that option: a flag stores True, and a value option takes the
+      text after its '=', or else the next token whatever it is (``--lambda
+      -1/z``) unless that is a '--'; the last value given wins;
+    - any other token that starts with '--' is unrecognized;
+    - every other token is a positional, wherever it stands.
+
+    After a '--' every token is a positional.  The first positional is KIND
+    for a command that takes one, the next <def.json>; any more are
+    unrecognized.  Any other command line raises UsageError with one line
+    that says what is wrong.
     """
     top = (*HELP, "--version")
-    extras = []  # unknown options and positionals left over, refused at the end
-    for i, token in enumerate(argv):
-        if token == "--" or not _is_option(token, top):
-            break
-        name, eq, value = token.partition("=")
-        if name not in top:
-            extras.append(token)
-            continue
-        if eq:
-            raise UsageError(f"argument {name}: ignored explicit argument {quote_text(value)}")
-        return help_text() if name in HELP else f"lcslab {__version__}\n"
-    else:
-        raise UsageError("the following arguments are required: <command>")
-    if token not in COMMANDS:
-        raise UsageError(f"invalid command {quote_text(token)} (choose from {', '.join(COMMANDS)})")
-    _, kinds, own, _ = COMMANDS[token]
-    options = {"command": token, "definition": "example51"}
-    spec = {**OPTIONS, **own}
-    options.update((key, default) for key, default, _, _ in spec.values() if default is not REQUIRED)
-    known = {*HELP, *spec}
-    pending = ["kind", "definition"] if kinds else ["definition"]  # positionals still to fill
-    run = []  # positionals since the last option
-
-    def fill():
-        # the first run of positionals fills every positional still pending
-        # (a missing <def.json> keeps its default); the rest are unrecognized
-        if run:
-            for name, value in zip(pending, run):
-                if name == "kind" and value not in kinds:
-                    raise UsageError(f"invalid KIND {quote_text(value)} (choose from {', '.join(kinds)})")
-                options[name] = value
-            extras.extend(run[len(pending) :])
-            pending.clear()
-            run.clear()
-
-    rest = iter(argv[i + 1 :])
-    positional_only = False
-    for token in rest:
-        if token == "--" and not positional_only:
-            positional_only = True
-            if not pending:  # no positional takes the marker in
-                extras.append(token)
-            continue
-        if positional_only or not _is_option(token, known):
-            run.append(token)
-            continue
-        fill()
-        name, eq, value = token.partition("=")
-        if name not in known:
-            extras.append(token)
-            continue
-        if name in HELP or spec[name][2] is None:
+    i = next((i for i, token in enumerate(argv) if token[:1] != "-"), len(argv))  # where the command stands
+    for name, eq, value in (token.partition("=") for token in argv[:i]):
+        if name in top:
             if eq:
                 raise UsageError(f"argument {name}: ignored explicit argument {quote_text(value)}")
-            if name in HELP:
-                return help_text()
-            options[spec[name][0]] = True
-            continue
-        if not eq:
-            value = next(rest, "--")  # the end of argv refuses as a '--' does
-            if value == "--" or _is_option(value, known):
-                raise UsageError(f"argument {name}: expected one argument")
-        key, _, accepted, _ = spec[name]
-        if isinstance(accepted, tuple) and value not in accepted:
-            raise UsageError(f"argument {name}: invalid choice {quote_text(value)} (choose from {', '.join(accepted)})")
-        options[key] = value
-    fill()
-    missing = ["KIND"] if "kind" in pending else []
+            return help_text() if name in HELP else f"lcslab {__version__}\n"
+    if i == len(argv):
+        raise UsageError("the following arguments are required: <command>")
+    command = argv[i]
+    if command not in COMMANDS:
+        raise UsageError(f"invalid command {quote_text(command)} (choose from {', '.join(COMMANDS)})")
+    _, kinds, own, _ = COMMANDS[command]
+    options = {"command": command, "definition": "example51"}
+    spec = {**OPTIONS, **own}
+    options.update((key, default) for key, default, _, _ in spec.values() if default is not REQUIRED)
+    extras = list(argv[:i])  # unknown options and positionals left over, refused at the end
+    positionals = []
+    rest = iter(argv[i + 1 :])
+    for token in rest:
+        name, eq, value = token.partition("=")
+        if token == "--":
+            positionals += rest
+        elif name in HELP or name in spec:
+            key, _, accepted, _ = spec.get(name, (None,) * 4)  # -h/--help: no key, no value
+            if accepted is None:
+                if eq:
+                    raise UsageError(f"argument {name}: ignored explicit argument {quote_text(value)}")
+                if key is None:
+                    return help_text()
+                value = True
+            elif not eq:
+                value = next(rest, "--")  # the end of argv refuses as a '--' does
+                if value == "--":
+                    raise UsageError(f"argument {name}: expected one argument")
+            if isinstance(accepted, tuple) and value not in accepted:
+                raise UsageError(f"argument {name}: invalid choice {quote_text(value)} (choose from {', '.join(accepted)})")
+            options[key] = value
+        elif token.startswith("--"):
+            extras.append(token)
+        else:
+            positionals.append(token)
+    names = ["kind", "definition"] if kinds else ["definition"]
+    if kinds and positionals and positionals[0] not in kinds:
+        raise UsageError(f"invalid KIND {quote_text(positionals[0])} (choose from {', '.join(kinds)})")
+    options.update(zip(names, positionals))
+    extras += positionals[len(names) :]
+    missing = ["KIND"] if kinds and not positionals else []
     missing += [option for option, (key, *_) in spec.items() if key not in options]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")

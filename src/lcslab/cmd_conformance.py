@@ -16,6 +16,7 @@ from .builtin_manifolds import builtin
 from .cli import FAIL, INFO, MISMATCH, PASS, LoadError, Report, add_self_checks, format_vector
 from .conditions import RecurrenceKind
 from .manifold import ManifoldData
+from .symexpr import Expr
 
 PUBLISHED_BRACKETS = {
     (0, 1): ("0", "-z", "0"),
@@ -77,6 +78,13 @@ PUBLISHED_FORMS_B = (
 )
 
 
+BETA_NOTE = "no published value; the proportionality convention mirrors the one for rho"
+RICCI_NOTE = (
+    "engine value validated by direct contraction of the engine curvature tensor "
+    "and exact rational evaluation; downstream checks use it"
+)
+
+
 def run(data: ManifoldData, report: Report, options: dict) -> None:
     chart = data.chart
     pub = lambda text: chart.parse(text)
@@ -93,63 +101,45 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
             "coordinates x, y, z and the same frame, metric and xi"
         )
 
-    def diff_vector(check_id, title, engine_vec, published_texts):
-        published_vec = tuple(pub(t) for t in published_texts)
-        same = all(a == b for a, b in zip(engine_vec, published_vec))
-        report.add(
-            check_id,
-            PASS if same else MISMATCH,
-            title,
-            engine=format_vector(engine_vec),
-            published=format_vector(published_vec),
-        )
-        return same
-
-    for (i, j), texts in sorted(PUBLISHED_BRACKETS.items()):
-        diff_vector(f"bracket.{i + 1}{j + 1}", f"[E{i + 1},E{j + 1}]", data.brackets[i][j], texts)
-
-    for (i, j), texts in sorted(PUBLISHED_CONNECTION.items()):
-        diff_vector(f"connection.{i + 1}{j + 1}", f"nabla_E{i + 1} E{j + 1}", data.connection.gamma[i][j], texts)
-
-    riem = data.stack.riemann13
-    for (i, j, k), texts in sorted(PUBLISHED_CURVATURE.items()):
-        diff_vector(f"riemann.{i + 1}{j + 1}{k + 1}", f"R(E{i + 1},E{j + 1})E{k + 1}", riem.comp(i, j, k), texts)
-
+    # one row per published value: (check id, title, engine value, published
+    # text, texts of a vector, value or None, status and note when the two
+    # differ)
+    riem, ric = data.stack.riemann13, data.stack.ricci
     st = cli.derive_structure(data, data.xi_index)
-    for check_id, engine_value, published_text, title in (
-        ("structure.alpha", st.alpha, PUBLISHED_ALPHA, "alpha"),
-        ("structure.rho", st.rho, PUBLISHED_RHO, "rho"),
-    ):
-        same = engine_value == pub(published_text)
-        report.add(check_id, PASS if same else MISMATCH, title, engine=str(engine_value), published=published_text)
-    report.add(
-        "structure.beta",
-        INFO,
-        "beta from d(rho) = beta eta",
-        engine=str(st.beta),
-        note="no published value; the proportionality convention mirrors the one for rho",
-    )
-    for i, texts in sorted(PUBLISHED_PHI.items()):
-        diff_vector(f"structure.phi.{i + 1}", f"phi E{i + 1}", st.phi.comp(i), texts)
-    eta_ok = st.eta_of(st.xi) == chart.const(-1)
-    report.add("structure.eta-xi", PASS if eta_ok else FAIL, "eta(E3) = -1", engine=str(st.eta_of(st.xi)), published="-1")
-
-    ric = data.stack.ricci
-    for (i, j), text in sorted(PUBLISHED_RICCI.items()):
-        engine_value = ric.comp(i, j)
-        published_value = pub(text)
-        same = engine_value == published_value
-        report.add(
-            f"ricci.{i + 1}{j + 1}",
-            PASS if same else MISMATCH,
-            f"S(E{i + 1},E{j + 1})",
-            engine=str(engine_value),
-            published=text,
-            note=None
-            if same
-            else "engine value validated by direct contraction of the engine curvature tensor "
-            "and exact rational evaluation; downstream checks use it",
-        )
+    rows = [
+        *(
+            (f"bracket.{i + 1}{j + 1}", f"[E{i + 1},E{j + 1}]", data.brackets[i][j], texts, MISMATCH, None)
+            for (i, j), texts in sorted(PUBLISHED_BRACKETS.items())
+        ),
+        *(
+            (f"connection.{i + 1}{j + 1}", f"nabla_E{i + 1} E{j + 1}", data.connection.gamma[i][j], texts, MISMATCH, None)
+            for (i, j), texts in sorted(PUBLISHED_CONNECTION.items())
+        ),
+        *(
+            (f"riemann.{i + 1}{j + 1}{k + 1}", f"R(E{i + 1},E{j + 1})E{k + 1}", riem.comp(i, j, k), texts, MISMATCH, None)
+            for (i, j, k), texts in sorted(PUBLISHED_CURVATURE.items())
+        ),
+        ("structure.alpha", "alpha", st.alpha, PUBLISHED_ALPHA, MISMATCH, None),
+        ("structure.rho", "rho", st.rho, PUBLISHED_RHO, MISMATCH, None),
+        ("structure.beta", "beta from d(rho) = beta eta", st.beta, None, INFO, BETA_NOTE),
+        *((f"structure.phi.{i + 1}", f"phi E{i + 1}", st.phi.comp(i), texts, MISMATCH, None) for i, texts in sorted(PUBLISHED_PHI.items())),
+        ("structure.eta-xi", "eta(E3) = -1", st.eta_of(st.xi), chart.const(-1), FAIL, None),
+        *(
+            (f"ricci.{i + 1}{j + 1}", f"S(E{i + 1},E{j + 1})", ric.comp(i, j), text, MISMATCH, RICCI_NOTE)
+            for (i, j), text in sorted(PUBLISHED_RICCI.items())
+        ),
+    ]
+    for check_id, title, engine, published, differ, note in rows:
+        if published is None:
+            status = INFO
+        elif isinstance(published, tuple):  # a vector: both sides as format_vector prints them
+            vector = tuple(map(pub, published))
+            status = PASS if tuple(engine) == vector else differ
+            engine, published = format_vector(engine), format_vector(vector)
+        else:  # a published text, or the value the structure defines
+            status = PASS if engine == (published if isinstance(published, Expr) else pub(published)) else differ
+            published = str(published)
+        report.add(check_id, status, title, engine=str(engine), published=published, note=None if status == PASS else note)
 
     nabla_s = data.nabla_ricci
     n = data.dim

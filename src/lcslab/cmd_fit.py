@@ -6,15 +6,13 @@ check and builds no second residual."""
 from __future__ import annotations
 
 from . import cli
-from .cli import INFO, PASS, LoadError, Report, format_vector
+from .cli import INFO, PASS, Report, format_vector
 from .conditions import NoSolution, RecurrenceKind
 from .manifold import ManifoldData
 
 
 def run(data: ManifoldData, report: Report, options: dict) -> None:
     kind = RecurrenceKind(options["kind"])
-    if kind is RecurrenceKind.SGPR:
-        raise LoadError("fit supports SGR and SGRR")
     result = cli.recurrence_fit(data, kind)
     if isinstance(result, NoSolution):
         report.add(

@@ -79,7 +79,6 @@ same object.
 
 from __future__ import annotations
 
-import re
 from functools import reduce, total_ordering
 from math import comb, gcd
 
@@ -122,9 +121,6 @@ class PoleError(ExprError):
     """Evaluation point lies on the zero set of a denominator."""
 
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
 @total_ordering
 class Var:
     """A named variable; ``Var(name)`` is one interned instance per name.
@@ -139,7 +135,8 @@ class Var:
     def __new__(cls, name: str):
         v = cls._interned.get(name)
         if v is None:
-            if not _NAME_RE.match(name):
+            # an ASCII letter, then ASCII letters, digits and underscores
+            if not (name.isascii() and name[:1].isalpha() and name.replace("_", "").isalnum()):
                 raise ValueError(f"invalid variable name: {quote_text(name)}")
             v = object.__new__(cls)
             object.__setattr__(v, "name", name)

@@ -317,9 +317,12 @@ def reference_verify_axioms(data: ManifoldData, structure):
 def reference_arg_parser() -> argparse.ArgumentParser:
     """A model of ``cli.read_argv``: the argparse parser the CLI used before
     it read argv from its command table.  ``vars`` of what it parses is the
-    options dict the reader must give; where it exits 2, the reader refuses
-    the command line.  It also accepts unique abbreviations of an option,
-    which the reader does not."""
+    options dict the reader must give.  On a line it refuses and the reader
+    accepts (a positional after an option, a value option's next token that
+    starts with '-'), the reader must give ``vars`` of its parse of the same
+    line spelt with each option joined to its value and the positionals
+    after a '--'.  It also accepts unique abbreviations of an option, which the
+    reader does not."""
     parser = argparse.ArgumentParser(prog="lcslab", description="Exact curvature engine for framed Lorentzian manifolds")
     parser.add_argument("--version", action="version", version=f"lcslab {lcslab.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

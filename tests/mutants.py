@@ -253,13 +253,9 @@ MUTANTS = (
         "src/lcslab/cmd_fit.py",
         "def run(data: ManifoldData, report: Report, options: dict) -> None:\n"
         "    kind = RecurrenceKind(options[\"kind\"])\n"
-        "    if kind is RecurrenceKind.SGPR:\n"
-        "        raise LoadError(\"fit supports SGR and SGRR\")\n"
         "    result = cli.recurrence_fit(data, kind)\n",
         "def run(data: ManifoldData, report: Report, options: dict, recurrence_fit=cli.recurrence_fit) -> None:\n"
         "    kind = RecurrenceKind(options[\"kind\"])\n"
-        "    if kind is RecurrenceKind.SGPR:\n"
-        "        raise LoadError(\"fit supports SGR and SGRR\")\n"
         "    result = recurrence_fit(data, kind)\n",
         ("tests/test_perfbench_hooks.py::test_every_command_produces_its_spans",),
     ),
@@ -299,26 +295,49 @@ MUTANTS = (
         "        os._exit(code)\n",
         ("tests/test_cli.py::test_cold_command_whose_flush_fails_exits_as_the_interpreter_reports_it",),
     ),
-    # the argv reader, against the argparse parser it replaced
+    # the argv reader, against the argparse parser it replaced (on the lines
+    # that parser refuses, against its reading of the line rewritten)
     Mutant(
         "reader-ignores-json",
         "src/lcslab/cli.py",
-        "            options[spec[name][0]] = True\n",
-        "            options[spec[name][0]] = spec[name][1]\n",
+        "                value = True\n",
+        "                value = options[key]\n",
         ("tests/test_cli.py::test_reader_gives_the_options_of_the_reference_parser",),
     ),
     Mutant(
         "reader-keeps-the-first-value",
         "src/lcslab/cli.py",
-        "        options[key] = value\n",
-        "        if options.get(key) is None:  # --sample and --forms keep their first value\n            options[key] = value\n",
+        "            options[key] = value\n",
+        "            if options.get(key) is None:  # --sample and --forms keep their first value\n                options[key] = value\n",
         ("tests/test_cli.py::test_reader_gives_the_options_of_the_reference_parser",),
     ),
     Mutant(
         "reader-accepts-a-second-positional",
         "src/lcslab/cli.py",
-        "            extras.extend(run[len(pending) :])\n",
-        "            extras.extend(run[len(pending) + 1 :])\n",
+        "    extras += positionals[len(names) :]\n",
+        "    extras += positionals[len(names) + 1 :]\n",
+        ("tests/test_cli.py::test_reader_gives_the_options_of_the_reference_parser",),
+    ),
+    Mutant(
+        "reader-drops-a-positional-after-an-option",
+        "src/lcslab/cli.py",
+        "        else:\n            positionals.append(token)\n",
+        "        elif not any(t.startswith(\"--\") for t in argv[i + 1 : argv.index(token, i + 1)]):\n"
+        "            positionals.append(token)\n",
+        ("tests/test_cli.py::test_a_positional_may_follow_an_option",),
+    ),
+    Mutant(
+        "reader-refuses-a-value-that-starts-with-a-dash",
+        "src/lcslab/cli.py",
+        "                if value == \"--\":\n",
+        "                if value == \"--\" or value.startswith(\"-\"):\n",
+        ("tests/test_cli.py::test_a_value_option_takes_a_next_token_that_starts_with_a_dash",),
+    ),
+    Mutant(
+        "reader-takes-a-dash-token-for-the-command",
+        "src/lcslab/cli.py",
+        "if token[:1] != \"-\"), len(argv))",
+        "if token[:2] != \"--\" and token not in HELP), len(argv))",
         ("tests/test_cli.py::test_reader_gives_the_options_of_the_reference_parser",),
     ),
     Mutant(
@@ -360,9 +379,23 @@ MUTANTS = (
     Mutant(
         "sample-integer-pattern-too-wide",
         "src/lcslab/cli.py",
-        '_INTEGER = re.compile(r"[+-]?[0-9]+")',
-        '_INTEGER = re.compile(r"[+-]?[0-9].*")',
+        "    if digits.isascii() and digits.isdigit():\n",
+        "    if digits[:1].isascii() and digits[:1].isdigit():\n",
         ("tests/test_cli.py::test_sample_value_grammar_is_fractions",),
+    ),
+    Mutant(
+        "sample-integer-test-takes-non-ascii-digits",
+        "src/lcslab/cli.py",
+        "    if digits.isascii() and digits.isdigit():\n",
+        "    if digits.isdigit():\n",
+        ("tests/test_cli.py::test_integer_sample_values_skip_fractions",),
+    ),
+    Mutant(
+        "variable-name-takes-non-ascii-letters",
+        "src/lcslab/symexpr.py",
+        "if not (name.isascii() and name[:1].isalpha()",
+        "if not (name[:1].isalpha()",
+        ("tests/test_symexpr.py::TestVar::test_name_grammar_is_the_pattern_it_replaced",),
     ),
     Mutant(
         "sample-exponent-bound-off-by-one",

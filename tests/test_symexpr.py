@@ -1,6 +1,7 @@
 import copy
 import operator
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,23 @@ class TestVar:
         for _ in range(2):
             with pytest.raises(ValueError, match="invalid variable name"):
                 Var("1x")
+
+    # texts around the name grammar: non-ASCII letters and digits, '_', a
+    # trailing newline, and characters outside it
+    @pytest.mark.parametrize(
+        "name",
+        ["x", "X1", "x_1", "ab__", "z9_Z", "_x", "1x", "", "_", "x\n", "\n", "x ", "x-y", "x.y", "é", "xé", "\u017f", "\u212a"]
+        + ["x²", "x١", "١", "xＡ", "Ａ"],
+    )
+    def test_name_grammar_is_the_pattern_it_replaced(self, name):
+        # the model: the pattern Var matched names with before its str tests
+        valid = re.match(r"[A-Za-z][A-Za-z0-9_]*\Z", name) is not None
+        try:
+            Var(name)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
