@@ -442,6 +442,21 @@ def residual_excerpt(tensor) -> str | None:
     return f"component ({pos}) = {value}"
 
 
+def add_gated(report: Report, check_id, title, hypothesis, blocked, holds, engine, blocked_title) -> None:
+    """Add the entry of a consequence of a hypothesis; the one place the gate
+    discipline of ``conditions`` is applied.  Info titled ``blocked_title``
+    with the reason ``blocked`` when that is set (a guard is zero, or the
+    consequence is not drawn); else pass or fail by ``holds`` when the
+    hypothesis residual is zero (``hypothesis`` true); else info with the
+    engine's value."""
+    if blocked:
+        report.add(check_id, INFO, blocked_title, note=blocked)
+    elif hypothesis:
+        report.add(check_id, PASS if holds else FAIL, title, engine=engine)
+    else:
+        report.add(check_id, INFO, title, engine=engine, note="hypothesis residual nonzero; reported informationally")
+
+
 # -- commands ---------------------------------------------------------------
 
 # The command table, which both the argv reader and the --help text read.

@@ -49,26 +49,25 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
         except NotLcsError as exc:
             report.add("predictions", INFO, "scalar-curvature predictions", note=str(exc))
             return
-        gate_note = None if is_zero else "hypothesis residual nonzero; reported informationally"
-        if pred.r_predicted is None:
-            report.add("predictions.scalar", INFO, "predicted scalar curvature", note=pred.r_note)
-        else:
-            status = (PASS if pred.r_matches else FAIL) if is_zero else INFO
-            report.add(
+        # each gated prediction: its id, its title, the reason it is blocked (empty when it is
+        # not), whether it holds, the engine's value, and its title when blocked
+        rows = (
+            (
                 "predictions.scalar",
-                status,
                 "predicted vs engine scalar curvature",
-                engine=f"engine {pred.r_engine}, predicted {pred.r_predicted}",
-                note=gate_note,
-            )
-        if pred.opposition is None:
-            report.add("predictions.opposition", INFO, "A + (n^2/r) B", note=pred.opposition_note)
-        else:
-            status = (PASS if pred.opposition_zero else FAIL) if is_zero else INFO
-            report.add(
+                pred.r_note,
+                pred.r_matches,
+                f"engine {pred.r_engine}, predicted {pred.r_predicted}",
+                "predicted scalar curvature",
+            ),
+            (
                 "predictions.opposition",
-                status,
                 "A + (n^2/r) B = 0",
-                engine=", ".join(str(e) for e in pred.opposition),
-                note=gate_note,
-            )
+                pred.opposition_note,
+                pred.opposition_zero,
+                ", ".join(str(e) for e in pred.opposition or ()),
+                "A + (n^2/r) B",
+            ),
+        )
+        for check_id, title, blocked, holds, engine, blocked_title in rows:
+            cli.add_gated(report, check_id, title, is_zero, blocked, holds, engine, blocked_title)

@@ -27,27 +27,31 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
         "rxm",
         INFO,
         "R(xi,X) acting on the M-projective tensor",
-        engine="0" if out.rxm_zero else "nonzero",
+        engine="0" if out.rxm.is_zero() else "nonzero",
         residual=residual_excerpt(out.rxm),
     )
     report.add(
         "cxs",
         INFO,
         "C(xi,X) acting on the Ricci tensor",
-        engine="0" if out.cxs_zero else "nonzero",
+        engine="0" if out.cxs.is_zero() else "nonzero",
         residual=residual_excerpt(out.cxs),
     )
     report.add("guard.rxm", INFO, "guard alpha^2 - rho", engine=str(out.guard_rxm))
     report.add("guard.cxs", INFO, "guard n(n-1)(alpha^2 - rho) + 1", engine=str(out.guard_cxs))
-    for label, verdict in (("rxm", out.einstein_from_rxm), ("cxs", out.einstein_from_cxs)):
-        if verdict is None:
-            report.add(f"einstein.{label}", INFO, "Einstein conclusion not gated", note="hypothesis or guard not met")
-            continue
-        report.add(
+    # each Einstein conclusion, its hypothesis (the action vanishes) and the classification it
+    # reads, None where the action is nonzero or its guard zero
+    for label, action, verdict in (("rxm", out.rxm, out.einstein_from_rxm), ("cxs", out.cxs, out.einstein_from_cxs)):
+        kind, a, _ = verdict or (None, None, None)
+        cli.add_gated(
+            report,
             f"einstein.{label}",
-            PASS if verdict.kind is EinsteinKind.EINSTEIN else FAIL,
             "vanishing action + nonzero guard imply an Einstein manifold",
-            engine=verdict.kind.value + (f" with a = {verdict.a}" if verdict.a is not None else ""),
+            action.is_zero(),
+            "hypothesis or guard not met" if verdict is None else None,
+            kind is EinsteinKind.EINSTEIN,
+            kind and kind.value + (f" with a = {a}" if a is not None else ""),
+            "Einstein conclusion not gated",
         )
     ident = cli.nabla_r_xi_identity(data)
     report.add(

@@ -23,8 +23,10 @@ sums, and is evaluated on its support.
 Gate discipline: a derived consequence is asserted only when its hypothesis
 residual is exactly zero and its nondegeneracy guard is nonzero in the
 function field; otherwise the same quantities are reported informationally.
-Every assertion made here and in those modules is therefore literally
-checkable.
+The rule lives in one place, ``cli.add_gated``, which reports every such
+consequence (the SGR predictions of ``check`` and the Einstein conclusions
+of ``derived-conditions``).  Every assertion made from this module and
+those is therefore literally checkable.
 """
 
 from __future__ import annotations

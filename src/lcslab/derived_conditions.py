@@ -1,8 +1,8 @@
 """The derived conditions of a concircular structure: the action tensors
-R(xi,X).M and C(xi,X).S with their nondegeneracy guards and gated Einstein
-conclusions, eta(M(X,Y)xi), and the xi-direction identity of nabla R.  The
-``derived-conditions`` command loads this module and no other condition;
-the gates follow the discipline stated in ``conditions``."""
+R(xi,X).M and C(xi,X).S with their nondegeneracy guards and the Ricci
+classification their Einstein conclusions read, eta(M(X,Y)xi), and the
+xi-direction identity of nabla R.  The ``derived-conditions`` command loads
+this module and no other condition."""
 
 from __future__ import annotations
 
@@ -56,20 +56,16 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
 
 
 class DerivedConditions(
-    namedtuple(
-        "DerivedConditions",
-        "rxm rxm_zero cxs cxs_zero guard_rxm guard_rxm_nonzero guard_cxs guard_cxs_nonzero"
-        " mproj_xi_residual einstein_from_rxm einstein_from_cxs",
-    )
+    namedtuple("DerivedConditions", "rxm cxs guard_rxm guard_cxs mproj_xi_residual einstein_from_rxm einstein_from_cxs")
 ):
-    """The action tensors R(xi,X).M and C(xi,X).S with their zero flags,
-    nondegeneracy guards, and gated Einstein conclusions.
+    """The action tensors R(xi,X).M and C(xi,X).S with their nondegeneracy
+    guards and the Ricci classification each Einstein conclusion reads.
 
-    rxm, cxs (FrameTensor) and rxm_zero, cxs_zero (bool); guard_rxm (Expr:
-    alpha^2 - rho) and guard_cxs (Expr: n(n-1)(alpha^2 - rho) + 1), with
-    guard_rxm_nonzero, guard_cxs_nonzero (bool); mproj_xi_residual
-    (FrameTensor: eta(M(X,Y)xi), identically zero on LCS);
-    einstein_from_rxm, einstein_from_cxs (ClassifierVerdict or None).
+    rxm, cxs (FrameTensor); guard_rxm (Expr: alpha^2 - rho) and guard_cxs
+    (Expr: n(n-1)(alpha^2 - rho) + 1); mproj_xi_residual (FrameTensor:
+    eta(M(X,Y)xi), identically zero on LCS); einstein_from_rxm,
+    einstein_from_cxs (ClassifierVerdict, or None where the action is
+    nonzero or its guard zero).
     """
 
     __slots__ = ()
@@ -107,26 +103,8 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
 
     guard_rxm = st.alpha * st.alpha - st.rho
     guard_cxs = chart.const(n * (n - 1)) * guard_rxm + 1
-    rxm_zero = rxm.is_zero()
-    cxs_zero = cxs.is_zero()
-    guard_rxm_nonzero = not guard_rxm.is_zero
-    guard_cxs_nonzero = not guard_cxs.is_zero
-
-    rxm_gate = rxm_zero and guard_rxm_nonzero
-    cxs_gate = cxs_zero and guard_cxs_nonzero
-    # both gates classify the same S: one verdict serves each that fires
-    verdict = classify(ric, data.metric, st.eta) if rxm_gate or cxs_gate else None
-
-    return DerivedConditions(
-        rxm=rxm,
-        rxm_zero=rxm_zero,
-        cxs=cxs,
-        cxs_zero=cxs_zero,
-        guard_rxm=guard_rxm,
-        guard_rxm_nonzero=guard_rxm_nonzero,
-        guard_cxs=guard_cxs,
-        guard_cxs_nonzero=guard_cxs_nonzero,
-        mproj_xi_residual=mproj_xi,
-        einstein_from_rxm=verdict if rxm_gate else None,
-        einstein_from_cxs=verdict if cxs_gate else None,
-    )
+    # an Einstein conclusion is drawn where its action vanishes and its guard
+    # does not; both read the same S, so it is classified once, and only then
+    drawn = [action.is_zero() and not guard.is_zero for action, guard in ((rxm, guard_rxm), (cxs, guard_cxs))]
+    verdict = classify(ric, data.metric, st.eta) if any(drawn) else None
+    return DerivedConditions(rxm, cxs, guard_rxm, guard_cxs, mproj_xi, *(verdict if d else None for d in drawn))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -36,6 +37,21 @@ def builtin(name: str) -> ManifoldData:
 def make_manifold(name: str, frame_rows, xi_index: int = 2, metric_rows=LORENTZ_DIAG) -> ManifoldData:
     """An ad hoc 3-D frame through the CLI's parse, validation and signature check."""
     return build_manifold(ManifoldDef(name, ["x", "y", "z"], frame_rows, metric_rows, xi_index + 1))
+
+
+# E_1 = f(z)(a d_x + b d_y), E_2 = f(z) c d_y, E_3 = d_z with a, b, c free of
+# z, each a warped product with alpha = -f'/f and xi = E_3
+WARP_FACTORS = ["z", "z^2", "2*z + 1", "z^2 + 1", "1/z"]
+WARP_CELLS = ["1", "2", "-1", "x", "y", "x + 1", "x*y", "y^2 + 1"]
+
+
+def warped_frames(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        f, c = rng.choice(WARP_FACTORS), WARP_CELLS
+        a, b, d = (rng.choice(c) for _ in range(3))
+        rows = [[f"({f})*({a})", f"({f})*({b})", "0"], ["0", f"({f})*({d})", "0"], ["0", "0", "1"]]
+        yield make_manifold(f"warped{k}", rows)
 
 
 # Ad hoc inputs (coordinates, frame rows, metric rows; xi is the last frame

@@ -221,6 +221,32 @@ MUTANTS = (
         "lambda *idx: -st.eta_of(r_xi_m.comp(*idx))",
         ("tests/test_acceptance.py::test_derived_condition_tensors_match_the_twin",),
     ),
+    # the one routine that reports a gated consequence: assert only under a
+    # zero hypothesis residual, never where the entry is blocked, by its truth
+    Mutant(
+        "gate-asserts-under-a-nonzero-hypothesis",
+        "src/lcslab/cli.py",
+        "    elif hypothesis:\n",
+        "    elif True:\n",
+        ("tests/test_cli.py::TestExitCodes::test_check_sgr_predictions_with_nonzero_forms",),
+    ),
+    Mutant(
+        "gate-ignores-blocked",
+        "src/lcslab/cli.py",
+        "    if blocked:\n        report.add(check_id, INFO, blocked_title, note=blocked)\n",
+        "    if False:\n        report.add(check_id, INFO, blocked_title, note=blocked)\n",
+        (
+            "tests/test_cli.py::TestExitCodes::test_check_sgr_predictions_with_nonzero_forms",
+            "tests/test_cli.py::test_json_reports_match_recorded_digests",
+        ),
+    ),
+    Mutant(
+        "gate-swaps-pass-and-fail",
+        "src/lcslab/cli.py",
+        "PASS if holds else FAIL",
+        "FAIL if holds else PASS",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
     # the two-unknown solver only solves: each caller verifies its solution,
     # the classifier row by row and the fit through the residual leaves in
     # order, stopping at the first nonzero component
@@ -536,10 +562,21 @@ MUTANTS = (
 
 
 def pytest(copy: Path, tests) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # With plugin autoload on, pytest rewrites the assertions of every module
+    # of an entry-point plugin's distribution, all of hypothesis, and with no
+    # bytecode written each child would rewrite them again; so autoload is
+    # off, and hypothesis's plugin (the module of its pytest11 entry point,
+    # which --hypothesis-profile needs) is loaded by name.
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(copy / "src"),
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1",
+    }
     # the "mutants" profile (tests/conftest.py) skips Hypothesis's shrink
     # phase: a failing example still fails its test, unminimised
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", *tests]
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin"]
+    argv += ["--hypothesis-profile=mutants", *tests]
     return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
 
 

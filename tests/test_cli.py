@@ -641,8 +641,7 @@ RECORDS = {
     "einstein.ClassifierVerdict": ("kind a b", {"a": None, "b": None}),
     "derived_conditions.XiDerivativeIdentity": ("passed sign_flipped coefficient residual", {}),
     "derived_conditions.DerivedConditions": (
-        "rxm rxm_zero cxs cxs_zero guard_rxm guard_rxm_nonzero guard_cxs guard_cxs_nonzero"
-        " mproj_xi_residual einstein_from_rxm einstein_from_cxs",
+        "rxm cxs guard_rxm guard_cxs mproj_xi_residual einstein_from_rxm einstein_from_cxs",
         {},
     ),
     "lcs_structure.LcsStructure": ("xi eta phi alpha rho beta", {}),

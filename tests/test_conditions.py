@@ -18,7 +18,7 @@ from lcslab.einstein import EinsteinKind, solve_two_unknowns
 from lcslab.lcs_structure import NotLcsError
 from lcslab.soliton import SolitonParams, soliton_lambda, soliton_residual
 
-from conftest import builtin, fit_rows, make_manifold, reference_fit
+from conftest import builtin, fit_rows, make_manifold, reference_fit, warped_frames
 
 
 def zero_forms(data):
@@ -286,6 +286,49 @@ class TestSgrLemma:
         assert fitted >= 3 and nonzero_a >= 1
 
 
+# With k = alpha^2 - rho and W, X, Y orthogonal to xi (in an adapted frame,
+# the indices other than xi's), an (LCS)_n has
+#   (nabla_W S)(X, xi) = alpha[(n-1)k g(W,X) - S(W,X)],
+#   (nabla_W R)(X,Y)xi = alpha[k(g(W,Y)X - g(W,X)Y) - R(X,Y)W].
+# The SGRR and SGR right-hand sides vanish at these leaves for any forms, so
+# with alpha != 0 SGRR needs S = (n-1)k g there, and SGR needs R(X,Y)W =
+# k(g(W,Y)X - g(W,X)Y): an Einstein S, and constant-curvature form on xi-perp.
+RIGIDITY_BUILTINS = ["example51"] + [f"lcs{n}" for n in range(3, 7)] + [f"desitter{n}" for n in range(3, 6)]
+
+
+def basis(data, i):
+    return [data.chart.const(int(u == i)) for u in range(data.dim)]
+
+
+def rigidity_inputs():
+    for data in [builtin(name) for name in RIGIDITY_BUILTINS] + list(warped_frames(4, 3)):
+        st, g, xi = data.structure, data.metric.g, data.xi_index
+        perp = [i for i in range(data.dim) if i != xi]
+        # the formulas read xi as the frame field E_xi, orthogonal to the others
+        assert list(st.xi) == basis(data, xi) and all(g[xi][i].is_zero for i in perp), data.name
+        yield data, st.alpha, st.alpha * st.alpha - st.rho, perp
+
+
+class TestRigidityIdentities:
+    def test_nabla_ricci_into_xi(self):
+        for data, alpha, k, perp in rigidity_inputs():
+            g, ric, n_1 = data.metric.g, data.stack.ricci, data.chart.const(data.dim - 1)
+            for w in perp:
+                for x in perp:
+                    expected = alpha * (n_1 * k * g[w][x] - ric.comp(w, x))
+                    assert data.nabla_ricci.comp(w, x, data.xi_index) == expected, (data.name, w, x)
+
+    def test_nabla_riemann_on_xi(self):
+        for data, alpha, k, perp in rigidity_inputs():
+            g, riemann = data.metric.g, data.stack.riemann13
+            for w in perp:
+                for x in perp:
+                    for y in perp:
+                        form = [g[w][y] * ex - g[w][x] * ey for ex, ey in zip(basis(data, x), basis(data, y))]
+                        expected = [alpha * (k * f - r) for f, r in zip(form, riemann.comp(x, y, w))]
+                        assert list(data.nabla_riemann.comp(w, x, y, data.xi_index)) == expected, (data.name, w, x, y)
+
+
 class TestSgrPredictions:
     def test_formula_arithmetic_frozen_case(self, desitter3):
         # A = -(n^2/r) B with B = eta on the constant-curvature manifold:
@@ -417,7 +460,7 @@ class TestSoliton:
 class TestDerivedConditions:
     def test_reference_manifold(self, example51):
         out = derived_condition_residuals(example51)
-        assert not out.rxm_zero and not out.cxs_zero
+        assert not out.rxm.is_zero() and not out.cxs.is_zero()
         assert out.mproj_xi_residual.is_zero()
         assert out.guard_rxm == example51.chart.parse("2/z^2")
         assert out.guard_cxs == example51.chart.parse("12/z^2 + 1")
@@ -425,8 +468,8 @@ class TestDerivedConditions:
 
     def test_constant_curvature_gates_fire(self, desitter3):
         out = derived_condition_residuals(desitter3)
-        assert out.rxm_zero and out.cxs_zero
-        assert out.guard_rxm_nonzero and out.guard_cxs_nonzero
+        assert out.rxm.is_zero() and out.cxs.is_zero()
+        assert not out.guard_rxm.is_zero and not out.guard_cxs.is_zero
         assert out.einstein_from_rxm.kind is EinsteinKind.EINSTEIN
         assert out.einstein_from_cxs.kind is EinsteinKind.EINSTEIN
 
@@ -448,6 +491,72 @@ class TestDerivedConditions:
     def test_non_lcs_refused(self, flat3):
         with pytest.raises(NotLcsError):
             derived_condition_residuals(flat3)
+
+
+# Every gated consequence, each reported through cli.add_gated, with the runs
+# on which it is asserted (pass or fail) and the status there.  A run is
+# ("check", input, forms) for `check SGR --forms`, with A = B = 0 ("zero")
+# or the forms `fit SGR` returns ("fitted"), or ("derived-conditions",
+# input, None).  Every run listed is trivial: constant curvature and zero
+# forms.
+GATE_BUILTINS = ["example51", "flat3"] + [f"lcs{n}" for n in range(3, 7)] + [f"desitter{n}" for n in range(3, 6)]
+DESITTER = [f"desitter{n}" for n in range(3, 6)]
+GATES = {
+    # unreached: A(xi) = 0 for every SGR solution found, and the prediction divides by it
+    "predictions.scalar": {},
+    # A + (n^2/r) B needs a nonzero constant r; the fitted forms are zero too
+    "predictions.opposition": {("check", name, forms): "pass" for name in DESITTER for forms in ("zero", "fitted")},
+    "einstein.rxm": {("derived-conditions", name, None): "pass" for name in DESITTER},
+    "einstein.cxs": {("derived-conditions", name, None): "pass" for name in DESITTER},
+}
+
+
+def constant_curvature(data):
+    """R(X,Y)Z = K(g(Y,Z)X - g(X,Z)Y) with K = r/(n(n-1)) a constant."""
+    n, g, riemann = data.dim, data.metric.g, data.stack.riemann13
+    curvature = data.stack.scalar / data.chart.const(n * (n - 1))
+    return curvature.is_constant and all(
+        list(riemann.comp(x, y, z)) == [curvature * (g[y][z] * ex - g[x][z] * ey) for ex, ey in zip(basis(data, x), basis(data, y))]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+class TestGateReachability:
+    def test_every_gate_goes_through_the_routine_and_is_reached_only_trivially(self, monkeypatch, tmp_path):
+        add_gated, added = cli.add_gated, []
+
+        def recording(report, *args):
+            add_gated(report, *args)
+            added.append(report.entries[-1])
+
+        monkeypatch.setattr(cli, "add_gated", recording)
+        reached = {}
+        for name in GATE_BUILTINS:
+            data = builtin(name)
+            runs = [("check", "zero", zero_forms(data))]
+            fitted = recurrence_fit(data, RecurrenceKind.SGR)
+            if isinstance(fitted, RecurrenceForms):
+                runs.append(("check", "fitted", fitted))
+            runs.append(("derived-conditions", None, None))
+            for command, label, forms in runs:
+                options = {}
+                if forms is not None:
+                    path = tmp_path / f"{name}-{label}.json"
+                    path.write_text(json.dumps({k: [str(e) for e in getattr(forms, k.lower())] for k in "AB"}), encoding="utf-8")
+                    options = {"kind": "SGR", "forms": str(path)}
+                added.clear()
+                report = cli.run(command, data, options)
+                # an entry of a listed gate that bypasses the routine is not among those it added
+                assert [e for e in report.entries if e.check_id in GATES] == added, (command, name, label)
+                for entry in added:
+                    runs_reaching = reached.setdefault(entry.check_id, {})
+                    if entry.status != "info":
+                        runs_reaching[(command, name, label)] = entry.status
+                        assert constant_curvature(data), (entry.check_id, name)
+                        assert forms is None or all(e.is_zero for e in forms.a + forms.b), name
+        assert reached == GATES
 
 
 class TestFormulasAtHigherDimension:

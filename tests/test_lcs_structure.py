@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from lcslab.frame_geometry import FrameTensor
@@ -7,7 +5,7 @@ from lcslab.axioms import verify_axioms
 from lcslab.einstein import EinsteinKind, classify, solve_two_unknowns
 from lcslab.lcs_structure import NotLcsError, derive_structure
 
-from conftest import builtin, make_manifold, reference_verify_axioms
+from conftest import builtin, make_manifold, reference_verify_axioms, warped_frames
 
 
 class TestDeriveStructure:
@@ -76,22 +74,10 @@ class TestVerifyAxioms:
         assert failed == ["eta-covariant-derivative"]
 
 
-# Every input with a structure: the built-ins and seeded warped 3-D frames
-# E_1 = f(z)(a d_x + b d_y), E_2 = f(z) c d_y, E_3 = d_z with a, b, c free of
-# z, each a warped product with alpha = -f'/f.  The true structure passes
-# every axiom (flat3's has alpha = 0); each tampered one below breaks some.
+# Every input with a structure: the built-ins and the seeded warped 3-D
+# frames of conftest.warped_frames.  The true structure passes every axiom
+# (flat3's has alpha = 0); each tampered one below breaks some.
 AXIOM_INPUTS = ["example51", "flat3"] + [f"{family}{n}" for family in ("lcs", "desitter") for n in range(3, 7)]
-WARP_FACTORS = ["z", "z^2", "2*z + 1", "z^2 + 1", "1/z"]
-WARP_CELLS = ["1", "2", "-1", "x", "y", "x + 1", "x*y", "y^2 + 1"]
-
-
-def warped_frames(seed, count):
-    rng = random.Random(seed)
-    for k in range(count):
-        f, c = rng.choice(WARP_FACTORS), WARP_CELLS
-        a, b, d = (rng.choice(c) for _ in range(3))
-        rows = [[f"({f})*({a})", f"({f})*({b})", "0"], ["0", f"({f})*({d})", "0"], ["0", "0", "1"]]
-        yield make_manifold(f"warped{k}", rows)
 
 
 def tampered(data, st):
