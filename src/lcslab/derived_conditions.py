@@ -2,15 +2,20 @@
 R(xi,X).M and C(xi,X).S with their nondegeneracy guards and the Ricci
 classification their Einstein conclusions read, eta(M(X,Y)xi), and the
 xi-direction identity of nabla R.  The ``derived-conditions`` command loads
-this module and no other condition."""
+this module and no other condition.
+
+xi is the frame field E_k, k = ``data.xi_index`` (``derive_structure`` sets
+it so), so each contraction with xi reads slot k of a tensor, and the
+identity's nabla R is its xi-slice: the leaves (w,k,y,z) and (w,y,k,z),
+the only ones it reads."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 
 from .einstein import classify
-from .frame_geometry import FrameTensor, combo, dot
-from .levi_civita import derivation
+from .frame_geometry import FrameTensor
+from .levi_civita import cov_deriv_tensor, derivation
 from .manifold import ManifoldData
 from .symexpr import Expr
 
@@ -26,20 +31,27 @@ class XiDerivativeIdentity(namedtuple("XiDerivativeIdentity", "passed sign_flipp
     __slots__ = ()
 
 
+def xi_slice(data: ManifoldData) -> FrameTensor:
+    """The leaves (w,k,y,z) and (w,y,k,z) of nabla R, k = ``data.xi_index``,
+    each the same sum as in the full tensor."""
+    k = data.xi_index
+    return cov_deriv_tensor(data.connection, data.stack.riemann13, lambda w, x, y: k in (x, y))
+
+
 def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDerivativeIdentity:
     """Check the xi-direction second-derivative identity on a verified
     structure; if it fails only under the adopted sign convention for beta,
     the sign-flipped alternative is checked and flagged."""
     st = data.structure
+    g = data.metric.g
+    k = data.xi_index
+    nabla_r = xi_slice(data)
 
     def residual_for(beta_value: Expr):
-        g = data.metric.g
-        nabla_r = data.nabla_riemann
         coeff = 2 * st.alpha * st.rho - beta_value
 
         def entry(w, y, z):
-            vec = combo(st.xi, lambda a: nabla_r.comp(w, a, y, z))
-            lhs = dot(vec, st.eta)  # g(vec, xi), eta being xi lowered
+            lhs = st.eta_of(nabla_r.comp(w, k, y, z))  # g((nabla_W R)(xi,Y)Z, xi), eta being xi lowered
             rhs = -coeff * (g[y][z] + st.eta[y] * st.eta[z]) * st.eta[w]
             return lhs - rhs
 
@@ -71,11 +83,11 @@ class DerivedConditions(
     __slots__ = ()
 
 
-def xi_action(tensor: FrameTensor, xi) -> list:
-    """ops[x][y], the frame components of T(xi, E_x)E_y for a (1,3) tensor T:
-    the operators T(xi, E_x) as the rows of an algebraic derivation."""
+def xi_action(tensor: FrameTensor, k: int) -> list:
+    """ops[x][y], the frame components of T(E_k, E_x)E_y for a (1,3) tensor T:
+    the operators T(xi, E_x) as the rows of an algebraic derivation, xi = E_k."""
     n = tensor.dim
-    return [[combo(xi, lambda a: tensor.comp(a, x, y)) for y in range(n)] for x in range(n)]
+    return [[tensor.comp(k, x, y) for y in range(n)] for x in range(n)]
 
 
 def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
@@ -87,19 +99,16 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
     (C(xi,E_x).S)(E_y,E_z)."""
     st = data.structure
     n = data.dim
+    k = data.xi_index
     chart = data.chart
     mproj = data.m_projective
     ric = data.stack.ricci
 
-    r_xi_m = derivation(mproj, xi_action(data.stack.riemann13, st.xi))
+    r_xi_m = derivation(mproj, xi_action(data.stack.riemann13, k))
     rxm = FrameTensor.build((0, 4), n, lambda *idx: st.eta_of(r_xi_m.comp(*idx)), r_xi_m.comps)
-    c_xi_s = derivation(ric, xi_action(data.concircular, st.xi))
+    c_xi_s = derivation(ric, xi_action(data.concircular, k))
     cxs = c_xi_s._replace(comps={idx: -leaf for idx, leaf in c_xi_s.comps.items()})
-
-    def mproj_xi_entry(i, j):
-        return st.eta_of(combo(st.xi, lambda a: mproj.comp(i, j, a)))
-
-    mproj_xi = FrameTensor.build((0, 2), n, mproj_xi_entry)
+    mproj_xi = FrameTensor.build((0, 2), n, lambda i, j: st.eta_of(mproj.comp(i, j, k)))
 
     guard_rxm = st.alpha * st.alpha - st.rho
     guard_cxs = chart.const(n * (n - 1)) * guard_rxm + 1

@@ -9,7 +9,8 @@ the reading order of (nabla_X T)(Y, Z).
 Every derivation of a tensor in the engine goes through ``derivation``: the
 covariant derivatives nabla S, nabla R and nabla phi (``cov_deriv_tensor``),
 the Lie derivative L_V g (``lie_derivative_metric``), and the algebraic
-actions R(xi,X).M and C(xi,X).S of the derived conditions (``conditions``).
+actions R(xi,X).M and C(xi,X).S of the derived conditions
+(``derived_conditions``).
 It evaluates the derivation only on its support, scattered from the stored
 leaves of T and the nonzero entries of its operators (see its docstring);
 each component of a leaf is one canonical sum of the same nonzero terms as
@@ -23,12 +24,6 @@ M, which ``curvature`` stores as such.  Then
 the leaves with x < y are evaluated; each (w,y,x,z) leaf is the
 componentwise negation of (w,x,y,z) (``frame_geometry.mirror_pairs``, the
 one home of the half rule), which costs no GCD.
-
-Bianchi support: the curvature self-checks need nabla R only for the second
-Bianchi identity, whose sums at a repeated direction vanish by the mirror
-alone.  ``cov_deriv_tensor(conn, R, bianchi=True)`` walks the same scatter
-with one more skip, w in {x, y}, and so forms only the leaves that identity
-can fail on; ``ManifoldData.nabla_riemann`` stays the full tensor.
 """
 
 from __future__ import annotations
@@ -107,7 +102,7 @@ def koszul(frame: Frame, metric: FrameMetric, brackets) -> ConnectionCoeffs:
     return ConnectionCoeffs(frame, gamma)
 
 
-def derivation(tensor: FrameTensor, ops, fields=None, bianchi: bool = False) -> FrameTensor:
+def derivation(tensor: FrameTensor, ops, fields=None, keep=None) -> FrameTensor:
     """A family of derivations D_w applied to a (1,1), (0,2) or (1,3) frame
     tensor, with the direction slot w prepended as the first index.  ops[w][i]
     holds the frame components of D_w E_i, one row per direction; fields[w]
@@ -132,11 +127,9 @@ def derivation(tensor: FrameTensor, ops, fields=None, bianchi: bool = False) -> 
 
     A (1,3) input must be antisymmetric in its first two slots (see the
     module docstring): only the outputs (w,x,y,z) with x < y are scattered
-    and gathered, (w,y,x,z) is their negation, and x = y stays empty.  With
-    ``bianchi`` the walk also skips every output with w in {x, y}: what is
-    left are the leaves the second Bianchi identity can fail on (see
-    ``curvature``), for each 3-subset a < b < c the leaves (a,b,c), (b,a,c)
-    and (c,a,b) with their mirrors, each the same sum as in the full walk.
+    and gathered, (w,y,x,z) is their negation, and x = y stays empty.
+    ``keep``, a predicate on (w, x, y), narrows those outputs to the ones it
+    holds for, each the same sum as in the full walk (None keeps them all).
     ``comps`` keeps ``itertools.product`` order.
     """
     r, s = tensor.valence
@@ -152,7 +145,7 @@ def derivation(tensor: FrameTensor, ops, fields=None, bianchi: bool = False) -> 
     # output index -> per slot, its (coefficient, leaf) pairs; scalar leaves
     # ride along as 1-vectors, which the vector helpers handle by zipping
     def kept(w, x, y):  # of a (1,3) input, the outputs (w,x,y,z) scattered and gathered
-        return x < y and not (bianchi and w in (x, y))
+        return x < y and (keep is None or keep(w, x, y))
 
     slot_terms = {(w, *idx): [[] for _ in idx] for idx in tensor.comps for w in dirs if not half or kept(w, *idx[:2])}
     for idx, leaf in tensor.comps.items():
@@ -161,7 +154,7 @@ def derivation(tensor: FrameTensor, ops, fields=None, bianchi: bool = False) -> 
             for w, i, c in feeds[a]:
                 out = (w, *idx[:k], i, *idx[k + 1 :])
                 if half and not kept(*out[:3]):
-                    continue  # the mirror or the diagonal of the half rule, or off the Bianchi support
+                    continue  # the mirror or the diagonal of the half rule, or not kept
                 terms = slot_terms.get(out)
                 if terms is None:
                     terms = slot_terms[out] = [[] for _ in idx]
@@ -183,13 +176,13 @@ def derivation(tensor: FrameTensor, ops, fields=None, bianchi: bool = False) -> 
     return mirror_pairs(out, 1) if half else out
 
 
-def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor, bianchi: bool = False) -> FrameTensor:
+def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor, keep=None) -> FrameTensor:
     """Covariant derivative of a (1,1), (0,2) or (1,3) frame tensor, with the
     direction slot prepended as the first index: the derivation whose
-    directions are the frame fields, with D_w E_i = nabla_w E_i.  ``bianchi``
-    keeps only the leaves of a (1,3) tensor's derivative that the second
-    Bianchi identity can fail on (see ``derivation``)."""
-    return derivation(tensor, conn.gamma, conn.frame.fields, bianchi)
+    directions are the frame fields, with D_w E_i = nabla_w E_i.  ``keep``
+    narrows a (1,3) tensor's derivative to the leaves (w, x, y, z) it holds
+    for, and their mirrors (see ``derivation``)."""
+    return derivation(tensor, conn.gamma, conn.frame.fields, keep)
 
 
 def lie_derivative_metric(frame: Frame, metric: FrameMetric, v) -> FrameTensor:

@@ -243,24 +243,3 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         _memo.store(key, g, len(a) + len(b) + len(g))
     return g
 
-
-__all__ = [
-    "poly_add",
-    "poly_sub",
-    "poly_neg",
-    "poly_mul",
-    "poly_mul_scalar",
-    "poly_lead",
-    "poly_is_one",
-    "poly_divexact",
-    "poly_const",
-    "poly_var",
-    "poly_sorted_terms",
-    "poly_appears",
-    "normalize_sign",
-    "poly_pow",
-    "poly_diff",
-    "poly_eval",
-    "poly_gcd",
-    "reset_memos",
-]

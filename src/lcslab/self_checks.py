@@ -25,9 +25,10 @@ leaves (w,x,y), (x,w,y) and (y,w,x).  At a repeated direction the identity
 says only that nabla R is antisymmetric in (x,y), which the mirror holds by
 construction; R's own antisymmetry is checked on R.  So ``self_check``
 derives nabla R from the connection on its Bianchi support only, the
-leaves (w,x,y,z) with w not in {x, y} and their mirrors: every orbit sum
-that can fail reads only those leaves, and the orbits at a repeated
-direction, holding none, sum to zero as they do on the full tensor.
+leaves (w,x,y,z) for which ``bianchi_support`` holds, w not in {x, y}, and
+their mirrors: every orbit sum that can fail reads only those leaves, and
+the orbits at a repeated direction, holding none, sum to zero as they do on
+the full tensor.
 
 The memo of Expr operations (see ``symexpr``) makes none of these checks a
 tautology: R is evaluated by its formula at every (i,j), and a memo hit
@@ -73,9 +74,15 @@ def self_check(
             ok = ok and (paired - stack.ricci.comp(i, j)).is_zero
     checks.append(("ricci-operator-defining", ok))
     if nabla_r is None:
-        nabla_r = cov_deriv_tensor(conn, stack.riemann13, bianchi=True)
+        nabla_r = cov_deriv_tensor(conn, stack.riemann13, bianchi_support)
     checks.append(holds("second-bianchi", nabla_r))
     return checks
+
+
+def bianchi_support(w: int, x: int, y: int) -> bool:
+    """The leaves (w,x,y,z) of nabla R that second-bianchi can fail on (see
+    the module docstring)."""
+    return w not in (x, y)
 
 
 def riemann_lowered(riem: FrameTensor, metric: FrameMetric) -> FrameTensor:

@@ -174,17 +174,40 @@ MUTANTS = (
     # that second-bianchi can fail on, and one sum per orbit must still sum
     Mutant(
         "bianchi-support-drops-x-w-y-leaf",
-        "src/lcslab/levi_civita.py",
-        "return x < y and not (bianchi and w in (x, y))",
-        "return x < y and not (bianchi and (w in (x, y) or x < w < y))",
+        "src/lcslab/self_checks.py",
+        "return w not in (x, y)",
+        "return w not in (x, y) and not x < w < y",
         ("tests/test_curvature.py::TestRiemann::test_structural_identities",),
     ),
     Mutant(
         "second-bianchi-reads-repeated-directions",  # a tautology: the mirror holds it
-        "src/lcslab/levi_civita.py",
-        "return x < y and not (bianchi and w in (x, y))",
-        "return x < y and not (bianchi and w not in (x, y))",
+        "src/lcslab/self_checks.py",
+        "return w not in (x, y)",
+        "return w in (x, y)",
         ("tests/test_curvature.py::TestRiemann::test_second_bianchi_reads_the_derivative_of_the_stack_riemann",),
+    ),
+    # the derived conditions read xi's slot k: the xi-slice of nabla R must
+    # keep both halves, and each contraction with xi must read slot k
+    Mutant(
+        "xi-slice-drops-mirrored-half",
+        "src/lcslab/derived_conditions.py",
+        "lambda w, x, y: k in (x, y)",
+        "lambda w, x, y: x == k",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
+    Mutant(
+        "xi-identity-reads-swapped-slots",
+        "src/lcslab/derived_conditions.py",
+        "nabla_r.comp(w, k, y, z)",
+        "nabla_r.comp(w, y, k, z)",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
+    Mutant(
+        "xi-action-reads-slot-0",
+        "src/lcslab/derived_conditions.py",
+        "tensor.comp(k, x, y)",
+        "tensor.comp(0, x, y)",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
     ),
     Mutant(
         "orbit-marked-seen-not-summed",

@@ -4,7 +4,7 @@ import pytest
 
 from lcslab.frame_geometry import FrameTensor
 from lcslab.levi_civita import cov_deriv_tensor
-from lcslab.self_checks import PERMUTATION_IDENTITIES, orbit_vanishes, riemann_lowered
+from lcslab.self_checks import PERMUTATION_IDENTITIES, bianchi_support, orbit_vanishes, riemann_lowered
 
 from conftest import ad_hoc, builtin, make_manifold
 
@@ -68,7 +68,7 @@ class TestRiemann:
         # one sum per orbit still reads every stored leaf: a bump to any
         # single one, its mirror left as it was, fails the identity
         data = ad_hoc(name) if name == "dense-style" else builtin(name)
-        leaves = cov_deriv_tensor(data.connection, data.stack.riemann13, bianchi=True)
+        leaves = cov_deriv_tensor(data.connection, data.stack.riemann13, bianchi_support)
         identity = PERMUTATION_IDENTITIES["second-bianchi"]
         assert leaves.comps and orbit_vanishes(leaves, identity)
         for idx in leaves.comps:

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from lcslab import polyops
-from lcslab.derived_conditions import xi_action
+from lcslab.derived_conditions import xi_action, xi_slice
 from lcslab.curvature import riemann
 from lcslab.frame_geometry import FrameTensor, GeometryError, decompose, lie_bracket, vec_add, vec_scale
 from lcslab.levi_civita import cov_deriv_tensor, derivation
+from lcslab.manifold import ManifoldData
+from lcslab.self_checks import bianchi_support
 from lcslab.symexpr import Expr
 
 from conftest import (
@@ -17,6 +19,7 @@ from conftest import (
     gather_cov_deriv_tensor,
     make_manifold,
     pairwise_riemann,
+    warped_frames,
 )
 
 
@@ -175,11 +178,33 @@ class TestCovDerivTensor:
         # (w, x, y, z) with w not in {x, y}, equal and in the same order
         data = ad_hoc(name) if name in AD_HOC else builtin(name)
         full = data.nabla_riemann
-        ours = cov_deriv_tensor(data.connection, data.stack.riemann13, bianchi=True)
+        ours = cov_deriv_tensor(data.connection, data.stack.riemann13, bianchi_support)
         expected = [(idx, leaf) for idx, leaf in full.comps.items() if idx[0] not in idx[1:3]]
         assert list(ours.comps.items()) == expected
         assert ours.zero == full.zero
         assert expected or full.is_zero()
+
+    @pytest.mark.parametrize(
+        "name", ["example51", "lcs4", "lcs5", "lcs6", "desitter4", "desitter5", "dense-style", "warped"]
+    )
+    def test_xi_slice_is_the_full_tensor_at_xi(self, name):
+        # the derived conditions' nabla R holds exactly the full tensor's
+        # leaves (w, k, y, z) and (w, y, k, z), k the slot of xi, equal and
+        # in the same order; dense-style is taken at every k
+        if name == "warped":
+            inputs = list(warped_frames(4, 3))
+        elif name in AD_HOC:
+            data = ad_hoc(name)
+            inputs = [ManifoldData(name, data.frame, data.metric, k) for k in range(data.dim)]
+        else:
+            inputs = [builtin(name)]
+        for data in inputs:
+            full, k = data.nabla_riemann, data.xi_index
+            ours = xi_slice(data)
+            expected = [(idx, leaf) for idx, leaf in full.comps.items() if k in idx[1:3]]
+            assert list(ours.comps.items()) == expected
+            assert expected or full.is_zero()
+            assert ours.zero == full.zero
 
     @pytest.mark.parametrize("kind", ["R(xi,X).M", "C(xi,X).S", "L_xi g", "nabla phi"])
     @pytest.mark.parametrize("name", ["example51", "lcs5", *AD_HOC])
@@ -242,9 +267,9 @@ def derivation_inputs(data, kind):
     n = data.dim
     xi = data.xi_components()
     if kind == "R(xi,X).M":
-        return data.m_projective, xi_action(data.stack.riemann13, xi), None
+        return data.m_projective, xi_action(data.stack.riemann13, data.xi_index), None
     if kind == "C(xi,X).S":
-        return data.stack.ricci, xi_action(data.concircular, xi), None
+        return data.stack.ricci, xi_action(data.concircular, data.xi_index), None
     if kind == "L_xi g":
         v = frame.from_components(xi)
         g = FrameTensor.build((0, 2), n, lambda i, j: data.metric.g[i][j])

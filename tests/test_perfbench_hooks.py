@@ -80,10 +80,10 @@ def test_kernel_calls_of_lazily_loaded_gcd_modules_are_counted(monkeypatch):
 # no round-trip residual)
 COMMAND_SPANS = {
     "check-lcs": {"stage.structure", "check.axioms"},
-    "check SGR": {"conditions.residual"},
+    "check SGR": {"conditions.residual", "stage.nabla_riemann"},
     "fit SGR": {"conditions.fit"},
     "soliton": {"stage.structure", "conditions.soliton"},
-    "derived-conditions": {"stage.structure", "stage.nabla_riemann", "conditions.derived"},
+    "derived-conditions": {"stage.structure", "conditions.derived"},
     "conformance": {"stage.structure", "conditions.fit", "check.axioms", "check.self_check"},
 }
 
@@ -116,6 +116,7 @@ def test_every_command_produces_its_spans(monkeypatch, tmp_path):
         seen[op].add(name)
     for command, expected in COMMAND_SPANS.items():
         assert expected | {"cli.report"} <= seen[command], command
+    assert "stage.nabla_riemann" not in seen["derived-conditions"]  # it reads the xi-slice only
     assert set().union(*COMMAND_SPANS.values()) >= {
         "stage.structure",
         "stage.nabla_riemann",

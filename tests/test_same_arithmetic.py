@@ -12,9 +12,11 @@ input the reference takes the shipped half rule: it returns the zero leaf withou
 arithmetic at x >= y and then fills the mirror, so both runs do the same
 work off the support.  M and C take the same half rule in both runs: the
 reference evaluates their formulas at every x < y, returns the zero leaf
-without arithmetic at x >= y, and fills the mirror.  For the self-checks'
-nabla R on the Bianchi support it returns the zero leaf also at w in {x, y}, as the shipped walk skips it (``test_levi_civita`` checks the half rule
-against the formula at every index).  Both runs must give the same reports,
+without arithmetic at x >= y, and fills the mirror.  For a nabla R kept
+to part of its leaves (the self-checks' Bianchi support, the derived
+conditions' xi-slice) it returns the zero leaf also where the shipped
+walk's ``keep`` fails (``test_levi_civita`` checks the half rule against
+the formula at every index).  Both runs must give the same reports,
 the same stored leaves in the same key order, and the same number of Expr
 constructions and polynomial kernel calls, counted by the benchmark's trace
 wrappers.  Leaving out the work on zeros may change nothing else.  The
@@ -54,14 +56,14 @@ INPUTS = {
 }
 
 
-def reference_derivation(tensor, ops, fields=None, bianchi=False):
+def reference_derivation(tensor, ops, fields=None, keep=None):
     """The gather formula under the shipped half rule: a (1,3) input gets the
-    zero leaf, without arithmetic, at x >= y (and with ``bianchi`` at w in
-    {x, y}), and (w,y,x,z) is then filled as the negation of (w,x,y,z)."""
+    zero leaf, without arithmetic, at x >= y (and where ``keep`` fails), and
+    (w,y,x,z) is then filled as the negation of (w,x,y,z)."""
     if tensor.valence != (1, 3):
         return gather_cov_deriv_tensor(tensor, ops, fields)
     half = gather_cov_deriv_tensor(
-        tensor, ops, fields, where=lambda w, x, y, z: x < y and not (bianchi and w in (x, y))
+        tensor, ops, fields, where=lambda w, x, y, z: x < y and (keep is None or keep(w, x, y))
     )
     mirror = {(w, y, x, z): tuple(-e for e in leaf) for (w, x, y, z), leaf in half.comps.items()}
     return half._replace(comps=dict(sorted({**half.comps, **mirror}.items())))
