@@ -11,7 +11,7 @@ from .manifold import ManifoldData
 
 def run(data: ManifoldData, report: Report, options: dict) -> None:
     try:
-        st = cli.derive_structure(data, data.xi_index)
+        st = cli.derive_structure(data)
     except NotLcsError as exc:
         report.add("structure", FAIL, "structure extraction", note=str(exc))
         return

@@ -105,7 +105,7 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
     # text, texts of a vector, value or None, status and note when the two
     # differ)
     riem, ric = data.stack.riemann13, data.stack.ricci
-    st = cli.derive_structure(data, data.xi_index)
+    st = cli.derive_structure(data)
     rows = [
         *(
             (f"bracket.{i + 1}{j + 1}", f"[E{i + 1},E{j + 1}]", data.brackets[i][j], texts, MISMATCH, None)

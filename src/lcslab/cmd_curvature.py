@@ -39,7 +39,7 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
     for i in range(n):
         report.add(f"ricci-operator.{i + 1}", INFO, f"Q E{i + 1}", engine=format_vector(data.stack.q_operator.comp(i)))
     for label, tensor in (("m-projective", data.m_projective), ("concircular", data.concircular)):
-        if tensor.is_zero():
+        if tensor.is_zero:
             report.add(label, INFO, f"{label} tensor", engine="0")
         else:
             add_upper_pairs(report, label, label, tensor)

@@ -19,7 +19,7 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
         return
     report.add(
         "mproj-xi",
-        PASS if out.mproj_xi_residual.is_zero() else FAIL,
+        PASS if out.mproj_xi_residual.is_zero else FAIL,
         "eta(M(X,Y)xi) = 0",
         residual=residual_excerpt(out.mproj_xi_residual),
     )
@@ -27,14 +27,14 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
         "rxm",
         INFO,
         "R(xi,X) acting on the M-projective tensor",
-        engine="0" if out.rxm.is_zero() else "nonzero",
+        engine="0" if out.rxm.is_zero else "nonzero",
         residual=residual_excerpt(out.rxm),
     )
     report.add(
         "cxs",
         INFO,
         "C(xi,X) acting on the Ricci tensor",
-        engine="0" if out.cxs.is_zero() else "nonzero",
+        engine="0" if out.cxs.is_zero else "nonzero",
         residual=residual_excerpt(out.cxs),
     )
     report.add("guard.rxm", INFO, "guard alpha^2 - rho", engine=str(out.guard_rxm))
@@ -47,7 +47,7 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
             report,
             f"einstein.{label}",
             "vanishing action + nonzero guard imply an Einstein manifold",
-            action.is_zero(),
+            action.is_zero,
             "hypothesis or guard not met" if verdict is None else None,
             kind is EinsteinKind.EINSTEIN,
             kind and kind.value + (f" with a = {a}" if a is not None else ""),

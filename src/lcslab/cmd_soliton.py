@@ -62,7 +62,7 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
         report.add("soliton.k", INFO, "k = lambda - (p/2 + 1/n) - alpha", engine=str(params.k))
     else:
         params = SolitonParams(lam, p)
-    check = cli.soliton_residual(data, data.xi_components(), params)
+    check = cli.soliton_residual(data, params)
     report.add(
         "soliton.residual",
         INFO,
@@ -71,7 +71,7 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
         residual=residual_excerpt(check.residual),
     )
     if check.eta_einstein_residual is not None:
-        zero = check.eta_einstein_residual.is_zero()
+        zero = check.eta_einstein_residual.is_zero
         report.add(
             "soliton.eta-einstein",
             INFO,

@@ -16,7 +16,7 @@ The other conditions are modules of their own, so that each command loads
 only the conditions it checks: ``soliton`` (the conformal soliton residual
 and its scalars) and ``derived_conditions`` (R(xi,X).M, C(xi,X).S, their
 guards and the xi-identity).  The actions R(xi,X).M and C(xi,X).S are
-algebraic derivations, and L_V g a Lie derivative: each goes through
+algebraic derivations, and L_xi g a Lie derivative: each goes through
 ``levi_civita.derivation``, the one routine that forms a derivation's slot
 sums, and is evaluated on its support.
 
@@ -120,7 +120,7 @@ def recurrence_residual(data: ManifoldData, kind: RecurrenceKind, forms: Recurre
     """Exact residual tensor lhs - A p - B q of the recurrence condition; flag true iff zero."""
     terms = _recurrence_terms(data, kind)
     res = FrameTensor.build(terms[0], data.dim, _residual_leaf(terms, forms.a, forms.b))
-    return res, res.is_zero()
+    return res, res.is_zero
 
 
 def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):

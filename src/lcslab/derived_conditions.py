@@ -59,10 +59,10 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
 
     base_beta = st.beta if beta is None else beta
     coeff, res = residual_for(base_beta)
-    if res.is_zero():
+    if res.is_zero:
         return XiDerivativeIdentity(True, False, coeff, res)
     coeff_alt, res_alt = residual_for(-base_beta)
-    if res_alt.is_zero():
+    if res_alt.is_zero:
         return XiDerivativeIdentity(True, True, coeff_alt, res_alt)
     return XiDerivativeIdentity(False, False, coeff, res)
 
@@ -114,6 +114,6 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
     guard_cxs = chart.const(n * (n - 1)) * guard_rxm + 1
     # an Einstein conclusion is drawn where its action vanishes and its guard
     # does not; both read the same S, so it is classified once, and only then
-    drawn = [action.is_zero() and not guard.is_zero for action, guard in ((rxm, guard_rxm), (cxs, guard_cxs))]
+    drawn = [action.is_zero and not guard.is_zero for action, guard in ((rxm, guard_rxm), (cxs, guard_cxs))]
     verdict = classify(ric, data.metric, st.eta) if any(drawn) else None
     return DerivedConditions(rxm, cxs, guard_rxm, guard_cxs, mproj_xi, *(verdict if d else None for d in drawn))

@@ -130,10 +130,6 @@ class Frame:
     def dim(self) -> int:
         return self.chart.dim
 
-    def from_components(self, comps) -> VectorField:
-        """The coordinate vector field sum_i comps_i E_i."""
-        return VectorField(self.chart, combo(comps, lambda i: self.fields[i].coeffs))
-
     def unit(self, i: int) -> tuple[Expr, ...]:
         """Frame components of E_i."""
         chart = self.chart
@@ -269,6 +265,7 @@ class FrameTensor(namedtuple("FrameTensor", "valence comps dim zero")):
     def comp(self, *idx):
         return self.comps.get(idx, self.zero)
 
+    @property
     def is_zero(self) -> bool:
         return not self.comps
 

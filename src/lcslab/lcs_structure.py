@@ -60,26 +60,28 @@ def _solve_proportionality(values, reference, what: str) -> Expr:
     return s
 
 
-def derive_structure(data: ManifoldData, xi_index: int) -> LcsStructure:
-    """The structure data of xi; alpha may be identically zero (flat space),
-    which ``ManifoldData.structure`` refuses and ``check-lcs`` reports."""
+def derive_structure(data: ManifoldData) -> LcsStructure:
+    """The structure data of xi = E_k, k = ``data.xi_index``; alpha may be
+    identically zero (flat space), which ``ManifoldData.structure`` refuses
+    and ``check-lcs`` reports."""
     frame = data.frame
-    metric = data.metric
+    g = data.metric.g
     chart = data.chart
     n = data.dim
+    k = data.xi_index
 
-    xi = frame.unit(xi_index)
-    norm = metric.pair(xi, xi)
+    xi = frame.unit(k)
+    norm = g[k][k]
     if norm != chart.const(-1):
         raise NotLcsError(f"designated field is not unit timelike: g(xi,xi) = {norm}")
-    eta = metric.lower(xi)
+    eta = tuple(row[k] for row in g)
 
     # alpha from nabla_X xi = alpha (X + eta(X) xi), over every frame X
     gamma = data.connection.gamma
     alpha = None
     targets = []
     for i in range(n):
-        nab = gamma[i][xi_index]
+        nab = gamma[i][k]
         target = vec_add(frame.unit(i), vec_scale(eta[i], xi))
         targets.append(target)
         if all(t.is_zero for t in target):
@@ -98,10 +100,9 @@ def derive_structure(data: ManifoldData, xi_index: int) -> LcsStructure:
     if alpha.is_zero:
         phi = FrameTensor.build((1, 1), n, lambda i: targets[i])
     else:
-        phi = FrameTensor.build((1, 1), n, lambda i: vec_scale(chart.one() / alpha, gamma[i][xi_index]))
+        phi = FrameTensor.build((1, 1), n, lambda i: vec_scale(chart.one() / alpha, gamma[i][k]))
 
-    xi_field = frame.from_components(xi)
-    rho = -xi_field.apply(alpha)
+    rho = -frame.fields[k].apply(alpha)
     for i in range(n):
         dalpha = frame.fields[i].apply(alpha)
         if dalpha != rho * eta[i]:

@@ -8,7 +8,7 @@ the reading order of (nabla_X T)(Y, Z).
 
 Every derivation of a tensor in the engine goes through ``derivation``: the
 covariant derivatives nabla S, nabla R and nabla phi (``cov_deriv_tensor``),
-the Lie derivative L_V g (``lie_derivative_metric``), and the algebraic
+the Lie derivative L_xi g (``lie_derivative_metric``), and the algebraic
 actions R(xi,X).M and C(xi,X).S of the derived conditions
 (``derived_conditions``).
 It evaluates the derivation only on its support, scattered from the stored
@@ -185,12 +185,10 @@ def cov_deriv_tensor(conn: ConnectionCoeffs, tensor: FrameTensor, keep=None) -> 
     return derivation(tensor, conn.gamma, conn.frame.fields, keep)
 
 
-def lie_derivative_metric(frame: Frame, metric: FrameMetric, v) -> FrameTensor:
-    """(L_V g)(X,Y) = V g(X,Y) - g([V,X],Y) - g(X,[V,Y]) on frame pairs: the
-    derivation of g along the one direction V, with D E_i = [V, E_i]."""
-    n = frame.dim
-    vfield = frame.from_components(v)
-    ops = [[decompose(lie_bracket(vfield, f), frame) for f in frame.fields]]
-    g = FrameTensor.build((0, 2), n, lambda i, j: metric.g[i][j])
-    lie = derivation(g, ops, [vfield])
+def lie_derivative_metric(frame: Frame, metric: FrameMetric, brackets, k: int) -> FrameTensor:
+    """(L_xi g)(X,Y) = xi g(X,Y) - g([xi,X],Y) - g(X,[xi,Y]) on frame pairs,
+    xi = E_k: the derivation of g along the one direction E_k, with
+    D E_i = [E_k, E_i], row k of ``brackets`` (``frame_brackets``)."""
+    g = FrameTensor.build((0, 2), frame.dim, lambda i, j: metric.g[i][j])
+    lie = derivation(g, [brackets[k]], [frame.fields[k]])
     return lie._replace(valence=(0, 2), comps={idx[1:]: leaf for idx, leaf in lie.comps.items()})

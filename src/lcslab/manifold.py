@@ -19,7 +19,7 @@ from .curvature import CurvatureStack
 from .curvature import concircular as _concircular
 from .curvature import m_projective as _m_projective
 from .frame_geometry import Frame, FrameMetric, FrameTensor
-from .levi_civita import ConnectionCoeffs, cov_deriv_tensor, frame_brackets, koszul, lie_derivative_metric
+from .levi_civita import ConnectionCoeffs, cov_deriv_tensor, frame_brackets, koszul
 from .polyops import reset_memos
 
 
@@ -73,13 +73,8 @@ class ManifoldData:
     def structure(self):
         from .lcs_structure import NotLcsError, derive_structure
 
-        st = derive_structure(self, self.xi_index)
+        st = derive_structure(self)
         if st.alpha.is_zero:
             raise NotLcsError("alpha is identically zero")
         return st
 
-    def lie_metric(self, v) -> FrameTensor:
-        return lie_derivative_metric(self.frame, self.metric, v)
-
-    def xi_components(self):
-        return self.frame.unit(self.xi_index)

@@ -1,5 +1,5 @@
 """The conformal soliton condition along xi: the residual of
-L_V g + 2 S - [2 lambda - (p + 2/n)] g, the two derivations of lambda
+L_xi g + 2 S - [2 lambda - (p + 2/n)] g, the two derivations of lambda
 side by side, and the eta-Einstein shape of S that k = lambda - (p/2 + 1/n)
 - alpha gives.  The ``soliton`` command loads this module and no other
 condition.  Its rational constants (1/2, (n+1)/n, 2/n, ...) are built with
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .frame_geometry import FrameTensor
-from .lcs_structure import NotLcsError
+from .levi_civita import lie_derivative_metric
 from .manifold import ManifoldData
 from .symexpr import Expr
 
@@ -53,15 +53,16 @@ class SolitonCheck(namedtuple("SolitonCheck", "residual is_soliton eta_einstein_
     __slots__ = ()
 
 
-def soliton_residual(data: ManifoldData, v, params: SolitonParams) -> SolitonCheck:
-    """Exact residual of  L_V g + 2 S - [2 lambda - (p + 2/n)] g.
+def soliton_residual(data: ManifoldData, params: SolitonParams) -> SolitonCheck:
+    """Exact residual of  L_xi g + 2 S - [2 lambda - (p + 2/n)] g,  xi = E_k
+    with k = ``data.xi_index``.
 
-    With V = xi on a manifold carrying a verified structure, the residual
+    With ``params.k`` set, which takes the structure's alpha, the residual
     of the eta-Einstein shape S = k g - alpha eta x eta is also reported.
     """
     n = data.dim
     g = data.metric.g
-    lie = data.lie_metric(v)
+    lie = lie_derivative_metric(data.frame, data.metric, data.brackets, data.xi_index)
     ric = data.stack.ricci
     factor = 2 * params.lam - (params.p + Expr.ratio(params.p.vars, 2, n))
 
@@ -71,16 +72,12 @@ def soliton_residual(data: ManifoldData, v, params: SolitonParams) -> SolitonChe
     res = FrameTensor.build((0, 2), n, entry)
 
     eta_res = None
-    if tuple(v) == data.xi_components() and params.k is not None:
-        try:
-            st = data.structure
-        except NotLcsError:
-            pass
-        else:
+    if params.k is not None:
+        st = data.structure
 
-            def eta_entry(i, j):
-                return ric.comp(i, j) - params.k * g[i][j] + st.alpha * st.eta[i] * st.eta[j]
+        def eta_entry(i, j):
+            return ric.comp(i, j) - params.k * g[i][j] + st.alpha * st.eta[i] * st.eta[j]
 
-            eta_res = FrameTensor.build((0, 2), n, eta_entry)
+        eta_res = FrameTensor.build((0, 2), n, eta_entry)
 
-    return SolitonCheck(res, res.is_zero(), eta_res)
+    return SolitonCheck(res, res.is_zero, eta_res)

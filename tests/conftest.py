@@ -13,8 +13,8 @@ import lcslab
 from lcslab.axioms import AxiomCheck
 from lcslab.cli import RECURRENCE_KINDS, ManifoldDef, build_manifold, load
 from lcslab.conditions import NoSolution, RecurrenceForms, _recurrence_terms
-from lcslab.frame_geometry import FrameTensor, combo, dot, vec_add, vec_scale, vec_sub, vec_sum
-from lcslab.levi_civita import cov_deriv_tensor
+from lcslab.frame_geometry import FrameTensor, VectorField, combo, dot, vec_add, vec_scale, vec_sub, vec_sum
+from lcslab.levi_civita import cov_deriv_tensor, lie_derivative_metric
 from lcslab.manifold import ManifoldData
 from lcslab.symexpr import Expr
 
@@ -86,6 +86,30 @@ def ad_hoc(name: str) -> ManifoldData:
     """A fresh ManifoldData for one of AD_HOC."""
     coords, frame_rows, metric_rows = AD_HOC[name]
     return build_manifold(ManifoldDef(name, list(coords), frame_rows, metric_rows, len(coords)))
+
+
+def xi_at_every_index():
+    """Inputs with xi at every frame index (each built-in has xi last):
+    dense-style with xi = E_k for each k, then example51 under each of the
+    six orders of its frame fields, each carrying example51's structure."""
+    dense = ad_hoc("dense-style")
+    yield from (ManifoldData("dense-style", dense.frame, dense.metric, k) for k in range(dense.dim))
+    rows = (("z*x", "z*y", "0"), ("0", "z", "0"), ("0", "0", "1"))
+    for order in itertools.permutations(range(3)):
+        metric = [["0"] * 3 for _ in range(3)]
+        for i, o in enumerate(order):
+            metric[i][i] = "-1" if o == 2 else "1"
+        yield make_manifold(f"example51-{order}", [rows[o] for o in order], order.index(2), metric)
+
+
+def frame_field(frame, comps) -> VectorField:
+    """The coordinate vector field sum_i comps_i E_i."""
+    return VectorField(frame.chart, combo(comps, lambda i: frame.fields[i].coeffs))
+
+
+def lie_xi(data: ManifoldData) -> FrameTensor:
+    """L_xi g of ``data``, xi = E_k with k = ``data.xi_index``, as ``soliton`` forms it."""
+    return lie_derivative_metric(data.frame, data.metric, data.brackets, data.xi_index)
 
 
 def cov_deriv_vector(conn, x, y):

@@ -209,6 +209,31 @@ MUTANTS = (
         "tensor.comp(0, x, y)",
         ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
     ),
+    # xi is the frame field E_k: L_xi g must read bracket row k and the
+    # structure column k of g (every built-in has k = n - 1, so only an input
+    # with xi elsewhere tells them from the last row and column), and the
+    # eta-Einstein residual needs k, which exists only with a structure
+    Mutant(
+        "lie-xi-reads-last-bracket-row",
+        "src/lcslab/levi_civita.py",
+        "derivation(g, [brackets[k]], [frame.fields[k]])",
+        "derivation(g, [brackets[-1]], [frame.fields[k]])",
+        ("tests/test_levi_civita.py::TestLieDerivative::test_xi_at_every_index_reads_its_own_brackets",),
+    ),
+    Mutant(
+        "structure-eta-reads-last-column",
+        "src/lcslab/lcs_structure.py",
+        "eta = tuple(row[k] for row in g)",
+        "eta = tuple(row[-1] for row in g)",
+        ("tests/test_lcs_structure.py::TestDeriveStructure::test_xi_at_every_index",),
+    ),
+    Mutant(
+        "soliton-eta-einstein-without-k",
+        "src/lcslab/soliton.py",
+        "if params.k is not None:",
+        "if True:",
+        ("tests/test_cli.py::TestExitCodes::test_soliton_explicit_lambda",),
+    ),
     Mutant(
         "orbit-marked-seen-not-summed",
         "src/lcslab/self_checks.py",

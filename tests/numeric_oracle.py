@@ -194,22 +194,18 @@ class NumericTwin:
                     out[x][y][w] = vec
         return out
 
-    def lie_metric(self, v_comps):
-        """(L_V g)(E_i, E_j) from evaluated derivative inputs."""
-        data = self.data
+    def lie_metric(self, k):
+        """(L_xi g)(E_i, E_j) with xi = E_k: E_k(g_ij) - g([E_k,E_i],E_j)
+        - g(E_i,[E_k,E_j]), from the evaluated derivatives of g along E_k and
+        the twin's own brackets."""
         n = self.n
-        vfield = data.frame.from_components(v_comps)
-        dgv = [[self.ev(vfield.apply(data.metric.g[i][j])) for j in range(n)] for i in range(n)]
-        from lcslab.frame_geometry import lie_bracket
-
-        out = [[Fraction(0)] * n for _ in range(n)]
+        along = self.data.frame.fields[k]
+        cb = self.brackets_frame()[k]
+        out = [[None] * n for _ in range(n)]
         for i in range(n):
-            bvi = self.decompose([self.ev(c) for c in lie_bracket(vfield, data.frame.fields[i]).coeffs])
             for j in range(n):
-                bvj = self.decompose([self.ev(c) for c in lie_bracket(vfield, data.frame.fields[j]).coeffs])
-                pair_i = sum(bvi[a] * self.g[a][b] * Fraction(int(b == j)) for a in range(n) for b in range(n))
-                pair_j = sum(Fraction(int(a == i)) * self.g[a][b] * bvj[b] for a in range(n) for b in range(n))
-                out[i][j] = dgv[i][j] - pair_i - pair_j
+                dg = self.ev(along.apply(self.data.metric.g[i][j]))
+                out[i][j] = dg - sum(cb[i][a] * self.g[a][j] for a in range(n)) - sum(self.g[i][b] * cb[j][b] for b in range(n))
         return out
 
     # -- covariant derivatives ----------------------------------------------

@@ -18,7 +18,7 @@ from lcslab.einstein import EinsteinKind, solve_two_unknowns
 from lcslab.lcs_structure import NotLcsError
 from lcslab.soliton import SolitonParams, soliton_lambda, soliton_residual
 
-from conftest import builtin, fit_rows, make_manifold, reference_fit, warped_frames
+from conftest import builtin, fit_rows, make_manifold, reference_fit, warped_frames, xi_at_every_index
 
 
 def zero_forms(data):
@@ -376,7 +376,7 @@ class TestXiDerivativeIdentity:
         out = nabla_r_xi_identity(example51)
         assert out.passed and not out.sign_flipped
         assert out.coefficient == example51.chart.parse("4/z^3")
-        assert out.residual.is_zero()
+        assert out.residual.is_zero
 
     def test_sign_flip_is_detected_and_reported(self, example51):
         flipped = -example51.structure.beta
@@ -417,32 +417,35 @@ class TestSoliton:
         st = example51.structure
         lam, _ = soliton_lambda(st.alpha, chart.zero(), 3)
         params = SolitonParams.derive(lam, chart.zero(), st.alpha, 3)
-        check = soliton_residual(example51, example51.xi_components(), params)
+        check = soliton_residual(example51, params)
         assert not check.is_soliton
         assert check.eta_einstein_residual is not None
-        assert not check.eta_einstein_residual.is_zero()
+        assert not check.eta_einstein_residual.is_zero
 
-    def test_einstein_manifold_balances(self, desitter3):
-        # S = 2g and V = 0: residual vanishes when 2 lambda - (p + 2/3) = 4
-        chart = desitter3.chart
-        lam = chart.const(Fraction(7, 3))
-        params = SolitonParams.derive(lam, chart.zero(), desitter3.structure.alpha, 3)
-        zero_field = tuple(chart.zero() for _ in range(3))
-        check = soliton_residual(desitter3, zero_field, params)
-        assert check.is_soliton
-        assert check.eta_einstein_residual is None  # V is not xi
+    def test_einstein_manifold_balances(self, flat3):
+        # S = 0 and L_xi g = 0 (xi = d/dz): the residual vanishes when
+        # 2 lambda - (p + 2/3) = 0; flat3 has no alpha, so no k
+        chart = flat3.chart
+        params = SolitonParams(chart.const(Fraction(1, 3)), chart.zero())
+        check = soliton_residual(flat3, params)
+        assert check.is_soliton and check.residual.comps == {}
+        assert check.eta_einstein_residual is None
 
     def test_residual_is_symmetric(self, example51):
-        chart = example51.chart
+        # random lambda and p, xi at every index (dense-style, the permuted
+        # example51 frames) and the warped frames; k only where alpha exists
         rng = random.Random(3)
-        pool = ["x", "y", "z", "1", "0", "x*z"]
-        params = SolitonParams.derive(chart.parse("1/z"), chart.parse("2"), example51.structure.alpha, 3)
-        for _ in range(3):
-            v = tuple(chart.parse(rng.choice(pool)) for _ in range(3))
-            res = soliton_residual(example51, v, params).residual
-            for i in range(3):
-                for j in range(3):
-                    assert res.comp(i, j) == res.comp(j, i)
+        pool = ["x", "y", "z", "1", "0", "x*z", "1/z"]
+        for data in [example51, *warped_frames(3, 2), *xi_at_every_index()]:
+            lam, p = (data.chart.parse(rng.choice(pool)) for _ in range(2))
+            try:
+                params = SolitonParams.derive(lam, p, data.structure.alpha, data.dim)
+            except NotLcsError:
+                params = SolitonParams(lam, p)
+            check = soliton_residual(data, params)
+            assert (check.eta_einstein_residual is None) == (params.k is None), data.name
+            for res in (check.residual, check.eta_einstein_residual):
+                assert res is None or all(res.comp(i, j) == res.comp(j, i) for i in range(3) for j in range(3)), data.name
 
     def test_engine_error_in_structure_propagates(self, monkeypatch):
         # only a missing structure means "no eta-Einstein residual"; a crash is not hidden
@@ -454,21 +457,21 @@ class TestSoliton:
         monkeypatch.setattr(lcs_structure, "derive_structure", crash)
         zero = data.chart.zero()
         with pytest.raises(RuntimeError, match="engine crash"):
-            soliton_residual(data, data.xi_components(), SolitonParams(zero, zero, zero))
+            soliton_residual(data, SolitonParams(zero, zero, zero))
 
 
 class TestDerivedConditions:
     def test_reference_manifold(self, example51):
         out = derived_condition_residuals(example51)
-        assert not out.rxm.is_zero() and not out.cxs.is_zero()
-        assert out.mproj_xi_residual.is_zero()
+        assert not out.rxm.is_zero and not out.cxs.is_zero
+        assert out.mproj_xi_residual.is_zero
         assert out.guard_rxm == example51.chart.parse("2/z^2")
         assert out.guard_cxs == example51.chart.parse("12/z^2 + 1")
         assert out.einstein_from_rxm is None and out.einstein_from_cxs is None
 
     def test_constant_curvature_gates_fire(self, desitter3):
         out = derived_condition_residuals(desitter3)
-        assert out.rxm.is_zero() and out.cxs.is_zero()
+        assert out.rxm.is_zero and out.cxs.is_zero
         assert not out.guard_rxm.is_zero and not out.guard_cxs.is_zero
         assert out.einstein_from_rxm.kind is EinsteinKind.EINSTEIN
         assert out.einstein_from_cxs.kind is EinsteinKind.EINSTEIN

@@ -27,8 +27,8 @@ class TestRiemann:
             assert riem.comp(i, j, k) == expected, (i, j, k)
 
     def test_flat_space_is_flat(self, flat3):
-        assert flat3.stack.riemann13.is_zero()
-        assert flat3.stack.ricci.is_zero()
+        assert flat3.stack.riemann13.is_zero
+        assert flat3.stack.ricci.is_zero
         assert flat3.stack.scalar.is_zero
 
     def test_structural_identities(self, example51, desitter3, flat3):
@@ -219,7 +219,7 @@ class TestMProjective:
                 assert st.eta_of(vec).is_zero, (i, j)
 
     def test_constant_curvature_annihilates(self, desitter3):
-        assert desitter3.m_projective.is_zero()
+        assert desitter3.m_projective.is_zero
 
     def test_antisymmetry(self, example51):
         mproj = example51.m_projective
@@ -234,10 +234,10 @@ class TestMProjective:
 
 class TestConcircular:
     def test_constant_curvature_annihilates(self, desitter3):
-        assert desitter3.concircular.is_zero()
+        assert desitter3.concircular.is_zero
 
     def test_reference_manifold_is_not_constant_curvature(self, example51):
-        assert not example51.concircular.is_zero()
+        assert not example51.concircular.is_zero
         # frozen spot value: C(E1,E3)E3 = (-1/(3 z^2) - z^2/3) E1
         expected = example51.chart.parse("-1/(3*z^2) - z^2/3")
         assert example51.concircular.comp(0, 2, 2)[0] == expected
@@ -292,10 +292,10 @@ def test_m_projective_and_concircular_half_rule_equals_the_formula(name):
 
 class TestNablaRiemann:
     def test_flat_space_vanishes(self, flat3):
-        assert flat3.nabla_riemann.is_zero()
+        assert flat3.nabla_riemann.is_zero
 
     def test_desitter_parallel_curvature(self, desitter3):
-        assert desitter3.nabla_riemann.is_zero()
+        assert desitter3.nabla_riemann.is_zero
 
     def test_xi_insertion_formula(self, example51):
         # g((nabla_W R)(xi,Y)Z, xi) against -(2 alpha rho - beta){...} eta(W)
@@ -324,5 +324,5 @@ def test_constant_curvature_oracle_construction():
     for i in range(3):
         for j in range(3):
             assert data.stack.ricci.comp(i, j) == half_g.comp(i, j)
-    assert data.m_projective.is_zero()
-    assert data.concircular.is_zero()
+    assert data.m_projective.is_zero
+    assert data.concircular.is_zero

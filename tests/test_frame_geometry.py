@@ -20,6 +20,7 @@ from lcslab.frame_geometry import (
 )
 from lcslab.symexpr import Var
 
+from conftest import frame_field
 from test_symexpr import expressions
 
 XYZ = (Var("x"), Var("y"), Var("z"))
@@ -91,7 +92,7 @@ class TestDecompose:
     def test_recompose_roundtrip(self):
         x = vf("x + z^2", "1 - y", "x*y*z")
         comps = decompose(x, FRAME)
-        assert FRAME.from_components(comps).coeffs == x.coeffs
+        assert frame_field(FRAME, comps).coeffs == x.coeffs
 
     def test_singular_frame_rejected(self):
         with pytest.raises(SingularFrameError):
@@ -252,7 +253,7 @@ class TestFrameTensor:
     def test_build_and_index(self):
         t = FrameTensor.build((0, 2), 3, lambda i, j: CHART.const(i * 3 + j))
         assert t.comp(1, 2) == CHART.const(5)
-        assert not t.is_zero()
+        assert not t.is_zero
 
     def test_vector_valued(self):
         t = FrameTensor.build((1, 1), 2, lambda i: (CHART.one(), CHART.zero()))
@@ -260,8 +261,8 @@ class TestFrameTensor:
 
     def test_sub_and_zero(self):
         t = FrameTensor.build((0, 2), 2, lambda i, j: CHART.parse("x + y"))
-        assert not t.is_zero()
-        assert FrameTensor.build((0, 2), 2, lambda i, j: t.comp(i, j) - CHART.parse("y + x")).is_zero()
+        assert not t.is_zero
+        assert FrameTensor.build((0, 2), 2, lambda i, j: t.comp(i, j) - CHART.parse("y + x")).is_zero
 
     def test_bad_valence(self):
         with pytest.raises(GeometryError):
@@ -294,14 +295,14 @@ class TestFrameTensor:
 
     def test_empty_support_gives_zero_tensor_with_its_zero_leaf(self):
         t = FrameTensor.build((0, 2), 3, lambda i, j: CHART.zero(), ())
-        assert t.is_zero() and t.zero == CHART.zero()
+        assert t.is_zero and t.zero == CHART.zero()
         v = FrameTensor.build((1, 3), 3, lambda i, j, k: (CHART.zero(),) * 3, set())
-        assert v.is_zero() and v.zero == (CHART.zero(),) * 3 and v.comp(0, 1, 2) == v.zero
+        assert v.is_zero and v.zero == (CHART.zero(),) * 3 and v.comp(0, 1, 2) == v.zero
 
     def test_all_zero_build_is_zero(self):
         for valence, fn in (((0, 3), lambda *ix: CHART.zero()), ((1, 2), lambda *ix: (CHART.zero(),) * 3)):
             t = FrameTensor.build(valence, 3, fn)
-            assert t.comps == {} and t.is_zero()
+            assert t.comps == {} and t.is_zero
 
 
 # -- bracket properties on random polynomial vector fields --------------------

@@ -4,8 +4,9 @@ from lcslab.frame_geometry import FrameTensor
 from lcslab.axioms import verify_axioms
 from lcslab.einstein import EinsteinKind, classify, solve_two_unknowns
 from lcslab.lcs_structure import NotLcsError, derive_structure
+from lcslab.manifold import ManifoldData
 
-from conftest import builtin, make_manifold, reference_verify_axioms, warped_frames
+from conftest import builtin, frame_field, make_manifold, reference_verify_axioms, warped_frames, xi_at_every_index
 
 
 class TestDeriveStructure:
@@ -32,21 +33,46 @@ class TestDeriveStructure:
 
     def test_flat_space_alpha_vanishes(self, flat3):
         # check-lcs reports the zero-alpha structure; the cached one refuses it
-        st = derive_structure(flat3, 2)
+        st = derive_structure(flat3)
         assert st.alpha.is_zero
         with pytest.raises(NotLcsError, match="identically zero"):
             flat3.structure
 
     def test_spacelike_designation_rejected(self, example51):
+        spacelike = ManifoldData("spacelike", example51.frame, example51.metric, 0)
         with pytest.raises(NotLcsError, match="unit timelike"):
-            derive_structure(example51, 0)
+            derive_structure(spacelike)
 
     def test_determinism(self, example51):
-        a = derive_structure(example51, 2)
-        b = derive_structure(example51, 2)
+        a = derive_structure(example51)
+        b = derive_structure(example51)
         assert a.alpha == b.alpha and a.rho == b.rho and a.beta == b.beta
         assert str(a.alpha) == str(b.alpha)
         assert a.phi.comps == b.phi.comps and a.eta == b.eta
+
+    def test_xi_at_every_index(self, example51):
+        # every built-in has xi = E_(n-1): here xi = E_k sits at each index k,
+        # and g(xi,xi), eta and rho are formed here from the unit vector of E_k
+        # and the field sum_i unit_i E_i; dense-style has no structure, so
+        # there only the unit timelike test is read
+        found = 0
+        for data in xi_at_every_index():
+            k, metric = data.xi_index, data.metric
+            unit = data.frame.unit(k)
+            norm, minus_one = metric.pair(unit, unit), data.chart.const(-1)
+            try:
+                st = derive_structure(data)
+            except NotLcsError as exc:
+                assert data.name == "dense-style"
+                if norm != minus_one:
+                    assert str(exc) == f"designated field is not unit timelike: g(xi,xi) = {norm}"
+                continue
+            found += 1
+            assert norm == minus_one
+            assert st.xi == unit and st.eta == metric.lower(unit)
+            assert st.rho == -frame_field(data.frame, unit).apply(st.alpha)
+            assert (st.alpha, st.rho, st.beta) == (example51.structure.alpha, example51.structure.rho, example51.structure.beta)
+        assert found == 6
 
 
 class TestVerifyAxioms:
@@ -68,7 +94,7 @@ class TestVerifyAxioms:
         assert all(c.passed for c in checks), [c.axiom for c in checks if not c.passed]
 
     def test_flat_space_fails_only_the_alpha_axiom(self, flat3):
-        st = derive_structure(flat3, 2)
+        st = derive_structure(flat3)
         checks = verify_axioms(flat3, st)
         failed = [c.axiom for c in checks if not c.passed]
         assert failed == ["eta-covariant-derivative"]
@@ -95,7 +121,7 @@ def tampered(data, st):
 
 def axiom_corpus():
     for data in [builtin(name) for name in AXIOM_INPUTS] + list(warped_frames(4, 3)):
-        for label, st in tampered(data, derive_structure(data, data.xi_index)):
+        for label, st in tampered(data, derive_structure(data)):
             yield data, label, st
 
 
@@ -130,7 +156,7 @@ class TestAxiomFailures:
     @pytest.mark.parametrize("name, label, axiom", sorted(AXIOM_DETAILS))
     def test_failure_detail(self, name, label, axiom):
         data = builtin(name)
-        st = dict(tampered(data, derive_structure(data, data.xi_index)))[label]
+        st = dict(tampered(data, derive_structure(data)))[label]
         check = next(c for c in verify_axioms(data, st) if c.axiom == axiom)
         assert (check.passed, check.detail) == (False, AXIOM_DETAILS[name, label, axiom])
 
@@ -173,7 +199,7 @@ class TestClassify:
             - verdict.a * example51.metric.g[i][j]
             - verdict.b * example51.structure.eta[i] * example51.structure.eta[j],
         )
-        assert residual.is_zero()
+        assert residual.is_zero
 
     def test_neither_when_no_solution(self, example51):
         chart = example51.chart

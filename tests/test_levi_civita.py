@@ -16,10 +16,13 @@ from conftest import (
     ad_hoc,
     builtin,
     cov_deriv_vector,
+    frame_field,
     gather_cov_deriv_tensor,
+    lie_xi,
     make_manifold,
     pairwise_riemann,
     warped_frames,
+    xi_at_every_index,
 )
 
 
@@ -115,7 +118,7 @@ class TestCovDerivVector:
             y = txt_vec(example51, tuple(rng.choice(pool) for _ in range(3)))
             fy = tuple(f * c for c in y)
             lhs = cov_deriv_vector(conn, x, fy)
-            xf = example51.frame.from_components(x).apply(f)
+            xf = frame_field(example51.frame, x).apply(f)
             base = cov_deriv_vector(conn, x, y)
             rhs = tuple(xf * yc + f * bc for yc, bc in zip(y, base))
             assert all((a - b).is_zero for a, b in zip(lhs, rhs))
@@ -136,7 +139,7 @@ class TestCovDerivTensor:
     def test_metric_is_parallel(self, example51, desitter3):
         for data in (example51, desitter3):
             g_tensor = FrameTensor.build((0, 2), data.dim, lambda i, j: data.metric.g[i][j])
-            assert cov_deriv_tensor(data.connection, g_tensor).is_zero()
+            assert cov_deriv_tensor(data.connection, g_tensor).is_zero
 
     def test_nabla_ricci_direction_one(self, example51):
         # hand value: (s + t)/z with s = 3/z^2 - z^2, t = -4/z^2
@@ -157,8 +160,8 @@ class TestCovDerivTensor:
         # still has the shape of the tensor's leaves
         zero = flat3.chart.zero()
         nabla_r, nabla_s = flat3.nabla_riemann, flat3.nabla_ricci
-        assert nabla_r.is_zero() and nabla_r.zero == (zero,) * 3 and nabla_r.comp(0, 1, 2, 0) == (zero,) * 3
-        assert nabla_s.is_zero() and nabla_s.zero == zero and nabla_s.comp(2, 1, 0) == zero
+        assert nabla_r.is_zero and nabla_r.zero == (zero,) * 3 and nabla_r.comp(0, 1, 2, 0) == (zero,) * 3
+        assert nabla_s.is_zero and nabla_s.zero == zero and nabla_s.comp(2, 1, 0) == zero
 
     @pytest.mark.parametrize(
         "name", ["example51", "flat3", "desitter3", "lcs4", "lcs5", "desitter4", "desitter5", *AD_HOC]
@@ -182,7 +185,7 @@ class TestCovDerivTensor:
         expected = [(idx, leaf) for idx, leaf in full.comps.items() if idx[0] not in idx[1:3]]
         assert list(ours.comps.items()) == expected
         assert ours.zero == full.zero
-        assert expected or full.is_zero()
+        assert expected or full.is_zero
 
     @pytest.mark.parametrize(
         "name", ["example51", "lcs4", "lcs5", "lcs6", "desitter4", "desitter5", "dense-style", "warped"]
@@ -203,7 +206,7 @@ class TestCovDerivTensor:
             ours = xi_slice(data)
             expected = [(idx, leaf) for idx, leaf in full.comps.items() if k in idx[1:3]]
             assert list(ours.comps.items()) == expected
-            assert expected or full.is_zero()
+            assert expected or full.is_zero
             assert ours.zero == full.zero
 
     @pytest.mark.parametrize("kind", ["R(xi,X).M", "C(xi,X).S", "L_xi g", "nabla phi"])
@@ -261,17 +264,19 @@ class TestCovDerivTensor:
 
 def derivation_inputs(data, kind):
     """(tensor, ops, fields) of one derivation the engine forms, with xi the
-    frame's designated field; phi is the shape X + eta(X) xi, which the
-    ``phi-shape`` axiom checks on every input with a structure."""
+    frame's designated field E_k; phi is the shape X + eta(X) xi, which the
+    ``phi-shape`` axiom checks on every input with a structure.  The ops of
+    L_xi g are computed here, [E_k, E_i] by ``lie_bracket`` and ``decompose``."""
     conn, frame = data.connection, data.frame
     n = data.dim
-    xi = data.xi_components()
+    k = data.xi_index
+    xi = frame.unit(k)
     if kind == "R(xi,X).M":
         return data.m_projective, xi_action(data.stack.riemann13, data.xi_index), None
     if kind == "C(xi,X).S":
         return data.stack.ricci, xi_action(data.concircular, data.xi_index), None
     if kind == "L_xi g":
-        v = frame.from_components(xi)
+        v = frame.fields[k]
         g = FrameTensor.build((0, 2), n, lambda i, j: data.metric.g[i][j])
         return g, [[decompose(lie_bracket(v, f), frame) for f in frame.fields]], [v]
     eta = data.metric.lower(xi)
@@ -282,26 +287,38 @@ def derivation_inputs(data, kind):
 class TestLieDerivative:
     def test_along_xi_matches_structure_shape(self, example51):
         st = example51.structure
-        lie = example51.lie_metric(example51.xi_components())
+        lie = lie_xi(example51)
         n = example51.dim
         for i in range(n):
             for j in range(n):
                 expected = 2 * st.alpha * (example51.metric.g[i][j] + st.eta[i] * st.eta[j])
                 assert lie.comp(i, j) == expected
 
-    def test_constant_field_on_flat_space_is_killing(self, flat3):
-        v = txt_vec(flat3, ("2", "1", "-3"))
-        assert flat3.lie_metric(v).is_zero()
+    def test_xi_on_flat_space_is_killing(self, flat3):
+        # xi = E_3 = d/dz, a constant field of Minkowski space
+        assert flat3.frame.fields[2].coeffs == flat3.frame.unit(2)
+        assert lie_xi(flat3).is_zero
 
-    def test_symmetry_for_random_fields(self, example51):
-        rng = random.Random(9)
-        pool = ["x", "y", "z", "1", "x*z", "0"]
-        for _ in range(4):
-            v = txt_vec(example51, tuple(rng.choice(pool) for _ in range(3)))
-            lie = example51.lie_metric(v)
-            for i in range(3):
-                for j in range(3):
-                    assert lie.comp(i, j) == lie.comp(j, i)
+    def test_symmetric_at_every_k(self, example51):
+        inputs = [example51, *warped_frames(9, 3), *xi_at_every_index()]
+        for data in inputs:
+            lie, n = lie_xi(data), data.dim
+            assert all(lie.comp(i, j) == lie.comp(j, i) for i in range(n) for j in range(n)), data.name
+
+    def test_xi_at_every_index_reads_its_own_brackets(self):
+        # every built-in has xi = E_(n-1): here xi sits at each index, and
+        # L_xi g is checked against xi g(X,Y) - g([xi,X],Y) - g(X,[xi,Y])
+        # with each [E_k, E_i] formed here
+        for data in xi_at_every_index():
+            frame, metric, k = data.frame, data.metric, data.xi_index
+            xi = frame.fields[k]
+            bracket = [decompose(lie_bracket(xi, f), frame) for f in frame.fields]
+            unit = [frame.unit(i) for i in range(data.dim)]
+            lie = lie_xi(data)
+            for i in range(data.dim):
+                for j in range(data.dim):
+                    expected = xi.apply(metric.g[i][j]) - metric.pair(bracket[i], unit[j]) - metric.pair(unit[i], bracket[j])
+                    assert lie.comp(i, j) == expected, (data.name, k, i, j)
 
 
 def test_koszul_invariants_on_random_manifolds():
@@ -326,6 +343,6 @@ def test_koszul_invariants_on_random_manifolds():
                 )
                 assert all(e.is_zero for e in diff)
         g_tensor = FrameTensor.build((0, 2), n, lambda i, j: data.metric.g[i][j])
-        assert cov_deriv_tensor(data.connection, g_tensor).is_zero()
+        assert cov_deriv_tensor(data.connection, g_tensor).is_zero
         checks = data.stack.self_check(data.metric, data.connection)
         assert all(ok for _, ok in checks), (trial, checks)

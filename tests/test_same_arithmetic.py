@@ -6,7 +6,7 @@ Each input runs ``curvature``, ``derived-conditions``, ``check-lcs``,
 A(E_i) = x_i, B(E_i) = i) and ``soliton`` in-process twice: as shipped,
 and as a reference in which ``FrameTensor.build`` ignores its support
 and every derivation (nabla S, nabla R, nabla phi, R(xi,X).M, C(xi,X).S
-and L_V g) is the gather formula of ``conftest``, each component one
+and L_xi g) is the gather formula of ``conftest``, each component one
 ``vec_sum`` as in the shipped ``levi_civita.derivation``.  For a (1,3)
 input the reference takes the shipped half rule: it returns the zero leaf without
 arithmetic at x >= y and then fills the mirror, so both runs do the same
