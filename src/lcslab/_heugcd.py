@@ -13,9 +13,11 @@ memoised never compiles it.  It tries, in order:
    is the least significant digit), so every exponent of both operands, and
    of every divisor of either, maps to its own power of X below the box
    prod D_i.  Both images are evaluated at one integer xi, and the balanced
-   xi-adic digits of the integer GCD are read back through the radix.
+   xi-adic digits of the integer GCD (``_digits``) are read back through
+   the radix.
 2. ``_heu_gcd``: the same evaluate/reconstruct/verify heuristic one variable
-   at a time, recursing on the evaluated polynomials.
+   at a time, recursing on the evaluated polynomials and reading each
+   coefficient's digits back through ``_digits``.
 3. When both give up, the subresultant remainder sequence
    (``_subresultant``) decides.
 
@@ -61,26 +63,25 @@ def _eval_var(p: Poly, v: int, xi: int) -> Poly:
     return {e: c for e, c in out.items() if c}
 
 
-def _interp_var(p: Poly, v: int, xi: int) -> Poly:
-    """Inverse of evaluation at xi, using balanced digits in (-xi/2, xi/2]."""
-    out: Poly = {}
-    cur = p
-    k = 0
+def _digits(c: int, xi: int):
+    """Each nonzero balanced xi-adic digit (k, d) of c, d in (-xi/2, xi/2]:
+    c = sum d xi^k."""
     half = xi // 2
-    while cur:
-        nxt: Poly = {}
-        for e, c in cur.items():
-            d = c % xi
-            if d > half:
-                d -= xi
-            if d:
-                out[e[:v] + (k,) + e[v + 1 :]] = d
-            q = (c - d) // xi
-            if q:
-                nxt[e] = q
-        cur = nxt
+    k = 0
+    while c:
+        d = c % xi
+        if d > half:
+            d -= xi
+        if d:
+            yield k, d
+        c = (c - d) // xi
         k += 1
-    return out
+
+
+def _interp_var(p: Poly, v: int, xi: int) -> Poly:
+    """Inverse of evaluation at xi, through the balanced digits of each
+    coefficient (x_v free in p)."""
+    return {e[:v] + (k,) + e[v + 1 :]: d for e, c in p.items() for k, d in _digits(c, xi)}
 
 
 def _max_norm(p: Poly) -> int:
@@ -147,31 +148,20 @@ def _kronecker_gcd(a: Poly, b: Poly):
     if gamma == 1:
         return P.poly_const(len(radix), cg)
     cand: Poly = {}
-    half = xi // 2
-    k = 0
-    while gamma:
-        d = gamma % xi
-        if d > half:
-            d -= xi
-        if d:
-            if k >= box:
-                return None
-            e, rest = [], k
-            for w in weights:
-                q, rest = divmod(rest, w)
-                e.append(q)
-            cand[tuple(e)] = d
-        gamma = (gamma - d) // xi
-        k += 1
+    for k, d in _digits(gamma, xi):
+        if k >= box:
+            return None
+        e, rest = [], k
+        for w in weights:
+            q, rest = divmod(rest, w)
+            e.append(q)
+        cand[tuple(e)] = d
     return _verified(cand, a0, b0, cg)
 
 
 def _heu_gcd(a: Poly, b: Poly, vs: tuple):
-    """Heuristic GCD; returns None when no candidate verified."""
-    if not a:
-        return P.normalize_sign(b)
-    if not b:
-        return P.normalize_sign(a)
+    """Heuristic GCD of two nonzero polynomials; returns None when no
+    candidate verified."""
     used = tuple(v for v in vs if P.poly_appears(a, v) or P.poly_appears(b, v))
     nvars = len(next(iter(a)))
     if not used:

@@ -10,8 +10,6 @@ wrapper installed there sees these calls too.
 
 from __future__ import annotations
 
-from math import gcd as int_gcd
-
 from . import polyops as P
 from .polyops import Poly
 
@@ -105,10 +103,8 @@ def _gcd_rec(a: Poly, b: Poly, vs: tuple) -> Poly:
         return P.normalize_sign(a)
     if len(a) == 1 or len(b) == 1:
         return P._monomial_gcd(a, b)
+    # two multi-term operands have a variable, and vs holds all of theirs
     used = tuple(v for v in vs if P.poly_appears(a, v) or P.poly_appears(b, v))
-    if not used:
-        nvars = len(next(iter(a)))
-        return P.poly_const(nvars, int_gcd(next(iter(a.values())), next(iter(b.values()))))
     v, rest = used[0], used[1:]
 
     cont_a = _content_in(a, v, rest) if P.poly_appears(a, v) else a

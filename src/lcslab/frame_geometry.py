@@ -35,6 +35,7 @@ from collections import namedtuple
 from functools import reduce
 from itertools import product
 from math import lcm
+from operator import mul, ne
 
 from .polyops import expr_memo
 from .symexpr import Expr, Var, parse
@@ -168,12 +169,14 @@ class FrameMetric:
     def checked(cls, frame: Frame, g, sample_point=None) -> "FrameMetric":
         """Validate symmetry, nondegeneracy, and Lorentzian signature.
 
-        The signature is decided by exact rational inertia at a sample
-        point, which maps each coordinate Var to its value as an integer
-        pair (numerator, denominator > 0) (default: every coordinate = 2); a
-        global symbolic signature test is not decidable in general.  The
-        metric is evaluated in integers: its entries at the point, times the
-        lcm of their denominators, form an integer matrix of the same inertia.
+        The signature is decided at a sample point, which maps each
+        coordinate Var to its value as an integer pair (numerator,
+        denominator > 0) (default: every coordinate = 2); a global symbolic
+        signature test is not decidable in general.  The metric is evaluated
+        in integers: its entries at the point, times the lcm of their
+        denominators, form an integer matrix of the same inertia, which
+        Descartes' rule of signs reads from its integer characteristic
+        polynomial (``symmetric_inertia``).
         """
         metric = cls(frame, tuple(tuple(row) for row in g))
         coords = frame.chart.coords
@@ -377,49 +380,26 @@ def matrix_inverse(a) -> tuple[tuple[Expr, ...], ...] | None:
 
 def symmetric_inertia(m: list[list[int]]) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a symmetric integer
-    matrix, by fraction-free congruence elimination (Sylvester's law of
-    inertia).
+    matrix, by Descartes' rule of signs on its characteristic polynomial
+    det(tI - m) = sum_k c_k t^(n-k).
 
-    Step k pivots on a nonzero diagonal entry d of the trailing block (rows
-    and columns k..n-1) and replaces every entry of the block past it by
-    (d a_ij - a_ik a_kj) / p, where p is the previous pivot (1 at first).
-    The division is exact (Bareiss): each entry is a minor of the matrix.
-    The block is then d times the rational Schur complement, whose pivot is
-    d / p, so that step counts as positive when d and p have the same sign.
-    A zero diagonal entry is first replaced by a nonzero one of the block
-    (a symmetric swap) or, when the block's diagonal is all zero, by a
-    nonzero entry of its row (adding row and column ``off`` to row and
-    column k); a zero row counts as a zero eigenvalue.  Both congruences
-    keep the entries minors, so the divisions stay exact.
+    Faddeev-LeVerrier gives the coefficients in integers: c_0 = 1, M_1 = I,
+    M_k = m M_(k-1) + c_(k-1) I and c_k = -tr(m M_k) / k, the division exact
+    (c_k is, up to sign, the sum of the principal k-minors).  A real
+    symmetric matrix has only real eigenvalues, so the rule is exact: the
+    positive eigenvalues are the sign changes along the nonzero
+    coefficients, the zero ones are the trailing zero coefficients, and the
+    negative ones are the rest.
     """
     n = len(m)
-    a = [list(row) for row in m]
-    pos = neg = zero = 0
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                for j in range(k, n):
-                    a[k][j] += a[off][j]
-                for i in range(k, n):
-                    a[i][k] += a[i][off]
-        d = a[k][k]
-        if (d > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            row, lead = a[i], a[i][k]
-            for j in range(k + 1, n):
-                row[j] = (d * row[j] - lead * a[k][j]) // prev
-        prev = d
-    return pos, neg, zero
+    coeffs = [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mm = [[sum(map(mul, row, col)) for col in zip(*mk)] for row in m]
+        c = -sum(mm[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        mk = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(mm)]
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(map(ne, signs, signs[1:]))
+    zero = next(j for j, c in enumerate(reversed(coeffs)) if c)
+    return pos, n - pos - zero, zero

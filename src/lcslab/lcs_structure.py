@@ -43,7 +43,9 @@ class LcsStructure(namedtuple("LcsStructure", "xi eta phi alpha rho beta")):
 
 
 def _solve_proportionality(values, reference, what: str) -> Expr:
-    """The unique scalar s with values_i = s * reference_i for all i."""
+    """The unique scalar s with values_i = s * reference_i for all i; some
+    reference_i is nonzero (each caller's is: component i of the target
+    E_i + eta_i xi is 1, and eta_k = g(xi,xi) = -1 is checked first)."""
     s = None
     for val, ref in zip(values, reference):
         if ref.is_zero:
@@ -55,8 +57,6 @@ def _solve_proportionality(values, reference, what: str) -> Expr:
             s = cand
         elif s != cand:
             raise NotLcsError(f"{what}: inconsistent scalars {s} and {cand}")
-    if s is None:
-        raise NotLcsError(f"{what}: reference form vanishes identically")
     return s
 
 
@@ -93,8 +93,8 @@ def derive_structure(data: ManifoldData) -> LcsStructure:
             alpha = cand
         elif alpha != cand:
             raise NotLcsError(f"no consistent alpha: {alpha} vs {cand} along direction {i}")
-    if alpha is None:
-        raise NotLcsError("alpha is undetermined: every comparison direction degenerated")
+    # alpha is set: the target E_i + eta_i xi degenerates only at i = k (its
+    # component i is 1 elsewhere), and a definition has at least 2 coordinates
 
     # phi from (1/alpha) nabla xi when possible, otherwise the shape X + eta(X) xi
     if alpha.is_zero:

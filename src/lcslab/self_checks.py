@@ -67,11 +67,9 @@ def self_check(
         holds("first-bianchi", stack.riemann13),
         holds("ricci-symmetry", stack.ricci),
     ]
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            paired = metric.pair(stack.q_operator.comp(i), metric.frame.unit(j))
-            ok = ok and (paired - stack.ricci.comp(i, j)).is_zero
+    # g(Q E_i, E_j) = S(E_i, E_j), with Q E_i lowered once per row i
+    lowered = [metric.lower(stack.q_operator.comp(i)) for i in range(n)]
+    ok = all((q - stack.ricci.comp(i, j)).is_zero for i in range(n) for j, q in enumerate(lowered[i]))
     checks.append(("ricci-operator-defining", ok))
     if nabla_r is None:
         nabla_r = cov_deriv_tensor(conn, stack.riemann13, bianchi_support)

@@ -440,6 +440,22 @@ MUTANTS = (
         "",
         ("tests/test_kernels.py::test_recursion_candidate_that_does_not_divide_is_refused",),
     ),
+    # a balanced digit below zero carries one into the next place; the
+    # Kronecker step reads no digit at or past its box
+    Mutant(
+        "balanced-digit-carry-floored",
+        "src/lcslab/_heugcd.py",
+        "c = (c - d) // xi",
+        "c = c // xi",
+        ("tests/test_kernels.py::test_kronecker_gcd_is_the_gcd[content]",),
+    ),
+    Mutant(
+        "kronecker-box-bound-off-by-one",
+        "src/lcslab/_heugcd.py",
+        "if k >= box:",
+        "if k > box:",
+        ("tests/test_kernels.py::test_kronecker_digit_at_the_box_gives_up_undivided",),
+    ),
     # a lazily loaded GCD module that holds the kernels it was loaded with
     # hides its calls from a wrapper installed in polyops later
     Mutant(
@@ -478,12 +494,32 @@ MUTANTS = (
         "abs(int(exponent[1])) > 4301",
         ("tests/test_cli.py::test_sample_value_grammar_is_fractions",),
     ),
+    # the signature by Descartes' rule on the characteristic polynomial:
+    # a zero coefficient is no sign, the LeVerrier recurrence keeps its shift
+    # c_(k-1) I, and zero eigenvalues are the trailing zero coefficients
     Mutant(
-        "inertia-ignores-the-previous-pivot",
+        "inertia-counts-zero-coefficients-as-signs",
         "src/lcslab/frame_geometry.py",
-        "if (d > 0) == (prev > 0):",
-        "if d > 0:",
-        ("tests/test_frame_geometry.py::TestSignature::test_inertia_equals_rational_elimination",),
+        "signs = [c > 0 for c in coeffs if c]",
+        "signs = [c > 0 for c in coeffs]",
+        ("tests/test_frame_geometry.py::TestSignature::test_inertia_handles_zero_diagonal",),
+    ),
+    # (without the shift even diag(1, 1, -1) reads as (1,2), so the module
+    # metric of test_frame_geometry fails to build and no test there can
+    # run; every built-in then fails to load)
+    Mutant(
+        "leverrier-shift-dropped",
+        "src/lcslab/frame_geometry.py",
+        "mk = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(mm)]",
+        "mk = mm",
+        ("tests/test_cli.py::TestLoad::test_file_equivalent_to_builtin",),
+    ),
+    Mutant(
+        "inertia-zero-eigenvalues-from-the-leading-end",
+        "src/lcslab/frame_geometry.py",
+        "enumerate(reversed(coeffs))",
+        "enumerate(coeffs)",
+        ("tests/test_frame_geometry.py::TestSignature::test_inertia_handles_zero_diagonal",),
     ),
     # Expr.sum: the final normalisation, each term's sign, every group; the
     # lcm that Expr.sum and Expr.along share scales each numerator to it
@@ -602,8 +638,8 @@ MUTANTS = (
     Mutant(
         "ricci-operator-defining-tautology",
         "src/lcslab/self_checks.py",
-        "ok = ok and (paired - stack.ricci.comp(i, j)).is_zero",
-        "ok = ok and (paired - paired).is_zero",
+        "(q - stack.ricci.comp(i, j)).is_zero",
+        "(q - q).is_zero",
         ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_ricci_operator_leaf",),
     ),
 )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcslab.builtin_manifolds import MAX_N
 from lcslab.frame_geometry import (
     Chart,
     DegenerateMetricError,
@@ -202,22 +203,37 @@ class TestSignature:
     def test_inertia_handles_zero_diagonal(self):
         assert symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
         assert symmetric_inertia([[0, 0, 2], [0, 0, 0], [2, 0, 0]]) == (1, 1, 1)
+        # det(tI - m) = t^3 - 2t^2 + t: the trailing zero coefficient is a
+        # zero eigenvalue, not a sign change
+        assert symmetric_inertia([[1, 0, 0], [0, 1, 0], [0, 0, 0]]) == (2, 0, 1)
+        assert symmetric_inertia([[0] * 3 for _ in range(3)]) == (0, 0, 3)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(-3, 3), min_size=n * n))))
+    @given(
+        st.integers(1, MAX_N).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(-1000, 1000), min_size=n * n), st.integers(0, n - 1)
+            )
+        )
+    )
     def test_inertia_equals_rational_elimination(self, shape):
-        # the fraction-free elimination against a rational congruence
-        # diagonalization of the same symmetric matrix (reference model)
-        n, cells = shape  # the upper triangle of the matrix from cells
-        m = [[cells[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+        # Descartes' rule on the characteristic polynomial against a rational
+        # congruence diagonalization of the same symmetric matrix (reference
+        # model), at every dimension a definition can have
+        n, cells, copies = shape  # the upper triangle of the matrix from cells
+        # rows and columns 1..copies repeat row and column 0: rank <= n - copies
+        r = [0 if i <= copies else i for i in range(n)]
+        m = [[cells[min(r[i], r[j]) * n + max(r[i], r[j])] for j in range(n)] for i in range(n)]
         assert symmetric_inertia(m) == rational_inertia(m)
 
 
 def rational_inertia(m):
-    """(positive, negative, zero) of a symmetric matrix by congruence
-    diagonalization over the rationals: pivot on a nonzero diagonal entry
-    (after a symmetric swap, or adding a row and column with a nonzero
-    off-diagonal entry), then eliminate its row and column."""
+    """(positive, negative, zero) of a symmetric matrix by Sylvester's law of
+    inertia, independently of the characteristic polynomial that
+    ``symmetric_inertia`` reads: congruence diagonalization over the
+    rationals, pivoting on a nonzero diagonal entry (after a symmetric swap,
+    or adding a row and column with a nonzero off-diagonal entry), then
+    eliminating its row and column."""
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     pos = neg = zero = 0

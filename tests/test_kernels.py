@@ -157,6 +157,35 @@ def test_prs_fallback_agrees_with_heuristic():
     assert checked > 40
 
 
+def test_gcd_falls_back_to_the_subresultant_when_the_heuristic_gives_up(monkeypatch):
+    # no test or benchmark input makes the heuristic give up; stubbed to,
+    # every multi-term GCD takes the fallback once, and its result is memoised
+    monkeypatch.setattr(polyops, "_heu_gcd", lambda a, b, vs: None)
+    monkeypatch.setattr(polyops, "_memo", polyops.BoundedMemo(polyops.GCD_MEMO_TERMS))
+    fallbacks = []
+
+    def counting_rec(a, b, vs, rec=polyops._gcd_rec):
+        fallbacks.append(vs)
+        return rec(a, b, vs)
+
+    monkeypatch.setattr(polyops, "_gcd_rec", counting_rec)
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(60):
+        a, b, c = (random_poly(rng, nterms=3) for _ in range(3))
+        ac, bc = poly_mul(a, c), poly_mul(b, c)
+        if len(ac) < 2 or len(bc) < 2 or ac == bc:
+            continue
+        g = poly_gcd(ac, bc)
+        assert fallbacks == [(0, 1, 2)]
+        assert g == _gcd_rec(ac, bc, (0, 1, 2))
+        assert up_to_sign(g, sympy_gcd(ac, bc, 3))
+        assert poly_gcd(dict(ac), dict(bc)) is g and len(fallbacks) == 1
+        fallbacks.clear()
+        checked += 1
+    assert checked > 30
+
+
 def test_gcd_exact_known_cases():
     # gcd includes integer content
     assert poly_gcd({(1, 0, 0): 2}, {(0, 0, 0): 2}) == {(0, 0, 0): 2}
@@ -407,6 +436,26 @@ def test_recursion_candidate_that_does_not_divide_is_refused(monkeypatch):
     monkeypatch.setattr(polyops, "poly_divexact", recording_divexact)
     assert _heugcd._heu_gcd(a, b, (0, 1)) == {(0, 0): 1} == sympy_gcd(a, b, 2)
     assert divisors[0] == {(0, 1): 1}
+
+
+@pytest.mark.parametrize("power, divisors", [(1, [{(1, 0, 0): 1}]), (2, [])], ids=["last-in-box", "at-the-box"])
+def test_kronecker_digit_at_the_box_gives_up_undivided(monkeypatch, power, divisors):
+    # x + 1 and x - 1 have the box {1, x} of 2 exponents.  Images stubbed to
+    # xi^power put the integer GCD's one digit at X^power: X^1 reads back as
+    # the candidate x, which is divided by and refused; X^2 is past the box,
+    # so the step gives up before any division
+    a = {(1, 0, 0): 1, (0, 0, 0): 1}
+    b = {(1, 0, 0): 1, (0, 0, 0): -1}
+    monkeypatch.setattr(_heugcd, "_kron_eval", lambda p, weights, xi: xi**power)
+    seen = []
+
+    def recording_divexact(p, q, divexact=polyops.poly_divexact):
+        seen.append(q)
+        return divexact(p, q)
+
+    monkeypatch.setattr(polyops, "poly_divexact", recording_divexact)
+    assert _heugcd._kronecker_gcd(a, b) is None
+    assert seen == divisors
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
+from lcslab.cli import main
 from lcslab.frame_geometry import FrameTensor
 from lcslab.axioms import verify_axioms
 from lcslab.einstein import EinsteinKind, classify, solve_two_unknowns
-from lcslab.lcs_structure import NotLcsError, derive_structure
+from lcslab.lcs_structure import NotLcsError, _solve_proportionality, derive_structure
 from lcslab.manifold import ManifoldData
 
 from conftest import builtin, frame_field, make_manifold, reference_verify_axioms, warped_frames, xi_at_every_index
@@ -42,6 +45,30 @@ class TestDeriveStructure:
         spacelike = ManifoldData("spacelike", example51.frame, example51.metric, 0)
         with pytest.raises(NotLcsError, match="unit timelike"):
             derive_structure(spacelike)
+
+    def test_dalpha_off_eta_refused(self, tmp_path, capsys):
+        # E_1 = (xz + 1) d_x, E_2 = (xz + 1) d_y, E_3 = d_z: alpha = -x/(xz + 1)
+        # and E_1(alpha) = -1/(xz + 1), yet eta vanishes along E_1
+        payload = {
+            "name": "dalpha-off-eta",
+            "coords": ["x", "y", "z"],
+            "frame": [["x*z + 1", "0", "0"], ["0", "x*z + 1", "0"], ["0", "0", "1"]],
+            "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]],
+            "xi": 3,
+        }
+        path = tmp_path / "def.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["check-lcs", str(path), "--json"]) == 1
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [(e["check_id"], e["status"], e["note"]) for e in entries] == [
+            ("structure", "fail", "d(alpha) is not proportional to eta along direction 0")
+        ]
+
+    def test_inconsistent_scalars_refused(self, example51):
+        one, two = example51.chart.const(1), example51.chart.const(2)
+        with pytest.raises(NotLcsError) as info:
+            _solve_proportionality((one, one), (one, two), "beta")
+        assert str(info.value) == "beta: inconsistent scalars 1 and 1/2"
 
     def test_determinism(self, example51):
         a = derive_structure(example51)
