@@ -417,17 +417,6 @@ def format_vector(comps) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def first_nonzero(tensor):
-    """Index and value of the first nonzero scalar, a vector leaf's component
-    index appended; (None, None) for the zero tensor."""
-    for idx, leaf in tensor.comps.items():
-        if tensor.valence[0] == 0:
-            return idx, leaf
-        u = next(u for u, e in enumerate(leaf) if not e.is_zero)
-        return idx + (u,), leaf[u]
-    return None, None
-
-
 def add_self_checks(data: ManifoldData, report: Report) -> None:
     """One pass/fail entry per structural self-check of the curvature stack."""
     for name, ok in data.stack.self_check(data.metric, data.connection):
@@ -435,7 +424,7 @@ def add_self_checks(data: ManifoldData, report: Report) -> None:
 
 
 def residual_excerpt(tensor) -> str | None:
-    idx, value = first_nonzero(tensor)
+    idx, value = tensor.first_nonzero()
     if idx is None:
         return None
     pos = ",".join(str(i + 1) for i in idx)

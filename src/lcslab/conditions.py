@@ -1,16 +1,16 @@
 """Residual checkers and the exact fitter for the recurrence conditions,
 and the scalar-curvature predictions of SGR.
 
-Each recurrence condition is stated once, in ``_recurrence_terms``, as
-lhs = A(E_w) p + B(E_w) q, and its residual leaf lhs - A p - B q once, in
-``_residual_leaf``.  ``recurrence_residual`` builds the whole residual
-tensor from that leaf, for ``check`` to report.  ``recurrence_fit`` reads
-the condition's leaves as the rows of the linear system in A(E_w), B(E_w),
-solves it on pivot rows, and checks the solution through the same residual
-leaves, each formed once and in order, up to the first nonzero component:
-that component is the fit's witness, and a fit that returns forms has
-checked them against every component, which is what the ``roundtrip``
-entry of ``fit`` reports.
+Each recurrence condition is stated once, in ``_recurrence_terms``, as the
+tensors of lhs(w) = A(E_w) p + B(E_w) q, lhs(w) being lhs along E_w.  Its
+residual lhs(w) - A(E_w) p - B(E_w) q is formed by ``frame_geometry.residual``
+on its support, direction by direction: ``recurrence_residual`` puts those
+together for ``check`` to report.  ``recurrence_fit`` solves each direction
+through ``einstein.fit_two`` on the components stored in p or q, and stops at
+the first direction whose residual is nonzero: that residual's first nonzero
+component is the fit's witness, and a fit that returns forms has checked
+them against every component, which is what the ``roundtrip`` entry of
+``fit`` reports.
 
 The other conditions are modules of their own, so that each command loads
 only the conditions it checks: ``soliton`` (the conformal soliton residual
@@ -31,12 +31,11 @@ those is therefore literally checkable.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from enum import Enum
 
-from .einstein import solve_two_unknowns
-from .frame_geometry import FrameTensor, vec_scale, vec_sub
+from .einstein import fit_two
+from .frame_geometry import FrameTensor, residual
 from .manifold import ManifoldData
 
 
@@ -70,7 +69,7 @@ class NoSolution(namedtuple("NoSolution", "kind direction component needed detai
 
 def _recurrence_terms(data: ManifoldData, kind: RecurrenceKind):
     """The condition of ``kind``, read as  lhs(w, *idx) = A(E_w) p(*idx) + B(E_w) q(*idx),
-    as the residual's valence and the three leaf functions.
+    as the three tensors (lhs, p, q); lhs has the free slot w first.
 
     SGR and SGPR have vector leaves at (x, y, z): lhs is (nabla_w R)(E_x,E_y)E_z,
     phi^2 of it for SGPR; p = R(E_x,E_y)E_z and q = g(E_y,E_z) E_x.  SGRR has
@@ -81,45 +80,35 @@ def _recurrence_terms(data: ManifoldData, kind: RecurrenceKind):
     g = data.metric.g
     if kind is RecurrenceKind.SGRR:
         n_const = data.chart.const(n)
-        return (0, 3), data.nabla_ricci.comp, data.stack.ricci.comp, lambda i, j: n_const * g[i][j]
-    lhs = nabla_r = data.nabla_riemann.comp
+        return data.nabla_ricci, data.stack.ricci, FrameTensor.build((0, 2), n, lambda i, j: n_const * g[i][j])
+    lhs = nabla_r = data.nabla_riemann
     if kind is RecurrenceKind.SGPR:
-        st = data.structure
-
-        def lhs(w, x, y, z):
-            return st.phi_of(st.phi_of(nabla_r(w, x, y, z)))
-
-    zeros = [data.chart.zero()] * n
-
-    def q(x, y, z):
-        vec = zeros.copy()
-        vec[x] = g[y][z]
-        return vec
-
-    return (1, 4), lhs, data.stack.riemann13.comp, q
+        phi_of = data.structure.phi_of
+        lhs = FrameTensor.build((1, 4), n, lambda *idx: phi_of(phi_of(nabla_r.comp(*idx))), nabla_r.comps)
+    zeros = (data.chart.zero(),) * n
+    support = [(x, y, z) for x in range(n) for y in range(n) for z in range(n) if not g[y][z].is_zero]
+    g_term = FrameTensor.build((1, 3), n, lambda x, y, z: zeros[:x] + (g[y][z],) + zeros[x + 1 :], support)
+    return lhs, data.stack.riemann13, g_term
 
 
-def _residual_leaf(terms, a, b):
-    """The leaf (w, *idx) -> lhs - A(E_w) p - B(E_w) q of the condition
-    ``terms`` (from ``_recurrence_terms``), with A(E_w) = a[w], B(E_w) = b[w]."""
-    (r, _), lhs, p, q = terms
-    if r:
-
-        def leaf(w, *idx):
-            return vec_sub(vec_sub(lhs(w, *idx), vec_scale(a[w], p(*idx))), vec_scale(b[w], q(*idx)))
-
-    else:
-
-        def leaf(w, *idx):
-            return lhs(w, *idx) - a[w] * p(*idx) - b[w] * q(*idx)
-
-    return leaf
+def _directions(tensor: FrameTensor):
+    """The tensors along E_1..E_n of a tensor whose first slot is its free
+    direction: the leaves at first index w, keyed by the other indices."""
+    slices = [{} for _ in range(tensor.dim)]
+    for (w, *idx), leaf in tensor.comps.items():
+        slices[w][tuple(idx)] = leaf
+    valence = (tensor.valence[0], tensor.valence[1] - 1)
+    return [tensor._replace(valence=valence, comps=comps) for comps in slices]
 
 
 def recurrence_residual(data: ManifoldData, kind: RecurrenceKind, forms: RecurrenceForms):
     """Exact residual tensor lhs - A p - B q of the recurrence condition; flag true iff zero."""
-    terms = _recurrence_terms(data, kind)
-    res = FrameTensor.build(terms[0], data.dim, _residual_leaf(terms, forms.a, forms.b))
+    lhs, p, q = _recurrence_terms(data, kind)
+    comps = {}
+    for w, lhs_w in enumerate(_directions(lhs)):
+        res = residual(lhs_w, p, q, forms.a[w], forms.b[w])
+        comps.update(((w, *idx), leaf) for idx, leaf in res.comps.items())
+    res = lhs._replace(comps=comps)
     return res, res.is_zero
 
 
@@ -127,37 +116,27 @@ def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
     """Fit the 1-forms A, B direction by direction from the overdetermined
     exact linear system; returns RecurrenceForms or a NoSolution witness.
 
-    The rows of direction w are the leaf components of the condition, in
-    ``itertools.product`` order of the leaf index, then of a vector leaf's
-    component u.  A(E_w), B(E_w) are solved on the pivot rows and then
-    checked through the residual leaves of direction w, each formed once, in
-    the same order; the first nonzero component is the witness.  Directions
-    where the system is underdetermined get A(E_i) = B(E_i) = 0.
+    Direction w is solved by ``einstein.fit_two``, whose residual checks the
+    solution against every component; the first nonzero component of the
+    first nonzero residual, in (leaf, component) order, is the witness.
+    Directions where the system is underdetermined get A(E_i) = B(E_i) = 0.
     """
     if kind not in (RecurrenceKind.SGR, RecurrenceKind.SGRR):
         raise ValueError(f"fit supports SGR and SGRR, not {kind}")
-    n = data.dim
-    terms = (r, s), lhs, p, q = _recurrence_terms(data, kind)
-    leaves = list(itertools.product(range(n), repeat=s - 1))
-    index = [idx + (u,) for idx in leaves for u in range(n)] if r else leaves
-    flat = itertools.chain.from_iterable if r else iter  # the leaves' components, in order
-    ps = list(flat(p(*idx) for idx in leaves))
-    qs = list(flat(q(*idx) for idx in leaves))
-    a_comps, b_comps = [], []  # filled one direction at a time, as the leaf reads them
-    residual = _residual_leaf(terms, a_comps, b_comps)
-    for w in range(n):
-        rhs = list(flat(lhs(w, *idx) for idx in leaves))
-        u, v = solve_two_unknowns(list(zip(ps, qs, rhs)))
-        a_comps.append(u)
-        b_comps.append(v)
-        for k, e in enumerate(flat(residual(w, *idx) for idx in leaves)):
-            if not e.is_zero:
-                if ps[k].is_zero and qs[k].is_zero:
-                    detail = f"the condition forces 0 = {rhs[k]}"
-                else:
-                    detail = "no values of the forms satisfy this component together with the others"
-                return NoSolution(kind, w, index[k], rhs[k], detail)
-    return RecurrenceForms.from_covectors(data, a_comps, b_comps)
+    lhs, p, q = _recurrence_terms(data, kind)
+    solved = []
+    for w, lhs_w in enumerate(_directions(lhs)):
+        u, v, res = fit_two(lhs_w, p, q)
+        idx, _ = res.first_nonzero()
+        if idx is not None:
+            rhs, p_k, q_k = (t.comp(*idx[:-1])[idx[-1]] if p.valence[0] else t.comp(*idx) for t in (lhs_w, p, q))
+            if p_k.is_zero and q_k.is_zero:
+                detail = f"the condition forces 0 = {rhs}"
+            else:
+                detail = "no values of the forms satisfy this component together with the others"
+            return NoSolution(kind, w, idx, rhs, detail)
+        solved.append((u, v))
+    return RecurrenceForms.from_covectors(data, *zip(*solved))
 
 
 class SgrPredictions(

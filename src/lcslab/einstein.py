@@ -1,17 +1,18 @@
-"""The Einstein classification of a Ricci tensor, and the exact solver of
-an overdetermined linear system in two unknowns that it shares with the
+"""The Einstein classification of a Ricci tensor, and the exact fit of a
+relation lhs = u p + v q between frame tensors that it shares with the
 recurrence fit (``conditions.recurrence_fit``).
 
-The solver solves on pivot rows only; each caller verifies the solution
-against every row: ``classify`` row by row, the fit through the residual
-leaves that ``check`` reports."""
+``fit_two`` solves for u, v on the pivot rows of the components stored in p
+or q, and returns the solution with its residual lhs - u p - v q
+(``frame_geometry.residual``): the solution holds exactly when that residual
+is zero, which checks every row, the rows where p and q vanish included."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
 
-from .frame_geometry import FrameMetric, FrameTensor
+from .frame_geometry import FrameMetric, FrameTensor, residual
 from .symexpr import Expr
 
 
@@ -31,22 +32,31 @@ def classify(ric: FrameTensor, metric: FrameMetric, eta) -> ClassifierVerdict:
     """Decide S = a g + b eta x eta by exact linear algebra plus a full
     residual verification; b = 0 collapses to the Einstein case."""
     n = metric.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append((metric.g[i][j], eta[i] * eta[j], ric.comp(i, j)))
-    a, b = solve_two_unknowns(rows)
-    if any(not (p * a + q * b - s).is_zero for p, q, s in rows):
+    g = FrameTensor.build((0, 2), n, lambda i, j: metric.g[i][j])
+    eta2 = FrameTensor.build((0, 2), n, lambda i, j: eta[i] * eta[j])
+    a, b, res = fit_two(ric, g, eta2)
+    if not res.is_zero:
         return ClassifierVerdict(EinsteinKind.NEITHER)
     kind = EinsteinKind.EINSTEIN if b.is_zero else EinsteinKind.ETA_EINSTEIN
     return ClassifierVerdict(kind, a, b)
+
+
+def fit_two(lhs: FrameTensor, p: FrameTensor, q: FrameTensor):
+    """(u, v, residual): the pivot solution of lhs = u p + v q and its
+    residual lhs - u p - v q.  The rows are the components of the leaves
+    stored in p or q, in ``itertools.product`` order of the leaf, then of a
+    vector leaf's component; every other row reads 0 = lhs, which the
+    residual checks with the rest."""
+    leaves = [(p.comp(*idx), q.comp(*idx), lhs.comp(*idx)) for idx in sorted(p.comps.keys() | q.comps.keys())]
+    u, v = solve_two_unknowns([row for t in leaves for row in zip(*t)] if p.valence[0] else leaves)
+    return u, v, residual(lhs, p, q, u, v)
 
 
 def solve_two_unknowns(rows):
     """Exact solution (u, v) of rows (p, q, rhs) meaning p u + q v = rhs,
     solved on its pivot rows: the first row with p or q nonzero, and the
     first row independent of it.  Unknowns the pivots leave free are set to
-    zero.  No row is checked against the solution: the caller does that.
+    zero.  No row is checked against the solution: ``fit_two`` does that.
     """
     if not rows:
         raise ValueError("empty linear system")

@@ -26,7 +26,8 @@ Anywhere else every term is a product with a zero factor or a sum of zeros,
 which the scalar layer answers without arithmetic.  Inside the support each
 leaf is the same formula on the same operands, so each sum is one canonical
 sum of the same nonzero terms as over all n^s indices and every result is
-the same Expr.
+the same Expr.  Every relation lhs = u p + v q of the condition layer has its
+residual lhs - u p - v q formed by one routine, ``residual``, on its support.
 """
 
 from __future__ import annotations
@@ -272,6 +273,15 @@ class FrameTensor(namedtuple("FrameTensor", "valence comps dim zero")):
     def is_zero(self) -> bool:
         return not self.comps
 
+    def first_nonzero(self):
+        """Index and value of the first nonzero scalar, a vector leaf's
+        component index appended; (None, None) for the zero tensor."""
+        idx, leaf = next(iter(self.comps.items()), (None, None))
+        if idx is None or not self.valence[0]:
+            return idx, leaf
+        u = next(u for u, e in enumerate(leaf) if not e.is_zero)
+        return idx + (u,), leaf[u]
+
 
 def mirror_pairs(tensor: FrameTensor, at: int) -> FrameTensor:
     """The half rule of a (1, s) tensor antisymmetric in its slots ``at`` and
@@ -284,6 +294,23 @@ def mirror_pairs(tensor: FrameTensor, at: int) -> FrameTensor:
         (*idx[:at], idx[at + 1], idx[at], *idx[at + 2 :]): tuple(-e for e in leaf) for idx, leaf in tensor.comps.items()
     }
     return tensor._replace(comps=dict(sorted({**tensor.comps, **mirror}.items())))
+
+
+def residual(lhs: FrameTensor, p: FrameTensor, q: FrameTensor, u: Expr, v: Expr) -> FrameTensor:
+    """lhs - u p - v q for three tensors of one valence and scalars u, v, on
+    its support: the leaves stored in lhs, in p when u is nonzero and in q
+    when v is nonzero.  Anywhere else every term has a zero operand.  With
+    an empty support the residual is lhs, the zero tensor."""
+    support = set(lhs.comps).union(*(t.comps for c, t in ((u, p), (v, q)) if not c.is_zero))
+    if not support:
+        return lhs
+    vector = lhs.valence[0]
+
+    def leaf(*idx):
+        a, b, c = lhs.comp(*idx), p.comp(*idx), q.comp(*idx)
+        return vec_sub(vec_sub(a, vec_scale(u, b)), vec_scale(v, c)) if vector else a - u * b - v * c
+
+    return FrameTensor.build(lhs.valence, lhs.dim, leaf, support)
 
 
 # -- contractions --------------------------------------------------------------

@@ -1,15 +1,17 @@
 """The conformal soliton condition along xi: the residual of
 L_xi g + 2 S - [2 lambda - (p + 2/n)] g, the two derivations of lambda
 side by side, and the eta-Einstein shape of S that k = lambda - (p/2 + 1/n)
-- alpha gives.  The ``soliton`` command loads this module and no other
-condition.  Its rational constants (1/2, (n+1)/n, 2/n, ...) are built with
-``Expr.ratio``, so it imports no ``fractions``."""
+- alpha gives.  Both residuals are relations lhs = u p + v q, formed by
+``frame_geometry.residual`` on their support: L_xi g - (-2) S - c g and
+S - k g - (-alpha) eta x eta.  The ``soliton`` command loads this module
+and no other condition.  Its rational constants (1/2, (n+1)/n, 2/n, ...)
+are built with ``Expr.ratio``, so it imports no ``fractions``."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .frame_geometry import FrameTensor
+from .frame_geometry import FrameTensor, residual
 from .levi_civita import lie_derivative_metric
 from .manifold import ManifoldData
 from .symexpr import Expr
@@ -64,20 +66,14 @@ def soliton_residual(data: ManifoldData, params: SolitonParams) -> SolitonCheck:
     g = data.metric.g
     lie = lie_derivative_metric(data.frame, data.metric, data.brackets, data.xi_index)
     ric = data.stack.ricci
+    g_tensor = FrameTensor.build((0, 2), n, lambda i, j: g[i][j])
     factor = 2 * params.lam - (params.p + Expr.ratio(params.p.vars, 2, n))
-
-    def entry(i, j):
-        return lie.comp(i, j) + 2 * ric.comp(i, j) - factor * g[i][j]
-
-    res = FrameTensor.build((0, 2), n, entry)
+    res = residual(lie, ric, g_tensor, data.chart.const(-2), factor)
 
     eta_res = None
     if params.k is not None:
         st = data.structure
-
-        def eta_entry(i, j):
-            return ric.comp(i, j) - params.k * g[i][j] + st.alpha * st.eta[i] * st.eta[j]
-
-        eta_res = FrameTensor.build((0, 2), n, eta_entry)
+        eta2 = FrameTensor.build((0, 2), n, lambda i, j: st.eta[i] * st.eta[j])
+        eta_res = residual(ric, g_tensor, eta2, params.k, -st.alpha)
 
     return SolitonCheck(res, res.is_zero, eta_res)

@@ -181,15 +181,15 @@ def pairwise_riemann(conn, brackets):
 
 def fit_rows(data: ManifoldData, kind, w: int):
     """The rows (p, q, lhs) of direction w of the recurrence fit, with the
-    index of each: the leaf components of the condition, in
+    index of each: the leaf components of the condition at every index, in
     ``itertools.product`` order of the leaf, then of a vector leaf's
-    component u."""
+    component u, read through each tensor's ``comp``."""
     n = data.dim
-    (r, s), lhs, p, q = _recurrence_terms(data, kind)
-    leaves = list(itertools.product(range(n), repeat=s - 1))
-    if not r:
-        return [(p(*idx), q(*idx), lhs(w, *idx)) for idx in leaves], leaves
-    rows = [row for idx in leaves for row in zip(p(*idx), q(*idx), lhs(w, *idx))]
+    lhs, p, q = _recurrence_terms(data, kind)
+    leaves = list(itertools.product(range(n), repeat=p.valence[1]))
+    if not p.valence[0]:
+        return [(p.comp(*idx), q.comp(*idx), lhs.comp(w, *idx)) for idx in leaves], leaves
+    rows = [row for idx in leaves for row in zip(p.comp(*idx), q.comp(*idx), lhs.comp(w, *idx))]
     return rows, [idx + (u,) for idx in leaves for u in range(n)]
 
 

@@ -17,7 +17,8 @@ unmutated copy.  A mutant is killed when pytest reports a
 failing test; it survives when every test passes.  Children write no
 bytecode, so no cached module stands in for a mutated one.  The exit status
 is 0 when every mutant is killed, 1 otherwise, including a mutant whose
-text is not found or whose tests cannot be collected.
+text is not found, whose tests cannot be collected, or whose child runs
+past ``TIMEOUT``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench")
+# Each child is stopped after TIMEOUT seconds (the unmutated run after
+# TIMEOUT per test it runs), and a mutant whose child is stopped counts as
+# not killed: a mutant that makes a test loop forever fails the gate instead
+# of hanging it.  The slowest row took 1.5-1.7 s on a 2-CPU container.
+TIMEOUT = 30
 
 
 class Mutant(NamedTuple):
@@ -234,6 +240,14 @@ MUTANTS = (
         "if True:",
         ("tests/test_cli.py::TestExitCodes::test_soliton_explicit_lambda",),
     ),
+    # L_xi g + 2 S - c g is the residual of lhs = L_xi g, p = S, u = -2
+    Mutant(
+        "soliton-lie-term-sign",
+        "src/lcslab/soliton.py",
+        "data.chart.const(-2)",
+        "data.chart.const(2)",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
     Mutant(
         "orbit-marked-seen-not-summed",
         "src/lcslab/self_checks.py",
@@ -295,29 +309,53 @@ MUTANTS = (
         "FAIL if holds else PASS",
         ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
     ),
-    # the two-unknown solver only solves: each caller verifies its solution,
-    # the classifier row by row and the fit through the residual leaves in
-    # order, stopping at the first nonzero component
+    # the two-unknown solver only solves: fit_two returns the residual of its
+    # solution, which the classifier checks and the fit reads in order, its
+    # first nonzero component the witness; the residual is formed on its
+    # support, the leaves of lhs, of p where u != 0 and of q where v != 0,
+    # and fit_two solves on the rows of the leaves stored in p or q
     Mutant(
         "classify-without-row-check",
         "src/lcslab/einstein.py",
-        "    if any(not (p * a + q * b - s).is_zero for p, q, s in rows):\n",
+        "    if not res.is_zero:\n",
         "    if False:\n",
         ("tests/test_lcs_structure.py::TestClassify::test_neither_when_no_solution",),
     ),
     Mutant(
         "fit-walks-leaves-from-the-last",
         "src/lcslab/conditions.py",
-        "for k, e in enumerate(flat(residual(w, *idx) for idx in leaves)):",
-        "for k, e in reversed(list(enumerate(flat(residual(w, *idx) for idx in leaves)))):",
+        "idx, _ = res.first_nonzero()",
+        "idx, _ = res._replace(comps=dict(reversed(res.comps.items()))).first_nonzero()",
         ("tests/test_conditions.py::TestFitOutcomes::test_witness_at_higher_dimension",),
     ),
     Mutant(
         "fit-returns-pivot-solution-unchecked",
         "src/lcslab/conditions.py",
-        "for k, e in enumerate(flat(residual(w, *idx) for idx in leaves)):",
-        "for k, e in enumerate(()):",
+        "        if idx is not None:\n",
+        "        if False:\n",
         ("tests/test_conditions.py::TestFitOutcomes::test_witness_at_higher_dimension",),
+    ),
+    # at (w; x, x, z) R and nabla_w R vanish, so only q is stored there
+    Mutant(
+        "residual-support-drops-q",
+        "src/lcslab/frame_geometry.py",
+        "for c, t in ((u, p), (v, q))",
+        "for c, t in ((u, p),)",
+        ("tests/test_conditions.py::TestSgrLemma::test_diagonal_residual_is_minus_b_g_e_x",),
+    ),
+    Mutant(
+        "residual-support-drops-p",
+        "src/lcslab/frame_geometry.py",
+        "for c, t in ((u, p), (v, q))",
+        "for c, t in ((v, q),)",
+        ("tests/test_same_arithmetic.py::test_residual_stores_the_leaves_of_the_all_index_build",),
+    ),
+    Mutant(
+        "fit-rows-from-p-only",
+        "src/lcslab/einstein.py",
+        "sorted(p.comps.keys() | q.comps.keys())",
+        "sorted(p.comps.keys())",
+        ("tests/test_conditions.py::TestFitOutcomes::test_fit_matches_the_reference_model",),
     ),
     # the cold start: a command module must call the entry points through
     # cli, where a tracer wraps them; `python -m lcslab.cli` must register
@@ -504,15 +542,17 @@ MUTANTS = (
         "signs = [c > 0 for c in coeffs]",
         ("tests/test_frame_geometry.py::TestSignature::test_inertia_handles_zero_diagonal",),
     ),
-    # (without the shift even diag(1, 1, -1) reads as (1,2), so the module
-    # metric of test_frame_geometry fails to build and no test there can
-    # run; every built-in then fails to load)
+    # (without the shift even diag(1, 1, -1) reads as (1,2): every built-in
+    # fails to load, and the inertia differs from the reference model's)
     Mutant(
         "leverrier-shift-dropped",
         "src/lcslab/frame_geometry.py",
         "mk = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(mm)]",
         "mk = mm",
-        ("tests/test_cli.py::TestLoad::test_file_equivalent_to_builtin",),
+        (
+            "tests/test_cli.py::TestLoad::test_file_equivalent_to_builtin",
+            "tests/test_frame_geometry.py::TestSignature::test_inertia_equals_rational_elimination",
+        ),
     ),
     Mutant(
         "inertia-zero-eigenvalues-from-the-leading-end",
@@ -592,9 +632,9 @@ MUTANTS = (
     # so a vector leaf that scales its g-term by A(E_w) shows there
     Mutant(
         "sgr-g-term-scaled-by-a",
-        "src/lcslab/conditions.py",
-        "vec_scale(b[w], q(*idx))",
-        "vec_scale(a[w], q(*idx))",
+        "src/lcslab/frame_geometry.py",
+        "vec_scale(v, c)",
+        "vec_scale(u, c)",
         ("tests/test_conditions.py::TestSgrLemma::test_diagonal_residual_is_minus_b_g_e_x",),
     ),
     # one tautology per curvature self-check: the identity's second term
@@ -645,7 +685,7 @@ MUTANTS = (
 )
 
 
-def pytest(copy: Path, tests) -> subprocess.CompletedProcess:
+def pytest(copy: Path, tests, timeout: float) -> subprocess.CompletedProcess:
     # With plugin autoload on, pytest rewrites the assertions of every module
     # of an entry-point plugin's distribution, all of hypothesis, and with no
     # bytecode written each child would rewrite them again; so autoload is
@@ -661,7 +701,7 @@ def pytest(copy: Path, tests) -> subprocess.CompletedProcess:
     # phase: a failing example still fails its test, unminimised
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin"]
     argv += ["--hypothesis-profile=mutants", *tests]
-    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def run_mutant(copy: Path, mutant: Mutant) -> str:
@@ -672,7 +712,9 @@ def run_mutant(copy: Path, mutant: Mutant) -> str:
         return f"error: the old text occurs {text.count(mutant.old)} times in {mutant.path}"
     target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
     try:
-        done = pytest(copy, mutant.tests)
+        done = pytest(copy, mutant.tests, TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return f"error: timed out after {TIMEOUT} s"
     finally:
         target.write_text(text, encoding="utf-8")
     if done.returncode == 1:  # pytest: some test failed
@@ -697,7 +739,11 @@ def main(names: list[str]) -> int:
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", "out", ".pytest_cache"))
         # a test that fails unmutated would count every mutant as killed
         tests = sorted({t for m in chosen for t in m.tests})
-        clean = pytest(copy, tests)
+        try:
+            clean = pytest(copy, tests, TIMEOUT * len(tests))
+        except subprocess.TimeoutExpired:
+            print(f"the mutants' tests time out on the unmutated copy ({TIMEOUT} s a test)", file=sys.stderr)
+            return 1
         if clean.returncode != 0:
             print(clean.stdout + clean.stderr, file=sys.stderr)
             print("the mutants' tests do not pass on the unmutated copy", file=sys.stderr)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lcslab import cli, conditions, derived_conditions, einstein, lcs_structure
+from lcslab import cli, conditions, derived_conditions, einstein, frame_geometry, lcs_structure
 from lcslab.conditions import (
     NoSolution,
     RecurrenceForms,
@@ -15,6 +15,7 @@ from lcslab.conditions import (
 )
 from lcslab.derived_conditions import derived_condition_residuals, nabla_r_xi_identity
 from lcslab.einstein import EinsteinKind, solve_two_unknowns
+from lcslab.frame_geometry import FrameTensor
 from lcslab.lcs_structure import NotLcsError
 from lcslab.soliton import SolitonParams, soliton_lambda, soliton_residual
 
@@ -206,26 +207,37 @@ class TestFitOutcomes:
         # forms zero and nonzero; witnesses of both kinds, in direction 0 and later
         assert seen >= {False, True, (True, False), (False, False), (True, True)}
 
-    def test_fit_forms_each_leaf_once_and_stops_at_the_witness(self, monkeypatch):
-        formed = []
-        shipped = conditions._residual_leaf
+    def test_fit_forms_the_support_of_each_direction_once_and_stops_at_the_witness(self, monkeypatch):
+        formed = []  # one list of formed leaves per residual
+        build, shipped = FrameTensor.build, frame_geometry.residual
 
-        def recording(terms, a, b):
-            leaf = shipped(terms, a, b)
+        def recording(lhs, p, q, u, v):
+            leaves = []
 
-            def counted(w, *idx):
-                formed.append((w, *idx))
-                return leaf(w, *idx)
+            def recording_build(cls, valence, n, fn, support=None):
+                return build(valence, n, lambda *idx: leaves.append(idx) or fn(*idx), support)
 
-            return counted
+            with monkeypatch.context() as m:
+                m.setattr(FrameTensor, "build", classmethod(recording_build))
+                out = shipped(lhs, p, q, u, v)
+            formed.append(leaves)
+            return out
 
-        monkeypatch.setattr(conditions, "_residual_leaf", recording)
-        # lcs4 SGR stops at leaf (0, 1, 1) of direction 0, the sixth in order
-        assert isinstance(recurrence_fit(builtin("lcs4"), RecurrenceKind.SGR), NoSolution)
-        assert formed == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 1, 0), (0, 0, 1, 1)]
+        monkeypatch.setattr(einstein, "residual", recording)
+        # lcs4 SGR stops at its witness in direction E1: only E1's residual is
+        # formed, each leaf once, on its support; the pivot solution there is
+        # A(E1) = B(E1) = 0, so the support is the leaves of nabla_1 R
+        data = builtin("lcs4")
+        assert recurrence_fit(data, RecurrenceKind.SGR).direction == 0
+        u, v = solve_two_unknowns(fit_rows(data, RecurrenceKind.SGR, 0)[0])
+        assert u.is_zero and v.is_zero
+        support = [idx[1:] for idx in data.nabla_riemann.comps if idx[0] == 0]
+        assert formed == [support] and 0 < len(support) < 4**3
+        # desitter4: nabla R = 0 and zero forms in every direction, so no leaf
+        # is formed (an all-index walk formed 4^4)
         formed.clear()
         assert isinstance(recurrence_fit(builtin("desitter4"), RecurrenceKind.SGR), RecurrenceForms)
-        assert len(formed) == len(set(formed)) == 4**4
+        assert formed == [[]] * 4
 
     def test_fit_builds_no_residual_and_check_one(self, monkeypatch, tmp_path):
         calls = []

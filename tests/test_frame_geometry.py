@@ -38,12 +38,12 @@ E3 = vf("0", "0", "1")
 FRAME = Frame((E1, E2, E3))
 
 
-def lorentz_metric(frame=FRAME):
+@pytest.fixture
+def metric():
+    # built in each test that reads it, so that a fault in the signature
+    # check fails those tests instead of the collection of this module
     rows = (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "-1"))
-    return FrameMetric.checked(frame, [[CHART.parse(t) for t in row] for row in rows])
-
-
-METRIC = lorentz_metric()
+    return FrameMetric.checked(FRAME, [[CHART.parse(t) for t in row] for row in rows])
 
 
 class TestApply:
@@ -106,24 +106,24 @@ class TestDecompose:
 
 
 class TestMetric:
-    def test_xi_norm(self):
-        assert METRIC.pair(FRAME.unit(2), FRAME.unit(2)) == CHART.const(-1)
+    def test_xi_norm(self, metric):
+        assert metric.pair(FRAME.unit(2), FRAME.unit(2)) == CHART.const(-1)
 
-    def test_orthogonality(self):
-        assert METRIC.pair(FRAME.unit(0), FRAME.unit(1)).is_zero
+    def test_orthogonality(self, metric):
+        assert metric.pair(FRAME.unit(0), FRAME.unit(1)).is_zero
 
-    def test_symmetry_on_random_components(self):
+    def test_symmetry_on_random_components(self, metric):
         u = tuple(CHART.parse(t) for t in ("x", "1 - z", "y^2"))
         v = tuple(CHART.parse(t) for t in ("1/z", "x*y", "3"))
-        assert METRIC.pair(u, v) == METRIC.pair(v, u)
+        assert metric.pair(u, v) == metric.pair(v, u)
 
-    def test_bilinearity(self):
+    def test_bilinearity(self, metric):
         u = tuple(CHART.parse(t) for t in ("x", "0", "1"))
         v = tuple(CHART.parse(t) for t in ("z", "y", "0"))
         w = tuple(CHART.parse(t) for t in ("1", "2", "x"))
         f = CHART.parse("x^2 - 1/z")
-        left = METRIC.pair(tuple(f * a + b for a, b in zip(u, v)), w)
-        assert left == f * METRIC.pair(u, w) + METRIC.pair(v, w)
+        left = metric.pair(tuple(f * a + b for a, b in zip(u, v)), w)
+        assert left == f * metric.pair(u, w) + metric.pair(v, w)
 
     def test_asymmetric_matrix_rejected(self):
         rows = [["1", "x", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
@@ -133,8 +133,8 @@ class TestMetric:
 
 
 class TestInverseMetric:
-    def test_orthonormal_lorentzian(self):
-        inv = METRIC.inverse()
+    def test_orthonormal_lorentzian(self, metric):
+        inv = metric.inverse()
         assert inv[2][2] == CHART.const(-1)
         assert inv[0][0] == CHART.one() and inv[0][1].is_zero
 

@@ -26,6 +26,7 @@ in both runs.
 """
 
 import importlib
+import itertools
 import json
 from functools import partial
 from pathlib import Path
@@ -33,9 +34,9 @@ from pathlib import Path
 import pytest
 
 from lcslab import _poly_py, cli, curvature, derived_conditions, levi_civita, polyops, symexpr
-from lcslab.frame_geometry import FrameTensor, mirror_pairs
+from lcslab.frame_geometry import FrameTensor, mirror_pairs, residual
 
-from conftest import ad_hoc, gather_cov_deriv_tensor
+from conftest import AD_HOC, ad_hoc, builtin, gather_cov_deriv_tensor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 COMMANDS = (
@@ -159,3 +160,41 @@ def test_counts_do_not_depend_on_what_ran_before(monkeypatch):
         cli.run("curvature", ad_hoc(before), {})
         assert counted_curvature("dense-style") == first
     assert first[1]["poly_gcd"] > 0
+
+
+@pytest.mark.parametrize("name", ["example51", "lcs4", "dense-style"])
+def test_residual_stores_the_leaves_of_the_all_index_build(name):
+    # lhs - u p - v q on its support against the same relation evaluated at
+    # every index, for u and v each zero and nonzero: scalar leaves with
+    # (nabla_1 S, S, g) and vector leaves with (nabla_1 R, R, g(E_y,E_z) E_x)
+    data = ad_hoc(name) if name in AD_HOC else builtin(name)
+    n, chart, g = data.dim, data.chart, data.metric.g
+    cases = (
+        (
+            FrameTensor.build((0, 2), n, lambda i, j: data.nabla_ricci.comp(0, i, j)),
+            data.stack.ricci,
+            FrameTensor.build((0, 2), n, lambda i, j: g[i][j]),
+        ),
+        (
+            FrameTensor.build((1, 3), n, lambda x, y, z: data.nabla_riemann.comp(0, x, y, z)),
+            data.stack.riemann13,
+            FrameTensor.build((1, 3), n, lambda x, y, z: tuple(g[y][z] if c == x else chart.zero() for c in range(n))),
+        ),
+    )
+    nonzero_u = chart.parse(f"{chart.coords[0].name} + 1")
+    for lhs, p, q in cases:
+        assert not (lhs.is_zero or p.is_zero or q.is_zero)
+        for u, v in itertools.product((chart.zero(), nonzero_u), (chart.zero(), chart.const(3))):
+            if lhs.valence[0]:
+
+                def leaf(*idx):
+                    return tuple(a - u * b - v * c for a, b, c in zip(lhs.comp(*idx), p.comp(*idx), q.comp(*idx)))
+
+            else:
+
+                def leaf(*idx):
+                    return lhs.comp(*idx) - u * p.comp(*idx) - v * q.comp(*idx)
+
+            ours, theirs = residual(lhs, p, q, u, v), FrameTensor.build(lhs.valence, n, leaf)
+            assert list(ours.comps.items()) == list(theirs.comps.items()), (name, lhs.valence, u, v)
+            assert ours == theirs
