@@ -454,9 +454,8 @@ def add_gated(report: Report, check_id, title, hypothesis, blocked, holds, engin
 # values, or None when it takes no KIND; its options besides OPTIONS; its
 # help lines).  An option maps to (its key in the options dict, its
 # default, its value, its help): a value of None makes a flag, which
-# stores True, a tuple lists the values it accepts, and any other value is
-# the name the help text gives it.  A default of REQUIRED makes an option
-# the command cannot run without.
+# stores True, and any other value is the name the help text gives it.  A
+# default of REQUIRED makes an option the command cannot run without.
 REQUIRED = object()
 OPTIONS = {
     "--json": ("json", False, None, "emit the report as JSON"),
@@ -491,7 +490,6 @@ COMMANDS = {
         ".cmd_soliton",
         None,
         {
-            "--V": ("V", "xi", ("xi",), "soliton: the soliton vector field, the structure field"),
             "--p": ("p", "0", "EXPR", "soliton: the conformal pressure (default: 0)"),
             "--lambda": ("lam", None, "EXPR", "soliton: the soliton scalar (default: derived)"),
         },
@@ -536,7 +534,7 @@ def help_text() -> str:
         options.update(own)
     lines += ["", "options:"]
     for option, (_, _, value, text) in options.items():
-        shown = "" if value is None else " | ".join(value) if isinstance(value, tuple) else value
+        shown = "" if value is None else value
         lines.append(f"  {f'{option} {shown}'.strip():<20} {text}")
     return "\n".join(lines) + "\n"
 
@@ -623,8 +621,8 @@ def read_argv(argv) -> dict | str:
         if token == "--":
             positionals += rest
         elif name in HELP or name in spec:
-            key, _, accepted, _ = spec.get(name, (None,) * 4)  # -h/--help: no key, no value
-            if accepted is None:
+            key, _, value_name, _ = spec.get(name, (None,) * 4)  # -h/--help: no key, no value
+            if value_name is None:
                 if eq:
                     raise UsageError(f"argument {name}: ignored explicit argument {quote_text(value)}")
                 if key is None:
@@ -634,8 +632,6 @@ def read_argv(argv) -> dict | str:
                 value = next(rest, "--")  # the end of argv refuses as a '--' does
                 if value == "--":
                     raise UsageError(f"argument {name}: expected one argument")
-            if isinstance(accepted, tuple) and value not in accepted:
-                raise UsageError(f"argument {name}: invalid choice {quote_text(value)} (choose from {', '.join(accepted)})")
             options[key] = value
         elif token.startswith("--"):
             extras.append(token)

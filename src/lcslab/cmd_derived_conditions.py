@@ -60,5 +60,4 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
         "g((nabla_W R)(xi,Y)Z, xi) = -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)",
         engine=f"2 alpha rho - beta = {ident.coefficient}",
         residual=residual_excerpt(ident.residual),
-        note="passes under the sign-flipped beta convention" if ident.sign_flipped else None,
     )

@@ -20,12 +20,12 @@ from .manifold import ManifoldData
 from .symexpr import Expr
 
 
-class XiDerivativeIdentity(namedtuple("XiDerivativeIdentity", "passed sign_flipped coefficient residual")):
+class XiDerivativeIdentity(namedtuple("XiDerivativeIdentity", "passed coefficient residual")):
     """Result of checking g((nabla_W R)(xi,Y)Z, xi) against
     -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W).
 
-    passed, sign_flipped (bool); coefficient (Expr: 2 alpha rho - beta, for
-    the variant that was reported); residual (FrameTensor).
+    passed (bool); coefficient (Expr: 2 alpha rho - beta); residual
+    (FrameTensor).
     """
 
     __slots__ = ()
@@ -39,32 +39,44 @@ def xi_slice(data: ManifoldData) -> FrameTensor:
 
 
 def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDerivativeIdentity:
-    """Check the xi-direction second-derivative identity on a verified
-    structure; if it fails only under the adopted sign convention for beta,
-    the sign-flipped alternative is checked and flagged."""
+    """Check the xi-direction identity of nabla R on a verified structure,
+    with ``beta`` (default: the structure's, d(rho) = beta eta).
+
+    It is a theorem of the structure, so with the structure's beta it fails
+    only on a fault in the engine.  Proof: on an (LCS)_n,
+    nabla xi = alpha(I + eta (x) xi) and d(alpha) = rho eta give
+    R(X,Y)xi = c{eta(Y)X - eta(X)Y} with c = alpha^2 - rho, so, as
+    eta(xi) = -1,
+
+        F(Y,Z) = g(R(xi,Y)Z, xi) = -c{g(Y,Z) + eta(Y)eta(Z)}.
+
+    Differentiate F along W in two ways.  Through R, (nabla_W F)(Y,Z) is
+    g((nabla_W R)(xi,Y)Z, xi) + g(R(nabla_W xi, Y)Z, xi)
+    + g(R(xi,Y)Z, nabla_W xi), and with nabla_W xi = alpha(W + eta(W)xi),
+    the pair symmetry of R and R(X,Y)xi above, the last two terms are
+
+        -alpha c{eta(Y)g(W,Z) + eta(Z)g(W,Y) + 2 eta(W)eta(Y)eta(Z)}.
+
+    Through the closed form, (nabla_W F)(Y,Z) is
+    -dc(W){g(Y,Z) + eta(Y)eta(Z)} plus the terms of
+    (nabla_W eta)(Y) = alpha{g(W,Y) + eta(W)eta(Y)}, which are the same
+    expression.  So g((nabla_W R)(xi,Y)Z, xi) = -dc(W){g(Y,Z) + eta(Y)eta(Z)},
+    and dc = 2 alpha d(alpha) - d(rho) = (2 alpha rho - beta) eta.  A beta
+    other than the structure's (the tests pass one) leaves a nonzero
+    residual."""
     st = data.structure
     g = data.metric.g
     k = data.xi_index
     nabla_r = xi_slice(data)
+    coeff = 2 * st.alpha * st.rho - (st.beta if beta is None else beta)
 
-    def residual_for(beta_value: Expr):
-        coeff = 2 * st.alpha * st.rho - beta_value
+    def entry(w, y, z):
+        lhs = st.eta_of(nabla_r.comp(w, k, y, z))  # g((nabla_W R)(xi,Y)Z, xi), eta being xi lowered
+        rhs = -coeff * (g[y][z] + st.eta[y] * st.eta[z]) * st.eta[w]
+        return lhs - rhs
 
-        def entry(w, y, z):
-            lhs = st.eta_of(nabla_r.comp(w, k, y, z))  # g((nabla_W R)(xi,Y)Z, xi), eta being xi lowered
-            rhs = -coeff * (g[y][z] + st.eta[y] * st.eta[z]) * st.eta[w]
-            return lhs - rhs
-
-        return coeff, FrameTensor.build((0, 3), data.dim, entry)
-
-    base_beta = st.beta if beta is None else beta
-    coeff, res = residual_for(base_beta)
-    if res.is_zero:
-        return XiDerivativeIdentity(True, False, coeff, res)
-    coeff_alt, res_alt = residual_for(-base_beta)
-    if res_alt.is_zero:
-        return XiDerivativeIdentity(True, True, coeff_alt, res_alt)
-    return XiDerivativeIdentity(False, False, coeff, res)
+    residual = FrameTensor.build((0, 3), data.dim, entry)
+    return XiDerivativeIdentity(residual.is_zero, coeff, residual)
 
 
 class DerivedConditions(

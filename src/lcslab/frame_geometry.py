@@ -7,10 +7,11 @@ explicit, via ``decompose``.
 
 Fraction arithmetic lives in ``symexpr``: this module calls no polynomial
 kernel.  ``VectorField.apply`` memoises X(f), which ``Expr.along``
-computes.  The one read of an Expr's parts is ``vec_sum``'s zero test
-``e.num``, run once per component of every derivation term: the attribute
-read takes a quarter or less of the time of the ``is_zero`` property
-(11-19 against 64-107 ns a test, timeit on a 2-CPU Xeon container).
+computes.  The one read of an Expr's parts is the zero test ``e.num`` of
+the contraction primitives, ``FrameTensor.build``, ``VectorField.apply``
+and ``matrix_inverse``, run once per operand: the attribute read takes a
+quarter or less of the time of the ``is_zero`` property (11-19 against
+64-107 ns a test, timeit on a 2-CPU Xeon container).
 
 The one exact solver for symbolic matrices is ``matrix_inverse``.  A frame
 and a frame metric each invert their matrix once, on construction: the
@@ -97,6 +98,8 @@ class VectorField:
         """Directional derivative X(f) = sum_i X^i df/dx_i (``Expr.along``),
         memoised per (field, f) alongside the Expr operations (see
         ``symexpr``)."""
+        if not f.num:
+            return f
         if f.is_constant:
             return self.chart.zero()
         key = (self, f)
@@ -259,7 +262,7 @@ class FrameTensor(namedtuple("FrameTensor", "valence comps dim zero")):
                 leaf = tuple(leaf)
                 if vec_nonzero(leaf):
                     comps[idx] = leaf
-            elif not leaf.is_zero:
+            elif leaf.num:
                 comps[idx] = leaf
         if leaf is None:  # empty support: the zero leaf of the first index
             leaf = fn(*(0,) * s)
@@ -327,21 +330,21 @@ def residual(lhs: FrameTensor, p: FrameTensor, q: FrameTensor, u: Expr, v: Expr)
 
 
 def vec_nonzero(u) -> bool:
-    return any(not e.is_zero for e in u)
+    return any(e.num for e in u)
 
 
 def vec_add(u, v):
-    return tuple(a if b.is_zero else b if a.is_zero else a + b for a, b in zip(u, v))
+    return tuple(a if not b.num else b if not a.num else a + b for a, b in zip(u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a if b.is_zero else -b if a.is_zero else a - b for a, b in zip(u, v))
+    return tuple(a if not b.num else -b if not a.num else a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Expr, u):
-    if c.is_zero:
+    if not c.num:
         return (c,) * len(u)
-    return tuple(a if a.is_zero else c * a for a in u)
+    return tuple(c * a if a.num else a for a in u)
 
 
 def vec_sum(variables, terms) -> tuple[Expr, ...]:
@@ -361,11 +364,11 @@ def dot(u, v) -> Expr:
     whose factors are both nonzero, the zero factor of the first term."""
     total = None
     for a, b in zip(u, v):
-        if a.is_zero or b.is_zero:
+        if not (a.num and b.num):
             continue
         total = a * b if total is None else total + a * b
     if total is None:
-        return u[0] if u[0].is_zero else v[0]
+        return v[0] if u[0].num else u[0]
     return total
 
 
@@ -373,7 +376,7 @@ def combo(coeffs, vec_of) -> tuple[Expr, ...]:
     """sum_a coeffs[a] vec_of(a), calling vec_of(a) only where coeffs[a] is
     nonzero.  With no nonzero coefficient the result is the zero vector with
     one component per coefficient."""
-    terms = [vec_scale(c, vec_of(a)) for a, c in enumerate(coeffs) if not c.is_zero]
+    terms = [vec_scale(c, vec_of(a)) for a, c in enumerate(coeffs) if c.num]
     if not terms:
         return (Expr.zero(coeffs[0].vars),) * len(coeffs)
     return reduce(vec_add, terms)
@@ -401,7 +404,8 @@ def matrix_inverse(a) -> tuple[tuple[Expr, ...], ...] | None:
             if r == col:
                 continue
             factor = rows[r][col]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+            if factor.num:  # a zero factor leaves the row as it is
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return tuple(tuple(row[n:]) for row in rows)
 
 

@@ -8,9 +8,10 @@ rho, beta):
     required consistently across ALL frame directions;
   - rho = -xi(alpha), which must satisfy d(alpha) = rho * eta;
   - beta is the scalar with d(rho) = beta * eta.  The source material never
-    defines beta; this proportionality convention mirrors the one for rho,
-    and the downstream identity checker also reports the sign-flipped
-    alternative if only the sign fails.
+    defines beta; this proportionality convention mirrors the one for rho.
+    The xi-derivative identity is checked with this beta only: it is a
+    theorem of the structure (the proof is in
+    ``derived_conditions.nabla_r_xi_identity``).
 
 Checking the structure against every axiom is ``axioms`` (``check-lcs`` and
 ``conformance`` run it), and classifying the Ricci tensor is ``einstein``,

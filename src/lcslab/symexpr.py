@@ -34,14 +34,16 @@ zero built through ``__init__`` is a different, equal instance.
 
 Variables: ``Var(name)`` returns one interned instance per name, so Vars
 (and tuples of them, such as an Expr's ``vars``) compare and hash by object
-identity.  Nothing iterates a hash-ordered container of Vars, so output
-order never depends on those identity hashes.
+identity, and have no order.  Nothing iterates a hash-ordered container
+of Vars, so output order never depends on those identity hashes.
 
 Numbers: a constant is an int or a Fraction (``Expr.constant``), or two
 integers (``Expr.ratio``), and ``value_at`` evaluates at a point of integer
-pairs, all in integers.  Only ``eval`` and the coercion of an operand that is
-neither an Expr nor an int import ``fractions``, so a command that needs no
-Fraction never loads it (nor ``decimal`` and ``numbers`` with it).
+pairs, all in integers.  A number may stand on either side of ``+`` and
+``*``, and on the right of ``-`` and ``/``.  Only ``eval`` and the coercion
+of an operand that is neither an Expr nor an int import ``fractions``, so a
+command that needs no Fraction never loads it (nor ``decimal`` and
+``numbers`` with it).
 
 Equality is equality of rational functions, not of pointwise values: the
 domain restrictions implied by denominators (z != 0 and so on) are carried
@@ -79,7 +81,7 @@ same object.
 
 from __future__ import annotations
 
-from functools import reduce, total_ordering
+from functools import reduce
 from math import comb, gcd
 
 from . import polyops as P
@@ -121,7 +123,6 @@ class PoleError(ExprError):
     """Evaluation point lies on the zero set of a denominator."""
 
 
-@total_ordering
 class Var:
     """A named variable; ``Var(name)`` is one interned instance per name.
 
@@ -151,9 +152,6 @@ class Var:
 
     def __reduce__(self):  # copies and pickles resolve to the interned instance
         return (Var, (self.name,))
-
-    def __lt__(self, other):
-        return self.name < other.name if isinstance(other, Var) else NotImplemented
 
     def __str__(self) -> str:
         return self.name
@@ -272,6 +270,9 @@ class Expr:
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> "Expr":
+        """other as an Expr over self's variables, or NotImplemented.  ``+``,
+        ``-`` and ``*`` skip the call for an Expr over the identical
+        variable tuple, which is nearly every operand."""
         if isinstance(other, Expr):
             if other.vars != self.vars:
                 raise ExprError("mixed variable contexts")
@@ -354,7 +355,7 @@ class Expr:
         return (cls._raw if P.poly_is_one(lcm) else cls)(tuple(variables), num, lcm)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Expr and other.vars is self.vars else self._coerce(other)
         if o is NotImplemented:
             return o
         return self._add_sub(o, sub=False)
@@ -362,19 +363,13 @@ class Expr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Expr and other.vars is self.vars else self._coerce(other)
         if o is NotImplemented:
             return o
         return self._add_sub(o, sub=True)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Expr and other.vars is self.vars else self._coerce(other)
         if o is NotImplemented:
             return o
         if not self.num:
@@ -407,12 +402,6 @@ class Expr:
             num = P.poly_neg(num)
             den = P.poly_neg(den)
         return Expr._raw(self.vars, num, den)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
 
     def __neg__(self):
         if not self.num:

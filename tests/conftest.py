@@ -386,7 +386,6 @@ def reference_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soliton", help="conformal soliton residual and scalar")
     add_common(p)
-    p.add_argument("--V", default="xi", choices=["xi"], help="soliton vector field (the structure field)")
     p.add_argument("--p", default="0", help="conformal pressure expression")
     p.add_argument("--lambda", dest="lam", default=None, help="soliton scalar expression (default: derived)")
 

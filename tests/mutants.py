@@ -18,13 +18,15 @@ failing test; it survives when every test passes.  Children write no
 bytecode, so no cached module stands in for a mutated one.  The exit status
 is 0 when every mutant is killed, 1 otherwise, including a mutant whose
 text is not found, whose tests cannot be collected, or whose child runs
-past ``TIMEOUT``.
+past ``TIMEOUT`` or out of ``MEMORY``.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -39,6 +41,16 @@ COPIED = ("src", "tests", "perfbench")
 # not killed: a mutant that makes a test loop forever fails the gate instead
 # of hanging it.  The slowest row took 1.5-1.7 s on a 2-CPU container.
 TIMEOUT = 30
+# Each child's address space is bounded by MEMORY bytes (RLIMIT_AS, set in
+# the child alone), and a child that runs out of memory, ending in
+# MemoryError or killed by SIGKILL (the kernel's out-of-memory killer),
+# counts as not killed, as a stopped one does: a mutant that makes a
+# structure grow without bound fails the gate instead of taking the
+# machine's memory.  The unmutated child, which runs every row's tests,
+# peaked at 97 MB of address space (92 MB resident) on a 2-CPU container,
+# and the largest mutant child at 82 MB, so the bound leaves five times
+# the clean peak.
+MEMORY = 512 * 2**20
 
 
 class Mutant(NamedTuple):
@@ -207,6 +219,17 @@ MUTANTS = (
         "nabla_r.comp(w, k, y, z)",
         "nabla_r.comp(w, y, k, z)",
         ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
+    # the identity's coefficient is d(alpha^2 - rho) = (2 alpha rho - beta) eta
+    Mutant(
+        "xi-identity-beta-sign",
+        "src/lcslab/derived_conditions.py",
+        "coeff = 2 * st.alpha * st.rho - (st.beta if beta is None else beta)",
+        "coeff = 2 * st.alpha * st.rho + (st.beta if beta is None else beta)",
+        (
+            "tests/test_conditions.py::TestXiDerivativeIdentity::"
+            "test_engine_beta_passes_and_flipped_beta_fails_where_nonzero",
+        ),
     ),
     Mutant(
         "xi-action-reads-slot-0",
@@ -701,7 +724,27 @@ def pytest(copy: Path, tests, timeout: float) -> subprocess.CompletedProcess:
     # phase: a failing example still fails its test, unminimised
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin"]
     argv += ["--hypothesis-profile=mutants", *tests]
-    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run(
+        argv, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=limit_memory
+    )
+
+
+def limit_memory() -> None:
+    """Bound the calling process's address space by MEMORY."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
+def verdict(done: subprocess.CompletedProcess) -> str:
+    """'killed', 'survived', or why a finished child judges nothing: a
+    MemoryError fails a test, but the test did not catch the mutant."""
+    if "MemoryError" in done.stdout + done.stderr or done.returncode == -signal.SIGKILL:
+        return "error: out of memory"
+    if done.returncode == 1:  # pytest: some test failed
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exited {done.returncode}: {' '.join(tail)}"
 
 
 def run_mutant(copy: Path, mutant: Mutant) -> str:
@@ -717,12 +760,7 @@ def run_mutant(copy: Path, mutant: Mutant) -> str:
         return f"error: timed out after {TIMEOUT} s"
     finally:
         target.write_text(text, encoding="utf-8")
-    if done.returncode == 1:  # pytest: some test failed
-        return "killed"
-    if done.returncode == 0:
-        return "survived"
-    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
-    return f"error: pytest exited {done.returncode}: {' '.join(tail)}"
+    return verdict(done)
 
 
 def main(names: list[str]) -> int:

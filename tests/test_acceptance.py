@@ -161,11 +161,8 @@ def test_criterion_06_xi_derivative_identity():
     data = builtin("example51")
     out = nabla_r_xi_identity(data)
     assert out.passed
-    if out.sign_flipped:
-        assert out.coefficient == data.chart.parse("4/z^3")
-    else:
-        assert out.coefficient == 2 * data.structure.alpha * data.structure.rho - data.structure.beta
-        assert out.coefficient == data.chart.parse("4/z^3")
+    assert out.coefficient == 2 * data.structure.alpha * data.structure.rho - data.structure.beta
+    assert out.coefficient == data.chart.parse("4/z^3")
     ok(6, "xi-direction derivative identity passes with coefficient 4/z^3")
 
 
@@ -403,7 +400,7 @@ def test_xi_identity_residual_matches_the_twin(name):
     shifted = st_.beta + data.chart.parse(data.chart.coords[-1].name)
     for beta, passed in ((None, True), (shifted, False)):
         out = nabla_r_xi_identity(data, beta)
-        assert out.passed == passed and not out.sign_flipped
+        assert out.passed == passed
         used = st_.beta if beta is None else beta
         coeff = 2 * twin.ev(st_.alpha) * twin.ev(st_.rho) - twin.ev(used)
         table = twin.xi_identity_residual(nabla_r, coeff)

@@ -639,7 +639,7 @@ RECORDS = {
     "conditions.NoSolution": ("kind direction component needed detail", {}),
     "conditions.SgrPredictions": ("r_engine r_predicted r_note r_matches opposition opposition_note opposition_zero", {}),
     "einstein.ClassifierVerdict": ("kind a b", {"a": None, "b": None}),
-    "derived_conditions.XiDerivativeIdentity": ("passed sign_flipped coefficient residual", {}),
+    "derived_conditions.XiDerivativeIdentity": ("passed coefficient residual", {}),
     "derived_conditions.DerivedConditions": (
         "rxm cxs guard_rxm guard_cxs mproj_xi_residual einstein_from_rxm einstein_from_cxs",
         {},
@@ -888,7 +888,7 @@ ARGV_COMMANDS = {
     "curvature": ((), {}),
     "check": (("SGR", "SGRR", "SGPR"), {"--forms": "f.json"}),
     "fit": (("SGR", "SGRR"), {}),
-    "soliton": ((), {"--V": "xi", "--p": "-1", "--lambda": "x + 1"}),
+    "soliton": ((), {"--p": "-1", "--lambda": "x + 1"}),
     "derived-conditions": ((), {}),
     "conformance": ((), {}),
 }
@@ -979,15 +979,16 @@ def argv_corpus():
         ["curvature", "--sample", "--", "lcs4"],
         # repeated options: the last value wins
         ["curvature", "--sample", "x=1", "--sample=y=2", "--json", "--json"],
-        ["soliton", "--p", "1", "--p=2", "--lambda", "3", "--lambda=4", "--V=xi", "--V", "xi"],
+        ["soliton", "--p", "1", "--p=2", "--lambda", "3", "--lambda=4"],
         ["check", "SGR", "lcs4", "--forms", "a.json", "--forms=b.json"],
         # values that look like options, and options that take no value
         ["soliton", "--p", "-1/2"],
         ["soliton", "--p", "-x + 1"],
         ["soliton", "--p=-x"],
         ["soliton", "--lambda", "-2.5"],
-        ["soliton", "--V", "eta"],
-        ["soliton", "--V=eta"],
+        # soliton has no --V option
+        ["soliton", "--V", "xi"],
+        ["soliton", "--V=xi"],
         ["curvature", "--sample"],
         ["curvature", "--sample", "--json"],
         ["curvature", "--sample=", "lcs4"],
@@ -1085,9 +1086,10 @@ def test_a_value_option_takes_a_next_token_that_starts_with_a_dash(capsys):
 
 
 # tokens a command line is drawn from: every option, alone and joined, the
-# values they take, positionals and tokens that look like options; none is
-# an abbreviation of an option, and '--' comes at most once (argparse drops
-# a second '--' that is the <def.json> after a KIND; the reader keeps it)
+# values they take, positionals and tokens that look like options (--V
+# among them); none is an abbreviation of an option, and '--' comes at most
+# once (argparse drops a second '--' that is the <def.json> after a KIND;
+# the reader keeps it)
 ARGV_TOKENS = [
     *ARGV_COMMANDS,
     "SGR",
@@ -1105,7 +1107,6 @@ ARGV_TOKENS = [
     "--V",
     "xi",
     "--V=xi",
-    "--V=eta",
     "--p",
     "--p=-1",
     "-1",

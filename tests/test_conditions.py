@@ -386,15 +386,35 @@ class TestSgrPredictions:
 class TestXiDerivativeIdentity:
     def test_reference_manifold_passes(self, example51):
         out = nabla_r_xi_identity(example51)
-        assert out.passed and not out.sign_flipped
+        assert out.passed
         assert out.coefficient == example51.chart.parse("4/z^3")
         assert out.residual.is_zero
 
     def test_sign_flip_is_detected_and_reported(self, example51):
+        # the identity is checked with the beta it is given, and -beta is not
+        # the structure's: beta = -2/z^3, so the coefficient 2 alpha rho + beta
+        # is 0 where it should be 4/z^3
         flipped = -example51.structure.beta
         out = nabla_r_xi_identity(example51, beta=flipped)
-        assert out.passed and out.sign_flipped
-        assert out.coefficient == example51.chart.parse("4/z^3")
+        assert not out.passed and not out.residual.is_zero
+        assert out.coefficient.is_zero
+
+    # lcsN: alpha = -1/t, rho = -1/t^2 and beta = -2/t^3 at every n, so the
+    # coefficient 2 alpha rho - beta is 4/t^3 and -beta's is 0; desitterN has
+    # rho = beta = 0, where beta and -beta are the same scalar
+    @pytest.mark.parametrize("name", [f"lcs{n}" for n in range(4, 9)] + [f"desitter{n}" for n in range(4, 7)])
+    def test_engine_beta_passes_and_flipped_beta_fails_where_nonzero(self, name):
+        data = builtin(name)
+        chart, beta = data.chart, data.structure.beta
+        out = nabla_r_xi_identity(data)
+        assert out.passed and out.residual.is_zero
+        flipped = nabla_r_xi_identity(data, beta=-beta)
+        if name.startswith("lcs"):
+            assert beta == chart.parse("-2/t^3") and out.coefficient == chart.parse("4/t^3")
+            assert not flipped.passed and flipped.coefficient.is_zero
+        else:
+            assert beta.is_zero and out.coefficient.is_zero
+            assert flipped.passed and flipped.coefficient.is_zero
 
     def test_desitter_degenerate_coefficient(self, desitter3):
         out = nabla_r_xi_identity(desitter3)

@@ -271,10 +271,6 @@ class TestVar:
             del X.name
         assert X.name == "x"
 
-    def test_ordered_by_name(self):
-        assert sorted([Var("z"), Var("b"), Var("x")]) == [Var("b"), Var("x"), Var("z")]
-        assert Var("a") < Var("b") <= Var("b") and Var("c") > Var("b") >= Var("b")
-
     def test_text_forms(self):
         assert repr(Var("x")) == "Var(name='x')" and str(Var("x")) == "x"
 
