@@ -23,8 +23,8 @@ from .levi_civita import cov_deriv_tensor
 from .manifold import ManifoldData
 
 
-class AxiomCheck(namedtuple("AxiomCheck", "axiom description passed detail", defaults=("",))):
-    """axiom, description (str); passed (bool); detail (str)."""
+class AxiomCheck(namedtuple("AxiomCheck", "axiom description detail", defaults=("",))):
+    """axiom, description (str); detail (str: empty when the axiom holds)."""
 
     __slots__ = ()
 
@@ -80,7 +80,7 @@ def verify_axioms(data: ManifoldData, structure: LcsStructure) -> list[AxiomChec
             detail = "alpha = 0"
         else:
             values = (residual(*idx) for idx in product(range(n), repeat=arity))
-            bad = next((e for r in values for e in (r if isinstance(r, tuple) else (r,)) if not e.is_zero), None)
+            bad = next((e for r in values for e in (r if isinstance(r, tuple) else (r,)) if e.num), None)
             detail = "" if bad is None else f"residual {bad}"
-        checks.append(AxiomCheck(axiom, description, not detail, detail))
+        checks.append(AxiomCheck(axiom, description, detail))
     return checks

@@ -104,7 +104,9 @@ derived_condition_residuals = _lazy(".derived_conditions", "derived_condition_re
 nabla_r_xi_identity = _lazy(".derived_conditions", "nabla_r_xi_identity")
 soliton_residual = _lazy(".soliton", "soliton_residual")
 
-# the values of conditions.RecurrenceKind, for the command table
+# the recurrence kinds as the reports print them, the one list of them: the
+# command table reads it (``fit`` takes the first two), and
+# ``conditions._recurrence_terms`` states the condition of each
 RECURRENCE_KINDS = ("SGR", "SGRR", "SGPR")
 
 
@@ -403,7 +405,7 @@ class Report:
 def format_vector(comps) -> str:
     parts = []
     for i, c in enumerate(comps):
-        if c.is_zero:
+        if not c.num:
             continue
         text = str(c)
         if text == "1":

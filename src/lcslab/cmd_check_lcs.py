@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from . import cli
 from .cli import FAIL, INFO, PASS, Report
-from .einstein import EinsteinKind, classify
+from .einstein import classify
 from .lcs_structure import NotLcsError
 from .manifold import ManifoldData
 
@@ -23,17 +23,17 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
     for check in cli.verify_axioms(data, st):
         report.add(
             f"axiom.{check.axiom}",
-            PASS if check.passed else FAIL,
+            FAIL if check.detail else PASS,
             check.description,
             note=check.detail or None,
         )
     verdict = classify(data.stack.ricci, data.metric, st.eta)
-    if verdict.kind is EinsteinKind.NEITHER:
+    if verdict.kind == "Neither":
         report.add("classification", INFO, "Ricci shape", engine="neither Einstein nor eta-Einstein")
     else:
         report.add(
             "classification",
             INFO,
             "Ricci shape S = a g + b eta x eta",
-            engine=f"{verdict.kind.value} with a = {verdict.a}, b = {verdict.b}",
+            engine=f"{verdict.kind} with a = {verdict.a}, b = {verdict.b}",
         )

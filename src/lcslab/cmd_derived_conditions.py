@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from . import cli
 from .cli import FAIL, INFO, PASS, Report, residual_excerpt
-from .einstein import EinsteinKind
 from .lcs_structure import NotLcsError
 from .manifold import ManifoldData
 
@@ -49,15 +48,15 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
             "vanishing action + nonzero guard imply an Einstein manifold",
             action.is_zero,
             "hypothesis or guard not met" if verdict is None else None,
-            kind is EinsteinKind.EINSTEIN,
-            kind and kind.value + (f" with a = {a}" if a is not None else ""),
+            kind == "Einstein",
+            kind and kind + (f" with a = {a}" if a is not None else ""),
             "Einstein conclusion not gated",
         )
-    ident = cli.nabla_r_xi_identity(data)
+    coefficient, residual = cli.nabla_r_xi_identity(data)
     report.add(
         "xi-derivative-identity",
-        PASS if ident.passed else FAIL,
+        PASS if residual.is_zero else FAIL,
         "g((nabla_W R)(xi,Y)Z, xi) = -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)",
-        engine=f"2 alpha rho - beta = {ident.coefficient}",
-        residual=residual_excerpt(ident.residual),
+        engine=f"2 alpha rho - beta = {coefficient}",
+        residual=residual_excerpt(residual),
     )

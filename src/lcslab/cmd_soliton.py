@@ -7,7 +7,7 @@ from . import cli
 from .cli import FAIL, INFO, LoadError, Report, residual_excerpt
 from .lcs_structure import NotLcsError
 from .manifold import ManifoldData
-from .soliton import SolitonParams, soliton_lambda
+from .soliton import soliton_k, soliton_lambda
 from .symexpr import ExprError
 
 
@@ -57,25 +57,23 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
             engine=str(lam),
             note="treated as a scalar field; the derivations presume a scalar",
         )
+    k = None
     if alpha is not None:
-        params = SolitonParams.derive(lam, p, alpha, data.dim)
-        report.add("soliton.k", INFO, "k = lambda - (p/2 + 1/n) - alpha", engine=str(params.k))
-    else:
-        params = SolitonParams(lam, p)
-    check = cli.soliton_residual(data, params)
+        k = soliton_k(lam, p, alpha, data.dim)
+        report.add("soliton.k", INFO, "k = lambda - (p/2 + 1/n) - alpha", engine=str(k))
+    residual, eta_residual = cli.soliton_residual(data, lam, p, k)
     report.add(
         "soliton.residual",
         INFO,
         "L_xi g + 2S - [2 lambda - (p + 2/n)] g",
-        engine="0 (conformal soliton)" if check.is_soliton else "nonzero (not a conformal soliton)",
-        residual=residual_excerpt(check.residual),
+        engine="0 (conformal soliton)" if residual.is_zero else "nonzero (not a conformal soliton)",
+        residual=residual_excerpt(residual),
     )
-    if check.eta_einstein_residual is not None:
-        zero = check.eta_einstein_residual.is_zero
+    if eta_residual is not None:
         report.add(
             "soliton.eta-einstein",
             INFO,
             "S - k g + alpha eta x eta",
-            engine="0" if zero else "nonzero",
-            residual=residual_excerpt(check.eta_einstein_residual),
+            engine="0" if eta_residual.is_zero else "nonzero",
+            residual=residual_excerpt(eta_residual),
         )

@@ -10,7 +10,16 @@ through ``einstein.fit_two`` on the components stored in p or q, and stops at
 the first direction whose residual is nonzero: that residual's first nonzero
 component is the fit's witness, and a fit that returns forms has checked
 them against every component, which is what the ``roundtrip`` entry of
-``fit`` reports.
+``fit`` reports.  A kind is the string the reports print, one of
+``cli.RECURRENCE_KINDS``.
+
+Every condition here and in ``soliton``, ``derived_conditions`` and
+``axioms`` holds exactly when its residual is zero, so each returns the
+residual (an axiom, the detail of its first nonzero component) and no flag
+beside it: the report code reads ``is_zero`` (and ``cli.residual_excerpt``)
+of the residual itself.  The metric duals of the forms are raised where
+they are read: in ``fit``'s ``duals`` entry and as eta(rho1) in
+``sgr_predictions``.
 
 The other conditions are modules of their own, so that each command loads
 only the conditions it checks: ``soliton`` (the conformal soliton residual
@@ -32,33 +41,21 @@ those is therefore literally checkable.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
 from .einstein import fit_two
 from .frame_geometry import FrameTensor, residual
 from .manifold import ManifoldData
 
 
-class RecurrenceKind(Enum):
-    SGR = "SGR"  # semi-generalized recurrent: nabla R = A x R + B x (g-term)
-    SGRR = "SGRR"  # Ricci variant: nabla S = A x S + n B x g
-    SGPR = "SGPR"  # phi-recurrent variant: phi^2(nabla R) = A x R + B x (g-term)
-
-
-class RecurrenceForms(namedtuple("RecurrenceForms", "a b rho1 rho2")):
-    """1-forms A, B on the frame plus their metric-dual vectors: a, b, rho1,
-    rho2 (tuples of Expr)."""
+class RecurrenceForms(namedtuple("RecurrenceForms", "a b")):
+    """1-forms A, B on the frame: a, b (tuples of Expr, A(E_i) and B(E_i))."""
 
     __slots__ = ()
 
-    @classmethod
-    def from_covectors(cls, data: ManifoldData, a, b) -> "RecurrenceForms":
-        return cls(tuple(a), tuple(b), data.metric.raise_form(a), data.metric.raise_form(b))
 
-
-class NoSolution(namedtuple("NoSolution", "kind direction component needed detail")):
-    """Witness that a recurrence fit is inconsistent: kind (RecurrenceKind),
-    direction (int), component (tuple of int), needed (Expr), detail (str)."""
+class NoSolution(namedtuple("NoSolution", "direction component needed detail")):
+    """Witness that a recurrence fit is inconsistent: direction (int),
+    component (tuple of int), needed (Expr), detail (str)."""
 
     __slots__ = ()
 
@@ -67,9 +64,10 @@ class NoSolution(namedtuple("NoSolution", "kind direction component needed detai
         return f"direction E{self.direction + 1}, component ({idx}): {self.detail}"
 
 
-def _recurrence_terms(data: ManifoldData, kind: RecurrenceKind):
-    """The condition of ``kind``, read as  lhs(w, *idx) = A(E_w) p(*idx) + B(E_w) q(*idx),
-    as the three tensors (lhs, p, q); lhs has the free slot w first.
+def _recurrence_terms(data: ManifoldData, kind: str):
+    """The condition of ``kind`` (one of ``cli.RECURRENCE_KINDS``), read as
+    lhs(w, *idx) = A(E_w) p(*idx) + B(E_w) q(*idx), as the three tensors
+    (lhs, p, q); lhs has the free slot w first.
 
     SGR and SGPR have vector leaves at (x, y, z): lhs is (nabla_w R)(E_x,E_y)E_z,
     phi^2 of it for SGPR; p = R(E_x,E_y)E_z and q = g(E_y,E_z) E_x.  SGRR has
@@ -78,11 +76,11 @@ def _recurrence_terms(data: ManifoldData, kind: RecurrenceKind):
     """
     n = data.dim
     g = data.metric.g
-    if kind is RecurrenceKind.SGRR:
+    if kind == "SGRR":
         n_const = data.chart.const(n)
         return data.nabla_ricci, data.stack.ricci, FrameTensor.build((0, 2), n, lambda i, j: n_const * g[i][j])
     lhs = nabla_r = data.nabla_riemann
-    if kind is RecurrenceKind.SGPR:
+    if kind == "SGPR":
         phi_of = data.structure.phi_of
         lhs = FrameTensor.build((1, 4), n, lambda *idx: phi_of(phi_of(nabla_r.comp(*idx))), nabla_r.comps)
     zeros = (data.chart.zero(),) * n
@@ -101,18 +99,17 @@ def _directions(tensor: FrameTensor):
     return [tensor._replace(valence=valence, comps=comps) for comps in slices]
 
 
-def recurrence_residual(data: ManifoldData, kind: RecurrenceKind, forms: RecurrenceForms):
-    """Exact residual tensor lhs - A p - B q of the recurrence condition; flag true iff zero."""
+def recurrence_residual(data: ManifoldData, kind: str, forms: RecurrenceForms) -> FrameTensor:
+    """Exact residual tensor lhs - A p - B q of the recurrence condition."""
     lhs, p, q = _recurrence_terms(data, kind)
     comps = {}
     for w, lhs_w in enumerate(_directions(lhs)):
         res = residual(lhs_w, p, q, forms.a[w], forms.b[w])
         comps.update(((w, *idx), leaf) for idx, leaf in res.comps.items())
-    res = lhs._replace(comps=comps)
-    return res, res.is_zero
+    return lhs._replace(comps=comps)
 
 
-def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
+def recurrence_fit(data: ManifoldData, kind: str):
     """Fit the 1-forms A, B direction by direction from the overdetermined
     exact linear system; returns RecurrenceForms or a NoSolution witness.
 
@@ -121,7 +118,7 @@ def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
     first nonzero residual, in (leaf, component) order, is the witness.
     Directions where the system is underdetermined get A(E_i) = B(E_i) = 0.
     """
-    if kind not in (RecurrenceKind.SGR, RecurrenceKind.SGRR):
+    if kind not in ("SGR", "SGRR"):
         raise ValueError(f"fit supports SGR and SGRR, not {kind}")
     lhs, p, q = _recurrence_terms(data, kind)
     solved = []
@@ -134,65 +131,50 @@ def recurrence_fit(data: ManifoldData, kind: RecurrenceKind):
                 detail = f"the condition forces 0 = {rhs}"
             else:
                 detail = "no values of the forms satisfy this component together with the others"
-            return NoSolution(kind, w, idx, rhs, detail)
+            return NoSolution(w, idx, rhs, detail)
         solved.append((u, v))
-    return RecurrenceForms.from_covectors(data, *zip(*solved))
+    return RecurrenceForms(*zip(*solved))
 
 
-class SgrPredictions(
-    namedtuple("SgrPredictions", "r_engine r_predicted r_note r_matches opposition opposition_note opposition_zero")
-):
+class SgrPredictions(namedtuple("SgrPredictions", "r_predicted r_note opposition opposition_note")):
     """Scalar-curvature consequences of the recurrence hypothesis.  They are
     assertions only where the SGR residual of the same forms vanishes.
 
-    r_engine (Expr); r_predicted (Expr or None); r_note (str); r_matches
-    (bool or None); opposition (tuple of Expr, or None); opposition_note
-    (str); opposition_zero (bool or None).
+    r_predicted (Expr, or None where r_note says why not); r_note (str);
+    opposition (tuple of Expr: A + (n^2/r) B, or None where opposition_note
+    says why not); opposition_note (str).
     """
 
     __slots__ = ()
 
 
 def sgr_predictions(data: ManifoldData, forms: RecurrenceForms) -> SgrPredictions:
-    """Evaluate r = {2(n-1)(alpha^2-rho) eta(rho1) - (n^2+2) B(xi)} / A(xi)
-    and the opposition relation A + (n^2/r) B = 0."""
+    """Evaluate r = {2(n-1)(alpha^2-rho) eta(rho1) - (n^2+2) B(xi)} / A(xi),
+    rho1 the metric dual of A, and the opposition relation A + (n^2/r) B = 0."""
     n = data.dim
     chart = data.chart
     st = data.structure
-    r_engine = data.stack.scalar
+    r = data.stack.scalar
 
     a_xi = forms.a[data.xi_index]
     k2 = st.alpha * st.alpha - st.rho
     if a_xi.is_zero:
         r_pred = None
         r_note = "A(xi) is identically zero; the prediction formula divides by it"
-        r_matches = None
     else:
-        eta_rho1 = st.eta_of(forms.rho1)
+        eta_rho1 = st.eta_of(data.metric.raise_form(forms.a))
         r_pred = (chart.const(2 * (n - 1)) * k2 * eta_rho1 - chart.const(n * n + 2) * forms.b[data.xi_index]) / a_xi
         r_note = ""
-        r_matches = (r_pred - r_engine).is_zero
 
-    if not r_engine.is_constant:
+    if not r.is_constant:
         opposition = None
         opposition_note = "scalar curvature is not constant; the opposition relation needs a nonzero constant"
-        opposition_zero = None
-    elif r_engine.is_zero:
+    elif r.is_zero:
         opposition = None
         opposition_note = "scalar curvature is zero; the opposition relation divides by it"
-        opposition_zero = None
     else:
-        factor = chart.const(n * n) / r_engine
+        factor = chart.const(n * n) / r
         opposition = tuple(forms.a[i] + factor * forms.b[i] for i in range(n))
         opposition_note = ""
-        opposition_zero = all(e.is_zero for e in opposition)
 
-    return SgrPredictions(
-        r_engine=r_engine,
-        r_predicted=r_pred,
-        r_note=r_note,
-        r_matches=r_matches,
-        opposition=opposition,
-        opposition_note=opposition_note,
-        opposition_zero=opposition_zero,
-    )
+    return SgrPredictions(r_pred, r_note, opposition, opposition_note)

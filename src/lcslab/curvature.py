@@ -70,9 +70,9 @@ def riemann(conn: ConnectionCoeffs, brackets) -> FrameTensor:
     def entry(i, j, k):
         gjk, gik = gamma[j][k], gamma[i][k]
         terms = [(1, tuple(fields[i].apply(c) for c in gjk)), (-1, tuple(fields[j].apply(c) for c in gik))]
-        terms += [(1, vec_scale(c, gamma[i][a])) for a, c in enumerate(gjk) if not c.is_zero]
-        terms += [(-1, vec_scale(c, gamma[j][a])) for a, c in enumerate(gik) if not c.is_zero]
-        terms += [(-1, vec_scale(b, gamma[a][k])) for a, b in enumerate(brackets[i][j]) if not b.is_zero]
+        terms += [(1, vec_scale(c, gamma[i][a])) for a, c in enumerate(gjk) if c.num]
+        terms += [(-1, vec_scale(c, gamma[j][a])) for a, c in enumerate(gik) if c.num]
+        terms += [(-1, vec_scale(b, gamma[a][k])) for a, b in enumerate(brackets[i][j]) if b.num]
         return vec_sum(coords, terms)
 
     return FrameTensor.build((1, 3), n, entry, support)

@@ -20,17 +20,6 @@ from .manifold import ManifoldData
 from .symexpr import Expr
 
 
-class XiDerivativeIdentity(namedtuple("XiDerivativeIdentity", "passed coefficient residual")):
-    """Result of checking g((nabla_W R)(xi,Y)Z, xi) against
-    -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W).
-
-    passed (bool); coefficient (Expr: 2 alpha rho - beta); residual
-    (FrameTensor).
-    """
-
-    __slots__ = ()
-
-
 def xi_slice(data: ManifoldData) -> FrameTensor:
     """The leaves (w,k,y,z) and (w,y,k,z) of nabla R, k = ``data.xi_index``,
     each the same sum as in the full tensor."""
@@ -38,9 +27,11 @@ def xi_slice(data: ManifoldData) -> FrameTensor:
     return cov_deriv_tensor(data.connection, data.stack.riemann13, lambda w, x, y: k in (x, y))
 
 
-def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDerivativeIdentity:
-    """Check the xi-direction identity of nabla R on a verified structure,
-    with ``beta`` (default: the structure's, d(rho) = beta eta).
+def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> tuple[Expr, FrameTensor]:
+    """(coefficient, residual): 2 alpha rho - beta, and the residual of
+    g((nabla_W R)(xi,Y)Z, xi) = -(2 alpha rho - beta){g(Y,Z) + eta(Y)eta(Z)} eta(W)
+    on a verified structure, with ``beta`` (default: the structure's,
+    d(rho) = beta eta).  The identity holds exactly when the residual is zero.
 
     It is a theorem of the structure, so with the structure's beta it fails
     only on a fault in the engine.  Proof: on an (LCS)_n,
@@ -75,8 +66,7 @@ def nabla_r_xi_identity(data: ManifoldData, beta: Expr | None = None) -> XiDeriv
         rhs = -coeff * (g[y][z] + st.eta[y] * st.eta[z]) * st.eta[w]
         return lhs - rhs
 
-    residual = FrameTensor.build((0, 3), data.dim, entry)
-    return XiDerivativeIdentity(residual.is_zero, coeff, residual)
+    return coeff, FrameTensor.build((0, 3), data.dim, entry)
 
 
 class DerivedConditions(

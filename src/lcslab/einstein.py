@@ -10,20 +10,14 @@ is zero, which checks every row, the rows where p and q vanish included."""
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
 from .frame_geometry import FrameMetric, FrameTensor, residual
 from .symexpr import Expr
 
 
-class EinsteinKind(Enum):
-    EINSTEIN = "Einstein"
-    ETA_EINSTEIN = "EtaEinstein"
-    NEITHER = "Neither"
-
-
 class ClassifierVerdict(namedtuple("ClassifierVerdict", "kind a b", defaults=(None, None))):
-    """kind (EinsteinKind); a, b (Expr or None)."""
+    """kind (str, as the reports print it: "Einstein", "EtaEinstein" or
+    "Neither"); a, b (Expr, or None for "Neither")."""
 
     __slots__ = ()
 
@@ -36,9 +30,8 @@ def classify(ric: FrameTensor, metric: FrameMetric, eta) -> ClassifierVerdict:
     eta2 = FrameTensor.build((0, 2), n, lambda i, j: eta[i] * eta[j])
     a, b, res = fit_two(ric, g, eta2)
     if not res.is_zero:
-        return ClassifierVerdict(EinsteinKind.NEITHER)
-    kind = EinsteinKind.EINSTEIN if b.is_zero else EinsteinKind.ETA_EINSTEIN
-    return ClassifierVerdict(kind, a, b)
+        return ClassifierVerdict("Neither")
+    return ClassifierVerdict("Einstein" if b.is_zero else "EtaEinstein", a, b)
 
 
 def fit_two(lhs: FrameTensor, p: FrameTensor, q: FrameTensor):

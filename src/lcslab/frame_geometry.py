@@ -9,9 +9,12 @@ Fraction arithmetic lives in ``symexpr``: this module calls no polynomial
 kernel.  ``VectorField.apply`` memoises X(f), which ``Expr.along``
 computes.  The one read of an Expr's parts is the zero test ``e.num`` of
 the contraction primitives, ``FrameTensor.build``, ``VectorField.apply``
-and ``matrix_inverse``, run once per operand: the attribute read takes a
-quarter or less of the time of the ``is_zero`` property (11-19 against
-64-107 ns a test, timeit on a 2-CPU Xeon container).
+and ``matrix_inverse``, run once per operand, and of the engine's other
+frequent zero tests (the filters of the Riemann entry in ``curvature`` and
+of ``levi_civita.derivation``, the axiom walker, ``cli.format_vector``):
+the attribute read takes a quarter or less of the time of the ``is_zero``
+property (11-19 against 64-107 ns a test, timeit on a 2-CPU Xeon
+container).
 
 The one exact solver for symbolic matrices is ``matrix_inverse``.  A frame
 and a frame metric each invert their matrix once, on construction: the

@@ -141,7 +141,7 @@ def derivation(tensor: FrameTensor, ops, fields=None, keep=None) -> FrameTensor:
     coords = nothing[0].vars
     dirs = range(len(ops)) if fields else [w for w, row in enumerate(ops) if any(map(vec_nonzero, row))]
     # feeds[a]: every (w, i, ops[w][i][a]) with E_a in D_w E_i
-    feeds = [[(w, i, row[i][a]) for w, row in enumerate(ops) for i in range(n) if not row[i][a].is_zero] for a in range(n)]
+    feeds = [[(w, i, row[i][a]) for w, row in enumerate(ops) for i in range(n) if row[i][a].num] for a in range(n)]
     # output index -> per slot, its (coefficient, leaf) pairs; scalar leaves
     # ride along as 1-vectors, which the vector helpers handle by zipping
     def kept(w, x, y):  # of a (1,3) input, the outputs (w,x,y,z) scattered and gathered
@@ -166,7 +166,7 @@ def derivation(tensor: FrameTensor, ops, fields=None, keep=None) -> FrameTensor:
             base = (base,)
         terms = [(1, tuple(fields[w].apply(c) for c in base) if fields else nothing)]
         if r:
-            terms += [(1, vec_scale(c, ops[w][a])) for a, c in enumerate(base) if not c.is_zero]
+            terms += [(1, vec_scale(c, ops[w][a])) for a, c in enumerate(base) if c.num]
         for slot in slot_terms.get((w, *idx), ()):
             terms += [(-1, vec_scale(c, v)) for c, v in slot]
         val = vec_sum(coords, terms)

@@ -9,28 +9,10 @@ are built with ``Expr.ratio``, so it imports no ``fractions``."""
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .frame_geometry import FrameTensor, residual
 from .levi_civita import lie_derivative_metric
 from .manifold import ManifoldData
 from .symexpr import Expr
-
-
-class SolitonParams(namedtuple("SolitonParams", "lam p k", defaults=(None,))):
-    """Soliton scalar lambda, conformal pressure p, and the derived
-    k = lambda - (p/2 + 1/n) - alpha (None when no alpha is available).
-
-    lam, p (Expr); k (Expr or None).
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def derive(cls, lam: Expr, p: Expr, alpha: Expr, n: int) -> "SolitonParams":
-        vs = p.vars
-        k = lam - (p * Expr.ratio(vs, 1, 2) + Expr.ratio(vs, 1, n)) - alpha
-        return cls(lam, p, k)
 
 
 def soliton_lambda(alpha: Expr, p: Expr, n: int) -> tuple[Expr, Expr]:
@@ -48,32 +30,32 @@ def soliton_lambda(alpha: Expr, p: Expr, n: int) -> tuple[Expr, Expr]:
     return printed, traced
 
 
-class SolitonCheck(namedtuple("SolitonCheck", "residual is_soliton eta_einstein_residual")):
-    """residual (FrameTensor); is_soliton (bool); eta_einstein_residual
-    (FrameTensor or None)."""
+def soliton_k(lam: Expr, p: Expr, alpha: Expr, n: int) -> Expr:
+    """k = lambda - (p/2 + 1/n) - alpha, the coefficient of g in the
+    eta-Einstein shape S = k g - alpha eta x eta."""
+    vs = p.vars
+    return lam - (p * Expr.ratio(vs, 1, 2) + Expr.ratio(vs, 1, n)) - alpha
 
-    __slots__ = ()
 
-
-def soliton_residual(data: ManifoldData, params: SolitonParams) -> SolitonCheck:
-    """Exact residual of  L_xi g + 2 S - [2 lambda - (p + 2/n)] g,  xi = E_k
-    with k = ``data.xi_index``.
-
-    With ``params.k`` set, which takes the structure's alpha, the residual
-    of the eta-Einstein shape S = k g - alpha eta x eta is also reported.
+def soliton_residual(data: ManifoldData, lam: Expr, p: Expr, k: Expr | None = None):
+    """(residual, eta_einstein_residual): the exact residual of
+    L_xi g + 2 S - [2 lambda - (p + 2/n)] g, xi the frame field of index
+    ``data.xi_index``, which is zero exactly on a conformal soliton; and,
+    with ``k`` given (``soliton_k``, which takes the structure's alpha), the
+    residual of the eta-Einstein shape S = k g - alpha eta x eta, else None.
     """
     n = data.dim
     g = data.metric.g
     lie = lie_derivative_metric(data.frame, data.metric, data.brackets, data.xi_index)
     ric = data.stack.ricci
     g_tensor = FrameTensor.build((0, 2), n, lambda i, j: g[i][j])
-    factor = 2 * params.lam - (params.p + Expr.ratio(params.p.vars, 2, n))
+    factor = 2 * lam - (p + Expr.ratio(p.vars, 2, n))
     res = residual(lie, ric, g_tensor, data.chart.const(-2), factor)
 
     eta_res = None
-    if params.k is not None:
+    if k is not None:
         st = data.structure
         eta2 = FrameTensor.build((0, 2), n, lambda i, j: st.eta[i] * st.eta[j])
-        eta_res = residual(ric, g_tensor, eta2, params.k, -st.alpha)
+        eta_res = residual(ric, g_tensor, eta2, k, -st.alpha)
 
-    return SolitonCheck(res, res.is_zero, eta_res)
+    return res, eta_res

@@ -17,12 +17,13 @@ brings fractions over the lcm of their denominators, for ``Expr.sum`` and
 for ``Expr.along``, the directional derivative X(f) that
 ``VectorField.apply`` memoises.  ``_cross_product`` is the cross-cancelled
 product of ``*``, and of ``/``, which passes the divisor's numerator and
-denominator swapped.  Every "is this 1" test is ``polyops.poly_is_one``.
+denominator swapped.  ``_positive_den`` is the sign step of ``__init__``,
+of ``/`` and of a power.  Every "is this 1" test is ``polyops.poly_is_one``.
 No other module reduces a fraction or calls a polynomial kernel on an
-Expr's parts; ``frame_geometry`` only reads ``num`` to test for zero.  The
-hot paths stay inline: the two-term sum, the memo lookups and the sign step
-of ``__init__``.  ``Expr.diff`` keeps its own quotient rule, because the
-tests check ``along`` against sums of ``diff``.
+Expr's parts; the other modules read ``num`` only to test for zero.  The
+hot paths stay inline: the two-term sum and the memo lookups.
+``Expr.diff`` keeps its own quotient rule, because the tests check
+``along`` against sums of ``diff``.
 
 Zero: ``Expr.zero(vars)`` is one interned instance per variable tuple, and
 ``Expr.constant(vars, 0)`` returns it.  Zero absorbs: ``+``/``-`` with a zero
@@ -174,11 +175,7 @@ class Expr:
             num, den = {}, P.poly_const(len(variables), 1)
         else:
             g = P.poly_gcd(num, den)
-            num = P.poly_divexact(num, g)
-            den = P.poly_divexact(den, g)
-            if P.poly_lead(den)[1] < 0:
-                num = P.poly_neg(num)
-                den = P.poly_neg(den)
+            num, den = _positive_den(P.poly_divexact(num, g), P.poly_divexact(den, g))
         self.vars = variables
         self.num = num
         self.den = den
@@ -393,15 +390,12 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if o.is_zero:
+        if not o.num:
             raise ExprDivisionError("division by zero expression")
         if not self.num:
             return self
-        num, den = _cross_product(self.num, self.den, o.den, o.num)  # times the reciprocal
-        if P.poly_lead(den)[1] < 0:
-            num = P.poly_neg(num)
-            den = P.poly_neg(den)
-        return Expr._raw(self.vars, num, den)
+        # times the reciprocal, whose denominator may lead negative
+        return Expr._raw(self.vars, *_positive_den(*_cross_product(self.num, self.den, o.den, o.num)))
 
     def __neg__(self):
         if not self.num:
@@ -423,10 +417,7 @@ class Expr:
         den = P.poly_pow(base_den, k, n)
         if not num:
             return Expr.zero(self.vars)
-        if P.poly_lead(den)[1] < 0:
-            num = P.poly_neg(num)
-            den = P.poly_neg(den)
-        return Expr._raw(self.vars, num, den)
+        return Expr._raw(self.vars, *_positive_den(num, den))
 
     # -- calculus and evaluation ------------------------------------------
 
@@ -537,6 +528,14 @@ def _cross_product(an, ad, bn, bd):
         P.poly_mul(P.poly_divexact(an, g1), P.poly_divexact(bn, g2)),
         P.poly_mul(P.poly_divexact(ad, g2), P.poly_divexact(bd, g1)),
     )
+
+
+def _positive_den(num, den):
+    """(num, den), both negated when den's lead under graded-lex order is
+    negative: the sign step of the canonical form."""
+    if P.poly_lead(den)[1] < 0:
+        return P.poly_neg(num), P.poly_neg(den)
+    return num, den
 
 
 def _remember(key, a: Expr, b: Expr, out: Expr) -> None:

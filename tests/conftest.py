@@ -228,10 +228,9 @@ def reference_fit(data: ManifoldData, kind):
                 detail = f"the condition forces 0 = {rhs}"
             else:
                 detail = "no values of the forms satisfy this component together with the others"
-            return NoSolution(kind, w, index[bad], rhs, detail)
+            return NoSolution(w, index[bad], rhs, detail)
         solutions.append(sol)
-    a, b = zip(*solutions)
-    return RecurrenceForms.from_covectors(data, a, b)
+    return RecurrenceForms(*zip(*solutions))
 
 
 def reference_verify_axioms(data: ManifoldData, structure):
@@ -250,7 +249,7 @@ def reference_verify_axioms(data: ManifoldData, structure):
     def record(axiom, description, residuals, detail=""):
         bad = next((r for r in residuals if not r.is_zero), None)
         checks.append(
-            AxiomCheck(axiom, description, bad is None, detail if bad is None else f"residual {bad}")
+            AxiomCheck(axiom, description, detail if bad is None else f"residual {bad}")
         )
 
     record("xi-unit-timelike", "g(xi, xi) = -1", [metric.pair(st.xi, st.xi) + 1])
@@ -267,7 +266,7 @@ def reference_verify_axioms(data: ManifoldData, structure):
             res.append(nab_eta - st.alpha * (metric.g[i][j] + st.eta[i] * st.eta[j]))
     description = "nabla eta = alpha(g + eta x eta), alpha nonzero"
     if st.alpha.is_zero:
-        checks.append(AxiomCheck("eta-covariant-derivative", description, False, "alpha = 0"))
+        checks.append(AxiomCheck("eta-covariant-derivative", description, "alpha = 0"))
     else:
         record("eta-covariant-derivative", description, res)
 

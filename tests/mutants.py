@@ -177,7 +177,7 @@ MUTANTS = (
     Mutant(
         "derivation-output-vector-term-dropped",
         "src/lcslab/levi_civita.py",
-        "terms += [(1, vec_scale(c, ops[w][a])) for a, c in enumerate(base) if not c.is_zero]",
+        "terms += [(1, vec_scale(c, ops[w][a])) for a, c in enumerate(base) if c.num]",
         "pass",
         ("tests/test_acceptance.py::test_numeric_cross_check_lcs_n",),
     ),
@@ -259,7 +259,7 @@ MUTANTS = (
     Mutant(
         "soliton-eta-einstein-without-k",
         "src/lcslab/soliton.py",
-        "if params.k is not None:",
+        "if k is not None:",
         "if True:",
         ("tests/test_cli.py::TestExitCodes::test_soliton_explicit_lambda",),
     ),
@@ -387,12 +387,53 @@ MUTANTS = (
         "recurrence-fit-bound-at-import",
         "src/lcslab/cmd_fit.py",
         "def run(data: ManifoldData, report: Report, options: dict) -> None:\n"
-        "    kind = RecurrenceKind(options[\"kind\"])\n"
+        "    kind = options[\"kind\"]\n"
         "    result = cli.recurrence_fit(data, kind)\n",
         "def run(data: ManifoldData, report: Report, options: dict, recurrence_fit=cli.recurrence_fit) -> None:\n"
-        "    kind = RecurrenceKind(options[\"kind\"])\n"
+        "    kind = options[\"kind\"]\n"
         "    result = recurrence_fit(data, kind)\n",
         ("tests/test_perfbench_hooks.py::test_every_command_produces_its_spans",),
+    ),
+    # each verdict is its residual, read by the report code: a reader that
+    # reads another value, or inverts the one it reads, changes a report
+    Mutant(
+        "check-lcs-axiom-status-inverted",
+        "src/lcslab/cmd_check_lcs.py",
+        "FAIL if check.detail else PASS",
+        "PASS if check.detail else FAIL",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
+    Mutant(
+        "soliton-residual-reads-eta-einstein",
+        "src/lcslab/cmd_soliton.py",
+        "residual=residual_excerpt(residual),",
+        "residual=residual_excerpt(eta_residual or residual),",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
+    Mutant(
+        "xi-identity-status-reads-the-coefficient",
+        "src/lcslab/cmd_derived_conditions.py",
+        "PASS if residual.is_zero else FAIL,",
+        "PASS if coefficient.is_zero else FAIL,",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
+    Mutant(
+        "opposition-holds-inverted",
+        "src/lcslab/cmd_check.py",
+        "all(e.is_zero for e in pred.opposition or ())",
+        "not all(e.is_zero for e in pred.opposition or ())",
+        (
+            "tests/test_conditions.py::TestGateReachability::"
+            "test_every_gate_goes_through_the_routine_and_is_reached_only_trivially",
+        ),
+    ),
+    # the duals are raised where fit reports them
+    Mutant(
+        "fit-duals-report-a-as-rho1",
+        "src/lcslab/cmd_fit.py",
+        'engine=f"{format_vector(rho1)}; ',
+        'engine=f"{format_vector(result.a)}; ',
+        ("tests/test_conditions.py::TestSgrLemma::test_fit_duals_raise_the_fitted_forms",),
     ),
     Mutant(
         "main-module-not-registered",
@@ -636,10 +677,16 @@ MUTANTS = (
     Mutant(
         "negative-power-sign-not-normalised",
         "src/lcslab/symexpr.py",
-        "            return Expr.zero(self.vars)\n        if P.poly_lead(den)[1] < 0:\n"
-        "            num = P.poly_neg(num)\n            den = P.poly_neg(den)\n",
-        "            return Expr.zero(self.vars)\n",
+        "            return Expr.zero(self.vars)\n        return Expr._raw(self.vars, *_positive_den(num, den))\n",
+        "            return Expr.zero(self.vars)\n        return Expr._raw(self.vars, num, den)\n",
         ("tests/test_symexpr.py::TestArith::test_negative_power_of_a_negative_lead",),
+    ),
+    Mutant(
+        "quotient-sign-not-normalised",
+        "src/lcslab/symexpr.py",
+        "return Expr._raw(self.vars, *_positive_den(*_cross_product(self.num, self.den, o.den, o.num)))",
+        "return Expr._raw(self.vars, *_cross_product(self.num, self.den, o.den, o.num))",
+        ("tests/test_symexpr.py::TestArith::test_every_fraction_step_leads_its_denominator_positive",),
     ),
     # a rational point loses its denominator: x = 1/3 is evaluated at x = 1;
     # integer points are unchanged, so of the whole suite only the eval of a

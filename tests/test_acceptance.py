@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from lcslab.cli import build_manifold, load
 from lcslab.cli import run as cli_run
 from lcslab.axioms import verify_axioms
-from lcslab.conditions import NoSolution, RecurrenceForms, RecurrenceKind, recurrence_fit, recurrence_residual
+from lcslab.conditions import NoSolution, RecurrenceForms, recurrence_fit, recurrence_residual
 from lcslab.derived_conditions import derived_condition_residuals, nabla_r_xi_identity
 from lcslab.lcs_structure import NotLcsError
-from lcslab.soliton import SolitonParams, soliton_lambda, soliton_residual
+from lcslab.soliton import soliton_k, soliton_lambda, soliton_residual
 
 from conftest import AD_HOC, SRC, ad_hoc, builtin, lie_xi, make_manifold
 from numeric_oracle import NumericTwin
@@ -136,7 +136,7 @@ def test_criterion_05_axiom_suite_and_connection_residuals():
     assert st_.alpha == data.chart.parse("-1/z")
     assert st_.rho == data.chart.parse("-1/z^2")
     checks = verify_axioms(data, st_)
-    assert all(c.passed for c in checks), [c.axiom for c in checks if not c.passed]
+    assert [c.axiom for c in checks if c.detail] == []
 
     n = data.dim
     for i in range(n):
@@ -159,10 +159,10 @@ def test_criterion_05_axiom_suite_and_connection_residuals():
 
 def test_criterion_06_xi_derivative_identity():
     data = builtin("example51")
-    out = nabla_r_xi_identity(data)
-    assert out.passed
-    assert out.coefficient == 2 * data.structure.alpha * data.structure.rho - data.structure.beta
-    assert out.coefficient == data.chart.parse("4/z^3")
+    coefficient, residual = nabla_r_xi_identity(data)
+    assert residual.is_zero
+    assert coefficient == 2 * data.structure.alpha * data.structure.rho - data.structure.beta
+    assert coefficient == data.chart.parse("4/z^3")
     ok(6, "xi-direction derivative identity passes with coefficient 4/z^3")
 
 
@@ -215,11 +215,10 @@ def corpus():
 
 def test_criterion_10_fitter_roundtrip_over_corpus():
     for data in corpus():
-        result = recurrence_fit(data, RecurrenceKind.SGRR)
+        result = recurrence_fit(data, "SGRR")
         assert isinstance(result, (RecurrenceForms, NoSolution)), data.name
         if isinstance(result, RecurrenceForms):
-            _, is_zero = recurrence_residual(data, RecurrenceKind.SGRR, result)
-            assert is_zero, data.name
+            assert recurrence_residual(data, "SGRR", result).is_zero, data.name
     ok(10, "fit returns exactly-verified forms or NoSolution on the whole corpus")
 
 
@@ -236,11 +235,10 @@ def test_criterion_10b_fitter_roundtrip_property(diag, upper):
         ["0", "0", diag[2]],
     ]
     data = make_manifold("hypothesis-case", rows)
-    result = recurrence_fit(data, RecurrenceKind.SGRR)
+    result = recurrence_fit(data, "SGRR")
     assert isinstance(result, (RecurrenceForms, NoSolution))
     if isinstance(result, RecurrenceForms):
-        _, is_zero = recurrence_residual(data, RecurrenceKind.SGRR, result)
-        assert is_zero
+        assert recurrence_residual(data, "SGRR", result).is_zero
 
 
 def test_criterion_11_soliton_scalar_and_residual():
@@ -254,10 +252,9 @@ def test_criterion_11_soliton_scalar_and_residual():
     text = report.to_text()
     assert "-4/(3*z)" in text and "-2/(3*z)" in text
 
-    params = SolitonParams.derive(printed, chart.zero(), data.structure.alpha, 3)
-    check = soliton_residual(data, params)
-    assert not check.is_soliton
-    assert not check.residual.is_zero
+    k = soliton_k(printed, chart.zero(), data.structure.alpha, 3)
+    residual, _ = soliton_residual(data, printed, chart.zero(), k)
+    assert not residual.is_zero
     ok(11, "both soliton scalars reported; the soliton residual is nonzero")
 
 
@@ -360,7 +357,7 @@ def test_recurrence_residuals_match_the_twin(name):
     first, last = data.chart.coords[0].name, data.chart.coords[-1].name
     a = [data.chart.parse(f"{i + 1}*{first} - 1") for i in range(n)]
     b = [data.chart.parse(f"{last} + {i} - 1/2") for i in range(n)]
-    forms = RecurrenceForms.from_covectors(data, a, b)
+    forms = RecurrenceForms(tuple(a), tuple(b))
     twin = NumericTwin(data, pt)
     gam = twin.gamma()
     riem = twin.riemann()
@@ -368,18 +365,18 @@ def test_recurrence_residuals_match_the_twin(name):
     nabla_r = twin.nabla_riemann(gam, riem)
     a_pt, b_pt = [twin.ev(e) for e in a], [twin.ev(e) for e in b]
     expected = {
-        RecurrenceKind.SGR: twin.sgr_residual(riem, nabla_r, a_pt, b_pt),
-        RecurrenceKind.SGRR: twin.sgrr_residual(ric, twin.nabla_ricci(gam, ric), a_pt, b_pt),
+        "SGR": twin.sgr_residual(riem, nabla_r, a_pt, b_pt),
+        "SGRR": twin.sgrr_residual(ric, twin.nabla_ricci(gam, ric), a_pt, b_pt),
     }
     try:
         data.structure
     except NotLcsError:
         assert name in AD_HOC
     else:
-        expected[RecurrenceKind.SGPR] = twin.sgr_residual(riem, nabla_r, a_pt, b_pt, twin.phi())
+        expected["SGPR"] = twin.sgr_residual(riem, nabla_r, a_pt, b_pt, twin.phi())
     for kind, table in expected.items():
-        residual, is_zero = recurrence_residual(data, kind, forms)
-        assert not is_zero
+        residual = recurrence_residual(data, kind, forms)
+        assert not residual.is_zero
         for idx in itertools.product(range(n), repeat=residual.valence[1]):
             leaf = residual.comp(*idx)
             want = functools.reduce(list.__getitem__, idx, table)
@@ -399,13 +396,13 @@ def test_xi_identity_residual_matches_the_twin(name):
     nabla_r = twin.nabla_riemann(twin.gamma(), twin.riemann())
     shifted = st_.beta + data.chart.parse(data.chart.coords[-1].name)
     for beta, passed in ((None, True), (shifted, False)):
-        out = nabla_r_xi_identity(data, beta)
-        assert out.passed == passed
+        _, residual = nabla_r_xi_identity(data, beta)
+        assert residual.is_zero == passed
         used = st_.beta if beta is None else beta
         coeff = 2 * twin.ev(st_.alpha) * twin.ev(st_.rho) - twin.ev(used)
         table = twin.xi_identity_residual(nabla_r, coeff)
         for w, y, z in itertools.product(range(n), repeat=3):
-            assert twin.ev(out.residual.comp(w, y, z)) == table[w][y][z], (beta, w, y, z)
+            assert twin.ev(residual.comp(w, y, z)) == table[w][y][z], (beta, w, y, z)
         assert any(v != 0 for plane in table for row in plane for v in row) == (not passed)
 
 

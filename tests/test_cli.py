@@ -622,24 +622,21 @@ def test_cli_import_leaves_out_dataclasses():
     assert imports == []
 
 # each record of the engine and the CLI, a collections.namedtuple subclass:
-# its fields and defaults, as they were when it was a typing.NamedTuple
+# its fields and defaults
 RECORDS = {
     "cli.ManifoldDef": ("name coords frame metric xi sample_point source_text", {"sample_point": None, "source_text": ""}),
     "cli.ReportEntry": (
         "check_id status title engine published residual note",
         {"engine": None, "published": None, "residual": None, "note": None},
     ),
-    "soliton.SolitonParams": ("lam p k", {"k": None}),
-    "soliton.SolitonCheck": ("residual is_soliton eta_einstein_residual", {}),
-    "axioms.AxiomCheck": ("axiom description passed detail", {"detail": ""}),
+    "axioms.AxiomCheck": ("axiom description detail", {"detail": ""}),
     "frame_geometry.FrameTensor": ("valence comps dim zero", {}),
     "curvature.CurvatureStack": ("riemann13 ricci q_operator scalar", {}),
     "levi_civita.ConnectionCoeffs": ("frame gamma", {}),
-    "conditions.RecurrenceForms": ("a b rho1 rho2", {}),
-    "conditions.NoSolution": ("kind direction component needed detail", {}),
-    "conditions.SgrPredictions": ("r_engine r_predicted r_note r_matches opposition opposition_note opposition_zero", {}),
+    "conditions.RecurrenceForms": ("a b", {}),
+    "conditions.NoSolution": ("direction component needed detail", {}),
+    "conditions.SgrPredictions": ("r_predicted r_note opposition opposition_note", {}),
     "einstein.ClassifierVerdict": ("kind a b", {"a": None, "b": None}),
-    "derived_conditions.XiDerivativeIdentity": ("passed coefficient residual", {}),
     "derived_conditions.DerivedConditions": (
         "rxm cxs guard_rxm guard_cxs mproj_xi_residual einstein_from_rxm einstein_from_cxs",
         {},
@@ -847,10 +844,16 @@ def test_main_with_arguments_leaves_the_collector_alone(capsys):
 
 
 def test_parser_offers_every_recurrence_kind():
-    from lcslab.cli import RECURRENCE_KINDS
-    from lcslab.conditions import RecurrenceKind
+    # RECURRENCE_KINDS is the one list of kinds: `check` offers each, `fit`
+    # the two it solves, and each names a condition of its own (a kind the
+    # conditions did not know would read as another's)
+    from lcslab.cli import COMMANDS, RECURRENCE_KINDS
+    from lcslab.conditions import _recurrence_terms
 
-    assert RECURRENCE_KINDS == tuple(k.value for k in RecurrenceKind)
+    assert (COMMANDS["check"][1], COMMANDS["fit"][1]) == (("SGR", "SGRR", "SGPR"), ("SGR", "SGRR"))
+    data = build_manifold(load("example51"))
+    terms = [_recurrence_terms(data, kind) for kind in RECURRENCE_KINDS]
+    assert all(a != b for i, a in enumerate(terms) for b in terms[i + 1 :])
 
 
 def test_json_reports_match_recorded_digests(capsys):

@@ -132,6 +132,13 @@ class TestArith:
         assert e("y/(1 - x)") ** -1 == e("(1 - x)/y")
         assert str(e("y/(1 - x)") ** -1) == "(-x + 1)/y"
 
+    def test_every_fraction_step_leads_its_denominator_positive(self):
+        # the one sign step: a fraction built whole, a quotient by a negative
+        # lead and a negative power each move the minus to the numerator
+        built = Expr((X,), {(0,): 1}, {(1,): -1, (0,): 1})
+        assert str(built) == "-1/(x - 1)" == str(e("1") / e("1 - x")) == str(e("1 - x") ** -1)
+        assert str(e("x/(y + 1)") / e("-y - 1")) == "-x/(y^2 + 2*y + 1)"
+
     def test_products_and_quotients_cancel_across(self):
         # a product cancels its left numerator against the right denominator
         # (first GCD) and its right numerator against the left denominator
