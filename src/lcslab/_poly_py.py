@@ -98,8 +98,6 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return {}
     if len(b) == 1:
         ((eb, cb),) = b.items()
         if cb == 1 and not any(eb):

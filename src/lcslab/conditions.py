@@ -17,9 +17,9 @@ Every condition here and in ``soliton``, ``derived_conditions`` and
 ``axioms`` holds exactly when its residual is zero, so each returns the
 residual (an axiom, the detail of its first nonzero component) and no flag
 beside it: the report code reads ``is_zero`` (and ``cli.residual_excerpt``)
-of the residual itself.  The metric duals of the forms are raised where
-they are read: in ``fit``'s ``duals`` entry and as eta(rho1) in
-``sgr_predictions``.
+of the residual itself.  The metric duals of the forms are raised only where
+they are read, in ``fit``'s ``duals`` entry: the eta(rho1) of the paper's
+SGR prediction is A(xi), which ``sgr_predictions`` reads directly.
 
 The other conditions are modules of their own, so that each command loads
 only the conditions it checks: ``soliton`` (the conformal soliton residual
@@ -149,21 +149,21 @@ class SgrPredictions(namedtuple("SgrPredictions", "r_predicted r_note opposition
 
 
 def sgr_predictions(data: ManifoldData, forms: RecurrenceForms) -> SgrPredictions:
-    """Evaluate r = {2(n-1)(alpha^2-rho) eta(rho1) - (n^2+2) B(xi)} / A(xi),
-    rho1 the metric dual of A, and the opposition relation A + (n^2/r) B = 0."""
+    """Evaluate r = 2(n-1)(alpha^2-rho) - (n^2+2) B(xi)/A(xi), the paper's
+    {2(n-1)(alpha^2-rho) eta(rho1) - (n^2+2) B(xi)}/A(xi) with eta(rho1) =
+    g(rho1, xi) = A(xi), and the opposition relation A + (n^2/r) B = 0."""
     n = data.dim
     chart = data.chart
     st = data.structure
     r = data.stack.scalar
 
-    a_xi = forms.a[data.xi_index]
+    a_xi, b_xi = forms.a[data.xi_index], forms.b[data.xi_index]
     k2 = st.alpha * st.alpha - st.rho
     if a_xi.is_zero:
         r_pred = None
         r_note = "A(xi) is identically zero; the prediction formula divides by it"
     else:
-        eta_rho1 = st.eta_of(data.metric.raise_form(forms.a))
-        r_pred = (chart.const(2 * (n - 1)) * k2 * eta_rho1 - chart.const(n * n + 2) * forms.b[data.xi_index]) / a_xi
+        r_pred = chart.const(2 * (n - 1)) * k2 - chart.const(n * n + 2) * b_xi / a_xi
         r_note = ""
 
     if not r.is_constant:

@@ -20,8 +20,8 @@ def soliton_lambda(alpha: Expr, p: Expr, n: int) -> tuple[Expr, Expr]:
     with the independently re-derived trace value p/2 + ((n-1)/n) alpha.
 
     The second comes from tracing S = k g - alpha eta x eta with
-    g(xi, xi) = -1 and the flow constraint r = -1; the two disagree, so
-    both are always returned and reported side by side.
+    g(xi, xi) = -1 and the flow constraint r = -1; they differ by 2 alpha/n,
+    so both are always returned and reported side by side.
     """
     vs = p.vars
     half_p = p * Expr.ratio(vs, 1, 2)

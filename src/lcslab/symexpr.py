@@ -308,9 +308,9 @@ class Expr:
         d = P.poly_gcd(ad, bd)
         coprime = P.poly_is_one(d)  # the cross-sum is then in lowest terms
         ad_red, bd_red = (ad, bd) if coprime else (P.poly_divexact(ad, d), P.poly_divexact(bd, d))
+        # canonical denominators are unique, so fractions over different ones
+        # are unequal up to sign and never cancel: num is nonzero
         num = combine(P.poly_mul(an, bd_red), P.poly_mul(bn, ad_red))
-        if not num:
-            return Expr.zero(self.vars)
         return (Expr._raw if coprime else Expr)(self.vars, num, P.poly_mul(ad, bd_red))
 
     @classmethod

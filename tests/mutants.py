@@ -68,16 +68,32 @@ MUTANTS = (
     Mutant(
         "sgr-n2-plus-2",
         "src/lcslab/conditions.py",
-        "chart.const(n * n + 2) * forms.b",
-        "chart.const(3 * n + 2) * forms.b",
+        "chart.const(n * n + 2) * b_xi",
+        "chart.const(3 * n + 2) * b_xi",
         ("tests/test_conditions.py::TestFormulasAtHigherDimension::test_sgr_predictions",),
     ),
     Mutant(
         "sgr-2-n-minus-1",
         "src/lcslab/conditions.py",
-        "chart.const(2 * (n - 1)) * k2 * eta_rho1",
-        "chart.const(n + 1) * k2 * eta_rho1",
+        "chart.const(2 * (n - 1)) * k2",
+        "chart.const(n + 1) * k2",
         ("tests/test_conditions.py::TestFormulasAtHigherDimension::test_sgr_predictions",),
+    ),
+    # the SGR prediction reads A(xi) for the paper's eta(rho1); the check
+    # against the paper's quotient catches these two at every n, 3 included
+    Mutant(
+        "sgr-2-n-minus-1-halved",
+        "src/lcslab/conditions.py",
+        "chart.const(2 * (n - 1)) * k2",
+        "chart.const(n - 1) * k2",
+        ("tests/test_conditions.py::TestSgrPredictions::test_prediction_is_the_papers_quotient",),
+    ),
+    Mutant(
+        "sgr-divides-by-b-xi",
+        "src/lcslab/conditions.py",
+        "* b_xi / a_xi",
+        "* b_xi / b_xi",
+        ("tests/test_conditions.py::TestSgrPredictions::test_prediction_is_the_papers_quotient",),
     ),
     Mutant(
         "cxs-guard-n-n-minus-1",
@@ -401,6 +417,13 @@ MUTANTS = (
         "src/lcslab/cmd_check_lcs.py",
         "FAIL if check.detail else PASS",
         "PASS if check.detail else FAIL",
+        ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
+    ),
+    Mutant(
+        "soliton-lambda-difference-reversed",
+        "src/lcslab/cmd_soliton.py",
+        "engine=str(lam_printed - lam_traced),",
+        "engine=str(lam_traced - lam_printed),",
         ("tests/test_cli.py::test_json_reports_match_recorded_digests",),
     ),
     Mutant(

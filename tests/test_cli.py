@@ -318,11 +318,40 @@ class TestExitCodes:
         with pytest.raises(KeyboardInterrupt):
             main(["curvature", "example51"])
 
-    def test_short_bad_cell_is_quoted_whole(self, tmp_path, capsys):
-        frame = [["z*x +", "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]]
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("z*x +", "expected a number, variable, '(' or '-' (at position 5)"),
+            ("(x", "expected ')' (at position 2)"),
+            ("0^-1", "zero raised to a negative power (at position 2)"),
+        ],
+        ids=["trailing-operator", "unclosed-parenthesis", "zero-to-a-negative-power"],
+    )
+    def test_short_bad_cell_is_quoted_whole(self, tmp_path, capsys, cell, message):
+        frame = [[cell, "z*y", "0"], ["0", "z", "0"], ["0", "0", "1"]]
         path = write_def(tmp_path, dict(EXAMPLE_DEF, frame=frame))
         assert main(["curvature", path]) == 2
-        assert "in 'z*x +' (line 1)" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: frame[1][1]: {message} in {cell!r} (line 1)\n"
+
+    def test_bad_non_ascii_cell_gives_its_line(self, tmp_path, capsys):
+        # written unescaped, the cell is not in the file as json.dumps spells
+        # it ("z\u00e9+"), so its line is found from its own text
+        frame = [["z*x", "z*y", "0"], ["0", "z\u00e9+", "0"], ["0", "0", "1"]]
+        path = tmp_path / "def.json"
+        text = json.dumps(dict(EXAMPLE_DEF, frame=frame), ensure_ascii=False, indent=1)
+        path.write_text(text, encoding="utf-8")
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if '"z\u00e9+"' in row)
+        assert line > 1
+        assert main(["curvature", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: frame[2][2]: unknown variable 'z\u00e9' (at position 0) in 'z\u00e9+' (line {line})\n"
+
+    @pytest.mark.parametrize("option, text, position", [("--p", "x+", 2), ("--lambda", "(", 1)], ids=["p", "lambda"])
+    def test_bad_soliton_expression_is_two(self, capsys, option, text, position):
+        assert main(["soliton", "example51", option, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad {option} expression: expected a number, variable, '(' or '-' (at position {position})\n"
 
     @pytest.mark.parametrize("where", ["frame-cell", "forms-entry", "coords", "sample-point", "sample-value", "sample-option"])
     def test_huge_name_is_quoted_briefly(self, tmp_path, capsys, where):
@@ -415,7 +444,7 @@ class TestExitCodes:
                 residual="component (1,1,2,1,2) = (-x*z^4 + x)/z^3",
                 note="residual is nonzero",
             ),
-            # A(xi) = 2/z: r = {2(n-1)(alpha^2-rho) eta(rho1) - (n^2+2) B(xi)}/A(xi)
+            # A(xi) = 2/z: r = 2(n-1)(alpha^2-rho) - (n^2+2) B(xi)/A(xi)
             dict(
                 none,
                 check_id="predictions.scalar",

@@ -378,6 +378,27 @@ class TestSgrPredictions:
         assert pred.opposition is None
         assert "constant" in pred.opposition_note
 
+    def test_prediction_is_the_papers_quotient(self):
+        # eta is xi lowered, so eta(rho1) = g(g^-1 A, xi) = A(xi) for any A;
+        # the paper's {2(n-1)(alpha^2-rho) eta(rho1) - (n^2+2) B(xi)}/A(xi)
+        # is then what sgr_predictions evaluates without raising A
+        rng = random.Random(11)
+        names = ["example51", "lcs4", "lcs5", "desitter3", "desitter4"]
+        for data in [builtin(name) for name in names] + list(warped_frames(6, 3)):
+            chart, st, n, xi = data.chart, data.structure, data.dim, data.xi_index
+            pool = ["0", "1", "-2", "3/2"] + [f"{v}{tail}" for v in chart.coords for tail in ("", " + 1", "^2", "/2")]
+            for _ in range(4):
+                a, b = (tuple(chart.parse(rng.choice(pool)) for _ in range(n)) for _ in "AB")
+                eta_rho1 = st.eta_of(data.metric.raise_form(a))
+                assert eta_rho1 == a[xi], data.name
+                pred = sgr_predictions(data, RecurrenceForms(a, b))
+                if a[xi].is_zero:
+                    assert pred.r_predicted is None, data.name
+                    continue
+                k = st.alpha * st.alpha - st.rho
+                paper = (chart.const(2 * (n - 1)) * k * eta_rho1 - chart.const(n * n + 2) * b[xi]) / a[xi]
+                assert pred.r_predicted == paper, data.name
+
 
 class TestXiDerivativeIdentity:
     def test_reference_manifold_passes(self, example51):

@@ -122,6 +122,29 @@ class TestArith:
         assert -e("x") == e("-x")
         assert e("z") ** -2 == e("1/z^2")
 
+    def test_fraction_operand_is_a_constant(self):
+        assert e("x") + Fraction(1, 2) == Fraction(1, 2) + e("x") == e("x + 1/2")
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_float_operand_is_refused(self, op):
+        with pytest.raises(TypeError):
+            op(e("x"), 1.5)
+
+    def test_equality_with_a_string_is_false(self):
+        assert (e("x") == "x") is False
+        assert e("x") != "x"
+
+    def test_non_integer_exponent_is_refused(self):
+        with pytest.raises(ExprError, match="^exponent must be an integer$"):
+            e("x") ** 1.5
+
+    def test_zero_to_a_positive_power_is_zero(self):
+        zero = e("0^2")
+        assert zero.is_zero and str(zero) == "0"
+
+    def test_repr_quotes_the_printed_form(self):
+        assert repr(e("2*x/z")) == "Expr('2*x/z')"
+
     def test_negative_power_of_a_negative_lead(self):
         # the reciprocal puts the base's numerator, lead -x, in the
         # denominator; the sign step moves the minus up, as 1/(1 - x) has it
@@ -214,6 +237,10 @@ class TestEval:
     def test_missing_variable(self):
         with pytest.raises(ExprError):
             e("x").eval({"x": 1, "y": 2})
+
+    def test_variable_outside_the_tuple(self):
+        with pytest.raises(UnknownVariableError, match="^unknown variable 'w'$"):
+            e("x").eval({"x": 1, "y": 2, "z": 3, "w": 4})
 
 
 class TestCanonicalForm:
