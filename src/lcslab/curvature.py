@@ -32,9 +32,7 @@ is self-checked.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
-from functools import reduce
 from itertools import product
 
 from .frame_geometry import FrameMetric, FrameTensor, mirror_pairs, vec_add, vec_nonzero, vec_scale, vec_sub, vec_sum
@@ -79,20 +77,21 @@ def riemann(conn: ConnectionCoeffs, brackets) -> FrameTensor:
 
 
 def ricci(riem: FrameTensor, metric: FrameMetric) -> FrameTensor:
-    """S(Y, Z) as the trace sum_a [R(E_a, Y)Z]^a (see the module docstring);
-    support: the (i, j) of every stored R(E_a,E_i)E_j."""
+    """S(Y, Z) as the trace sum_a [R(E_a, Y)Z]^a (see the module docstring),
+    one ``Expr.sum``; support: the (i, j) of every stored R(E_a,E_i)E_j."""
     n = metric.dim
+    coords = metric.frame.chart.coords
 
     def entry(i, j):
-        return reduce(operator.add, (riem.comp(a, i, j)[a] for a in range(n)))
+        return Expr.sum(coords, [(1, riem.comp(a, i, j)[a]) for a in range(n)])
 
     return FrameTensor.build((0, 2), n, entry, {(i, j) for _, i, j in riem.comps})
 
 
 def scalar_curvature(ric: FrameTensor, metric: FrameMetric) -> Expr:
-    """r = sum_{a,b} g^{ab} S(E_a, E_b)."""
+    """r = sum_{a,b} g^{ab} S(E_a, E_b), one ``Expr.sum``."""
     ginv = metric.inverse()
-    return sum((ginv[a][b] * s for (a, b), s in ric.comps.items()), ric.zero)
+    return Expr.sum(ric.zero.vars, [(1, ginv[a][b] * s) for (a, b), s in ric.comps.items()])
 
 
 def ricci_operator(ric: FrameTensor, metric: FrameMetric) -> FrameTensor:

@@ -37,7 +37,6 @@ residual lhs - u p - v q formed by one routine, ``residual``, on its support.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
 from itertools import product
 from math import lcm
 from operator import mul, ne
@@ -322,13 +321,13 @@ def residual(lhs: FrameTensor, p: FrameTensor, q: FrameTensor, u: Expr, v: Expr)
 # -- contractions --------------------------------------------------------------
 #
 # Products summed over a frame index go through dot (scalars) or combo
-# (vectors).  Zero absorbs in the scalar layer (x + 0 is x, x * 0 is the
-# interned zero, neither costs a GCD), but on the sparse high-n inputs most
-# operands are zero and each such call still costs a coercion and a
-# dispatch.  So the primitives below test for a zero operand themselves and
-# return exactly the object the scalar layer would (the nonzero operand, its
-# negation, or the zero operand itself), without calling it; every other
-# operation runs as before, in the same order.  combo never builds vec_of(a)
+# (vectors), each one Expr.sum (vec_sum) of its nonzero terms, normalised
+# once.  Zero absorbs in the scalar layer (x + 0 is x, x * 0 is the interned
+# zero, neither costs a GCD), but on the sparse high-n inputs most operands
+# are zero and each such call still costs a coercion and a dispatch.  So the
+# primitives below test for a zero operand themselves and return exactly the
+# object the scalar layer would (the nonzero operand, its negation, or the
+# zero operand itself), without calling it.  combo never builds vec_of(a)
 # for a zero coefficient.
 
 
@@ -363,26 +362,21 @@ def vec_sum(variables, terms) -> tuple[Expr, ...]:
 
 
 def dot(u, v) -> Expr:
-    """sum_a u[a] v[a] over two nonempty sequences of scalars; with no term
-    whose factors are both nonzero, the zero factor of the first term."""
-    total = None
-    for a, b in zip(u, v):
-        if not (a.num and b.num):
-            continue
-        total = a * b if total is None else total + a * b
-    if total is None:
-        return v[0] if u[0].num else u[0]
-    return total
+    """sum_a u[a] v[a] over two nonempty sequences of scalars: one
+    ``Expr.sum`` of the products whose factors are both nonzero."""
+    return Expr.sum(u[0].vars, [(1, a * b) for a, b in zip(u, v) if a.num and b.num])
 
 
 def combo(coeffs, vec_of) -> tuple[Expr, ...]:
-    """sum_a coeffs[a] vec_of(a), calling vec_of(a) only where coeffs[a] is
-    nonzero.  With no nonzero coefficient the result is the zero vector with
-    one component per coefficient."""
-    terms = [vec_scale(c, vec_of(a)) for a, c in enumerate(coeffs) if c.num]
+    """sum_a coeffs[a] vec_of(a), one ``vec_sum`` of the scaled vectors,
+    calling vec_of(a) only where coeffs[a] is nonzero.  With no nonzero
+    coefficient the result is the zero vector with one component per
+    coefficient."""
+    variables = coeffs[0].vars
+    terms = [(1, vec_scale(c, vec_of(a))) for a, c in enumerate(coeffs) if c.num]
     if not terms:
-        return (Expr.zero(coeffs[0].vars),) * len(coeffs)
-    return reduce(vec_add, terms)
+        return (Expr.zero(variables),) * len(coeffs)
+    return vec_sum(variables, terms)
 
 
 # -- exact linear algebra over the function field ---------------------------

@@ -97,11 +97,9 @@ def derive_structure(data: ManifoldData) -> LcsStructure:
     # alpha is set: the target E_i + eta_i xi degenerates only at i = k (its
     # component i is 1 elsewhere), and a definition has at least 2 coordinates
 
-    # phi from (1/alpha) nabla xi when possible, otherwise the shape X + eta(X) xi
-    if alpha.is_zero:
-        phi = FrameTensor.build((1, 1), n, lambda i: targets[i])
-    else:
-        phi = FrameTensor.build((1, 1), n, lambda i: vec_scale(chart.one() / alpha, gamma[i][k]))
+    # phi = (1/alpha) nabla xi is the shape X + eta(X) xi just checked
+    # component by component, so it is built from the shape itself
+    phi = FrameTensor.build((1, 1), n, lambda i: targets[i])
 
     rho = -frame.fields[k].apply(alpha)
     for i in range(n):

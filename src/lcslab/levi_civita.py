@@ -42,6 +42,7 @@ from .frame_geometry import (
     vec_scale,
     vec_sum,
 )
+from .symexpr import Expr
 
 
 class ConnectionCoeffs(namedtuple("ConnectionCoeffs", "frame gamma")):
@@ -81,10 +82,12 @@ def koszul(frame: Frame, metric: FrameMetric, brackets) -> ConnectionCoeffs:
                         + g([X,Y],Z) - g([X,Z],Y) - g([Y,Z],X)
 
     ``brackets`` holds the frame components of every [E_i, E_j], as
-    ``frame_brackets`` gives them.
+    ``frame_brackets`` gives them.  Each right-hand side is one ``Expr.sum``
+    of its six terms.
     """
     n = frame.dim
     g = metric.g
+    coords = frame.chart.coords
     low = [[metric.lower(b) for b in row] for row in brackets]
     two = frame.chart.const(2)
 
@@ -93,8 +96,9 @@ def koszul(frame: Frame, metric: FrameMetric, brackets) -> ConnectionCoeffs:
 
     def rhs(i, j, z):
         """2 g(nabla_{E_i} E_j, E_z)."""
-        derivs = dg(i, j, z) + dg(j, i, z) - dg(z, i, j)
-        return derivs + low[i][j][z] - low[i][z][j] - low[j][z][i]
+        terms = [(1, dg(i, j, z)), (1, dg(j, i, z)), (-1, dg(z, i, j))]
+        terms += [(1, low[i][j][z]), (-1, low[i][z][j]), (-1, low[j][z][i])]
+        return Expr.sum(coords, terms)
 
     gamma = tuple(
         tuple(metric.raise_form([rhs(i, j, z) / two for z in range(n)]) for j in range(n)) for i in range(n)

@@ -31,11 +31,12 @@ Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
 of multi-term polynomials again and again (on the dense benchmark inputs,
 two thirds or more of the multi-term calls of a ``curvature`` run repeat an
 earlier pair), so ``poly_gcd`` keeps its results, keyed by the contents of
-both operands (a frozenset of each one's terms), as ``expr_memo`` is keyed
-by its operands.  A dict lookup compares keys whose hashes collide by
-contents, so a collision is a miss, never a wrong answer.  The memo pins
-at most ``GCD_MEMO_TERMS`` terms in all (operands and result), so large
-operands cannot inflate memory.  Its results are shared, which is safe because
+both operands (a frozenset of each one's terms), the one of smaller hash
+first, as ``symexpr`` keys ``+`` and ``*``: the GCD does not depend on the
+order, so gcd(b, a) hits the entry gcd(a, b) stored.  A dict lookup
+compares keys whose hashes collide by contents, so a collision is a miss,
+never a wrong answer.  The memo pins at most ``GCD_MEMO_TERMS`` terms in
+all (operands and result), so large operands cannot inflate memory.  Its results are shared, which is safe because
 nothing writes to a polynomial once it is built: the kernels and the
 functions here never write to an argument, and no caller writes to a result.
 
@@ -210,7 +211,7 @@ class BoundedMemo:
 GCD_MEMO_TERMS = 4096
 EXPR_MEMO_TERMS = 65536
 
-# multi-term GCDs keyed by both operands' contents
+# multi-term GCDs keyed by both operands' contents, in hash order
 _memo = BoundedMemo(GCD_MEMO_TERMS)
 # Expr products, sums, differences and frame derivatives, filled by symexpr
 # and frame_geometry; its keys and values are theirs
@@ -233,7 +234,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return normalize_sign(a)
     if len(a) == 1 or len(b) == 1:
         return _monomial_gcd(a, b)
-    key = (frozenset(a.items()), frozenset(b.items()))
+    ka, kb = frozenset(a.items()), frozenset(b.items())
+    key = (ka, kb) if hash(ka) <= hash(kb) else (kb, ka)
     g = _memo.entries.get(key)
     if g is None:
         vs = tuple(range(len(next(iter(a)))))

@@ -63,7 +63,9 @@ the stored result is what recomputing the operation on those operands gives.
 ``a + b`` and ``b + a`` (and ``a * b``, ``b * a``) have one canonical result,
 so their key puts the operand of smaller hash first; ``-`` keeps its order.
 The zero-absorbing and int-coercion paths run before the lookup, and so
-does ``*`` by the constant 1, which returns the other operand.
+does ``*`` by the constant 1, which returns the other operand.  ``/`` is
+not memoised; a dividend of 0 or a divisor of 1 returns the dividend, as
+``*`` by 1 does, with no kernel call.
 ``Expr.sum`` of more than two nonzero terms bypasses the memo: it normalises
 the whole sum once, where a fold of ``+`` would look up and store every
 partial sum.  The memo keeps references to operands and results, which is
@@ -392,8 +394,8 @@ class Expr:
             return o
         if not o.num:
             raise ExprDivisionError("division by zero expression")
-        if not self.num:
-            return self
+        if not self.num or P.poly_is_one(o.num) and P.poly_is_one(o.den):
+            return self  # 0 / o and x / 1, as x * 1 is x
         # times the reciprocal, whose denominator may lead negative
         return Expr._raw(self.vars, *_positive_den(*_cross_product(self.num, self.den, o.den, o.num)))
 

@@ -54,6 +54,26 @@ def warped_frames(seed, count):
         yield make_manifold(f"warped{k}", rows)
 
 
+@lru_cache(maxsize=None)
+def milne(n: int) -> ManifoldData:
+    """The Milne universe -dt^2 + t^2 g_H at n = 3 or 4: hyperbolic space in
+    the upper half-space frame (E_i = (x_(n-1)/t) d_i), warped by f = t,
+    with xi = E_n = d_t.  A flat (LCS)_n: alpha = 1/t, rho = 1/t^2, so
+    alpha^2 - rho = 0, and R = 0."""
+    coords = ["x", "y", "z"][: n - 1] + ["t"]
+    cell = f"{coords[n - 2]}/t"
+    frame = [[cell if j == i else "0" for j in range(n)] for i in range(n - 1)] + [["0"] * (n - 1) + ["1"]]
+    metric = [["-1" if i == j == n - 1 else str(int(i == j)) for j in range(n)] for i in range(n)]
+    return build_manifold(ManifoldDef(f"milne{n}", coords, frame, metric, n))
+
+
+def milne_forms(data: ManifoldData) -> RecurrenceForms:
+    """A = (1, ..., 1, 1/t) and B = 0: the SGR forms of every flat input,
+    whose R and nabla R vanish, with A(xi) nonzero."""
+    chart, n = data.chart, data.dim
+    return RecurrenceForms(tuple(chart.one() for _ in range(n - 1)) + (chart.parse("1/t"),), (chart.zero(),) * n)
+
+
 # Ad hoc inputs (coordinates, frame rows, metric rows; xi is the last frame
 # field) that reach every branch of the tensor supports:
 # "dense-style" has an upper-triangular frame with two-term polynomial cells

@@ -775,6 +775,60 @@ MUTANTS = (
         "(q - q).is_zero",
         ("tests/test_curvature.py::TestSelfCheckOnFlatSpace::test_bumped_ricci_operator_leaf",),
     ),
+    # the scalar layer's rules at their call sites: one sum of every nonzero
+    # term (caught only with three or more), / by 1 free only for 1 itself,
+    # the GCD memo keyed by both operands, phi as the checked shape
+    Mutant(
+        "dot-drops-its-last-term",
+        "src/lcslab/frame_geometry.py",
+        "for a, b in zip(u, v) if a.num and b.num",
+        "for a, b in zip(u[:-1], v) if a.num and b.num",
+        ("tests/test_frame_geometry.py::test_dot_and_combo_are_the_left_fold",),
+    ),
+    Mutant(
+        "combo-keeps-two-terms",
+        "src/lcslab/frame_geometry.py",
+        "return vec_sum(variables, terms)",
+        "return vec_sum(variables, terms[:2])",
+        ("tests/test_frame_geometry.py::test_dot_and_combo_are_the_left_fold",),
+    ),
+    Mutant(
+        "divide-by-one-reads-the-numerator-only",
+        "src/lcslab/symexpr.py",
+        "if not self.num or P.poly_is_one(o.num) and P.poly_is_one(o.den):",
+        "if not self.num or P.poly_is_one(o.num):",
+        ("tests/test_symexpr.py::TestArith::test_division_by_one_is_the_dividend",),
+    ),
+    Mutant(
+        "gcd-memo-key-drops-its-second-operand",
+        "src/lcslab/polyops.py",
+        "key = (ka, kb) if hash(ka) <= hash(kb) else (kb, ka)",
+        "key = ka if hash(ka) <= hash(kb) else kb",
+        ("tests/test_kernels.py::test_memo_key_holds_both_operands",),
+    ),
+    Mutant(
+        "phi-read-from-direction-k",
+        "src/lcslab/lcs_structure.py",
+        "lambda i: targets[i]",
+        "lambda i: targets[k]",
+        ("tests/test_lcs_structure.py::TestDeriveStructure::test_phi_is_nabla_xi_over_alpha",),
+    ),
+    # the flat Milne universe reaches the scalar prediction and the zero-r
+    # note of the opposition relation, which no other input does
+    Mutant(
+        "scalar-prediction-holds-inverted",
+        "src/lcslab/cmd_check.py",
+        "pred.r_predicted is not None and (pred.r_predicted - r).is_zero",
+        "pred.r_predicted is not None and not (pred.r_predicted - r).is_zero",
+        ("tests/test_conditions.py::TestSgrPredictions::test_milne_reaches_the_scalar_prediction",),
+    ),
+    Mutant(
+        "zero-scalar-curvature-not-refused",
+        "src/lcslab/conditions.py",
+        "elif r.is_zero:",
+        "elif False:",
+        ("tests/test_conditions.py::TestSgrPredictions::test_zero_scalar_curvature_blocks_opposition",),
+    ),
 )
 
 

@@ -12,7 +12,7 @@ from lcslab.frame_geometry import FrameTensor
 from lcslab.lcs_structure import NotLcsError
 from lcslab.soliton import soliton_k, soliton_lambda, soliton_residual
 
-from conftest import builtin, fit_rows, make_manifold, reference_fit, warped_frames, xi_at_every_index
+from conftest import builtin, fit_rows, make_manifold, milne, milne_forms, reference_fit, warped_frames, xi_at_every_index
 
 
 def zero_forms(data):
@@ -360,9 +360,36 @@ class TestSgrPredictions:
         with pytest.raises(NotLcsError):
             sgr_predictions(flat3, zero_forms(flat3))
 
-    def test_zero_scalar_curvature_blocks_opposition(self, desitter3):
-        pred = sgr_predictions(desitter3, zero_forms(desitter3))
-        assert "A(xi)" in pred.r_note
+    @pytest.mark.parametrize("n", [3, 4], ids=["milne3", "milne4"])
+    def test_zero_scalar_curvature_blocks_opposition(self, n):
+        # the flat Milne universe: R = 0 and nabla R = 0, so SGR holds for
+        # A = (1, ..., 1, 1/t) with B = 0; r = 0 = 2(n-1)(alpha^2 - rho), and
+        # the opposition relation A + (n^2/r) B would divide by r
+        data = milne(n)
+        forms = milne_forms(data)
+        assert recurrence_residual(data, "SGR", forms).is_zero
+        pred = sgr_predictions(data, forms)
+        assert data.stack.scalar.is_zero and pred.r_predicted.is_zero and pred.r_note == ""
+        assert pred.opposition is None
+        assert pred.opposition_note == "scalar curvature is zero; the opposition relation divides by it"
+
+    @pytest.mark.parametrize("n", [3, 4], ids=["milne3", "milne4"])
+    def test_milne_reaches_the_scalar_prediction(self, n, tmp_path):
+        # check SGR's three results on the one kind of input that reaches the
+        # scalar prediction: alpha^2 - rho = 0 and R = 0 (see the gate walk)
+        data = milne(n)
+        forms = milne_forms(data)
+        path = tmp_path / "forms.json"
+        path.write_text(json.dumps({k: [str(e) for e in getattr(forms, k.lower())] for k in "AB"}), encoding="utf-8")
+        report = cli.run("check", data, {"kind": "SGR", "forms": str(path)})
+        entries = {e.check_id: e for e in report.entries if not e.check_id.startswith("forms.")}
+        assert [(i, e.status) for i, e in entries.items()] == [
+            ("recurrence.SGR", "pass"),
+            ("predictions.scalar", "pass"),
+            ("predictions.opposition", "info"),
+        ]
+        assert entries["predictions.scalar"].engine == "engine 0, predicted 0"
+        assert entries["predictions.opposition"].note == "scalar curvature is zero; the opposition relation divides by it"
 
     def test_gated_pass_on_trivially_recurrent_space(self, desitter3):
         # nabla R = 0 with A = B = 0 makes the hypothesis hold exactly, but
@@ -563,13 +590,18 @@ class TestDerivedConditions:
 # forms.
 GATE_BUILTINS = ["example51", "flat3"] + [f"lcs{n}" for n in range(3, 7)] + [f"desitter{n}" for n in range(3, 6)]
 DESITTER = [f"desitter{n}" for n in range(3, 6)]
+MILNE = {"milne3": 3, "milne4": 4}
 GATES = {
-    # unreached: A(xi) = 0 for every SGR solution found, and the prediction divides by it
-    "predictions.scalar": {},
+    # the prediction divides by A(xi), which is zero in every SGR solution
+    # fit finds; of these inputs the forms A = 1, B = 0 satisfy SGR only on
+    # the flat ones, and there r = 0 = 2(n-1)(alpha^2 - rho) needs
+    # alpha^2 - rho = 0: the Milne universe, not flat3 (alpha = 0)
+    "predictions.scalar": {("check", name, "ones"): "pass" for name in MILNE},
     # A + (n^2/r) B needs a nonzero constant r; the fitted forms are zero too
     "predictions.opposition": {("check", name, forms): "pass" for name in DESITTER for forms in ("zero", "fitted")},
+    # its guard alpha^2 - rho is zero on Milne
     "einstein.rxm": {("derived-conditions", name, None): "pass" for name in DESITTER},
-    "einstein.cxs": {("derived-conditions", name, None): "pass" for name in DESITTER},
+    "einstein.cxs": {("derived-conditions", name, None): "pass" for name in [*DESITTER, *MILNE]},
 }
 
 
@@ -595,9 +627,10 @@ class TestGateReachability:
 
         monkeypatch.setattr(cli, "add_gated", recording)
         reached = {}
-        for name in GATE_BUILTINS:
-            data = builtin(name)
-            runs = [("check", "zero", zero_forms(data))]
+        inputs = [(name, builtin(name)) for name in GATE_BUILTINS] + [(name, milne(n)) for name, n in MILNE.items()]
+        for name, data in inputs:
+            ones = RecurrenceForms((data.chart.one(),) * data.dim, zero_forms(data).b)
+            runs = [("check", "zero", zero_forms(data)), ("check", "ones", ones)]
             fitted = recurrence_fit(data, "SGR")
             if isinstance(fitted, RecurrenceForms):
                 runs.append(("check", "fitted", fitted))
@@ -617,7 +650,8 @@ class TestGateReachability:
                     if entry.status != "info":
                         runs_reaching[(command, name, label)] = entry.status
                         assert constant_curvature(data), (entry.check_id, name)
-                        assert forms is None or all(e.is_zero for e in forms.a + forms.b), name
+                        # nonzero forms reach a gate only where R = 0
+                        assert forms is None or all(e.is_zero for e in forms.a + forms.b) or data.stack.riemann13.is_zero, name
         assert reached == GATES
 
 

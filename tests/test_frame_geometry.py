@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from lcslab.frame_geometry import (
     SignatureError,
     SingularFrameError,
     VectorField,
+    combo,
     decompose,
+    dot,
     lie_bracket,
     symmetric_inertia,
 )
@@ -347,6 +351,31 @@ def test_jacobi_identity(a, b, c):
     ]
     for i in range(3):
         assert sum((t.coeffs[i] for t in total), CHART.zero()).is_zero
+
+
+# nonzero terms over shared and different denominators
+nonzero = st.sampled_from(["x", "-3", "2*z - x", "y + 1", "1/z", "x/(y + 1)", "x*y/(z + 1)", "1/(x - y)", "-z/(y + 1)"]).map(
+    CHART.parse
+)
+
+
+@given(st.lists(st.tuples(nonzero, st.tuples(nonzero, nonzero, nonzero, nonzero)), min_size=3, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_dot_and_combo_are_the_left_fold(terms):
+    # each is one sum of its three or more nonzero terms, which is the Expr
+    # the left fold of + gives; a zero factor adds no term, and combo never
+    # asks for the vector of a zero coefficient
+    coeffs, vectors = [c for c, _ in terms], [w for _, w in terms]
+    zero = CHART.zero()
+    factors = [w[0] for w in vectors]
+    assert dot([zero, *coeffs], [factors[0], *factors]) == reduce(operator.add, map(operator.mul, coeffs, factors))
+
+    def vector_of(a):
+        assert a < len(vectors), "the vector of a zero coefficient was asked for"
+        return vectors[a]
+
+    expected = tuple(reduce(operator.add, (c * w[j] for c, w in zip(coeffs, vectors))) for j in range(4))
+    assert combo([*coeffs, zero], vector_of) == expected
 
 
 @given(expressions(), st.lists(expressions(), min_size=3, max_size=3))

@@ -246,20 +246,39 @@ def test_memoised_gcd_equals_uncached_gcd(c, f, k, u, v, j):
     assert (a, b) == (a_copy, b_copy)
 
 
+def memo_key(a, b):
+    """The GCD memo's key: both operands' contents, the smaller hash first."""
+    return tuple(sorted((frozenset(a.items()), frozenset(b.items())), key=hash))
+
+
 def test_memo_hit_needs_equal_operands():
-    # the key is both operands' contents, in order: equal contents in new
-    # dicts hit, and a key whose hash collides with a stored one is a miss
-    # (hash(-1) == hash(-2) in CPython, so a and c hash alike)
+    # the key is both operands' contents in hash order, as the Expr memo
+    # keys + and *: equal contents in new dicts hit, so does the swapped
+    # pair (the GCD does not depend on the order), and a key whose hash
+    # collides with a stored one is a miss (hash(-1) == hash(-2) in CPython,
+    # so a and c hash alike)
     memo = polyops._memo
     polyops.reset_memos()
     a, b = {(1, 0, 0): 1, (0, 0, 0): -1}, {(1, 0, 0): 1, (0, 1, 0): 1}
     c = {(1, 0, 0): 1, (0, 0, 0): -2}
     g = poly_gcd(a, b)
     assert poly_gcd(dict(a), dict(b)) is g and len(memo.entries) == 1
-    assert hash((frozenset(a.items()), frozenset(b.items()))) == hash((frozenset(c.items()), frozenset(b.items())))
+    assert poly_gcd(b, a) is g and len(memo.entries) == 1
+    assert hash(memo_key(a, b)) == hash(memo_key(c, b))
     assert poly_gcd(c, b) == uncached_gcd(c, b) and len(memo.entries) == 2
-    assert poly_gcd(b, a) == g and len(memo.entries) == 3
-    assert memo.terms == 3 * (2 + 2 + 1)
+    assert memo.terms == 2 * (2 + 2 + 1)
+
+
+def test_memo_key_holds_both_operands():
+    # a, b and c pairwise share a different factor, so the three GCDs
+    # differ, and a key that kept one operand of each pair would serve one
+    # pair the GCD of another (the operand of smallest hash is in two pairs)
+    x1, y1, z1 = ({(1, 0, 0): 1, (0, 0, 0): 1}, {(0, 1, 0): 1, (0, 0, 0): 1}, {(0, 0, 1): 1, (0, 0, 0): 1})
+    a, b, c = poly_mul(x1, y1), poly_mul(y1, z1), poly_mul(x1, z1)
+    polyops.reset_memos()
+    for u, v, common in ((a, b, y1), (a, c, x1), (b, c, z1), (b, a, y1), (c, a, x1), (c, b, z1)):
+        assert poly_gcd(u, v) == common == uncached_gcd(u, v)
+    assert len(polyops._memo.entries) == 3
 
 
 def pinned_terms(memo) -> int:

@@ -3,13 +3,13 @@ import json
 import pytest
 
 from lcslab.cli import main
-from lcslab.frame_geometry import FrameTensor
+from lcslab.frame_geometry import FrameTensor, vec_scale
 from lcslab.axioms import verify_axioms
 from lcslab.einstein import classify, solve_two_unknowns
 from lcslab.lcs_structure import NotLcsError, _solve_proportionality, derive_structure
 from lcslab.manifold import ManifoldData
 
-from conftest import builtin, frame_field, make_manifold, reference_verify_axioms, warped_frames, xi_at_every_index
+from conftest import builtin, frame_field, make_manifold, milne, reference_verify_axioms, warped_frames, xi_at_every_index
 
 
 class TestDeriveStructure:
@@ -24,6 +24,17 @@ class TestDeriveStructure:
         assert st.phi.comp(0) == example51.frame.unit(0)
         assert st.phi.comp(1) == example51.frame.unit(1)
         assert all(e.is_zero for e in st.phi.comp(2))
+
+    def test_phi_is_nabla_xi_over_alpha(self):
+        # phi is built from the shape X + eta(X) xi that alpha was solved
+        # against, which is (1/alpha) nabla xi exactly, direction by direction
+        structures = [builtin(name) for name in ["example51", *(f"lcs{n}" for n in range(3, 7))]]
+        structures += [builtin(f"desitter{n}") for n in range(3, 6)] + list(warped_frames(3, 4)) + [milne(3), milne(4)]
+        for data in structures:
+            st, k = data.structure, data.xi_index
+            for i in range(data.dim):
+                expected = vec_scale(data.chart.one() / st.alpha, data.connection.gamma[i][k])
+                assert st.phi.comp(i) == expected, (data.name, i)
 
     def test_eta_components(self, example51):
         st = example51.structure
@@ -119,6 +130,20 @@ class TestVerifyAxioms:
         checks = verify_axioms(data, data.structure)
         assert len(checks) == 14
         assert [c.axiom for c in checks if c.detail] == []
+
+    @pytest.mark.parametrize("n", [3, 4], ids=["milne3", "milne4"])
+    def test_all_pass_on_milne(self, n):
+        # a flat (LCS)_n: every axiom holds with alpha^2 - rho = 0 and R = 0,
+        # and so do the curvature self-checks
+        data = milne(n)
+        st, chart = data.structure, data.chart
+        assert (st.alpha, st.rho) == (chart.parse("1/t"), chart.parse("1/t^2"))
+        assert (st.alpha * st.alpha - st.rho).is_zero and data.stack.riemann13.is_zero
+        checks = verify_axioms(data, st)
+        assert len(checks) == 14
+        assert [c.axiom for c in checks if c.detail] == []
+        self_checks = data.stack.self_check(data.metric, data.connection)
+        assert len(self_checks) == 7 and all(ok for _, ok in self_checks)
 
     def test_flat_space_fails_only_the_alpha_axiom(self, flat3):
         st = derive_structure(flat3)

@@ -4,6 +4,7 @@ restorable: a refactor that renames one fails here, not only under
 
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,41 @@ def test_every_command_produces_its_spans(monkeypatch, tmp_path):
         "conditions.derived",
         "conditions.soliton",
     }
+
+
+# The five seed-0 counters of each workload, as `perfbench/run.py --workload
+# W --seed 0 --trace 1` reports them: one counted in-process round after an
+# uncounted one.  A change to the arithmetic restates this table in the same
+# commit, so the counters it moves are read here, not checked by hand.
+SEED0_COUNTERS = {
+    "paper3": {"expr_new": 1649, "poly_gcd": 1321, "poly_mul": 1675, "poly_divexact": 2600, "poly_lead": 810},
+    "lcsN": {"expr_new": 3901, "poly_gcd": 2099, "poly_mul": 2319, "poly_divexact": 4156, "poly_lead": 1300},
+    "dense": {"expr_new": 1964, "poly_gcd": 2612, "poly_mul": 3938, "poly_divexact": 5556, "poly_lead": 3874},
+}
+
+
+@pytest.mark.parametrize("workload", SEED0_COUNTERS)
+def test_seed0_counters_are_pinned(workload, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    ops = importlib.import_module("workloads").WORKLOADS[workload].build(0, tmp_path)
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
+
+    def order(round_index):  # run.py's order of a round
+        shuffled = list(ops)
+        random.Random(f"order:0:{round_index}").shuffle(shuffled)
+        return shuffled
+
+    run = layers.TracedRun(golden, order, "python")
+    run._rounds(0, 1, None)  # loads every lazily imported module first, as the untraced rounds do
+    counters = layers.Counters(layers.Spans())
+    patches = layers.Patches()
+    layers._install_spans(counters.spans, patches, run.lcslab_modules)
+    layers._install_counters(counters, patches, *run.scalar_modules)
+    try:
+        run._rounds(0, 1, counters.spans)
+    finally:
+        patches.undo()
+    assert run.failures == []
+    got = {"expr_new": counters.expr_new, **{name: counters.calls[name] for name in ("poly_gcd", *layers.KERNELS)}}
+    assert got == SEED0_COUNTERS[workload]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcslab import polyops
 from lcslab.symexpr import (
     MAX_NESTING,
     MAX_TERMS,
@@ -170,6 +171,20 @@ class TestArith:
         assert e("x/(x + 1)") * e("(x + 1)/y") == e("x/y")
         assert e("x/(y + 1)") / e("z/(y + 1)") == e("x/z")
         assert e("x^2/(y + 1)") / e("x/(y + 1)^2") == e("x*y + x")
+
+    def test_division_by_one_is_the_dividend(self, monkeypatch):
+        # 1 is free for / as it is for *: x / 1 is x itself and calls no
+        # polynomial kernel; a divisor whose numerator alone is 1 is not 1
+        x = e("x/(y + 1)")
+
+        def refused(*args):
+            raise AssertionError("a kernel was called")
+
+        with monkeypatch.context() as patched:
+            for name in ("poly_gcd", "poly_mul", "poly_divexact", "poly_neg"):
+                patched.setattr(polyops, name, refused)
+            assert x / e("1") is x and x / 1 is x
+        assert x / e("1/z") == x * e("z") == e("x*z/(y + 1)")
 
     def test_pow_zero_exponent(self):
         assert e("x + 1") ** 0 == e("1")
