@@ -16,8 +16,9 @@ memoised never compiles it.  It tries, in order:
    xi-adic digits of the integer GCD (``_digits``) are read back through
    the radix.
 2. ``_heu_gcd``: the same evaluate/reconstruct/verify heuristic one variable
-   at a time, recursing on the evaluated polynomials and reading each
-   coefficient's digits back through ``_digits``.
+   at a time, the first variable either operand uses, recursing on the
+   evaluated polynomials and reading each coefficient's digits back through
+   ``_digits``.
 3. When both give up, the subresultant remainder sequence
    (``_subresultant``) decides.
 
@@ -159,14 +160,13 @@ def _kronecker_gcd(a: Poly, b: Poly):
     return _verified(cand, a0, b0, cg)
 
 
-def _heu_gcd(a: Poly, b: Poly, vs: tuple):
-    """Heuristic GCD of two nonzero polynomials; returns None when no
-    candidate verified."""
-    used = tuple(v for v in vs if P.poly_appears(a, v) or P.poly_appears(b, v))
+def _heu_gcd(a: Poly, b: Poly):
+    """Heuristic GCD of two nonzero polynomials, evaluating the first variable
+    either one uses; returns None when no candidate verified."""
     nvars = len(next(iter(a)))
-    if not used:
+    v = next((v for v in range(nvars) if P.poly_appears(a, v) or P.poly_appears(b, v)), None)
+    if v is None:
         return P.poly_const(nvars, int_gcd(next(iter(a.values())), next(iter(b.values()))))
-    v = used[0]
 
     ca, a0 = _primitive(a)
     cb, b0 = _primitive(b)
@@ -177,7 +177,7 @@ def _heu_gcd(a: Poly, b: Poly, vs: tuple):
         av = _eval_var(a0, v, xi)
         bv = _eval_var(b0, v, xi)
         if av and bv:
-            gv = _heu_gcd(av, bv, used[1:])
+            gv = _heu_gcd(av, bv)
             if gv is not None:
                 g = _verified(_interp_var(gv, v, xi), a0, b0, cg)
                 if g is not None:

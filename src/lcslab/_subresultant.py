@@ -1,9 +1,14 @@
 """The subresultant GCD, ``polyops``' fallback when the heuristic GCD gives up.
 
 ``polyops._gcd_rec`` imports this module on the first fallback, so a run
-whose GCDs all succeed heuristically never compiles it.  The GCD recurses on
-the variables: content and primitive part in the first variable that
-appears, then the subresultant remainder sequence of the primitive parts.
+whose GCDs all succeed heuristically never compiles it.  ``poly_gcd`` is its
+only caller and passes it two unequal multi-term operands, having decided
+the zero, equal and one-term cases itself.  The GCD takes content and
+primitive part in the first variable either operand uses, then the
+subresultant remainder sequence of the primitive parts.  Each content, and
+the GCD of the two contents, is a GCD in fewer variables, which it asks of
+``poly_gcd``: so those are memoised and try the heuristic first, and a pair
+the heuristic gives up on comes back here.
 Kernels are called through ``polyops``, as from its own functions, so a
 wrapper installed there sees these calls too.
 """
@@ -51,14 +56,13 @@ def _pseudo_rem(f: Poly, g: Poly, v: int) -> Poly:
     return r
 
 
-
-def _content_in(a: Poly, v: int, vs: tuple) -> Poly:
+def _content_in(a: Poly, v: int) -> Poly:
     """GCD of the x_v-coefficients of a (a polynomial free of x_v)."""
     cont: Poly = {}
     for d in range(_deg_in(a, v) + 1):
         cd = _coeff_in(a, v, d)
         if cd:
-            cont = _gcd_rec(cont, cd, vs)
+            cont = P.poly_gcd(cont, cd)
             if P.poly_is_one(cont):
                 break
     return cont
@@ -71,7 +75,6 @@ def _subresultant_pp_gcd(f: Poly, g: Poly, v: int) -> Poly:
     which keeps the remainder sequence cheap (Collins/Brown/Traub).
     """
     nvars = len(next(iter(f)))
-    rest = tuple(i for i in range(nvars) if i != v)
     one = P.poly_const(nvars, 1)
     gg = one
     hh = one
@@ -90,26 +93,18 @@ def _subresultant_pp_gcd(f: Poly, g: Poly, v: int) -> Poly:
             hh = gg
         else:
             hh = P.poly_divexact(P.poly_pow(gg, delta, nvars), P.poly_pow(hh, delta - 1, nvars))
-    pp = P.poly_divexact(g, _content_in(g, v, rest))
+    pp = P.poly_divexact(g, _content_in(g, v))
     return pp
 
 
-def _gcd_rec(a: Poly, b: Poly, vs: tuple) -> Poly:
-    if not a:
-        return P.normalize_sign(b)
-    if not b:
-        return P.normalize_sign(a)
-    if a == b:
-        return P.normalize_sign(a)
-    if len(a) == 1 or len(b) == 1:
-        return P._monomial_gcd(a, b)
-    # two multi-term operands have a variable, and vs holds all of theirs
-    used = tuple(v for v in vs if P.poly_appears(a, v) or P.poly_appears(b, v))
-    v, rest = used[0], used[1:]
-
-    cont_a = _content_in(a, v, rest) if P.poly_appears(a, v) else a
-    cont_b = _content_in(b, v, rest) if P.poly_appears(b, v) else b
-    cont = _gcd_rec(cont_a, cont_b, rest)
+def _gcd_rec(a: Poly, b: Poly) -> Poly:
+    """GCD of two unequal multi-term polynomials (``poly_gcd`` decides every
+    other case), leading coefficient positive."""
+    # two multi-term operands have a variable; v is the first either uses
+    v = next(v for v in range(len(next(iter(a)))) if P.poly_appears(a, v) or P.poly_appears(b, v))
+    cont_a = _content_in(a, v) if P.poly_appears(a, v) else a
+    cont_b = _content_in(b, v) if P.poly_appears(b, v) else b
+    cont = P.poly_gcd(cont_a, cont_b)
     pa = P.poly_divexact(a, cont_a)
     pb = P.poly_divexact(b, cont_b)
 

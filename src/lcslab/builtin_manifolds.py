@@ -1,7 +1,9 @@
 """Bundled manifold definitions, usable wherever a definition path is.
 
 Two families are generated for every N from 3 to ``MAX_N`` (12, the largest
-N that has been timed: there each command takes 0.3 to 3 s on a 2-CPU Xeon):
+N that has been timed: there each command but ``conformance``, which only
+``example51`` passes, took 96 to 178 ms cold, the median of three runs on a
+2-CPU container):
 
 * ``lcs<N>``: E_1 = t(x1 d/dx1 + x2 d/dx2), E_i = t d/dx_i for 1 < i < N,
   E_N = d/dt;

@@ -3,15 +3,16 @@ and the scalar-curvature predictions of SGR.
 
 Each recurrence condition is stated once, in ``_recurrence_terms``, as the
 tensors of lhs(w) = A(E_w) p + B(E_w) q, lhs(w) being lhs along E_w.  Its
-residual lhs(w) - A(E_w) p - B(E_w) q is formed by ``frame_geometry.residual``
-on its support, direction by direction: ``recurrence_residual`` puts those
-together for ``check`` to report.  ``recurrence_fit`` solves each direction
-through ``einstein.fit_two`` on the components stored in p or q, and stops at
-the first direction whose residual is nonzero: that residual's first nonzero
-component is the fit's witness, and a fit that returns forms has checked
-them against every component, which is what the ``roundtrip`` entry of
-``fit`` reports.  A kind is the string the reports print, one of
-``cli.RECURRENCE_KINDS``.
+residual lhs(w) - A(E_w) p - B(E_w) q is formed by
+``frame_geometry.residual`` on its support, direction by direction:
+``recurrence_residual`` puts those together for ``check`` to report.
+``recurrence_fit`` solves every direction through one ``einstein.fit_two``
+call on the components stored in p or q, which finds the pivot rows of
+(p, q) once, and stops at the first direction whose residual is nonzero: that
+residual's first nonzero component is the fit's witness, and a fit that
+returns forms has checked them against every component, which is what the
+``roundtrip`` entry of ``fit`` reports.  A kind is the string the reports
+print, one of ``cli.RECURRENCE_KINDS``.
 
 Every condition here and in ``soliton``, ``derived_conditions`` and
 ``axioms`` holds exactly when its residual is zero, so each returns the
@@ -75,16 +76,16 @@ def _recurrence_terms(data: ManifoldData, kind: str):
     q = n g(E_i,E_j).
     """
     n = data.dim
-    g = data.metric.g
+    g, pairs = data.metric.g, data.metric.tensor.comps
     if kind == "SGRR":
         n_const = data.chart.const(n)
-        return data.nabla_ricci, data.stack.ricci, FrameTensor.build((0, 2), n, lambda i, j: n_const * g[i][j])
+        return data.nabla_ricci, data.stack.ricci, FrameTensor.build((0, 2), n, lambda i, j: n_const * g[i][j], pairs)
     lhs = nabla_r = data.nabla_riemann
     if kind == "SGPR":
         phi_of = data.structure.phi_of
         lhs = FrameTensor.build((1, 4), n, lambda *idx: phi_of(phi_of(nabla_r.comp(*idx))), nabla_r.comps)
     zeros = (data.chart.zero(),) * n
-    support = [(x, y, z) for x in range(n) for y in range(n) for z in range(n) if not g[y][z].is_zero]
+    support = [(x, y, z) for x in range(n) for y, z in pairs]
     g_term = FrameTensor.build((1, 3), n, lambda x, y, z: zeros[:x] + (g[y][z],) + zeros[x + 1 :], support)
     return lhs, data.stack.riemann13, g_term
 
@@ -113,20 +114,22 @@ def recurrence_fit(data: ManifoldData, kind: str):
     """Fit the 1-forms A, B direction by direction from the overdetermined
     exact linear system; returns RecurrenceForms or a NoSolution witness.
 
-    Direction w is solved by ``einstein.fit_two``, whose residual checks the
-    solution against every component; the first nonzero component of the
-    first nonzero residual, in (leaf, component) order, is the witness.
-    Directions where the system is underdetermined get A(E_i) = B(E_i) = 0.
+    Every direction is one right-hand side of the same (p, q), so the
+    directions go through one ``einstein.fit_two`` call, which finds the
+    pivot rows once and solves the directions in order, each residual
+    checking its solution against every component.  The first nonzero
+    component of the first nonzero residual, in (leaf, component) order, is
+    the witness, and no later direction is solved.  Directions where the
+    system is underdetermined get A(E_i) = B(E_i) = 0.
     """
     if kind not in ("SGR", "SGRR"):
         raise ValueError(f"fit supports SGR and SGRR, not {kind}")
     lhs, p, q = _recurrence_terms(data, kind)
     solved = []
-    for w, lhs_w in enumerate(_directions(lhs)):
-        u, v, res = fit_two(lhs_w, p, q)
+    for w, (u, v, res) in enumerate(fit_two(_directions(lhs), p, q)):
         idx, _ = res.first_nonzero()
         if idx is not None:
-            rhs, p_k, q_k = (t.comp(*idx[:-1])[idx[-1]] if p.valence[0] else t.comp(*idx) for t in (lhs_w, p, q))
+            rhs, p_k, q_k = lhs.at((w, *idx)), p.at(idx), q.at(idx)
             if p_k.is_zero and q_k.is_zero:
                 detail = f"the condition forces 0 = {rhs}"
             else:

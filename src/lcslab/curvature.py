@@ -15,11 +15,11 @@ are the module ``self_checks``, which only the ``curvature`` and
 ``conformance`` commands load, on the first call.
 
 Every tensor here is evaluated only on its support, derived from the stored
-leaves of its inputs and the nonzero entries of gamma, the brackets and g
-(each function's docstring gives its rule).  Outside it every term of the
-formula has a zero operand; inside it the formula is the same, so each sum is
-one canonical sum of the same nonzero terms, and every Expr is that of the
-evaluation at all n^s indices.
+leaves of its inputs (g's are those of ``FrameMetric.tensor``) and the
+nonzero entries of gamma and the brackets (each function's docstring gives
+its rule).  Outside it every term of the formula has a zero operand; inside
+it the formula is the same, so each sum is one canonical sum of the same
+nonzero terms, and every Expr is that of the evaluation at all n^s indices.
 
 M and C take the half rule of ``frame_geometry.mirror_pairs`` on top: both
 formulas are odd in (X, Y) wherever R's is, so only their leaves with x < y
@@ -105,11 +105,6 @@ def _pair_swaps(rows, pairs) -> set:
     return {t for x in rows for y, z in pairs for t in ((x, y, z), (y, x, z))}
 
 
-def _metric_pairs(metric: FrameMetric) -> list:
-    """The (y, z) with g[y][z] nonzero."""
-    return [(y, z) for y, row in enumerate(metric.g) for z, e in enumerate(row) if not e.is_zero]
-
-
 def _antisymmetric(n: int, entry, support) -> FrameTensor:
     """The (1,3) tensor odd in its first two slots whose leaf at (x,y,z) with
     x < y is entry(x, y, z): evaluated on the x < y part of ``support`` and
@@ -139,7 +134,7 @@ def m_projective(riem: FrameTensor, ric: FrameTensor, q_op: FrameTensor, metric:
         return vec_sub(riem.comp(x, y, z), vec_scale(factor, corr))
 
     support = set(riem.comps) | _pair_swaps(range(n), ric.comps)
-    support |= _pair_swaps([x for (x,) in q_op.comps], _metric_pairs(metric))
+    support |= _pair_swaps([x for (x,) in q_op.comps], metric.tensor.comps)
     return _antisymmetric(n, entry, support)
 
 
@@ -160,7 +155,7 @@ def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTe
         corr = vec_sub(vec_scale(g[y][w], unit[x]), vec_scale(g[x][w], unit[y]))
         return vec_sub(riem.comp(x, y, w), vec_scale(factor, corr))
 
-    support = set(riem.comps) | _pair_swaps(range(n), _metric_pairs(metric))
+    support = set(riem.comps) | _pair_swaps(range(n), metric.tensor.comps)
     return _antisymmetric(n, entry, support)
 
 

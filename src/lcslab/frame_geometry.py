@@ -154,7 +154,11 @@ def decompose(x: VectorField, frame: Frame) -> tuple[Expr, ...]:
 
 
 class FrameMetric:
-    """Symmetric Lorentzian inner products g(E_i, E_j) of a frame."""
+    """Symmetric Lorentzian inner products g(E_i, E_j) of a frame: ``g``, the
+    matrix, and ``tensor``, g as a (0,2) ``FrameTensor`` built once, whose
+    stored leaves are the nonzero entries.  Every relation with a g term
+    (the Ricci shape, the soliton, L_xi g) reads ``tensor``, and every
+    support with a g term is read off its ``comps``."""
 
     def __init__(self, frame: Frame, g: tuple[tuple[Expr, ...], ...]):
         n = frame.dim
@@ -166,6 +170,7 @@ class FrameMetric:
                     raise GeometryError(f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ as expressions")
         self.frame = frame
         self.g = g
+        self.tensor = FrameTensor.build((0, 2), n, lambda i, j: g[i][j])
         # computed once per metric: Koszul raises n^2 forms through it
         self._inverse = matrix_inverse(g)
         if self._inverse is None:
@@ -194,9 +199,8 @@ class FrameMetric:
             numeric.append([e.value_at(values) for e in row])
             pole = next((e for e, (_, den) in zip(row, numeric[-1]) if not den), None)
             if pole is not None:
-                from fractions import Fraction  # the message shows the point as a dict of Fractions
-
-                point = {v: Fraction(*pair) for v, pair in sample_point.items()}
+                # the point as a user writes it: x=2, y=1/2, ...
+                point = ", ".join(f"{v.name}={Expr.ratio(coords, *value)}" for v, value in zip(coords, values))
                 raise SignatureError(
                     f"cannot evaluate metric at the sample point: denominator of {pole} vanishes at {point}"
                 )
@@ -273,6 +277,10 @@ class FrameTensor(namedtuple("FrameTensor", "valence comps dim zero")):
 
     def comp(self, *idx):
         return self.comps.get(idx, self.zero)
+
+    def at(self, idx):
+        """The scalar at a full index: a vector leaf's component index last."""
+        return self.comp(*idx[:-1])[idx[-1]] if self.valence[0] else self.comp(*idx)
 
     @property
     def is_zero(self) -> bool:

@@ -193,6 +193,5 @@ def lie_derivative_metric(frame: Frame, metric: FrameMetric, brackets, k: int) -
     """(L_xi g)(X,Y) = xi g(X,Y) - g([xi,X],Y) - g(X,[xi,Y]) on frame pairs,
     xi = E_k: the derivation of g along the one direction E_k, with
     D E_i = [E_k, E_i], row k of ``brackets`` (``frame_brackets``)."""
-    g = FrameTensor.build((0, 2), frame.dim, lambda i, j: metric.g[i][j])
-    lie = derivation(g, [brackets[k]], [frame.fields[k]])
+    lie = derivation(metric.tensor, [brackets[k]], [frame.fields[k]])
     return lie._replace(valence=(0, 2), comps={idx[1:]: leaf for idx, leaf in lie.comps.items()})

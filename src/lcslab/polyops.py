@@ -1,25 +1,28 @@
 """Polynomial operations built on the ``_poly_py`` kernels.
 
-Everything here is exact arithmetic over the integers; even a rational
-point is a tuple of integer pairs (``poly_eval``), so loading this module
-imports no ``fractions``.  The GCD of two multi-term polynomials tries the
+Everything here is exact arithmetic over the integers; even a rational point
+is a tuple of integer pairs (``poly_eval``), so loading this module imports
+no ``fractions``.  The GCD of two multi-term polynomials tries the
 evaluate/reconstruct/verify heuristic (GCDHEU) first: once on the Kronecker
 images of both operands (one integer evaluation each; coprime inputs, the
 common case when canonicalizing fractions, then cost one integer GCD), then
-one variable at a time.  It falls back to a recursive subresultant
-remainder sequence when the heuristic gives up.  A heuristic candidate is
-accepted only after it divides both primitive parts, which makes it the GCD
-(``_heugcd`` gives the argument).  Each lives in a module of its own, imported on
-first use: ``_heugcd`` by ``_heu_gcd`` on the first multi-term GCD that
-misses the memo, ``_subresultant`` by ``_gcd_rec`` on the first fallback.
-A command whose GCDs all have a zero, equal or one-term operand compiles
-neither, and one whose GCDs all succeed heuristically (every benchmark
-input) never compiles the fallback.  Both call back into this module
-through its attributes (``P.poly_divexact``), never through names bound at
-import, so a wrapper installed here sees their calls too.  Integer content
-is folded into the GCD, so canonical fractions reduce constants as well
-(2x/2 -> x).  Like the kernels, nothing here writes to an argument, so a
-result may be an argument itself.
+one variable at a time.  It falls back to a subresultant remainder sequence
+when the heuristic gives up.  ``poly_gcd`` is the only entry: it decides the
+zero, equal and one-term cases, and the fallback asks it for the GCDs of its
+contents, so those are memoised and tried heuristically too.  No routine is
+told which variables to work in; each reads them off its operands.  A
+heuristic candidate is accepted only after it divides both primitive parts,
+which makes it the GCD (``_heugcd`` gives the argument).  Each lives in a
+module of its own, imported on first use: ``_heugcd`` by ``_heu_gcd`` on the
+first multi-term GCD that misses the memo, ``_subresultant`` by ``_gcd_rec``
+on the first fallback.  A command whose GCDs all have a zero, equal or
+one-term operand compiles neither, and one whose GCDs all succeed
+heuristically (every benchmark input) never compiles the fallback.  Both
+call back into this module through its attributes (``P.poly_divexact``),
+never through names bound at import, so a wrapper installed here sees their
+calls too.  Integer content is folded into the GCD, so canonical fractions
+reduce constants as well (2x/2 -> x).  Like the kernels, nothing here writes
+to an argument, so a result may be an argument itself.
 
 These functions are the polynomial layer under ``symexpr``, which holds all
 fraction arithmetic (the lcm of denominators, the cross-cancelled product,
@@ -158,22 +161,22 @@ def _monomial_gcd(a: Poly, b: Poly) -> Poly:
     return {mins: int_gcd(_int_content(a), _int_content(b))}
 
 
-def _gcd_rec(a: Poly, b: Poly, vs: tuple) -> Poly:
-    """The subresultant GCD over the variables ``vs``; its module is loaded on
-    the first call."""
+def _gcd_rec(a: Poly, b: Poly) -> Poly:
+    """The subresultant GCD of two unequal multi-term polynomials; its module
+    is loaded on the first call."""
     from ._subresultant import _gcd_rec
 
-    return _gcd_rec(a, b, vs)
+    return _gcd_rec(a, b)
 
 
-def _heu_gcd(a: Poly, b: Poly, vs: tuple):
-    """The heuristic GCD over the variables ``vs``: one try on the Kronecker
-    images of both operands, then the per-variable recursion; None when no
-    candidate verified.  Its module is loaded on the first call."""
+def _heu_gcd(a: Poly, b: Poly):
+    """The heuristic GCD of two multi-term polynomials: one try on the
+    Kronecker images of both operands, then the per-variable recursion; None
+    when no candidate verified.  Its module is loaded on the first call."""
     from ._heugcd import _heu_gcd, _kronecker_gcd
 
     g = _kronecker_gcd(a, b)
-    return g if g is not None else _heu_gcd(a, b, vs)
+    return g if g is not None else _heu_gcd(a, b)
 
 
 # -- bounded memos -------------------------------------------------------------
@@ -238,10 +241,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     key = (ka, kb) if hash(ka) <= hash(kb) else (kb, ka)
     g = _memo.entries.get(key)
     if g is None:
-        vs = tuple(range(len(next(iter(a)))))
-        g = _heu_gcd(a, b, vs)
+        g = _heu_gcd(a, b)
         if g is None:
-            g = _gcd_rec(a, b, vs)
+            g = _gcd_rec(a, b)
         _memo.store(key, g, len(a) + len(b) + len(g))
     return g
 

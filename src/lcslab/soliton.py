@@ -45,10 +45,9 @@ def soliton_residual(data: ManifoldData, lam: Expr, p: Expr, k: Expr | None = No
     residual of the eta-Einstein shape S = k g - alpha eta x eta, else None.
     """
     n = data.dim
-    g = data.metric.g
     lie = lie_derivative_metric(data.frame, data.metric, data.brackets, data.xi_index)
     ric = data.stack.ricci
-    g_tensor = FrameTensor.build((0, 2), n, lambda i, j: g[i][j])
+    g_tensor = data.metric.tensor
     factor = 2 * lam - (p + Expr.ratio(p.vars, 2, n))
     res = residual(lie, ric, g_tensor, data.chart.const(-2), factor)
 

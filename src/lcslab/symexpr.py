@@ -748,7 +748,7 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             return e
-        if ch.isdigit():
+        if ch.isdecimal():
             return Expr.constant(self.variables, self.natural())
         if ch.isalpha():
             at = self.pos
@@ -775,9 +775,11 @@ class _Parser:
         return sign * self.natural()
 
     def natural(self) -> int:
+        # isdecimal admits exactly the digits int reads; isdigit would also
+        # admit superscripts such as '\u00b2', which int refuses
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise ExprSyntaxError("expected an integer", self.pos)

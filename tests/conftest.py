@@ -213,23 +213,28 @@ def fit_rows(data: ManifoldData, kind, w: int):
     return rows, [idx + (u,) for idx in leaves for u in range(n)]
 
 
+def pivot_solve(rows):
+    """The pivot solution (u, v) of rows (p, q, rhs) meaning p u + q v = rhs,
+    each row solved for on its own: the first row with p or q nonzero and
+    the first row independent of it; unknowns they leave free are zero."""
+    zero = Expr.zero(rows[0][2].vars)
+    pivot1 = next((row for row in rows if not row[0].is_zero or not row[1].is_zero), None)
+    if pivot1 is None:
+        return zero, zero
+    p1, q1, r1 = pivot1
+    pivot2 = next((row for row in rows if not (p1 * row[1] - row[0] * q1).is_zero), None)
+    if pivot2 is None:  # rank one: the unknown the pivot row does not need is zero
+        return (r1 / p1, zero) if not p1.is_zero else (zero, r1 / q1)
+    p2, q2, r2 = pivot2
+    det = p1 * q2 - p2 * q1
+    return (r1 * q2 - r2 * q1) / det, (p1 * r2 - p2 * r1) / det
+
+
 def reference_solve(rows):
     """The two-unknown solve with its own row check: the pivot solution,
     then each row checked as p u + q v - rhs; returns ((u, v), None), or
     (None, k) for the first row k that fails."""
-    zero = Expr.zero(rows[0][2].vars)
-    pivot1 = next((row for row in rows if not row[0].is_zero or not row[1].is_zero), None)
-    if pivot1 is None:
-        bad = next((k for k, row in enumerate(rows) if not row[2].is_zero), None)
-        return ((zero, zero), None) if bad is None else (None, bad)
-    p1, q1, r1 = pivot1
-    pivot2 = next((row for row in rows if not (p1 * row[1] - row[0] * q1).is_zero), None)
-    if pivot2 is None:  # rank one: the unknown the pivot row does not need is zero
-        u, v = (r1 / p1, zero) if not p1.is_zero else (zero, r1 / q1)
-    else:
-        p2, q2, r2 = pivot2
-        det = p1 * q2 - p2 * q1
-        u, v = (r1 * q2 - r2 * q1) / det, (p1 * r2 - p2 * r1) / det
+    u, v = pivot_solve(rows)
     bad = next((k for k, (p, q, r) in enumerate(rows) if not (p * u + q * v - r).is_zero), None)
     return ((u, v), None) if bad is None else (None, bad)
 

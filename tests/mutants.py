@@ -9,12 +9,14 @@ Run from the root of a checkout:
 pytest does not collect this file (its name has no ``test_`` prefix).  Each
 row gives a mutant's name, the file it edits (relative to the checkout), the
 exact text it replaces, which must occur once in that file, the new text,
-and the tests that must catch it.  The script copies ``src``, ``tests`` and
-``perfbench`` into a temporary directory once, then applies each mutant
-alone to that copy, runs only its tests there (stopping at the first
-failure), and restores the file.  The tests must first pass on the
-unmutated copy.  A mutant is killed when pytest reports a
-failing test; it survives when every test passes.  Children write no
+and the tests that must catch it.  The script runs one child per CPU: it
+copies ``src``, ``tests`` and ``perfbench`` into a temporary directory once
+per worker, and each worker applies one mutant at a time alone to its own
+copy, runs only that mutant's tests there (stopping at the first failure),
+and restores the file.  The tests must first pass on an unmutated copy,
+before any mutant runs.  The verdicts are printed in the rows' order.  A
+mutant is killed when pytest reports a failing test; it survives when
+every test passes.  Children write no
 bytecode, so no cached module stands in for a mutated one.  The exit status
 is 0 when every mutant is killed, 1 otherwise, including a mutant whose
 text is not found, whose tests cannot be collected, or whose child runs
@@ -24,13 +26,14 @@ past ``TIMEOUT`` or out of ``MEMORY``.
 from __future__ import annotations
 
 import os
-import resource
+import queue
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,15 +44,15 @@ COPIED = ("src", "tests", "perfbench")
 # not killed: a mutant that makes a test loop forever fails the gate instead
 # of hanging it.  The slowest row took 1.5-1.7 s on a 2-CPU container.
 TIMEOUT = 30
-# Each child's address space is bounded by MEMORY bytes (RLIMIT_AS, set in
-# the child alone), and a child that runs out of memory, ending in
-# MemoryError or killed by SIGKILL (the kernel's out-of-memory killer),
-# counts as not killed, as a stopped one does: a mutant that makes a
-# structure grow without bound fails the gate instead of taking the
-# machine's memory.  The unmutated child, which runs every row's tests,
-# peaked at 97 MB of address space (92 MB resident) on a 2-CPU container,
-# and the largest mutant child at 82 MB, so the bound leaves five times
-# the clean peak.
+# Each child's address space is bounded by MEMORY bytes (RLIMIT_AS, set by
+# the child itself before it imports pytest), and a child that runs out of
+# memory, ending in MemoryError or killed by SIGKILL (the kernel's
+# out-of-memory killer), counts as not killed, as a stopped one does: a
+# mutant that makes a structure grow without bound fails the gate instead of
+# taking the machine's memory.  The unmutated child, which runs every row's
+# tests, peaked at 97 MB of address space (92 MB resident) on a 2-CPU
+# container, and the largest mutant child at 82 MB, so the bound leaves five
+# times the clean peak.
 MEMORY = 512 * 2**20
 
 
@@ -261,8 +264,8 @@ MUTANTS = (
     Mutant(
         "lie-xi-reads-last-bracket-row",
         "src/lcslab/levi_civita.py",
-        "derivation(g, [brackets[k]], [frame.fields[k]])",
-        "derivation(g, [brackets[-1]], [frame.fields[k]])",
+        "derivation(metric.tensor, [brackets[k]], [frame.fields[k]])",
+        "derivation(metric.tensor, [brackets[-1]], [frame.fields[k]])",
         ("tests/test_levi_civita.py::TestLieDerivative::test_xi_at_every_index_reads_its_own_brackets",),
     ),
     Mutant(
@@ -388,6 +391,15 @@ MUTANTS = (
         "for c, t in ((u, p), (v, q))",
         "for c, t in ((v, q),)",
         ("tests/test_same_arithmetic.py::test_residual_stores_the_leaves_of_the_all_index_build",),
+    ),
+    # fit_two finds the pivot rows of (p, q) once and reads each lhs's own
+    # right-hand sides at them
+    Mutant(
+        "fit-two-solves-every-lhs-with-the-first-rhs",
+        "src/lcslab/einstein.py",
+        "        rhs = [lhs.at(row) for row in pivots]\n",
+        "        rhs = rhs if \"rhs\" in locals() else [lhs.at(row) for row in pivots]\n",
+        ("tests/test_lcs_structure.py::TestFitTwo::test_several_right_hand_sides_solve_as_each_alone",),
     ),
     Mutant(
         "fit-rows-from-p-only",
@@ -822,6 +834,31 @@ MUTANTS = (
         "pred.r_predicted is not None and not (pred.r_predicted - r).is_zero",
         ("tests/test_conditions.py::TestSgrPredictions::test_milne_reaches_the_scalar_prediction",),
     ),
+    # every support with a g term is read off the metric's one frame tensor,
+    # so it must hold the off-diagonal entries too
+    Mutant(
+        "metric-tensor-from-the-diagonal",
+        "src/lcslab/frame_geometry.py",
+        "self.tensor = FrameTensor.build((0, 2), n, lambda i, j: g[i][j])",
+        "self.tensor = FrameTensor.build((0, 2), n, lambda i, j: g[i][j], [(i, i) for i in range(n)])",
+        ("tests/test_frame_geometry.py::TestMetric::test_metric_tensor_holds_the_nonzero_entries",),
+    ),
+    # str.isdigit is true for digits such as a superscript two, which int
+    # refuses: the parser must take only what int reads as a decimal digit
+    Mutant(
+        "parser-number-reads-isdigit",
+        "src/lcslab/symexpr.py",
+        "self.text[self.pos].isdecimal():",
+        "self.text[self.pos].isdigit():",
+        ("tests/test_cli.py::TestExitCodes::test_non_decimal_digit_is_two",),
+    ),
+    Mutant(
+        "parser-base-reads-isdigit",
+        "src/lcslab/symexpr.py",
+        "        if ch.isdecimal():\n",
+        "        if ch.isdigit():\n",
+        ("tests/test_cli.py::TestExitCodes::test_non_decimal_digit_is_two",),
+    ),
     Mutant(
         "zero-scalar-curvature-not-refused",
         "src/lcslab/conditions.py",
@@ -845,17 +882,13 @@ def pytest(copy: Path, tests, timeout: float) -> subprocess.CompletedProcess:
         "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1",
     }
     # the "mutants" profile (tests/conftest.py) skips Hypothesis's shrink
-    # phase: a failing example still fails its test, unminimised
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin"]
-    argv += ["--hypothesis-profile=mutants", *tests]
-    return subprocess.run(
-        argv, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=limit_memory
-    )
-
-
-def limit_memory() -> None:
-    """Bound the calling process's address space by MEMORY."""
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+    # phase: a failing example still fails its test, unminimised.  The child
+    # bounds its own address space: a preexec_fn would run Python code
+    # between fork and exec, which is unsafe while the workers' threads run
+    bounded = f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({MEMORY}, {MEMORY}))"
+    argv = [sys.executable, "-c", f"{bounded}; import pytest; sys.exit(pytest.main())"]
+    argv += ["-q", "-x", "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin", "--hypothesis-profile=mutants", *tests]
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def verdict(done: subprocess.CompletedProcess) -> str:
@@ -894,15 +927,21 @@ def main(names: list[str]) -> int:
         print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     chosen = [known[n] for n in names] if names else list(MUTANTS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(chosen))
     bad = 0
     with tempfile.TemporaryDirectory(prefix="lcslab-mutants-") as tmp:
-        copy = Path(tmp)
-        for part in COPIED:
-            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", "out", ".pytest_cache"))
+        # each worker's own copy, taken by one mutant at a time
+        copies = queue.SimpleQueue()
+        for k in range(workers):
+            copy = Path(tmp) / str(k)
+            for part in COPIED:
+                shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", "out", ".pytest_cache"))
+            copies.put(copy)
         # a test that fails unmutated would count every mutant as killed
         tests = sorted({t for m in chosen for t in m.tests})
         try:
-            clean = pytest(copy, tests, TIMEOUT * len(tests))
+            clean = pytest(Path(tmp) / "0", tests, TIMEOUT * len(tests))
         except subprocess.TimeoutExpired:
             print(f"the mutants' tests time out on the unmutated copy ({TIMEOUT} s a test)", file=sys.stderr)
             return 1
@@ -910,11 +949,19 @@ def main(names: list[str]) -> int:
             print(clean.stdout + clean.stderr, file=sys.stderr)
             print("the mutants' tests do not pass on the unmutated copy", file=sys.stderr)
             return 1
-        for mutant in chosen:
-            start = time.perf_counter()
-            outcome = run_mutant(copy, mutant)
-            bad += outcome != "killed"
-            print(f"{mutant.name}: {outcome} ({time.perf_counter() - start:.1f} s)", flush=True)
+
+        def judge(mutant: Mutant) -> tuple[str, float]:
+            copy = copies.get()
+            try:
+                start = time.perf_counter()
+                return run_mutant(copy, mutant), time.perf_counter() - start
+            finally:
+                copies.put(copy)
+
+        with ThreadPoolExecutor(workers) as pool:
+            for mutant, (outcome, seconds) in zip(chosen, pool.map(judge, chosen)):
+                bad += outcome != "killed"
+                print(f"{mutant.name}: {outcome} ({seconds:.1f} s)", flush=True)
     print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
     return 1 if bad else 0
 

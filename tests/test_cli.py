@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -353,6 +354,40 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: bad {option} expression: expected a number, variable, '(' or '-' (at position {position})\n"
 
+    # a superscript two is a digit to str.isdigit, but int refuses it: each
+    # entry point that parses an expression refuses it as a load error
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("frame-cell", "error: frame[1][3]: unexpected '\u00b2' (at position 1) in '2\u00b2' (line 1)\n"),
+            ("forms-cell", "A[2]: expected an integer (at position 2) in 'x^\u00b2' (line 1)\n"),
+            ("p", "error: bad --p expression: unexpected '\u00b2' (at position 1)\n"),
+            ("p-first", "error: bad --p expression: expected a number, variable, '(' or '-' (at position 0)\n"),
+            ("lambda", "error: bad --lambda expression: expected an integer (at position 2)\n"),
+        ],
+    )
+    def test_non_decimal_digit_is_two(self, tmp_path, capsys, where, message):
+        frame = [["z*x", "z*y", "2\u00b2"], ["0", "z", "0"], ["0", "0", "1"]]
+        forms = write_def(tmp_path, {"A": ["0", "x^\u00b2", "0"], "B": ["0", "0", "0"]}, "forms.json")
+        argv = {
+            "frame-cell": ["curvature", write_def(tmp_path, dict(EXAMPLE_DEF, frame=frame))],
+            "forms-cell": ["check", "SGR", "example51", "--forms", forms],
+            "p": ["soliton", "example51", "--p", "3\u00b2"],
+            "p-first": ["soliton", "example51", "--p", "\u00b2"],
+            "lambda": ["soliton", "example51", "--lambda", "x^\u00b2"],
+        }[where]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.endswith(message)
+
+    def test_decimal_digits_of_any_script_are_numbers(self, capsys):
+        # every character str.isdecimal accepts, int accepts too: an
+        # Arabic-Indic three is the number 3
+        assert main(["soliton", "example51", "--lambda", "\u0663*x", "--json"]) == 0
+        three = capsys.readouterr().out
+        assert main(["soliton", "example51", "--lambda", "3*x", "--json"]) == 0
+        assert capsys.readouterr().out == three
+
     @pytest.mark.parametrize("where", ["frame-cell", "forms-entry", "coords", "sample-point", "sample-value", "sample-option"])
     def test_huge_name_is_quoted_briefly(self, tmp_path, capsys, where):
         name = "q" * 10001
@@ -512,9 +547,10 @@ class TestExitCodes:
 # The definition's metric diag(1/z, z - 1, -1) is Lorentzian at z > 1 (the
 # check then fails: the frame is not a concircular structure with this
 # metric), has the wrong signature at z < 1 and a pole at z = 0.  Sample
-# values are read as Fraction reads them; these outcomes were recorded while
-# every value still went through Fraction.
-POLE = "{Var(name='x'): Fraction(2, 1), Var(name='y'): Fraction(2, 1), Var(name='z'): Fraction(0, 1)}"
+# values are read as Fraction reads them; these outcomes, all but the text of
+# the pole message, were recorded while every value still went through
+# Fraction.
+POLE = "x=2, y=2, z=0"
 SAMPLE_OUTCOMES = {
     "2": (1, ""),
     "-3": (2, "error: metric signature at the sample point is (0,3); expected one negative and the rest positive\n"),
@@ -1193,3 +1229,35 @@ def test_help_is_the_readme_cli_block(capsys):
     block = readme.split("## CLI\n\n```\n", 1)[1].split("```\n", 1)[0]
     assert main(["--help"]) == 0
     assert capsys.readouterr().out == block
+
+
+# The cell fuzz: seeded draws of short cells from ASCII and non-ASCII digits
+# and letters (superscripts and a Roman numeral, which str.isdigit or
+# str.isalnum accept and int refuses; Arabic-Indic and fullwidth decimal
+# digits, which int accepts; accented and Greek letters), each placed in
+# one entry point that parses an expression.  Every outcome is a report or
+# a load error, never an engine fault.
+FUZZ_ALPHABET = "0123456789xyzab+-*/^() " + "²³¹Ⅷ٣１éΩ_."
+FUZZ_SINKS = ("frame", "metric", "forms", "p", "lambda")
+
+
+def test_fuzzed_cells_exit_0_1_or_2(tmp_path, capsys):
+    rng = random.Random(40)
+    forms_path = tmp_path / "forms.json"
+    for draw in range(500):
+        cell = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(1, 5)))
+        sink = FUZZ_SINKS[draw % len(FUZZ_SINKS)]
+        if sink == "frame":
+            frame = [["z*x", "z*y", cell], ["0", "z", "0"], ["0", "0", "1"]]
+            argv = ["check-lcs", write_def(tmp_path, dict(EXAMPLE_DEF, frame=frame))]
+        elif sink == "metric":
+            metric = [[cell, "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
+            argv = ["check-lcs", write_def(tmp_path, dict(EXAMPLE_DEF, metric=metric))]
+        elif sink == "forms":
+            forms_path.write_text(json.dumps({"A": ["0", cell, "0"], "B": ["0", "0", "0"]}), encoding="utf-8")
+            argv = ["check", "SGRR", "example51", "--forms", str(forms_path)]
+        else:
+            argv = ["soliton", "example51", f"--{sink}", cell]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "internal error" not in err, (argv, code, err)

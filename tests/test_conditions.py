@@ -7,12 +7,21 @@ import pytest
 from lcslab import cli, conditions, derived_conditions, einstein, frame_geometry, lcs_structure
 from lcslab.conditions import NoSolution, RecurrenceForms, recurrence_fit, recurrence_residual, sgr_predictions
 from lcslab.derived_conditions import derived_condition_residuals, nabla_r_xi_identity
-from lcslab.einstein import solve_two_unknowns
 from lcslab.frame_geometry import FrameTensor
 from lcslab.lcs_structure import NotLcsError
 from lcslab.soliton import soliton_k, soliton_lambda, soliton_residual
 
-from conftest import builtin, fit_rows, make_manifold, milne, milne_forms, reference_fit, warped_frames, xi_at_every_index
+from conftest import (
+    builtin,
+    fit_rows,
+    make_manifold,
+    milne,
+    milne_forms,
+    pivot_solve,
+    reference_fit,
+    warped_frames,
+    xi_at_every_index,
+)
 
 
 def zero_forms(data):
@@ -159,7 +168,7 @@ class TestFitOutcomes:
         data = builtin(name)
         witness = recurrence_fit(data, kind)
         w = witness.direction
-        u, v = solve_two_unknowns(fit_rows(data, kind, w)[0])
+        u, v = pivot_solve(fit_rows(data, kind, w)[0])
         zero = data.chart.zero()
         forms = RecurrenceForms(*(tuple(c if i == w else zero for i in range(data.dim)) for c in (u, v)))
         residual = recurrence_residual(data, kind, forms)
@@ -211,7 +220,7 @@ class TestFitOutcomes:
         # A(E1) = B(E1) = 0, so the support is the leaves of nabla_1 R
         data = builtin("lcs4")
         assert recurrence_fit(data, "SGR").direction == 0
-        u, v = solve_two_unknowns(fit_rows(data, "SGR", 0)[0])
+        u, v = pivot_solve(fit_rows(data, "SGR", 0)[0])
         assert u.is_zero and v.is_zero
         support = [idx[1:] for idx in data.nabla_riemann.comps if idx[0] == 0]
         assert formed == [support] and 0 < len(support) < 4**3

@@ -25,7 +25,7 @@ from lcslab.frame_geometry import (
 )
 from lcslab.symexpr import Var
 
-from conftest import frame_field
+from conftest import AD_HOC, ad_hoc, builtin, frame_field
 from test_symexpr import expressions
 
 XYZ = (Var("x"), Var("y"), Var("z"))
@@ -129,6 +129,18 @@ class TestMetric:
         left = metric.pair(tuple(f * a + b for a, b in zip(u, v)), w)
         assert left == f * metric.pair(u, w) + metric.pair(v, w)
 
+    @pytest.mark.parametrize("name", ["lcs3", "off-diagonal", "dense-style"])
+    def test_metric_tensor_holds_the_nonzero_entries(self, name):
+        # g as a (0,2) frame tensor, built once: its leaves are exactly the
+        # nonzero entries of g, off the diagonal too ("off-diagonal" has
+        # g(E_1, E_2) = 1)
+        data = ad_hoc(name) if name in AD_HOC else builtin(name)
+        g, tensor = data.metric.g, data.metric.tensor
+        nonzero = {(i, j): e for i, row in enumerate(g) for j, e in enumerate(row) if not e.is_zero}
+        assert tensor.valence == (0, 2) and tensor.comps == nonzero
+        assert list(tensor.comps) == sorted(nonzero) and data.metric.tensor is tensor
+        assert (name == "off-diagonal") == any(i != j for i, j in nonzero)
+
     def test_asymmetric_matrix_rejected(self):
         rows = [["1", "x", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
         g = [[CHART.parse(t) for t in row] for row in rows]
@@ -201,8 +213,13 @@ class TestSignature:
             FrameMetric.checked(FRAME, g)
         assert str(info.value) == (
             "cannot evaluate metric at the sample point: denominator of 1/(z - 2) vanishes at "
-            "{Var(name='x'): Fraction(2, 1), Var(name='y'): Fraction(2, 1), Var(name='z'): Fraction(2, 1)}"
+            "x=2, y=2, z=2"
         )
+        # a rational coordinate prints as p/q, in lowest terms
+        point = {Var("x"): (-6, 4), Var("y"): (1, 1), Var("z"): (4, 2)}
+        with pytest.raises(SignatureError) as info:
+            FrameMetric.checked(FRAME, g, point)
+        assert str(info.value).endswith("vanishes at x=-3/2, y=1, z=2")
 
     def test_inertia_handles_zero_diagonal(self):
         assert symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
@@ -294,6 +311,13 @@ class TestFrameTensor:
         assert all(not leaf.is_zero for leaf in t.comps.values())
         v = FrameTensor.build((1, 2), 2, lambda i, j: (CHART.zero(), CHART.one() if i == j else CHART.zero()))
         assert list(v.comps) == [(0, 0), (1, 1)]
+
+    def test_at_reads_the_scalar_at_a_full_index(self):
+        # a vector leaf's component index comes last; an absent index reads 0
+        t = FrameTensor.build((0, 2), 3, lambda i, j: CHART.const(i * 3 + j))
+        assert t.at((1, 2)) == t.comp(1, 2) == CHART.const(5)
+        v = FrameTensor.build((1, 1), 2, lambda i: (CHART.zero(), CHART.parse("x")) if i else (CHART.zero(),) * 2)
+        assert v.at((1, 1)) == CHART.parse("x") and v.at((1, 0)).is_zero and v.at((0, 1)).is_zero
 
     def test_missing_index_reads_the_zero_leaf(self):
         t = FrameTensor.build((0, 2), 3, lambda i, j: CHART.one() if i == j else CHART.zero())

@@ -152,23 +152,33 @@ def test_prs_fallback_agrees_with_heuristic():
         if not a or not b or not c:
             continue
         ac, bc = poly_mul(a, c), poly_mul(b, c)
-        assert _gcd_rec(ac, bc, (0, 1, 2)) == poly_gcd(ac, bc)
+        if len(ac) < 2 or len(bc) < 2 or ac == bc:
+            continue  # poly_gcd decides these itself and never passes them on
+        assert _gcd_rec(ac, bc) == poly_gcd(ac, bc)
         checked += 1
     assert checked > 40
 
 
-def test_gcd_falls_back_to_the_subresultant_when_the_heuristic_gives_up(monkeypatch):
-    # no test or benchmark input makes the heuristic give up; stubbed to,
-    # every multi-term GCD takes the fallback once, and its result is memoised
-    monkeypatch.setattr(polyops, "_heu_gcd", lambda a, b, vs: None)
+def force_fallback(monkeypatch) -> list:
+    """Make the heuristic give up on every multi-term GCD, with an empty memo;
+    returns the list of operand pairs that reach the subresultant fallback."""
+    monkeypatch.setattr(polyops, "_heu_gcd", lambda a, b: None)
     monkeypatch.setattr(polyops, "_memo", polyops.BoundedMemo(polyops.GCD_MEMO_TERMS))
     fallbacks = []
 
-    def counting_rec(a, b, vs, rec=polyops._gcd_rec):
-        fallbacks.append(vs)
-        return rec(a, b, vs)
+    def counting_rec(a, b, rec=polyops._gcd_rec):
+        fallbacks.append((a, b))
+        return rec(a, b)
 
     monkeypatch.setattr(polyops, "_gcd_rec", counting_rec)
+    return fallbacks
+
+
+def test_gcd_falls_back_to_the_subresultant_when_the_heuristic_gives_up(monkeypatch):
+    # no test or benchmark input makes the heuristic give up; stubbed to,
+    # every multi-term GCD that misses the memo takes the fallback, the GCDs
+    # of its contents included, and its result is memoised
+    fallbacks = force_fallback(monkeypatch)
     rng = random.Random(41)
     checked = 0
     for _ in range(60):
@@ -177,13 +187,32 @@ def test_gcd_falls_back_to_the_subresultant_when_the_heuristic_gives_up(monkeypa
         if len(ac) < 2 or len(bc) < 2 or ac == bc:
             continue
         g = poly_gcd(ac, bc)
-        assert fallbacks == [(0, 1, 2)]
-        assert g == _gcd_rec(ac, bc, (0, 1, 2))
+        assert fallbacks[0] == (ac, bc)
+        assert all(polyops._memo.entries.get(memo_key(*pair)) is not None for pair in fallbacks)
+        assert g == _gcd_rec(ac, bc)
         assert up_to_sign(g, sympy_gcd(ac, bc, 3))
-        assert poly_gcd(dict(ac), dict(bc)) is g and len(fallbacks) == 1
         fallbacks.clear()
+        assert poly_gcd(dict(ac), dict(bc)) is g and not fallbacks
         checked += 1
     assert checked > 30
+
+
+def test_fallback_content_gcds_go_through_the_memo(monkeypatch):
+    # a = x (y^2 - z^2) + (y + z)(y + 2) and b = x (y + z) + (y + z)(y - 3):
+    # the content of a in x is gcd(y^2 - z^2, y^2 + y z + 2 y + 2 z) = y + z,
+    # a GCD of two unequal multi-term polynomials, which the fallback asks
+    # of poly_gcd; it is then in the memo, and asking again reaches no fallback
+    fallbacks = force_fallback(monkeypatch)
+    y2_z2 = {(0, 2, 0): 1, (0, 0, 2): -1}
+    yz_y2 = {(0, 2, 0): 1, (0, 1, 1): 1, (0, 1, 0): 2, (0, 0, 1): 2}
+    y_z = {(0, 1, 0): 1, (0, 0, 1): 1}
+    a = {(1, *e[1:]): c for e, c in y2_z2.items()} | yz_y2
+    b = {(1, 1, 0): 1, (1, 0, 1): 1, **poly_mul(y_z, {(0, 1, 0): 1, (0, 0, 0): -3})}
+    assert up_to_sign(poly_gcd(a, b), sympy_gcd(a, b, 3))
+    assert fallbacks[0] == (a, b) and (yz_y2, y2_z2) in fallbacks
+    assert polyops._memo.entries[memo_key(y2_z2, yz_y2)] == y_z
+    fallbacks.clear()
+    assert poly_gcd(dict(yz_y2), dict(y2_z2)) == y_z and not fallbacks
 
 
 def test_gcd_exact_known_cases():
@@ -196,13 +225,16 @@ def test_gcd_exact_known_cases():
     assert poly_gcd({(3, 1, 0): 4}, {(1, 2, 2): 6, (2, 1, 1): 2}) == {(1, 1, 0): 2}
 
 
-@pytest.mark.parametrize(
-    "gcd", [poly_gcd, lambda a, b: _gcd_rec(a, b, (0, 1, 2))], ids=["poly_gcd", "_gcd_rec"]
-)
-def test_gcd_leaves_operands_unchanged(gcd):
+@pytest.mark.parametrize("fallback", [False, True], ids=["poly_gcd", "_gcd_rec"])
+def test_gcd_leaves_operands_unchanged(monkeypatch, fallback):
     # results may be an operand itself (nothing copies), so no path may
     # write to one: equal operands, a zero operand, a negative lead, a
-    # content free of the leading variable, random pairs with a common factor
+    # content free of the leading variable, random pairs with a common
+    # factor; once through the heuristic, once with every multi-term GCD
+    # forced through the subresultant fallback
+    if fallback:
+        force_fallback(monkeypatch)
+    gcd = poly_gcd
     p = {(2, 0, 1): 3, (0, 1, 0): -5, (0, 0, 0): 7}
     neg = {(1, 1, 0): -2, (0, 0, 1): 4}
     free_of_x = {(0, 2, 0): 1, (0, 0, 1): -3}
@@ -220,15 +252,14 @@ def test_gcd_leaves_operands_unchanged(gcd):
 
 # -- the memo of multi-term GCDs ----------------------------------------------
 
-VS = (0, 1, 2)
 exponents = st.tuples(*[st.integers(0, 2)] * 3)
 coefficients = st.integers(-5, 5).filter(bool)
 multi_term = st.dictionaries(exponents, coefficients, min_size=2, max_size=4)
 
 
 def uncached_gcd(a, b):
-    g = _heu_gcd(a, b, VS)
-    return g if g is not None else _gcd_rec(a, b, VS)
+    g = _heu_gcd(a, b)
+    return g if g is not None else _gcd_rec(a, b)
 
 
 @given(st.integers(1, 6), multi_term, st.integers(1, 3), multi_term, multi_term, st.integers(0, 2))
@@ -343,9 +374,8 @@ def up_to_sign(p, q):
 
 def recursion_gcd(a, b):
     """The per-variable heuristic and, when it gives up, the subresultant."""
-    vs = tuple(range(len(next(iter(a)))))
-    g = _heugcd._heu_gcd(a, b, vs)
-    return g if g is not None else _gcd_rec(a, b, vs)
+    g = _heugcd._heu_gcd(a, b)
+    return g if g is not None else _gcd_rec(a, b)
 
 
 def kronecker_image(p, q):
@@ -417,7 +447,7 @@ def test_kronecker_gcd_in_six_variables(f, u, v, c):
     assert up_to_sign(expected, sympy_gcd(a, b, 6))
     g = _heugcd._kronecker_gcd(a, b)
     assert g is None or g == expected
-    assert _heu_gcd(a, b, tuple(range(6))) == expected
+    assert _heu_gcd(a, b) == expected
 
 
 def test_kronecker_candidate_that_does_not_divide_goes_to_the_recursion(monkeypatch):
@@ -437,7 +467,7 @@ def test_kronecker_candidate_that_does_not_divide_goes_to_the_recursion(monkeypa
     monkeypatch.setattr(polyops, "poly_divexact", recording_divexact)
     assert _heugcd._kronecker_gcd(a, b) is None
     assert divisors == [{(0, 1, 0): 1, (0, 0, 0): -1}]
-    assert _heu_gcd(a, b, (0, 1, 2)) == {(0, 0, 0): 1} == sympy_gcd(a, b, 3)
+    assert _heu_gcd(a, b) == {(0, 0, 0): 1} == sympy_gcd(a, b, 3)
 
 
 def test_recursion_candidate_that_does_not_divide_is_refused(monkeypatch):
@@ -453,7 +483,7 @@ def test_recursion_candidate_that_does_not_divide_is_refused(monkeypatch):
         return divexact(p, q)
 
     monkeypatch.setattr(polyops, "poly_divexact", recording_divexact)
-    assert _heugcd._heu_gcd(a, b, (0, 1)) == {(0, 0): 1} == sympy_gcd(a, b, 2)
+    assert _heugcd._heu_gcd(a, b) == {(0, 0): 1} == sympy_gcd(a, b, 2)
     assert divisors[0] == {(0, 1): 1}
 
 
@@ -493,4 +523,4 @@ def test_input_above_the_bound_reaches_the_recursion_unevaluated(monkeypatch, a,
 
     monkeypatch.setattr(_heugcd, "_kron_eval", no_evaluation)
     assert _heugcd._kronecker_gcd(a, b) is None
-    assert _heu_gcd(a, b, (0, 1, 2)) == recursion_gcd(a, b)
+    assert _heu_gcd(a, b) == recursion_gcd(a, b)

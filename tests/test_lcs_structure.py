@@ -5,11 +5,20 @@ import pytest
 from lcslab.cli import main
 from lcslab.frame_geometry import FrameTensor, vec_scale
 from lcslab.axioms import verify_axioms
-from lcslab.einstein import classify, solve_two_unknowns
+from lcslab.einstein import classify, fit_two
 from lcslab.lcs_structure import NotLcsError, _solve_proportionality, derive_structure
 from lcslab.manifold import ManifoldData
 
-from conftest import builtin, frame_field, make_manifold, milne, reference_verify_axioms, warped_frames, xi_at_every_index
+from conftest import (
+    builtin,
+    frame_field,
+    make_manifold,
+    milne,
+    pivot_solve,
+    reference_verify_axioms,
+    warped_frames,
+    xi_at_every_index,
+)
 
 
 class TestDeriveStructure:
@@ -277,22 +286,72 @@ class TestClassify:
         assert verdict.a == base.a and verdict.b == base.b
 
 
-class TestTwoUnknownSolver:
+def scalar_rows(chart, *columns):
+    """Three (0,1) frame tensors on a 3-D chart, one per column of texts."""
+    return [FrameTensor.build((0, 1), 3, lambda i, col=col: chart.parse(col[i])) for col in columns]
+
+
+class TestFitTwo:
+    # each system is p u + q v = lhs over the three rows of (0,1) tensors
     def test_unique_solution(self, example51):
         chart = example51.chart
-        rows = [
-            (chart.one(), chart.zero(), chart.parse("x")),
-            (chart.zero(), chart.one(), chart.parse("y")),
-            (chart.one(), chart.one(), chart.parse("x + y")),
-        ]
-        assert solve_two_unknowns(rows) == (chart.parse("x"), chart.parse("y"))
+        p, q, lhs = scalar_rows(chart, ("1", "0", "1"), ("0", "1", "1"), ("x", "y", "x + y"))
+        u, v, res = next(fit_two([lhs], p, q))
+        assert (u, v) == (chart.parse("x"), chart.parse("y")) and res.is_zero
 
     def test_underdetermined_defaults_to_zero(self, example51):
         chart = example51.chart
-        rows = [(chart.const(2), chart.const(3), chart.zero())]
-        assert solve_two_unknowns(rows) == (chart.zero(), chart.zero())
+        p, q, lhs = scalar_rows(chart, ("2", "0", "0"), ("3", "0", "0"), ("0", "0", "0"))
+        assert next(fit_two([lhs], p, q)) == (chart.zero(), chart.zero(), lhs)
 
     def test_all_trivial_rows(self, example51):
         chart = example51.chart
-        rows = [(chart.zero(), chart.zero(), chart.zero())] * 4
-        assert solve_two_unknowns(rows) == (chart.zero(), chart.zero())
+        p, q, lhs = scalar_rows(chart, ("0", "0", "0"), ("0", "0", "0"), ("0", "0", "0"))
+        assert next(fit_two([lhs], p, q)) == (chart.zero(), chart.zero(), lhs)
+
+    @pytest.mark.parametrize(
+        "p_col, q_col",
+        [
+            (("1", "0", "x"), ("z", "1", "0")),  # rank 2
+            (("0", "1", "x"), ("0", "y", "x*y")),  # rank 1, q = y p
+            (("0", "0", "0"), ("0", "1/z", "0")),  # rank 1, p = 0
+            (("0", "0", "0"), ("0", "0", "0")),  # rank 0
+        ],
+        ids=["rank-2", "rank-1", "rank-1-q-only", "rank-0"],
+    )
+    def test_several_right_hand_sides_solve_as_each_alone(self, example51, monkeypatch, p_col, q_col):
+        # one call solves every lhs against the pivot rows it found once;
+        # each answer is the one solving that lhs alone gives, and the
+        # pivot solution of the rows' own model (conftest.pivot_solve)
+        chart = example51.chart
+        p, q = scalar_rows(chart, p_col, q_col)
+        lhss = scalar_rows(chart, ("x", "y", "z"), ("1", "x + z", "y^2"), ("0", "0", "0"), ("z", "z", "x"))
+        together = list(fit_two(lhss, p, q))
+        assert together == [next(fit_two([lhs], p, q)) for lhs in lhss]
+        for lhs, (u, v, res) in zip(lhss, together):
+            assert (u, v) == pivot_solve([(p.comp(i), q.comp(i), lhs.comp(i)) for i in range(3)])
+            assert res == FrameTensor.build((0, 1), 3, lambda i: lhs.comp(i) - u * p.comp(i) - v * q.comp(i))
+        # a nonzero rank gives each right-hand side its own solution
+        assert len({(u, v) for u, v, _ in together}) == (len(lhss) if p.comps or q.comps else 1)
+        # the pivot rows are found once: p and q are read as often for four
+        # right-hand sides as for one
+        reads = []
+        at = FrameTensor.at
+        monkeypatch.setattr(FrameTensor, "at", lambda t, idx: reads.append(t is p or t is q) or at(t, idx))
+        list(fit_two(lhss[:1], p, q))
+        one = reads.count(True)
+        reads.clear()
+        list(fit_two(lhss, p, q))
+        assert reads.count(True) == one
+
+    def test_vector_rows_read_each_component(self, example51):
+        # (1,1) tensors: the rows are the components of each stored leaf,
+        # read through FrameTensor.at with the component index last
+        chart = example51.chart
+        zero, one, x = chart.zero(), chart.one(), chart.parse("x")
+        p = FrameTensor.build((1, 1), 3, lambda i: (one, zero, zero) if i == 0 else (zero,) * 3)
+        q = FrameTensor.build((1, 1), 3, lambda i: (zero, zero, one) if i == 0 else (zero,) * 3)
+        lhs = FrameTensor.build((1, 1), 3, lambda i: (x, zero, x * x) if i == 0 else (zero,) * 3)
+        assert (p.at((0, 0)), q.at((0, 2)), lhs.at((0, 2)), lhs.at((2, 1))) == (one, one, x * x, zero)
+        u, v, res = next(fit_two([lhs], p, q))
+        assert (u, v) == (x, x * x) and res.is_zero
