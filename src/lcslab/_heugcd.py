@@ -92,8 +92,8 @@ def _max_norm(p: Poly) -> int:
 # The largest box * bits(xi) the Kronecker step evaluates; larger inputs go
 # straight to the recursion.  Set from the crossover on the GCD memo misses of
 # the dense benchmark inputs (all at most 600) and of the blow-up frame's
-# curvature stack: up to 1,024 the step took about 0.6 of the recursion's time,
-# from 1,025 to 2,048 the same, and beyond that 1.3 to 21 times as much.
+# curvature stack: up to 2,048 the step took less time than the recursion,
+# and beyond that more.
 KRONECKER_BITS = 1024
 _XI_MIN_BITS = (29).bit_length()  # xi = 2 * norm + 29 has at least this many bits
 

@@ -1,9 +1,6 @@
 """Bundled manifold definitions, usable wherever a definition path is.
 
-Two families are generated for every N from 3 to ``MAX_N`` (12, the largest
-N that has been timed: there each command but ``conformance``, which only
-``example51`` passes, took 96 to 178 ms cold, the median of three runs on a
-2-CPU container):
+Two families are generated for every N from 3 to ``MAX_N`` (12):
 
 * ``lcs<N>``: E_1 = t(x1 d/dx1 + x2 d/dx2), E_i = t d/dx_i for 1 < i < N,
   E_N = d/dt;
@@ -16,6 +13,9 @@ coordinates are x, y, z at N = 3 and x1, ..., x_{N-1}, t above it.
 ``example51``, the engine's reference manifold, is ``lcs3`` under its own
 name: E1 = z(x d/dx + y d/dy), E2 = z d/dy, E3 = d/dz.  ``flat3`` is
 Minkowski space in an orthonormal coordinate frame.
+
+The cap bounds what a built-in name can ask of the engine: a command's cost
+grows steeply with N, and no larger N has been timed.
 """
 
 from __future__ import annotations

@@ -40,11 +40,11 @@ typing.NamedTuple (which compiles a ForwardRef per field): the records are
 collections.namedtuple subclasses.
 
 Numbers: a sample value is an integer pair (numerator, denominator), and the
-signature check evaluates the metric in integers (``FrameMetric.checked``).
-Only a value that is not a plain ASCII integer, or an error that prints the
-point, imports ``fractions`` (with ``decimal`` and ``numbers``); the accepted
-text is exactly what ``Fraction`` accepts, with an exponent of magnitude at
-most 4,300.
+signature check evaluates the metric in integers (``FrameMetric.checked``),
+as does an error that prints the point (through ``Expr.ratio``).  Only a
+value that is not a plain ASCII integer imports ``fractions`` (with
+``decimal`` and ``numbers``); the accepted text is exactly what ``Fraction``
+accepts, with an exponent of magnitude at most 4,300.
 
 Shutdown: run as the process's command (``argv`` None: the console script,
 ``python -m lcslab.cli``), ``main`` first turns the cyclic garbage

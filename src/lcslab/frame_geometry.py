@@ -12,9 +12,7 @@ the contraction primitives, ``FrameTensor.build``, ``VectorField.apply``
 and ``matrix_inverse``, run once per operand, and of the engine's other
 frequent zero tests (the filters of the Riemann entry in ``curvature`` and
 of ``levi_civita.derivation``, the axiom walker, ``cli.format_vector``):
-the attribute read takes a quarter or less of the time of the ``is_zero``
-property (11-19 against 64-107 ns a test, timeit on a 2-CPU Xeon
-container).
+the attribute read costs less than the ``is_zero`` property.
 
 The one exact solver for symbolic matrices is ``matrix_inverse``.  A frame
 and a frame metric each invert their matrix once, on construction: the

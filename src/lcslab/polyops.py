@@ -31,12 +31,10 @@ the canonical form) and is their only caller outside the two GCD modules.
 numerator only to test it for zero.
 
 Multi-term GCDs are memoised.  The engine asks for the GCD of the same pair
-of multi-term polynomials again and again (on the dense benchmark inputs,
-two thirds or more of the multi-term calls of a ``curvature`` run repeat an
-earlier pair), so ``poly_gcd`` keeps its results, keyed by the contents of
-both operands (a frozenset of each one's terms), the one of smaller hash
-first, as ``symexpr`` keys ``+`` and ``*``: the GCD does not depend on the
-order, so gcd(b, a) hits the entry gcd(a, b) stored.  A dict lookup
+of multi-term polynomials again, so ``poly_gcd`` keeps its results, keyed by
+the contents of both operands (a frozenset of each one's terms), the one of
+smaller hash first, as ``symexpr`` keys ``+`` and ``*``: the GCD does not
+depend on the order, so gcd(b, a) hits the entry gcd(a, b) stored.  A dict lookup
 compares keys whose hashes collide by contents, so a collision is a miss,
 never a wrong answer.  The memo pins at most ``GCD_MEMO_TERMS`` terms in
 all (operands and result), so large operands cannot inflate memory.  Its results are shared, which is safe because

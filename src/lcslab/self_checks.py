@@ -115,7 +115,9 @@ def orbit_vanishes(tensor: FrameTensor, terms) -> bool:
     docstring): the signs form a character of the group, so the sum at any
     member idx o perm_t of a summed orbit is sign_t times the sum at idx,
     and the other members are skipped.  A sign is applied by adding or
-    subtracting the leaf, never by multiplying.
+    subtracting the leaf, never by multiplying.  The orbit sum stays a fold
+    of ``vec_add`` and ``vec_sub``: one ``vec_sum`` per orbit made more
+    kernel calls on the dense benchmark inputs.
     """
     vector = tensor.valence[0] == 1
     zero = tensor.zero if vector else (tensor.zero,)  # scalars ride along as 1-vectors

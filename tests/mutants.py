@@ -14,7 +14,8 @@ copies ``src``, ``tests`` and ``perfbench`` into a temporary directory once
 per worker, and each worker applies one mutant at a time alone to its own
 copy, runs only that mutant's tests there (stopping at the first failure),
 and restores the file.  The tests must first pass on an unmutated copy,
-before any mutant runs.  The verdicts are printed in the rows' order.  A
+before any mutant runs.  The verdicts are printed in the rows' order, then
+the number killed, the wall time and the slowest row's time.  A
 mutant is killed when pytest reports a failing test; it survives when
 every test passes.  Children write no
 bytecode, so no cached module stands in for a mutated one.  The exit status
@@ -42,17 +43,16 @@ COPIED = ("src", "tests", "perfbench")
 # Each child is stopped after TIMEOUT seconds (the unmutated run after
 # TIMEOUT per test it runs), and a mutant whose child is stopped counts as
 # not killed: a mutant that makes a test loop forever fails the gate instead
-# of hanging it.  The slowest row took 1.5-1.7 s on a 2-CPU container.
+# of hanging it.  The bound stands far above the slowest row, whose time the
+# gate prints last, so a slow machine does not turn a kill into a timeout.
 TIMEOUT = 30
 # Each child's address space is bounded by MEMORY bytes (RLIMIT_AS, set by
 # the child itself before it imports pytest), and a child that runs out of
 # memory, ending in MemoryError or killed by SIGKILL (the kernel's
 # out-of-memory killer), counts as not killed, as a stopped one does: a
 # mutant that makes a structure grow without bound fails the gate instead of
-# taking the machine's memory.  The unmutated child, which runs every row's
-# tests, peaked at 97 MB of address space (92 MB resident) on a 2-CPU
-# container, and the largest mutant child at 82 MB, so the bound leaves five
-# times the clean peak.
+# taking the machine's memory.  The bound leaves several times the peak of
+# the unmutated child, which runs every row's tests.
 MEMORY = 512 * 2**20
 
 
@@ -631,6 +631,15 @@ MUTANTS = (
         "abs(int(exponent[1])) > 4301",
         ("tests/test_cli.py::test_sample_value_grammar_is_fractions",),
     ),
+    # the pole message prints the same text through Fraction, at the cost of
+    # importing it
+    Mutant(
+        "pole-message-through-fraction",
+        "src/lcslab/frame_geometry.py",
+        'f"{v.name}={Expr.ratio(coords, *value)}"',
+        'f"{v.name}={__import__(\'fractions\').Fraction(*value)}"',
+        ("tests/test_cli.py::test_pole_at_the_sample_point_is_refused_without_fractions",),
+    ),
     # the signature by Descartes' rule on the characteristic polynomial:
     # a zero coefficient is no sign, the LeVerrier recurrence keeps its shift
     # c_(k-1) I, and zero eigenvalues are the trailing zero coefficients
@@ -927,6 +936,7 @@ def main(names: list[str]) -> int:
         print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     chosen = [known[n] for n in names] if names else list(MUTANTS)
+    start = time.perf_counter()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(chosen))
     bad = 0
@@ -958,11 +968,14 @@ def main(names: list[str]) -> int:
             finally:
                 copies.put(copy)
 
+        slowest = (0.0, "")
         with ThreadPoolExecutor(workers) as pool:
             for mutant, (outcome, seconds) in zip(chosen, pool.map(judge, chosen)):
                 bad += outcome != "killed"
+                slowest = max(slowest, (seconds, mutant.name))
                 print(f"{mutant.name}: {outcome} ({seconds:.1f} s)", flush=True)
     print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"wall time {time.perf_counter() - start:.1f} s with {workers} workers; slowest row {slowest[1]} ({slowest[0]:.1f} s)")
     return 1 if bad else 0
 
 

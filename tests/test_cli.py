@@ -587,6 +587,14 @@ def test_sample_value_grammar_is_fractions(tmp_path, capsys, value, given):
     assert (code, capsys.readouterr().err) == SAMPLE_OUTCOMES[value]
 
 
+def test_pole_at_the_sample_point_is_refused_without_fractions(tmp_path, capsys, monkeypatch):
+    # the message prints the point in integers, through Expr.ratio
+    monkeypatch.setitem(sys.modules, "fractions", None)  # importing it raises ImportError
+    payload = dict(EXAMPLE_DEF, metric=[["1/z", "0", "0"], ["0", "z - 1", "0"], ["0", "0", "-1"]])
+    assert main(["check-lcs", write_def(tmp_path, payload), "--sample", "z=0"]) == 2
+    assert capsys.readouterr().err == SAMPLE_OUTCOMES["0"][1]
+
+
 # texts around the integer grammar: a lone or doubled sign, non-ASCII digits,
 # '_', spaces and a trailing newline, and texts only Fraction reads
 @pytest.mark.parametrize(

@@ -80,6 +80,7 @@ def test_kernel_calls_of_lazily_loaded_gcd_modules_are_counted(monkeypatch):
 # (example51 has no exact SGR 1-forms, so fit reports the witness and runs
 # no round-trip residual)
 COMMAND_SPANS = {
+    "curvature": {"stage.stack", "check.self_check"},
     "check-lcs": {"stage.structure", "check.axioms"},
     "check SGR": {"conditions.residual", "stage.nabla_riemann"},
     "fit SGR": {"conditions.fit"},
@@ -118,6 +119,8 @@ def test_every_command_produces_its_spans(monkeypatch, tmp_path):
     for command, expected in COMMAND_SPANS.items():
         assert expected | {"cli.report"} <= seen[command], command
     assert "stage.nabla_riemann" not in seen["derived-conditions"]  # it reads the xi-slice only
+    # the self-checks read nabla R on its Bianchi support only
+    assert "stage.nabla_riemann" not in seen["curvature"] | seen["conformance"]
     assert set().union(*COMMAND_SPANS.values()) >= {
         "stage.structure",
         "stage.nabla_riemann",
