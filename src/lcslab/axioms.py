@@ -35,7 +35,7 @@ def verify_axioms(data: ManifoldData, structure: LcsStructure) -> list[AxiomChec
     fields, gamma = data.frame.fields, data.connection.gamma
     riem, ric = data.stack.riemann13, data.stack.ricci
     unit = [data.frame.unit(i) for i in range(n)]
-    k2 = st.alpha * st.alpha - st.rho
+    k2 = st.alpha2_rho
     n_minus_1 = data.chart.const(n - 1)
     # (nabla_X phi)Y = nabla_X(phi Y) - phi(nabla_X Y), phi as a (1,1) tensor
     nabla_phi = cov_deriv_tensor(data.connection, st.phi)

@@ -18,8 +18,7 @@ def run(data: ManifoldData, report: Report, options: dict) -> None:
     report.add("structure.alpha", INFO, "alpha", engine=str(st.alpha))
     report.add("structure.rho", INFO, "rho = -xi(alpha)", engine=str(st.rho))
     report.add("structure.beta", INFO, "beta from d(rho) = beta eta", engine=str(st.beta))
-    k2 = st.alpha * st.alpha - st.rho
-    report.add("structure.alpha2-rho", INFO, "alpha^2 - rho", engine=str(k2))
+    report.add("structure.alpha2-rho", INFO, "alpha^2 - rho", engine=str(st.alpha2_rho))
     for check in cli.verify_axioms(data, st):
         report.add(
             f"axiom.{check.axiom}",

@@ -161,7 +161,7 @@ def sgr_predictions(data: ManifoldData, forms: RecurrenceForms) -> SgrPrediction
     r = data.stack.scalar
 
     a_xi, b_xi = forms.a[data.xi_index], forms.b[data.xi_index]
-    k2 = st.alpha * st.alpha - st.rho
+    k2 = st.alpha2_rho
     if a_xi.is_zero:
         r_pred = None
         r_note = "A(xi) is identically zero; the prediction formula divides by it"

@@ -112,7 +112,7 @@ def derived_condition_residuals(data: ManifoldData) -> DerivedConditions:
     cxs = c_xi_s._replace(comps={idx: -leaf for idx, leaf in c_xi_s.comps.items()})
     mproj_xi = FrameTensor.build((0, 2), n, lambda i, j: st.eta_of(mproj.comp(i, j, k)))
 
-    guard_rxm = st.alpha * st.alpha - st.rho
+    guard_rxm = st.alpha2_rho
     guard_cxs = chart.const(n * (n - 1)) * guard_rxm + 1
     # an Einstein conclusion is drawn where its action vanishes and its guard
     # does not; both read the same S, so it is classified once, and only then

@@ -1,6 +1,7 @@
 """The Einstein classification of a Ricci tensor, and the exact fit of a
 relation lhs = u p + v q between frame tensors that it shares with the
-recurrence fit (``conditions.recurrence_fit``).
+recurrence fit (``conditions.recurrence_fit``) and the structure
+(``lcs_structure.derive_structure``, which reads alpha and beta with q = 0).
 
 ``fit_two`` solves for u, v on the pivot rows of the components stored in p
 or q, and yields the solution with its residual lhs - u p - v q
@@ -8,7 +9,8 @@ or q, and yields the solution with its residual lhs - u p - v q
 is zero, which checks every row, the rows where p and q vanish included.
 The pivot rows, and so the rank of the system, depend on p and q alone: one
 call finds them once and solves every lhs it is given against them (the
-recurrence fit's n directions, the classifier's one Ricci tensor)."""
+recurrence fit's n directions, the classifier's one Ricci tensor, the
+structure's nabla xi and d(rho))."""
 
 from __future__ import annotations
 
@@ -36,7 +38,9 @@ def classify(ric: FrameTensor, metric: FrameMetric, eta) -> ClassifierVerdict:
 
 def fit_two(lhss, p: FrameTensor, q: FrameTensor):
     """Yield (u, v, residual) for each lhs of ``lhss`` in turn: the pivot
-    solution of lhs = u p + v q and its residual lhs - u p - v q.
+    solution of lhs = u p + v q and its residual lhs - u p - v q.  Its
+    callers are the recurrence fit, the Einstein classifier and the
+    structure, whose relations lhs = u p pass p with no leaves as q.
 
     The rows are the components of the leaves stored in p or q, in
     ``itertools.product`` order of the leaf, then of a vector leaf's

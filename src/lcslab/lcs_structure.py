@@ -2,16 +2,25 @@
 
 Given a framed Lorentzian manifold and a designated unit timelike frame
 field xi, this module extracts the structure data (xi, eta, phi, alpha,
-rho, beta):
+rho, beta) from the three relations that define an (LCS)_n:
 
-  - alpha is the unique scalar with nabla_X xi = alpha (X + eta(X) xi),
-    required consistently across ALL frame directions;
-  - rho = -xi(alpha), which must satisfy d(alpha) = rho * eta;
-  - beta is the scalar with d(rho) = beta * eta.  The source material never
-    defines beta; this proportionality convention mirrors the one for rho.
-    The xi-derivative identity is checked with this beta only: it is a
-    theorem of the structure (the proof is in
-    ``derived_conditions.nabla_r_xi_identity``).
+  - nabla xi = alpha phi, with phi X = X + eta(X) xi: alpha is one scalar
+    across ALL frame directions, and nabla_xi xi = 0 is its component at xi;
+  - d(alpha) = rho eta, so rho = -xi(alpha), since eta(xi) = -1;
+  - d(rho) = beta eta.  The source material never defines beta; this
+    proportionality convention mirrors the one for rho.  The xi-derivative
+    identity is checked with this beta only: it is a theorem of the
+    structure (the proof is in ``derived_conditions.nabla_r_xi_identity``).
+
+alpha and beta are each the u of lhs = u p that ``einstein.fit_two``, the
+engine's one relation solver, reads; rho is the paper's -xi(alpha), which
+costs no division.  Each relation holds exactly when its residual
+lhs - u p (``frame_geometry.residual``) is zero, and a refusal names the
+relation and the residual's first nonzero component.  The third relation
+cannot fail once the first two hold: (nabla_X eta)(Y) = g(nabla_X xi, Y) =
+alpha (g + eta x eta)(X, Y) is symmetric, so d(eta) = 0, and then
+0 = d(d(alpha)) = d(rho) ^ eta puts d(rho) along eta.  It is checked
+anyway, by the same call.
 
 Checking the structure against every axiom is ``axioms`` (``check-lcs`` and
 ``conformance`` run it), and classifying the Ricci tensor is ``einstein``,
@@ -22,7 +31,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .frame_geometry import FrameTensor, combo, dot, vec_add, vec_scale
+from .einstein import fit_two
+from .frame_geometry import FrameTensor, combo, dot, residual, vec_add, vec_scale
 from .manifold import ManifoldData
 from .symexpr import Expr
 
@@ -42,72 +52,48 @@ class LcsStructure(namedtuple("LcsStructure", "xi eta phi alpha rho beta")):
     def phi_of(self, v) -> tuple[Expr, ...]:
         return combo(v, self.phi.comp)
 
+    @property
+    def alpha2_rho(self) -> Expr:
+        """alpha^2 - rho, the paper's constant of the curvature along xi."""
+        return self.alpha * self.alpha - self.rho
 
-def _solve_proportionality(values, reference, what: str) -> Expr:
-    """The unique scalar s with values_i = s * reference_i for all i; some
-    reference_i is nonzero (each caller's is: component i of the target
-    E_i + eta_i xi is 1, and eta_k = g(xi,xi) = -1 is checked first)."""
-    s = None
-    for val, ref in zip(values, reference):
-        if ref.is_zero:
-            if not val.is_zero:
-                raise NotLcsError(f"{what}: component {val} has no matching direction")
-            continue
-        cand = val / ref
-        if s is None:
-            s = cand
-        elif s != cand:
-            raise NotLcsError(f"{what}: inconsistent scalars {s} and {cand}")
-    return s
+
+def _require_zero(res: FrameTensor, relation: str) -> None:
+    """Refuse a relation whose residual is nonzero, at its first nonzero
+    component, 1-based, as the reports' witnesses read."""
+    if not res.is_zero:
+        idx, value = res.first_nonzero()
+        raise NotLcsError(f"{relation} fails at component ({','.join(str(i + 1) for i in idx)}): {value}")
+
+
+def _coefficient(lhs: FrameTensor, p: FrameTensor, relation: str) -> Expr:
+    """The u of lhs = u p: ``fit_two`` against p and the tensor with no
+    leaves, refused unless its residual lhs - u p is zero."""
+    u, _, res = next(fit_two([lhs], p, p._replace(comps={})))
+    _require_zero(res, relation)
+    return u
 
 
 def derive_structure(data: ManifoldData) -> LcsStructure:
     """The structure data of xi = E_k, k = ``data.xi_index``; alpha may be
     identically zero (flat space), which ``ManifoldData.structure`` refuses
     and ``check-lcs`` reports."""
-    frame = data.frame
-    g = data.metric.g
-    chart = data.chart
-    n = data.dim
-    k = data.xi_index
+    frame, fields, g, n, k = data.frame, data.frame.fields, data.metric.g, data.dim, data.xi_index
 
     xi = frame.unit(k)
-    norm = g[k][k]
-    if norm != chart.const(-1):
-        raise NotLcsError(f"designated field is not unit timelike: g(xi,xi) = {norm}")
+    if g[k][k] != data.chart.const(-1):
+        raise NotLcsError(f"designated field is not unit timelike: g(xi,xi) = {g[k][k]}")
     eta = tuple(row[k] for row in g)
+    phi = FrameTensor.build((1, 1), n, lambda i: vec_add(frame.unit(i), vec_scale(eta[i], xi)))
+    nabla_xi = FrameTensor.build((1, 1), n, lambda i: data.connection.gamma[i][k])
+    alpha = _coefficient(nabla_xi, phi, "nabla xi = alpha phi")
 
-    # alpha from nabla_X xi = alpha (X + eta(X) xi), over every frame X
-    gamma = data.connection.gamma
-    alpha = None
-    targets = []
-    for i in range(n):
-        nab = gamma[i][k]
-        target = vec_add(frame.unit(i), vec_scale(eta[i], xi))
-        targets.append(target)
-        if all(t.is_zero for t in target):
-            if not all(v.is_zero for v in nab):
-                raise NotLcsError("nabla xi does not vanish along the degenerate direction")
-            continue
-        cand = _solve_proportionality(nab, target, f"alpha along direction {i}")
-        if alpha is None:
-            alpha = cand
-        elif alpha != cand:
-            raise NotLcsError(f"no consistent alpha: {alpha} vs {cand} along direction {i}")
-    # alpha is set: the target E_i + eta_i xi degenerates only at i = k (its
-    # component i is 1 elsewhere), and a definition has at least 2 coordinates
+    eta_form = FrameTensor.build((0, 1), n, lambda i: eta[i])
 
-    # phi = (1/alpha) nabla xi is the shape X + eta(X) xi just checked
-    # component by component, so it is built from the shape itself
-    phi = FrameTensor.build((1, 1), n, lambda i: targets[i])
+    def d(f):  # the 1-form df
+        return FrameTensor.build((0, 1), n, lambda i: fields[i].apply(f))
 
-    rho = -frame.fields[k].apply(alpha)
-    for i in range(n):
-        dalpha = frame.fields[i].apply(alpha)
-        if dalpha != rho * eta[i]:
-            raise NotLcsError(f"d(alpha) is not proportional to eta along direction {i}")
-
-    drho = [frame.fields[i].apply(rho) for i in range(n)]
-    beta = _solve_proportionality(drho, eta, "beta from d(rho) = beta eta")
-
+    rho = -fields[k].apply(alpha)
+    _require_zero(residual(d(alpha), eta_form, eta_form, rho, data.chart.zero()), "d(alpha) = rho eta")
+    beta = _coefficient(d(rho), eta_form, "d(rho) = beta eta")
     return LcsStructure(xi=xi, eta=eta, phi=phi, alpha=alpha, rho=rho, beta=beta)

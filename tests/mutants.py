@@ -830,9 +830,39 @@ MUTANTS = (
     Mutant(
         "phi-read-from-direction-k",
         "src/lcslab/lcs_structure.py",
-        "lambda i: targets[i]",
-        "lambda i: targets[k]",
+        "vec_scale(eta[i], xi)",
+        "vec_scale(eta[k], xi)",
         ("tests/test_lcs_structure.py::TestDeriveStructure::test_phi_is_nabla_xi_over_alpha",),
+    ),
+    # the structure's relations are refused through their residuals: a fit
+    # that keeps its u whatever the residual, a d(alpha) = rho eta left
+    # unchecked, and a differential that reads xi in every direction
+    Mutant(
+        "structure-fit-accepts-a-nonzero-residual",
+        "src/lcslab/lcs_structure.py",
+        "    _require_zero(res, relation)\n",
+        "",
+        (
+            "tests/test_lcs_structure.py::TestDeriveStructure::test_nabla_xi_off_alpha_phi_refused",
+            "tests/test_lcs_structure.py::TestDeriveStructure::test_coefficient_reads_u_and_refuses_a_nonzero_residual",
+        ),
+    ),
+    Mutant(
+        "structure-rho-relation-unchecked",
+        "src/lcslab/lcs_structure.py",
+        "_require_zero(residual(d(alpha), eta_form, eta_form, rho, data.chart.zero()), \"d(alpha) = rho eta\")",
+        "residual(d(alpha), eta_form, eta_form, rho, data.chart.zero())",
+        ("tests/test_lcs_structure.py::TestDeriveStructure::test_dalpha_off_eta_refused",),
+    ),
+    Mutant(
+        "structure-d-reads-xi-in-every-direction",
+        "src/lcslab/lcs_structure.py",
+        "lambda i: fields[i].apply(f)",
+        "lambda i: fields[k].apply(f)",
+        (
+            "tests/test_lcs_structure.py::TestDeriveStructure::test_reference_scalars",
+            "tests/test_lcs_structure.py::TestDeriveStructure::test_dalpha_off_eta_refused",
+        ),
     ),
     # the flat Milne universe reaches the scalar prediction and the zero-r
     # note of the opposition relation, which no other input does

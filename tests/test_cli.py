@@ -761,7 +761,7 @@ COMMAND_IMPORTS = {
     ),
     "fit": (["fit", "SGR", "example51"], 0, BUILTINS | {"cmd_fit", "conditions", "einstein"}),
     "fit-file": (["fit", "SGRR", "DEF"], 0, {"cmd_fit", "conditions", "einstein"}),
-    "soliton": (["soliton", "example51"], 0, BUILTINS | {"cmd_soliton", "lcs_structure", "soliton"}),
+    "soliton": (["soliton", "example51"], 0, BUILTINS | {"cmd_soliton", "lcs_structure", "einstein", "soliton"}),
     "derived-conditions": (
         ["derived-conditions", "example51"],
         0,
@@ -779,9 +779,10 @@ COMMAND_IMPORTS = {
 def test_command_imports_only_the_layers_it_runs(tmp_path, case):
     # a cold command compiles each module it loads: its own report module and
     # the layers it runs, and no other.  None of these loads the self-checks
-    # unless it reports them, the Einstein classification or the axioms
-    # unless it runs them, the heuristic GCD (_heugcd; every GCD here has a
-    # zero, equal or one-term operand) or its fallback (_subresultant); a
+    # unless it reports them, the axioms unless it runs them, einstein
+    # unless it classifies or fits (deriving the structure fits its scalars
+    # with einstein.fit_two), the heuristic GCD (_heugcd; every GCD here has
+    # a zero, equal or one-term operand) or its fallback (_subresultant); a
     # definition file loads no table of built-ins; no command imports
     # fractions (with decimal and numbers) for integer sample points; and
     # none loads UNLOADED

@@ -6,7 +6,7 @@ from lcslab.cli import main
 from lcslab.frame_geometry import FrameTensor, vec_scale
 from lcslab.axioms import verify_axioms
 from lcslab.einstein import classify, fit_two
-from lcslab.lcs_structure import NotLcsError, _solve_proportionality, derive_structure
+from lcslab.lcs_structure import NotLcsError, _coefficient, derive_structure
 from lcslab.manifold import ManifoldData
 
 from conftest import (
@@ -19,6 +19,18 @@ from conftest import (
     warped_frames,
     xi_at_every_index,
 )
+
+
+def refusal_note(tmp_path, capsys, frame, metric):
+    """The note of check-lcs's one entry on a 3-D definition with xi = E_3,
+    which must be the structure's refusal."""
+    payload = {"name": "refused", "coords": ["x", "y", "z"], "frame": frame, "metric": metric, "xi": 3}
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["check-lcs", str(path), "--json"]) == 1
+    [entry] = json.loads(capsys.readouterr().out)["entries"]
+    assert (entry["check_id"], entry["status"]) == ("structure", "fail")
+    return entry["note"]
 
 
 class TestDeriveStructure:
@@ -69,26 +81,46 @@ class TestDeriveStructure:
     def test_dalpha_off_eta_refused(self, tmp_path, capsys):
         # E_1 = (xz + 1) d_x, E_2 = (xz + 1) d_y, E_3 = d_z: alpha = -x/(xz + 1)
         # and E_1(alpha) = -1/(xz + 1), yet eta vanishes along E_1
-        payload = {
-            "name": "dalpha-off-eta",
-            "coords": ["x", "y", "z"],
-            "frame": [["x*z + 1", "0", "0"], ["0", "x*z + 1", "0"], ["0", "0", "1"]],
-            "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]],
-            "xi": 3,
-        }
-        path = tmp_path / "def.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert main(["check-lcs", str(path), "--json"]) == 1
-        entries = json.loads(capsys.readouterr().out)["entries"]
-        assert [(e["check_id"], e["status"], e["note"]) for e in entries] == [
-            ("structure", "fail", "d(alpha) is not proportional to eta along direction 0")
-        ]
+        frame = [["x*z + 1", "0", "0"], ["0", "x*z + 1", "0"], ["0", "0", "1"]]
+        metric = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
+        assert refusal_note(tmp_path, capsys, frame, metric) == "d(alpha) = rho eta fails at component (1): -1/(x*z + 1)"
 
-    def test_inconsistent_scalars_refused(self, example51):
-        one, two = example51.chart.const(1), example51.chart.const(2)
+    @pytest.mark.parametrize(
+        "frame, metric, note",
+        [
+            # the first direction's nabla xi has a component where its phi has none
+            (
+                [["(y + z)*(x + 1)", "(y + z)*x", "0"], ["0", "-(y + z)", "0"], ["0", "0", "1"]],
+                [["1", "0", "0"], ["0", "2", "1/2"], ["0", "1/2", "-1"]],
+                "nabla xi = alpha phi fails at component (1,2): -x/9",
+            ),
+            # alpha = -2/z along E_1, -12/(5z) along E_2
+            (
+                [["2*z^2", "0", "0"], ["0", "z^3", "0"], ["0", "0", "1"]],
+                [["1", "0", "0"], ["0", "1", "1/2"], ["0", "1/2", "-1"]],
+                "nabla xi = alpha phi fails at component (2,2): -2/(5*z)",
+            ),
+            # nabla_xi xi, where phi xi = 0, does not vanish
+            (
+                [["y/z", "1/z", "0"], ["0", "-1/z", "0"], ["0", "0", "1 + x"]],
+                [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "-1"]],
+                "nabla xi = alpha phi fails at component (3,1): -y/(x*z + z)",
+            ),
+        ],
+        ids=["no-matching-direction", "inconsistent-alpha", "nabla-xi-xi"],
+    )
+    def test_nabla_xi_off_alpha_phi_refused(self, tmp_path, capsys, frame, metric, note):
+        assert refusal_note(tmp_path, capsys, frame, metric) == note
+
+    def test_coefficient_reads_u_and_refuses_a_nonzero_residual(self, example51):
+        # d(rho) = beta eta cannot fail on a manifold once the first two
+        # relations hold, so the refusal is read from the helper alone
+        chart = example51.chart
+        p, lhs, off = scalar_rows(chart, ("1", "2", "0"), ("x", "2*x", "0"), ("1", "1", "0"))
+        assert _coefficient(lhs, p, "d(rho) = beta eta") == chart.parse("x")
         with pytest.raises(NotLcsError) as info:
-            _solve_proportionality((one, one), (one, two), "beta")
-        assert str(info.value) == "beta: inconsistent scalars 1 and 1/2"
+            _coefficient(off, p, "d(rho) = beta eta")
+        assert str(info.value) == "d(rho) = beta eta fails at component (2): -1"
 
     def test_determinism(self, example51):
         a = derive_structure(example51)
