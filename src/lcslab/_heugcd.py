@@ -93,9 +93,10 @@ def _max_norm(p: Poly) -> int:
 # straight to the recursion.  Set from the crossover on the GCD memo misses of
 # the dense benchmark inputs (all at most 600) and of the blow-up frame's
 # curvature stack: up to 2,048 the step took less time than the recursion,
-# and beyond that more.
+# and beyond that more.  The step tests it once, when xi is known: the box
+# holds every term's exponent and xi >= 29, so a pair with too many terms or
+# too wide a box fails that one test too.
 KRONECKER_BITS = 1024
-_XI_MIN_BITS = (29).bit_length()  # xi = 2 * norm + 29 has at least this many bits
 
 
 def _primitive(p: Poly) -> tuple[int, Poly]:
@@ -129,15 +130,8 @@ def _kronecker_gcd(a: Poly, b: Poly):
     """GCDHEU once on the Kronecker images of two multi-term polynomials (see
     the module docstring); None when the box is too large or the candidate
     does not verify."""
-    # xi has at least _XI_MIN_BITS bits, and the box holds every term's own
-    # exponent: a box past the bound at any xi is rejected before the
-    # exponents are scanned (by term count) and before the contents are taken
-    if max(len(a), len(b)) * _XI_MIN_BITS > KRONECKER_BITS:
-        return None
     radix = [max(s, t) + 1 for s, t in zip(map(max, zip(*a)), map(max, zip(*b)))]
     box = prod(radix)
-    if box * _XI_MIN_BITS > KRONECKER_BITS:
-        return None
     ca, a0 = _primitive(a)
     cb, b0 = _primitive(b)
     cg = int_gcd(ca, cb)

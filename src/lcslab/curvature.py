@@ -21,11 +21,15 @@ its rule).  Outside it every term of the formula has a zero operand; inside
 it the formula is the same, so each sum is one canonical sum of the same
 nonzero terms, and every Expr is that of the evaluation at all n^s indices.
 
-M and C take the half rule of ``frame_geometry.mirror_pairs`` on top: both
-formulas are odd in (X, Y) wherever R's is, so only their leaves with x < y
-are evaluated, each (y,x,z) leaf is the negation of (x,y,z), and the x = y
-leaves stay empty.  Each mirrored leaf is the Expr the formula gives there
-(Exprs are canonical).  R and S themselves are evaluated at every index of
+M and C are one routine, ``_minus_pair_products``: R(X,Y)Z minus a
+multiple of the pair products h(Y,Z) KX - h(X,Z) KY, (S, I) and (g, Q) for M
+and (g, I) for C, I the identity.  Its one support rule is the stored R
+indices, and (x,y,z) and (y,x,z) for every stored row x of K and stored
+(y,z) of h.  It takes the half rule of ``frame_geometry.mirror_pairs`` on
+top: the formula is odd in (X, Y) wherever R's is, so only its leaves with
+x < y are evaluated, each (y,x,z) leaf is the negation of (x,y,z), and the
+x = y leaves stay empty.  Each mirrored leaf is the Expr the formula gives
+there (Exprs are canonical).  R and S themselves are evaluated at every index of
 their support: the self-checks test their symmetries, while neither M nor C
 is self-checked.
 """
@@ -112,51 +116,43 @@ def _antisymmetric(n: int, entry, support) -> FrameTensor:
     return mirror_pairs(FrameTensor.build((1, 3), n, entry, {t for t in support if t[0] < t[1]}), 0)
 
 
-def m_projective(riem: FrameTensor, ric: FrameTensor, q_op: FrameTensor, metric: FrameMetric) -> FrameTensor:
-    """M(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY] / (2(n-1)).
+def _minus_pair_products(riem: FrameTensor, factor: Expr, pairs) -> FrameTensor:
+    """R(X,Y)Z - factor sum_(h, K) [h(Y,Z) KX - h(X,Z) KY] over (0,2) tensors h
+    and (1,1) tensors K, each pair folded in order from R's zero leaf.
 
-    Support: the stored R indices; (x,y,z) and (y,x,z) for every stored
-    S(y,z) and any x; the same for every nonzero g[y][z] and stored row x of Q.
-    Only its x < y part is evaluated; the rest is the mirror (module
-    docstring).
+    Support: the stored R indices, and (x,y,z) and (y,x,z) for every stored
+    row x of K and stored (y,z) of h.  Only its x < y part is evaluated; the
+    rest is the mirror (module docstring).
     """
+
+    def entry(x, y, z):
+        corr = riem.zero
+        for h, k in pairs:
+            corr = vec_sub(vec_add(corr, vec_scale(h.comp(y, z), k.comp(x))), vec_scale(h.comp(x, z), k.comp(y)))
+        return vec_sub(riem.comp(x, y, z), vec_scale(factor, corr))
+
+    support = set(riem.comps).union(*(_pair_swaps([x for (x,) in k.comps], h.comps) for h, k in pairs))
+    return _antisymmetric(riem.dim, entry, support)
+
+
+def m_projective(riem: FrameTensor, ric: FrameTensor, q_op: FrameTensor, metric: FrameMetric) -> FrameTensor:
+    """M(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY] / (2(n-1)):
+    ``_minus_pair_products`` over (S, I) and (g, Q), I the identity."""
     n = metric.dim
     chart = metric.frame.chart
     factor = chart.one() / chart.const(2 * (n - 1))
-    g = metric.g
-    unit = [metric.frame.unit(i) for i in range(n)]
-
-    def entry(x, y, z):
-        corr = vec_scale(ric.comp(y, z), unit[x])
-        corr = vec_sub(corr, vec_scale(ric.comp(x, z), unit[y]))
-        corr = vec_add(corr, vec_scale(g[y][z], q_op.comp(x)))
-        corr = vec_sub(corr, vec_scale(g[x][z], q_op.comp(y)))
-        return vec_sub(riem.comp(x, y, z), vec_scale(factor, corr))
-
-    support = set(riem.comps) | _pair_swaps(range(n), ric.comps)
-    support |= _pair_swaps([x for (x,) in q_op.comps], metric.tensor.comps)
-    return _antisymmetric(n, entry, support)
+    identity = FrameTensor.build((1, 1), n, metric.frame.unit)
+    return _minus_pair_products(riem, factor, [(ric, identity), (metric.tensor, q_op)])
 
 
 def concircular(riem: FrameTensor, scalar: Expr, metric: FrameMetric) -> FrameTensor:
-    """C(X,Y)W = R(X,Y)W - r/(n(n-1)) {g(Y,W)X - g(X,W)Y}.
-
-    Support: the stored R indices, and (x,y,w) and (y,x,w) for every nonzero
-    g[y][w] and any x.  Only its x < y part is evaluated; the rest is the
-    mirror (module docstring).
-    """
+    """C(X,Y)W = R(X,Y)W - r/(n(n-1)) {g(Y,W)X - g(X,W)Y}:
+    ``_minus_pair_products`` over (g, I), I the identity."""
     n = metric.dim
     chart = metric.frame.chart
     factor = scalar / chart.const(n * (n - 1))
-    g = metric.g
-    unit = [metric.frame.unit(i) for i in range(n)]
-
-    def entry(x, y, w):
-        corr = vec_sub(vec_scale(g[y][w], unit[x]), vec_scale(g[x][w], unit[y]))
-        return vec_sub(riem.comp(x, y, w), vec_scale(factor, corr))
-
-    support = set(riem.comps) | _pair_swaps(range(n), metric.tensor.comps)
-    return _antisymmetric(n, entry, support)
+    identity = FrameTensor.build((1, 1), n, metric.frame.unit)
+    return _minus_pair_products(riem, factor, [(metric.tensor, identity)])
 
 
 class CurvatureStack(namedtuple("CurvatureStack", "riemann13 ricci q_operator scalar")):

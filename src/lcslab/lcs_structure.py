@@ -12,15 +12,15 @@ rho, beta) from the three relations that define an (LCS)_n:
     identity is checked with this beta only: it is a theorem of the
     structure (the proof is in ``derived_conditions.nabla_r_xi_identity``).
 
-alpha and beta are each the u of lhs = u p that ``einstein.fit_two``, the
-engine's one relation solver, reads; rho is the paper's -xi(alpha), which
-costs no division.  Each relation holds exactly when its residual
-lhs - u p (``frame_geometry.residual``) is zero, and a refusal names the
-relation and the residual's first nonzero component.  The third relation
-cannot fail once the first two hold: (nabla_X eta)(Y) = g(nabla_X xi, Y) =
-alpha (g + eta x eta)(X, Y) is symmetric, so d(eta) = 0, and then
-0 = d(d(alpha)) = d(rho) ^ eta puts d(rho) along eta.  It is checked
-anyway, by the same call.
+alpha, rho and beta are each the u of lhs = u p that ``einstein.fit_two``,
+the engine's one relation solver, reads (rho = d(alpha)_k / eta_k, a
+division by -1, which is a negation).  Each relation holds exactly when its
+residual lhs - u p (``frame_geometry.residual``) is zero, and a refusal
+names the relation and the residual's first nonzero component.  The third
+relation cannot fail once the first two hold: (nabla_X eta)(Y) =
+g(nabla_X xi, Y) = alpha (g + eta x eta)(X, Y) is symmetric, so
+d(eta) = 0, and then 0 = d(d(alpha)) = d(rho) ^ eta puts d(rho) along eta.
+It is checked anyway, by the same call.
 
 Checking the structure against every axiom is ``axioms`` (``check-lcs`` and
 ``conformance`` run it), and classifying the Ricci tensor is ``einstein``,
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .einstein import fit_two
-from .frame_geometry import FrameTensor, combo, dot, residual, vec_add, vec_scale
+from .frame_geometry import FrameTensor, combo, dot, vec_add, vec_scale
 from .manifold import ManifoldData
 from .symexpr import Expr
 
@@ -93,7 +93,6 @@ def derive_structure(data: ManifoldData) -> LcsStructure:
     def d(f):  # the 1-form df
         return FrameTensor.build((0, 1), n, lambda i: fields[i].apply(f))
 
-    rho = -fields[k].apply(alpha)
-    _require_zero(residual(d(alpha), eta_form, eta_form, rho, data.chart.zero()), "d(alpha) = rho eta")
+    rho = _coefficient(d(alpha), eta_form, "d(alpha) = rho eta")
     beta = _coefficient(d(rho), eta_form, "d(rho) = beta eta")
     return LcsStructure(xi=xi, eta=eta, phi=phi, alpha=alpha, rho=rho, beta=beta)

@@ -186,6 +186,22 @@ MUTANTS = (
         "return FrameTensor.build((1, 3), n, entry, {t for t in support if t[0] < t[1]})",
         ("tests/test_curvature.py::test_m_projective_and_concircular_half_rule_equals_the_formula",),
     ),
+    # M and C are one routine of pair products h(Y,Z) KX - h(X,Z) KY: each
+    # pair must be antisymmetrised, and M must pass both of its pairs
+    Mutant(
+        "pair-products-not-antisymmetrised",
+        "src/lcslab/curvature.py",
+        "corr = vec_sub(vec_add(corr, vec_scale(h.comp(y, z), k.comp(x))), vec_scale(h.comp(x, z), k.comp(y)))",
+        "corr = vec_add(corr, vec_scale(h.comp(y, z), k.comp(x)))",
+        ("tests/test_curvature.py::test_m_projective_and_concircular_half_rule_equals_the_formula",),
+    ),
+    Mutant(
+        "m-projective-drops-its-q-pair",
+        "src/lcslab/curvature.py",
+        "[(ric, identity), (metric.tensor, q_op)]",
+        "[(ric, identity)]",
+        ("tests/test_curvature.py::test_m_projective_and_concircular_half_rule_equals_the_formula",),
+    ),
     Mutant(
         "cxs-not-negated",
         "src/lcslab/derived_conditions.py",
@@ -820,6 +836,18 @@ MUTANTS = (
         "if not self.num or P.poly_is_one(o.num):",
         ("tests/test_symexpr.py::TestArith::test_division_by_one_is_the_dividend",),
     ),
+    # dividing by -1 negates: the structure reads rho as d(alpha)_k / eta_k
+    # with eta_k = -1
+    Mutant(
+        "divide-by-minus-one-keeps-the-sign",
+        "src/lcslab/symexpr.py",
+        "return -self  # x / -1 is the negation",
+        "return self  # x / -1 is the negation",
+        (
+            "tests/test_symexpr.py::TestArith::test_division_by_minus_one_is_the_negation",
+            "tests/test_lcs_structure.py::TestDeriveStructure::test_reference_scalars",
+        ),
+    ),
     Mutant(
         "gcd-memo-key-drops-its-second-operand",
         "src/lcslab/polyops.py",
@@ -850,8 +878,8 @@ MUTANTS = (
     Mutant(
         "structure-rho-relation-unchecked",
         "src/lcslab/lcs_structure.py",
-        "_require_zero(residual(d(alpha), eta_form, eta_form, rho, data.chart.zero()), \"d(alpha) = rho eta\")",
-        "residual(d(alpha), eta_form, eta_form, rho, data.chart.zero())",
+        'rho = _coefficient(d(alpha), eta_form, "d(alpha) = rho eta")',
+        "rho = -fields[k].apply(alpha)",
         ("tests/test_lcs_structure.py::TestDeriveStructure::test_dalpha_off_eta_refused",),
     ),
     Mutant(

@@ -514,8 +514,11 @@ def test_kronecker_digit_at_the_box_gives_up_undivided(monkeypatch, power, divis
         ({(5, 5, 5): 1, (0, 0, 0): -1}, {(5, 0, 0): 1, (0, 5, 5): 1}),
         # a box of 8 exponents, but xi has some 200 bits
         ({(1, 1, 1): 3**130, (0, 0, 0): 1}, {(1, 0, 0): 5**90, (0, 1, 1): 7}),
+        # (1 + x + ... + x^14)(1 + y + ... + y^13): 210 terms, each its own
+        # exponent of the box, past the bound at any xi
+        ({(i, j): 1 for i in range(15) for j in range(14)}, {(1, 0): 1, (0, 0): 1}),
     ],
-    ids=["wide-box", "large-xi"],
+    ids=["wide-box", "large-xi", "many-terms"],
 )
 def test_input_above_the_bound_reaches_the_recursion_unevaluated(monkeypatch, a, b):
     def no_evaluation(*args):

@@ -186,6 +186,19 @@ class TestArith:
             assert x / e("1") is x and x / 1 is x
         assert x / e("1/z") == x * e("z") == e("x*z/(y + 1)")
 
+    def test_division_by_minus_one_is_the_negation(self, monkeypatch):
+        # -1 is a negation: x / -1 is -x and calls no kernel but the negation
+        x = e("x/(y + 1)")
+
+        def refused(*args):
+            raise AssertionError("a kernel was called")
+
+        with monkeypatch.context() as patched:
+            for name in ("poly_gcd", "poly_mul", "poly_divexact"):
+                patched.setattr(polyops, name, refused)
+            assert x / e("-1") == -x and x / -1 == -x
+        assert x / e("-1/z") == x * e("-z") == e("-x*z/(y + 1)")
+
     def test_pow_zero_exponent(self):
         assert e("x + 1") ** 0 == e("1")
 
